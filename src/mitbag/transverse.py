@@ -19,12 +19,17 @@ u2 = (kappa^2/8 - K/2) tau e^{-tau} + (3 kappa^2/8 - K/2) tau^2 e^{-tau}; the
 cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an O(m^-3) residual in the
 weighted L^2 norm, which is the rate the verification suite measures.
 
-Numerics: the BVP is integrated backwards from tau = sqrt(m) (the stable
-direction for the decaying mode) and the energy is evaluated as the quadratic
-form of the integrated profile.  By the minimizer's Pythagoras identity
-Q(w) = Lambda + Q(w - u), the form value carries an error *quadratic* in the
-profile error, so Lambda comes out at quadrature accuracy (~1e-14) even when
-the ODE solution itself is only good to ~1e-10.
+Numerics: the minimization is done directly (a Ritz method).  The collar
+is cut into ceil(sqrt(m)) equal panels of length <= 1, each carrying a
+degree-14 Gauss-Lobatto-Legendre (GLL) spectral element, and Q restricted to
+that continuous piecewise-polynomial space is minimized by one banded solve.
+The element matrices use 16-point Gauss quadrature, which integrates
+(|u'|^2 + |u|^2) a exactly for the quadratic weight a, so the discrete energy
+is the exact Q of the discrete profile.  By the Pythagoras identity
+Q(w) = Lambda + Q(w - u) that value is an upper bound on Lambda whose excess
+is quadratic in the profile error, so it lands at rounding level (~1e-15).
+The left derivative is read off as the discrete flux of the first row,
+-u'(0) = (A u)_0, which equals the energy exactly for the discrete minimizer.
 """
 
 from __future__ import annotations
@@ -34,19 +39,98 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
-from .numerics import (
-    SecondOrderODE,
-    ShootingError,
-    ToleranceConfig,
-    mesh_aligned_nodes,
-    panel_nodes,
-    solve_bvp_shooting,
-)
+from .numerics import ShootingError, ToleranceConfig, panel_nodes
 
 QUAD_PANEL = 0.25
 MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: e^{sqrt m} must stay inside double range
+
+# Spectral elements: polynomial degree and longest panel.
+ELEMENT_DEGREE = 14
+ELEMENT_PANEL = 1.0
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, p_prev
+
+
+def _newton(x: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Iterate x -= step(x) until the steps reach the rounding level of x's dtype."""
+    eps = np.finfo(x.dtype).eps
+    for _ in range(100):
+        dx = step(x)
+        x = x - dx
+        if np.max(np.abs(dx)) <= 4.0 * eps:
+            break
+    return x
+
+
+def _interp_matrix(nodes: np.ndarray, bary: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows of Lagrange basis values at points x (barycentric form, exact at
+    the nodes themselves)."""
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    terms = bary / diff
+    basis = terms / terms.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    basis[rows] = hit[rows]
+    return basis
+
+
+def _element_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Reference tables of the degree-n GLL element on [-1, 1]: nodes,
+    barycentric weights, differentiation matrix, the Gauss rule, the basis
+    values and derivatives at its points, and the element-matrix moments.
+
+    Built in extended precision (where the platform has it) and rounded once:
+    the element matrices are sums with cancellation between entries of size
+    ~n^4, and rounding them per element would cost about a digit of the
+    profile.  The Gauss rule has n + 2 points, exact to degree 2n + 3, so it
+    integrates l_i l_j xi^k and l_i' l_j' xi^k (k <= 2) without error.
+    """
+    wide = np.longdouble
+
+    def gll_step(x):  # Newton on (1 - x^2) P_n'(x)
+        p, p_prev = _legendre(n, x)
+        return (x * p - p_prev) / ((n + 1) * p)
+
+    nodes = _newton(-np.cos(np.pi * np.arange(n + 1, dtype=wide) / n), gll_step)
+    nodes[0], nodes[-1] = -1.0, 1.0
+
+    g = n + 2
+
+    def gauss_step(x):  # Newton on P_g(x)
+        p, p_prev = _legendre(g, x)
+        return p * (x * x - 1.0) / (g * (x * p - p_prev))
+
+    gx = _newton(-np.cos(np.pi * (4.0 * np.arange(1, g + 1, dtype=wide) - 1.0) / (4 * g + 2)), gauss_step)
+    p, p_prev = _legendre(g, gx)
+    gw = 2.0 * (1.0 - gx * gx) / (g * (gx * p - p_prev)) ** 2
+
+    gaps = nodes[:, None] - nodes[None, :] + np.eye(n + 1, dtype=wide)
+    bary = 1.0 / np.prod(gaps, axis=1)
+    diff = (bary[None, :] / bary[:, None]) / gaps  # D[i, j] = l_j'(x_i)
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    val = _interp_matrix(nodes, bary, gx)
+    der = val @ diff
+    moments = gw[None, :] * gx[None, :] ** np.arange(3)[:, None]  # w_q xi_q^k
+    # Rows k = 0, 1, 2: int xi^k l_i' l_j' and int xi^k l_i l_j, flattened.
+    stiff = np.einsum("kq,qi,qj->kij", moments, der, der).reshape(3, -1)
+    mass = np.einsum("kq,qi,qj->kij", moments, val, val).reshape(3, -1)
+    return tuple(t.astype(float) for t in (nodes, bary, diff, gx, gw, val, der, stiff, mass))
+
+
+(_GLL, _BARY, _DIFF, _GAUSS_X, _GAUSS_W, _GAUSS_VAL, _GAUSS_DER, _STIFF_MOMENTS, _MASS_MOMENTS) = _element_tables(
+    ELEMENT_DEGREE
+)
 
 
 @dataclass(frozen=True)
@@ -84,13 +168,14 @@ class TransverseSolution:
     """Minimizer profile with its energy, weighted mass, and left derivative.
 
     ``lam`` is the variational (quadratic-form) value of the energy; the
-    invariant lam = -deriv0 holds to solver tolerance.
+    invariant lam = -deriv0 holds to solver tolerance.  ``tau`` and ``u`` are
+    the element nodes and the nodal values of the discrete minimizer, with
+    the boundary data u[0] = 1 and u[-1] = 0 held exactly.
     """
 
     lam: float
     tau: np.ndarray
     u: np.ndarray
-    weights: np.ndarray
     mass: float
     deriv0: float
     _dense: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -107,36 +192,65 @@ class TransverseSolution:
 
 
 def solve_transverse(p: TransverseProblem, tol: ToleranceConfig | None = None) -> TransverseSolution:
-    """Solve the Euler-Lagrange BVP and return energy, profile, and mass."""
-    tol = tol or ToleranceConfig(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+    """Minimize Q over the spectral-element space; return energy, profile, mass.
+
+    The solve is direct (one banded factorization), so ``tol`` is accepted
+    for interface stability but not used.
+    """
     T = p.half_width
     if T > MAX_HALF_WIDTH:
         raise ShootingError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
+    n = ELEMENT_DEGREE
+    n_el = max(1, math.ceil(T / ELEMENT_PANEL))
+    h = T / n_el
+    n_dof = n_el * n + 1
+    left = h * np.arange(n_el)
 
-    ode = SecondOrderODE(
-        p=lambda t: p.weight_deriv(t) / p.weight(t),
-        q=lambda t: -1.0,
-    )
-    shot = solve_bvp_shooting(ode, (0.0, T), 1.0, 0.0, tol=tol)
+    # Element matrices, exact by quadrature.  On element e the weight is
+    # c0 + c1 xi + c2 xi^2 in the local coordinate xi in [-1, 1]; the
+    # coefficients follow from its values at xi = -1, 0, 1.
+    a_left, a_mid, a_right = p.weight(left + 0.5 * h * np.array([[0.0], [1.0], [2.0]]))
+    coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=1)
+    elem = 0.5 * h * (coef @ (_STIFF_MOMENTS * (2.0 / h) ** 2 + _MASS_MOMENTS))
 
-    # Quadrature panels aligned with the integrator mesh: there the dense
-    # profile is polynomial and the 16-node rule is exact, so the variational
-    # energy value carries no quadrature error on top of the (quadratically
-    # suppressed) profile error.
-    x, w = mesh_aligned_nodes(shot.mesh, n_nodes=16)
-    u, du = shot.evaluate(x)
-    a = p.weight(x)
-    lam = float(np.dot(w, (du * du + u * u) * a))
-    mass = float(np.dot(w, u * u * a))
-    return TransverseSolution(
-        lam=lam,
-        tau=shot.tau,
-        u=shot.u,
-        weights=w,
-        mass=mass,
-        deriv0=shot.deriv_left,
-        _dense=shot.evaluate,
-    )
+    # Assemble into (2n + 1, n_dof) band storage: A[r, c] sits at ab[n + r - c, c].
+    local = np.arange(n + 1)
+    band_row = n + local[:, None] - local[None, :]
+    col = np.arange(n_el)[:, None, None] * n + local[None, None, :]
+    flat = (band_row[None, :, :] * n_dof + col).ravel()
+    ab = np.bincount(flat, weights=elem.ravel(), minlength=(2 * n + 1) * n_dof)
+    ab = ab.reshape(2 * n + 1, n_dof)
+
+    # Dirichlet data u(0) = 1, u(T) = 0: the interior unknowns see the left
+    # datum through the first column of A, which is also its first row.
+    first = np.zeros(n_dof)
+    first[: n + 1] = ab[n:, 0]
+    u = np.empty(n_dof)
+    u[0], u[-1] = 1.0, 0.0
+    u[1:-1] = solve_banded((n, n), ab[:, 1:-1], -first[1:-1])
+    deriv0 = -float(np.dot(first, u))
+
+    nodal = u[:-1].reshape(n_el, n)
+    nodal = np.concatenate([nodal, u[n::n, None]], axis=1)  # (n_el, n + 1)
+    xq = left[:, None] + 0.5 * h * (_GAUSS_X + 1.0)[None, :]
+    wa = 0.5 * h * _GAUSS_W[None, :] * p.weight(xq)
+    uq = nodal @ _GAUSS_VAL.T
+    duq = nodal @ _GAUSS_DER.T * (2.0 / h)
+    lam = float(np.sum(wa * (duq * duq + uq * uq)))
+    mass = float(np.sum(wa * uq * uq))
+    nodal_deriv = nodal @ _DIFF.T * (2.0 / h)
+
+    def dense(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(t, dtype=float)
+        flat_t = t.ravel()
+        e = np.clip(np.floor(flat_t / h).astype(int), 0, n_el - 1)
+        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - left[e]) / h - 1.0)
+        value = np.einsum("kj,kj->k", basis, nodal[e])
+        deriv = np.einsum("kj,kj->k", basis, nodal_deriv[e])
+        return value.reshape(t.shape), deriv.reshape(t.shape)
+
+    tau = np.concatenate([(left[:, None] + 0.5 * h * (_GLL[:-1] + 1.0)[None, :]).ravel(), [T]])
+    return TransverseSolution(lam=lam, tau=tau, u=u, mass=mass, deriv0=deriv0, _dense=dense)
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

@@ -162,7 +162,7 @@ class TestRunSuite:
 
     def test_determinism_across_threads(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
-        config = SuiteConfig(suite="exterior", output_path=str(out), format="json")
+        config = SuiteConfig(suite="all", output_path=str(out), format="json")
         monkeypatch.setenv("VERIFY_THREADS", "1")
         run_suite(config)
         single = out.read_bytes()
@@ -172,7 +172,7 @@ class TestRunSuite:
 
     def test_determinism_across_runs(self, tmp_path):
         out = tmp_path / "r.csv"
-        config = SuiteConfig(suite="exterior", output_path=str(out))
+        config = SuiteConfig(suite="all", output_path=str(out))
         run_suite(config)
         first = out.read_bytes()
         run_suite(config)
@@ -220,6 +220,11 @@ class TestMainExitCodes:
         monkeypatch.setitem(cli._SUITE_RUNNERS, "exterior", broken_suite)
         path = write_config(tmp_path)
         assert main([path]) == 3
+
+    def test_transverse_interval_cap_exit_three(self, tmp_path):
+        # sqrt(400000) = 632.5 exceeds the supported collar length of 600.
+        path = write_config(tmp_path)
+        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,400000"]) == 3
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "override.json"

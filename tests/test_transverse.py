@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitbag.geometry import CurvatureData
-from mitbag.numerics import ToleranceConfig
+from mitbag.numerics import ShootingError, ToleranceConfig
 from mitbag.transverse import (
+    ELEMENT_DEGREE,
     TransverseProblem,
     cutoff_chi,
     cutoff_chi_d1,
@@ -28,8 +31,9 @@ def flat_lambda(m: float) -> float:
 
 
 def flat_mass(m: float) -> float:
+    # (sinh(2T)/4 - T/2)/sinh(T)^2, written so that it stays finite up to T = 600.
     T = math.sqrt(m)
-    return (math.sinh(2.0 * T) / 4.0 - T / 2.0) / math.sinh(T) ** 2
+    return 0.5 / math.tanh(T) - 0.5 * T / math.sinh(T) / math.sinh(T)
 
 
 class TestFlatClosedForms:
@@ -66,6 +70,38 @@ class TestFlatClosedForms:
     def test_boundary_samples_pinned(self):
         sol = solve_transverse(TransverseProblem(m=4.0, curv=FLAT))
         assert sol.u[0] == 1.0 and sol.u[-1] == 0.0
+
+
+class TestRitzSolver:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.floats(1.0, 600.0**2))
+    def test_flat_closed_forms_over_the_whole_range(self, m):
+        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        assert sol.lam == pytest.approx(flat_lambda(m), rel=1e-12)
+        assert sol.mass == pytest.approx(flat_mass(m), rel=1e-12)
+        assert abs(sol.deriv0 + sol.lam) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.floats(1.0, 600.0**2))
+    def test_ritz_value_is_an_upper_bound(self, m):
+        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        assert sol.lam >= flat_lambda(m) - 1e-14
+
+    def test_interval_cap(self):
+        sol = solve_transverse(TransverseProblem(m=600.0**2, curv=FLAT))
+        assert sol.lam == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ShootingError):
+            solve_transverse(TransverseProblem(m=600.5**2, curv=FLAT))
+
+    def test_samples_are_element_nodes(self):
+        m = 30.25  # sqrt(m) = 5.5: six panels of length 11/12
+        sol = solve_transverse(TransverseProblem(m=m, curv=CurvatureData(2.0, 1.0)))
+        assert len(sol.tau) == len(sol.u) == 6 * ELEMENT_DEGREE + 1
+        assert sol.tau[0] == 0.0 and sol.tau[-1] == math.sqrt(m)
+        assert np.all(np.diff(sol.tau) > 0.0)
+        np.testing.assert_allclose(sol.tau[:: ELEMENT_DEGREE], np.linspace(0.0, 5.5, 7), rtol=0.0, atol=1e-15)
+        u, _ = sol.evaluate(sol.tau)
+        np.testing.assert_allclose(u, sol.u, rtol=0.0, atol=1e-15)
 
 
 class TestExpansion:
