@@ -50,8 +50,6 @@ from .geometry import (
     FlatTorusHalfSpace,
     ModelGeometry,
     min_rescaled_weight,
-    rescaled_weight,
-    tubular_weight,
     weight_validity_floor,
 )
 from .numerics import (
@@ -61,16 +59,11 @@ from .numerics import (
     ToleranceConfig,
     find_root_bracketed,
     fit_inverse_m,
-    integrate_panels,
     panel_nodes,
     slope_drift,
     solve_bvp_shooting,
 )
 from .special import (
-    BesselKValue,
-    modified_spherical_bessel_i,
-    modified_spherical_bessel_i_deriv,
-    modified_spherical_bessel_k,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
     spherical_bessel_j,

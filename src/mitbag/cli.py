@@ -7,18 +7,19 @@ Usage:
 
 The config file is a single JSON document; flags override individual fields.
 Exit codes: 0 all asserted checks pass, 1 at least one fails, 2 invalid
-configuration, 3 internal numeric error.  VERIFY_THREADS caps the sweep
-parallelism (checks are pure, and report assembly is an ordered reduction,
-so the output bytes do not depend on the thread count).
+configuration, 3 internal numeric error.  Sweeps run serially in a fixed
+order, so identical configurations produce identical report bytes.
+
+Every check is one ``CheckRecord`` whose verdict follows from its own
+expected value, observed value, tolerance and comparison kind (see
+``report.COMPARISONS``); no verdict is computed here.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -75,6 +76,7 @@ from .transverse import (
 )
 
 SUITES = ("transverse", "exterior", "dirac", "robin", "all")
+BALL_SUITES = ("exterior", "dirac", "robin", "all")  # these run on the configured ball
 
 DEFAULT_CURVATURE_GRID: tuple[tuple[float, float], ...] = tuple(
     (k, K) for k in (-3.0, -1.0, 0.0, 1.0, 3.0) for K in (-2.0, 0.0, 1.0, 2.0)
@@ -117,6 +119,8 @@ class SuiteConfig:
             raise ConfigError("curvature_grid must be nonempty")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
+        if self.suite in BALL_SUITES and not isinstance(self.geometry, (BallInterior, BallExterior)):
+            raise ConfigError(f"suite {self.suite!r} needs a ball geometry, got {self.geometry!r}")
 
 
 def _geometry_from_dict(d: dict[str, Any]) -> ModelGeometry:
@@ -193,25 +197,15 @@ def load_config(path: str) -> SuiteConfig:
     return config_from_dict(document)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("VERIFY_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
 def _pmap(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-    """Order-preserving parallel map; the reduction is deterministic."""
-    items = list(items)
-    workers = min(_thread_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving serial map over a sweep (a named seam for tracing)."""
+    return [fn(x) for x in items]
+
+
+def _tightest(observed: Sequence[float], bound: Sequence[float]) -> int:
+    """Index where ``observed <= bound`` holds with the least margin, or an
+    index where it fails (NaN included) if there is one."""
+    return max(range(len(observed)), key=lambda j: (not observed[j] <= bound[j], observed[j] - bound[j]))
 
 
 def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -271,36 +265,17 @@ def _transverse_sweep_records(
             continue
         cohorts.setdefault(valid_ms, []).append((pair, diffs))
         slope = _loglog_slope(valid_ms, [max(d, 1e-17) for d in diffs])
-        records.append(
-            CheckRecord(
-                check_id="transverse.expansion.pair.slope",
-                expected=-2.9,
-                observed=slope,
-                tolerance=0.0,
-                passed=slope <= -2.9,
-                provenance="fit",
-                kappa=pair[0],
-                gauss=pair[1],
-                asserted=False,
-            )
-        )
+        records.append(CheckRecord("transverse.expansion.pair.slope", "upper", expected=-2.9, observed=slope,
+                                   tolerance=0.0, provenance="fit", kappa=pair[0], gauss=pair[1],
+                                   asserted=False))
         # Mass rate: the first-order term of the weighted mass cancels
         # analytically, so the deviation envelope fitted at the coarsest
         # valid mass bounds the finer ones.
         mass_env = mass_devs[0] * valid_ms[0]
         mass_worst = max((d * m for d, m in zip(mass_devs[1:], valid_ms[1:])), default=0.0)
-        records.append(
-            CheckRecord(
-                check_id="transverse.mass.envelope",
-                expected=mass_env,
-                observed=mass_worst,
-                tolerance=0.0,
-                passed=mass_worst <= mass_env * (1.0 + 1e-9),
-                provenance="fit",
-                kappa=pair[0],
-                gauss=pair[1],
-            )
-        )
+        records.append(CheckRecord("transverse.mass.envelope", "envelope", expected=mass_env,
+                                   observed=mass_worst, tolerance=1e-9, provenance="fit", kappa=pair[0],
+                                   gauss=pair[1]))
         summary[f"expansion_constant[kappa={pair[0]:g},K={pair[1]:g}]"] = (
             diffs[-1] * valid_ms[-1] ** 3
         )
@@ -309,32 +284,12 @@ def _transverse_sweep_records(
         agg = [max(diffs[i] for _, diffs in members) for i in range(len(valid_ms))]
         label = f"floor<={valid_ms[0]:g};pairs={len(members)}"
         slope = _loglog_slope(valid_ms, agg)
-        records.append(
-            CheckRecord(
-                check_id="transverse.expansion.slope",
-                expected=-2.9,
-                observed=slope,
-                tolerance=0.0,
-                passed=slope <= -2.9,
-                provenance="fit",
-                m=None,
-                sector=label,
-            )
-        )
+        records.append(CheckRecord("transverse.expansion.slope", "upper", expected=-2.9, observed=slope,
+                                   tolerance=0.0, provenance="fit", sector=label))
         env = agg[0] * valid_ms[0] ** 3
         worst = max((d * m**3 for d, m in zip(agg[1:], valid_ms[1:])), default=0.0)
-        records.append(
-            CheckRecord(
-                check_id="transverse.expansion.envelope",
-                expected=env,
-                observed=worst,
-                tolerance=0.0,
-                passed=worst <= env * (1.0 + 1e-9),
-                provenance="fit",
-                m=None,
-                sector=label,
-            )
-        )
+        records.append(CheckRecord("transverse.expansion.envelope", "envelope", expected=env, observed=worst,
+                                   tolerance=1e-9, provenance="fit", sector=label))
         summary[f"expansion_aggregate_constant[{label}]"] = env
     return records, summary
 
@@ -343,52 +298,19 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     m_grid = config.m_grid or TRANSVERSE_M_GRID
+    tol = config.tolerances
 
     # Flat closed forms: the profile is sinh(sqrt(m)-tau)/sinh(sqrt(m)).
-    flat = TransverseProblem(m=4.0, curv=CurvatureData.flat())
-    sol4 = solve_transverse(flat, tol=config.tolerances)
+    sol4 = solve_transverse(TransverseProblem(m=4.0, curv=CurvatureData.flat()), tol=tol)
     lam_exact = 1.0 / math.tanh(2.0)
     mass_exact = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
-    records.append(
-        CheckRecord(
-            check_id="transverse.flat.lambda.m4",
-            expected=lam_exact,
-            observed=sol4.lam,
-            tolerance=1e-9,
-            passed=abs(sol4.lam - lam_exact) <= 1e-9,
-            provenance="closed-form",
-            m=4.0,
-            kappa=0.0,
-            gauss=0.0,
-        )
-    )
-    records.append(
-        CheckRecord(
-            check_id="transverse.flat.mass.m4",
-            expected=mass_exact,
-            observed=sol4.mass,
-            tolerance=1e-6,
-            passed=abs(sol4.mass - mass_exact) <= 1e-6,
-            provenance="closed-form",
-            m=4.0,
-            kappa=0.0,
-            gauss=0.0,
-        )
-    )
-    sol_large = solve_transverse(TransverseProblem(m=1e4, curv=CurvatureData.flat()), tol=config.tolerances)
-    records.append(
-        CheckRecord(
-            check_id="transverse.flat.limit.m1e4",
-            expected=1.0,
-            observed=sol_large.lam,
-            tolerance=1e-8,
-            passed=abs(sol_large.lam - 1.0) <= 1e-8,
-            provenance="closed-form",
-            m=1e4,
-            kappa=0.0,
-            gauss=0.0,
-        )
-    )
+    records.append(CheckRecord("transverse.flat.lambda.m4", "abs", expected=lam_exact, observed=sol4.lam,
+                               tolerance=1e-9, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
+    records.append(CheckRecord("transverse.flat.mass.m4", "abs", expected=mass_exact, observed=sol4.mass,
+                               tolerance=1e-6, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
+    sol_large = solve_transverse(TransverseProblem(m=1e4, curv=CurvatureData.flat()), tol=tol)
+    records.append(CheckRecord("transverse.flat.limit.m1e4", "abs", expected=1.0, observed=sol_large.lam,
+                               tolerance=1e-8, provenance="closed-form", m=1e4, kappa=0.0, gauss=0.0))
 
     # Curvature sweep: expansion order and mass envelopes.
     sweep_records, sweep_summary = _transverse_sweep_records(config, m_grid)
@@ -401,21 +323,13 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     for kappa in (1.0, 2.0, 3.0):
         prob = TransverseProblem(m=64.0, curv=CurvatureData(kappa, kappa**2 / 4.0))
         worst = max(worst, abs(expansion_lambda(prob) - (1.0 + kappa / (2.0 * prob.m))))
-    records.append(
-        CheckRecord(
-            check_id="transverse.sphere.cancellation",
-            expected=0.0,
-            observed=worst,
-            tolerance=0.0,
-            passed=worst == 0.0,
-            provenance="expansion",
-        )
-    )
+    records.append(CheckRecord("transverse.sphere.cancellation", "abs", expected=0.0, observed=worst,
+                               tolerance=0.0, provenance="expansion"))
 
     # Minimality and the Pythagoras identity on seeded test functions.
     rng = np.random.default_rng(config.seed)
     prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-    sol = solve_transverse(prob)
+    sol = solve_transverse(prob, tol=tol)
     T = prob.half_width
     min_gap = math.inf
     max_pyth = 0.0
@@ -449,32 +363,10 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 
         q_diff = transverse_form(prob, w_minus_u, w_minus_u_deriv)
         max_pyth = max(max_pyth, abs(q_w - sol.lam - q_diff))
-    records.append(
-        CheckRecord(
-            check_id="transverse.minimality.seeded",
-            expected=0.0,
-            observed=min_gap,
-            tolerance=1e-8,
-            passed=min_gap >= -1e-8,
-            provenance="closed-form",
-            m=36.0,
-            kappa=2.0,
-            gauss=1.0,
-        )
-    )
-    records.append(
-        CheckRecord(
-            check_id="transverse.pythagoras.seeded",
-            expected=0.0,
-            observed=max_pyth,
-            tolerance=1e-7,
-            passed=max_pyth <= 1e-7,
-            provenance="closed-form",
-            m=36.0,
-            kappa=2.0,
-            gauss=1.0,
-        )
-    )
+    records.append(CheckRecord("transverse.minimality.seeded", "lower", expected=0.0, observed=min_gap,
+                               tolerance=1e-8, provenance="closed-form", m=36.0, kappa=2.0, gauss=1.0))
+    records.append(CheckRecord("transverse.pythagoras.seeded", "upper", expected=0.0, observed=max_pyth,
+                               tolerance=1e-7, provenance="closed-form", m=36.0, kappa=2.0, gauss=1.0))
 
     # Cutoff-ansatz residual: O(m^-3) for curved data, exponentially small flat.
     curved = [
@@ -483,41 +375,20 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     ]
     c_res = curved[0] * 100.0**3
     worst_res = max(r * m**3 for r, m in zip(curved[1:], (400.0, 1600.0)))
-    records.append(
-        CheckRecord(
-            check_id="transverse.residual.order",
-            expected=c_res,
-            observed=worst_res,
-            tolerance=0.0,
-            passed=worst_res <= c_res * (1.0 + 1e-9),
-            provenance="fit",
-            kappa=3.0,
-            gauss=1.0,
-        )
-    )
+    records.append(CheckRecord("transverse.residual.order", "envelope", expected=c_res, observed=worst_res,
+                               tolerance=1e-9, provenance="fit", kappa=3.0, gauss=1.0))
     summary["ansatz_residual_constant[kappa=3,K=1]"] = c_res
     flat_res_25 = residual_of_ansatz(TransverseProblem(m=25.0, curv=CurvatureData.flat()))
     c_flat = flat_res_25 / math.exp(-math.sqrt(25.0) / 4.0)
     flat_res_100 = residual_of_ansatz(TransverseProblem(m=100.0, curv=CurvatureData.flat()))
     bound = c_flat * math.exp(-math.sqrt(100.0) / 4.0)
-    records.append(
-        CheckRecord(
-            check_id="transverse.residual.flat",
-            expected=bound,
-            observed=flat_res_100,
-            tolerance=0.0,
-            passed=flat_res_100 <= bound,
-            provenance="fit",
-            m=100.0,
-            kappa=0.0,
-            gauss=0.0,
-        )
-    )
+    records.append(CheckRecord("transverse.residual.flat", "upper", expected=bound, observed=flat_res_100,
+                               tolerance=0.0, provenance="fit", m=100.0, kappa=0.0, gauss=0.0))
 
     # Measured flat-mass decay order, reported only: the closed form decays
     # super-polynomially, so no fixed power law is asserted.
     flat_devs = [
-        transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData.flat())))
+        transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData.flat()), tol=tol))
         for m in (4.0, 16.0, 64.0)
     ]
     summary["flat_mass_decay_order"] = _loglog_slope((4.0, 16.0, 64.0), flat_devs)
@@ -528,97 +399,50 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 # Exterior suite
 # ----------------------------------------------------------------------------
 
+# Torus period of the flat-model data in the effective-rate and mass checks.
+FLAT_PERIOD = 2.0 * math.pi
+
 
 def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     m_grid = config.m_grid or EXTERIOR_M_GRID
     R = _ball_radius(config)
-    period = getattr(config.geometry, "period", 2.0 * math.pi)
 
     # Closed-form Dirichlet-to-Neumann values and the l=0 exterior mass.
     for m in m_grid:
-        observed = ball_exterior_dtn(m, R, 0)
-        expected = m + 1.0 / R
-        records.append(
-            CheckRecord(
-                check_id="exterior.dtn.l0",
-                expected=expected,
-                observed=observed,
-                tolerance=1e-10,
-                passed=abs(observed - expected) <= 1e-10 * expected,
-                provenance="closed-form",
-                m=m,
-                sector="ell=0",
-            )
-        )
-        observed = ball_exterior_dtn(m, R, 1)
+        records.append(CheckRecord("exterior.dtn.l0", "rel", expected=m + 1.0 / R,
+                                   observed=ball_exterior_dtn(m, R, 0), tolerance=1e-10,
+                                   provenance="closed-form", m=m, sector="ell=0"))
         # k_1 quotient closed form: m x/(x+1) + 2/R at x = mR.
-        expected = m * (m * R) / (m * R + 1.0) + 2.0 / R
-        records.append(
-            CheckRecord(
-                check_id="exterior.dtn.l1",
-                expected=expected,
-                observed=observed,
-                tolerance=1e-10,
-                passed=abs(observed - expected) <= 1e-10 * expected,
-                provenance="closed-form",
-                m=m,
-                sector="ell=1",
-            )
-        )
-        v0 = sphere_datum(R, {0: math.sqrt(4.0 * math.pi)})
-        sol = exterior_energy(v0, m)
-        expected = 4.0 * math.pi / (2.0 * m)
-        records.append(
-            CheckRecord(
-                check_id="exterior.mass.l0",
-                expected=expected,
-                observed=sol.exterior_mass,
-                tolerance=1e-10,
-                passed=abs(sol.exterior_mass - expected) <= 1e-10 * expected,
-                provenance="closed-form",
-                m=m,
-                sector="ell=0",
-            )
-        )
+        records.append(CheckRecord("exterior.dtn.l1", "rel", expected=m * (m * R) / (m * R + 1.0) + 2.0 / R,
+                                   observed=ball_exterior_dtn(m, R, 1), tolerance=1e-10,
+                                   provenance="closed-form", m=m, sector="ell=1"))
+        mass = exterior_energy(sphere_datum(R, {0: math.sqrt(4.0 * math.pi)}), m).exterior_mass
+        records.append(CheckRecord("exterior.mass.l0", "rel", expected=4.0 * math.pi / (2.0 * m),
+                                   observed=mass, tolerance=1e-10, provenance="closed-form", m=m,
+                                   sector="ell=0"))
 
     # Effective-functional rate on mixed-mode data, both model geometries.
     sphere_v = sphere_datum(R, {0: 1.0, 1: 0.7, 3: 0.4})
-    flat_v = torus_datum(period, {(0, 0): 1.0, (1, 0): 0.6, (2, 1): 0.3})
+    flat_v = torus_datum(FLAT_PERIOD, {(0, 0): 1.0, (1, 0): 0.6, (2, 1): 0.3})
     for label, v in (("sphere", sphere_v), ("flat", flat_v)):
         values = []
         for m in m_grid:
             gap = abs(exterior_energy(v, m).energy - effective_energy(v, m))
             values.append(m**1.5 * gap / sobolev_h32_norm_sq(v))
         for m, val in zip(m_grid, values):
-            records.append(
-                CheckRecord(
-                    check_id=f"exterior.effective.rate.{label}",
-                    expected=values[0],
-                    observed=val,
-                    tolerance=0.0,
-                    passed=val <= values[0] * (1.0 + 1e-9),
-                    provenance="fit",
-                    m=m,
-                )
-            )
-        records.append(
-            CheckRecord(
-                check_id=f"exterior.effective.rate.{label}.decreasing",
-                expected=values[0],
-                observed=values[-1],
-                tolerance=0.0,
-                passed=values[-1] < values[0],
-                provenance="fit",
-            )
-        )
+            records.append(CheckRecord(f"exterior.effective.rate.{label}", "envelope", expected=values[0],
+                                       observed=val, tolerance=1e-9, provenance="fit", m=m))
+        records.append(CheckRecord(f"exterior.effective.rate.{label}.decreasing", "below", expected=values[0],
+                                   observed=values[-1], tolerance=0.0, provenance="fit"))
         summary[f"effective_rate_constant[{label}]"] = values[0]
 
     # Per-mode sandwich: the exact value never exceeds its effective expansion
     # (up to rounding of quantities of size m), and sits below it by O(1/m^2).
     # The m^2-scaled gap approaches its constant from below, so the rate bound
-    # is fitted from the two coarsest masses with fixed 5% headroom.
+    # is fitted from the two coarsest masses with fixed 5% headroom.  Each
+    # condition is recorded at the mass where it is tightest.
     eps = float(np.finfo(float).eps)
     for ell in (0, 1, 2, 5):
         gaps = [
@@ -629,122 +453,57 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
         ]
         rounding = [64.0 * eps * (m + 2.0) for m in m_grid]
         scaled = [abs(g) * m**2 for g, m in zip(gaps, m_grid)]
+        scaled_rounding = [r * m**2 for r, m in zip(rounding, m_grid)]
         c_fit = 1.05 * max(scaled[:2]) + rounding[0]
-        ok = all(g <= r for g, r in zip(gaps, rounding)) and all(
-            s <= c_fit + r * m**2 for s, r, m in zip(scaled, rounding, m_grid)
-        )
-        records.append(
-            CheckRecord(
-                check_id="exterior.sandwich",
-                expected=c_fit,
-                observed=max(scaled),
-                tolerance=0.0,
-                passed=ok,
-                provenance="fit",
-                sector=f"ell={ell}",
-            )
-        )
+        i = _tightest(scaled, [c_fit + r for r in scaled_rounding])
+        records.append(CheckRecord("exterior.sandwich", "upper", expected=c_fit, observed=scaled[i],
+                                   tolerance=scaled_rounding[i], provenance="fit", m=m_grid[i],
+                                   sector=f"ell={ell}"))
+        i = _tightest(gaps, rounding)
+        records.append(CheckRecord("exterior.sandwich.sign", "upper", expected=0.0, observed=gaps[i],
+                                   tolerance=rounding[i], provenance="expansion", m=m_grid[i],
+                                   sector=f"ell={ell}"))
 
     # Mass estimate: exactly zero for the pure l=0 datum, bounded in general.
     v0 = sphere_datum(R, {0: 2.0})
     check0 = mass_estimate_check(exterior_energy(v0, m_grid[0]), v0, m_grid[0])
-    records.append(
-        CheckRecord(
-            check_id="exterior.mass_estimate.l0",
-            expected=0.0,
-            observed=check0,
-            tolerance=1e-10,
-            passed=check0 <= 1e-10,
-            provenance="closed-form",
-            m=m_grid[0],
-            sector="ell=0",
-        )
-    )
+    records.append(CheckRecord("exterior.mass_estimate.l0", "upper", expected=0.0, observed=check0,
+                               tolerance=1e-10, provenance="closed-form", m=m_grid[0], sector="ell=0"))
     for label, v in (("sphere", sphere_v), ("flat", flat_v)):
         vals = [mass_estimate_check(exterior_energy(v, m), v, m) for m in m_grid]
         c_fit = max(vals[0], 1e-300)
-        records.append(
-            CheckRecord(
-                check_id=f"exterior.mass_estimate.{label}",
-                expected=c_fit,
-                observed=max(vals),
-                tolerance=0.0,
-                passed=max(vals) <= c_fit * (1.0 + 1e-9),
-                provenance="fit",
-            )
-        )
+        records.append(CheckRecord(f"exterior.mass_estimate.{label}", "envelope", expected=c_fit,
+                                   observed=max(vals), tolerance=1e-9, provenance="fit"))
         summary[f"mass_estimate_constant[{label}]"] = c_fit
 
     # Mode additivity with seeded coefficients (diagonalized problem).
     rng = np.random.default_rng(config.seed)
     coeffs = {ell: complex(rng.normal(), rng.normal()) for ell in (0, 1, 2, 4)}
-    v = sphere_datum(R, coeffs)
-    sol = exterior_energy(v, 300.0)
-    expected = sum(
-        abs(c) ** 2 * ball_exterior_dtn(300.0, R, ell) for ell, c in coeffs.items()
-    )
-    records.append(
-        CheckRecord(
-            check_id="exterior.additivity",
-            expected=expected,
-            observed=sol.energy,
-            tolerance=1e-12,
-            passed=abs(sol.energy - expected) <= 1e-12 * expected,
-            provenance="closed-form",
-            m=300.0,
-        )
-    )
+    energy = exterior_energy(sphere_datum(R, coeffs), 300.0).energy
+    expected = sum(abs(c) ** 2 * ball_exterior_dtn(300.0, R, ell) for ell, c in coeffs.items())
+    records.append(CheckRecord("exterior.additivity", "rel", expected=expected, observed=energy,
+                               tolerance=1e-12, provenance="closed-form", m=300.0))
 
     # Monotonicity of the per-mode energies in m.
     fine_grid = sorted(set(list(m_grid) + [m * 2.0 for m in m_grid]))
-    for label, energy in (
+    for label, energy_of in (
         ("ell=1", lambda m: ball_exterior_dtn(m, R, 1)),
         ("xi=2", lambda m: halfspace_mode_energy(m, 2.0)),
     ):
-        values = [energy(m) for m in fine_grid]
+        values = [energy_of(m) for m in fine_grid]
         min_step = min(b - a for a, b in zip(values, values[1:]))
-        records.append(
-            CheckRecord(
-                check_id="exterior.monotonic",
-                expected=0.0,
-                observed=min_step,
-                tolerance=0.0,
-                passed=min_step > 0.0,
-                provenance="closed-form",
-                sector=label,
-            )
-        )
+        records.append(CheckRecord("exterior.monotonic", "above", expected=0.0, observed=min_step,
+                                   tolerance=0.0, provenance="closed-form", sector=label))
 
-    # Agmon decay: weighted mass ratio bounded by 1.1/(1-gamma).
+    # Agmon decay: weighted mass ratio within 10% above its limit 1/(1-gamma).
     for gamma in (0.3, 0.5, 0.9):
         for m in m_grid:
-            ratio = agmon_decay_check(m, R, 1, gamma)
-            bound = 1.1 / (1.0 - gamma)
-            records.append(
-                CheckRecord(
-                    check_id="exterior.agmon",
-                    expected=1.0 / (1.0 - gamma),
-                    observed=ratio,
-                    tolerance=bound - 1.0 / (1.0 - gamma),
-                    passed=ratio <= bound,
-                    provenance="closed-form",
-                    m=m,
-                    sector=f"gamma={gamma}",
-                )
-            )
+            records.append(CheckRecord("exterior.agmon", "envelope", expected=1.0 / (1.0 - gamma),
+                                       observed=agmon_decay_check(m, R, 1, gamma), tolerance=0.1,
+                                       provenance="closed-form", m=m, sector=f"gamma={gamma}"))
     ratio0 = agmon_decay_check(m_grid[0], R, 0, 0.01)
-    records.append(
-        CheckRecord(
-            check_id="exterior.agmon.gamma0",
-            expected=1.0,
-            observed=ratio0,
-            tolerance=0.05,
-            passed=abs(ratio0 - 1.0) <= 0.05,
-            provenance="closed-form",
-            m=m_grid[0],
-            sector="gamma=0.01",
-        )
-    )
+    records.append(CheckRecord("exterior.agmon.gamma0", "abs", expected=1.0, observed=ratio0, tolerance=0.05,
+                               provenance="closed-form", m=m_grid[0], sector="gamma=0.01"))
     return records, summary
 
 
@@ -780,7 +539,9 @@ def _ground_params(R: float = 1.0, m: float = 0.0) -> DiracParams:
 
 
 def _ball_radius(config: SuiteConfig) -> float:
-    return getattr(config.geometry, "R", 1.0)
+    """Radius of the configured ball (``SuiteConfig`` rejects other geometries here)."""
+    assert isinstance(config.geometry, (BallInterior, BallExterior))
+    return config.geometry.R
 
 
 def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
@@ -794,93 +555,39 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     p = _ground_params(R=R)
     lam1 = mit_eigenvalues(p, GROUND_SECTOR, 1, tol=tol).energies()[0]
     oracle = bag_ground_state_oracle() / R
-    records.append(
-        CheckRecord(
-            check_id="dirac.mit.ground",
-            expected=oracle,
-            observed=lam1,
-            tolerance=1e-5,
-            passed=abs(lam1 - oracle) <= 1e-5,
-            provenance="closed-form",
-            sector=GROUND_SECTOR.label(),
-        )
-    )
+    records.append(CheckRecord("dirac.mit.ground", "abs", expected=oracle, observed=lam1, tolerance=1e-5,
+                               provenance="closed-form", sector=GROUND_SECTOR.label()))
     lam1_r2 = mit_eigenvalues(_ground_params(R=2.0 * R), GROUND_SECTOR, 1, tol=tol).energies()[0]
-    records.append(
-        CheckRecord(
-            check_id="dirac.mit.scaling",
-            expected=lam1 / 2.0,
-            observed=lam1_r2,
-            tolerance=1e-10,
-            passed=abs(lam1_r2 - lam1 / 2.0) <= 1e-10 * lam1,
-            provenance="closed-form",
-        )
-    )
+    records.append(CheckRecord("dirac.mit.scaling", "rel", expected=lam1 / 2.0, observed=lam1_r2,
+                               tolerance=2e-10, provenance="closed-form"))
 
     # Charge-conjugation symmetry of the signed spectra.
     sectors = [AngularSector(k) for k in (-2, -1, 1, 2)]
     defect = charge_conjugation_check(mit_spectrum_signed(p, sectors, 5, tol=tol))
-    records.append(
-        CheckRecord(
-            check_id="dirac.mit.symmetry",
-            expected=0.0,
-            observed=defect,
-            tolerance=1e-9,
-            passed=defect <= 1e-9,
-            provenance="closed-form",
-        )
-    )
+    records.append(CheckRecord("dirac.mit.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
+                               provenance="closed-form"))
     p100 = _ground_params(R=R, m=100.0)
     defect = charge_conjugation_check(largemass_spectrum_signed(p100, sectors, 2, tol=tol))
-    records.append(
-        CheckRecord(
-            check_id="dirac.hm.symmetry",
-            expected=0.0,
-            observed=defect,
-            tolerance=1e-9,
-            passed=defect <= 1e-9,
-            provenance="closed-form",
-            m=100.0,
-        )
-    )
+    records.append(CheckRecord("dirac.hm.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
+                               provenance="closed-form", m=100.0))
 
-    # Convergence of the first two sector levels along the pinned m-grid.
+    # Convergence of the first two sector levels along the pinned m-grid:
+    # each gap stays within the previous one (the first has no predecessor,
+    # so its bound is infinite), and the last is below 1e-4.
     mit_levels = mit_eigenvalues(p, GROUND_SECTOR, 2, tol=tol).energies()
-    gaps_by_level: dict[int, list[float]] = {0: [], 1: []}
     hm_levels = _pmap(
         lambda m: largemass_eigenvalues(_ground_params(R=R, m=m), GROUND_SECTOR, 2, tol=tol).energies(),
         CONVERGENCE_M_GRID,
     )
     for k in (0, 1):
-        prev = math.inf
-        for m, levels in zip(CONVERGENCE_M_GRID, hm_levels):
-            gap = abs(levels[k] - mit_levels[k])
-            gaps_by_level[k].append(gap)
-            records.append(
-                CheckRecord(
-                    check_id="dirac.convergence",
-                    expected=0.0,
-                    observed=gap,
-                    tolerance=1e-4,
-                    passed=gap <= prev * (1.0 + 1e-9),
-                    provenance="closed-form",
-                    m=m,
-                    sector=f"{GROUND_SECTOR.label()};k={k + 1}",
-                )
-            )
-            prev = gap
-        records.append(
-            CheckRecord(
-                check_id="dirac.convergence.final",
-                expected=0.0,
-                observed=gaps_by_level[k][-1],
-                tolerance=1e-4,
-                passed=gaps_by_level[k][-1] <= 1e-4,
-                provenance="closed-form",
-                m=CONVERGENCE_M_GRID[-1],
-                sector=f"{GROUND_SECTOR.label()};k={k + 1}",
-            )
-        )
+        sector = f"{GROUND_SECTOR.label()};k={k + 1}"
+        gaps = [abs(levels[k] - mit_levels[k]) for levels in hm_levels]
+        for m, prev, gap in zip(CONVERGENCE_M_GRID, [math.inf] + gaps[:-1], gaps):
+            records.append(CheckRecord("dirac.convergence", "envelope", expected=prev, observed=gap,
+                                       tolerance=1e-9, provenance="closed-form", m=m, sector=sector))
+        records.append(CheckRecord("dirac.convergence.final", "upper", expected=0.0, observed=gaps[-1],
+                                   tolerance=1e-4, provenance="closed-form", m=CONVERGENCE_M_GRID[-1],
+                                   sector=sector))
 
     # First-order law: fitted slope of the squared eigenvalues against eta.
     # The limit is extracted on the large-m tail (reusing the convergence
@@ -900,89 +607,50 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
         (m, levels[0] ** 2) for m, levels in zip(CONVERGENCE_M_GRID, hm_levels)
     ][-4:]
     tail_fit = fit_inverse_m(tail_points)
-    records.append(
-        CheckRecord(
-            check_id="dirac.slope.limit",
-            expected=lam1**2,
-            observed=tail_fit.limit,
-            tolerance=1e-6,
-            passed=abs(tail_fit.limit - lam1**2) <= 1e-6 * lam1**2,
-            provenance="fit",
-        )
-    )
-    records.append(
-        CheckRecord(
-            check_id="dirac.slope.eta",
-            expected=eta1,
-            observed=fit_all.slope,
-            tolerance=0.05,
-            passed=abs(fit_all.slope - eta1) <= 0.05 * abs(eta1),
-            provenance="fit",
-        )
-    )
-    records.append(
-        CheckRecord(
-            check_id="dirac.slope.eta.drift",
-            expected=0.0,
-            observed=drift,
-            tolerance=0.02,
-            passed=drift <= 0.02,
-            provenance="fit",
-        )
-    )
+    records.append(CheckRecord("dirac.slope.limit", "rel", expected=lam1**2, observed=tail_fit.limit,
+                               tolerance=1e-6, provenance="fit"))
+    records.append(CheckRecord("dirac.slope.eta", "rel", expected=eta1, observed=fit_all.slope,
+                               tolerance=0.05, provenance="fit"))
+    records.append(CheckRecord("dirac.slope.eta.drift", "upper", expected=0.0, observed=drift, tolerance=0.02,
+                               provenance="fit"))
     summary["eta_ground"] = eta1
     summary["fitted_nu_ground"] = fit_all.slope
     summary["fitted_nu_ground_drift"] = drift
 
-    # The eta form on the degenerate ground level is a multiple of identity.
-    copies = [u1, mit_eigenpair(p, GROUND_SECTOR, lam1)]
-    nus = nu_minmax(copies, lam1, p)
-    worst = max(abs(nu - eta1) for nu in nus)
-    records.append(
-        CheckRecord(
-            check_id="dirac.nu.degenerate",
-            expected=eta1,
-            observed=nus[0],
-            tolerance=1e-12,
-            passed=worst <= 1e-12 * max(1.0, abs(eta1)),
-            provenance="closed-form",
-        )
-    )
+    # The eta form on the degenerate ground level is a multiple of identity:
+    # every min-max value equals eta (the farthest one is recorded).
+    nus = nu_minmax([u1, mit_eigenpair(p, GROUND_SECTOR, lam1)], lam1, p)
+    worst = max(nus, key=lambda nu: abs(nu - eta1))
+    records.append(CheckRecord("dirac.nu.degenerate", "abs", expected=eta1, observed=worst,
+                               tolerance=1e-12 * max(1.0, abs(eta1)), provenance="closed-form"))
 
     # Higher levels: slopes are computed and reported, never asserted.
     for kj, level_idx in ((1, 0), (-1, 1)):
         sec = AngularSector(kj)
-        lam_k = mit_eigenvalues(p, sec, level_idx + 1).energies()[level_idx]
-        u_k = mit_eigenpair(p, sec, _signed_energy_for_level(p, sec, level_idx))
+        lam_k = mit_eigenvalues(p, sec, level_idx + 1, tol=tol).energies()[level_idx]
+        u_k = mit_eigenpair(p, sec, _signed_energy_for_level(p, sec, level_idx, tol))
         eta_k = eta_functional(u_k, lam_k, p)
         sq_k = _pmap(
-            lambda m: largemass_eigenvalues(_ground_params(R=R, m=m), sec, level_idx + 1).energies()[
+            lambda m: largemass_eigenvalues(_ground_params(R=R, m=m), sec, level_idx + 1, tol=tol).energies()[
                 level_idx
             ]
             ** 2,
             slope_grid,
         )
         fit_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
-        records.append(
-            CheckRecord(
-                check_id="dirac.slope.higher",
-                expected=eta_k,
-                observed=fit_k.slope,
-                tolerance=0.0,
-                passed=True,
-                provenance="fit",
-                sector=f"{sec.label()};k={level_idx + 1}",
-                asserted=False,
-            )
-        )
-        summary[f"higher_slope[{sec.label()};k={level_idx + 1}]"] = fit_k.slope
-        summary[f"higher_eta[{sec.label()};k={level_idx + 1}]"] = eta_k
+        label = f"{sec.label()};k={level_idx + 1}"
+        records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=fit_k.slope,
+                                   tolerance=0.0, provenance="fit", sector=label, asserted=False))
+        summary[f"higher_slope[{label}]"] = fit_k.slope
+        summary[f"higher_eta[{label}]"] = eta_k
     return records, summary
 
 
-def _signed_energy_for_level(p: DiracParams, sec: AngularSector, level_idx: int) -> float:
+def _signed_energy_for_level(
+    p: DiracParams, sec: AngularSector, level_idx: int, tol: ToleranceConfig
+) -> float:
     """Signed bag eigenvalue whose magnitude is the sector's level_idx-th singular value."""
-    signed = mit_spectrum_signed(p, [sec], level_idx + 1)
+    signed = mit_spectrum_signed(p, [sec], level_idx + 1, tol=tol)
     ordered = sorted(signed.energies(), key=abs)
     return ordered[level_idx]
 
@@ -1003,26 +671,17 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
 
-    # Upper bound lambda_int_k <= lambda_k^2 with degeneracy-expanded merges.
+    # Upper bound lambda_int_k <= lambda_k^2 (up to 1e-9 relative and
+    # absolute rounding) with degeneracy-expanded merges.
     mit_merged = singular_values_merged(p0, (-2, -1, 1, 2), 6, solver="mit", tol=tol)
     for m in (50.0, 200.0, 800.0):
         pm = DiracParams(R=R, m0=0.0, m=m)
         robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, solver="robin", tol=tol)
         for k in range(3):
-            lam_int = robin_merged[k][0]
             lam_sq = mit_merged[k][0] ** 2
-            records.append(
-                CheckRecord(
-                    check_id="robin.upper_bound",
-                    expected=lam_sq,
-                    observed=lam_int,
-                    tolerance=1e-9,
-                    passed=lam_int <= lam_sq * (1.0 + 1e-9) + 1e-9,
-                    provenance="closed-form",
-                    m=m,
-                    sector=f"k={k + 1}",
-                )
-            )
+            records.append(CheckRecord("robin.upper_bound", "upper", expected=lam_sq,
+                                       observed=robin_merged[k][0], tolerance=1e-9 * (lam_sq + 1.0),
+                                       provenance="closed-form", m=m, sector=f"k={k + 1}"))
 
     # First-order slope against the Robin-trace functional.
     slope_grid = config.m_grid or SLOPE_M_GRID
@@ -1034,16 +693,8 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     )
     shifted = [(m, li) for m, li in zip(slope_grid, lam_int_values)]
     fit_all, fit_trunc, drift = slope_drift(shifted)
-    records.append(
-        CheckRecord(
-            check_id="robin.slope.mu",
-            expected=mu1,
-            observed=fit_all.slope,
-            tolerance=0.05,
-            passed=abs(fit_all.slope - mu1) <= 0.05 * abs(mu1),
-            provenance="fit",
-        )
-    )
+    records.append(CheckRecord("robin.slope.mu", "rel", expected=mu1, observed=fit_all.slope, tolerance=0.05,
+                               provenance="fit"))
     tail_grid = (1e3, 1e4, 1e5, 1e6)
     tail_values = _pmap(
         lambda m: robin_laplacian_eigenvalues(
@@ -1052,33 +703,16 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
         tail_grid,
     )
     tail_fit = fit_inverse_m(list(zip(tail_grid, tail_values)))
-    records.append(
-        CheckRecord(
-            check_id="robin.slope.limit",
-            expected=lam1**2,
-            observed=tail_fit.limit,
-            tolerance=1e-6,
-            passed=abs(tail_fit.limit - lam1**2) <= 1e-6 * lam1**2,
-            provenance="fit",
-        )
-    )
+    records.append(CheckRecord("robin.slope.limit", "rel", expected=lam1**2, observed=tail_fit.limit,
+                               tolerance=1e-6, provenance="fit"))
     summary["fitted_mu_ground"] = fit_all.slope
     summary["fitted_mu_ground_drift"] = drift
 
     # Cross-solver consistency pins the projection sign conventions.
     p_huge = DiracParams(R=R, m0=0.0, m=1e6)
     lam_int_huge = robin_laplacian_eigenvalues(p_huge, GROUND_SECTOR, 1, tol=tol).energies()[0]
-    records.append(
-        CheckRecord(
-            check_id="robin.cross_solver",
-            expected=lam1**2,
-            observed=lam_int_huge,
-            tolerance=1e-3,
-            passed=abs(lam_int_huge - lam1**2) <= 1e-3 * lam1**2,
-            provenance="closed-form",
-            m=1e6,
-        )
-    )
+    records.append(CheckRecord("robin.cross_solver", "rel", expected=lam1**2, observed=lam_int_huge,
+                               tolerance=1e-3, provenance="closed-form", m=1e6))
 
     # Exact boundary identity between the Robin and bag eigenpairs.
     for m in (200.0, 800.0):
@@ -1086,38 +720,20 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
         lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=tol).energies()[0]
         u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
         residual = boundary_identity_check(u_int, u1, m, pm)
-        records.append(
-            CheckRecord(
-                check_id="robin.identity",
-                expected=0.0,
-                observed=residual,
-                tolerance=1e-6,
-                passed=residual <= 1e-6,
-                provenance="closed-form",
-                m=m,
-                sector=GROUND_SECTOR.label(),
-            )
-        )
+        records.append(CheckRecord("robin.identity", "upper", expected=0.0, observed=residual, tolerance=1e-6,
+                                   provenance="closed-form", m=m, sector=GROUND_SECTOR.label()))
 
-    # Residual decreases as the solver tolerance tightens.
+    # Residual decreases as the solver tolerance tightens (these two solves
+    # use their own tolerances by design).
     pm = DiracParams(R=R, m0=0.0, m=200.0)
     res_by_tol = []
     for rel in (1e-6, 1e-12):
-        tol = ToleranceConfig(abs_tol=0.0, rel_tol=rel, max_iter=300)
-        lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=tol).energies()[0]
+        study_tol = ToleranceConfig(abs_tol=0.0, rel_tol=rel, max_iter=300)
+        lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol).energies()[0]
         u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
         res_by_tol.append(boundary_identity_check(u_int, u1, 200.0, pm))
-    records.append(
-        CheckRecord(
-            check_id="robin.identity.tol_study",
-            expected=res_by_tol[0],
-            observed=res_by_tol[1],
-            tolerance=0.0,
-            passed=res_by_tol[1] < res_by_tol[0],
-            provenance="closed-form",
-            m=200.0,
-        )
-    )
+    records.append(CheckRecord("robin.identity.tol_study", "below", expected=res_by_tol[0],
+                               observed=res_by_tol[1], tolerance=0.0, provenance="closed-form", m=200.0))
     return records, summary
 
 
@@ -1140,32 +756,20 @@ def run_suite(config: SuiteConfig) -> Report:
     records: list[CheckRecord] = []
     summary_pairs: list[tuple[str, Any]] = [("suite", config.suite), ("seed", config.seed)]
     for name in names:
-        t0 = time.perf_counter()
         recs, summary = _SUITE_RUNNERS[name](config)
-        elapsed = time.perf_counter() - t0
-        # Per-record timing is ill-defined for records derived from shared
-        # sweeps; each record carries its suite's wall time (never serialized).
-        records.extend(replace(r, runtime_s=elapsed) for r in recs)
-        for key in sorted(summary):
-            summary_pairs.append((f"{name}.{key}", summary[key]))
+        records.extend(recs)
+        summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
     asserted = [r for r in records if r.asserted]
     summary_pairs.append(("checks_passed", sum(r.passed for r in asserted)))
     summary_pairs.append(("checks_asserted", len(asserted)))
     report = Report(
         records=tuple(records),
-        summary=tuple(_dedupe_pairs(summary_pairs)),
+        summary=tuple(summary_pairs),
         runtime_s=time.perf_counter() - start,
     )
     data = emit_table(report, config.format)
     write_report_atomic(config.output_path, data)
     return report
-
-
-def _dedupe_pairs(pairs: list[tuple[str, Any]]) -> list[tuple[str, Any]]:
-    seen: dict[str, Any] = {}
-    for key, value in pairs:
-        seen[key] = value
-    return list(seen.items())
 
 
 def _parse_m_grid(text: str) -> tuple[float, ...]:

@@ -1,4 +1,4 @@
-"""Curvature data, tubular-coordinate weights, and their validity bounds.
+"""Curvature data, model geometries, and the validity bound of the collar weight.
 
 A collar neighborhood of a smooth surface carries the exact volume weight
 
@@ -11,7 +11,8 @@ the large-mass analysis this becomes
     a_{m,kappa,K}(tau) = 1 + tau kappa / m + tau^2 K / m^2,   tau in [0, sqrt(m)],
 
 and all transverse formulas are valid once the weight stays >= 1/2 on the
-collar, which fixes the mass floor m_1 below.
+collar, which fixes the mass floor m_1 below.  The weight itself is
+``transverse.TransverseProblem.weight``.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class CurvatureBounds:
     def for_point(cls, c: CurvatureData) -> "CurvatureBounds":
         return cls(A=abs(c.kappa), B=abs(c.gauss))
 
-    def contains(self, c: CurvatureData) -> bool:
-        return abs(c.kappa) <= self.A and abs(c.gauss) <= self.B
-
 
 @dataclass(frozen=True)
 class FlatTorusHalfSpace:
@@ -112,20 +110,6 @@ class BallInterior:
 
 
 ModelGeometry = Union[FlatTorusHalfSpace, BallExterior, BallInterior]
-
-
-def tubular_weight(c: CurvatureData, t: float) -> float:
-    """Collar volume weight 1 + t kappa + t^2 K, exact for a smooth surface."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    return 1.0 + t * c.kappa + t * t * c.gauss
-
-
-def rescaled_weight(c: CurvatureData, m: float, tau: float) -> float:
-    """Rescaled collar weight a_{m,kappa,K}(tau) = tubular_weight(c, tau/m)."""
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValueError("m must be positive")
-    return tubular_weight(c, tau / m)
 
 
 def _quadratic_min_on_interval(kappa: float, gauss: float, m: float) -> float:

@@ -108,18 +108,6 @@ def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) 
     return x, w
 
 
-def integrate_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    max_panel: float = 0.25,
-    n_nodes: int = 16,
-) -> float:
-    """Integral of a smooth vectorized integrand by composite Gauss-Legendre."""
-    x, w = panel_nodes(a, b, max_panel, n_nodes)
-    return float(np.dot(w, f(x)))
-
-
 def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on the panels of a given ascending mesh.
 

@@ -1,11 +1,16 @@
 """Machine-readable verification reports.
 
 A report is a flat list of check records plus a summary of fitted constants
-and slopes.  Serialization is deterministic: floats are written with 17
-significant digits (lossless for doubles), field order is fixed, and wall
-clock runtimes are kept out of the emitted bytes (they are process
-diagnostics, exposed on the dataclasses and in the stderr summary only), so
-identical configurations produce byte-identical artifacts.
+and slopes.  A record's verdict is a function of its own serialized fields:
+``COMPARISONS`` maps each ``comparison`` kind to one formula in the
+expected value e, the observed value o and the tolerance t, so a reader of
+the CSV or JSON can recompute every ``pass``.
+
+Serialization is deterministic: floats are written with 17 significant
+digits (lossless for doubles), field order is fixed, and the wall clock
+runtime is kept out of the emitted bytes (it is a process diagnostic, kept
+on ``Report`` and printed in the stderr summary only), so identical
+configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,9 +19,20 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 PROVENANCE_TAGS = ("closed-form", "expansion", "fit")
+
+COMPARISONS: dict[str, Callable[[float, float, float], bool]] = {
+    "abs": lambda e, o, t: abs(o - e) <= t,
+    "rel": lambda e, o, t: abs(o - e) <= t * abs(e),
+    "upper": lambda e, o, t: o <= e + t,
+    "lower": lambda e, o, t: o >= e - t,
+    "envelope": lambda e, o, t: o <= e * (1.0 + t),
+    "below": lambda e, o, t: o < e,
+    "above": lambda e, o, t: o > e,
+    "info": lambda e, o, t: True,  # reported only, never asserted
+}
 
 CSV_COLUMNS = (
     "check_id",
@@ -29,30 +45,39 @@ CSV_COLUMNS = (
     "abs_error",
     "rel_error",
     "tolerance",
+    "comparison",
     "pass",
 )
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check: inputs, expected vs observed, and verdict."""
+    """One verification check: inputs, expected vs observed, and the rule
+    (``comparison`` with ``tolerance``) that turns them into a verdict."""
 
     check_id: str
+    comparison: str
     expected: float
     observed: float
     tolerance: float
-    passed: bool
     provenance: str
     m: float | None = None
     kappa: float | None = None
     gauss: float | None = None
     sector: str = ""
     asserted: bool = True
-    runtime_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCE_TAGS:
             raise ValueError(f"provenance must be one of {PROVENANCE_TAGS}")
+        if self.comparison not in COMPARISONS:
+            raise ValueError(f"comparison must be one of {tuple(COMPARISONS)}")
+        if self.comparison == "info" and self.asserted:
+            raise ValueError("an 'info' record always passes, so it cannot be asserted")
+
+    @property
+    def passed(self) -> bool:
+        return bool(COMPARISONS[self.comparison](self.expected, self.observed, self.tolerance))
 
     @property
     def abs_error(self) -> float:
@@ -133,6 +158,7 @@ def _record_dict(r: CheckRecord) -> dict[str, Any]:
         "abs_error": r.abs_error,
         "rel_error": r.rel_error,
         "tolerance": r.tolerance,
+        "comparison": r.comparison,
         "pass": r.passed,
         "provenance": r.provenance,
         "asserted": r.asserted,
@@ -157,7 +183,10 @@ def emit_table(report: Report, fmt: str) -> bytes:
 
 
 def parse_report_json(data: bytes) -> Report:
-    """Rebuild a Report from its JSON serialization (round-trip inverse)."""
+    """Rebuild a Report from its JSON serialization (round-trip inverse).
+
+    Raises ValueError if a row's ``pass`` disagrees with its comparison.
+    """
     import json
 
     body = json.loads(data.decode())
@@ -166,10 +195,10 @@ def parse_report_json(data: bytes) -> Report:
         records.append(
             CheckRecord(
                 check_id=row["check_id"],
+                comparison=row["comparison"],
                 expected=float(row["expected"]),
                 observed=float(row["observed"]),
                 tolerance=float(row["tolerance"]),
-                passed=bool(row["pass"]),
                 provenance=row["provenance"],
                 m=None if row["m"] is None else float(row["m"]),
                 kappa=None if row["kappa"] is None else float(row["kappa"]),
@@ -178,6 +207,8 @@ def parse_report_json(data: bytes) -> Report:
                 asserted=bool(row["asserted"]),
             )
         )
+        if records[-1].passed != row["pass"]:
+            raise ValueError(f"row {row['check_id']!r}: pass flag disagrees with its comparison")
     summary = tuple((k, v) for k, v in body["summary"].items())
     return Report(records=tuple(records), summary=summary)
 

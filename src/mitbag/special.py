@@ -1,20 +1,20 @@
-"""Spherical Bessel functions: regular, modified growing, modified decaying.
+"""Spherical Bessel functions: regular and modified decaying.
 
 Every transcendental eigenvalue condition in this package (bag matching on
 the ball, exterior decay matching, Robin determinants, exterior
-Dirichlet-to-Neumann quotients) is built from three radial families:
+Dirichlet-to-Neumann quotients) is built from two radial families:
 
     j_l(x)   regular at 0,        j_0(x) = sin x / x
-    i_l(x)   growing modified,    i_0(x) = sinh x / x
     k_l(x)   decaying modified,   k_0(x) = exp(-x) / x
 
 The decaying family is normalized so that k_0(x) = e^{-x}/x exactly (this is
-2/pi times the convention built on K_{l+1/2}); with that choice
+2/pi times the convention built on K_{l+1/2}); with that choice its cross
+Wronskian with the growing family i_l (i_0 = sinh x / x) is
 
     i_l(x) k_l'(x) - i_l'(x) k_l(x) = -1/x^2
 
-and k_1(x) = e^{-x}(x+1)/x^2.  k_l is exposed in an exponentially scaled
-form e^x k_l(x) as well, so that Dirichlet-to-Neumann quotients at arguments
+and k_1(x) = e^{-x}(x+1)/x^2.  k_l is exposed only in the exponentially
+scaled form e^x k_l(x), so that Dirichlet-to-Neumann quotients at arguments
 as large as x = m R ~ 1e6 never underflow.
 
 Implementations are self-contained (recurrences, Taylor series and exact
@@ -26,12 +26,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 MAX_ELL = 50
-
-# Largest argument for which e^{-x}/x is representable without denormal loss.
-SCALED_THRESHOLD = 700.0
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -140,40 +136,6 @@ def spherical_bessel_j_deriv(ell: int, x: float) -> float:
     return spherical_bessel_j(ell - 1, x) - (ell + 1.0) / x * spherical_bessel_j(ell, x)
 
 
-def modified_spherical_bessel_i(ell: int, x: float) -> float:
-    """Growing modified spherical Bessel function i_l(x), i_0 = sinh x / x.
-
-    Evaluated by its Taylor series, which has positive terms only (no
-    cancellation at any argument); supported for x <= 700, beyond which the
-    value overflows double precision.
-    """
-    _check_order_arg(ell, x)
-    if x > SCALED_THRESHOLD:
-        raise BesselOverflowError(f"i_{ell}({x}) overflows double precision")
-    if ell == 0:
-        return math.sinh(x) / x
-    prefactor = x**ell / _double_factorial(2 * ell + 1)
-    term = 1.0
-    total = 1.0
-    for k in range(1, 2000):
-        term *= (x * x) / (2.0 * k * (2.0 * (ell + k) + 1.0))
-        total += term
-        if term < 1e-18 * total:
-            break
-    value = prefactor * total
-    if math.isinf(value):
-        raise BesselOverflowError(f"i_{ell}({x}) overflows double precision")
-    return value
-
-
-def modified_spherical_bessel_i_deriv(ell: int, x: float) -> float:
-    """d/dx i_l(x), via i_l' = i_{l-1} - (l+1)/x i_l (and i_0' = i_1)."""
-    _check_order_arg(ell, x)
-    if ell == 0:
-        return modified_spherical_bessel_i(1, x)
-    return modified_spherical_bessel_i(ell - 1, x) - (ell + 1.0) / x * modified_spherical_bessel_i(ell, x)
-
-
 @lru_cache(maxsize=None)
 def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
     # e^x k_l(x) = (1/x) sum_{j=0}^{l} a_{l,j} x^{-j} with the exact integers
@@ -218,28 +180,3 @@ def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float) -> float:
         -modified_spherical_bessel_k_scaled(ell - 1, x)
         - (ell + 1.0) / x * modified_spherical_bessel_k_scaled(ell, x)
     )
-
-
-class BesselKValue(NamedTuple):
-    """Value of k_l(x), possibly in scaled form.
-
-    When ``scaled`` is False, ``value`` is k_l(x) itself.  When True (x beyond
-    the underflow threshold 700), ``value`` is e^x k_l(x); the caller keeps the
-    exponent symbolically.  Underflow is therefore signalled, never silently
-    rounded to zero.
-    """
-
-    value: float
-    scaled: bool
-
-
-def modified_spherical_bessel_k(ell: int, x: float) -> BesselKValue:
-    """Decaying modified spherical Bessel function, k_0(x) = e^{-x}/x.
-
-    Returns the plain value for x <= 700 and the scaled pair (e^x k_l(x), True)
-    beyond, where e^{-x} alone would underflow.
-    """
-    scaled_value = modified_spherical_bessel_k_scaled(ell, x)
-    if x > SCALED_THRESHOLD:
-        return BesselKValue(scaled_value, True)
-    return BesselKValue(scaled_value * math.exp(-x), False)

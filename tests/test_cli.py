@@ -1,6 +1,7 @@
 """Configuration handling, report serialization, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -55,10 +56,12 @@ class TestConfig:
     def test_geometry_variants(self):
         config = config_from_dict({"geometry": {"variant": "ball_exterior", "R": 2.0}})
         assert config.geometry.R == 2.0
-        config = config_from_dict(
-            {"geometry": {"variant": "flat_torus_halfspace", "period": 3.0}}
-        )
+        flat = {"variant": "flat_torus_halfspace", "period": 3.0}
+        config = config_from_dict({"suite": "transverse", "geometry": flat})
         assert config.geometry.period == 3.0
+        # The exterior, dirac and robin suites run on a ball only.
+        with pytest.raises(ConfigError):
+            config_from_dict({"geometry": flat})
         with pytest.raises(ConfigError):
             config_from_dict({"geometry": {"variant": "cube", "R": 1.0}})
 
@@ -77,10 +80,10 @@ def _sample_report():
     records = (
         CheckRecord(
             check_id="demo.alpha",
+            comparison="rel",
             expected=1.0,
             observed=1.0 + 1e-13,
             tolerance=1e-9,
-            passed=True,
             provenance="closed-form",
             m=100.0,
             kappa=2.0,
@@ -89,12 +92,20 @@ def _sample_report():
         ),
         CheckRecord(
             check_id="demo.beta",
+            comparison="abs",
             expected=-4.0,
             observed=-4.2,
             tolerance=0.05,
-            passed=False,
             provenance="fit",
             asserted=False,
+        ),
+        CheckRecord(
+            check_id="demo.gamma",
+            comparison="envelope",
+            expected=math.inf,
+            observed=0.5,
+            tolerance=1e-9,
+            provenance="fit",
         ),
     )
     summary = (("suite", "demo"), ("seed", 0), ("slope", -3.000000000000001))
@@ -106,7 +117,7 @@ class TestReport:
         data = emit_table(_sample_report(), "csv").decode()
         lines = data.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 3  # header + one row per record
+        assert len(lines) == 4  # header + one row per record
 
     def test_csv_field_count_stable_for_real_suite(self, tmp_path):
         # Sector labels must stay comma-free or the fixed column set breaks.
@@ -118,7 +129,17 @@ class TestReport:
     def test_json_round_trip(self):
         report = _sample_report()
         data = emit_table(report, "json")
-        assert parse_report_json(data) == report
+        parsed = parse_report_json(data)
+        assert parsed == report
+        assert [r.comparison for r in parsed.records] == ["rel", "abs", "envelope"]
+        assert [r.passed for r in parsed.records] == [True, False, True]
+
+    def test_json_pass_flag_must_match_comparison(self):
+        data = emit_table(_sample_report(), "json").decode()
+        tampered = data.replace('"pass":false', '"pass":true', 1)
+        assert tampered != data
+        with pytest.raises(ValueError):
+            parse_report_json(tampered.encode())
 
     def test_runtime_not_serialized(self):
         report = _sample_report()
@@ -137,7 +158,7 @@ class TestReport:
         # The failing record is unasserted, so the report passes overall.
         assert report.passed
         passed, total = report.pass_counts()
-        assert (passed, total) == (1, 1)
+        assert (passed, total) == (2, 2)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -159,16 +180,6 @@ class TestRunSuite:
         assert (tmp_path / "r.csv").exists()
         keys = dict(report.summary)
         assert keys["seed"] == 0
-
-    def test_determinism_across_threads(self, tmp_path, monkeypatch):
-        out = tmp_path / "r.json"
-        config = SuiteConfig(suite="all", output_path=str(out), format="json")
-        monkeypatch.setenv("VERIFY_THREADS", "1")
-        run_suite(config)
-        single = out.read_bytes()
-        monkeypatch.setenv("VERIFY_THREADS", "4")
-        run_suite(config)
-        assert out.read_bytes() == single
 
     def test_determinism_across_runs(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -199,14 +210,7 @@ class TestMainExitCodes:
 
     def test_check_failure_exit_one(self, tmp_path, monkeypatch):
         def failing_suite(config):
-            record = CheckRecord(
-                check_id="demo.fail",
-                expected=0.0,
-                observed=1.0,
-                tolerance=0.0,
-                passed=False,
-                provenance="closed-form",
-            )
+            record = CheckRecord("demo.fail", "abs", 0.0, 1.0, 0.0, "closed-form")
             return [record], {}
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "exterior", failing_suite)
@@ -232,6 +236,14 @@ class TestMainExitCodes:
         assert main([path, "--format", "json", "--out", str(out)]) == 0
         parsed = json.loads(out.read_text())
         assert parsed["records"]
+
+    @pytest.mark.parametrize("suite", ("exterior", "dirac", "robin", "all"))
+    def test_ball_suite_on_flat_geometry_is_config_error(self, tmp_path, suite):
+        geometry = {"variant": "flat_torus_halfspace", "period": 3.0}
+        path = write_config(tmp_path, suite=suite, geometry=geometry)
+        assert main([path]) == 2
+        path = write_config(tmp_path, suite="transverse", geometry=geometry)
+        assert main([path, "--suite", suite]) == 2
 
     def test_unwritable_output(self, tmp_path):
         path = write_config(tmp_path, output_path=str(tmp_path / "nodir" / "r.csv"))

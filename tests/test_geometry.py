@@ -13,54 +13,61 @@ from mitbag.geometry import (
     CurvatureData,
     FlatTorusHalfSpace,
     min_rescaled_weight,
-    rescaled_weight,
-    tubular_weight,
     weight_validity_floor,
 )
+from mitbag.transverse import TransverseProblem
+
+
+def weight(c, m, tau):
+    """Rescaled collar weight a_{m,kappa,K}(tau) of the transverse problem."""
+    return float(TransverseProblem(m=m, curv=c).weight(tau))
 
 
 class TestTubularWeight:
+    # The tubular weight 1 + t kappa + t^2 K at depth t is the rescaled
+    # weight at tau = m t.
     def test_flat_is_one(self):
         c = CurvatureData.flat()
         for t in (0.0, 0.3, 2.0, 17.5):
-            assert tubular_weight(c, t) == 1.0
+            assert weight(c, 100.0, 100.0 * t) == 1.0
 
     def test_direct_arithmetic(self):
-        assert tubular_weight(CurvatureData(2.0, 1.0), 1.0) == 4.0
+        assert weight(CurvatureData(2.0, 1.0), 25.0, 25.0) == 4.0
 
     def test_sphere_factorization(self):
         # On a sphere of radius R the weight is exactly (1 + t/R)^2.
-        c = CurvatureData.sphere(1.0)
-        assert tubular_weight(c, 0.5) == pytest.approx(2.25, abs=0.0)
+        # With a power-of-two mass the rescaling tau = m t is exact.
+        assert weight(CurvatureData.sphere(1.0), 1024.0, 512.0) == pytest.approx(2.25, abs=0.0)
         for R in (0.5, 1.0, 2.0, 3.7):
             c = CurvatureData.sphere(R)
             for t in (0.0, 0.1, 1.0, 4.0):
-                assert tubular_weight(c, t) == pytest.approx((1.0 + t / R) ** 2, rel=1e-15)
+                assert weight(c, 1024.0, 1024.0 * t) == pytest.approx((1.0 + t / R) ** 2, rel=1e-15)
 
     def test_zero_offset_normalization(self):
         for c in (CurvatureData(3.0, -2.0), CurvatureData(-1.0, 0.5)):
-            assert tubular_weight(c, 0.0) == 1.0
+            assert weight(c, 100.0, 0.0) == 1.0
 
 
 class TestRescaledWeight:
     def test_flat(self):
-        assert rescaled_weight(CurvatureData.flat(), 9.0, 3.0) == 1.0
+        assert weight(CurvatureData.flat(), 9.0, 3.0) == 1.0
 
     def test_direct_arithmetic(self):
-        assert rescaled_weight(CurvatureData(3.0, 1.0), 100.0, 10.0) == pytest.approx(1.31, abs=1e-15)
-        assert rescaled_weight(CurvatureData(-2.0, 1.0), 16.0, 4.0) == pytest.approx(0.5625, abs=1e-15)
+        assert weight(CurvatureData(3.0, 1.0), 100.0, 10.0) == pytest.approx(1.31, abs=1e-15)
+        assert weight(CurvatureData(-2.0, 1.0), 25.0, 5.0) == pytest.approx(0.64, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(
         kappa=st.floats(-3.0, 3.0),
         gauss=st.floats(-2.0, 2.0),
-        m=st.floats(1.0, 1e4),
+        m=st.floats(100.0, 1e4),
         s=st.floats(0.0, 1.0),
     )
     def test_matches_tubular_at_rescaled_depth(self, kappa, gauss, m, s):
         c = CurvatureData(kappa, gauss)
         tau = s * math.sqrt(m)
-        assert rescaled_weight(c, m, tau) == pytest.approx(tubular_weight(c, tau / m), rel=1e-14)
+        t = tau / m
+        assert weight(c, m, tau) == pytest.approx(1.0 + t * kappa + t * t * gauss, rel=1e-14)
 
 
 class TestValidityFloor:
@@ -98,8 +105,8 @@ class TestValidityFloor:
         for kappa in (-A, 0.0, A):
             for gauss in (-B, 0.0, B):
                 c = CurvatureData(kappa, gauss)
-                values = [rescaled_weight(c, m, float(t)) for t in taus]
-                assert min(values) >= 0.5 - 1e-12
+                values = TransverseProblem(m=m, curv=c).weight(taus)
+                assert values.min() >= 0.5 - 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -114,7 +121,7 @@ class TestValidityFloor:
         m = float(weight_validity_floor(bounds))
         c = CurvatureData(ka * A, kb * B)
         tau = s * math.sqrt(m)
-        assert rescaled_weight(c, m, tau) >= 0.5 - 1e-12
+        assert weight(c, m, tau) >= 0.5 - 1e-12
 
 
 class TestModelGeometries:

@@ -17,7 +17,6 @@ from mitbag.numerics import (
     ToleranceConfig,
     find_root_bracketed,
     fit_inverse_m,
-    integrate_panels,
     mesh_aligned_nodes,
     panel_nodes,
     slope_drift,
@@ -142,7 +141,8 @@ class TestShooting:
 
 class TestQuadrature:
     def test_exponential_integral(self):
-        value = integrate_panels(np.exp, 0.0, 1.0)
+        x, w = panel_nodes(0.0, 1.0)
+        value = float(np.dot(w, np.exp(x)))
         assert value == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_panel_weights_sum(self):

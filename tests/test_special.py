@@ -1,4 +1,4 @@
-"""Spherical Bessel family: closed forms, scipy cross-checks, Wronskian."""
+"""Spherical Bessel families: closed forms, scipy cross-checks, Wronskian."""
 
 import math
 
@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from mitbag.special import (
     BesselOverflowError,
     SpecialFunctionDomainError,
-    modified_spherical_bessel_i,
-    modified_spherical_bessel_i_deriv,
-    modified_spherical_bessel_k,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
     spherical_bessel_j,
@@ -60,38 +57,15 @@ class TestSphericalJ:
             spherical_bessel_j(0, math.nan)
 
 
-class TestModifiedI:
-    def test_i0_closed_form(self):
-        assert modified_spherical_bessel_i(0, 2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
-
-    @pytest.mark.parametrize("ell", (0, 1, 2, 5, 10, 20))
-    def test_against_scipy(self, ell):
-        for x in (0.1, 0.8, 3.0, 12.0, 60.0):
-            mine = modified_spherical_bessel_i(ell, x)
-            ref = float(sp.spherical_in(ell, x))
-            assert mine == pytest.approx(ref, rel=1e-11)
-
-    def test_i0_deriv_is_i1(self):
-        x = 1.4
-        assert modified_spherical_bessel_i_deriv(0, x) == pytest.approx(
-            modified_spherical_bessel_i(1, x), rel=1e-13
-        )
-
-    def test_overflow_is_reported(self):
-        with pytest.raises(BesselOverflowError):
-            modified_spherical_bessel_i(0, 701.0)
-
-
 class TestModifiedK:
     def test_k0_closed_form(self):
-        value = modified_spherical_bessel_k(0, 1.0)
-        assert not value.scaled
-        assert value.value == pytest.approx(math.exp(-1.0), rel=1e-14)
+        value = modified_spherical_bessel_k_scaled(0, 1.0) * math.exp(-1.0)
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_k1_closed_form(self):
         # k_1(x) = e^{-x}(x+1)/x^2, giving e^{-2}(1/2 + 1/4) at x=2
-        value = modified_spherical_bessel_k(1, 2.0)
-        assert value.value == pytest.approx(math.exp(-2.0) * 0.75, rel=1e-14)
+        value = modified_spherical_bessel_k_scaled(1, 2.0) * math.exp(-2.0)
+        assert value == pytest.approx(math.exp(-2.0) * 0.75, rel=1e-14)
 
     @pytest.mark.parametrize("x", (0.5, 1.0, 3.7, 20.0, 300.0))
     def test_scaled_normalization(self, x):
@@ -102,20 +76,13 @@ class TestModifiedK:
     def test_against_scipy(self, ell):
         # Our normalization: k_l(x) = sqrt(2/(pi x)) K_{l+1/2}(x).
         for x in (0.5, 1.0, 4.0, 15.0, 80.0):
-            mine = modified_spherical_bessel_k(ell, x)
-            assert not mine.scaled
+            mine = modified_spherical_bessel_k_scaled(ell, x) * math.exp(-x)
             ref = math.sqrt(2.0 / (math.pi * x)) * float(sp.kv(ell + 0.5, x))
-            assert mine.value == pytest.approx(ref, rel=1e-12)
-
-    def test_scaled_flag_transition(self):
-        assert not modified_spherical_bessel_k(0, 700.0).scaled
-        big = modified_spherical_bessel_k(0, 701.0)
-        assert big.scaled
-        assert big.value == pytest.approx(1.0 / 701.0, rel=1e-15)
+            assert mine == pytest.approx(ref, rel=1e-12)
 
     def test_underflow_never_zero(self):
-        value = modified_spherical_bessel_k(3, 5000.0)
-        assert value.scaled and value.value > 0.0
+        # e^{-5000} underflows; the scaled form stays positive.
+        assert modified_spherical_bessel_k_scaled(3, 5000.0) > 0.0
 
     def test_overflow_is_reported(self):
         # k_50 at tiny argument exceeds double range.
@@ -133,13 +100,17 @@ class TestModifiedK:
                 assert mine == pytest.approx(ref, rel=1e-11)
 
 
+def _scipy_i(ell, x):
+    """Growing modified spherical Bessel function and its derivative (oracle)."""
+    return float(sp.spherical_in(ell, x)), float(sp.spherical_in(ell, x, derivative=True))
+
+
 class TestWronskian:
     @pytest.mark.parametrize("ell", range(0, 11))
     @pytest.mark.parametrize("x", (0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
     def test_cross_wronskian(self, ell, x):
         # i_l k_l' - i_l' k_l = -1/x^2 in this normalization.
-        i = modified_spherical_bessel_i(ell, x)
-        di = modified_spherical_bessel_i_deriv(ell, x)
+        i, di = _scipy_i(ell, x)
         ek = modified_spherical_bessel_k_scaled(ell, x)
         dek = modified_spherical_bessel_k_scaled_deriv(ell, x)
         scale = math.exp(-x)
@@ -152,8 +123,7 @@ class TestWronskian:
         x=st.floats(min_value=0.3, max_value=40.0, allow_nan=False),
     )
     def test_cross_wronskian_property(self, ell, x):
-        i = modified_spherical_bessel_i(ell, x)
-        di = modified_spherical_bessel_i_deriv(ell, x)
+        i, di = _scipy_i(ell, x)
         scale = math.exp(-x)
         ek = modified_spherical_bessel_k_scaled(ell, x)
         dek = modified_spherical_bessel_k_scaled_deriv(ell, x)
