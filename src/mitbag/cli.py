@@ -619,7 +619,7 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
 
     # The eta form on the degenerate ground level is a multiple of identity:
     # every min-max value equals eta (the farthest one is recorded).
-    nus = nu_minmax([u1, mit_eigenpair(p, GROUND_SECTOR, lam1)], lam1, p)
+    nus = nu_minmax([u1, u1], lam1, p)
     worst = max(nus, key=lambda nu: abs(nu - eta1))
     records.append(CheckRecord("dirac.nu.degenerate", "abs", expected=eta1, observed=worst,
                                tolerance=1e-12 * max(1.0, abs(eta1)), provenance="closed-form"))
@@ -627,8 +627,10 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # Higher levels: slopes are computed and reported, never asserted.
     for kj, level_idx in ((1, 0), (-1, 1)):
         sec = AngularSector(kj)
-        lam_k = mit_eigenvalues(p, sec, level_idx + 1, tol=tol).energies()[level_idx]
-        u_k = mit_eigenpair(p, sec, _signed_energy_for_level(p, sec, level_idx, tol))
+        # The signed level whose magnitude is the sector's level_idx-th singular value.
+        E_k = sorted(mit_spectrum_signed(p, [sec], level_idx + 1, tol=tol).energies(), key=abs)[level_idx]
+        lam_k = abs(E_k)
+        u_k = mit_eigenpair(p, sec, E_k)
         eta_k = eta_functional(u_k, lam_k, p)
         sq_k = _pmap(
             lambda m: largemass_eigenvalues(_ground_params(R=R, m=m), sec, level_idx + 1, tol=tol).energies()[
@@ -644,15 +646,6 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
         summary[f"higher_slope[{label}]"] = fit_k.slope
         summary[f"higher_eta[{label}]"] = eta_k
     return records, summary
-
-
-def _signed_energy_for_level(
-    p: DiracParams, sec: AngularSector, level_idx: int, tol: ToleranceConfig
-) -> float:
-    """Signed bag eigenvalue whose magnitude is the sector's level_idx-th singular value."""
-    signed = mit_spectrum_signed(p, [sec], level_idx + 1, tol=tol)
-    ordered = sorted(signed.energies(), key=abs)
-    return ordered[level_idx]
 
 
 # ----------------------------------------------------------------------------
@@ -673,10 +666,10 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
 
     # Upper bound lambda_int_k <= lambda_k^2 (up to 1e-9 relative and
     # absolute rounding) with degeneracy-expanded merges.
-    mit_merged = singular_values_merged(p0, (-2, -1, 1, 2), 6, solver="mit", tol=tol)
+    mit_merged = singular_values_merged(p0, (-2, -1, 1, 2), 6, mit_eigenvalues, tol=tol)
     for m in (50.0, 200.0, 800.0):
         pm = DiracParams(R=R, m0=0.0, m=m)
-        robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, solver="robin", tol=tol)
+        robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, robin_laplacian_eigenvalues, tol=tol)
         for k in range(3):
             lam_sq = mit_merged[k][0] ** 2
             records.append(CheckRecord("robin.upper_bound", "upper", expected=lam_sq,
@@ -754,7 +747,14 @@ def run_suite(config: SuiteConfig) -> Report:
     start = time.perf_counter()
     names = list(_SUITE_RUNNERS) if config.suite == "all" else [config.suite]
     records: list[CheckRecord] = []
-    summary_pairs: list[tuple[str, Any]] = [("suite", config.suite), ("seed", config.seed)]
+    tol = config.tolerances
+    summary_pairs: list[tuple[str, Any]] = [
+        ("suite", config.suite),
+        ("seed", config.seed),
+        ("solver_abs_tol", tol.abs_tol),
+        ("solver_rel_tol", tol.rel_tol),
+        ("solver_max_iter", tol.max_iter),
+    ]
     for name in names:
         recs, summary = _SUITE_RUNNERS[name](config)
         records.extend(recs)

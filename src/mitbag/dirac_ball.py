@@ -160,10 +160,8 @@ class RadialEigenpair:
     def interior_values(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form interior radial components at arbitrary radii."""
         k, c_up, c_lo = self.radial_params
-        r = np.asarray(r, dtype=float)
-        fa = np.array([spherical_bessel_j(self.sector.ell_upper, k * ri) for ri in r])
-        fb = np.array([spherical_bessel_j(self.sector.ell_lower, k * ri) for ri in r])
-        return c_up * fa, c_lo * fb
+        ja, jb = _bessel_samples(self.sector, k, r)
+        return c_up * ja, c_lo * jb
 
 
 @dataclass(frozen=True)
@@ -216,12 +214,8 @@ def _largemass_matching(E: float, p: DiracParams, sec: AngularSector) -> float:
 
 
 def _robin_rows(k: float, p: DiracParams, sec: AngularSector) -> tuple[float, float, float, float]:
-    x = k * p.R
-    jA = spherical_bessel_j(sec.ell_upper, x)
-    jB = spherical_bessel_j(sec.ell_lower, x)
-    dA = k * spherical_bessel_j_deriv(sec.ell_upper, x) + p.robin_offset * jA
-    dB = k * spherical_bessel_j_deriv(sec.ell_lower, x) + p.robin_offset * jB
-    return jA, jB, dA, dB
+    jA, jB, djA, djB = _bessel_at(sec, k * p.R)
+    return jA, jB, k * djA + p.robin_offset * jA, k * djB + p.robin_offset * jB
 
 
 def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> float:
@@ -280,6 +274,62 @@ def _dirac_scan_window(p: DiracParams, count: int) -> tuple[float, float, float]
     return lo, hi, step
 
 
+def _signed_spectrum(
+    matching: Callable[[float, DiracParams, AngularSector], float],
+    p: DiracParams,
+    sectors: Iterable[AngularSector],
+    count_per_side: int,
+    tol: ToleranceConfig | None,
+    threshold: float | None = None,
+) -> SpectralResult:
+    """The first count roots of each sign per sector, sorted by |E|.
+
+    With a ``threshold`` the scan stops just below it, and running out of
+    roots there raises ``EssentialSpectrumError``.
+    """
+    tol = tol or _SOLVER_TOL
+    stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
+    entries: list[tuple[float, AngularSector, float]] = []
+    for sec in sectors:
+        lo, hi, step = _dirac_scan_window(p, count_per_side)
+        hi = min(hi, stop)
+        for sign in (1.0, -1.0):
+            try:
+                roots = _scan_roots(
+                    lambda E: matching(sign * E, p, sec), lo, hi, step, count_per_side, tol
+                )
+            except BracketExhaustionError as exc:
+                if hi == stop:
+                    raise EssentialSpectrumError(
+                        f"search window reached the essential spectrum at {threshold}"
+                    ) from exc
+                raise
+            entries.extend((sign * e, sec, res) for e, res in roots)
+    entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
+    return SpectralResult(
+        eigenvalues=tuple((e, sec) for e, sec, _ in entries),
+        solver_residuals=tuple(res for _, _, res in entries),
+    )
+
+
+def _by_magnitude(
+    signed_solver: Callable[..., SpectralResult],
+    p: DiracParams,
+    sector: AngularSector,
+    count: int,
+    tol: ToleranceConfig | None,
+) -> SpectralResult:
+    """First ``count`` singular values of one sector, from its signed spectrum."""
+    if count < 1 or count > 20:
+        raise ValueError("count must be in [1, 20]")
+    signed = signed_solver(p, [sector], count, tol)
+    merged = sorted(zip(signed.energies(), signed.solver_residuals), key=lambda t: abs(t[0]))[:count]
+    return SpectralResult(
+        eigenvalues=tuple((abs(e), sector) for e, _ in merged),
+        solver_residuals=tuple(res for _, res in merged),
+    )
+
+
 def mit_spectrum_signed(
     p: DiracParams,
     sectors: Iterable[AngularSector],
@@ -287,19 +337,7 @@ def mit_spectrum_signed(
     tol: ToleranceConfig | None = None,
 ) -> SpectralResult:
     """Signed bag eigenvalues: the first count roots of each sign per sector."""
-    tol = tol or _SOLVER_TOL
-    entries: list[tuple[float, AngularSector, float]] = []
-    for sec in sectors:
-        lo, hi, step = _dirac_scan_window(p, count_per_side)
-        pos = _scan_roots(lambda E: _mit_matching(E, p, sec), lo, hi, step, count_per_side, tol)
-        neg = _scan_roots(lambda E: _mit_matching(-E, p, sec), lo, hi, step, count_per_side, tol)
-        entries.extend((e, sec, res) for e, res in pos)
-        entries.extend((-e, sec, res) for e, res in neg)
-    entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
-    return SpectralResult(
-        eigenvalues=tuple((e, sec) for e, sec, _ in entries),
-        solver_residuals=tuple(res for _, _, res in entries),
-    )
+    return _signed_spectrum(_mit_matching, p, sectors, count_per_side, tol)
 
 
 def mit_eigenvalues(
@@ -313,14 +351,7 @@ def mit_eigenvalues(
     Positive and negative bag eigenvalues of the sector are merged by
     absolute value; the exterior mass jump in ``p`` is ignored.
     """
-    if count < 1 or count > 20:
-        raise ValueError("count must be in [1, 20]")
-    signed = mit_spectrum_signed(p, [sector], count, tol)
-    merged = sorted(zip(signed.energies(), signed.solver_residuals), key=lambda t: abs(t[0]))[:count]
-    return SpectralResult(
-        eigenvalues=tuple((abs(e), sector) for e, _ in merged),
-        solver_residuals=tuple(res for _, res in merged),
-    )
+    return _by_magnitude(mit_spectrum_signed, p, sector, count, tol)
 
 
 def largemass_spectrum_signed(
@@ -332,34 +363,7 @@ def largemass_spectrum_signed(
     """Signed eigenvalues of the large-mass operator below the threshold m0+m."""
     if p.m <= 0.0:
         raise ValueError("the large-mass solver needs m > 0")
-    tol = tol or _SOLVER_TOL
-    threshold = p.m0 + p.m
-    entries: list[tuple[float, AngularSector, float]] = []
-    for sec in sectors:
-        lo, hi, step = _dirac_scan_window(p, count_per_side)
-        stop = threshold * (1.0 - 1e-12)
-        if hi >= stop:
-            hi = stop
-        try:
-            pos = _scan_roots(
-                lambda E: _largemass_matching(E, p, sec), lo, hi, step, count_per_side, tol
-            )
-            neg = _scan_roots(
-                lambda E: _largemass_matching(-E, p, sec), lo, hi, step, count_per_side, tol
-            )
-        except BracketExhaustionError as exc:
-            if hi == stop:
-                raise EssentialSpectrumError(
-                    f"search window reached the essential spectrum at {threshold}"
-                ) from exc
-            raise
-        entries.extend((e, sec, res) for e, res in pos)
-        entries.extend((-e, sec, res) for e, res in neg)
-    entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
-    return SpectralResult(
-        eigenvalues=tuple((e, sec) for e, sec, _ in entries),
-        solver_residuals=tuple(res for _, _, res in entries),
-    )
+    return _signed_spectrum(_largemass_matching, p, sectors, count_per_side, tol, threshold=p.m0 + p.m)
 
 
 def largemass_eigenvalues(
@@ -369,14 +373,7 @@ def largemass_eigenvalues(
     tol: ToleranceConfig | None = None,
 ) -> SpectralResult:
     """First ``count`` singular values of the large-mass operator in one sector."""
-    if count < 1 or count > 20:
-        raise ValueError("count must be in [1, 20]")
-    signed = largemass_spectrum_signed(p, [sector], count, tol)
-    merged = sorted(zip(signed.energies(), signed.solver_residuals), key=lambda t: abs(t[0]))[:count]
-    return SpectralResult(
-        eigenvalues=tuple((abs(e), sector) for e, _ in merged),
-        solver_residuals=tuple(res for _, res in merged),
-    )
+    return _by_magnitude(largemass_spectrum_signed, p, sector, count, tol)
 
 
 def robin_laplacian_eigenvalues(
@@ -416,14 +413,67 @@ def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     return panel_nodes(0.0, R, max_panel=R / n_panels, n_nodes=16)
 
 
-def _interior_components(
-    p: DiracParams, sec: AngularSector, E: float, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    k = math.sqrt(E * E - p.m0 * p.m0)
-    ratio = sec.sign * k / (E + p.m0)
-    f = np.array([spherical_bessel_j(sec.ell_upper, k * ri) for ri in r])
-    g = ratio * np.array([spherical_bessel_j(sec.ell_lower, k * ri) for ri in r])
-    return f, g, k
+def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j_{l_A}(k r), j_{l_B}(k r)) at the radii r."""
+    x = k * np.asarray(r, dtype=float)
+    return (
+        np.array([spherical_bessel_j(sec.ell_upper, xi) for xi in x]),
+        np.array([spherical_bessel_j(sec.ell_lower, xi) for xi in x]),
+    )
+
+
+def _bessel_at(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
+    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at one argument x."""
+    return (
+        spherical_bessel_j(sec.ell_upper, x),
+        spherical_bessel_j(sec.ell_lower, x),
+        spherical_bessel_j_deriv(sec.ell_upper, x),
+        spherical_bessel_j_deriv(sec.ell_lower, x),
+    )
+
+
+def _eigenpair(
+    p: DiracParams,
+    sector: AngularSector,
+    kind: str,
+    energy: float,
+    k: float,
+    c_up: float,
+    c_lo: float,
+    residual: float,
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> RadialEigenpair:
+    """Unit-norm pair (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) from unnormalized coefficients.
+
+    ``tail`` is (r_ext, weights, f_ext, g_ext) of an exterior continuation
+    per unit f(R); its mass is part of the normalization.
+    """
+    r, w = _interior_grid(p.R, k)
+    ja, jb = _bessel_samples(sector, k, r)
+    jA, jB, djA, djB = _bessel_at(sector, k * p.R)
+    norm_sq = float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
+    if tail is not None:
+        r_ext, w_ext, f_ext, g_ext = tail
+        norm_sq += (c_up * jA) ** 2 * float(np.dot(w_ext, (f_ext**2 + g_ext**2) * r_ext**2))
+    norm = math.sqrt(norm_sq)
+    c_up, c_lo = c_up / norm, c_lo / norm
+    fR = c_up * jA
+    exterior = {}
+    if tail is not None:
+        exterior = dict(r_ext=r_ext, f_ext=fR * f_ext, g_ext=fR * g_ext, ext_weights=w_ext)
+    return RadialEigenpair(
+        energy=energy,
+        sector=sector,
+        kind=kind,
+        r=r,
+        f=c_up * ja,
+        g=c_lo * jb,
+        weights=w,
+        boundary_values=(fR, c_lo * jB, c_up * k * djA, c_lo * k * djB),
+        residual=residual,
+        radial_params=(k, c_up, c_lo),
+        **exterior,
+    )
 
 
 def mit_eigenpair(
@@ -435,31 +485,9 @@ def mit_eigenpair(
     E = float(energy)
     if abs(E) <= p.m0:
         raise ValueError("bag eigenvalues satisfy |E| > m0")
-    r, w = _interior_grid(p.R, math.sqrt(E * E - p.m0**2))
-    f, g, k = _interior_components(p, sector, E, r)
-    norm = math.sqrt(float(np.dot(w, (f**2 + g**2) * r**2)))
-    f /= norm
-    g /= norm
-    c_up = 1.0 / norm
-    c_lo = sector.sign * k / (E + p.m0) / norm
-    x = k * p.R
-    fR = c_up * spherical_bessel_j(sector.ell_upper, x)
-    gR = c_lo * spherical_bessel_j(sector.ell_lower, x)
-    dfR = c_up * k * spherical_bessel_j_deriv(sector.ell_upper, x)
-    dgR = c_lo * k * spherical_bessel_j_deriv(sector.ell_lower, x)
+    k = math.sqrt(E * E - p.m0 * p.m0)
     residual = abs(_mit_matching(E, p, sector))
-    return RadialEigenpair(
-        energy=E,
-        sector=sector,
-        kind="mit",
-        r=r,
-        f=f,
-        g=g,
-        weights=w,
-        boundary_values=(fR, gR, dfR, dgR),
-        residual=residual,
-        radial_params=(k, c_up, c_lo),
-    )
+    return _eigenpair(p, sector, "mit", E, k, 1.0, sector.sign * k / (E + p.m0), residual)
 
 
 def largemass_eigenpair(
@@ -478,52 +506,17 @@ def largemass_eigenpair(
     M = p.m0 + p.m
     if not (p.m0 < abs(E) < M):
         raise ValueError("large-mass eigenvalues satisfy m0 < |E| < m0 + m")
+    k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
-    r, w = _interior_grid(p.R, math.sqrt(E * E - p.m0**2))
-    f, g, k = _interior_components(p, sector, E, r)
-
-    xq = q * p.R
-    ekA_R = modified_spherical_bessel_k_scaled(sector.ell_upper, xq)
-    fR_raw = spherical_bessel_j(sector.ell_upper, k * p.R)
+    # Decaying continuation k_l(q r)/k_l(q R) of f, and the matching g.
     sigma, w_sigma = panel_nodes(0.0, tail_length, max_panel=0.5, n_nodes=12)
     r_ext = p.R + sigma / q
-    decay = np.exp(-sigma)
-    ekA = np.array([modified_spherical_bessel_k_scaled(sector.ell_upper, q * ri) for ri in r_ext])
-    ekB = np.array([modified_spherical_bessel_k_scaled(sector.ell_lower, q * ri) for ri in r_ext])
-    f_ext = fR_raw * decay * ekA / ekA_R
-    g_ext = -(q / (E + M)) * fR_raw * decay * ekB / ekA_R
-    w_ext = w_sigma / q
-
-    norm_sq = float(np.dot(w, (f**2 + g**2) * r**2)) + float(
-        np.dot(w_ext, (f_ext**2 + g_ext**2) * r_ext**2)
-    )
-    norm = math.sqrt(norm_sq)
-    f, g, f_ext, g_ext = f / norm, g / norm, f_ext / norm, g_ext / norm
-    c_up = 1.0 / norm
-    c_lo = sector.sign * k / (E + p.m0) / norm
-
-    x = k * p.R
-    fR = c_up * spherical_bessel_j(sector.ell_upper, x)
-    gR = c_lo * spherical_bessel_j(sector.ell_lower, x)
-    dfR = c_up * k * spherical_bessel_j_deriv(sector.ell_upper, x)
-    dgR = c_lo * k * spherical_bessel_j_deriv(sector.ell_lower, x)
+    decay = np.exp(-sigma) / modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
+    f_ext = decay * modified_spherical_bessel_k_scaled(sector.ell_upper, q * r_ext)
+    g_ext = -(q / (E + M)) * decay * modified_spherical_bessel_k_scaled(sector.ell_lower, q * r_ext)
     residual = abs(_largemass_matching(E, p, sector))
-    return RadialEigenpair(
-        energy=E,
-        sector=sector,
-        kind="largemass",
-        r=r,
-        f=f,
-        g=g,
-        weights=w,
-        boundary_values=(fR, gR, dfR, dgR),
-        residual=residual,
-        radial_params=(k, c_up, c_lo),
-        r_ext=r_ext,
-        f_ext=f_ext,
-        g_ext=g_ext,
-        ext_weights=w_ext,
-    )
+    c_lo = sector.sign * k / (E + p.m0)
+    return _eigenpair(p, sector, "largemass", E, k, 1.0, c_lo, residual, (r_ext, w_sigma / q, f_ext, g_ext))
 
 
 def robin_eigenpair(
@@ -544,34 +537,8 @@ def robin_eigenpair(
         cA, cB = dB, dA
     else:
         cA, cB = row2[1], -row2[0]
-    r, w = _interior_grid(p.R, k)
-    fa = np.array([spherical_bessel_j(sector.ell_upper, k * ri) for ri in r])
-    fb = np.array([spherical_bessel_j(sector.ell_lower, k * ri) for ri in r])
-    a = cA * fa
-    b = cB * fb
-    norm = math.sqrt(float(np.dot(w, (a**2 + b**2) * r**2)))
-    a /= norm
-    b /= norm
-    cA /= norm
-    cB /= norm
-    x = k * p.R
-    fR = cA * spherical_bessel_j(sector.ell_upper, x)
-    gR = cB * spherical_bessel_j(sector.ell_lower, x)
-    dfR = cA * k * spherical_bessel_j_deriv(sector.ell_upper, x)
-    dgR = cB * k * spherical_bessel_j_deriv(sector.ell_lower, x)
     residual = abs(_robin_matching(k, p, sector))
-    return RadialEigenpair(
-        energy=lam_int,
-        sector=sector,
-        kind="robin",
-        r=r,
-        f=a,
-        g=b,
-        weights=w,
-        boundary_values=(fR, gR, dfR, dgR),
-        residual=residual,
-        radial_params=(k, cA, cB),
-    )
+    return _eigenpair(p, sector, "robin", lam_int, k, cA, cB, residual)
 
 
 # ----------------------------------------------------------------------------
@@ -717,27 +684,20 @@ def singular_values_merged(
     p: DiracParams,
     kappas: Iterable[int],
     count: int,
-    solver: str = "mit",
+    solver: Callable[..., SpectralResult],
     tol: ToleranceConfig | None = None,
 ) -> list[tuple[float, AngularSector]]:
     """First ``count`` singular values over several sectors, degeneracy expanded.
 
-    Each radial root is repeated 2|kappa_j| times, matching the multiplicity
-    convention of the ordered eigenvalue sequences.
+    ``solver`` is a per-sector solver such as ``mit_eigenvalues`` or
+    ``robin_laplacian_eigenvalues``.  Each radial root is repeated 2|kappa_j|
+    times, matching the multiplicity convention of the ordered eigenvalue
+    sequences.
     """
     per_sector = max(1, min(20, count))
     out: list[tuple[float, AngularSector]] = []
     for kj in kappas:
-        sec = AngularSector(kj)
-        if solver == "mit":
-            res = mit_eigenvalues(p, sec, per_sector, tol)
-        elif solver == "largemass":
-            res = largemass_eigenvalues(p, sec, per_sector, tol)
-        elif solver == "robin":
-            res = robin_laplacian_eigenvalues(p, sec, per_sector, tol)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-        for e, s in res.eigenvalues:
+        for e, s in solver(p, AngularSector(kj), per_sector, tol).eigenvalues:
             out.extend([(e, s)] * s.degeneracy)
     out.sort(key=lambda t: (abs(t[0]), t[1].kappa_j))
     return out[:count]

@@ -170,16 +170,18 @@ def effective_energy(v: BoundaryDatum, m: float) -> float:
     return total
 
 
-def _ball_mode_mass(m: float, R: float, ell: int) -> float:
-    # int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr / R^2, by quadrature in sigma = m(r-R).
-    ek_R = modified_spherical_bessel_k_scaled(ell, m * R)
-    sigma, w = panel_nodes(0.0, 40.0, max_panel=0.5, n_nodes=12)
+def _tail_integral(m: float, R: float, ell: int, rate: float, length: float) -> float:
+    # int_0^length e^{-rate sigma} (e^x k_l)(m r)^2 / (e^x k_l)(mR)^2 r^2 dsigma,
+    # r = R + sigma/m; with rate = 2 it is m int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr.
+    sigma, w = panel_nodes(0.0, length, max_panel=0.5, n_nodes=12)
     r = R + sigma / m
-    ratio = np.array(
-        [modified_spherical_bessel_k_scaled(ell, m * ri) for ri in r]
-    ) / ek_R
-    integrand = np.exp(-2.0 * sigma) * ratio**2 * r**2
-    return float(np.dot(w, integrand) / m / (R * R))
+    ratio = modified_spherical_bessel_k_scaled(ell, m * r) / modified_spherical_bessel_k_scaled(ell, m * R)
+    return float(np.dot(w, np.exp(-rate * sigma) * ratio**2 * r**2))
+
+
+def _ball_mode_mass(m: float, R: float, ell: int) -> float:
+    # int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr / R^2.
+    return _tail_integral(m, R, ell, 2.0, 40.0) / m / (R * R)
 
 
 def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
@@ -243,19 +245,5 @@ def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
         raise AgmonDivergenceError(f"weighted mass diverges for gamma={gamma} >= 1")
     if m <= 0.0 or R <= 0.0:
         raise ValueError("m and R must be positive")
-    ek_R = modified_spherical_bessel_k_scaled(ell, m * R)
-    length = 40.0 / (2.0 * (1.0 - gamma))
-    sigma, w = panel_nodes(0.0, length, max_panel=0.5, n_nodes=12)
-    r = R + sigma / m
-    ratio = np.array(
-        [modified_spherical_bessel_k_scaled(ell, m * ri) for ri in r]
-    ) / ek_R
-    base = ratio**2 * r**2
-    num = float(np.dot(w, np.exp((2.0 * gamma - 2.0) * sigma) * base))
-    den_sigma, den_w = panel_nodes(0.0, 40.0, max_panel=0.5, n_nodes=12)
-    den_r = R + den_sigma / m
-    den_ratio = np.array(
-        [modified_spherical_bessel_k_scaled(ell, m * ri) for ri in den_r]
-    ) / ek_R
-    den = float(np.dot(den_w, np.exp(-2.0 * den_sigma) * den_ratio**2 * den_r**2))
-    return num / den
+    weighted = _tail_integral(m, R, ell, 2.0 - 2.0 * gamma, 40.0 / (2.0 * (1.0 - gamma)))
+    return weighted / _tail_integral(m, R, ell, 2.0, 40.0)

@@ -19,13 +19,16 @@ as large as x = m R ~ 1e6 never underflow.
 
 Implementations are self-contained (recurrences, Taylor series and exact
 finite sums); only double precision is used and the supported order range is
-l <= 50.
+l <= 50.  The k_l functions take a float or an ndarray of arguments (the same
+Horner loop, element by element); j_l takes a float.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 MAX_ELL = 50
 
@@ -38,12 +41,15 @@ class BesselOverflowError(ArithmeticError):
     """The requested value overflows double precision (raised, never a silent inf/nan)."""
 
 
-def _check_order_arg(ell: int, x: float) -> None:
+def _check_order_arg(ell: int, x: float | np.ndarray) -> None:
     if not isinstance(ell, (int,)) or isinstance(ell, bool):
         raise SpecialFunctionDomainError(f"order must be an integer, got {ell!r}")
     if ell < 0 or ell > MAX_ELL:
         raise SpecialFunctionDomainError(f"order {ell} outside supported range [0, {MAX_ELL}]")
-    if not math.isfinite(x) or x <= 0.0:
+    if isinstance(x, np.ndarray):
+        if not np.all(np.isfinite(x) & (x > 0.0)):
+            raise SpecialFunctionDomainError("arguments must be finite and > 0")
+    elif not math.isfinite(x) or x <= 0.0:
         raise SpecialFunctionDomainError(f"argument must be finite and > 0, got {x!r}")
 
 
@@ -136,6 +142,13 @@ def spherical_bessel_j_deriv(ell: int, x: float) -> float:
     return spherical_bessel_j(ell - 1, x) - (ell + 1.0) / x * spherical_bessel_j(ell, x)
 
 
+def _finite(value: float | np.ndarray, ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
+        x_min = float(np.min(x))
+        raise BesselOverflowError(f"e^x k_{ell} or its derivative overflows double precision at x={x_min!r}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
     # e^x k_l(x) = (1/x) sum_{j=0}^{l} a_{l,j} x^{-j} with the exact integers
@@ -150,33 +163,35 @@ def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def modified_spherical_bessel_k_scaled(ell: int, x: float) -> float:
-    """Exponentially scaled decaying function e^x k_l(x) = (1/x) sum_j a_{l,j} x^{-j}.
-
-    The finite sum has positive terms only, so it is exact to rounding for
-    any x > 0; it overflows only for genuinely huge values (small x, large l),
-    which is reported as an explicit error.
-    """
-    _check_order_arg(ell, x)
+def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     u = 1.0 / x
     acc = 0.0
     for a in reversed(_k_poly_coeffs(ell)):
         acc = acc * u + a
-    value = acc * u
-    if math.isinf(value):
-        raise BesselOverflowError(f"e^x k_{ell}({x}) overflows double precision")
-    return value
+    return acc * u
 
 
-def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float) -> float:
-    """Exponentially scaled derivative e^x k_l'(x).
+def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Exponentially scaled decaying function e^x k_l(x) = (1/x) sum_j a_{l,j} x^{-j}.
+
+    The finite sum has positive terms only, so it is exact to rounding for
+    any x > 0; it overflows only for genuinely huge values (small x, large l),
+    which is reported as an explicit error.  An ndarray ``x`` runs the same
+    operations element-wise, so each element equals the scalar value bit for
+    bit; a float stays on plain-float arithmetic.
+    """
+    _check_order_arg(ell, x)
+    return _finite(_k_horner(ell, x), ell, x)
+
+
+def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Exponentially scaled derivative e^x k_l'(x), for a float or an ndarray ``x``.
 
     Uses k_l' = -k_{l-1} - (l+1)/x k_l with k_{-1} = k_0, so k_0' = -k_1.
     """
     _check_order_arg(ell, x)
     if ell == 0:
-        return -modified_spherical_bessel_k_scaled(1, x)
-    return (
-        -modified_spherical_bessel_k_scaled(ell - 1, x)
-        - (ell + 1.0) / x * modified_spherical_bessel_k_scaled(ell, x)
-    )
+        value = -_k_horner(1, x)
+    else:
+        value = -_k_horner(ell - 1, x) - (ell + 1.0) / x * _k_horner(ell, x)
+    return _finite(value, ell, x)

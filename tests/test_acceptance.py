@@ -224,11 +224,11 @@ def test_criterion_8_robin_laplacian():
     data = ground_data()
     lam1 = data["lam1"]
     mu = data["mu"]
-    mit_merged = singular_values_merged(P0, (-2, -1, 1, 2), 6, solver="mit")
+    mit_merged = singular_values_merged(P0, (-2, -1, 1, 2), 6, mit_eigenvalues)
     upper_ok = True
     for m in (50.0, 200.0, 800.0):
         pm = DiracParams(R=1.0, m0=0.0, m=m)
-        robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, solver="robin")
+        robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, robin_laplacian_eigenvalues)
         for k in range(3):
             upper_ok = upper_ok and robin_merged[k][0] <= mit_merged[k][0] ** 2 * (1 + 1e-9) + 1e-9
     points = []

@@ -237,6 +237,17 @@ class TestMainExitCodes:
         parsed = json.loads(out.read_text())
         assert parsed["records"]
 
+    def test_loose_solver_tolerance_is_in_the_summary(self, tmp_path):
+        # At rel_tol 1e-6 the Robin eigen-solves are too coarse for the exact
+        # boundary identity; the summary shows the tolerance behind it.
+        out = tmp_path / "loose.json"
+        path = write_config(tmp_path)
+        assert main([path, "--suite", "robin", "--tol", "1e-6", "--format", "json", "--out", str(out)]) == 1
+        report = parse_report_json(out.read_bytes())
+        assert dict(report.summary)["solver_rel_tol"] == 1e-6
+        failing = [r.check_id for r in report.records if r.asserted and not r.passed]
+        assert failing == ["robin.identity", "robin.identity"]
+
     @pytest.mark.parametrize("suite", ("exterior", "dirac", "robin", "all"))
     def test_ball_suite_on_flat_geometry_is_config_error(self, tmp_path, suite):
         geometry = {"variant": "flat_torus_halfspace", "period": 3.0}

@@ -119,7 +119,7 @@ class TestBagSolver:
             mit_eigenvalues(P0, GROUND, 21)
 
     def test_merged_degeneracy_expansion(self):
-        merged = singular_values_merged(P0, (-1, 1), 6, solver="mit")
+        merged = singular_values_merged(P0, (-1, 1), 6, mit_eigenvalues)
         # Lowest level appears 4 times: both sectors, degeneracy 2 each.
         lam1 = merged[0][0]
         assert [abs(e - lam1) <= 1e-12 for e, _ in merged[:4]] == [True] * 4
@@ -151,12 +151,20 @@ class TestBagEigenpair:
         fR, gR, dfR, dgR = pair.boundary_values
         assert dfR + fR == pytest.approx(dgR + gR, abs=1e-12)
 
-    def test_interior_values_match_samples(self):
-        lam1 = mit_eigenvalues(P0, GROUND, 1).energies()[0]
-        pair = mit_eigenpair(P0, GROUND, lam1)
-        f, g = pair.interior_values(pair.r[:5])
-        np.testing.assert_allclose(f, pair.f[:5], rtol=1e-13)
-        np.testing.assert_allclose(g, pair.g[:5], rtol=1e-13)
+    @pytest.mark.parametrize("kind", ("mit", "largemass", "robin"))
+    def test_interior_values_match_samples(self, kind):
+        # The stored samples and interior_values come from one sampler, so
+        # they agree exactly.
+        pm = DiracParams(R=1.0, m0=0.0, m=200.0)
+        if kind == "mit":
+            pair = mit_eigenpair(P0, GROUND, mit_eigenvalues(P0, GROUND, 1).energies()[0])
+        elif kind == "largemass":
+            pair = largemass_eigenpair(pm, GROUND, largemass_eigenvalues(pm, GROUND, 1).energies()[0])
+        else:
+            pair = robin_eigenpair(pm, GROUND, robin_laplacian_eigenvalues(pm, GROUND, 1).energies()[0])
+        f, g = pair.interior_values(pair.r)
+        np.testing.assert_array_equal(f, pair.f)
+        np.testing.assert_array_equal(g, pair.g)
 
 
 class TestFunctionals:

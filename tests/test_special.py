@@ -84,10 +84,34 @@ class TestModifiedK:
         # e^{-5000} underflows; the scaled form stays positive.
         assert modified_spherical_bessel_k_scaled(3, 5000.0) > 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_reported(self):
-        # k_50 at tiny argument exceeds double range.
+        # k_50 at tiny argument exceeds double range, alone or as one element.
         with pytest.raises(BesselOverflowError):
             modified_spherical_bessel_k_scaled(50, 1e-5)
+        with pytest.raises(BesselOverflowError):
+            modified_spherical_bessel_k_scaled(50, np.array([1.0, 1e-5, 2.0]))
+        # At x = 4e-5, k_50 still fits but its derivative (~51/x times it) does not.
+        assert math.isfinite(modified_spherical_bessel_k_scaled(50, 4e-5))
+        for x in (4e-5, np.array([1.0, 4e-5])):
+            with pytest.raises(BesselOverflowError):
+                modified_spherical_bessel_k_scaled_deriv(50, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(min_value=0, max_value=50),
+        xs=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=40),
+    )
+    def test_array_matches_scalar_bitwise(self, ell, xs):
+        x = np.array(xs)
+        for fn in (modified_spherical_bessel_k_scaled, modified_spherical_bessel_k_scaled_deriv):
+            np.testing.assert_array_equal(fn(ell, x), np.array([fn(ell, v) for v in xs]))
+
+    @pytest.mark.parametrize("bad", (0.0, -1.0, math.nan, math.inf))
+    def test_array_domain_errors(self, bad):
+        for fn in (modified_spherical_bessel_k_scaled, modified_spherical_bessel_k_scaled_deriv):
+            with pytest.raises(SpecialFunctionDomainError):
+                fn(2, np.array([1.0, bad, 3.0]))
 
     def test_scaled_deriv_matches_scipy(self):
         for ell in (0, 1, 4, 9):

@@ -183,9 +183,10 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
         monkeypatch.setattr(cli, name, spy)
     records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac", tolerances=tol))
     assert records
-    # Ground, scaling, convergence and the two higher levels; the ground
-    # symmetry and the two signed higher levels; the large-mass symmetry.
-    assert len(seen["mit_eigenvalues"]) == 5
+    # Ground, scaling and convergence; the ground symmetry and the two
+    # signed higher levels (whose magnitudes are the higher-level values);
+    # the large-mass symmetry.
+    assert len(seen["mit_eigenvalues"]) == 3
     assert len(seen["mit_spectrum_signed"]) == 3
     assert len(seen["largemass_spectrum_signed"]) == 1
     assert len(seen["largemass_eigenvalues"]) == 5 + 3 * 6
