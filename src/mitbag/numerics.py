@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.legendre import leggauss
 
 _EPS = float(np.finfo(float).eps)
 
@@ -90,7 +90,7 @@ _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if n_nodes not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n_nodes] = np.polynomial.legendre.leggauss(n_nodes)
+        _LEGGAUSS_CACHE[n_nodes] = leggauss(n_nodes)
     return _LEGGAUSS_CACHE[n_nodes]
 
 
@@ -231,6 +231,17 @@ def find_root_bracketed(
 # ----------------------------------------------------------------------------
 # Linear second-order boundary value problems by shooting
 # ----------------------------------------------------------------------------
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only the shooting solver integrates ODEs, and ``verify`` never calls it,
+    so the verification path does not load scipy.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _zero_rhs(t: float) -> float:

@@ -171,6 +171,22 @@ def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     return acc * u
 
 
+def _k_deriv_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    if ell == 0:
+        return -_k_horner(1, x)
+    return -_k_horner(ell - 1, x) - (ell + 1.0) / x * _k_horner(ell, x)
+
+
+def _quiet(horner, ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    """horner(ell, x) without numpy's overflow warnings, so that an overflow
+    is reported once, as the BesselOverflowError raised by _finite.  Plain
+    floats skip the errstate switch, which costs more than the evaluation."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return horner(ell, x)
+    return horner(ell, x)
+
+
 def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     """Exponentially scaled decaying function e^x k_l(x) = (1/x) sum_j a_{l,j} x^{-j}.
 
@@ -181,7 +197,7 @@ def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float
     bit; a float stays on plain-float arithmetic.
     """
     _check_order_arg(ell, x)
-    return _finite(_k_horner(ell, x), ell, x)
+    return _finite(_quiet(_k_horner, ell, x), ell, x)
 
 
 def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -190,8 +206,4 @@ def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) ->
     Uses k_l' = -k_{l-1} - (l+1)/x k_l with k_{-1} = k_0, so k_0' = -k_1.
     """
     _check_order_arg(ell, x)
-    if ell == 0:
-        value = -_k_horner(1, x)
-    else:
-        value = -_k_horner(ell - 1, x) - (ell + 1.0) / x * _k_horner(ell, x)
-    return _finite(value, ell, x)
+    return _finite(_quiet(_k_deriv_horner, ell, x), ell, x)

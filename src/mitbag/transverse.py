@@ -22,7 +22,11 @@ weighted L^2 norm, which is the rate the verification suite measures.
 Numerics: the minimization is done directly (a Ritz method).  The collar
 is cut into ceil(sqrt(m)) equal panels of length <= 1, each carrying a
 degree-14 Gauss-Lobatto-Legendre (GLL) spectral element, and Q restricted to
-that continuous piecewise-polynomial space is minimized by one banded solve.
+that continuous piecewise-polynomial space is minimized directly: each
+element's 13 interior unknowns are eliminated by static condensation (one
+batched solve of the 13 x 13 interior blocks), the element end nodes then
+satisfy an SPD tridiagonal system solved by one Thomas sweep, and the
+interiors follow by back-substitution.
 The element matrices use 16-point Gauss quadrature, which integrates
 (|u'|^2 + |u|^2) a exactly for the quadratic weight a, so the discrete energy
 is the exact Q of the discrete profile.  By the Pythagoras identity
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
 from .numerics import ShootingError, ToleranceConfig, panel_nodes
@@ -191,11 +194,13 @@ class TransverseSolution:
         return self._dense(tau)
 
 
-def solve_transverse(p: TransverseProblem, tol: ToleranceConfig | None = None) -> TransverseSolution:
-    """Minimize Q over the spectral-element space; return energy, profile, mass.
+def _element_matrices(p: TransverseProblem) -> tuple[float, np.ndarray]:
+    """Panel length h and the (n_el, n + 1, n + 1) element matrices of Q.
 
-    The solve is direct (one banded factorization), so ``tol`` is accepted
-    for interface stability but not used.
+    The collar is cut into ceil(sqrt(m)) equal panels.  The matrices are exact
+    by quadrature: on each panel the weight is c0 + c1 xi + c2 xi^2 in the
+    local coordinate xi in [-1, 1], with coefficients from its values at
+    xi = -1, 0, 1.
     """
     T = p.half_width
     if T > MAX_HALF_WIDTH:
@@ -203,35 +208,54 @@ def solve_transverse(p: TransverseProblem, tol: ToleranceConfig | None = None) -
     n = ELEMENT_DEGREE
     n_el = max(1, math.ceil(T / ELEMENT_PANEL))
     h = T / n_el
-    n_dof = n_el * n + 1
     left = h * np.arange(n_el)
-
-    # Element matrices, exact by quadrature.  On element e the weight is
-    # c0 + c1 xi + c2 xi^2 in the local coordinate xi in [-1, 1]; the
-    # coefficients follow from its values at xi = -1, 0, 1.
     a_left, a_mid, a_right = p.weight(left + 0.5 * h * np.array([[0.0], [1.0], [2.0]]))
     coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=1)
     elem = 0.5 * h * (coef @ (_STIFF_MOMENTS * (2.0 / h) ** 2 + _MASS_MOMENTS))
+    return h, elem.reshape(n_el, n + 1, n + 1)
 
-    # Assemble into (2n + 1, n_dof) band storage: A[r, c] sits at ab[n + r - c, c].
-    local = np.arange(n + 1)
-    band_row = n + local[:, None] - local[None, :]
-    col = np.arange(n_el)[:, None, None] * n + local[None, None, :]
-    flat = (band_row[None, :, :] * n_dof + col).ravel()
-    ab = np.bincount(flat, weights=elem.ravel(), minlength=(2 * n + 1) * n_dof)
-    ab = ab.reshape(2 * n + 1, n_dof)
 
-    # Dirichlet data u(0) = 1, u(T) = 0: the interior unknowns see the left
-    # datum through the first column of A, which is also its first row.
-    first = np.zeros(n_dof)
-    first[: n + 1] = ab[n:, 0]
-    u = np.empty(n_dof)
-    u[0], u[-1] = 1.0, 0.0
-    u[1:-1] = solve_banded((n, n), ab[:, 1:-1], -first[1:-1])
-    deriv0 = -float(np.dot(first, u))
+def solve_transverse(p: TransverseProblem, tol: ToleranceConfig | None = None) -> TransverseSolution:
+    """Minimize Q over the spectral-element space; return energy, profile, mass.
 
-    nodal = u[:-1].reshape(n_el, n)
-    nodal = np.concatenate([nodal, u[n::n, None]], axis=1)  # (n_el, n + 1)
+    The solve is direct: static condensation of each element's interior
+    nodes, then one tridiagonal sweep over the element end nodes.  ``tol`` is
+    accepted for interface stability but not used.
+    """
+    h, elem = _element_matrices(p)
+    n_el, n = len(elem), ELEMENT_DEGREE
+    T = p.half_width
+    left = h * np.arange(n_el)
+
+    # Static condensation.  An element's interior nodes couple only to its
+    # two end nodes (local 0 and n, the slice ::n), so u_int = -K_ii^{-1}
+    # K_ib u_end eliminates them; the end nodes keep the Schur complement
+    # S = K_bb - K_bi K_ii^{-1} K_ib, which assembles from 2 x 2 element
+    # blocks into an SPD tridiagonal matrix.
+    elim = np.linalg.solve(elem[:, 1:-1, 1:-1], elem[:, 1:-1, ::n])  # (n_el, n - 1, 2)
+    schur = elem[:, ::n, ::n] - elem[:, ::n, 1:-1] @ elim
+
+    # End-node values v with the Dirichlet data v_0 = 1, v_{n_el} = 0; a
+    # Thomas sweep solves for the n_el - 1 inner ones.  Row j couples node
+    # j + 1 to node j + 2 through off[j].
+    v = np.zeros(n_el + 1)
+    v[0] = 1.0
+    diag = schur[:-1, 1, 1] + schur[1:, 0, 0]
+    off = schur[1:, 0, 1]
+    rhs = np.zeros(n_el - 1)
+    rhs[:1] = -schur[0, 1, 0]
+    for j in range(1, n_el - 1):
+        ratio = off[j - 1] / diag[j - 1]
+        diag[j] -= ratio * off[j - 1]
+        rhs[j] -= ratio * rhs[j - 1]
+    for j in range(n_el - 2, -1, -1):
+        v[j + 1] = (rhs[j] - off[j] * v[j + 2]) / diag[j]
+
+    nodal = np.empty((n_el, n + 1))
+    nodal[:, 0], nodal[:, -1] = v[:-1], v[1:]
+    nodal[:, 1:-1] = -(elim @ nodal[:, ::n, None])[:, :, 0]
+    u = np.append(nodal[:, :-1].ravel(), v[-1])
+    deriv0 = -float(np.dot(elem[0, 0], nodal[0]))  # -(A u)_0: only element 0 holds node 0
     xq = left[:, None] + 0.5 * h * (_GAUSS_X + 1.0)[None, :]
     wa = 0.5 * h * _GAUSS_W[None, :] * p.weight(xq)
     uq = nodal @ _GAUSS_VAL.T

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,43 @@ class TestRunSuite:
         first = out.read_bytes()
         run_suite(config)
         assert out.read_bytes() == first
+
+
+# Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then
+# prints the scipy modules loaded and the modules run_suite imported.
+START_UP_PROBE = """
+import json, sys
+import numpy
+from mitbag.cli import config_from_dict, run_suite
+config = config_from_dict({
+    "suite": "all", "geometry": {"variant": "ball_interior", "R": 1.0},
+    "output_path": sys.argv[1], "seed": 0,
+})
+loaded = set(sys.modules)
+report = run_suite(config)
+print(json.dumps({
+    "passed": report.passed,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "new": sorted(set(sys.modules) - loaded),
+}))
+"""
+
+
+def test_verify_starts_without_scipy(tmp_path):
+    # Each benchmarked verify runs in a fresh process: scipy would cost most
+    # of its start-up, and a module first imported inside run_suite would be
+    # paid in every run rather than once at start-up.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, str(tmp_path / "report.csv")],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    probe = json.loads(out.stdout)
+    assert probe == {"passed": True, "scipy": [], "new": []}
 
 
 class TestMainExitCodes:

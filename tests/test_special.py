@@ -1,6 +1,7 @@
 """Spherical Bessel families: closed forms, scipy cross-checks, Wronskian."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,18 +85,20 @@ class TestModifiedK:
         # e^{-5000} underflows; the scaled form stays positive.
         assert modified_spherical_bessel_k_scaled(3, 5000.0) > 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_reported(self):
         # k_50 at tiny argument exceeds double range, alone or as one element.
-        with pytest.raises(BesselOverflowError):
-            modified_spherical_bessel_k_scaled(50, 1e-5)
-        with pytest.raises(BesselOverflowError):
-            modified_spherical_bessel_k_scaled(50, np.array([1.0, 1e-5, 2.0]))
-        # At x = 4e-5, k_50 still fits but its derivative (~51/x times it) does not.
-        assert math.isfinite(modified_spherical_bessel_k_scaled(50, 4e-5))
-        for x in (4e-5, np.array([1.0, 4e-5])):
-            with pytest.raises(BesselOverflowError):
-                modified_spherical_bessel_k_scaled_deriv(50, x)
+        # The typed error is the only signal: numpy's overflow warnings, made
+        # errors here, must not escape first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e-5, np.float64(1e-5), np.array([1.0, 1e-5, 2.0])):
+                with pytest.raises(BesselOverflowError):
+                    modified_spherical_bessel_k_scaled(50, x)
+            # At x = 4e-5, k_50 still fits but its derivative (~51/x times it) does not.
+            assert math.isfinite(modified_spherical_bessel_k_scaled(50, 4e-5))
+            for x in (4e-5, np.float64(4e-5), np.array([1.0, 4e-5])):
+                with pytest.raises(BesselOverflowError):
+                    modified_spherical_bessel_k_scaled_deriv(50, x)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from mitbag.geometry import CurvatureData
 from mitbag.numerics import ShootingError, ToleranceConfig
 from mitbag.transverse import (
     ELEMENT_DEGREE,
+    _element_matrices,
     TransverseProblem,
     cutoff_chi,
     cutoff_chi_d1,
@@ -102,6 +104,42 @@ class TestRitzSolver:
         np.testing.assert_allclose(sol.tau[:: ELEMENT_DEGREE], np.linspace(0.0, 5.5, 7), rtol=0.0, atol=1e-15)
         u, _ = sol.evaluate(sol.tau)
         np.testing.assert_allclose(u, sol.u, rtol=0.0, atol=1e-15)
+
+
+def banded_reference(prob: TransverseProblem) -> np.ndarray:
+    """Nodal minimizer from the assembled global matrix, solved as one band
+    by scipy: an independent oracle for the condensed solve."""
+    _, elem = _element_matrices(prob)
+    n, n_el = ELEMENT_DEGREE, len(elem)
+    n_dof = n_el * n + 1
+    ab = np.zeros((2 * n + 1, n_dof))  # A[r, c] sits at ab[n + r - c, c]
+    local = np.arange(n + 1)
+    for e in range(n_el):
+        cols = e * n + local
+        ab[n + local[:, None] - local[None, :], cols[None, :]] += elem[e]
+    first = np.zeros(n_dof)  # column 0 of A, which carries the datum u(0) = 1
+    first[: n + 1] = ab[n:, 0]
+    u = np.zeros(n_dof)
+    u[0] = 1.0
+    u[1:-1] = solve_banded((n, n), ab[:, 1:-1], -first[1:-1])
+    return u
+
+
+class TestCondensedSolve:
+    """The condensed solve (interiors eliminated, Thomas sweep over end
+    nodes) against the assembled band; n_el = 1, 2, 3 cover the sweep with
+    no, one and two inner end nodes."""
+
+    @pytest.mark.parametrize(
+        "m, curved",
+        ((0.5, (0.2, 0.1)), (2.0, (0.4, -0.2)), (9.0, (-1.0, 0.5)), (25.0, (2.0, 1.0)), (6400.0, (-3.0, 2.0))),
+    )
+    @pytest.mark.parametrize("flat", (True, False))
+    def test_matches_banded_solve(self, m, curved, flat):
+        prob = TransverseProblem(m=m, curv=FLAT if flat else CurvatureData(*curved))
+        sol = solve_transverse(prob)
+        assert len(sol.u) == math.ceil(math.sqrt(m)) * ELEMENT_DEGREE + 1
+        np.testing.assert_allclose(sol.u, banded_reference(prob), rtol=0.0, atol=1e-13)
 
 
 class TestExpansion:

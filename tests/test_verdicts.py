@@ -183,13 +183,16 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
         monkeypatch.setattr(cli, name, spy)
     records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac", tolerances=tol))
     assert records
-    # Ground, scaling and convergence; the ground symmetry and the two
-    # signed higher levels (whose magnitudes are the higher-level values);
-    # the large-mass symmetry.
-    assert len(seen["mit_eigenvalues"]) == 3
+    # Ground (its two levels also feed the convergence rows) and scaling;
+    # the ground symmetry and the two signed higher levels (whose magnitudes
+    # are the higher-level values); the large-mass symmetry.  The five
+    # convergence masses and three slope grids of six share m = 100 in the
+    # ground sector, which two of the slope grids take from the convergence
+    # solve.
+    assert len(seen["mit_eigenvalues"]) == 2
     assert len(seen["mit_spectrum_signed"]) == 3
     assert len(seen["largemass_spectrum_signed"]) == 1
-    assert len(seen["largemass_eigenvalues"]) == 5 + 3 * 6
+    assert len(seen["largemass_eigenvalues"]) == 5 + 3 * 6 - 2
     for name, tols in seen.items():
         assert all(t is tol for t in tols), name
 
