@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, panel
 from .special import (
     modified_spherical_bessel_k_scaled,
     spherical_bessel_j,
-    spherical_bessel_j_deriv,
 )
 
 
@@ -82,17 +82,25 @@ class AngularSector:
     def degeneracy(self) -> int:
         return 2 * abs(self.kappa_j)
 
-    @property
+    # Cached: the matching determinants read these on every evaluation.
+    @cached_property
     def ell_upper(self) -> int:
         return self.kappa_j if self.kappa_j > 0 else -self.kappa_j - 1
 
-    @property
+    @cached_property
     def ell_lower(self) -> int:
         return self.kappa_j - 1 if self.kappa_j > 0 else -self.kappa_j
 
-    @property
+    @cached_property
     def sign(self) -> int:
         return 1 if self.kappa_j > 0 else -1
+
+    @cached_property
+    def bessel_orders(self) -> tuple[int, ...]:
+        """Distinct orders of j behind (j_{l_A}, j_{l_B}) and their derivatives:
+        j_l' needs j_{l-1} (j_1 for l = 0), and l_B = l_A +- 1 makes 2 or 3."""
+        ells = (self.ell_upper, self.ell_lower)
+        return tuple(sorted({*ells, *(l - 1 if l > 0 else 1 for l in ells)}))
 
     def label(self) -> str:
         return f"kj={self.kappa_j}"
@@ -114,7 +122,7 @@ class DiracParams:
         if not (math.isfinite(self.m) and self.m >= 0.0):
             raise ValueError("m must be nonnegative")
 
-    @property
+    @cached_property
     def robin_offset(self) -> float:
         """Coefficient 1/R + m0 of the Robin trace d_n + kappa/2 + m0 on the sphere."""
         return 1.0 / self.R + self.m0
@@ -253,8 +261,8 @@ def _scan_roots(
         if f_x == 0.0:
             roots.append((x, 0.0))
         elif math.copysign(1.0, f_prev) != math.copysign(1.0, f_x):
-            root = find_root_bracketed(fn, (x_prev, x), tol)
-            roots.append((root, abs(fn(root))))
+            root, f_root = find_root_bracketed(fn, (x_prev, x), tol, (f_prev, f_x))
+            roots.append((root, abs(f_root)))
         x_prev, f_prev = x, f_x
     if len(roots) < count:
         raise BracketExhaustionError(
@@ -416,20 +424,21 @@ def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
 def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(j_{l_A}(k r), j_{l_B}(k r)) at the radii r."""
     x = k * np.asarray(r, dtype=float)
-    return (
-        np.array([spherical_bessel_j(sec.ell_upper, xi) for xi in x]),
-        np.array([spherical_bessel_j(sec.ell_lower, xi) for xi in x]),
-    )
+    return spherical_bessel_j(sec.ell_upper, x), spherical_bessel_j(sec.ell_lower, x)
 
 
 def _bessel_at(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
-    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at one argument x."""
-    return (
-        spherical_bessel_j(sec.ell_upper, x),
-        spherical_bessel_j(sec.ell_lower, x),
-        spherical_bessel_j_deriv(sec.ell_upper, x),
-        spherical_bessel_j_deriv(sec.ell_lower, x),
-    )
+    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at one argument x.
+
+    One j evaluation per distinct order; the derivatives follow
+    spherical_bessel_j_deriv's j_l' = j_{l-1} - (l+1)/x j_l (j_0' = -j_1)
+    operation for operation, so they are the same bits.
+    """
+    j = {ell: spherical_bessel_j(ell, x) for ell in sec.bessel_orders}
+    lA, lB = sec.ell_upper, sec.ell_lower
+    djA = -j[1] if lA == 0 else j[lA - 1] - (lA + 1.0) / x * j[lA]
+    djB = -j[1] if lB == 0 else j[lB - 1] - (lB + 1.0) / x * j[lB]
+    return j[lA], j[lB], djA, djB
 
 
 def _eigenpair(

@@ -137,12 +137,16 @@ def find_root_bracketed(
     f: Callable[[float], float],
     bracket: tuple[float, float],
     tol: ToleranceConfig | None = None,
-) -> float:
-    """Deterministic Brent iteration with guaranteed bisection fallback.
+    f_bracket: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """Deterministic Brent iteration with guaranteed bisection fallback
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
-    Converges when |f| <= abs_tol or the bracket half-width falls below
-    rel_tol*|x| (plus the machine floor).  A sign change across which |f|
-    diverges instead of vanishing is reported as a pole, not a root.  An
+    Returns the root and the value of f there.  A caller that already holds
+    (f(a), f(b)) passes them as ``f_bracket``, and f is not evaluated at the
+    ends again.  Converges when |f| <= abs_tol or the bracket half-width falls
+    below rel_tol*|x| (plus the machine floor).  A sign change across which
+    |f| diverges instead of vanishing is reported as a pole, not a root.  An
     initial pre-pass over 8 subintervals selects the leftmost sign change so
     the result is reproducible when the bracket happens to contain several
     roots.
@@ -151,27 +155,33 @@ def find_root_bracketed(
     a, b = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise BracketError(f"invalid bracket {bracket!r}")
-    fa = float(f(a))
-    fb = float(f(b))
+    if f_bracket is None:
+        fa, fb = float(f(a)), float(f(b))
+    else:
+        fa, fb = float(f_bracket[0]), float(f_bracket[1])
     if fa == 0.0:
-        return a
+        return a, 0.0
     if fb == 0.0:
-        return b
+        return b, 0.0
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"f has the same sign at both ends of {bracket!r}")
     f_entry_scale = 1.0 + min(abs(fa), abs(fb))
 
-    # Leftmost sign-change pre-pass.
-    grid = np.linspace(a, b, 9)
+    # Leftmost sign-change pre-pass on the points a + i (b - a)/8, in float
+    # arithmetic (the same points as np.linspace(a, b, 9), bit for bit).
+    h = (b - a) / 8.0
     x_prev, f_prev = a, fa
-    for x_next in grid[1:]:
+    for i in range(1, 8):
+        x_next = a + i * h
         f_next = float(f(x_next))
         if f_next == 0.0:
-            return float(x_next)
+            return x_next, 0.0
         if math.copysign(1.0, f_prev) != math.copysign(1.0, f_next):
-            a, fa, b, fb = x_prev, f_prev, float(x_next), f_next
+            a, fa, b, fb = x_prev, f_prev, x_next, f_next
             break
-        x_prev, f_prev = float(x_next), f_next
+        x_prev, f_prev = x_next, f_next
+    else:
+        a, fa = x_prev, f_prev  # the sign change is in the last subinterval
 
     # Brent: b is the best iterate, a the previous one, c brackets with b.
     c, fc = a, fa
@@ -225,7 +235,7 @@ def find_root_bracketed(
         )
     if abs(fb) > _POLE_FACTOR * f_entry_scale and abs(fb) > 1e3:
         raise PoleRootError(f"sign change at x={b!r} is a pole, not a root (|f|={abs(fb):.3e})")
-    return float(b)
+    return b, fb
 
 
 # ----------------------------------------------------------------------------

@@ -18,9 +18,12 @@ scaled form e^x k_l(x), so that Dirichlet-to-Neumann quotients at arguments
 as large as x = m R ~ 1e6 never underflow.
 
 Implementations are self-contained (recurrences, Taylor series and exact
-finite sums); only double precision is used and the supported order range is
-l <= 50.  The k_l functions take a float or an ndarray of arguments (the same
-Horner loop, element by element); j_l takes a float.
+finite sums; the j_l recurrences are those of DLMF 10.51); only double
+precision is used and the supported order range is l <= 50.  Every function
+takes a float or an ndarray of arguments.  An ndarray runs the same
+operations element by element, so each element equals the float result bit
+for bit; a float stays on plain-float arithmetic, which is faster for the
+one-point evaluations of a root scan.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class BesselOverflowError(ArithmeticError):
 
 
 def _check_order_arg(ell: int, x: float | np.ndarray) -> None:
+    if type(ell) is int and type(x) is float and 0 <= ell <= MAX_ELL and 0.0 < x < math.inf:
+        return  # the common case of a root scan, decided in one expression
     if not isinstance(ell, (int,)) or isinstance(ell, bool):
         raise SpecialFunctionDomainError(f"order must be an integer, got {ell!r}")
     if ell < 0 or ell > MAX_ELL:
@@ -76,9 +81,30 @@ def _j_series(ell: int, x: float) -> float:
     return prefactor * total
 
 
-def _j_upward(ell: int, x: float) -> float:
-    jm = math.sin(x) / x
-    jc = math.sin(x) / (x * x) - math.cos(x) / x
+def _j_series_array(ell: int, x: np.ndarray) -> np.ndarray:
+    # _j_series per element.  Each element's sum is final once its own
+    # stopping test holds: every later term is smaller still, so below half
+    # an ulp of the sum, and adding it changes no bit.  So all elements run
+    # until the last one stops.  x**ell is taken in float arithmetic, since
+    # numpy's power is not bit-equal to it.
+    prefactor = np.array([v**ell for v in x.tolist()]) / _double_factorial(2 * ell + 1)
+    minus_x2 = -(x * x)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 60):
+        term = term * (minus_x2 / (2.0 * k * (2.0 * (ell + k) + 1.0)))
+        total = total + term
+        if np.all(np.abs(term) < 1e-18 * np.abs(total)):
+            break
+    return prefactor * total
+
+
+def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> float | np.ndarray:
+    # Upward recurrence j_{l+1} = (2l+1)/x j_l - j_{l-1} from the closed
+    # forms j_0 = sin x / x and j_1 = sin x / x^2 - cos x / x.
+    s = sin(x)
+    jm = s / x
+    jc = s / (x * x) - cos(x) / x
     for l in range(1, ell):
         jm, jc = jc, (2.0 * l + 1.0) / x * jc - jm
     return jc
@@ -106,8 +132,9 @@ def _j_miller(ell: int, x: float) -> float:
             target /= 1e250
             j1_un /= 1e250
     j0_un = jc
-    j0_true = math.sin(x) / x
-    j1_true = math.sin(x) / (x * x) - math.cos(x) / x
+    s = math.sin(x)
+    j0_true = s / x
+    j1_true = s / (x * x) - math.cos(x) / x
     # Anchor on whichever closed form is farther from a zero.
     if abs(j0_true) >= abs(j1_true):
         scale = j0_true / j0_un
@@ -116,13 +143,62 @@ def _j_miller(ell: int, x: float) -> float:
     return target * scale
 
 
-def spherical_bessel_j(ell: int, x: float) -> float:
+def _j_miller_array(ell: int, x: np.ndarray) -> np.ndarray:
+    # _j_miller per element.  The start order depends on x: an element
+    # holds (0, 0), which the recurrence keeps at 0, until its own start
+    # order, where it takes the start value (0, 1).
+    starts = ell + 20 + (1.2 * x).astype(int)
+    start_orders = set(starts.tolist())
+    jp = np.zeros_like(x)
+    jc = np.zeros_like(x)
+    target = j1_un = jp
+    for l in range(max(start_orders), 0, -1):
+        if l in start_orders:
+            jc = np.where(starts == l, 1.0, jc)
+        jp, jc = jc, (2.0 * l + 1.0) / x * jc - jp
+        if l - 1 == ell:
+            target = jc
+        if l - 1 == 1:
+            j1_un = jc
+        if np.abs(jc).max() > 1e250:
+            big = np.abs(jc) > 1e250
+            jp, jc, target, j1_un = (np.where(big, v / 1e250, v) for v in (jp, jc, target, j1_un))
+    s = np.sin(x)
+    j0_true = s / x
+    j1_true = s / (x * x) - np.cos(x) / x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(np.abs(j0_true) >= np.abs(j1_true), j0_true / jc, j1_true / j1_un)
+    return target * scale
+
+
+def _j_array(ell: int, x: np.ndarray) -> np.ndarray:
+    # The regime split of spherical_bessel_j, element by element.
+    flat = x.astype(float).ravel()
+    if ell == 0:
+        return (np.sin(flat) / flat).reshape(x.shape)
+    series = flat <= 1.0
+    upward = ~series & ((flat >= ell + 1) | (ell == 1))
+    miller = ~(series | upward)
+    out = np.empty_like(flat)
+    if series.any():
+        out[series] = _j_series_array(ell, flat[series])
+    if upward.any():
+        out[upward] = _j_upward(ell, flat[upward], np.sin, np.cos)
+    if miller.any():
+        out[miller] = _j_miller_array(ell, flat[miller])
+    return out.reshape(x.shape)
+
+
+def spherical_bessel_j(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     """Regular spherical Bessel function j_l(x), relative accuracy ~1e-13.
 
     Upward recurrence in the oscillatory regime x > l, downward (Miller)
     recurrence below the turning point, Taylor series for small arguments.
+    An ndarray ``x`` gives each element the float result bit for bit.
     """
     _check_order_arg(ell, x)
+    if isinstance(x, np.ndarray):
+        return _j_array(ell, x)
     if ell == 0:
         return math.sin(x) / x
     if x <= 1.0:
@@ -134,8 +210,9 @@ def spherical_bessel_j(ell: int, x: float) -> float:
     return _j_miller(ell, x)
 
 
-def spherical_bessel_j_deriv(ell: int, x: float) -> float:
-    """d/dx j_l(x), via j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1)."""
+def spherical_bessel_j_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+    """d/dx j_l(x), via j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1),
+    for a float or an ndarray ``x``."""
     _check_order_arg(ell, x)
     if ell == 0:
         return -spherical_bessel_j(1, x)

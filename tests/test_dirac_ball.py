@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+import mitbag.dirac_ball as dirac_ball
 from mitbag.dirac_ball import (
     AngularSector,
     DiracParams,
@@ -29,6 +30,7 @@ from mitbag.dirac_ball import (
     singular_values_merged,
 )
 from mitbag.numerics import ToleranceConfig
+from mitbag.special import spherical_bessel_j_deriv
 
 GROUND = AngularSector(-1)
 P0 = DiracParams(R=1.0, m0=0.0, m=0.0)
@@ -425,3 +427,59 @@ class TestSpectralResult:
     def test_charge_conjugation_empty(self):
         empty = SpectralResult(eigenvalues=(), solver_residuals=())
         assert charge_conjugation_check(empty) == 0.0
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize(
+        "solver, determinant, m",
+        (
+            (mit_eigenvalues, "_mit_matching", 0.0),
+            (largemass_eigenvalues, "_largemass_matching", 200.0),
+            (robin_laplacian_eigenvalues, "_robin_matching", 200.0),
+        ),
+    )
+    def test_no_determinant_argument_evaluated_twice(self, monkeypatch, solver, determinant, m):
+        # Brent takes the scan's bracket-end values and returns the value at
+        # the root, so no argument is evaluated again within one solve.
+        original = getattr(dirac_ball, determinant)
+        seen = []
+
+        def spy(x, p, sec):
+            seen.append(x)
+            return original(x, p, sec)
+
+        monkeypatch.setattr(dirac_ball, determinant, spy)
+        p = DiracParams(R=1.0, m0=0.0, m=m)
+        for sector, count in ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSector(-3), 2)):
+            seen.clear()
+            solver(p, sector, count)
+            assert seen
+            assert len(set(seen)) == len(seen), (sector, count)
+
+    @pytest.mark.parametrize("kj", (-3, -2, -1, 1, 2, 3))
+    def test_robin_rows_use_each_bessel_order_once(self, monkeypatch, kj):
+        sector = AngularSector(kj)
+        x = 2.7
+        expected = (
+            sp.spherical_jn(sector.ell_upper, x),
+            sp.spherical_jn(sector.ell_lower, x),
+            sp.spherical_jn(sector.ell_upper, x, derivative=True),
+            sp.spherical_jn(sector.ell_lower, x, derivative=True),
+        )
+        calls = []
+        j = dirac_ball.spherical_bessel_j
+
+        def spy(ell, arg):
+            calls.append(ell)
+            return j(ell, arg)
+
+        monkeypatch.setattr(dirac_ball, "spherical_bessel_j", spy)
+        values = dirac_ball._bessel_at(sector, x)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == (2 if kj in (-1, 1) else 3)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+        # The same bits as the derivative function itself.
+        assert values[2:] == (
+            spherical_bessel_j_deriv(sector.ell_upper, x),
+            spherical_bessel_j_deriv(sector.ell_lower, x),
+        )

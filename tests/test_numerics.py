@@ -43,11 +43,11 @@ class TestToleranceConfig:
 
 class TestRootFinding:
     def test_sqrt_two(self):
-        root = find_root_bracketed(lambda x: x * x - 2.0, (1.0, 2.0))
+        root, _ = find_root_bracketed(lambda x: x * x - 2.0, (1.0, 2.0))
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_cosine_zero(self):
-        root = find_root_bracketed(math.cos, (1.0, 2.0))
+        root, _ = find_root_bracketed(math.cos, (1.0, 2.0))
         assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_bag_root_matches_bisection_oracle(self):
@@ -64,7 +64,7 @@ class TestRootFinding:
             else:
                 a, fa = mid, f(mid)
         oracle = 0.5 * (a + b)
-        root = find_root_bracketed(f, (1.6, 2.5))
+        root, _ = find_root_bracketed(f, (1.6, 2.5))
         assert root == pytest.approx(oracle, abs=1e-10)
         assert root == pytest.approx(2.042787, abs=5e-6)
 
@@ -78,10 +78,10 @@ class TestRootFinding:
             find_root_bracketed(math.tan, (1.5, 1.6))
 
     def test_refinement_stability(self):
-        loose = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-4, 1e-4, 200))
-        tight = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-14, 1e-14, 200))
+        loose, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-4, 1e-4, 200))
+        tight, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-14, 1e-14, 200))
         assert abs(loose - tight) <= 1e-3
-        tighter = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 300))
+        tighter, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 300))
         assert abs(tight - tighter) <= 1e-12
 
     def test_max_iter_exhaustion_carries_bracket(self):
@@ -94,8 +94,55 @@ class TestRootFinding:
 
     def test_leftmost_sign_change_selected(self):
         # sin(pi x) has roots at 1, 2, 3 inside (0.5, 3.5); the pre-pass picks 1.
-        root = find_root_bracketed(lambda x: math.sin(math.pi * x), (0.5, 3.5))
+        root, _ = find_root_bracketed(lambda x: math.sin(math.pi * x), (0.5, 3.5))
         assert root == pytest.approx(1.0, abs=1e-10)
+
+    def test_returns_the_value_at_the_root(self):
+        root, f_root = find_root_bracketed(math.cos, (1.0, 2.0))
+        assert f_root == math.cos(root)
+
+    @pytest.mark.parametrize(
+        "f, bracket",
+        (
+            (math.cos, (1.0, 2.0)),
+            (lambda x: x * x - 2.0, (1.0, 2.0)),
+            (lambda x: math.sin(math.pi * x), (0.5, 3.5)),
+            (lambda x: x - 1.95, (1.0, 2.0)),  # sign change in the last pre-pass subinterval
+            (lambda x: x - 1.5, (1.0, 2.0)),  # root on a pre-pass point
+            (lambda x: x - 1.0, (1.0, 2.0)),  # root at the left end
+        ),
+    )
+    def test_given_bracket_values_are_not_recomputed(self, f, bracket):
+        a, b = bracket
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        plain = find_root_bracketed(f, bracket)
+        given = find_root_bracketed(counted, bracket, f_bracket=(f(a), f(b)))
+        assert a not in seen and b not in seen
+        assert len(set(seen)) == len(seen)
+        assert given == plain
+
+    @settings(max_examples=60, deadline=None)
+    @given(root=st.floats(min_value=-0.999, max_value=0.999), scale=st.floats(min_value=1e-3, max_value=1e3))
+    def test_given_bracket_values_same_root_bits(self, root, scale):
+        def f(x):
+            return scale * (x - root) * (1.0 + x * x)
+
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        plain = find_root_bracketed(f, (-1.0, 1.0))
+        given = find_root_bracketed(counted, (-1.0, 1.0), f_bracket=(f(-1.0), f(1.0)))
+        assert -1.0 not in seen and 1.0 not in seen
+        assert math.copysign(1.0, given[0]) == math.copysign(1.0, plain[0]) and given == plain
+        assert given[1] == f(given[0])
 
 
 EXP_ODE = SecondOrderODE(p=lambda t: 0.0, q=lambda t: -1.0)  # u'' = u

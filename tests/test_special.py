@@ -57,6 +57,53 @@ class TestSphericalJ:
         with pytest.raises(SpecialFunctionDomainError):
             spherical_bessel_j(0, math.nan)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.integers(min_value=0, max_value=50),
+        xs=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-9, max_value=1e-3),  # series, tiny arguments
+                st.floats(min_value=1e-3, max_value=1.0),  # series
+                st.floats(min_value=1.0, max_value=52.0),  # Miller below x = l + 1, upward above
+                st.floats(min_value=52.0, max_value=1e4),  # upward
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_array_matches_scalar_bitwise(self, ell, xs):
+        # The regime edges x = 1 and x = l + 1 are always among the elements.
+        x = np.array(xs + [1.0, ell + 1.0])
+        for fn in (spherical_bessel_j, spherical_bessel_j_deriv):
+            scalar = np.array([fn(ell, v) for v in x.tolist()])
+            np.testing.assert_array_equal(fn(ell, x).view(np.int64), scalar.view(np.int64))
+
+    def test_array_keeps_its_shape(self):
+        x = np.linspace(0.1, 30.0, 12).reshape(3, 4)
+        out = spherical_bessel_j(3, x)
+        assert out.shape == (3, 4)
+        assert out[2, 1] == spherical_bessel_j(3, float(x[2, 1]))
+
+    @pytest.mark.parametrize("ell", ELLS)
+    def test_array_against_scipy(self, ell):
+        mine = spherical_bessel_j(ell, X_GRID)
+        np.testing.assert_allclose(mine, sp.spherical_jn(ell, X_GRID), rtol=1e-11, atol=1e-15)
+        mine = spherical_bessel_j_deriv(ell, X_GRID)
+        np.testing.assert_allclose(mine, sp.spherical_jn(ell, X_GRID, derivative=True), rtol=1e-10, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=0, max_value=50),
+        xs=st.lists(st.floats(min_value=1e-3, max_value=100.0), min_size=0, max_size=10),
+        bad=st.sampled_from([0.0, -0.0, -1e-300, -2.5, math.nan, math.inf, -math.inf]),
+        where=st.integers(min_value=0, max_value=10),
+    )
+    def test_array_domain_errors(self, ell, xs, bad, where):
+        x = np.array(xs[:where] + [bad] + xs[where:])
+        for fn in (spherical_bessel_j, spherical_bessel_j_deriv):
+            with pytest.raises(SpecialFunctionDomainError):
+                fn(ell, x)
+
 
 class TestModifiedK:
     def test_k0_closed_form(self):
