@@ -31,6 +31,7 @@ from numpy.random import default_rng
 from .dirac_ball import (
     AngularSector,
     DiracParams,
+    RadialEigenpair,
     boundary_identity_check,
     charge_conjugation_check,
     eta_functional,
@@ -545,7 +546,27 @@ def _ball_radius(config: SuiteConfig) -> float:
     return config.geometry.R
 
 
-def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
+@dataclass(frozen=True)
+class BagGround:
+    """The lowest ground-sector bag levels on the configured ball and the unit
+    eigenpair of the first.  The dirac and robin suites both use them, so
+    under ``suite=all`` ``run_suite`` solves them once and passes them to both."""
+
+    levels: tuple[float, ...]
+    pair: RadialEigenpair
+
+
+def _solve_bag_ground(config: SuiteConfig, count: int = 2) -> BagGround:
+    """The first ``count`` ground-sector bag levels (the scan finds the first
+    one the same way whether one level or two are asked for) and its pair."""
+    p = _ground_params(R=_ball_radius(config))
+    levels = tuple(mit_eigenvalues(p, GROUND_SECTOR, count, tol=config.tolerances).energies())
+    return BagGround(levels, mit_eigenpair(p, GROUND_SECTOR, levels[0]))
+
+
+def run_dirac_suite(
+    config: SuiteConfig, ground: BagGround | None = None
+) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = _ball_radius(config)
@@ -554,9 +575,9 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # levels scale as 1/R, so the unit-ball root serves any radius).
     tol = config.tolerances
     p = _ground_params(R=R)
-    # The two lowest ground-sector bag levels; the scan finds the first one
-    # the same way whether one level or two are asked for.
-    mit_levels = mit_eigenvalues(p, GROUND_SECTOR, 2, tol=tol).energies()
+    # The two lowest ground-sector bag levels.
+    ground = ground or _solve_bag_ground(config)
+    mit_levels = ground.levels
     lam1 = mit_levels[0]
     oracle = bag_ground_state_oracle() / R
     records.append(CheckRecord("dirac.mit.ground", "abs", expected=oracle, observed=lam1, tolerance=1e-5,
@@ -605,7 +626,7 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # solves), where second-order pollution is below the 1e-6 requirement;
     # the slope and its drift use the pinned medium-m grid.
     slope_grid = config.m_grid or SLOPE_M_GRID
-    u1 = mit_eigenpair(p, GROUND_SECTOR, lam1)
+    u1 = ground.pair
     eta1 = eta_functional(u1, lam1, p)
     sq = _pmap(lambda m: hm_level(GROUND_SECTOR, 0, m) ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
@@ -654,14 +675,17 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
 # ----------------------------------------------------------------------------
 
 
-def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
+def run_robin_suite(
+    config: SuiteConfig, ground: BagGround | None = None
+) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = _ball_radius(config)
     tol = config.tolerances
     p0 = DiracParams(R=R, m0=0.0, m=0.0)
-    lam1 = mit_eigenvalues(p0, GROUND_SECTOR, 1, tol=tol).energies()[0]
-    u1 = mit_eigenpair(p0, GROUND_SECTOR, lam1)
+    # Only the first bag level is needed here.
+    ground = ground or _solve_bag_ground(config, count=1)
+    lam1, u1 = ground.levels[0], ground.pair
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
 
@@ -739,7 +763,7 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
 # Suite dispatch and CLI
 # ----------------------------------------------------------------------------
 
-_SUITE_RUNNERS: dict[str, Callable[[SuiteConfig], tuple[list[CheckRecord], dict[str, Any]]]] = {
+_SUITE_RUNNERS: dict[str, Callable[..., tuple[list[CheckRecord], dict[str, Any]]]] = {
     "transverse": run_transverse_suite,
     "exterior": run_exterior_suite,
     "dirac": run_dirac_suite,
@@ -760,8 +784,13 @@ def run_suite(config: SuiteConfig) -> Report:
         ("solver_rel_tol", tol.rel_tol),
         ("solver_max_iter", tol.max_iter),
     ]
+    # The dirac and robin suites share the bag ground level and eigenpair.
+    ground = _solve_bag_ground(config) if config.suite == "all" else None
     for name in names:
-        recs, summary = _SUITE_RUNNERS[name](config)
+        if ground is not None and name in ("dirac", "robin"):
+            recs, summary = _SUITE_RUNNERS[name](config, ground)
+        else:
+            recs, summary = _SUITE_RUNNERS[name](config)
         records.extend(recs)
         summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
     asserted = [r for r in records if r.asserted]

@@ -80,13 +80,21 @@ class CheckRecord:
         return bool(COMPARISONS[self.comparison](self.expected, self.observed, self.tolerance))
 
     @property
-    def abs_error(self) -> float:
-        return abs(self.observed - self.expected)
+    def abs_error(self) -> float | None:
+        """|observed - expected|; None (an empty cell) where it is not a
+        finite number, as for an infinite bound or a NaN observation."""
+        error = abs(self.observed - self.expected)
+        return error if math.isfinite(error) else None
 
     @property
-    def rel_error(self) -> float:
-        scale = max(abs(self.expected), 1e-300)
-        return self.abs_error / scale
+    def rel_error(self) -> float | None:
+        """abs_error / |expected|; None where that is undefined (expected 0,
+        or no finite abs_error)."""
+        error = self.abs_error
+        if error is None or self.expected == 0.0:
+            return None
+        relative = error / abs(self.expected)
+        return relative if math.isfinite(relative) else None
 
 
 @dataclass(frozen=True)

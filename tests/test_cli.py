@@ -138,6 +138,22 @@ class TestReport:
         assert [r.comparison for r in parsed.records] == ["rel", "abs", "envelope"]
         assert [r.passed for r in parsed.records] == [True, False, True]
 
+    def test_undefined_errors_are_empty_cells(self):
+        # demo.gamma has expected = inf: neither error is a number.
+        csv_data = emit_table(_sample_report(), "csv").decode()
+        gamma = csv_data.strip().split("\n")[3].split(",")
+        assert gamma[CSV_COLUMNS.index("abs_error")] == ""
+        assert gamma[CSV_COLUMNS.index("rel_error")] == ""
+        rows = json.loads(emit_table(_sample_report(), "json"))["records"]
+        assert rows[2]["abs_error"] is None and rows[2]["rel_error"] is None
+        zero = CheckRecord("demo.zero", "upper", expected=0.0, observed=1e-9, tolerance=1e-6, provenance="fit")
+        assert (zero.abs_error, zero.rel_error) == (1e-9, None)
+
+    def test_json_round_trip_keeps_the_bytes(self):
+        data = emit_table(_sample_report(), "json")
+        assert b'"abs_error":null' in data
+        assert emit_table(parse_report_json(data), "json") == data
+
     def test_json_pass_flag_must_match_comparison(self):
         data = emit_table(_sample_report(), "json").decode()
         tampered = data.replace('"pass":false', '"pass":true', 1)
@@ -192,6 +208,27 @@ class TestRunSuite:
         first = out.read_bytes()
         run_suite(config)
         assert out.read_bytes() == first
+
+
+def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
+    # The dirac and robin suites share the ground bag level and eigenpair:
+    # under suite=all it is solved once and passed to both.
+    calls = []
+    for name in ("mit_eigenvalues", "mit_eigenpair"):
+        original = getattr(cli, name)
+
+        def spy(p, sector, arg, *rest, _original=original, _name=name, **kwargs):
+            calls.append((_name, p, sector, arg))
+            return _original(p, sector, arg, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    report = run_suite(SuiteConfig(suite="all", output_path=str(tmp_path / "r.csv")))
+    assert report.passed
+    pairs = [c for c in calls if c[0] == "mit_eigenpair"]
+    assert len(set(pairs)) == len(pairs)
+    ground = (cli._ground_params(R=1.0), cli.GROUND_SECTOR)
+    ground_solves = [c for c in calls if c[0] == "mit_eigenvalues" and c[1:3] == ground and c[3] <= 2]
+    assert len(ground_solves) == 1
 
 
 # Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then

@@ -138,6 +138,24 @@ def test_csv_pass_rederived_from_row(serialized):
         assert stored == ("true" if recomputed else "false"), check_id
 
 
+def test_every_error_cell_is_finite_or_empty(serialized):
+    # An undefined error (expected 0 or inf) is an empty cell / null, never
+    # a division by a floor value or an inf/nan.
+    report, json_bytes, csv_bytes = serialized
+    json_rows = json.loads(json_bytes)["records"]
+    csv_rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+    for json_row, csv_row in zip(json_rows, csv_rows, strict=True):
+        e = float(json_row["expected"])
+        for column in ("abs_error", "rel_error"):
+            value = json_row[column]
+            assert value is None or (type(value) in (int, float) and math.isfinite(value)), json_row
+            assert csv_row[column] == ("" if value is None else format(value, ".17g")), csv_row
+        if e == 0.0 or math.isinf(e):
+            assert json_row["rel_error"] is None, json_row
+        else:
+            assert json_row["rel_error"] == pytest.approx(abs(float(json_row["observed"]) - e) / abs(e))
+
+
 def test_every_asserted_check_passes(serialized):
     report, _, _ = serialized
     assert report.passed
