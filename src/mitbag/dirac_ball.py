@@ -95,13 +95,6 @@ class AngularSector:
     def sign(self) -> int:
         return 1 if self.kappa_j > 0 else -1
 
-    @cached_property
-    def bessel_orders(self) -> tuple[int, ...]:
-        """Distinct orders of j behind (j_{l_A}, j_{l_B}) and their derivatives:
-        j_l' needs j_{l-1} (j_1 for l = 0), and l_B = l_A +- 1 makes 2 or 3."""
-        ells = (self.ell_upper, self.ell_lower)
-        return tuple(sorted({*ells, *(l - 1 if l > 0 else 1 for l in ells)}))
-
     def label(self) -> str:
         return f"kj={self.kappa_j}"
 
@@ -193,44 +186,103 @@ class SpectralResult:
 # ----------------------------------------------------------------------------
 
 
-def _mit_matching(E: float, p: DiracParams, sec: AngularSector) -> float:
-    # f(R) + g(R) = 0 for the regular interior solution at energy E.
+def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
+    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x.
+
+    Only the two sector orders are evaluated: with n = |kappa_j| - 1 the lower
+    one, j_n' = (n/x) j_n - j_{n+1} and j_{n+1}' = j_n - (n+2)/x j_{n+1}
+    (DLMF 10.51.2).
+    """
+    n = abs(sec.kappa_j) - 1
+    lo, hi = spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
+    return _in_sector_order(sec, lo, hi, n / x * lo - hi, lo - (n + 2.0) / x * hi)
+
+
+def _ek_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
+    """(e^x k_{l_A}, e^x k_{l_B}) and their x-derivatives, from the two sector
+    orders: k_n' = (n/x) k_n - k_{n+1} and k_{n+1}' = -k_n - (n+2)/x k_{n+1}
+    (DLMF §10.51), plus the derivative of the factor e^x."""
+    n = abs(sec.kappa_j) - 1
+    lo = modified_spherical_bessel_k_scaled(n, x)
+    hi = modified_spherical_bessel_k_scaled(n + 1, x)
+    return _in_sector_order(sec, lo, hi, (1.0 + n / x) * lo - hi, (1.0 - (n + 2.0) / x) * hi - lo)
+
+
+def _in_sector_order(
+    sec: AngularSector, lo: float, hi: float, d_lo: float, d_hi: float
+) -> tuple[float, float, float, float]:
+    # kappa_j > 0 has l_A = n + 1, kappa_j < 0 has l_A = n.
+    return (hi, lo, d_hi, d_lo) if sec.kappa_j > 0 else (lo, hi, d_lo, d_hi)
+
+
+def _mit_matching(E: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
+    # f(R) + g(R) = 0 for the regular interior solution at energy E, and its
+    # E-derivative (dk/dE = E/k).
     k = math.sqrt(max(E * E - p.m0 * p.m0, 0.0))
     x = k * p.R
     if x <= 0.0:
-        return 1.0  # no zero-energy bound state; keeps the scan well-defined
-    jA = spherical_bessel_j(sec.ell_upper, x)
-    jB = spherical_bessel_j(sec.ell_lower, x)
-    return jA + sec.sign * (k / (E + p.m0)) * jB
+        return 1.0, 0.0  # no zero-energy bound state; keeps the scan well-defined
+    jA, jB, djA, djB = _j_pair(sec, x)
+    b = sec.sign * k / (E + p.m0)
+    db = sec.sign * p.m0 / (k * (E + p.m0))
+    return jA + b * jB, p.R * E / k * (djA + b * djB) + db * jB
 
 
-def _largemass_matching(E: float, p: DiracParams, sec: AngularSector) -> float:
+def _largemass_matching(E: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
     # Continuity determinant of (f, g) across r = R, with the overall
-    # exp(-qR) of the decaying family divided out.
+    # exp(-qR) of the decaying family divided out, and its E-derivative
+    # (dk/dE = E/k, dq/dE = -E/q).
     M = p.m0 + p.m
     k = math.sqrt(max(E * E - p.m0 * p.m0, 0.0))
     q = math.sqrt(max(M * M - E * E, 0.0))
     xk = k * p.R
     xq = q * p.R
     if xk <= 0.0 or xq <= 0.0:
-        return 1.0
-    jA = spherical_bessel_j(sec.ell_upper, xk)
-    jB = spherical_bessel_j(sec.ell_lower, xk)
-    ekA = modified_spherical_bessel_k_scaled(sec.ell_upper, xq)
-    ekB = modified_spherical_bessel_k_scaled(sec.ell_lower, xq)
-    return (q / (E + M)) * jA * ekB + sec.sign * (k / (E + p.m0)) * jB * ekA
+        return 1.0, 0.0
+    jA, jB, djA, djB = _j_pair(sec, xk)
+    ekA, ekB, dekA, dekB = _ek_pair(sec, xq)
+    a = q / (E + M)
+    b = sec.sign * k / (E + p.m0)
+    da = -M / (q * (E + M))
+    db = sec.sign * p.m0 / (k * (E + p.m0))
+    dxk = p.R * E / k
+    dxq = -p.R * E / q
+    value = a * jA * ekB + b * jB * ekA
+    slope = (
+        da * jA * ekB + a * (dxk * djA * ekB + dxq * jA * dekB)
+        + db * jB * ekA + b * (dxk * djB * ekA + dxq * jB * dekA)
+    )
+    return value, slope
 
 
-def _robin_rows(k: float, p: DiracParams, sec: AngularSector) -> tuple[float, float, float, float]:
-    jA, jB, djA, djB = _bessel_at(sec, k * p.R)
-    return jA, jB, k * djA + p.robin_offset * jA, k * djB + p.robin_offset * jB
+def _robin_rows(
+    k: float, p: DiracParams, sec: AngularSector
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """The rows (J_A, J_B, D_A, D_B) at wavenumber k, and their k-derivatives.
+
+    With x = kR and the Bessel equation for j'', dD_X/dk reads
+    m0 R j' - (x - l(l+1)/x) j.
+    """
+    x = k * p.R
+    jA, jB, djA, djB = _j_pair(sec, x)
+    lA, lB = sec.ell_upper, sec.ell_lower
+    rows = (jA, jB, k * djA + p.robin_offset * jA, k * djB + p.robin_offset * jB)
+    slopes = (
+        p.R * djA,
+        p.R * djB,
+        p.m0 * p.R * djA - (x - lA * (lA + 1.0) / x) * jA,
+        p.m0 * p.R * djB - (x - lB * (lB + 1.0) / x) * jB,
+    )
+    return rows, slopes
 
 
-def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> float:
+def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
     if k <= 0.0:
-        return 1.0
-    jA, jB, dA, dB = _robin_rows(k, p, sec)
-    return dA * dB + p.m * (dA * jB + dB * jA)
+        return 1.0, 0.0
+    (jA, jB, dA, dB), (jA_k, jB_k, dA_k, dB_k) = _robin_rows(k, p, sec)
+    value = dA * dB + p.m * (dA * jB + dB * jA)
+    slope = dA_k * dB + dA * dB_k + p.m * (dA_k * jB + dA * jB_k + dB_k * jA + dB * jA_k)
+    return value, slope
 
 
 # ----------------------------------------------------------------------------
@@ -239,25 +291,26 @@ def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> float:
 
 
 def _scan_roots(
-    fn: Callable[[float], float],
+    fn: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     step: float,
     count: int,
     tol: ToleranceConfig,
 ) -> list[tuple[float, float]]:
-    """Walk [lo, hi] with the given step, Brent-solve every sign change.
+    """Walk [lo, hi] with the given step, Newton-solve every sign change.
 
-    Returns up to ``count`` (root, |f(root)|) pairs; raises if the window is
-    exhausted first.
+    ``fn`` returns (f(x), f'(x)); the scan reads the value.  Returns up to
+    ``count`` (root, |f(root)|) pairs; raises if the window is exhausted
+    first.
     """
     roots: list[tuple[float, float]] = []
     x_prev = lo
-    f_prev = fn(lo)
+    f_prev = fn(lo)[0]
     x = lo
     while x < hi and len(roots) < count:
         x = min(x_prev + step, hi)
-        f_x = fn(x)
+        f_x = fn(x)[0]
         if f_x == 0.0:
             roots.append((x, 0.0))
         elif math.copysign(1.0, f_prev) != math.copysign(1.0, f_x):
@@ -283,7 +336,7 @@ def _dirac_scan_window(p: DiracParams, count: int) -> tuple[float, float, float]
 
 
 def _signed_spectrum(
-    matching: Callable[[float, DiracParams, AngularSector], float],
+    matching: Callable[[float, DiracParams, AngularSector], tuple[float, float]],
     p: DiracParams,
     sectors: Iterable[AngularSector],
     count_per_side: int,
@@ -302,10 +355,13 @@ def _signed_spectrum(
         lo, hi, step = _dirac_scan_window(p, count_per_side)
         hi = min(hi, stop)
         for sign in (1.0, -1.0):
+
+            def signed(E: float) -> tuple[float, float]:
+                value, slope = matching(sign * E, p, sec)
+                return value, sign * slope
+
             try:
-                roots = _scan_roots(
-                    lambda E: matching(sign * E, p, sec), lo, hi, step, count_per_side, tol
-                )
+                roots = _scan_roots(signed, lo, hi, step, count_per_side, tol)
             except BracketExhaustionError as exc:
                 if hi == stop:
                     raise EssentialSpectrumError(
@@ -427,20 +483,6 @@ def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.nda
     return spherical_bessel_j(sec.ell_upper, x), spherical_bessel_j(sec.ell_lower, x)
 
 
-def _bessel_at(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
-    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at one argument x.
-
-    One j evaluation per distinct order; the derivatives follow
-    spherical_bessel_j_deriv's j_l' = j_{l-1} - (l+1)/x j_l (j_0' = -j_1)
-    operation for operation, so they are the same bits.
-    """
-    j = {ell: spherical_bessel_j(ell, x) for ell in sec.bessel_orders}
-    lA, lB = sec.ell_upper, sec.ell_lower
-    djA = -j[1] if lA == 0 else j[lA - 1] - (lA + 1.0) / x * j[lA]
-    djB = -j[1] if lB == 0 else j[lB - 1] - (lB + 1.0) / x * j[lB]
-    return j[lA], j[lB], djA, djB
-
-
 def _eigenpair(
     p: DiracParams,
     sector: AngularSector,
@@ -459,7 +501,7 @@ def _eigenpair(
     """
     r, w = _interior_grid(p.R, k)
     ja, jb = _bessel_samples(sector, k, r)
-    jA, jB, djA, djB = _bessel_at(sector, k * p.R)
+    jA, jB, djA, djB = _j_pair(sector, k * p.R)
     norm_sq = float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
     if tail is not None:
         r_ext, w_ext, f_ext, g_ext = tail
@@ -495,7 +537,7 @@ def mit_eigenpair(
     if abs(E) <= p.m0:
         raise ValueError("bag eigenvalues satisfy |E| > m0")
     k = math.sqrt(E * E - p.m0 * p.m0)
-    residual = abs(_mit_matching(E, p, sector))
+    residual = abs(_mit_matching(E, p, sector)[0])
     return _eigenpair(p, sector, "mit", E, k, 1.0, sector.sign * k / (E + p.m0), residual)
 
 
@@ -523,7 +565,7 @@ def largemass_eigenpair(
     decay = np.exp(-sigma) / modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
     f_ext = decay * modified_spherical_bessel_k_scaled(sector.ell_upper, q * r_ext)
     g_ext = -(q / (E + M)) * decay * modified_spherical_bessel_k_scaled(sector.ell_lower, q * r_ext)
-    residual = abs(_largemass_matching(E, p, sector))
+    residual = abs(_largemass_matching(E, p, sector)[0])
     c_lo = sector.sign * k / (E + p.m0)
     return _eigenpair(p, sector, "largemass", E, k, 1.0, c_lo, residual, (r_ext, w_sigma / q, f_ext, g_ext))
 
@@ -538,7 +580,7 @@ def robin_eigenpair(
     if lam_int <= p.m0**2:
         raise ValueError("Robin eigenvalues satisfy lambda_int > m0^2 on the ball")
     k = math.sqrt(lam_int - p.m0**2)
-    jA, jB, dA, dB = _robin_rows(k, p, sector)
+    (jA, jB, dA, dB), _ = _robin_rows(k, p, sector)
     # Null vector of the two boundary rows; pick the better-conditioned row.
     row1 = (dA, -dB)
     row2 = (dA + 2.0 * p.m * jA, dB + 2.0 * p.m * jB)
@@ -546,7 +588,7 @@ def robin_eigenpair(
         cA, cB = dB, dA
     else:
         cA, cB = row2[1], -row2[0]
-    residual = abs(_robin_matching(k, p, sector))
+    residual = abs(_robin_matching(k, p, sector)[0])
     return _eigenpair(p, sector, "robin", lam_int, k, cA, cB, residual)
 
 

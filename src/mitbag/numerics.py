@@ -134,29 +134,35 @@ _POLE_FACTOR = 1e6
 
 
 def find_root_bracketed(
-    f: Callable[[float], float],
+    f: Callable[[float], tuple[float, float]],
     bracket: tuple[float, float],
     tol: ToleranceConfig | None = None,
     f_bracket: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """Deterministic Brent iteration with guaranteed bisection fallback
-    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+    """Safeguarded Newton iteration with bisection fallback (``rtsafe``,
+    Press et al., *Numerical Recipes*, 3rd ed., 2007, sec. 9.4).
 
-    Returns the root and the value of f there.  A caller that already holds
-    (f(a), f(b)) passes them as ``f_bracket``, and f is not evaluated at the
-    ends again.  Converges when |f| <= abs_tol or the bracket half-width falls
-    below rel_tol*|x| (plus the machine floor).  A sign change across which
-    |f| diverges instead of vanishing is reported as a pole, not a root.  An
-    initial pre-pass over 8 subintervals selects the leftmost sign change so
-    the result is reproducible when the bracket happens to contain several
-    roots.
+    ``f(x)`` returns the pair (f(x), f'(x)); ``f_bracket`` holds plain values.
+    Returns a root and the value of f there; the root is always a point
+    where f was evaluated.  A caller that already holds (f(a), f(b)) passes
+    them as ``f_bracket``, and f is not evaluated at the ends again.
+
+    The iteration starts at the secant point of the bracket and keeps a
+    sign-change bracket around every iterate.  It takes the Newton step
+    unless the step would leave the bracket or is longer than half the step
+    before last; then it bisects.  It stops at an iterate where |f| <=
+    abs_tol, or where the Newton correction or the bracket half-width is at
+    most 0.5*rel_tol*|x| plus the machine floor, and returns that iterate.
+    There is no scan inside the bracket: when it holds several roots, any
+    one of them may be returned.  A sign change across which |f| diverges
+    instead of vanishing is reported as a pole, not a root.
     """
     tol = tol or ToleranceConfig()
     a, b = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise BracketError(f"invalid bracket {bracket!r}")
     if f_bracket is None:
-        fa, fb = float(f(a)), float(f(b))
+        fa, fb = float(f(a)[0]), float(f(b)[0])
     else:
         fa, fb = float(f_bracket[0]), float(f_bracket[1])
     if fa == 0.0:
@@ -167,75 +173,41 @@ def find_root_bracketed(
         raise BracketError(f"f has the same sign at both ends of {bracket!r}")
     f_entry_scale = 1.0 + min(abs(fa), abs(fb))
 
-    # Leftmost sign-change pre-pass on the points a + i (b - a)/8, in float
-    # arithmetic (the same points as np.linspace(a, b, 9), bit for bit).
-    h = (b - a) / 8.0
-    x_prev, f_prev = a, fa
-    for i in range(1, 8):
-        x_next = a + i * h
-        f_next = float(f(x_next))
-        if f_next == 0.0:
-            return x_next, 0.0
-        if math.copysign(1.0, f_prev) != math.copysign(1.0, f_next):
-            a, fa, b, fb = x_prev, f_prev, x_next, f_next
-            break
-        x_prev, f_prev = x_next, f_next
-    else:
-        a, fa = x_prev, f_prev  # the sign change is in the last subinterval
-
-    # Brent: b is the best iterate, a the previous one, c brackets with b.
-    c, fc = a, fa
-    d = e = b - a
+    x = b - fb * (b - a) / (fb - fa)
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    # The last step and the one before it (rtsafe's dx and dxold).
+    step = step_before = b - a
     converged = False
     for _ in range(tol.max_iter):
-        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol_x = 2.0 * _EPS * abs(b) + 0.5 * tol.rel_tol * abs(b) + 1e-300
-        m = 0.5 * (c - b)
-        if abs(fb) <= tol.abs_tol or abs(m) <= tol_x:
+        fx, dfx = f(x)
+        fx, dfx = float(fx), float(dfx)
+        if abs(fx) <= tol.abs_tol:
             converged = True
             break
-        if abs(e) < tol_x or abs(fa) <= abs(fb):
-            d = e = m
+        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            a, fa = x, fx
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s, e = e, d
-            if 2.0 * p < 3.0 * m * q - abs(tol_x * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        if abs(d) > tol_x:
-            b += d
+            b = x
+        tol_x = 2.0 * _EPS * abs(x) + 0.5 * tol.rel_tol * abs(x) + 1e-300
+        newton = fx / dfx if dfx != 0.0 else math.inf
+        x_next = x - newton
+        if a < x_next < b and 2.0 * abs(newton) <= abs(step_before):
+            step_before, step = step, newton
         else:
-            b += math.copysign(tol_x, m)
-        fb = float(f(b))
-        if fb == 0.0:
+            step_before, step = step, 0.5 * (b - a)
+            x_next = a + step
+        # A Newton correction or a bracket half-width below tol_x places
+        # the root within tol_x of x.
+        if min(abs(newton), abs(step)) <= tol_x:
             converged = True
             break
+        x = x_next
     if not converged:
-        raise RootConvergenceError(
-            f"no convergence after {tol.max_iter} iterations", (min(b, c), max(b, c))
-        )
-    if abs(fb) > _POLE_FACTOR * f_entry_scale and abs(fb) > 1e3:
-        raise PoleRootError(f"sign change at x={b!r} is a pole, not a root (|f|={abs(fb):.3e})")
-    return b, fb
+        raise RootConvergenceError(f"no convergence after {tol.max_iter} iterations", (a, b))
+    if abs(fx) > _POLE_FACTOR * f_entry_scale and abs(fx) > 1e3:
+        raise PoleRootError(f"sign change at x={x!r} is a pole, not a root (|f|={abs(fx):.3e})")
+    return x, fx
 
 
 # ----------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import mitbag.dirac_ball as dirac_ball
 from mitbag.dirac_ball import (
@@ -30,7 +33,6 @@ from mitbag.dirac_ball import (
     singular_values_merged,
 )
 from mitbag.numerics import ToleranceConfig
-from mitbag.special import spherical_bessel_j_deriv
 
 GROUND = AngularSector(-1)
 P0 = DiracParams(R=1.0, m0=0.0, m=0.0)
@@ -429,32 +431,59 @@ class TestSpectralResult:
         assert charge_conjugation_check(empty) == 0.0
 
 
+PINNED_SOLVES = (
+    (mit_eigenvalues, "_mit_matching", 0.0),
+    (largemass_eigenvalues, "_largemass_matching", 200.0),
+    (robin_laplacian_eigenvalues, "_robin_matching", 200.0),
+)
+PINNED_SECTORS = ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSector(-3), 2))
+
+
 class TestEvaluationCounts:
-    @pytest.mark.parametrize(
-        "solver, determinant, m",
-        (
-            (mit_eigenvalues, "_mit_matching", 0.0),
-            (largemass_eigenvalues, "_largemass_matching", 200.0),
-            (robin_laplacian_eigenvalues, "_robin_matching", 200.0),
-        ),
-    )
+    @pytest.mark.parametrize("solver, determinant, m", PINNED_SOLVES)
     def test_no_determinant_argument_evaluated_twice(self, monkeypatch, solver, determinant, m):
-        # Brent takes the scan's bracket-end values and returns the value at
-        # the root, so no argument is evaluated again within one solve.
+        # The root finder takes the scan's bracket-end values and returns the
+        # value at the root, so no argument is evaluated again within one solve.
         original = getattr(dirac_ball, determinant)
         seen = []
 
         def spy(x, p, sec):
             seen.append(x)
-            return original(x, p, sec)
+            value, slope = original(x, p, sec)
+            assert math.isfinite(value) and math.isfinite(slope)
+            return value, slope
 
         monkeypatch.setattr(dirac_ball, determinant, spy)
         p = DiracParams(R=1.0, m0=0.0, m=m)
-        for sector, count in ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSector(-3), 2)):
+        for sector, count in PINNED_SECTORS:
             seen.clear()
             solver(p, sector, count)
             assert seen
             assert len(set(seen)) == len(seen), (sector, count)
+
+    def test_polish_takes_at_most_five_evaluations_per_root(self, monkeypatch):
+        # Newton on the closed-form derivative needs ~4; Brent took ~11.
+        original = dirac_ball.find_root_bracketed
+        roots = evaluations = 0
+
+        def counting(f, *args, **kwargs):
+            nonlocal roots
+            roots += 1
+
+            def counted(x):
+                nonlocal evaluations
+                evaluations += 1
+                return f(x)
+
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(dirac_ball, "find_root_bracketed", counting)
+        for solver, _, m in PINNED_SOLVES:
+            p = DiracParams(R=1.0, m0=0.0, m=m)
+            for sector, count in PINNED_SECTORS:
+                solver(p, sector, count)
+        assert roots >= 40
+        assert evaluations / roots <= 5.0
 
     @pytest.mark.parametrize("kj", (-3, -2, -1, 1, 2, 3))
     def test_robin_rows_use_each_bessel_order_once(self, monkeypatch, kj):
@@ -474,12 +503,164 @@ class TestEvaluationCounts:
             return j(ell, arg)
 
         monkeypatch.setattr(dirac_ball, "spherical_bessel_j", spy)
-        values = dirac_ball._bessel_at(sector, x)
-        assert sorted(calls) == sorted(set(calls))
-        assert len(calls) == (2 if kj in (-1, 1) else 3)
+        values = dirac_ball._j_pair(sector, x)
+        assert sorted(calls) == sorted((sector.ell_upper, sector.ell_lower))
         np.testing.assert_allclose(values, expected, rtol=1e-12)
-        # The same bits as the derivative function itself.
-        assert values[2:] == (
-            spherical_bessel_j_deriv(sector.ell_upper, x),
-            spherical_bessel_j_deriv(sector.ell_lower, x),
-        )
+
+
+class TestScanRoots:
+    def test_sign_changes_solved_in_order(self):
+        # sin(pi x) from 0.5 at step 0.25: every root sits on a scan point,
+        # where the float sine is a rounding error away from 0.
+        def f(x):
+            return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
+
+        roots = dirac_ball._scan_roots(f, 0.5, 3.5, 0.25, 3, ToleranceConfig())
+        assert [r for r, _ in roots] == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
+
+
+# ----------------------------------------------------------------------------
+# Independent scipy oracles for the matching determinants and their slopes
+# ----------------------------------------------------------------------------
+
+
+def _j_oracle(ell, x):
+    return sp.spherical_jn(ell, x), sp.spherical_jn(ell, x, derivative=True)
+
+
+def _ek_oracle(ell, x):
+    """e^x k_l(x) and its x-derivative, with k_0 = e^{-x}/x.
+
+    spherical_kn underflows beyond x ~ 700, so this takes scipy's scaled
+    e^x K_{l+1/2} (k_l = sqrt(2/(pi x)) K_{l+1/2}) and its derivative
+    K_v' = -(K_{v-1} + K_{v+1})/2 (DLMF 10.29.1).
+    """
+    v = ell + 0.5
+    pre = np.sqrt(2.0 / (np.pi * x))
+    ek = pre * sp.kve(v, x)
+    dek = pre * ((1.0 - 0.5 / x) * sp.kve(v, x) - 0.5 * (sp.kve(v - 1.0, x) + sp.kve(v + 1.0, x)))
+    return ek, dek
+
+
+def _mit_oracle(E, p, sec):
+    """(value, dvalue/dE, magnitude of the slope's terms)."""
+    k = np.sqrt(E * E - p.m0**2)
+    dk = E / k
+    jA, djA = _j_oracle(sec.ell_upper, k * p.R)
+    jB, djB = _j_oracle(sec.ell_lower, k * p.R)
+    b = sec.sign * k / (E + p.m0)
+    db = sec.sign * (dk * (E + p.m0) - k) / (E + p.m0) ** 2
+    terms = (p.R * dk * djA, db * jB, b * p.R * dk * djB)
+    return jA + b * jB, sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _largemass_oracle(E, p, sec):
+    M = p.m0 + p.m
+    k = np.sqrt(E * E - p.m0**2)
+    q = np.sqrt(M * M - E * E)
+    dk, dq = E / k, -E / q
+    jA, djA = _j_oracle(sec.ell_upper, k * p.R)
+    jB, djB = _j_oracle(sec.ell_lower, k * p.R)
+    ekA, dekA = _ek_oracle(sec.ell_upper, q * p.R)
+    ekB, dekB = _ek_oracle(sec.ell_lower, q * p.R)
+    a = q / (E + M)
+    da = (dq * (E + M) - q) / (E + M) ** 2
+    b = sec.sign * k / (E + p.m0)
+    db = sec.sign * (dk * (E + p.m0) - k) / (E + p.m0) ** 2
+    terms = (
+        da * jA * ekB, a * p.R * dk * djA * ekB, a * jA * p.R * dq * dekB,
+        db * jB * ekA, b * p.R * dk * djB * ekA, b * jB * p.R * dq * dekA,
+    )
+    return a * jA * ekB + b * jB * ekA, sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _robin_oracle(k, p, sec):
+    x = k * p.R
+    c = 1.0 / p.R + p.m0
+
+    def rows(ell):
+        j, dj = _j_oracle(ell, x)
+        # j_l'' from j_l' = j_{l-1} - (l+1)/x j_l (j_0' = -j_1).
+        if ell == 0:
+            ddj = -sp.spherical_jn(1, x, derivative=True)
+        else:
+            ddj = sp.spherical_jn(ell - 1, x, derivative=True) + (ell + 1.0) / x**2 * j - (ell + 1.0) / x * dj
+        return j, k * dj + c * j, p.R * dj, dj + k * p.R * ddj + c * p.R * dj
+
+    jA, dA, jA_k, dA_k = rows(sec.ell_upper)
+    jB, dB, jB_k, dB_k = rows(sec.ell_lower)
+    terms = (dA_k * dB, dA * dB_k, p.m * dA_k * jB, p.m * dA * jB_k, p.m * dB_k * jA, p.m * dB * jA_k)
+    return dA * dB + p.m * (dA * jB + dB * jA), sum(terms), sum(np.abs(t) for t in terms)
+
+
+KAPPAS = st.sampled_from([s * k for k in range(1, 7) for s in (-1, 1)])
+RADII = st.floats(min_value=0.5, max_value=3.0)
+INTRINSIC = st.floats(min_value=0.0, max_value=2.0)
+MASSES = st.floats(min_value=math.log(50.0), max_value=math.log(1e6)).map(math.exp)
+# Distance of |E| above m0, or of k above 0, in units of 1/R.
+OFFSETS = st.floats(min_value=0.05, max_value=20.0)
+SIGNS = st.sampled_from([1.0, -1.0])
+
+
+class TestDeterminantDerivatives:
+    """Each determinant's slope against scipy Bessel derivatives; kappa_j in
+    +-1..+-6, R in [0.5, 3], m in [50, 1e6] and m0 in [0, 2]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, t=OFFSETS, sign=SIGNS)
+    def test_mit_slope(self, kj, R, m0, t, sign):
+        p, sec = DiracParams(R=R, m0=m0), AngularSector(kj)
+        E = sign * (m0 + t / R)
+        value, slope = dirac_ball._mit_matching(E, p, sec)
+        v_ref, s_ref, scale = _mit_oracle(E, p, sec)
+        assert value == pytest.approx(v_ref, rel=1e-11, abs=1e-12)
+        assert abs(slope - s_ref) <= 1e-10 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, t=OFFSETS, sign=SIGNS)
+    def test_largemass_slope(self, kj, R, m0, m, t, sign):
+        p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
+        E = sign * (m0 + t / R)
+        value, slope = dirac_ball._largemass_matching(E, p, sec)
+        v_ref, s_ref, scale = _largemass_oracle(E, p, sec)
+        assert value == pytest.approx(v_ref, rel=1e-10, abs=1e-12 * abs(v_ref) + 1e-300)
+        assert abs(slope - s_ref) <= 1e-9 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, t=OFFSETS)
+    def test_robin_slope(self, kj, R, m0, m, t):
+        p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
+        k = t / R
+        value, slope = dirac_ball._robin_matching(k, p, sec)
+        v_ref, s_ref, scale = _robin_oracle(k, p, sec)
+        assert abs(value - v_ref) <= 1e-11 * scale * k
+        assert abs(slope - s_ref) <= 1e-10 * scale
+
+
+def _first_root_oracle(det, lo, hi, step):
+    """scipy brentq on the first sign change of a scipy-built determinant."""
+    grid = np.arange(lo, hi, step)
+    values = det(grid)
+    change = np.nonzero(np.sign(values[:-1]) != np.sign(values[1:]))[0][0]
+    return brentq(lambda x: float(det(x)), grid[change], grid[change + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+class TestIntrinsicMassRoots:
+    """First roots at m0 > 0, which the CLI never runs, against brentq."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kj=KAPPAS, R=RADII, m0=st.floats(min_value=0.01, max_value=2.0), m=MASSES)
+    def test_first_roots(self, kj, R, m0, m):
+        p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
+        lo, step = m0 * (1.0 + 1e-9), math.pi / (64.0 * R)
+        hi = m0 + 20.0 / R
+        mit = sorted(mit_spectrum_signed(p, [sec], 1).energies())
+        lm = sorted(largemass_spectrum_signed(p, [sec], 1).energies())
+        for side, sign in ((1, 1.0), (0, -1.0)):
+            mit_ref = _first_root_oracle(lambda E: _mit_oracle(sign * E, p, sec)[0], lo, hi, step)
+            lm_ref = _first_root_oracle(lambda E: _largemass_oracle(sign * E, p, sec)[0], lo, min(hi, m0 + m), step)
+            assert mit[side] == pytest.approx(sign * mit_ref, rel=1e-12)
+            assert lm[side] == pytest.approx(sign * lm_ref, rel=1e-12)
+        k = _first_root_oracle(lambda k: _robin_oracle(k, p, sec)[0], 1e-9 / R, 20.0 / R, step)
+        lam_int = robin_laplacian_eigenvalues(p, sec, 1).energies()[0]
+        assert lam_int == pytest.approx(m0**2 + k * k, rel=1e-12)

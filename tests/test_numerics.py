@@ -41,19 +41,34 @@ class TestToleranceConfig:
             ToleranceConfig(**kwargs)
 
 
+def cos(x):
+    return math.cos(x), -math.sin(x)
+
+
+def _sqrt_two(x):
+    return x * x - 2.0, 2.0 * x
+
+
+def _bag(x):
+    # The bag ground-state condition tan x = x/(1-x), and its derivative.
+    return math.tan(x) - x / (1.0 - x), 1.0 / math.cos(x) ** 2 - 1.0 / (1.0 - x) ** 2
+
+
 class TestRootFinding:
+    """The root finder takes f(x) -> (f(x), f'(x))."""
+
     def test_sqrt_two(self):
-        root, _ = find_root_bracketed(lambda x: x * x - 2.0, (1.0, 2.0))
+        root, _ = find_root_bracketed(_sqrt_two, (1.0, 2.0))
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_cosine_zero(self):
-        root, _ = find_root_bracketed(math.cos, (1.0, 2.0))
+        root, _ = find_root_bracketed(cos, (1.0, 2.0))
         assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_bag_root_matches_bisection_oracle(self):
         # Independent oracle: plain bisection on tan x = x/(1-x).
         def f(x):
-            return math.tan(x) - x / (1.0 - x)
+            return _bag(x)[0]
 
         a, b = 1.6, 2.5
         fa = f(a)
@@ -64,52 +79,47 @@ class TestRootFinding:
             else:
                 a, fa = mid, f(mid)
         oracle = 0.5 * (a + b)
-        root, _ = find_root_bracketed(f, (1.6, 2.5))
+        root, _ = find_root_bracketed(_bag, (1.6, 2.5))
         assert root == pytest.approx(oracle, abs=1e-10)
         assert root == pytest.approx(2.042787, abs=5e-6)
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x * x + 1.0, (0.0, 1.0))
+            find_root_bracketed(lambda x: (x * x + 1.0, 2.0 * x), (0.0, 1.0))
 
     def test_pole_detection(self):
         # tan has a sign change across pi/2 that is a pole, not a root.
         with pytest.raises(PoleRootError):
-            find_root_bracketed(math.tan, (1.5, 1.6))
+            find_root_bracketed(lambda x: (math.tan(x), 1.0 / math.cos(x) ** 2), (1.5, 1.6))
 
     def test_refinement_stability(self):
-        loose, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-4, 1e-4, 200))
-        tight, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(1e-14, 1e-14, 200))
+        loose, _ = find_root_bracketed(cos, (1.0, 2.0), ToleranceConfig(1e-4, 1e-4, 200))
+        tight, _ = find_root_bracketed(cos, (1.0, 2.0), ToleranceConfig(1e-14, 1e-14, 200))
         assert abs(loose - tight) <= 1e-3
-        tighter, _ = find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 300))
+        tighter, _ = find_root_bracketed(cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 300))
         assert abs(tight - tighter) <= 1e-12
 
     def test_max_iter_exhaustion_carries_bracket(self):
         from mitbag.numerics import RootConvergenceError
 
         with pytest.raises(RootConvergenceError) as excinfo:
-            find_root_bracketed(math.cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 2))
+            find_root_bracketed(cos, (1.0, 2.0), ToleranceConfig(0.0, 1e-15, 2))
         lo, hi = excinfo.value.bracket
         assert 1.0 <= lo <= hi <= 2.0
 
-    def test_leftmost_sign_change_selected(self):
-        # sin(pi x) has roots at 1, 2, 3 inside (0.5, 3.5); the pre-pass picks 1.
-        root, _ = find_root_bracketed(lambda x: math.sin(math.pi * x), (0.5, 3.5))
-        assert root == pytest.approx(1.0, abs=1e-10)
-
     def test_returns_the_value_at_the_root(self):
-        root, f_root = find_root_bracketed(math.cos, (1.0, 2.0))
+        root, f_root = find_root_bracketed(cos, (1.0, 2.0))
         assert f_root == math.cos(root)
 
     @pytest.mark.parametrize(
         "f, bracket",
         (
-            (math.cos, (1.0, 2.0)),
-            (lambda x: x * x - 2.0, (1.0, 2.0)),
-            (lambda x: math.sin(math.pi * x), (0.5, 3.5)),
-            (lambda x: x - 1.95, (1.0, 2.0)),  # sign change in the last pre-pass subinterval
-            (lambda x: x - 1.5, (1.0, 2.0)),  # root on a pre-pass point
-            (lambda x: x - 1.0, (1.0, 2.0)),  # root at the left end
+            (cos, (1.0, 2.0)),
+            (lambda x: (x * x - 2.0, 2.0 * x), (1.0, 2.0)),
+            (lambda x: (math.sin(math.pi * x), math.pi * math.cos(math.pi * x)), (0.5, 3.5)),
+            (lambda x: (x - 1.95, 1.0), (1.0, 2.0)),  # root near the right end
+            (lambda x: (x - 1.5, 1.0), (1.0, 2.0)),  # root on the secant start point
+            (lambda x: (x - 1.0, 1.0), (1.0, 2.0)),  # root at the left end
         ),
     )
     def test_given_bracket_values_are_not_recomputed(self, f, bracket):
@@ -121,7 +131,7 @@ class TestRootFinding:
             return f(x)
 
         plain = find_root_bracketed(f, bracket)
-        given = find_root_bracketed(counted, bracket, f_bracket=(f(a), f(b)))
+        given = find_root_bracketed(counted, bracket, f_bracket=(f(a)[0], f(b)[0]))
         assert a not in seen and b not in seen
         assert len(set(seen)) == len(seen)
         assert given == plain
@@ -130,7 +140,7 @@ class TestRootFinding:
     @given(root=st.floats(min_value=-0.999, max_value=0.999), scale=st.floats(min_value=1e-3, max_value=1e3))
     def test_given_bracket_values_same_root_bits(self, root, scale):
         def f(x):
-            return scale * (x - root) * (1.0 + x * x)
+            return scale * (x - root) * (1.0 + x * x), scale * (1.0 + x * x + 2.0 * x * (x - root))
 
         seen = []
 
@@ -139,10 +149,10 @@ class TestRootFinding:
             return f(x)
 
         plain = find_root_bracketed(f, (-1.0, 1.0))
-        given = find_root_bracketed(counted, (-1.0, 1.0), f_bracket=(f(-1.0), f(1.0)))
+        given = find_root_bracketed(counted, (-1.0, 1.0), f_bracket=(f(-1.0)[0], f(1.0)[0]))
         assert -1.0 not in seen and 1.0 not in seen
         assert math.copysign(1.0, given[0]) == math.copysign(1.0, plain[0]) and given == plain
-        assert given[1] == f(given[0])
+        assert given[1] == f(given[0])[0]
 
 
 EXP_ODE = SecondOrderODE(p=lambda t: 0.0, q=lambda t: -1.0)  # u'' = u
