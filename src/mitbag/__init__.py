@@ -50,7 +50,6 @@ from .geometry import (
     FlatTorusHalfSpace,
     ModelGeometry,
     min_rescaled_weight,
-    weight_validity_floor,
 )
 from .numerics import (
     AsymptoticFit,
@@ -73,7 +72,6 @@ from .transverse import (
     TransverseProblem,
     TransverseSolution,
     expansion_lambda,
-    formal_profiles,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,

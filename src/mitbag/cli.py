@@ -226,7 +226,7 @@ GROUND_SECTOR = AngularSector(-1)
 
 
 def _transverse_pair_data(
-    pair: tuple[float, float], m_grid: Sequence[float], tol: ToleranceConfig
+    pair: tuple[float, float], m_grid: Sequence[float]
 ) -> tuple[tuple[float, float], tuple[float, ...], list[float], list[float]]:
     kappa, K = pair
     bounds = CurvatureBounds(abs(kappa), abs(K))
@@ -235,7 +235,7 @@ def _transverse_pair_data(
     mass_devs: list[float] = []
     for m in valid_ms:
         prob = TransverseProblem(m=m, curv=CurvatureData(kappa, K))
-        sol = solve_transverse(prob, tol=tol)
+        sol = solve_transverse(prob)
         diffs.append(abs(sol.lam - expansion_lambda(prob)))
         mass_devs.append(transverse_mass_check(sol))
     return pair, valid_ms, diffs, mass_devs
@@ -257,7 +257,7 @@ def _transverse_sweep_records(
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     swept = _pmap(
-        lambda pair: _transverse_pair_data(pair, m_grid, config.tolerances),
+        lambda pair: _transverse_pair_data(pair, m_grid),
         config.curvature_grid,
     )
 
@@ -300,17 +300,16 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     m_grid = config.m_grid or TRANSVERSE_M_GRID
-    tol = config.tolerances
 
     # Flat closed forms: the profile is sinh(sqrt(m)-tau)/sinh(sqrt(m)).
-    sol4 = solve_transverse(TransverseProblem(m=4.0, curv=CurvatureData.flat()), tol=tol)
+    sol4 = solve_transverse(TransverseProblem(m=4.0, curv=CurvatureData.flat()))
     lam_exact = 1.0 / math.tanh(2.0)
     mass_exact = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
     records.append(CheckRecord("transverse.flat.lambda.m4", "abs", expected=lam_exact, observed=sol4.lam,
                                tolerance=1e-9, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
     records.append(CheckRecord("transverse.flat.mass.m4", "abs", expected=mass_exact, observed=sol4.mass,
                                tolerance=1e-6, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
-    sol_large = solve_transverse(TransverseProblem(m=1e4, curv=CurvatureData.flat()), tol=tol)
+    sol_large = solve_transverse(TransverseProblem(m=1e4, curv=CurvatureData.flat()))
     records.append(CheckRecord("transverse.flat.limit.m1e4", "abs", expected=1.0, observed=sol_large.lam,
                                tolerance=1e-8, provenance="closed-form", m=1e4, kappa=0.0, gauss=0.0))
 
@@ -331,7 +330,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # Minimality and the Pythagoras identity on seeded test functions.
     rng = default_rng(config.seed)
     prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-    sol = solve_transverse(prob, tol=tol)
+    sol = solve_transverse(prob)
     T = prob.half_width
     min_gap = math.inf
     max_pyth = 0.0
@@ -390,7 +389,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # Measured flat-mass decay order, reported only: the closed form decays
     # super-polynomially, so no fixed power law is asserted.
     flat_devs = [
-        transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData.flat()), tol=tol))
+        transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData.flat())))
         for m in (4.0, 16.0, 64.0)
     ]
     summary["flat_mass_decay_order"] = _loglog_slope((4.0, 16.0, 64.0), flat_devs)

@@ -134,13 +134,11 @@ class RadialEigenpair:
 
     energy: float
     sector: AngularSector
-    kind: str  # "mit" | "largemass" | "robin"
     r: np.ndarray
     f: np.ndarray
     g: np.ndarray
     weights: np.ndarray
     boundary_values: tuple[float, float, float, float]
-    residual: float
     radial_params: tuple[float, float, float]  # (k, c_upper, c_lower)
     r_ext: np.ndarray | None = None
     f_ext: np.ndarray | None = None
@@ -167,10 +165,9 @@ class RadialEigenpair:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Eigenvalues per sector, ordered ascending in |energy|, with solver residuals."""
+    """Eigenvalues per sector, ordered ascending in |energy|."""
 
     eigenvalues: tuple[tuple[float, AngularSector], ...]
-    solver_residuals: tuple[float, ...]
 
     def __post_init__(self) -> None:
         mags = [abs(e) for e, _ in self.eigenvalues]
@@ -297,14 +294,13 @@ def _scan_roots(
     step: float,
     count: int,
     tol: ToleranceConfig,
-) -> list[tuple[float, float]]:
+) -> list[float]:
     """Walk [lo, hi] with the given step, Newton-solve every sign change.
 
     ``fn`` returns (f(x), f'(x)); the scan reads the value.  Returns up to
-    ``count`` (root, |f(root)|) pairs; raises if the window is exhausted
-    first.
+    ``count`` roots; raises if the window is exhausted first.
     """
-    roots: list[tuple[float, float]] = []
+    roots: list[float] = []
     x_prev = lo
     f_prev = fn(lo)[0]
     x = lo
@@ -312,10 +308,9 @@ def _scan_roots(
         x = min(x_prev + step, hi)
         f_x = fn(x)[0]
         if f_x == 0.0:
-            roots.append((x, 0.0))
+            roots.append(x)
         elif math.copysign(1.0, f_prev) != math.copysign(1.0, f_x):
-            root, f_root = find_root_bracketed(fn, (x_prev, x), tol, (f_prev, f_x))
-            roots.append((root, abs(f_root)))
+            roots.append(find_root_bracketed(fn, (x_prev, x), tol, (f_prev, f_x))[0])
         x_prev, f_prev = x, f_x
     if len(roots) < count:
         raise BracketExhaustionError(
@@ -327,12 +322,14 @@ def _scan_roots(
 _SOLVER_TOL = ToleranceConfig(abs_tol=0.0, rel_tol=1e-14, max_iter=300)
 
 
-def _dirac_scan_window(p: DiracParams, count: int) -> tuple[float, float, float]:
+def _scan_window(R: float, count: int) -> tuple[float, float]:
+    """Scan step and top radial wavenumber for the first ``count`` roots of a
+    sector on the ball of radius R, shared by the bag, large-mass and Robin
+    solvers (each picks its own lower end)."""
+    if count < 1 or count > 20:
+        raise ValueError("count must be in [1, 20]")
     # Radial Bessel zeros are spaced ~pi/R; a generous cap avoids rescans.
-    step = math.pi / (4.0 * p.R)
-    lo = p.m0 + max(1e-9, 1e-9 * p.m0)
-    hi = math.sqrt(p.m0**2 + ((count + 3) * math.pi / p.R + 4.0 / p.R) ** 2)
-    return lo, hi, step
+    return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
 
 
 def _signed_spectrum(
@@ -350,10 +347,11 @@ def _signed_spectrum(
     """
     tol = tol or _SOLVER_TOL
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
-    entries: list[tuple[float, AngularSector, float]] = []
+    step, k_top = _scan_window(p.R, count_per_side)
+    lo = p.m0 + max(1e-9, 1e-9 * p.m0)
+    hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
+    entries: list[tuple[float, AngularSector]] = []
     for sec in sectors:
-        lo, hi, step = _dirac_scan_window(p, count_per_side)
-        hi = min(hi, stop)
         for sign in (1.0, -1.0):
 
             def signed(E: float) -> tuple[float, float]:
@@ -368,12 +366,9 @@ def _signed_spectrum(
                         f"search window reached the essential spectrum at {threshold}"
                     ) from exc
                 raise
-            entries.extend((sign * e, sec, res) for e, res in roots)
+            entries.extend((sign * e, sec) for e in roots)
     entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
-    return SpectralResult(
-        eigenvalues=tuple((e, sec) for e, sec, _ in entries),
-        solver_residuals=tuple(res for _, _, res in entries),
-    )
+    return SpectralResult(eigenvalues=tuple(entries))
 
 
 def _by_magnitude(
@@ -384,14 +379,9 @@ def _by_magnitude(
     tol: ToleranceConfig | None,
 ) -> SpectralResult:
     """First ``count`` singular values of one sector, from its signed spectrum."""
-    if count < 1 or count > 20:
-        raise ValueError("count must be in [1, 20]")
     signed = signed_solver(p, [sector], count, tol)
-    merged = sorted(zip(signed.energies(), signed.solver_residuals), key=lambda t: abs(t[0]))[:count]
-    return SpectralResult(
-        eigenvalues=tuple((abs(e), sector) for e, _ in merged),
-        solver_residuals=tuple(res for _, res in merged),
-    )
+    merged = sorted(signed.energies(), key=abs)[:count]
+    return SpectralResult(eigenvalues=tuple((abs(e), sector) for e in merged))
 
 
 def mit_spectrum_signed(
@@ -454,22 +444,18 @@ def robin_laplacian_eigenvalues(
     """
     if p.m <= 0.0:
         raise ValueError("the Robin solver needs m > 0")
-    if count < 1 or count > 20:
-        raise ValueError("count must be in [1, 20]")
     tol = tol or _SOLVER_TOL
-    step = math.pi / (4.0 * p.R)
+    step, hi = _scan_window(p.R, count)
     lo = 1e-9 / p.R
-    hi = (count + 3) * math.pi / p.R + 4.0 / p.R
     roots = _scan_roots(lambda k: _robin_matching(k, p, sector), lo, hi, step, count, tol)
-    return SpectralResult(
-        eigenvalues=tuple((p.m0**2 + k * k, sector) for k, _ in roots),
-        solver_residuals=tuple(res for _, res in roots),
-    )
+    return SpectralResult(eigenvalues=tuple((p.m0**2 + k * k, sector) for k in roots))
 
 
 # ----------------------------------------------------------------------------
 # Eigenpair construction
 # ----------------------------------------------------------------------------
+
+TAIL_LENGTH = 40.0  # exterior tail quadrature span, in decay lengths 1/q
 
 
 def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -486,12 +472,10 @@ def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.nda
 def _eigenpair(
     p: DiracParams,
     sector: AngularSector,
-    kind: str,
     energy: float,
     k: float,
     c_up: float,
     c_lo: float,
-    residual: float,
     tail: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RadialEigenpair:
     """Unit-norm pair (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) from unnormalized coefficients.
@@ -515,13 +499,11 @@ def _eigenpair(
     return RadialEigenpair(
         energy=energy,
         sector=sector,
-        kind=kind,
         r=r,
         f=c_up * ja,
         g=c_lo * jb,
         weights=w,
         boundary_values=(fR, c_lo * jB, c_up * k * djA, c_lo * k * djB),
-        residual=residual,
         radial_params=(k, c_up, c_lo),
         **exterior,
     )
@@ -537,19 +519,17 @@ def mit_eigenpair(
     if abs(E) <= p.m0:
         raise ValueError("bag eigenvalues satisfy |E| > m0")
     k = math.sqrt(E * E - p.m0 * p.m0)
-    residual = abs(_mit_matching(E, p, sector)[0])
-    return _eigenpair(p, sector, "mit", E, k, 1.0, sector.sign * k / (E + p.m0), residual)
+    return _eigenpair(p, sector, E, k, 1.0, sector.sign * k / (E + p.m0))
 
 
 def largemass_eigenpair(
     p: DiracParams,
     sector: AngularSector,
     energy: float,
-    tail_length: float = 40.0,
 ) -> RadialEigenpair:
     """Normalized large-mass eigenfunction, exterior tail included.
 
-    The tail integral runs over [R, R + tail_length/q]; its mass is O(1/m)
+    The tail integral runs over [R, R + TAIL_LENGTH/q]; its mass is O(1/m)
     but shifts first-order quantities at the percent level, so it is part of
     the unit normalization.
     """
@@ -560,14 +540,13 @@ def largemass_eigenpair(
     k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
     # Decaying continuation k_l(q r)/k_l(q R) of f, and the matching g.
-    sigma, w_sigma = panel_nodes(0.0, tail_length, max_panel=0.5, n_nodes=12)
+    sigma, w_sigma = panel_nodes(0.0, TAIL_LENGTH, max_panel=0.5, n_nodes=12)
     r_ext = p.R + sigma / q
     decay = np.exp(-sigma) / modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
     f_ext = decay * modified_spherical_bessel_k_scaled(sector.ell_upper, q * r_ext)
     g_ext = -(q / (E + M)) * decay * modified_spherical_bessel_k_scaled(sector.ell_lower, q * r_ext)
-    residual = abs(_largemass_matching(E, p, sector)[0])
     c_lo = sector.sign * k / (E + p.m0)
-    return _eigenpair(p, sector, "largemass", E, k, 1.0, c_lo, residual, (r_ext, w_sigma / q, f_ext, g_ext))
+    return _eigenpair(p, sector, E, k, 1.0, c_lo, (r_ext, w_sigma / q, f_ext, g_ext))
 
 
 def robin_eigenpair(
@@ -588,8 +567,7 @@ def robin_eigenpair(
         cA, cB = dB, dA
     else:
         cA, cB = row2[1], -row2[0]
-    residual = abs(_robin_matching(k, p, sector)[0])
-    return _eigenpair(p, sector, "robin", lam_int, k, cA, cB, residual)
+    return _eigenpair(p, sector, lam_int, k, cA, cB)
 
 
 # ----------------------------------------------------------------------------
@@ -639,41 +617,27 @@ def nu_minmax(
     eigenspace: Sequence[RadialEigenpair],
     lam: float,
     p: DiracParams,
-    norm_tol: float = 1e-6,
 ) -> list[float]:
     """Sorted eigenvalues of the eta form on an orthonormal eigenspace.
 
     Distinct entries of one sector stand for distinct azimuthal copies; all
-    three boundary integrals are angularly diagonal, so the Gram matrix is
-    diagonal with the per-function eta values.  Non-orthonormal input
-    (bad normalization, more copies than a sector holds, mixed energies) is
-    rejected.
+    three boundary integrals are angularly diagonal, so the form is diagonal
+    in this basis and its min-max values are the per-function eta values,
+    sorted.  Non-orthonormal input (normalization or shared eigenvalue off by
+    more than 1e-6, more copies than a sector holds) is rejected.
     """
     if not eigenspace:
         raise ValueError("eigenspace must be nonempty")
     per_sector: dict[int, int] = {}
     for u in eigenspace:
-        if abs(u.norm_sq() - 1.0) > norm_tol:
+        if abs(u.norm_sq() - 1.0) > 1e-6:
             raise ValueError("eigenspace entries must be L^2-normalized")
-        if abs(abs(u.energy) - abs(lam)) > norm_tol * max(1.0, abs(lam)):
+        if abs(abs(u.energy) - abs(lam)) > 1e-6 * max(1.0, abs(lam)):
             raise ValueError("eigenspace entries must share the eigenvalue")
         per_sector[u.sector.kappa_j] = per_sector.get(u.sector.kappa_j, 0) + 1
         if per_sector[u.sector.kappa_j] > u.sector.degeneracy:
             raise ValueError("more copies than the sector degeneracy allows")
-    gram = np.zeros((len(eigenspace), len(eigenspace)))
-    for i, u in enumerate(eigenspace):
-        gram[i, i] = eta_functional(u, lam, p)
-    return hermitian_form_eigenvalues(gram)
-
-
-def hermitian_form_eigenvalues(gram: np.ndarray) -> list[float]:
-    """Sorted eigenvalues of a Hermitian form given by its Gram matrix."""
-    gram = np.asarray(gram)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError("Gram matrix must be square")
-    if not np.allclose(gram, gram.conj().T, rtol=1e-10, atol=1e-12):
-        raise ValueError("Gram matrix must be Hermitian")
-    return [float(v) for v in np.linalg.eigvalsh(gram)]
+    return sorted(eta_functional(u, lam, p) for u in eigenspace)
 
 
 def boundary_identity_check(

@@ -11,8 +11,8 @@ the large-mass analysis this becomes
     a_{m,kappa,K}(tau) = 1 + tau kappa / m + tau^2 K / m^2,   tau in [0, sqrt(m)],
 
 and all transverse formulas are valid once the weight stays >= 1/2 on the
-collar, which fixes the mass floor m_1 below.  The weight itself is
-``transverse.TransverseProblem.weight``.
+collar, which ``min_rescaled_weight`` below decides for a given mass.  The
+weight itself is ``transverse.TransverseProblem.weight``.
 """
 
 from __future__ import annotations
@@ -134,24 +134,3 @@ def min_rescaled_weight(bounds: CurvatureBounds, m: float) -> float:
         raise ValueError("m must be positive")
     corners = [(-bounds.A, -bounds.B), (-bounds.A, bounds.B), (bounds.A, -bounds.B), (bounds.A, bounds.B)]
     return min(_quadratic_min_on_interval(k, g, m) for k, g in corners)
-
-
-def weight_validity_floor(bounds: CurvatureBounds) -> int:
-    """Smallest integer m_1 >= 1 with a_{m,kappa,K} >= 1/2 on [0, sqrt(m)].
-
-    The binding corner is (kappa, K) = (-A, -B), whose minimum sits at the
-    endpoint tau = sqrt(m); the condition 1 - A/sqrt(m) - B/m >= 1/2 is
-    monotone in m, so an integer scan from the closed-form hint
-    sqrt(m) = A + sqrt(A^2 + 2B) terminates immediately.
-    """
-    s_star = bounds.A + math.sqrt(bounds.A * bounds.A + 2.0 * bounds.B)
-    start = max(1, int(math.floor(s_star * s_star)) - 2)
-    m = start
-    while min_rescaled_weight(bounds, float(m)) < 0.5:
-        m += 1
-        if m > 10**8:  # pragma: no cover - the closed-form hint prevents this
-            raise RuntimeError("validity floor search did not terminate")
-    # The hint may overshoot by a couple of integers; walk back to the edge.
-    while m > 1 and min_rescaled_weight(bounds, float(m - 1)) >= 0.5:
-        m -= 1
-    return m

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
-from .numerics import ShootingError, ToleranceConfig, panel_nodes
+from .numerics import NumericsError, panel_nodes
 
 QUAD_PANEL = 0.25
 MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: e^{sqrt m} must stay inside double range
@@ -53,6 +53,10 @@ MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: e^{sqrt m} must stay inside double range
 # Spectral elements: polynomial degree and longest panel.
 ELEMENT_DEGREE = 14
 ELEMENT_PANEL = 1.0
+
+
+class CollarWidthError(NumericsError):
+    """The collar half-width sqrt(m) exceeds ``MAX_HALF_WIDTH``."""
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +208,7 @@ def _element_matrices(p: TransverseProblem) -> tuple[float, np.ndarray]:
     """
     T = p.half_width
     if T > MAX_HALF_WIDTH:
-        raise ShootingError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
+        raise CollarWidthError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
     n = ELEMENT_DEGREE
     n_el = max(1, math.ceil(T / ELEMENT_PANEL))
     h = T / n_el
@@ -215,12 +219,12 @@ def _element_matrices(p: TransverseProblem) -> tuple[float, np.ndarray]:
     return h, elem.reshape(n_el, n + 1, n + 1)
 
 
-def solve_transverse(p: TransverseProblem, tol: ToleranceConfig | None = None) -> TransverseSolution:
+def solve_transverse(p: TransverseProblem) -> TransverseSolution:
     """Minimize Q over the spectral-element space; return energy, profile, mass.
 
-    The solve is direct: static condensation of each element's interior
-    nodes, then one tridiagonal sweep over the element end nodes.  ``tol`` is
-    accepted for interface stability but not used.
+    The solve is direct, so it has no tolerance: static condensation of each
+    element's interior nodes, then one tridiagonal sweep over the element
+    end nodes.
     """
     h, elem = _element_matrices(p)
     n_el, n = len(elem), ELEMENT_DEGREE
@@ -283,29 +287,6 @@ def expansion_lambda(p: TransverseProblem) -> float:
     return 1.0 + kappa / (2.0 * m) + (K / 2.0 - kappa**2 / 8.0) / m**2
 
 
-def formal_profiles(curv: CurvatureData):
-    """The three boundary-layer profiles (u0, u1, u2) as vectorized callables.
-
-    u0(tau) = e^-tau, u1(tau) = -(kappa/2) tau e^-tau,
-    u2(tau) = (kappa^2/8 - K/2) tau e^-tau + (3 kappa^2/8 - K/2) tau^2 e^-tau.
-    """
-    kappa, K = curv.kappa, curv.gauss
-
-    def u0(tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.exp(-tau)
-
-    def u1(tau):
-        tau = np.asarray(tau, dtype=float)
-        return -(kappa / 2.0) * tau * np.exp(-tau)
-
-    def u2(tau):
-        tau = np.asarray(tau, dtype=float)
-        return ((kappa**2 / 8.0 - K / 2.0) * tau + (3.0 * kappa**2 / 8.0 - K / 2.0) * tau**2) * np.exp(-tau)
-
-    return u0, u1, u2
-
-
 # Cutoff: C^2 smoothstep plateaus, chi = 1 on [0, 1/2], chi = 0 beyond 1.
 
 
@@ -343,6 +324,7 @@ def cutoff_chi_d2(s: np.ndarray) -> np.ndarray:
 
 
 def _ansatz_poly(p: TransverseProblem) -> tuple[float, float, float]:
+    # The formal profiles of the module docstring, summed:
     # u0 + u1/m + u2/m^2 = (c0 + c1 tau + c2 tau^2) e^{-tau}
     kappa, K, m = p.curv.kappa, p.curv.gauss, p.m
     c0 = 1.0
@@ -351,18 +333,15 @@ def _ansatz_poly(p: TransverseProblem) -> tuple[float, float, float]:
     return c0, c1, c2
 
 
-def residual_of_ansatz(p: TransverseProblem, cutoff_scale: float = 1.0) -> float:
+def residual_of_ansatz(p: TransverseProblem) -> float:
     """Weighted L^2 norm of L applied to the cutoff boundary-layer ansatz.
 
-    The ansatz is chi(tau / (cutoff_scale sqrt(m))) (u0 + u1/m + u2/m^2); its
+    The ansatz is chi(tau / sqrt(m)) (u0 + u1/m + u2/m^2); its
     residual under L = -d^2/dtau^2 - (a'/a) d/dtau + 1 decays like m^-3, the
     rate the acceptance suite pins down.  All derivatives are analytic
     (polynomial-times-exponential profiles, closed-form cutoff derivatives).
     """
-    if cutoff_scale <= 0.0:
-        raise ValueError("cutoff_scale must be positive")
     T = p.half_width
-    width = cutoff_scale * T
     c0, c1, c2 = _ansatz_poly(p)
 
     def poly_em(tau):
@@ -376,10 +355,10 @@ def residual_of_ansatz(p: TransverseProblem, cutoff_scale: float = 1.0) -> float
         return inner * np.exp(-tau)
 
     x, w = panel_nodes(0.0, T, max_panel=QUAD_PANEL, n_nodes=16)
-    s = x / width
+    s = x / T
     chi = cutoff_chi(s)
-    chi1 = cutoff_chi_d1(s) / width
-    chi2 = cutoff_chi_d2(s) / width**2
+    chi1 = cutoff_chi_d1(s) / T
+    chi2 = cutoff_chi_d2(s) / T**2
     v = chi * poly_em(x)
     dv = chi1 * poly_em(x) + chi * poly_em_d1(x)
     d2v = chi2 * poly_em(x) + 2.0 * chi1 * poly_em_d1(x) + chi * poly_em_d2(x)

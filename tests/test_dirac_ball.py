@@ -2,6 +2,7 @@
 independent closed-form evaluations (plain bisection + scipy Bessel)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from mitbag.dirac_ball import (
     boundary_identity_check,
     charge_conjugation_check,
     eta_functional,
-    hermitian_form_eigenvalues,
     largemass_eigenpair,
     largemass_eigenvalues,
     largemass_spectrum_signed,
@@ -119,8 +119,15 @@ class TestBagSolver:
         assert charge_conjugation_check(signed) <= 1e-12
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            mit_eigenvalues(P0, GROUND, 21)
+        # One scan window serves every solver, and with it one count range.
+        pm = DiracParams(R=1.0, m=200.0)
+        for count in (0, 21):
+            for solve in (mit_spectrum_signed, largemass_spectrum_signed):
+                with pytest.raises(ValueError, match=r"\[1, 20\]"):
+                    solve(pm, [GROUND], count)
+            for solve in (mit_eigenvalues, largemass_eigenvalues, robin_laplacian_eigenvalues):
+                with pytest.raises(ValueError, match=r"\[1, 20\]"):
+                    solve(pm, GROUND, count)
 
     def test_merged_degeneracy_expansion(self):
         merged = singular_values_merged(P0, (-1, 1), 6, mit_eigenvalues)
@@ -194,18 +201,8 @@ class TestFunctionals:
     def test_vanishing_trace_gives_zero(self):
         lam1 = mit_eigenvalues(P0, GROUND, 1).energies()[0]
         pair = mit_eigenpair(P0, GROUND, lam1)
-        silent = pair.__class__(
-            energy=pair.energy,
-            sector=pair.sector,
-            kind=pair.kind,
-            r=pair.r,
-            f=pair.f,
-            g=pair.g,
-            weights=pair.weights,
-            boundary_values=(1.0, 1.0, -1.0, -1.0),  # Robin traces vanish: df = -(1/R+m0) f
-            residual=pair.residual,
-            radial_params=pair.radial_params,
-        )
+        # Robin traces vanish: df = -(1/R+m0) f.
+        silent = replace(pair, boundary_values=(1.0, 1.0, -1.0, -1.0))
         assert mu_functional(silent, P0) == 0.0
 
 
@@ -224,27 +221,20 @@ class TestNuMinMax:
         assert nus[0] == pytest.approx(ref["eta"], rel=1e-10)
 
     def test_diagonal_form(self):
-        assert hermitian_form_eigenvalues(np.diag([-1.0, -3.0])) == [-3.0, -1.0]
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_form_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # The form is diagonal in the given basis: its min-max values are the
+        # per-function eta values, sorted.
+        ref = ground_closed_form()
+        pair = mit_eigenpair(P0, GROUND, ref["lam"])
+        other = replace(pair, boundary_values=(1.0, 1.0, -1.0, -1.0))
+        etas = [eta_functional(u, ref["lam"], P0) for u in (pair, other)]
+        assert etas[0] != etas[1]
+        assert nu_minmax([pair, other], ref["lam"], P0) == sorted(etas)
+        assert nu_minmax([other, pair], ref["lam"], P0) == sorted(etas)
 
     def test_non_orthonormal_rejected(self):
         ref = ground_closed_form()
         pair = mit_eigenpair(P0, GROUND, ref["lam"])
-        bad = pair.__class__(
-            energy=pair.energy,
-            sector=pair.sector,
-            kind=pair.kind,
-            r=pair.r,
-            f=2.0 * pair.f,
-            g=2.0 * pair.g,
-            weights=pair.weights,
-            boundary_values=pair.boundary_values,
-            residual=pair.residual,
-            radial_params=pair.radial_params,
-        )
+        bad = replace(pair, f=2.0 * pair.f, g=2.0 * pair.g)
         with pytest.raises(ValueError):
             nu_minmax([bad], ref["lam"], P0)
 
@@ -421,13 +411,10 @@ class TestIntrinsicMass:
 class TestSpectralResult:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            SpectralResult(
-                eigenvalues=((2.0, GROUND), (1.0, GROUND)),
-                solver_residuals=(0.0, 0.0),
-            )
+            SpectralResult(eigenvalues=((2.0, GROUND), (1.0, GROUND)))
 
     def test_charge_conjugation_empty(self):
-        empty = SpectralResult(eigenvalues=(), solver_residuals=())
+        empty = SpectralResult(eigenvalues=())
         assert charge_conjugation_check(empty) == 0.0
 
 
@@ -516,7 +503,7 @@ class TestScanRoots:
             return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
 
         roots = dirac_ball._scan_roots(f, 0.5, 3.5, 0.25, 3, ToleranceConfig())
-        assert [r for r, _ in roots] == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
+        assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
 # ----------------------------------------------------------------------------

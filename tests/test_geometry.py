@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mitbag.geometry import (
@@ -13,7 +14,6 @@ from mitbag.geometry import (
     CurvatureData,
     FlatTorusHalfSpace,
     min_rescaled_weight,
-    weight_validity_floor,
 )
 from mitbag.transverse import TransverseProblem
 
@@ -71,17 +71,19 @@ class TestRescaledWeight:
 
 
 class TestValidityFloor:
+    # The floor is the least mass with min_rescaled_weight >= 1/2; the
+    # binding corner (-A, -B) at tau = sqrt(m) puts it at
+    # sqrt(m_1) = A + sqrt(A^2 + 2B).
     def test_flat(self):
-        assert weight_validity_floor(CurvatureBounds(0.0, 0.0)) == 1
+        assert min_rescaled_weight(CurvatureBounds(0.0, 0.0), 1.0) == 1.0
 
     def test_pure_mean_curvature(self):
         # 1 - 3/sqrt(m) >= 1/2 first holds at m = 36.
-        assert weight_validity_floor(CurvatureBounds(3.0, 0.0)) == 36
+        assert min_rescaled_weight(CurvatureBounds(3.0, 0.0), 36.0) == 0.5
+        assert min_rescaled_weight(CurvatureBounds(3.0, 0.0), 35.0) < 0.5
 
     def test_mixed_bounds(self):
         # sqrt(m) >= A + sqrt(A^2 + 2B) = 2 + sqrt(6), so m_1 = ceil(19.79...) = 20.
-        m1 = weight_validity_floor(CurvatureBounds(2.0, 1.0))
-        assert m1 == 20
         assert min_rescaled_weight(CurvatureBounds(2.0, 1.0), 20.0) >= 0.5
         assert min_rescaled_weight(CurvatureBounds(2.0, 1.0), 19.0) < 0.5
 
@@ -89,39 +91,27 @@ class TestValidityFloor:
     @given(A=st.floats(0.0, 4.0), B=st.floats(0.0, 3.0))
     def test_floor_guarantees_half(self, A, B):
         bounds = CurvatureBounds(A, B)
-        m1 = weight_validity_floor(bounds)
-        assert m1 >= 1
-        assert min_rescaled_weight(bounds, float(m1)) >= 0.5
-        if m1 > 1:
-            assert min_rescaled_weight(bounds, float(m1 - 1)) < 0.5
+        m1 = (A + math.sqrt(A * A + 2.0 * B)) ** 2
+        assert min_rescaled_weight(bounds, max(m1, 1.0) * (1.0 + 1e-9)) >= 0.5 - 1e-12
+        if m1 > 1e-3:
+            assert min_rescaled_weight(bounds, m1 * (1.0 - 1e-6)) < 0.5
 
-    @pytest.mark.parametrize("A,B", ((0.0, 0.0), (1.0, 2.0), (3.0, 2.0), (2.5, 0.0)))
-    def test_weight_at_least_half_on_dense_grid(self, A, B):
-        import numpy as np
-
-        bounds = CurvatureBounds(A, B)
-        m = float(weight_validity_floor(bounds))
-        taus = np.linspace(0.0, math.sqrt(m), 400)
-        for kappa in (-A, 0.0, A):
-            for gauss in (-B, 0.0, B):
-                c = CurvatureData(kappa, gauss)
-                values = TransverseProblem(m=m, curv=c).weight(taus)
-                assert values.min() >= 0.5 - 1e-12
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        A=st.floats(0.0, 3.0),
-        B=st.floats(0.0, 2.0),
-        ka=st.floats(-1.0, 1.0),
-        kb=st.floats(-1.0, 1.0),
-        s=st.floats(0.0, 1.0),
+        kappa=st.floats(-4.0, 4.0),
+        gauss=st.floats(-3.0, 3.0),
+        m=st.floats(1.0, 1e4),
     )
-    def test_weight_at_least_half_within_bounds(self, A, B, ka, kb, s):
-        bounds = CurvatureBounds(A, B)
-        m = float(weight_validity_floor(bounds))
-        c = CurvatureData(ka * A, kb * B)
-        tau = s * math.sqrt(m)
-        assert weight(c, m, tau) >= 0.5 - 1e-12
+    def test_weight_at_least_half_within_bounds(self, kappa, gauss, m):
+        # Any (m, kappa, K) the transverse problem accepts keeps the weight
+        # >= 1/2 over the whole collar.
+        c = CurvatureData(kappa, gauss)
+        try:
+            prob = TransverseProblem(m=m, curv=c)
+        except ValueError:
+            assume(False)
+        taus = np.linspace(0.0, math.sqrt(m), 400)
+        assert prob.weight(taus).min() >= 0.5 - 1e-12
 
 
 class TestModelGeometries:
