@@ -96,6 +96,23 @@ class TestValidityFloor:
         if m1 > 1e-3:
             assert min_rescaled_weight(bounds, m1 * (1.0 - 1e-6)) < 0.5
 
+    @pytest.mark.parametrize("A,B", ((0.0, 0.0), (1.0, 2.0), (3.0, 2.0), (2.5, 0.0)))
+    def test_weight_at_least_half_on_dense_grid(self, A, B):
+        # At the integer floor every corner and midpoint of the bounds box
+        # keeps the weight >= 1/2 over the whole collar.
+        bounds = CurvatureBounds(A, B)
+        m = max(1, math.ceil((A + math.sqrt(A * A + 2.0 * B)) ** 2))
+        while m > 1 and min_rescaled_weight(bounds, float(m - 1)) >= 0.5:
+            m -= 1
+        while min_rescaled_weight(bounds, float(m)) < 0.5:
+            m += 1
+        taus = np.linspace(0.0, math.sqrt(m), 400)
+        for kappa in (-A, 0.0, A):
+            for gauss in (-B, 0.0, B):
+                c = CurvatureData(kappa, gauss)
+                values = TransverseProblem(m=float(m), curv=c).weight(taus)
+                assert values.min() >= 0.5 - 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(
         kappa=st.floats(-4.0, 4.0),
