@@ -123,9 +123,8 @@ def torus_datum(period: float, coefficients: Mapping[tuple[int, int], complex]) 
 
 @dataclass(frozen=True)
 class ExteriorSolution:
-    """Per-mode exterior energies/masses and their coefficient-weighted totals."""
+    """Coefficient-weighted totals of the per-mode exterior energies and masses."""
 
-    per_mode: tuple[tuple[BoundaryMode, float, float], ...]  # (mode, energy, mass) per unit norm
     energy: float
     exterior_mass: float
 
@@ -188,7 +187,6 @@ def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
     """Exact exterior energy and mass of the minimizer for the given trace."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    per_mode = []
     energy = 0.0
     mass = 0.0
     for mode, c in v.modes:
@@ -200,10 +198,9 @@ def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
             omega = halfspace_mode_energy(m, v.xi_norm(mode))
             e = omega
             mu = 1.0 / (2.0 * omega)
-        per_mode.append((mode, e, mu))
         energy += c2 * e
         mass += c2 * mu
-    return ExteriorSolution(per_mode=tuple(per_mode), energy=energy, exterior_mass=mass)
+    return ExteriorSolution(energy=energy, exterior_mass=mass)
 
 
 def sobolev_h32_norm_sq(v: BoundaryDatum) -> float:

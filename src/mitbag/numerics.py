@@ -54,8 +54,8 @@ class ToleranceConfig:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol + self.rel_tol <= 0.0:
             raise ValueError("abs_tol + rel_tol must be positive")
         if self.max_iter < 1:

@@ -20,10 +20,12 @@ as large as x = m R ~ 1e6 never underflow.
 Implementations are self-contained (recurrences, Taylor series and exact
 finite sums; the j_l recurrences are those of DLMF 10.51); only double
 precision is used and the supported order range is l <= 50.  Every function
-takes a float or an ndarray of arguments.  An ndarray runs the same
-operations element by element, so each element equals the float result bit
-for bit; a float stays on plain-float arithmetic, which is faster for the
-one-point evaluations of a root scan.
+takes a float or an ndarray of arguments, and each element of an ndarray
+equals the float result bit for bit; a float stays on plain-float
+arithmetic, which is faster for the one-point evaluations of a root scan.
+j_l has one kernel per regime, shared by both: an ndarray runs the series
+and upward-recurrence kernels vectorized, and the Miller kernel element by
+element.
 """
 
 from __future__ import annotations
@@ -67,36 +69,20 @@ def _double_factorial(n: int) -> float:
     return float(out)
 
 
-def _j_series(ell: int, x: float) -> float:
+def _j_series(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     # j_l(x) = x^l/(2l+1)!! * sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1))
-    # Alternating but rapidly decaying for x <= 1; used only there.
-    prefactor = x**ell / _double_factorial(2 * ell + 1)
+    # Alternating but rapidly decaying for x <= 1; used only there.  For
+    # x <= 1 and l >= 1 the terms after k = 10 are below 1e-18 of the sum, so
+    # below half an ulp of it: a longer sum is the same bit for bit.  x**ell is
+    # taken in float arithmetic, since numpy's power is not bit-equal to it.
+    power = np.array([v**ell for v in x.tolist()]) if isinstance(x, np.ndarray) else x**ell
+    minus_x2 = -(x * x)
     term = 1.0
     total = 1.0
-    for k in range(1, 60):
-        term *= -(x * x) / (2.0 * k * (2.0 * (ell + k) + 1.0))
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return prefactor * total
-
-
-def _j_series_array(ell: int, x: np.ndarray) -> np.ndarray:
-    # _j_series per element.  Each element's sum is final once its own
-    # stopping test holds: every later term is smaller still, so below half
-    # an ulp of the sum, and adding it changes no bit.  So all elements run
-    # until the last one stops.  x**ell is taken in float arithmetic, since
-    # numpy's power is not bit-equal to it.
-    prefactor = np.array([v**ell for v in x.tolist()]) / _double_factorial(2 * ell + 1)
-    minus_x2 = -(x * x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 60):
+    for k in range(1, 11):
         term = term * (minus_x2 / (2.0 * k * (2.0 * (ell + k) + 1.0)))
         total = total + term
-        if np.all(np.abs(term) < 1e-18 * np.abs(total)):
-            break
-    return prefactor * total
+    return power / _double_factorial(2 * ell + 1) * total
 
 
 def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> float | np.ndarray:
@@ -143,34 +129,6 @@ def _j_miller(ell: int, x: float) -> float:
     return target * scale
 
 
-def _j_miller_array(ell: int, x: np.ndarray) -> np.ndarray:
-    # _j_miller per element.  The start order depends on x: an element
-    # holds (0, 0), which the recurrence keeps at 0, until its own start
-    # order, where it takes the start value (0, 1).
-    starts = ell + 20 + (1.2 * x).astype(int)
-    start_orders = set(starts.tolist())
-    jp = np.zeros_like(x)
-    jc = np.zeros_like(x)
-    target = j1_un = jp
-    for l in range(max(start_orders), 0, -1):
-        if l in start_orders:
-            jc = np.where(starts == l, 1.0, jc)
-        jp, jc = jc, (2.0 * l + 1.0) / x * jc - jp
-        if l - 1 == ell:
-            target = jc
-        if l - 1 == 1:
-            j1_un = jc
-        if np.abs(jc).max() > 1e250:
-            big = np.abs(jc) > 1e250
-            jp, jc, target, j1_un = (np.where(big, v / 1e250, v) for v in (jp, jc, target, j1_un))
-    s = np.sin(x)
-    j0_true = s / x
-    j1_true = s / (x * x) - np.cos(x) / x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(np.abs(j0_true) >= np.abs(j1_true), j0_true / jc, j1_true / j1_un)
-    return target * scale
-
-
 def _j_array(ell: int, x: np.ndarray) -> np.ndarray:
     # The regime split of spherical_bessel_j, element by element.
     flat = x.astype(float).ravel()
@@ -181,11 +139,11 @@ def _j_array(ell: int, x: np.ndarray) -> np.ndarray:
     miller = ~(series | upward)
     out = np.empty_like(flat)
     if series.any():
-        out[series] = _j_series_array(ell, flat[series])
+        out[series] = _j_series(ell, flat[series])
     if upward.any():
         out[upward] = _j_upward(ell, flat[upward], np.sin, np.cos)
     if miller.any():
-        out[miller] = _j_miller_array(ell, flat[miller])
+        out[miller] = [_j_miller(ell, v) for v in flat[miller].tolist()]
     return out.reshape(x.shape)
 
 

@@ -315,6 +315,22 @@ class TestMainExitCodes:
         parsed = json.loads(out.read_text())
         assert parsed["records"]
 
+    @pytest.mark.parametrize(
+        "flags, overrides",
+        [(["--tol", tol], {}) for tol in ("-1", "0", "nan", "inf")]
+        + [([], {"tolerances": {"rel_tol": math.inf}})],
+        ids=["tol=-1", "tol=0", "tol=nan", "tol=inf", "file-rel_tol=Infinity"],
+    )
+    def test_invalid_tolerance_is_config_error(self, tmp_path, flags, overrides):
+        assert main([write_config(tmp_path, **overrides), *flags]) == 2
+
+    def test_tol_flag_keeps_max_iter_and_zeroes_abs_tol(self, tmp_path):
+        out = tmp_path / "tol.json"
+        path = write_config(tmp_path, tolerances={"abs_tol": 1e-3, "rel_tol": 1e-10, "max_iter": 77})
+        assert main([path, "--tol", "1e-13", "--format", "json", "--out", str(out)]) == 0
+        summary = dict(parse_report_json(out.read_bytes()).summary)
+        assert (summary["solver_abs_tol"], summary["solver_rel_tol"], summary["solver_max_iter"]) == (0.0, 1e-13, 77)
+
     def test_loose_solver_tolerance_is_in_the_summary(self, tmp_path):
         # At rel_tol 1e-6 the Robin eigen-solves are too coarse for the exact
         # boundary identity; the summary shows the tolerance behind it.

@@ -34,6 +34,8 @@ class TestToleranceConfig:
             {"abs_tol": -1.0},
             {"abs_tol": 0.0, "rel_tol": 0.0},
             {"max_iter": 0},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.nan},
         ),
     )
     def test_invalid(self, kwargs):

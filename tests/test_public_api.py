@@ -1,9 +1,10 @@
-"""Every public top-level function of ``src/mitbag`` has a caller in the package.
+"""Every top-level function of ``src/mitbag`` has a caller in the package.
 
 A public function that only its own tests call is code the report never
-exercises; it is either wired into a check or deleted.  The re-exports in
-``__init__.py`` do not count as callers, and neither does a function's own
-body.
+exercises; it is either wired into a check or deleted.  A private function or
+class that nothing refers to is left behind by a deleted caller.  The
+re-exports in ``__init__.py`` do not count as callers, and neither does a
+definition's own body.
 """
 
 import ast
@@ -34,8 +35,11 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
-def _public_functions_and_callers() -> tuple[dict[str, str], set[str]]:
-    defined: dict[str, str] = {}
+def _definitions_and_callers() -> tuple[dict[str, str], dict[str, str], set[str]]:
+    """Public top-level functions and private top-level functions and classes
+    (name -> module), and the names read outside the definition that binds them."""
+    public: dict[str, str] = {}
+    private: dict[str, str] = {}
     called: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -43,24 +47,32 @@ def _public_functions_and_callers() -> tuple[dict[str, str], set[str]]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             names = _referenced_names(node)
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
-                if not node.name.startswith("_"):
-                    defined[node.name] = path.name
+                if node.name.startswith("_"):
+                    private[node.name] = path.name
+                elif isinstance(node, ast.FunctionDef):
+                    public[node.name] = path.name
             called |= names
-    return defined, called
+    return public, private, called
 
 
 def test_every_public_function_has_a_caller_in_src():
-    defined, called = _public_functions_and_callers()
+    public, _, called = _definitions_and_callers()
     orphans = sorted(
         f"{module}:{name}"
-        for name, module in defined.items()
+        for name, module in public.items()
         if name not in called and name not in ALLOWED_WITHOUT_CALLER
     )
     assert orphans == []
 
 
+def test_every_private_definition_is_referenced_in_src():
+    _, private, called = _definitions_and_callers()
+    orphans = sorted(f"{module}:{name}" for name, module in private.items() if name not in called)
+    assert orphans == []
+
+
 def test_allow_list_names_existing_functions():
-    defined, _ = _public_functions_and_callers()
-    assert ALLOWED_WITHOUT_CALLER <= set(defined)
+    public, _, _ = _definitions_and_callers()
+    assert ALLOWED_WITHOUT_CALLER <= set(public)

@@ -78,6 +78,29 @@ class TestSphericalJ:
             scalar = np.array([fn(ell, v) for v in x.tolist()])
             np.testing.assert_array_equal(fn(ell, x).view(np.int64), scalar.view(np.int64))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=50),
+        xs=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=40),
+    )
+    def test_series_matches_early_stopping_sum_bitwise(self, ell, xs):
+        # The series regime (x <= 1, l >= 1) sums a fixed number of terms; the
+        # reference stops once a term falls below 1e-18 of the sum.
+        def reference(x):
+            term = total = 1.0
+            for k in range(1, 60):
+                term *= -(x * x) / (2.0 * k * (2.0 * (ell + k) + 1.0))
+                total += term
+                if abs(term) < 1e-18 * abs(total):
+                    break
+            return x**ell / float(math.prod(range(2 * ell + 1, 0, -2))) * total
+
+        x = np.array(xs + [1.0])  # x = 1 needs the most terms
+        expected = np.array([reference(v) for v in x.tolist()])
+        scalar = np.array([spherical_bessel_j(ell, v) for v in x.tolist()])
+        np.testing.assert_array_equal(scalar.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(spherical_bessel_j(ell, x).view(np.int64), expected.view(np.int64))
+
     def test_array_keeps_its_shape(self):
         x = np.linspace(0.1, 30.0, 12).reshape(3, 4)
         out = spherical_bessel_j(3, x)

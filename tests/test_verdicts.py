@@ -13,6 +13,7 @@ import math
 import pytest
 
 import mitbag.cli as cli
+import mitbag.dirac_ball as dirac_ball
 from mitbag.cli import config_from_dict, run_suite
 from mitbag.numerics import ToleranceConfig
 from mitbag.report import CheckRecord, emit_table
@@ -202,13 +203,13 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac", tolerances=tol))
     assert records
     # Ground (its two levels also feed the convergence rows) and scaling;
-    # the ground symmetry and the two signed higher levels (whose magnitudes
-    # are the higher-level values); the large-mass symmetry.  The five
+    # the ground symmetry (whose kj=+1 and kj=-1 levels also give the
+    # degenerate copy and the higher levels); the large-mass symmetry.  The five
     # convergence masses and three slope grids of six share m = 100 in the
     # ground sector, which two of the slope grids take from the convergence
     # solve.
     assert len(seen["mit_eigenvalues"]) == 2
-    assert len(seen["mit_spectrum_signed"]) == 3
+    assert len(seen["mit_spectrum_signed"]) == 1
     assert len(seen["largemass_spectrum_signed"]) == 1
     assert len(seen["largemass_eigenvalues"]) == 5 + 3 * 6 - 2
     for name, tols in seen.items():
@@ -231,3 +232,35 @@ def test_nan_sandwich_gap_fails_its_rows(monkeypatch):
         assert rows[(check_id, "ell=2")].m == last
         assert not rows[(check_id, "ell=2")].passed
         assert rows[(check_id, "ell=1")].passed
+
+
+def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
+    # An eta that depends on the sector tells the kj=-1 and kj=+1 copies of
+    # the ground level apart, so the row must fail.
+    eta = cli.eta_functional
+
+    def sector_dependent_eta(u, lam, p):
+        return eta(u, lam, p) + 1e-9 * u.sector.kappa_j
+
+    monkeypatch.setattr(cli, "eta_functional", sector_dependent_eta)
+    monkeypatch.setattr(dirac_ball, "eta_functional", sector_dependent_eta)
+    records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac"))
+    (row,) = [r for r in records if r.check_id == "dirac.nu.degenerate"]
+    assert not row.passed
+
+
+@pytest.mark.parametrize(
+    "runner, solver",
+    [(cli.run_exterior_suite, "exterior_energy"), (cli.run_transverse_suite, "solve_transverse")],
+)
+def test_suite_solves_each_problem_once(monkeypatch, runner, solver):
+    solve = getattr(cli, solver)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, solver, spy)
+    runner(cli.SuiteConfig(suite="all"))
+    assert calls and len(calls) == len(set(calls))
