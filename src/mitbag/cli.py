@@ -69,7 +69,9 @@ from .geometry import (
 from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, slope_drift
 from .report import CheckRecord, Report, emit_table, write_report_atomic
 from .transverse import (
+    ELEMENT_DEGREE,
     TransverseProblem,
+    TransverseSolution,
     expansion_lambda,
     residual_of_ansatz,
     solve_transverse,
@@ -228,20 +230,21 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 GROUND_SECTOR = AngularSector(-1)
 
 
-def _transverse_pair_data(
-    pair: tuple[float, float], m_grid: Sequence[float]
-) -> tuple[tuple[float, float], tuple[float, ...], list[float], list[float]]:
+def _add_transverse_effort(summary: dict[str, Any], sols: Sequence[TransverseSolution]) -> None:
+    """Add the elements and nodal values (boundary nodes included) of the
+    solutions to the summary's deterministic size counters."""
+    for key, count in (
+        ("transverse_elements", sum((len(sol.u) - 1) // ELEMENT_DEGREE for sol in sols)),
+        ("transverse_dofs", sum(len(sol.u) for sol in sols)),
+    ):
+        summary[key] = summary.get(key, 0) + count
+
+
+def _transverse_pair_data(pair: tuple[float, float], m_grid: Sequence[float]) -> list[TransverseProblem]:
+    """The problems of one curvature pair at the masses of its validity range."""
     kappa, K = pair
     bounds = CurvatureBounds(abs(kappa), abs(K))
-    valid_ms = tuple(m for m in m_grid if min_rescaled_weight(bounds, m) >= 0.5)
-    diffs: list[float] = []
-    mass_devs: list[float] = []
-    for m in valid_ms:
-        prob = TransverseProblem(m=m, curv=CurvatureData(kappa, K))
-        sol = solve_transverse(prob)
-        diffs.append(abs(sol.lam - expansion_lambda(prob)))
-        mass_devs.append(transverse_mass_check(sol))
-    return pair, valid_ms, diffs, mass_devs
+    return [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m in m_grid if min_rescaled_weight(bounds, m) >= 0.5]
 
 
 def _transverse_sweep_records(
@@ -259,15 +262,20 @@ def _transverse_sweep_records(
     """
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    swept = _pmap(
-        lambda pair: _transverse_pair_data(pair, m_grid),
-        config.curvature_grid,
-    )
+    # Every problem of the grid goes to one stacked solve.
+    per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
+    sols = solve_transverse([prob for _, probs in per_pair for prob in probs])
+    _add_transverse_effort(summary, sols)
+    solved = iter(sols)
 
     cohorts: dict[tuple[float, ...], list[tuple[tuple[float, float], list[float]]]] = {}
-    for pair, valid_ms, diffs, mass_devs in swept:
+    for pair, probs in per_pair:
+        pair_sols = [next(solved) for _ in probs]
+        valid_ms = tuple(prob.m for prob in probs)
         if len(valid_ms) < 3:
             continue
+        diffs = [abs(sol.lam - expansion_lambda(prob)) for prob, sol in zip(probs, pair_sols)]
+        mass_devs = [transverse_mass_check(sol) for sol in pair_sols]
         cohorts.setdefault(valid_ms, []).append((pair, diffs))
         slope = _loglog_slope(valid_ms, [max(d, 1e-17) for d in diffs])
         records.append(CheckRecord("transverse.expansion.pair.slope", "upper", expected=-2.9, observed=slope,
@@ -305,14 +313,14 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     m_grid = config.m_grid or TRANSVERSE_M_GRID
 
     # Flat closed forms: the profile is sinh(sqrt(m)-tau)/sinh(sqrt(m)).
-    sol4 = solve_transverse(TransverseProblem(m=4.0, curv=CurvatureData.flat()))
+    flat = solve_transverse([TransverseProblem(m=m, curv=CurvatureData.flat()) for m in (4.0, 16.0, 64.0, 1e4)])
+    sol4, sol_large = flat[0], flat[-1]
     lam_exact = 1.0 / math.tanh(2.0)
     mass_exact = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
     records.append(CheckRecord("transverse.flat.lambda.m4", "abs", expected=lam_exact, observed=sol4.lam,
                                tolerance=1e-9, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
     records.append(CheckRecord("transverse.flat.mass.m4", "abs", expected=mass_exact, observed=sol4.mass,
                                tolerance=1e-6, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
-    sol_large = solve_transverse(TransverseProblem(m=1e4, curv=CurvatureData.flat()))
     records.append(CheckRecord("transverse.flat.limit.m1e4", "abs", expected=1.0, observed=sol_large.lam,
                                tolerance=1e-8, provenance="closed-form", m=1e4, kappa=0.0, gauss=0.0))
 
@@ -333,7 +341,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # Minimality and the Pythagoras identity on seeded test functions.
     rng = default_rng(config.seed)
     prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-    sol = solve_transverse(prob)
+    (sol,) = solve_transverse([prob])
     T = prob.half_width
     min_gap = math.inf
     max_pyth = 0.0
@@ -391,11 +399,9 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 
     # Measured flat-mass decay order, reported only: the closed form decays
     # super-polynomially, so no fixed power law is asserted.
-    flat_devs = [transverse_mass_check(sol4)] + [
-        transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData.flat())))
-        for m in (16.0, 64.0)
-    ]
+    flat_devs = [transverse_mass_check(s) for s in flat[:3]]
     summary["flat_mass_decay_order"] = _loglog_slope((4.0, 16.0, 64.0), flat_devs)
+    _add_transverse_effort(summary, [*flat, sol])
     return records, summary
 
 
@@ -606,17 +612,17 @@ def run_dirac_suite(
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
     # so its bound is infinite), and the last is below 1e-4.
-    hm_levels = _pmap(
-        lambda m: largemass_eigenvalues(_ground_params(R=R, m=m), GROUND_SECTOR, 2, tol=tol).energies(),
-        CONVERGENCE_M_GRID,
-    )
-    hm_solved = dict(zip(CONVERGENCE_M_GRID, hm_levels))
+    hm_solved: dict[float, list[float]] = {}
 
-    def hm_level(sec: AngularSector, idx: int, m: float) -> float:
-        # A ground-sector level at a convergence mass is already solved.
-        if sec == GROUND_SECTOR and m in hm_solved:
-            return hm_solved[m][idx]
-        return largemass_eigenvalues(_ground_params(R=R, m=m), sec, idx + 1, tol=tol).energies()[idx]
+    def hm_pair(m: float) -> list[float]:
+        # The two lowest ground-sector levels at mass m, solved once per mass
+        # for the convergence rows and both slope grids (the scan finds the
+        # lowest level the same way whether one level or two are asked for).
+        if m not in hm_solved:
+            hm_solved[m] = largemass_eigenvalues(_ground_params(R=R, m=m), GROUND_SECTOR, 2, tol=tol).energies()
+        return hm_solved[m]
+
+    hm_levels = _pmap(hm_pair, CONVERGENCE_M_GRID)
 
     for k in (0, 1):
         sector = f"{GROUND_SECTOR.label()};k={k + 1}"
@@ -635,7 +641,7 @@ def run_dirac_suite(
     slope_grid = config.m_grid or SLOPE_M_GRID
     u1 = ground.pair
     eta1 = eta_functional(u1, lam1, p)
-    sq = _pmap(lambda m: hm_level(GROUND_SECTOR, 0, m) ** 2, slope_grid)
+    sq = _pmap(lambda m: hm_pair(m)[0] ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
     fit_all, fit_trunc, drift = slope_drift(points)
     tail_points = [
@@ -652,33 +658,31 @@ def run_dirac_suite(
     summary["fitted_nu_ground"] = fit_all.slope
     summary["fitted_nu_ground_drift"] = drift
 
-    # Higher-level eigenpairs from the symmetry solve: in each sector the
-    # signed level whose magnitude is its level_idx-th singular value.  The
-    # kj=+1 one is the level at E = -lam1, a second copy of the ground level.
-    higher = []
-    for kj, level_idx in ((1, 0), (-1, 1)):
-        sec = AngularSector(kj)
+    # Eigenpairs from the symmetry solve: in a sector, the signed level
+    # whose magnitude is its level_idx-th singular value.
+    def signed_pair(sec: AngularSector, level_idx: int) -> RadialEigenpair:
         E_k = sorted((e for e, s in signed.eigenvalues if s == sec), key=abs)[level_idx]
-        higher.append((sec, level_idx, mit_eigenpair(p, sec, E_k)))
+        return mit_eigenpair(p, sec, E_k)
 
     # The eta form on the degenerate ground level is a multiple of identity:
-    # every min-max value equals eta (the farthest one is recorded).
-    nus = nu_minmax([u1, higher[0][2]], lam1, p)
+    # every min-max value equals eta (the farthest one is recorded).  The
+    # kj=+1 level at E = -lam1 is the second copy of the level.
+    nus = nu_minmax([u1, signed_pair(AngularSector(1), 0)], lam1, p)
     worst = max(nus, key=lambda nu: abs(nu - eta1))
     records.append(CheckRecord("dirac.nu.degenerate", "abs", expected=eta1, observed=worst,
                                tolerance=1e-12 * max(1.0, abs(eta1)), provenance="closed-form"))
 
-    # Higher levels: slopes are computed and reported, never asserted.
-    for sec, level_idx, u_k in higher:
-        lam_k = abs(u_k.energy)
-        eta_k = eta_functional(u_k, lam_k, p)
-        sq_k = _pmap(lambda m: hm_level(sec, level_idx, m) ** 2, slope_grid)
-        fit_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
-        label = f"{sec.label()};k={level_idx + 1}"
-        records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=fit_k.slope,
-                                   tolerance=0.0, provenance="fit", sector=label, asserted=False))
-        summary[f"higher_slope[{label}]"] = fit_k.slope
-        summary[f"higher_eta[{label}]"] = eta_k
+    # The next level, kj=-1 level 2: its slope is computed and reported,
+    # never asserted.
+    u_k = signed_pair(GROUND_SECTOR, 1)
+    eta_k = eta_functional(u_k, abs(u_k.energy), p)
+    sq_k = _pmap(lambda m: hm_pair(m)[1] ** 2, slope_grid)
+    fit_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
+    label = f"{GROUND_SECTOR.label()};k=2"
+    records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=fit_k.slope,
+                               tolerance=0.0, provenance="fit", sector=label, asserted=False))
+    summary[f"higher_slope[{label}]"] = fit_k.slope
+    summary[f"higher_eta[{label}]"] = eta_k
     return records, summary
 
 

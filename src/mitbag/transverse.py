@@ -20,13 +20,18 @@ cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an O(m^-3) residual in the
 weighted L^2 norm, which is the rate the verification suite measures.
 
 Numerics: the minimization is done directly (a Ritz method).  The collar
-is cut into ceil(sqrt(m)) equal panels of length <= 1, each carrying a
+is cut into ceil(sqrt(m)/4) equal panels of length <= 4, each carrying a
 degree-14 Gauss-Lobatto-Legendre (GLL) spectral element, and Q restricted to
 that continuous piecewise-polynomial space is minimized directly: each
 element's 13 interior unknowns are eliminated by static condensation (one
 batched solve of the 13 x 13 interior blocks), the element end nodes then
 satisfy an SPD tridiagonal system solved by one Thomas sweep, and the
-interiors follow by back-substitution.
+interiors follow by back-substitution.  Problems of one mass share the
+panels and the quadrature points, so ``solve_transverse`` stacks them:
+one element-matrix product, one batched interior solve and one Thomas
+sweep vectorized across the problems per mass.  Every step acts on each
+problem's own slice with the arithmetic of a lone solve, so a solution is
+bit-for-bit the same whichever problems share its stack.
 The element matrices use 16-point Gauss quadrature, which integrates
 (|u'|^2 + |u|^2) a exactly for the quadratic weight a, so the discrete energy
 is the exact Q of the discrete profile.  By the Pythagoras identity
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +57,7 @@ MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: e^{sqrt m} must stay inside double range
 
 # Spectral elements: polynomial degree and longest panel.
 ELEMENT_DEGREE = 14
-ELEMENT_PANEL = 1.0
+ELEMENT_PANEL = 4.0
 
 
 class CollarWidthError(NumericsError):
@@ -140,6 +145,11 @@ def _element_tables(n: int) -> tuple[np.ndarray, ...]:
 )
 
 
+def _collar_weight(kappa: float | np.ndarray, gauss: float | np.ndarray, m: float, tau: np.ndarray) -> np.ndarray:
+    """a(tau) = 1 + kappa tau / m + K tau^2 / m^2; kappa and K broadcast against tau."""
+    return 1.0 + kappa * tau / m + gauss * tau**2 / m**2
+
+
 @dataclass(frozen=True)
 class TransverseProblem:
     """Mass and pointwise curvature pair; valid once the collar weight is >= 1/2."""
@@ -158,8 +168,7 @@ class TransverseProblem:
             )
 
     def weight(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        return 1.0 + self.curv.kappa * tau / self.m + self.curv.gauss * tau**2 / self.m**2
+        return _collar_weight(self.curv.kappa, self.curv.gauss, self.m, np.asarray(tau, dtype=float))
 
     def weight_deriv(self, tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -177,7 +186,8 @@ class TransverseSolution:
     ``lam`` is the variational (quadratic-form) value of the energy; the
     invariant lam = -deriv0 holds to solver tolerance.  ``tau`` and ``u`` are
     the element nodes and the nodal values of the discrete minimizer, with
-    the boundary data u[0] = 1 and u[-1] = 0 held exactly.
+    the boundary data u[0] = 1 and u[-1] = 0 held exactly; ``tau`` is
+    read-only, one array shared by the solutions of one mass.
     """
 
     lam: float
@@ -198,37 +208,46 @@ class TransverseSolution:
         return self._dense(tau)
 
 
-def _element_matrices(p: TransverseProblem) -> tuple[float, np.ndarray]:
-    """Panel length h and the (n_el, n + 1, n + 1) element matrices of Q.
+def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[float, np.ndarray]:
+    """Panel length h and the (n_p, n_el, n + 1, n + 1) element matrices of Q
+    for problems of one mass.
 
-    The collar is cut into ceil(sqrt(m)) equal panels.  The matrices are exact
-    by quadrature: on each panel the weight is c0 + c1 xi + c2 xi^2 in the
-    local coordinate xi in [-1, 1], with coefficients from its values at
-    xi = -1, 0, 1.
+    The collar is cut into ceil(sqrt(m) / ELEMENT_PANEL) equal panels of
+    length <= ELEMENT_PANEL = 4, on which the degree-14 element still
+    resolves e^{-tau} far below double precision.  The matrices are exact by
+    quadrature: on each panel the weight is c0 + c1 xi + c2 xi^2 in the local
+    coordinate xi in [-1, 1], with coefficients from its values at
+    xi = -1, 0, 1.  Each problem's matrices come from its own
+    (n_el, 3) @ (3, (n + 1)^2) product, so they do not depend on which
+    problems share the stack.
     """
-    T = p.half_width
+    T = problems[0].half_width
     if T > MAX_HALF_WIDTH:
         raise CollarWidthError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
     n = ELEMENT_DEGREE
     n_el = max(1, math.ceil(T / ELEMENT_PANEL))
     h = T / n_el
     left = h * np.arange(n_el)
-    a_left, a_mid, a_right = p.weight(left + 0.5 * h * np.array([[0.0], [1.0], [2.0]]))
-    coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=1)
-    elem = 0.5 * h * (coef @ (_STIFF_MOMENTS * (2.0 / h) ** 2 + _MASS_MOMENTS))
-    return h, elem.reshape(n_el, n + 1, n + 1)
+    a = _stacked_weight(problems, left[:, None] + 0.5 * h * np.array([0.0, 1.0, 2.0]))
+    a_left, a_mid, a_right = a[..., 0], a[..., 1], a[..., 2]
+    coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=-1)
+    elem = coef @ (_STIFF_MOMENTS * (2.0 / h) ** 2 + _MASS_MOMENTS)
+    elem *= 0.5 * h
+    return h, elem.reshape(len(problems), n_el, n + 1, n + 1)
 
 
-def solve_transverse(p: TransverseProblem) -> TransverseSolution:
-    """Minimize Q over the spectral-element space; return energy, profile, mass.
+def _stacked_weight(problems: Sequence[TransverseProblem], tau: np.ndarray) -> np.ndarray:
+    """Collar weights of problems of one mass at points tau, shape (n_p, *tau.shape)."""
+    curv = np.array([(p.curv.kappa, p.curv.gauss) for p in problems]).reshape(-1, 2, *(1,) * tau.ndim)
+    return _collar_weight(curv[:, 0], curv[:, 1], problems[0].m, tau)
 
-    The solve is direct, so it has no tolerance: static condensation of each
-    element's interior nodes, then one tridiagonal sweep over the element
-    end nodes.
-    """
-    h, elem = _element_matrices(p)
-    n_el, n = len(elem), ELEMENT_DEGREE
-    T = p.half_width
+
+def _solve_one_mass(problems: Sequence[TransverseProblem]) -> list[TransverseSolution]:
+    """The stacked solve of problems sharing a mass, hence h, n_el and the
+    Gauss points: every step is a batched numpy call over the problems."""
+    h, elem = _element_matrices(problems)
+    n_p, n_el, n = len(problems), elem.shape[1], ELEMENT_DEGREE
+    T = problems[0].half_width
     left = h * np.arange(n_el)
 
     # Static condensation.  An element's interior nodes couple only to its
@@ -236,37 +255,58 @@ def solve_transverse(p: TransverseProblem) -> TransverseSolution:
     # K_ib u_end eliminates them; the end nodes keep the Schur complement
     # S = K_bb - K_bi K_ii^{-1} K_ib, which assembles from 2 x 2 element
     # blocks into an SPD tridiagonal matrix.
-    elim = np.linalg.solve(elem[:, 1:-1, 1:-1], elem[:, 1:-1, ::n])  # (n_el, n - 1, 2)
-    schur = elem[:, ::n, ::n] - elem[:, ::n, 1:-1] @ elim
+    elim = np.linalg.solve(elem[..., 1:-1, 1:-1], elem[..., 1:-1, ::n])  # (n_p, n_el, n - 1, 2)
+    schur = elem[..., ::n, ::n] - elem[..., ::n, 1:-1] @ elim
+    first_row = elem[:, 0, 0].copy()  # row of node 0, which only element 0 holds
+    del elem  # the largest array of the group; free it before the sweep
 
     # End-node values v with the Dirichlet data v_0 = 1, v_{n_el} = 0; a
-    # Thomas sweep solves for the n_el - 1 inner ones.  Row j couples node
-    # j + 1 to node j + 2 through off[j].
-    v = np.zeros(n_el + 1)
-    v[0] = 1.0
-    diag = schur[:-1, 1, 1] + schur[1:, 0, 0]
-    off = schur[1:, 0, 1]
-    rhs = np.zeros(n_el - 1)
-    rhs[:1] = -schur[0, 1, 0]
+    # Thomas sweep, vectorized over the problems, solves for the n_el - 1
+    # inner ones.  Row j couples node j + 1 to node j + 2 through off[j].
+    v = np.zeros((n_p, n_el + 1))
+    v[:, 0] = 1.0
+    diag = schur[:, :-1, 1, 1] + schur[:, 1:, 0, 0]
+    off = schur[:, 1:, 0, 1]
+    rhs = np.zeros((n_p, n_el - 1))
+    rhs[:, :1] = -schur[:, :1, 1, 0]
     for j in range(1, n_el - 1):
-        ratio = off[j - 1] / diag[j - 1]
-        diag[j] -= ratio * off[j - 1]
-        rhs[j] -= ratio * rhs[j - 1]
+        ratio = off[:, j - 1] / diag[:, j - 1]
+        diag[:, j] -= ratio * off[:, j - 1]
+        rhs[:, j] -= ratio * rhs[:, j - 1]
     for j in range(n_el - 2, -1, -1):
-        v[j + 1] = (rhs[j] - off[j] * v[j + 2]) / diag[j]
+        v[:, j + 1] = (rhs[:, j] - off[:, j] * v[:, j + 2]) / diag[:, j]
 
-    nodal = np.empty((n_el, n + 1))
-    nodal[:, 0], nodal[:, -1] = v[:-1], v[1:]
-    nodal[:, 1:-1] = -(elim @ nodal[:, ::n, None])[:, :, 0]
-    u = np.append(nodal[:, :-1].ravel(), v[-1])
-    deriv0 = -float(np.dot(elem[0, 0], nodal[0]))  # -(A u)_0: only element 0 holds node 0
+    nodal = np.empty((n_p, n_el, n + 1))
+    nodal[..., 0], nodal[..., -1] = v[:, :-1], v[:, 1:]
+    nodal[..., 1:-1] = -(elim @ nodal[..., ::n, None])[..., 0]
+    del elim
+    u = np.concatenate([nodal[..., :-1].reshape(n_p, -1), v[:, -1:]], axis=1)
+    deriv0 = -np.einsum("pj,pj->p", first_row, nodal[:, 0])  # -(A u)_0
     xq = left[:, None] + 0.5 * h * (_GAUSS_X + 1.0)[None, :]
-    wa = 0.5 * h * _GAUSS_W[None, :] * p.weight(xq)
+    wa = 0.5 * h * _GAUSS_W[None, :] * _stacked_weight(problems, xq)
     uq = nodal @ _GAUSS_VAL.T
     duq = nodal @ _GAUSS_DER.T * (2.0 / h)
-    lam = float(np.sum(wa * (duq * duq + uq * uq)))
-    mass = float(np.sum(wa * uq * uq))
+    lam = np.sum((wa * (duq * duq + uq * uq)).reshape(n_p, -1), axis=1)
+    mass = np.sum((wa * uq * uq).reshape(n_p, -1), axis=1)
     nodal_deriv = nodal @ _DIFF.T * (2.0 / h)
+
+    tau = np.concatenate([(left[:, None] + 0.5 * h * (_GLL[:-1] + 1.0)[None, :]).ravel(), [T]])
+    tau.flags.writeable = False  # one array, shared by the group's solutions
+    return [
+        TransverseSolution(
+            lam=float(lam[i]), tau=tau, u=u[i], mass=float(mass[i]), deriv0=float(deriv0[i]),
+            _dense=_dense_profile(h, nodal[i], nodal_deriv[i]),
+        )
+        for i in range(n_p)
+    ]
+
+
+def _dense_profile(
+    h: float, nodal: np.ndarray, nodal_deriv: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Evaluator of a nodal profile and its derivative between the nodes."""
+    n_el = len(nodal)
+    left = h * np.arange(n_el)
 
     def dense(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
@@ -277,8 +317,25 @@ def solve_transverse(p: TransverseProblem) -> TransverseSolution:
         deriv = np.einsum("kj,kj->k", basis, nodal_deriv[e])
         return value.reshape(t.shape), deriv.reshape(t.shape)
 
-    tau = np.concatenate([(left[:, None] + 0.5 * h * (_GLL[:-1] + 1.0)[None, :]).ravel(), [T]])
-    return TransverseSolution(lam=lam, tau=tau, u=u, mass=mass, deriv0=deriv0, _dense=dense)
+    return dense
+
+
+def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSolution]:
+    """Minimize Q over the spectral-element space for each problem; return
+    energy, profile and mass in input order.
+
+    The solve is direct, so it has no tolerance: static condensation of each
+    element's interior nodes, then one tridiagonal sweep over the element
+    end nodes.  Problems of equal mass are solved together in one stack; a
+    problem's solution does not depend on which others are passed with it.
+    """
+    groups: dict[float, list[int]] = {}
+    for i, p in enumerate(problems):
+        groups.setdefault(p.m, []).append(i)
+    solved: dict[int, TransverseSolution] = {}
+    for indices in groups.values():
+        solved.update(zip(indices, _solve_one_mass([problems[i] for i in indices])))
+    return [solved[i] for i in range(len(problems))]
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

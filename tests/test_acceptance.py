@@ -107,7 +107,7 @@ def test_criterion_1_transverse_expansion_order():
 def test_criterion_2_transverse_mass():
     records, _, _ = transverse_sweep()
     envelopes = [r for r in records if r.check_id == "transverse.mass.envelope"]
-    sol = solve_transverse(TransverseProblem(m=4.0, curv=CurvatureData.flat()))
+    sol = solve_transverse([TransverseProblem(m=4.0, curv=CurvatureData.flat())])[0]
     closed_form = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
     flat_ok = abs(sol.mass - closed_form) <= 1e-6
     ok = bool(envelopes) and all(r.passed for r in envelopes) and flat_ok

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from mitbag.geometry import CurvatureData
+from mitbag import transverse
+from mitbag.geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
 from mitbag.transverse import (
     ELEMENT_DEGREE,
+    ELEMENT_PANEL,
     _ansatz_poly,
     _element_matrices,
     CollarWidthError,
@@ -40,37 +42,46 @@ def flat_mass(m: float) -> float:
 
 class TestFlatClosedForms:
     def test_energy_m4(self):
-        sol = solve_transverse(TransverseProblem(m=4.0, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         assert sol.lam == pytest.approx(1.0 / math.tanh(2.0), abs=1e-11)
         assert sol.deriv0 == pytest.approx(-1.0 / math.tanh(2.0), abs=1e-10)
 
     def test_mass_m4(self):
         # mass = (sinh 4 / 4 - 1)/sinh^2 2 = 0.44263553...
-        sol = solve_transverse(TransverseProblem(m=4.0, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         expected = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
         assert sol.mass == pytest.approx(expected, abs=1e-10)
         assert transverse_mass_check(sol) == pytest.approx(0.5 - expected, abs=1e-10)
 
     @pytest.mark.parametrize("m", (1.0, 9.0, 64.0, 900.0))
     def test_energy_any_interval(self, m):
-        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0]
         assert sol.lam == pytest.approx(flat_lambda(m), rel=1e-11)
         assert sol.mass == pytest.approx(flat_mass(m), rel=1e-9)
 
     def test_large_mass_limit(self):
-        sol = solve_transverse(TransverseProblem(m=1e4, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=1e4, curv=FLAT)])[0]
         assert abs(sol.lam - 1.0) <= 1e-8
 
     def test_profile_matches_closed_form(self):
         m = 16.0
-        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0]
         taus = np.linspace(0.0, 4.0, 9)
         u, du = sol.evaluate(taus)
         np.testing.assert_allclose(u, np.sinh(4.0 - taus) / math.sinh(4.0), rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(du, -np.cosh(4.0 - taus) / math.sinh(4.0), rtol=1e-9, atol=1e-12)
 
+    def test_closed_forms_to_rounding(self):
+        # One call over several masses: lambda = coth sqrt(m) and
+        # mass = (sinh(2 sqrt m)/4 - sqrt(m)/2)/sinh^2 sqrt(m), to a few ulp.
+        masses = (4.0, 16.0, 100.0, 1600.0, 1e4, 1e5)
+        sols = solve_transverse([TransverseProblem(m=m, curv=FLAT) for m in masses])
+        for m, sol in zip(masses, sols):
+            assert abs(sol.lam - flat_lambda(m)) <= 1e-15, m
+            assert abs(sol.mass - flat_mass(m)) <= 5e-15, m
+
     def test_boundary_samples_pinned(self):
-        sol = solve_transverse(TransverseProblem(m=4.0, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         assert sol.u[0] == 1.0 and sol.u[-1] == 0.0
 
 
@@ -78,7 +89,7 @@ class TestRitzSolver:
     @settings(max_examples=40, deadline=None)
     @given(m=st.floats(1.0, 600.0**2))
     def test_flat_closed_forms_over_the_whole_range(self, m):
-        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0]
         assert sol.lam == pytest.approx(flat_lambda(m), rel=1e-12)
         assert sol.mass == pytest.approx(flat_mass(m), rel=1e-12)
         assert abs(sol.deriv0 + sol.lam) <= 1e-12
@@ -86,22 +97,53 @@ class TestRitzSolver:
     @settings(max_examples=40, deadline=None)
     @given(m=st.floats(1.0, 600.0**2))
     def test_ritz_value_is_an_upper_bound(self, m):
-        sol = solve_transverse(TransverseProblem(m=m, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0]
         assert sol.lam >= flat_lambda(m) - 1e-14
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        problems=st.lists(
+            st.tuples(
+                st.sampled_from((9.0, 36.0, 100.0, 1600.0)) | st.floats(1.0, 1e4),
+                st.floats(-3.0, 3.0),
+                st.floats(-2.0, 2.0),
+            ).filter(lambda t: min_rescaled_weight(CurvatureBounds(abs(t[1]), abs(t[2])), t[0]) >= 0.5),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_stacked_solve_is_bitwise_the_lone_solve(self, problems):
+        probs = [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m, kappa, K in problems]
+        for prob, sol in zip(probs, solve_transverse(probs), strict=True):
+            (lone,) = solve_transverse([prob])
+            assert (sol.lam, sol.mass, sol.deriv0) == (lone.lam, lone.mass, lone.deriv0)
+            assert np.array_equal(sol.u, lone.u) and np.array_equal(sol.tau, lone.tau)
+
+    @pytest.mark.parametrize("curv", (FLAT, CurvatureData(2.0, 1.0), CurvatureData(-3.0, 2.0)))
+    def test_ritz_value_does_not_rise_under_nested_refinement(self, monkeypatch, curv):
+        # sqrt(m) = 7.5: panels of 4 give two elements of 3.75, panels of 2
+        # split each of them in two, so the finer space contains the coarser.
+        prob = TransverseProblem(m=7.5**2, curv=curv)
+        (coarse,) = solve_transverse([prob])
+        monkeypatch.setattr(transverse, "ELEMENT_PANEL", 2.0)
+        (fine,) = solve_transverse([prob])
+        assert (len(coarse.u) - 1, len(fine.u) - 1) == (2 * ELEMENT_DEGREE, 4 * ELEMENT_DEGREE)
+        assert fine.lam <= coarse.lam + 4.0 * math.ulp(coarse.lam)
+
     def test_interval_cap(self):
-        sol = solve_transverse(TransverseProblem(m=600.0**2, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=600.0**2, curv=FLAT)])[0]
         assert sol.lam == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(CollarWidthError):
-            solve_transverse(TransverseProblem(m=600.5**2, curv=FLAT))
+            solve_transverse([TransverseProblem(m=600.5**2, curv=FLAT)])[0]
 
     def test_samples_are_element_nodes(self):
-        m = 30.25  # sqrt(m) = 5.5: six panels of length 11/12
-        sol = solve_transverse(TransverseProblem(m=m, curv=CurvatureData(2.0, 1.0)))
+        T = 5.5 * ELEMENT_PANEL  # six panels of length 11/12 ELEMENT_PANEL
+        m = T * T
+        sol = solve_transverse([TransverseProblem(m=m, curv=CurvatureData(2.0, 1.0))])[0]
         assert len(sol.tau) == len(sol.u) == 6 * ELEMENT_DEGREE + 1
         assert sol.tau[0] == 0.0 and sol.tau[-1] == math.sqrt(m)
         assert np.all(np.diff(sol.tau) > 0.0)
-        np.testing.assert_allclose(sol.tau[:: ELEMENT_DEGREE], np.linspace(0.0, 5.5, 7), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(sol.tau[:: ELEMENT_DEGREE], np.linspace(0.0, T, 7), rtol=0.0, atol=1e-15)
         u, _ = sol.evaluate(sol.tau)
         np.testing.assert_allclose(u, sol.u, rtol=0.0, atol=1e-15)
 
@@ -109,7 +151,7 @@ class TestRitzSolver:
 def banded_reference(prob: TransverseProblem) -> np.ndarray:
     """Nodal minimizer from the assembled global matrix, solved as one band
     by scipy: an independent oracle for the condensed solve."""
-    _, elem = _element_matrices(prob)
+    _, (elem,) = _element_matrices([prob])
     n, n_el = ELEMENT_DEGREE, len(elem)
     n_dof = n_el * n + 1
     ab = np.zeros((2 * n + 1, n_dof))  # A[r, c] sits at ab[n + r - c, c]
@@ -127,18 +169,28 @@ def banded_reference(prob: TransverseProblem) -> np.ndarray:
 
 class TestCondensedSolve:
     """The condensed solve (interiors eliminated, Thomas sweep over end
-    nodes) against the assembled band; n_el = 1, 2, 3 cover the sweep with
-    no, one and two inner end nodes."""
+    nodes) against the assembled band.  sqrt(m) = (n_el - 1/2) ELEMENT_PANEL
+    gives n_el = 2 and 3, which with the short collars (n_el = 1) cover the
+    sweep with no, one and two inner end nodes; m = 6400 is the longest
+    sweep of the pinned grid."""
 
     @pytest.mark.parametrize(
         "m, curved",
-        ((0.5, (0.2, 0.1)), (2.0, (0.4, -0.2)), (9.0, (-1.0, 0.5)), (25.0, (2.0, 1.0)), (6400.0, (-3.0, 2.0))),
+        (
+            (0.5, (0.2, 0.1)),
+            (2.0, (0.4, -0.2)),
+            (9.0, (-1.0, 0.5)),
+            (25.0, (2.0, 1.0)),
+            (6400.0, (-3.0, 2.0)),
+            ((1.5 * ELEMENT_PANEL) ** 2, (-1.0, 0.5)),
+            ((2.5 * ELEMENT_PANEL) ** 2, (2.0, 1.0)),
+        ),
     )
     @pytest.mark.parametrize("flat", (True, False))
     def test_matches_banded_solve(self, m, curved, flat):
         prob = TransverseProblem(m=m, curv=FLAT if flat else CurvatureData(*curved))
-        sol = solve_transverse(prob)
-        assert len(sol.u) == math.ceil(math.sqrt(m)) * ELEMENT_DEGREE + 1
+        sol = solve_transverse([prob])[0]
+        assert len(sol.u) == math.ceil(math.sqrt(m) / ELEMENT_PANEL) * ELEMENT_DEGREE + 1
         np.testing.assert_allclose(sol.u, banded_reference(prob), rtol=0.0, atol=1e-13)
 
 
@@ -162,7 +214,7 @@ class TestExpansion:
 
     def test_solver_matches_expansion_to_third_order(self):
         prob = TransverseProblem(m=100.0, curv=CurvatureData(3.0, 1.0))
-        sol = solve_transverse(prob)
+        sol = solve_transverse([prob])[0]
         # The next-order coefficient is kappa^3/8 - kappa K/2 = 1.875 here.
         assert abs(sol.lam - 1.0149375) <= 2.5e-6
         assert abs(sol.lam - 1.0149375) >= 1.0e-6
@@ -173,7 +225,7 @@ class TestExpansion:
         m = 400.0
         for kappa in (2.0, 3.0):
             prob = TransverseProblem(m=m, curv=CurvatureData(-kappa, 1.0))
-            sol = solve_transverse(prob)
+            sol = solve_transverse([prob])[0]
             c3 = abs((-kappa) ** 3 / 8.0 - (-kappa) * 1.0 / 2.0)
             assert abs(sol.lam - expansion_lambda(prob)) <= (c3 + 0.5) / m**3
 
@@ -258,7 +310,7 @@ class TestAnsatzResidual:
 class TestVariationalStructure:
     def test_minimality_against_test_family(self):
         prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-        sol = solve_transverse(prob)
+        sol = solve_transverse([prob])[0]
         T = prob.half_width
         for c in (-0.4, 0.0, 0.3):
             def w(tau, c=c):
@@ -275,7 +327,7 @@ class TestVariationalStructure:
 
     def test_pythagoras_identity(self):
         prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-        sol = solve_transverse(prob)
+        sol = solve_transverse([prob])[0]
         T = prob.half_width
 
         def w(tau):
@@ -302,13 +354,13 @@ class TestVariationalStructure:
 
 class TestMassCheck:
     def test_flat_deviation_m4(self):
-        sol = solve_transverse(TransverseProblem(m=4.0, curv=FLAT))
+        sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         expected = 0.5 - (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
         assert transverse_mass_check(sol) == pytest.approx(expected, abs=1e-9)
 
     def test_flat_deviation_shrinks(self):
         devs = [
-            transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=FLAT)))
+            transverse_mass_check(solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0])
             for m in (4.0, 16.0, 64.0)
         ]
         assert devs[0] > devs[1] > devs[2]
@@ -316,7 +368,7 @@ class TestMassCheck:
     def test_curved_rate(self):
         masses = (49.0, 196.0, 784.0)
         devs = [
-            transverse_mass_check(solve_transverse(TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))))
+            transverse_mass_check(solve_transverse([TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))])[0])
             for m in masses
         ]
         scaled = [d * m for d, m in zip(devs, masses)]
@@ -329,6 +381,6 @@ class TestValidation:
             TransverseProblem(m=25.0, curv=CurvatureData(3.0, 1.0))
 
     def test_solver_invariants(self):
-        sol = solve_transverse(TransverseProblem(m=49.0, curv=CurvatureData(3.0, 1.0)))
+        sol = solve_transverse([TransverseProblem(m=49.0, curv=CurvatureData(3.0, 1.0))])[0]
         assert sol.lam > 0.0 and sol.mass > 0.0
         assert abs(sol.lam + sol.deriv0) <= 1e-8

@@ -17,6 +17,7 @@ import mitbag.dirac_ball as dirac_ball
 from mitbag.cli import config_from_dict, run_suite
 from mitbag.numerics import ToleranceConfig
 from mitbag.report import CheckRecord, emit_table
+from mitbag.transverse import ELEMENT_DEGREE, ELEMENT_PANEL
 
 VERDICT = {
     "abs": lambda e, o, t: abs(o - e) <= t,
@@ -80,7 +81,7 @@ GOLDEN = (
         ("dirac.slope.eta.drift", "upper", True),
         ("dirac.nu.degenerate", "abs", True),
     ]
-    + [("dirac.slope.higher", "info", False)] * 2
+    + [("dirac.slope.higher", "info", False)]
     + [("robin.upper_bound", "upper", True)] * 9
     + [
         ("robin.slope.mu", "rel", True),
@@ -204,14 +205,14 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     assert records
     # Ground (its two levels also feed the convergence rows) and scaling;
     # the ground symmetry (whose kj=+1 and kj=-1 levels also give the
-    # degenerate copy and the higher levels); the large-mass symmetry.  The five
-    # convergence masses and three slope grids of six share m = 100 in the
-    # ground sector, which two of the slope grids take from the convergence
-    # solve.
+    # degenerate copy and the higher level); the large-mass symmetry.  Each
+    # ground-sector mass is solved once for its two lowest levels: the five
+    # convergence masses and the six of the slope grid (ground and kj=-1
+    # level 2), which share m = 100.
     assert len(seen["mit_eigenvalues"]) == 2
     assert len(seen["mit_spectrum_signed"]) == 1
     assert len(seen["largemass_spectrum_signed"]) == 1
-    assert len(seen["largemass_eigenvalues"]) == 5 + 3 * 6 - 2
+    assert len(seen["largemass_eigenvalues"]) == 5 + 6 - 1
     for name, tols in seen.items():
         assert all(t is tol for t in tols), name
 
@@ -254,13 +255,41 @@ def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
     [(cli.run_exterior_suite, "exterior_energy"), (cli.run_transverse_suite, "solve_transverse")],
 )
 def test_suite_solves_each_problem_once(monkeypatch, runner, solver):
+    # solve_transverse takes a list of problems: they are flattened across calls.
     solve = getattr(cli, solver)
-    calls = []
+    problems = []
 
     def spy(*args):
-        calls.append(args)
+        problems.extend(args[0] if solver == "solve_transverse" else [args])
         return solve(*args)
 
     monkeypatch.setattr(cli, solver, spy)
     runner(cli.SuiteConfig(suite="all"))
-    assert calls and len(calls) == len(set(calls))
+    assert problems and len(problems) == len(set(problems))
+
+
+def test_transverse_effort_counts_the_solved_elements(monkeypatch):
+    solve = cli.solve_transverse
+    problems = []
+
+    def spy(probs):
+        problems.extend(probs)
+        return solve(probs)
+
+    monkeypatch.setattr(cli, "solve_transverse", spy)
+    _, summary = cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
+    n_el = [math.ceil(math.sqrt(p.m) / ELEMENT_PANEL) for p in problems]
+    assert problems
+    assert summary["transverse_elements"] == sum(n_el)
+    assert summary["transverse_dofs"] == sum(n * ELEMENT_DEGREE + 1 for n in n_el)
+
+
+def test_higher_levels_are_not_the_ground_level(serialized):
+    # A "higher" level equal to the ground level (its charge-conjugate copy)
+    # would report the ground slope twice.
+    _, json_bytes, _ = serialized
+    summary = json.loads(json_bytes)["summary"]
+    eta = summary["dirac.eta_ground"]
+    higher = [value for key, value in summary.items() if key.startswith("dirac.higher_eta[")]
+    assert higher
+    assert all(abs(value - eta) > 1e-9 * abs(eta) for value in higher)
