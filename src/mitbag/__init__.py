@@ -25,7 +25,6 @@ from .dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
-    singular_values_merged,
 )
 from .exterior import (
     BoundaryDatum,
@@ -36,6 +35,7 @@ from .exterior import (
     ball_exterior_dtn,
     effective_energy,
     exterior_energy,
+    flat_effective_gap,
     halfspace_mode_energy,
     mass_estimate_check,
     sobolev_h32_norm_sq,
@@ -45,7 +45,6 @@ from .exterior import (
 from .geometry import (
     BallExterior,
     BallInterior,
-    CurvatureBounds,
     CurvatureData,
     FlatTorusHalfSpace,
     ModelGeometry,

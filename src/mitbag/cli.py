@@ -44,28 +44,20 @@ from .dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
-    singular_values_merged,
 )
 from .exterior import (
     agmon_decay_check,
     ball_exterior_dtn,
     effective_energy,
     exterior_energy,
+    flat_effective_gap,
     halfspace_mode_energy,
     mass_estimate_check,
     sobolev_h32_norm_sq,
     sphere_datum,
     torus_datum,
 )
-from .geometry import (
-    BallInterior,
-    BallExterior,
-    CurvatureBounds,
-    CurvatureData,
-    FlatTorusHalfSpace,
-    ModelGeometry,
-    min_rescaled_weight,
-)
+from .geometry import BallInterior, CurvatureData, min_rescaled_weight
 from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, slope_drift
 from .report import CheckRecord, Report, emit_table, write_report_atomic
 from .transverse import (
@@ -80,7 +72,7 @@ from .transverse import (
 )
 
 SUITES = ("transverse", "exterior", "dirac", "robin", "all")
-BALL_SUITES = ("exterior", "dirac", "robin", "all")  # these run on the configured ball
+GEOMETRY_BLOCK = '{"variant": "ball_interior", "R": r} with r > 0'
 
 DEFAULT_CURVATURE_GRID: tuple[tuple[float, float], ...] = tuple(
     (k, K) for k in (-3.0, -1.0, 0.0, 1.0, 3.0) for K in (-2.0, 0.0, 1.0, 2.0)
@@ -102,7 +94,7 @@ class SuiteConfig:
     suite: str = "all"
     m_grid: tuple[float, ...] | None = None
     curvature_grid: tuple[tuple[float, float], ...] = DEFAULT_CURVATURE_GRID
-    geometry: ModelGeometry = BallInterior(R=1.0)
+    geometry: BallInterior = BallInterior(R=1.0)
     tolerances: ToleranceConfig = ToleranceConfig(abs_tol=0.0, rel_tol=1e-14, max_iter=300)
     output_path: str = "report.csv"
     format: str = "csv"
@@ -123,22 +115,16 @@ class SuiteConfig:
             raise ConfigError("curvature_grid must be nonempty")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if self.suite in BALL_SUITES and not isinstance(self.geometry, (BallInterior, BallExterior)):
-            raise ConfigError(f"suite {self.suite!r} needs a ball geometry, got {self.geometry!r}")
 
 
-def _geometry_from_dict(d: dict[str, Any]) -> ModelGeometry:
-    variant = d.get("variant")
+def _geometry_from_dict(d: Any) -> BallInterior:
+    """The ball of the geometry block, the only one the suites read."""
+    if not (isinstance(d, dict) and set(d) == {"variant", "R"} and d["variant"] == "ball_interior"):
+        raise ConfigError(f"geometry must be {GEOMETRY_BLOCK}, got {d!r}")
     try:
-        if variant == "ball_interior":
-            return BallInterior(R=float(d["R"]))
-        if variant == "ball_exterior":
-            return BallExterior(R=float(d["R"]))
-        if variant == "flat_torus_halfspace":
-            return FlatTorusHalfSpace(period=float(d["period"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid geometry block {d!r}") from exc
-    raise ConfigError(f"unknown geometry variant {variant!r}")
+        return BallInterior(R=float(d["R"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry must be {GEOMETRY_BLOCK}, got {d!r}") from exc
 
 
 def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
@@ -242,9 +228,8 @@ def _add_transverse_effort(summary: dict[str, Any], sols: Sequence[TransverseSol
 
 def _transverse_pair_data(pair: tuple[float, float], m_grid: Sequence[float]) -> list[TransverseProblem]:
     """The problems of one curvature pair at the masses of its validity range."""
-    kappa, K = pair
-    bounds = CurvatureBounds(abs(kappa), abs(K))
-    return [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m in m_grid if min_rescaled_weight(bounds, m) >= 0.5]
+    curv = CurvatureData(*pair)
+    return [TransverseProblem(m=m, curv=curv) for m in m_grid if min_rescaled_weight(curv, m) >= 0.5]
 
 
 def _transverse_sweep_records(
@@ -343,38 +328,25 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
     (sol,) = solve_transverse([prob])
     T = prob.half_width
-    min_gap = math.inf
-    max_pyth = 0.0
-    for _ in range(5):
-        coeffs = rng.uniform(-0.5, 0.5, size=3)
+    coeffs = rng.uniform(-0.5, 0.5, size=(5, 3))
 
-        def w_func(tau, c=coeffs):
-            base = np.exp(-tau) * (1.0 - tau / T)
-            bump = sum(ci * np.sin((j + 1) * math.pi * tau / T) for j, ci in enumerate(c))
-            return base + np.exp(-tau) * bump
+    def seeded_and_differences(tau):
+        # The five seeded test functions w, then the five w - u, in one stack.
+        base = np.exp(-tau) * (1.0 - tau / T)
+        dbase = -np.exp(-tau) * (1.0 - tau / T) - np.exp(-tau) / T
+        bump = sum(c[:, None] * np.sin((j + 1) * math.pi * tau / T) for j, c in enumerate(coeffs.T))
+        dbump = sum(
+            c[:, None] * (j + 1) * math.pi / T * np.cos((j + 1) * math.pi * tau / T)
+            for j, c in enumerate(coeffs.T)
+        )
+        w = base + np.exp(-tau) * bump
+        dw = dbase - np.exp(-tau) * bump + np.exp(-tau) * dbump
+        u, du = sol.evaluate(tau)
+        return np.concatenate([w, w - u]), np.concatenate([dw, dw - du])
 
-        def w_deriv(tau, c=coeffs):
-            base = -np.exp(-tau) * (1.0 - tau / T) - np.exp(-tau) / T
-            bump = sum(ci * np.sin((j + 1) * math.pi * tau / T) for j, ci in enumerate(c))
-            dbump = sum(
-                ci * (j + 1) * math.pi / T * np.cos((j + 1) * math.pi * tau / T)
-                for j, ci in enumerate(c)
-            )
-            return base - np.exp(-tau) * bump + np.exp(-tau) * dbump
-
-        q_w = transverse_form(prob, w_func, w_deriv)
-        min_gap = min(min_gap, q_w - sol.lam)
-
-        def w_minus_u(tau):
-            u, _ = sol.evaluate(tau)
-            return w_func(tau) - u
-
-        def w_minus_u_deriv(tau):
-            _, du = sol.evaluate(tau)
-            return w_deriv(tau) - du
-
-        q_diff = transverse_form(prob, w_minus_u, w_minus_u_deriv)
-        max_pyth = max(max_pyth, abs(q_w - sol.lam - q_diff))
+    q_w, q_diff = np.split(transverse_form(prob, seeded_and_differences), 2)
+    min_gap = float(np.min(q_w - sol.lam))
+    max_pyth = float(np.max(np.abs(q_w - sol.lam - q_diff)))
     records.append(CheckRecord("transverse.minimality.seeded", "lower", expected=0.0, observed=min_gap,
                                tolerance=1e-8, provenance="closed-form", m=36.0, kappa=2.0, gauss=1.0))
     records.append(CheckRecord("transverse.pythagoras.seeded", "upper", expected=0.0, observed=max_pyth,
@@ -417,7 +389,7 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     m_grid = config.m_grid or EXTERIOR_M_GRID
-    R = _ball_radius(config)
+    R = config.geometry.R
 
     # Closed-form Dirichlet-to-Neumann values and the l=0 exterior mass.
     for m in m_grid:
@@ -440,11 +412,14 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
     }
     # The mass-estimate checks below reuse these solutions.
     mixed_sols = {label: [exterior_energy(v, m) for m in m_grid] for label, v in mixed.items()}
+    # The flat gap is taken in closed form: the difference of the two energies
+    # (both ~m) falls below one ulp of m by m = 1e4.
+    gaps = {
+        "sphere": [sol.energy - effective_energy(mixed["sphere"], m) for m, sol in zip(m_grid, mixed_sols["sphere"])],
+        "flat": [flat_effective_gap(mixed["flat"], m) for m in m_grid],
+    }
     for label, v in mixed.items():
-        values = [
-            m**1.5 * abs(sol.energy - effective_energy(v, m)) / sobolev_h32_norm_sq(v)
-            for m, sol in zip(m_grid, mixed_sols[label])
-        ]
+        values = [m**1.5 * abs(gap) / sobolev_h32_norm_sq(v) for m, gap in zip(m_grid, gaps[label])]
         for m, val in zip(m_grid, values):
             records.append(CheckRecord(f"exterior.effective.rate.{label}", "envelope", expected=values[0],
                                        observed=val, tolerance=1e-9, provenance="fit", m=m))
@@ -552,12 +527,6 @@ def _ground_params(R: float = 1.0, m: float = 0.0) -> DiracParams:
     return DiracParams(R=R, m0=0.0, m=m)
 
 
-def _ball_radius(config: SuiteConfig) -> float:
-    """Radius of the configured ball (``SuiteConfig`` rejects other geometries here)."""
-    assert isinstance(config.geometry, (BallInterior, BallExterior))
-    return config.geometry.R
-
-
 @dataclass(frozen=True)
 class BagGround:
     """The lowest ground-sector bag levels on the configured ball and the unit
@@ -568,11 +537,10 @@ class BagGround:
     pair: RadialEigenpair
 
 
-def _solve_bag_ground(config: SuiteConfig, count: int = 2) -> BagGround:
-    """The first ``count`` ground-sector bag levels (the scan finds the first
-    one the same way whether one level or two are asked for) and its pair."""
-    p = _ground_params(R=_ball_radius(config))
-    levels = tuple(mit_eigenvalues(p, GROUND_SECTOR, count, tol=config.tolerances).energies())
+def _solve_bag_ground(config: SuiteConfig) -> BagGround:
+    """The two lowest ground-sector bag levels and the pair of the first."""
+    p = _ground_params(R=config.geometry.R)
+    levels = tuple(mit_eigenvalues(p, GROUND_SECTOR, 2, tol=config.tolerances).energies())
     return BagGround(levels, mit_eigenpair(p, GROUND_SECTOR, levels[0]))
 
 
@@ -581,7 +549,7 @@ def run_dirac_suite(
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    R = _ball_radius(config)
+    R = config.geometry.R
 
     # Ground state against the independent bisection oracle (the massless bag
     # levels scale as 1/R, so the unit-ball root serves any radius).
@@ -696,46 +664,42 @@ def run_robin_suite(
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    R = _ball_radius(config)
+    R = config.geometry.R
     tol = config.tolerances
     p0 = DiracParams(R=R, m0=0.0, m=0.0)
-    # Only the first bag level is needed here.
-    ground = ground or _solve_bag_ground(config, count=1)
+    ground = ground or _solve_bag_ground(config)
     lam1, u1 = ground.levels[0], ground.pair
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
 
-    # Upper bound lambda_int_k <= lambda_k^2 (up to 1e-9 relative and
-    # absolute rounding) with degeneracy-expanded merges.
-    mit_merged = singular_values_merged(p0, (-2, -1, 1, 2), 6, mit_eigenvalues, tol=tol)
+    # Upper bound lambda_int <= lambda^2 (up to 1e-9 relative and absolute
+    # rounding) per sector, on three distinct levels: kj=-1 levels 1 and 2
+    # and kj=-2 level 1.
+    bag_levels = {
+        -1: ground.levels,
+        -2: tuple(mit_eigenvalues(p0, AngularSector(-2), 1, tol=tol).energies()),
+    }
     for m in (50.0, 200.0, 800.0):
         pm = DiracParams(R=R, m0=0.0, m=m)
-        robin_merged = singular_values_merged(pm, (-2, -1, 1, 2), 6, robin_laplacian_eigenvalues, tol=tol)
-        for k in range(3):
-            lam_sq = mit_merged[k][0] ** 2
-            records.append(CheckRecord("robin.upper_bound", "upper", expected=lam_sq,
-                                       observed=robin_merged[k][0], tolerance=1e-9 * (lam_sq + 1.0),
-                                       provenance="closed-form", m=m, sector=f"k={k + 1}"))
+        for kj, levels in bag_levels.items():
+            sector = AngularSector(kj)
+            robin = robin_laplacian_eigenvalues(pm, sector, len(levels), tol=tol).energies()
+            for k, (lam, lam_int) in enumerate(zip(levels, robin, strict=True), start=1):
+                records.append(CheckRecord("robin.upper_bound", "upper", expected=lam**2, observed=lam_int,
+                                           tolerance=1e-9 * (lam**2 + 1.0), provenance="closed-form", m=m,
+                                           sector=f"{sector.label()};k={k}"))
+
+    def robin_ground(m: float) -> float:
+        return robin_laplacian_eigenvalues(DiracParams(R=R, m0=0.0, m=m), GROUND_SECTOR, 1, tol=tol).energies()[0]
 
     # First-order slope against the Robin-trace functional.
     slope_grid = config.m_grid or SLOPE_M_GRID
-    lam_int_values = _pmap(
-        lambda m: robin_laplacian_eigenvalues(
-            DiracParams(R=R, m0=0.0, m=m), GROUND_SECTOR, 1, tol=tol
-        ).energies()[0],
-        slope_grid,
-    )
-    shifted = [(m, li) for m, li in zip(slope_grid, lam_int_values)]
-    fit_all, fit_trunc, drift = slope_drift(shifted)
+    lam_int_values = _pmap(robin_ground, slope_grid)
+    fit_all, fit_trunc, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
     records.append(CheckRecord("robin.slope.mu", "rel", expected=mu1, observed=fit_all.slope, tolerance=0.05,
                                provenance="fit"))
     tail_grid = (1e3, 1e4, 1e5, 1e6)
-    tail_values = _pmap(
-        lambda m: robin_laplacian_eigenvalues(
-            DiracParams(R=R, m0=0.0, m=m), GROUND_SECTOR, 1, tol=tol
-        ).energies()[0],
-        tail_grid,
-    )
+    tail_values = _pmap(robin_ground, tail_grid)
     tail_fit = fit_inverse_m(list(zip(tail_grid, tail_values)))
     records.append(CheckRecord("robin.slope.limit", "rel", expected=lam1**2, observed=tail_fit.limit,
                                tolerance=1e-6, provenance="fit"))
@@ -752,10 +716,7 @@ def run_robin_suite(
     lam_int_solved = dict(zip(slope_grid, lam_int_values))
     for m in (200.0, 800.0):
         pm = DiracParams(R=R, m0=0.0, m=m)
-        if m in lam_int_solved:
-            lam_int = lam_int_solved[m]
-        else:
-            lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=tol).energies()[0]
+        lam_int = lam_int_solved[m] if m in lam_int_solved else robin_ground(m)
         u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
         residual = boundary_identity_check(u_int, u1, m, pm)
         records.append(CheckRecord("robin.identity", "upper", expected=0.0, observed=residual, tolerance=1e-6,

@@ -688,31 +688,3 @@ def charge_conjugation_check(result: SpectralResult) -> float:
         gap = min(abs(e + e2) for e2 in opposite)
         defect = max(defect, gap if math.isfinite(gap) else math.inf)
     return defect
-
-
-# ----------------------------------------------------------------------------
-# Cross-sector helpers
-# ----------------------------------------------------------------------------
-
-
-def singular_values_merged(
-    p: DiracParams,
-    kappas: Iterable[int],
-    count: int,
-    solver: Callable[..., SpectralResult],
-    tol: ToleranceConfig | None = None,
-) -> list[tuple[float, AngularSector]]:
-    """First ``count`` singular values over several sectors, degeneracy expanded.
-
-    ``solver`` is a per-sector solver such as ``mit_eigenvalues`` or
-    ``robin_laplacian_eigenvalues``.  Each radial root is repeated 2|kappa_j|
-    times, matching the multiplicity convention of the ordered eigenvalue
-    sequences.
-    """
-    per_sector = max(1, min(20, count))
-    out: list[tuple[float, AngularSector]] = []
-    for kj in kappas:
-        for e, s in solver(p, AngularSector(kj), per_sector, tol).eigenvalues:
-            out.extend([(e, s)] * s.degeneracy)
-    out.sort(key=lambda t: (abs(t[0]), t[1].kappa_j))
-    return out[:count]

@@ -21,10 +21,12 @@ The effective boundary functional
                         + m^-1 int ( |grad_s v|^2/2 + (K/2 - kappa^2/8)|v|^2 )
 
 is evaluated from the same mode data (grad_s integrates to l(l+1)/R^2 per
-unit-norm spherical mode, |xi|^2 per flat mode), so exact-vs-effective gaps
-can be measured at machine precision.  The exterior mass and the weighted
-Agmon mass ratio come from closed forms or radial quadrature of the exact
-profiles.
+unit-norm spherical mode, |xi|^2 per flat mode).  On the flat model the
+exact-minus-effective gap also has a per-mode closed form
+(``flat_effective_gap``), accurate where the two energies, both of size m,
+agree to more digits than a double holds.  The exterior mass and the
+weighted Agmon mass ratio come from closed forms or radial quadrature of the
+exact profiles.
 """
 
 from __future__ import annotations
@@ -166,6 +168,21 @@ def effective_energy(v: BoundaryDatum, m: float) -> float:
     for mode, c in v.modes:
         t = v.tangential_eigenvalue(mode)
         total += abs(c) ** 2 * (m + curv.kappa / 2.0 + (t / 2.0 + zeroth) / m)
+    return total
+
+
+def flat_effective_gap(v: BoundaryDatum, m: float) -> float:
+    """Exact minus effective energy of a flat-model datum, without cancellation:
+
+        sqrt(m^2 + xi^2) - m - xi^2/(2m) = -xi^4 / (2m (sqrt(m^2 + xi^2) + m)^2)
+
+    per unit mode (``halfspace_mode_energy`` rejects m <= 0), summed with
+    the coefficient weights.
+    """
+    total = 0.0
+    for mode, c in v.modes:
+        xi = v.xi_norm(mode)
+        total -= abs(c) ** 2 * xi**4 / (2.0 * m * (halfspace_mode_energy(m, xi) + m) ** 2)
     return total
 
 

@@ -13,6 +13,16 @@ the large-mass analysis this becomes
 and all transverse formulas are valid once the weight stays >= 1/2 on the
 collar, which ``min_rescaled_weight`` below decides for a given mass.  The
 weight itself is ``transverse.TransverseProblem.weight``.
+
+Why one corner binds: at every tau >= 0 the weight is nondecreasing in
+kappa and in K, so over curvatures with |kappa'| <= |kappa|, |K'| <= |K| it
+is least at the corner (-|kappa|, -|K|).  There it reads
+1 - |kappa| tau/m - |K| tau^2/m^2, which is nonincreasing in tau, so the
+minimum over the collar sits at its end tau = sqrt(m):
+
+    min a = 1 - |kappa|/sqrt(m) - |K|/m,
+
+and the weight stays >= 1/2 exactly from sqrt(m) >= |kappa| + sqrt(kappa^2 + 2|K|).
 """
 
 from __future__ import annotations
@@ -43,24 +53,6 @@ class CurvatureData:
     @classmethod
     def flat(cls) -> "CurvatureData":
         return cls(kappa=0.0, gauss=0.0)
-
-
-@dataclass(frozen=True)
-class CurvatureBounds:
-    """Uniform bounds A >= sup|kappa|, B >= sup|K| over the surface."""
-
-    A: float
-    B: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise ValueError("bounds must be finite")
-        if self.A < 0.0 or self.B < 0.0:
-            raise ValueError("bounds must be nonnegative")
-
-    @classmethod
-    def for_point(cls, c: CurvatureData) -> "CurvatureBounds":
-        return cls(A=abs(c.kappa), B=abs(c.gauss))
 
 
 @dataclass(frozen=True)
@@ -105,32 +97,19 @@ class BallInterior:
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError("R must be positive")
 
-    def curvature(self) -> CurvatureData:
-        return CurvatureData.sphere(self.R)
+
+# The geometries that carry exterior boundary data.
+ModelGeometry = Union[FlatTorusHalfSpace, BallExterior]
 
 
-ModelGeometry = Union[FlatTorusHalfSpace, BallExterior, BallInterior]
+def min_rescaled_weight(curv: CurvatureData, m: float) -> float:
+    """Least collar weight over tau in [0, sqrt(m)] and the curvatures bounded
+    by ``curv`` in modulus: the corner (-|kappa|, -|K|) at tau = sqrt(m).
 
-
-def _quadratic_min_on_interval(kappa: float, gauss: float, m: float) -> float:
-    # min over tau in [0, sqrt(m)] of 1 + kappa tau/m + K tau^2/m^2.
-    T = math.sqrt(m)
-    candidates = [1.0, 1.0 + kappa * T / m + gauss * T * T / (m * m)]
-    if gauss > 0.0:
-        tau_vertex = -kappa * m / (2.0 * gauss)
-        if 0.0 < tau_vertex < T:
-            candidates.append(1.0 + kappa * tau_vertex / m + gauss * (tau_vertex / m) ** 2)
-    return min(candidates)
-
-
-def min_rescaled_weight(bounds: CurvatureBounds, m: float) -> float:
-    """min of a_{m,kappa,K} over tau in [0, sqrt(m)] and |kappa|<=A, |K|<=B.
-
-    The weight is linear in (kappa, K) at fixed tau, so the minimum over the
-    box is attained at a corner; the corner (-A, -B) in fact dominates
-    pointwise, but all four corners are minimized analytically.
+    Rounding is monotone in each operand, so the computed corner value is
+    also the least of the computed weights at the other corners and depths.
     """
     if not (math.isfinite(m) and m > 0.0):
         raise ValueError("m must be positive")
-    corners = [(-bounds.A, -bounds.B), (-bounds.A, bounds.B), (bounds.A, -bounds.B), (bounds.A, bounds.B)]
-    return min(_quadratic_min_on_interval(k, g, m) for k, g in corners)
+    T = math.sqrt(m)
+    return 1.0 - abs(curv.kappa) * T / m - abs(curv.gauss) * T * T / (m * m)

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
+from .geometry import CurvatureData, min_rescaled_weight
 from .numerics import NumericsError, panel_nodes
 
 QUAD_PANEL = 0.25
@@ -160,8 +160,7 @@ class TransverseProblem:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError("m must be positive")
-        bounds = CurvatureBounds.for_point(self.curv)
-        if min_rescaled_weight(bounds, self.m) < 0.5 - 1e-12:
+        if min_rescaled_weight(self.curv, self.m) < 0.5 - 1e-12:
             raise ValueError(
                 f"m={self.m} is below the validity floor for curvatures "
                 f"(kappa={self.curv.kappa}, K={self.curv.gauss})"
@@ -427,14 +426,17 @@ def residual_of_ansatz(p: TransverseProblem) -> float:
 
 def transverse_form(
     p: TransverseProblem,
-    func: Callable[[np.ndarray], np.ndarray],
-    deriv: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Quadratic form Q(w) = int (|w'|^2 + |w|^2) a dtau for a given test function."""
+    profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> float | np.ndarray:
+    """Quadratic form Q(w) = int (|w'|^2 + |w|^2) a dtau of test functions.
+
+    ``profile(tau)`` returns the values and derivatives of one test function
+    (shape ``tau.shape``), like ``TransverseSolution.evaluate``, or of a stack
+    of them (shape ``(n, *tau.shape)``); the result has the leading shape.
+    """
     x, w = panel_nodes(0.0, p.half_width, max_panel=QUAD_PANEL, n_nodes=16)
-    fv = np.asarray(func(x), dtype=float)
-    dv = np.asarray(deriv(x), dtype=float)
-    return float(np.dot(w, (dv * dv + fv * fv) * p.weight(x)))
+    fv, dv = profile(x)
+    return ((dv * dv + fv * fv) * p.weight(x)) @ w
 
 
 def transverse_mass_check(sol: TransverseSolution) -> float:

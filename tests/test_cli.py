@@ -11,6 +11,7 @@ import pytest
 
 import mitbag.cli as cli
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
+from mitbag.geometry import BallInterior
 from mitbag.numerics import NumericsError
 from mitbag.report import (
     CSV_COLUMNS,
@@ -19,6 +20,22 @@ from mitbag.report import (
     emit_table,
     parse_report_json,
     write_report_atomic,
+)
+
+
+# Geometry blocks the suites would not read: other variants, extra or
+# missing keys, a bad radius, and blocks that are not JSON objects.
+REFUSED_GEOMETRIES = (
+    {"variant": "ball_exterior", "R": 2.0},
+    {"variant": "flat_torus_halfspace", "period": 3.0},
+    {"variant": "ball_interior", "R": 1.0, "period": 3.0},
+    {"variant": "ball_interior"},
+    {"variant": "ball_interior", "R": 0.0},
+    {"variant": "ball_interior", "R": "one"},
+    {"variant": "cube", "R": 1.0},
+    3,
+    [1.0],
+    None,
 )
 
 
@@ -58,16 +75,14 @@ class TestConfig:
             config_from_dict({"m_grid": [100.0, 50.0]})
 
     def test_geometry_variants(self):
-        config = config_from_dict({"geometry": {"variant": "ball_exterior", "R": 2.0}})
-        assert config.geometry.R == 2.0
-        flat = {"variant": "flat_torus_halfspace", "period": 3.0}
-        config = config_from_dict({"suite": "transverse", "geometry": flat})
-        assert config.geometry.period == 3.0
-        # The exterior, dirac and robin suites run on a ball only.
-        with pytest.raises(ConfigError):
-            config_from_dict({"geometry": flat})
-        with pytest.raises(ConfigError):
-            config_from_dict({"geometry": {"variant": "cube", "R": 1.0}})
+        # The suites read only the ball radius, so the one accepted geometry
+        # block names it; every other block is refused, naming that one.
+        config = config_from_dict({"geometry": {"variant": "ball_interior", "R": 2.0}})
+        assert config.geometry == BallInterior(2.0)
+        for suite in cli.SUITES:
+            for geometry in REFUSED_GEOMETRIES:
+                with pytest.raises(ConfigError, match=r'\{"variant": "ball_interior", "R": r\}'):
+                    config_from_dict({"suite": suite, "geometry": geometry})
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -343,12 +358,21 @@ class TestMainExitCodes:
         assert failing == ["robin.identity", "robin.identity"]
 
     @pytest.mark.parametrize("suite", ("exterior", "dirac", "robin", "all"))
-    def test_ball_suite_on_flat_geometry_is_config_error(self, tmp_path, suite):
-        geometry = {"variant": "flat_torus_halfspace", "period": 3.0}
-        path = write_config(tmp_path, suite=suite, geometry=geometry)
-        assert main([path]) == 2
-        path = write_config(tmp_path, suite="transverse", geometry=geometry)
-        assert main([path, "--suite", suite]) == 2
+    def test_ball_suite_on_flat_geometry_is_config_error(self, tmp_path, capsys, suite):
+        # The flat geometry, and every other block the suites would not
+        # read, is refused under each suite, the transverse one included.
+        for geometry in (
+            {"variant": "flat_torus_halfspace", "period": 3.0},
+            {"variant": "ball_exterior", "R": 2.0},
+            {"variant": "ball_interior", "R": 1.0, "extra": 1},
+            3,
+        ):
+            for config_suite, flags in ((suite, []), ("transverse", []), ("transverse", ["--suite", suite])):
+                path = write_config(tmp_path, suite=config_suite, geometry=geometry)
+                assert main([path, *flags]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: geometry must be {") and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_unwritable_output(self, tmp_path):
         path = write_config(tmp_path, output_path=str(tmp_path / "nodir" / "r.csv"))

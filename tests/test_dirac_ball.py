@@ -30,7 +30,6 @@ from mitbag.dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
-    singular_values_merged,
 )
 from mitbag.numerics import ToleranceConfig
 
@@ -128,12 +127,6 @@ class TestBagSolver:
             for solve in (mit_eigenvalues, largemass_eigenvalues, robin_laplacian_eigenvalues):
                 with pytest.raises(ValueError, match=r"\[1, 20\]"):
                     solve(pm, GROUND, count)
-
-    def test_merged_degeneracy_expansion(self):
-        merged = singular_values_merged(P0, (-1, 1), 6, mit_eigenvalues)
-        # Lowest level appears 4 times: both sectors, degeneracy 2 each.
-        lam1 = merged[0][0]
-        assert [abs(e - lam1) <= 1e-12 for e, _ in merged[:4]] == [True] * 4
 
 
 class TestBagEigenpair:

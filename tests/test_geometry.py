@@ -1,4 +1,4 @@
-"""Collar weights, curvature bounds, and the mass validity floor."""
+"""Collar weights, model geometries, and the mass validity floor."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mitbag.geometry import (
     BallExterior,
     BallInterior,
-    CurvatureBounds,
     CurvatureData,
     FlatTorusHalfSpace,
     min_rescaled_weight,
@@ -70,41 +69,70 @@ class TestRescaledWeight:
         assert weight(c, m, tau) == pytest.approx(1.0 + t * kappa + t * t * gauss, rel=1e-14)
 
 
+def four_corner_floor(A, B, m):
+    """The least weight found by search: over the four corners (+-A, +-B),
+    the collar ends and, where it lies inside, the vertex of each parabola."""
+    T = math.sqrt(m)
+
+    def interval_min(kappa, gauss):
+        candidates = [1.0, 1.0 + kappa * T / m + gauss * T * T / (m * m)]
+        if gauss > 0.0:
+            tau_vertex = -kappa * m / (2.0 * gauss)
+            if 0.0 < tau_vertex < T:
+                candidates.append(1.0 + kappa * tau_vertex / m + gauss * (tau_vertex / m) ** 2)
+        return min(candidates)
+
+    return min(interval_min(k, g) for k, g in ((-A, -B), (-A, B), (A, -B), (A, B)))
+
+
 class TestValidityFloor:
     # The floor is the least mass with min_rescaled_weight >= 1/2; the
-    # binding corner (-A, -B) at tau = sqrt(m) puts it at
-    # sqrt(m_1) = A + sqrt(A^2 + 2B).
+    # binding corner (-|kappa|, -|K|) at tau = sqrt(m) puts it at
+    # sqrt(m_1) = |kappa| + sqrt(kappa^2 + 2|K|).
     def test_flat(self):
-        assert min_rescaled_weight(CurvatureBounds(0.0, 0.0), 1.0) == 1.0
+        assert min_rescaled_weight(CurvatureData.flat(), 1.0) == 1.0
 
     def test_pure_mean_curvature(self):
         # 1 - 3/sqrt(m) >= 1/2 first holds at m = 36.
-        assert min_rescaled_weight(CurvatureBounds(3.0, 0.0), 36.0) == 0.5
-        assert min_rescaled_weight(CurvatureBounds(3.0, 0.0), 35.0) < 0.5
+        for kappa in (3.0, -3.0):
+            assert min_rescaled_weight(CurvatureData(kappa, 0.0), 36.0) == 0.5
+            assert min_rescaled_weight(CurvatureData(kappa, 0.0), 35.0) < 0.5
 
     def test_mixed_bounds(self):
         # sqrt(m) >= A + sqrt(A^2 + 2B) = 2 + sqrt(6), so m_1 = ceil(19.79...) = 20.
-        assert min_rescaled_weight(CurvatureBounds(2.0, 1.0), 20.0) >= 0.5
-        assert min_rescaled_weight(CurvatureBounds(2.0, 1.0), 19.0) < 0.5
+        for curv in (CurvatureData(2.0, 1.0), CurvatureData(-2.0, -1.0), CurvatureData(2.0, -1.0)):
+            assert min_rescaled_weight(curv, 20.0) >= 0.5
+            assert min_rescaled_weight(curv, 19.0) < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kappa=st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 2.0, -3.0)),
+        gauss=st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1.0, -2.0)),
+        m=st.floats(1e-6, 1e12) | st.sampled_from((1.0, 19.0, 20.0, 36.0)),
+    )
+    def test_closed_form_is_the_four_corner_search(self, kappa, gauss, m):
+        # Bit for bit: rounding is monotone in each operand, so no other
+        # corner or depth rounds below the binding one.
+        assert min_rescaled_weight(CurvatureData(kappa, gauss), m) == four_corner_floor(abs(kappa), abs(gauss), m)
 
     @settings(max_examples=40, deadline=None)
     @given(A=st.floats(0.0, 4.0), B=st.floats(0.0, 3.0))
     def test_floor_guarantees_half(self, A, B):
-        bounds = CurvatureBounds(A, B)
+        curv = CurvatureData(A, B)
         m1 = (A + math.sqrt(A * A + 2.0 * B)) ** 2
-        assert min_rescaled_weight(bounds, max(m1, 1.0) * (1.0 + 1e-9)) >= 0.5 - 1e-12
+        assert min_rescaled_weight(curv, max(m1, 1.0) * (1.0 + 1e-9)) >= 0.5 - 1e-12
         if m1 > 1e-3:
-            assert min_rescaled_weight(bounds, m1 * (1.0 - 1e-6)) < 0.5
+            assert min_rescaled_weight(curv, m1 * (1.0 - 1e-6)) < 0.5
 
     @pytest.mark.parametrize("A,B", ((0.0, 0.0), (1.0, 2.0), (3.0, 2.0), (2.5, 0.0)))
     def test_weight_at_least_half_on_dense_grid(self, A, B):
         # At the integer floor every corner and midpoint of the bounds box
         # keeps the weight >= 1/2 over the whole collar.
-        bounds = CurvatureBounds(A, B)
+        curv = CurvatureData(A, B)
         m = max(1, math.ceil((A + math.sqrt(A * A + 2.0 * B)) ** 2))
-        while m > 1 and min_rescaled_weight(bounds, float(m - 1)) >= 0.5:
+        while m > 1 and min_rescaled_weight(curv, float(m - 1)) >= 0.5:
             m -= 1
-        while min_rescaled_weight(bounds, float(m)) < 0.5:
+        while min_rescaled_weight(curv, float(m)) < 0.5:
             m += 1
         taus = np.linspace(0.0, math.sqrt(m), 400)
         for kappa in (-A, 0.0, A):
@@ -134,7 +162,6 @@ class TestValidityFloor:
 class TestModelGeometries:
     def test_curvatures(self):
         assert BallExterior(2.0).curvature() == CurvatureData(1.0, 0.25)
-        assert BallInterior(1.0).curvature() == CurvatureData(2.0, 1.0)
         assert FlatTorusHalfSpace(2.0 * math.pi).curvature() == CurvatureData.flat()
 
     @pytest.mark.parametrize("bad", (0.0, -1.0, math.inf))
@@ -142,10 +169,10 @@ class TestModelGeometries:
         with pytest.raises(ValueError):
             BallExterior(bad)
         with pytest.raises(ValueError):
+            BallInterior(bad)
+        with pytest.raises(ValueError):
             FlatTorusHalfSpace(bad)
 
     def test_curvature_validation(self):
         with pytest.raises(ValueError):
             CurvatureData(math.inf, 0.0)
-        with pytest.raises(ValueError):
-            CurvatureBounds(-1.0, 0.0)

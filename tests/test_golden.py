@@ -1,0 +1,111 @@
+"""The pinned reports, byte for byte (characterization tests).
+
+``tests/golden`` holds the ``suite=all``, seed 0 report on the ball of radius
+0.5, 1 and 3, in CSV and in JSON, as ``verify`` writes them from the config
+files beside them.  Floats are written losslessly, so a change that moves any
+value by one ulp fails here; the failure names each moved row and its
+relative change.  A change that moves values on purpose regenerates the files
+(README, "Golden reports"), and their diff shows what moved.
+"""
+
+import csv
+import io
+import json
+import math
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from mitbag.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RADII = ("0.5", "1", "3")
+ROW_KEY = ("check_id", "m", "kappa", "gauss", "sector")
+
+
+def _rows(data: bytes, fmt: str) -> dict[tuple, dict]:
+    """Report rows by (check_id, m, kappa, gauss, sector, occurrence); in
+    JSON, each summary entry is one more row keyed by its name."""
+    if fmt == "csv":
+        records, summary = list(csv.DictReader(io.StringIO(data.decode()))), {}
+    else:
+        body = json.loads(data.decode())
+        records, summary = body["records"], body["summary"]
+    rows: dict[tuple, dict] = {}
+    seen: Counter = Counter()
+    for record in records:
+        key = tuple(record[k] for k in ROW_KEY)
+        rows[(*key, seen[key])] = record
+        seen[key] += 1
+    for name, value in summary.items():
+        rows[("summary", name)] = {"value": value}
+    return rows
+
+
+def _row_name(key: tuple) -> str:
+    if key[0] == "summary":
+        return f"summary {key[1]}"
+    fields = [f"{k}={v}" for k, v in zip(ROW_KEY[1:], key[1:-1]) if v not in (None, "")]
+    return " ".join([key[0], *fields, *([f"#{key[-1] + 1}"] if key[-1] else [])])
+
+
+def _relative_change(old, new) -> str:
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return "not numeric"
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return "0"
+    return f"{abs(b - a) / abs(a):.3g}" if a != 0.0 and math.isfinite(a) else f"from {a!r}"
+
+
+def describe_moves(expected: bytes, actual: bytes, fmt: str) -> str:
+    """One line per row that moved, appeared or vanished between two reports."""
+    old, new = _rows(expected, fmt), _rows(actual, fmt)
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        name = _row_name(key)
+        if key not in new:
+            lines.append(f"{name}: removed")
+        elif key not in old:
+            lines.append(f"{name}: added")
+        else:
+            moved = [
+                f"{field} {old[key][field]!r} -> {new[key][field]!r} "
+                f"(relative change {_relative_change(old[key][field], new[key][field])})"
+                for field in old[key]
+                if old[key][field] != new[key].get(field)
+            ]
+            if moved:
+                lines.append(f"{name}: " + "; ".join(moved))
+    return "\n".join(lines) or "the bytes differ but no row moved"
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("radius", RADII)
+def test_report_is_the_golden_one(tmp_path, capsys, radius, fmt):
+    out = tmp_path / f"report.{fmt}"
+    assert main([str(GOLDEN / f"config_R{radius}.json"), "--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()  # the per-row verdict lines; the failure names the moved rows
+    expected = (GOLDEN / f"report_R{radius}.{fmt}").read_bytes()
+    actual = out.read_bytes()
+    if actual != expected:
+        pytest.fail(f"R={radius} {fmt} report moved:\n" + describe_moves(expected, actual, fmt), pytrace=False)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_mismatch_names_each_moved_row(fmt):
+    # Move one observed value by one ulp in the golden bytes.
+    golden = (GOLDEN / f"report_R1.{fmt}").read_bytes()
+    row = next(r for k, r in _rows(golden, fmt).items() if k[0] == "robin.upper_bound" and k[4] == "kj=-2;k=1")
+    old = format(float(row["observed"]), ".17g")
+    new = format(math.nextafter(float(old), math.inf), ".17g")
+    assert golden.count(old.encode()) == 1
+    message = describe_moves(golden, golden.replace(old.encode(), new.encode()), fmt)
+    assert len(message.splitlines()) == 1
+    assert message.startswith("robin.upper_bound m=50")
+    assert f" sector=kj=-2;k=1: observed {row['observed']!r} -> " in message
+    assert f"(relative change {_relative_change(old, new)})" in message
+    assert 1e-16 < float(_relative_change(old, new)) < 3e-16
+    assert describe_moves(golden, golden, fmt) == "the bytes differ but no row moved"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from mitbag import transverse
-from mitbag.geometry import CurvatureBounds, CurvatureData, min_rescaled_weight
+from mitbag.geometry import CurvatureData, min_rescaled_weight
 from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
@@ -107,7 +107,7 @@ class TestRitzSolver:
                 st.sampled_from((9.0, 36.0, 100.0, 1600.0)) | st.floats(1.0, 1e4),
                 st.floats(-3.0, 3.0),
                 st.floats(-2.0, 2.0),
-            ).filter(lambda t: min_rescaled_weight(CurvatureBounds(abs(t[1]), abs(t[2])), t[0]) >= 0.5),
+            ).filter(lambda t: min_rescaled_weight(CurvatureData(t[1], t[2]), t[0]) >= 0.5),
             min_size=1,
             max_size=8,
         )
@@ -314,16 +314,15 @@ class TestVariationalStructure:
         T = prob.half_width
         for c in (-0.4, 0.0, 0.3):
             def w(tau, c=c):
-                return np.exp(-tau) * (1.0 - tau / T) + c * np.sin(math.pi * tau / T)
-
-            def dw(tau, c=c):
-                return (
+                value = np.exp(-tau) * (1.0 - tau / T) + c * np.sin(math.pi * tau / T)
+                deriv = (
                     -np.exp(-tau) * (1.0 - tau / T)
                     - np.exp(-tau) / T
                     + c * math.pi / T * np.cos(math.pi * tau / T)
                 )
+                return value, deriv
 
-            assert transverse_form(prob, w, dw) >= sol.lam - 1e-9
+            assert transverse_form(prob, w) >= sol.lam - 1e-9
 
     def test_pythagoras_identity(self):
         prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
@@ -331,25 +330,25 @@ class TestVariationalStructure:
         T = prob.half_width
 
         def w(tau):
-            return np.exp(-tau) * (1.0 - tau / T) + 0.2 * np.sin(2.0 * math.pi * tau / T)
-
-        def dw(tau):
-            return (
+            value = np.exp(-tau) * (1.0 - tau / T) + 0.2 * np.sin(2.0 * math.pi * tau / T)
+            deriv = (
                 -np.exp(-tau) * (1.0 - tau / T)
                 - np.exp(-tau) / T
                 + 0.4 * math.pi / T * np.cos(2.0 * math.pi * tau / T)
             )
-
-        q_w = transverse_form(prob, w, dw)
+            return value, deriv
 
         def diff(tau):
-            return w(tau) - sol.evaluate(tau)[0]
+            (value, deriv), (u, du) = w(tau), sol.evaluate(tau)
+            return value - u, deriv - du
 
-        def ddiff(tau):
-            return dw(tau) - sol.evaluate(tau)[1]
-
-        q_diff = transverse_form(prob, diff, ddiff)
+        q_w = transverse_form(prob, w)
+        q_diff = transverse_form(prob, diff)
         assert abs(q_w - sol.lam - q_diff) <= 1e-8
+        # A stack of test functions integrates row by row.
+        stacked = transverse_form(prob, lambda tau: tuple(np.stack(pair) for pair in zip(w(tau), diff(tau))))
+        assert stacked.shape == (2,)
+        assert stacked == pytest.approx([q_w, q_diff], rel=1e-14)
 
 
 class TestMassCheck:
