@@ -51,12 +51,12 @@ from .geometry import (
     min_rescaled_weight,
 )
 from .numerics import (
-    AsymptoticFit,
     SecondOrderODE,
     ShootingSolution,
     ToleranceConfig,
     find_root_bracketed,
     fit_inverse_m,
+    fit_line,
     panel_nodes,
     slope_drift,
     solve_bvp_shooting,

@@ -58,7 +58,7 @@ from .exterior import (
     torus_datum,
 )
 from .geometry import BallInterior, CurvatureData, min_rescaled_weight
-from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, slope_drift
+from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, fit_line, slope_drift
 from .report import CheckRecord, Report, emit_table, write_report_atomic
 from .transverse import (
     ELEMENT_DEGREE,
@@ -95,7 +95,7 @@ class SuiteConfig:
     m_grid: tuple[float, ...] | None = None
     curvature_grid: tuple[tuple[float, float], ...] = DEFAULT_CURVATURE_GRID
     geometry: BallInterior = BallInterior(R=1.0)
-    tolerances: ToleranceConfig = ToleranceConfig(abs_tol=0.0, rel_tol=1e-14, max_iter=300)
+    tolerances: ToleranceConfig = ToleranceConfig()
     output_path: str = "report.csv"
     format: str = "csv"
     seed: int = 0
@@ -113,6 +113,8 @@ class SuiteConfig:
                 raise ConfigError("m_grid must be strictly ascending")
         if len(self.curvature_grid) == 0:
             raise ConfigError("curvature_grid must be nonempty")
+        if not all(math.isfinite(k) and math.isfinite(K) for k, K in self.curvature_grid):
+            raise ConfigError("curvature_grid entries must be finite")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 
@@ -150,12 +152,12 @@ def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
     if "geometry" in d:
         kwargs["geometry"] = _geometry_from_dict(d["geometry"])
     if "tolerances" in d:
-        t = d["tolerances"]
+        t, default = d["tolerances"], ToleranceConfig()
         try:
             kwargs["tolerances"] = ToleranceConfig(
-                abs_tol=float(t.get("abs_tol", 0.0)),
-                rel_tol=float(t.get("rel_tol", 1e-14)),
-                max_iter=int(t.get("max_iter", 300)),
+                abs_tol=float(t.get("abs_tol", default.abs_tol)),
+                rel_tol=float(t.get("rel_tol", default.rel_tol)),
+                max_iter=int(t.get("max_iter", default.max_iter)),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid tolerances block {t!r}: {exc}") from exc
@@ -201,14 +203,6 @@ def _tightest(observed: Sequence[float], bound: Sequence[float]) -> int:
     return max(range(len(observed)), key=lambda j: (not observed[j] <= bound[j], observed[j] - bound[j]))
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    lx = np.log(np.asarray(xs))
-    ly = np.log(np.asarray(ys))
-    design = np.column_stack([np.ones_like(lx), lx])
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    return float(coef[1])
-
-
 # ----------------------------------------------------------------------------
 # Transverse suite
 # ----------------------------------------------------------------------------
@@ -243,12 +237,20 @@ def _transverse_sweep_records(
     cancelled, at any single mass, by the fourth-order term and by the
     exponentially small collar-truncation term, so only the family-wise
     envelope is a stable statement.  Per-pair slopes are still emitted as
-    unasserted records for inspection.
+    unasserted records for inspection.  A pair valid at fewer than three
+    masses of the grid would have no row, so it is a configuration error.
     """
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    # Every problem of the grid goes to one stacked solve.
     per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
+    for pair, probs in per_pair:
+        if len(probs) < 3:
+            valid = [prob.m for prob in probs]
+            raise ConfigError(
+                f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
+                "its expansion-order fit needs at least 3"
+            )
+    # Every problem of the grid goes to one stacked solve.
     sols = solve_transverse([prob for _, probs in per_pair for prob in probs])
     _add_transverse_effort(summary, sols)
     solved = iter(sols)
@@ -257,12 +259,10 @@ def _transverse_sweep_records(
     for pair, probs in per_pair:
         pair_sols = [next(solved) for _ in probs]
         valid_ms = tuple(prob.m for prob in probs)
-        if len(valid_ms) < 3:
-            continue
         diffs = [abs(sol.lam - expansion_lambda(prob)) for prob, sol in zip(probs, pair_sols)]
         mass_devs = [transverse_mass_check(sol) for sol in pair_sols]
         cohorts.setdefault(valid_ms, []).append((pair, diffs))
-        slope = _loglog_slope(valid_ms, [max(d, 1e-17) for d in diffs])
+        slope = fit_line(np.log(valid_ms), np.log([max(d, 1e-17) for d in diffs]))[1]
         records.append(CheckRecord("transverse.expansion.pair.slope", "upper", expected=-2.9, observed=slope,
                                    tolerance=0.0, provenance="fit", kappa=pair[0], gauss=pair[1],
                                    asserted=False))
@@ -281,7 +281,7 @@ def _transverse_sweep_records(
     for valid_ms, members in sorted(cohorts.items()):
         agg = [max(diffs[i] for _, diffs in members) for i in range(len(valid_ms))]
         label = f"floor<={valid_ms[0]:g};pairs={len(members)}"
-        slope = _loglog_slope(valid_ms, agg)
+        slope = fit_line(np.log(valid_ms), np.log(agg))[1]
         records.append(CheckRecord("transverse.expansion.slope", "upper", expected=-2.9, observed=slope,
                                    tolerance=0.0, provenance="fit", sector=label))
         env = agg[0] * valid_ms[0] ** 3
@@ -372,7 +372,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # Measured flat-mass decay order, reported only: the closed form decays
     # super-polynomially, so no fixed power law is asserted.
     flat_devs = [transverse_mass_check(s) for s in flat[:3]]
-    summary["flat_mass_decay_order"] = _loglog_slope((4.0, 16.0, 64.0), flat_devs)
+    summary["flat_mass_decay_order"] = fit_line(np.log((4.0, 16.0, 64.0)), np.log(flat_devs))[1]
     _add_transverse_effort(summary, [*flat, sol])
     return records, summary
 
@@ -611,19 +611,19 @@ def run_dirac_suite(
     eta1 = eta_functional(u1, lam1, p)
     sq = _pmap(lambda m: hm_pair(m)[0] ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
-    fit_all, fit_trunc, drift = slope_drift(points)
+    slope, drift = slope_drift(points)
     tail_points = [
         (m, levels[0] ** 2) for m, levels in zip(CONVERGENCE_M_GRID, hm_levels)
     ][-4:]
-    tail_fit = fit_inverse_m(tail_points)
-    records.append(CheckRecord("dirac.slope.limit", "rel", expected=lam1**2, observed=tail_fit.limit,
+    tail_limit, _ = fit_inverse_m(tail_points)
+    records.append(CheckRecord("dirac.slope.limit", "rel", expected=lam1**2, observed=tail_limit,
                                tolerance=1e-6, provenance="fit"))
-    records.append(CheckRecord("dirac.slope.eta", "rel", expected=eta1, observed=fit_all.slope,
+    records.append(CheckRecord("dirac.slope.eta", "rel", expected=eta1, observed=slope,
                                tolerance=0.05, provenance="fit"))
     records.append(CheckRecord("dirac.slope.eta.drift", "upper", expected=0.0, observed=drift, tolerance=0.02,
                                provenance="fit"))
     summary["eta_ground"] = eta1
-    summary["fitted_nu_ground"] = fit_all.slope
+    summary["fitted_nu_ground"] = slope
     summary["fitted_nu_ground_drift"] = drift
 
     # Eigenpairs from the symmetry solve: in a sector, the signed level
@@ -645,11 +645,11 @@ def run_dirac_suite(
     u_k = signed_pair(GROUND_SECTOR, 1)
     eta_k = eta_functional(u_k, abs(u_k.energy), p)
     sq_k = _pmap(lambda m: hm_pair(m)[1] ** 2, slope_grid)
-    fit_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
+    _, slope_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
     label = f"{GROUND_SECTOR.label()};k=2"
-    records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=fit_k.slope,
+    records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=slope_k,
                                tolerance=0.0, provenance="fit", sector=label, asserted=False))
-    summary[f"higher_slope[{label}]"] = fit_k.slope
+    summary[f"higher_slope[{label}]"] = slope_k
     summary[f"higher_eta[{label}]"] = eta_k
     return records, summary
 
@@ -695,15 +695,15 @@ def run_robin_suite(
     # First-order slope against the Robin-trace functional.
     slope_grid = config.m_grid or SLOPE_M_GRID
     lam_int_values = _pmap(robin_ground, slope_grid)
-    fit_all, fit_trunc, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
-    records.append(CheckRecord("robin.slope.mu", "rel", expected=mu1, observed=fit_all.slope, tolerance=0.05,
+    slope, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
+    records.append(CheckRecord("robin.slope.mu", "rel", expected=mu1, observed=slope, tolerance=0.05,
                                provenance="fit"))
     tail_grid = (1e3, 1e4, 1e5, 1e6)
     tail_values = _pmap(robin_ground, tail_grid)
-    tail_fit = fit_inverse_m(list(zip(tail_grid, tail_values)))
-    records.append(CheckRecord("robin.slope.limit", "rel", expected=lam1**2, observed=tail_fit.limit,
+    tail_limit, _ = fit_inverse_m(list(zip(tail_grid, tail_values)))
+    records.append(CheckRecord("robin.slope.limit", "rel", expected=lam1**2, observed=tail_limit,
                                tolerance=1e-6, provenance="fit"))
-    summary["fitted_mu_ground"] = fit_all.slope
+    summary["fitted_mu_ground"] = slope
     summary["fitted_mu_ground_drift"] = drift
 
     # Cross-solver consistency pins the projection sign conventions.

@@ -123,38 +123,27 @@ class DiracParams:
 
 @dataclass(frozen=True)
 class RadialEigenpair:
-    """Normalized radial eigenfunction data for one sector.
+    """Normalized radial eigenfunction of one sector, in closed form.
 
-    ``energy`` is the Dirac eigenvalue E for bag / large-mass pairs and the
-    Laplacian eigenvalue lambda_int for Robin pairs.  Interior samples live on
-    a Gauss-Legendre grid (r, weights); large-mass pairs also carry the
-    exterior tail, whose mass is part of the unit normalization.
+    The interior components are (c_upper j_{l_A}(k r), c_lower j_{l_B}(k r))
+    on the ball of radius ``R``, with ``radial_params`` = (k, c_upper,
+    c_lower).  ``energy`` is the Dirac eigenvalue E for bag / large-mass
+    pairs and the Laplacian eigenvalue lambda_int for Robin pairs.
     ``boundary_values`` is (f(R), g(R), f'(R), g'(R)) from the interior side.
+    ``exterior_norm_sq`` is the mass of a large-mass pair's exterior tail,
+    part of the unit normalization (0 for the other pairs).
     """
 
     energy: float
     sector: AngularSector
-    r: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    weights: np.ndarray
+    R: float
     boundary_values: tuple[float, float, float, float]
     radial_params: tuple[float, float, float]  # (k, c_upper, c_lower)
-    r_ext: np.ndarray | None = None
-    f_ext: np.ndarray | None = None
-    g_ext: np.ndarray | None = None
-    ext_weights: np.ndarray | None = None
-
-    def interior_norm_sq(self) -> float:
-        return float(np.dot(self.weights, (self.f**2 + self.g**2) * self.r**2))
-
-    def exterior_norm_sq(self) -> float:
-        if self.r_ext is None:
-            return 0.0
-        return float(np.dot(self.ext_weights, (self.f_ext**2 + self.g_ext**2) * self.r_ext**2))
+    exterior_norm_sq: float = 0.0
 
     def norm_sq(self) -> float:
-        return self.interior_norm_sq() + self.exterior_norm_sq()
+        """Squared L^2 norm, the interior sampled afresh from the closed form."""
+        return _interior_norm_sq(self.R, self.sector, *self.radial_params) + self.exterior_norm_sq
 
     def interior_values(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form interior radial components at arbitrary radii."""
@@ -319,9 +308,6 @@ def _scan_roots(
     return roots
 
 
-_SOLVER_TOL = ToleranceConfig(abs_tol=0.0, rel_tol=1e-14, max_iter=300)
-
-
 def _scan_window(R: float, count: int) -> tuple[float, float]:
     """Scan step and top radial wavenumber for the first ``count`` roots of a
     sector on the ball of radius R, shared by the bag, large-mass and Robin
@@ -345,7 +331,7 @@ def _signed_spectrum(
     With a ``threshold`` the scan stops just below it, and running out of
     roots there raises ``EssentialSpectrumError``.
     """
-    tol = tol or _SOLVER_TOL
+    tol = tol or ToleranceConfig()
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
     step, k_top = _scan_window(p.R, count_per_side)
     lo = p.m0 + max(1e-9, 1e-9 * p.m0)
@@ -444,7 +430,7 @@ def robin_laplacian_eigenvalues(
     """
     if p.m <= 0.0:
         raise ValueError("the Robin solver needs m > 0")
-    tol = tol or _SOLVER_TOL
+    tol = tol or ToleranceConfig()
     step, hi = _scan_window(p.R, count)
     lo = 1e-9 / p.R
     roots = _scan_roots(lambda k: _robin_matching(k, p, sector), lo, hi, step, count, tol)
@@ -469,6 +455,13 @@ def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.nda
     return spherical_bessel_j(sec.ell_upper, x), spherical_bessel_j(sec.ell_lower, x)
 
 
+def _interior_norm_sq(R: float, sector: AngularSector, k: float, c_up: float, c_lo: float) -> float:
+    """Squared L^2 norm of (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) over the ball."""
+    r, w = _interior_grid(R, k)
+    ja, jb = _bessel_samples(sector, k, r)
+    return float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
+
+
 def _eigenpair(
     p: DiracParams,
     sector: AngularSector,
@@ -476,36 +469,24 @@ def _eigenpair(
     k: float,
     c_up: float,
     c_lo: float,
-    tail: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tail_mass: float = 0.0,
 ) -> RadialEigenpair:
     """Unit-norm pair (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) from unnormalized coefficients.
 
-    ``tail`` is (r_ext, weights, f_ext, g_ext) of an exterior continuation
-    per unit f(R); its mass is part of the normalization.
+    ``tail_mass`` is the mass of an exterior continuation per unit f(R)^2;
+    it is part of the normalization.
     """
-    r, w = _interior_grid(p.R, k)
-    ja, jb = _bessel_samples(sector, k, r)
     jA, jB, djA, djB = _j_pair(sector, k * p.R)
-    norm_sq = float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
-    if tail is not None:
-        r_ext, w_ext, f_ext, g_ext = tail
-        norm_sq += (c_up * jA) ** 2 * float(np.dot(w_ext, (f_ext**2 + g_ext**2) * r_ext**2))
-    norm = math.sqrt(norm_sq)
+    norm = math.sqrt(_interior_norm_sq(p.R, sector, k, c_up, c_lo) + (c_up * jA) ** 2 * tail_mass)
     c_up, c_lo = c_up / norm, c_lo / norm
     fR = c_up * jA
-    exterior = {}
-    if tail is not None:
-        exterior = dict(r_ext=r_ext, f_ext=fR * f_ext, g_ext=fR * g_ext, ext_weights=w_ext)
     return RadialEigenpair(
         energy=energy,
         sector=sector,
-        r=r,
-        f=c_up * ja,
-        g=c_lo * jb,
-        weights=w,
+        R=p.R,
         boundary_values=(fR, c_lo * jB, c_up * k * djA, c_lo * k * djB),
         radial_params=(k, c_up, c_lo),
-        **exterior,
+        exterior_norm_sq=fR * fR * tail_mass,
     )
 
 
@@ -545,8 +526,8 @@ def largemass_eigenpair(
     decay = np.exp(-sigma) / modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
     f_ext = decay * modified_spherical_bessel_k_scaled(sector.ell_upper, q * r_ext)
     g_ext = -(q / (E + M)) * decay * modified_spherical_bessel_k_scaled(sector.ell_lower, q * r_ext)
-    c_lo = sector.sign * k / (E + p.m0)
-    return _eigenpair(p, sector, E, k, 1.0, c_lo, (r_ext, w_sigma / q, f_ext, g_ext))
+    tail_mass = float(np.dot(w_sigma / q, (f_ext**2 + g_ext**2) * r_ext**2))
+    return _eigenpair(p, sector, E, k, 1.0, sector.sign * k / (E + p.m0), tail_mass)
 
 
 def robin_eigenpair(

@@ -47,11 +47,15 @@ class FitError(NumericsError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Absolute/relative tolerance pair plus an iteration cap."""
+    """Absolute/relative tolerance pair plus an iteration cap.
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_iter: int = 200
+    The default is the solver tolerance of every eigenvalue solve and of the
+    verification config.
+    """
+
+    abs_tol: float = 0.0
+    rel_tol: float = 1e-14
+    max_iter: int = 300
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
@@ -60,25 +64,6 @@ class ToleranceConfig:
             raise ValueError("abs_tol + rel_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
-class AsymptoticFit:
-    """Result of a least-squares fit value ~ limit + slope/m over an m-grid."""
-
-    limit: float
-    slope: float
-    residual_norm: float
-    m_grid: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.m_grid) < 3:
-            raise ValueError("an asymptotic fit needs at least 3 grid points")
-        grid = np.asarray(self.m_grid, dtype=float)
-        if not (np.all(np.diff(grid) > 0.0) and np.all(grid > 0.0)):
-            raise ValueError("m_grid must be strictly increasing and positive")
-        if not math.isfinite(self.residual_norm) or self.residual_norm < 0.0:
-            raise ValueError("residual_norm must be finite and nonnegative")
 
 
 # ----------------------------------------------------------------------------
@@ -348,8 +333,18 @@ def solve_bvp_shooting(
 # ----------------------------------------------------------------------------
 
 
-def fit_inverse_m(points: Sequence[tuple[float, float]]) -> AsymptoticFit:
-    """Least-squares fit of value ~ limit + slope/m.
+def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line y ~ intercept + slope x; returns (intercept, slope)."""
+    x = np.asarray(x, dtype=float)
+    design = np.column_stack([np.ones_like(x), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
+    if rank < 2:
+        raise FitError("degenerate design matrix")
+    return float(coef[0]), float(coef[1])
+
+
+def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Least-squares fit of value ~ limit + slope/m; returns (limit, slope).
 
     Exact (zero residual) on data affine in 1/m; the m-grid must contain at
     least three distinct positive masses.
@@ -363,30 +358,19 @@ def fit_inverse_m(points: Sequence[tuple[float, float]]) -> AsymptoticFit:
         raise FitError("masses must be distinct and positive")
     if not np.all(np.isfinite(ys)):
         raise FitError("values must be finite")
-    design = np.column_stack([np.ones_like(ms), 1.0 / ms])
-    coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
-    if rank < 2:
-        raise FitError("degenerate design matrix")
-    residual = float(np.linalg.norm(design @ coef - ys))
-    return AsymptoticFit(
-        limit=float(coef[0]),
-        slope=float(coef[1]),
-        residual_norm=residual,
-        m_grid=tuple(ms.tolist()),
-    )
+    return fit_line(1.0 / ms, ys)
 
 
-def slope_drift(points: Sequence[tuple[float, float]]) -> tuple[AsymptoticFit, AsymptoticFit, float]:
+def slope_drift(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Stability diagnostic: refit with the smallest mass dropped.
 
-    Returns (full fit, truncated fit, relative slope drift).  A shrinking
+    Returns (slope of the full fit, relative slope drift).  A shrinking
     drift as coarse masses are dropped is the signature of a genuine
     limit + slope/m law with higher-order pollution.
     """
     pts = sorted((float(m), float(v)) for m, v in points)
     if len(pts) < 4:
         raise FitError("slope_drift needs at least 4 points")
-    fit_all = fit_inverse_m(pts)
-    fit_trunc = fit_inverse_m(pts[1:])
-    denom = max(abs(fit_all.slope), 1e-300)
-    return fit_all, fit_trunc, abs(fit_trunc.slope - fit_all.slope) / denom
+    slope = fit_inverse_m(pts)[1]
+    slope_trunc = fit_inverse_m(pts[1:])[1]
+    return slope, abs(slope_trunc - slope) / max(abs(slope), 1e-300)

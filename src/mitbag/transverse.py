@@ -343,40 +343,15 @@ def expansion_lambda(p: TransverseProblem) -> float:
     return 1.0 + kappa / (2.0 * m) + (K / 2.0 - kappa**2 / 8.0) / m**2
 
 
-# Cutoff: C^2 smoothstep plateaus, chi = 1 on [0, 1/2], chi = 0 beyond 1.
-
-
-def _smoothstep(s: np.ndarray) -> np.ndarray:
-    return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
-
-def _smoothstep_d1(s: np.ndarray) -> np.ndarray:
-    return 30.0 * s**2 * (1.0 - s) ** 2
-
-
-def _smoothstep_d2(s: np.ndarray) -> np.ndarray:
-    return 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
-def cutoff_chi(s: np.ndarray) -> np.ndarray:
-    """chi(s): 1 on [0, 1/2], 0 on [1, inf), C^2 smoothstep transition between."""
-    s = np.asarray(s, dtype=float)
-    t = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return np.where(s <= 0.5, 1.0, np.where(s >= 1.0, 0.0, 1.0 - _smoothstep(t)))
-
-
-def cutoff_chi_d1(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
+def _cutoff(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi(s) = 1 on [0, 1/2], 0 on [1, inf), with the C^2 smoothstep
+    1 - t^3 (10 - 15 t + 6 t^2), t = 2s - 1, between; and chi', chi''."""
     t = np.clip(2.0 * s - 1.0, 0.0, 1.0)
     inside = (s > 0.5) & (s < 1.0)
-    return np.where(inside, -2.0 * _smoothstep_d1(t), 0.0)
-
-
-def cutoff_chi_d2(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    t = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    inside = (s > 0.5) & (s < 1.0)
-    return np.where(inside, -4.0 * _smoothstep_d2(t), 0.0)
+    chi = np.where(s <= 0.5, 1.0, np.where(s >= 1.0, 0.0, 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)))
+    chi1 = np.where(inside, -2.0 * (30.0 * t**2 * (1.0 - t) ** 2), 0.0)
+    chi2 = np.where(inside, -4.0 * (60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)), 0.0)
+    return chi, chi1, chi2
 
 
 def _ansatz_poly(p: TransverseProblem) -> tuple[float, float, float]:
@@ -411,10 +386,8 @@ def residual_of_ansatz(p: TransverseProblem) -> float:
         return inner * np.exp(-tau)
 
     x, w = panel_nodes(0.0, T, max_panel=QUAD_PANEL, n_nodes=16)
-    s = x / T
-    chi = cutoff_chi(s)
-    chi1 = cutoff_chi_d1(s) / T
-    chi2 = cutoff_chi_d2(s) / T**2
+    chi, chi1, chi2 = _cutoff(x / T)
+    chi1, chi2 = chi1 / T, chi2 / T**2
     v = chi * poly_em(x)
     dv = chi1 * poly_em(x) + chi * poly_em_d1(x)
     d2v = chi2 * poly_em(x) + 2.0 * chi1 * poly_em_d1(x) + chi * poly_em_d2(x)

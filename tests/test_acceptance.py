@@ -206,15 +206,15 @@ def test_criterion_6_dirac_convergence():
 def test_criterion_7_first_order_dirac_law():
     data = ground_data()
     points, elapsed = dirac_slope_points()
-    fit_all, _, drift = slope_drift(points)
+    slope, drift = slope_drift(points)
     eta = data["eta"]
-    rel_gap = abs(fit_all.slope - eta) / abs(eta)
+    rel_gap = abs(slope - eta) / abs(eta)
     ok = rel_gap <= 0.05 and drift <= 0.02 and elapsed <= 120.0
     _verdict(
         7,
         "squared-eigenvalue slope matches the eta functional",
         ok,
-        f"slope {fit_all.slope:.5f} vs eta {eta:.5f} ({100 * rel_gap:.2f}% <= 5%), "
+        f"slope {slope:.5f} vs eta {eta:.5f} ({100 * rel_gap:.2f}% <= 5%), "
         f"drift {100 * drift:.2f}% <= 2%, runtime {elapsed:.1f}s <= 120s",
     )
 
@@ -240,8 +240,8 @@ def test_criterion_8_robin_laplacian():
     for m in (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
         pm = DiracParams(R=1.0, m0=0.0, m=m)
         points.append((m, robin_laplacian_eigenvalues(pm, GROUND, 1).energies()[0]))
-    fit_all, _, _ = slope_drift(points)
-    slope_ok = abs(fit_all.slope - mu) <= 0.05 * abs(mu)
+    slope, _ = slope_drift(points)
+    slope_ok = abs(slope - mu) <= 0.05 * abs(mu)
     lam_int_huge = robin_laplacian_eigenvalues(
         DiracParams(R=1.0, m0=0.0, m=1e6), GROUND, 1
     ).energies()[0]
@@ -252,7 +252,7 @@ def test_criterion_8_robin_laplacian():
         "Robin-type Laplacian: upper bound, slope, cross-solver limit",
         ok,
         f"least margin of Robin <= bag^2 {least_margin:.2e} over 72 levels, "
-        f"slope {fit_all.slope:.5f} vs mu {mu:.5f}, limit gap "
+        f"slope {slope:.5f} vs mu {mu:.5f}, limit gap "
         f"{abs(lam_int_huge - lam1**2) / lam1**2:.2e} <= 1e-3",
     )
 

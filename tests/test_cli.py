@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import mitbag.cli as cli
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
 from mitbag.geometry import BallInterior
-from mitbag.numerics import NumericsError
+from mitbag.numerics import NumericsError, ToleranceConfig
 from mitbag.report import (
     CSV_COLUMNS,
     CheckRecord,
@@ -57,6 +58,9 @@ class TestConfig:
         config = config_from_dict({})
         assert config.suite == "all"
         assert config.format == "csv"
+        # One default solver tolerance, whether the block is absent or empty.
+        assert config.tolerances == ToleranceConfig(abs_tol=0.0, rel_tol=1e-14, max_iter=300)
+        assert config_from_dict({"tolerances": {}}).tolerances == ToleranceConfig()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -206,6 +210,16 @@ class TestReport:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".report-")]
         assert leftovers == []
 
+    def test_atomic_write_mode_follows_umask(self, tmp_path):
+        # Like a plain open: 0666 less the umask, not the 0600 of a temp file.
+        target = tmp_path / "out.csv"
+        previous = os.umask(0o022)
+        try:
+            write_report_atomic(str(target), b"payload\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
 
 class TestRunSuite:
     def test_exterior_suite_passes(self, tmp_path):
@@ -322,6 +336,26 @@ class TestMainExitCodes:
         # sqrt(400000) = 632.5 exceeds the supported collar length of 600.
         path = write_config(tmp_path)
         assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,400000"]) == 3
+
+    def test_non_finite_curvature_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, suite="transverse", curvature_grid=[[math.inf, 0.0]])
+        assert main([path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: curvature_grid entries must be finite") and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_curvature_pair_below_three_valid_masses_is_config_error(self, tmp_path, capsys):
+        # kappa = 100 leaves the collar weight below 1/2 at every mass of
+        # the default grid, so the pair would have no row to check it.
+        path = write_config(tmp_path, suite="transverse", curvature_grid=[[1.0, 0.0], [100.0, 0.0]])
+        assert main([path]) == 2
+        err = capsys.readouterr().err
+        assert "curvature pair [100.0, 0.0] is valid only at the masses []" in err and "Traceback" not in err
+        # One valid mass short of the fit: kappa = 3, K = -2 is valid from m = 100 on.
+        path = write_config(tmp_path, suite="all", curvature_grid=[[3.0, -2.0]])
+        assert main([path, "--m-grid", "25,100,400"]) == 2
+        assert "curvature pair [3.0, -2.0] is valid only at the masses [100.0, 400.0]" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "override.json"

@@ -155,20 +155,6 @@ class TestBagEigenpair:
         fR, gR, dfR, dgR = pair.boundary_values
         assert dfR + fR == pytest.approx(dgR + gR, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ("mit", "largemass", "robin"))
-    def test_interior_values_match_samples(self, kind):
-        # The stored samples and interior_values come from one sampler, so
-        # they agree exactly.
-        pm = DiracParams(R=1.0, m0=0.0, m=200.0)
-        if kind == "mit":
-            pair = mit_eigenpair(P0, GROUND, mit_eigenvalues(P0, GROUND, 1).energies()[0])
-        elif kind == "largemass":
-            pair = largemass_eigenpair(pm, GROUND, largemass_eigenvalues(pm, GROUND, 1).energies()[0])
-        else:
-            pair = robin_eigenpair(pm, GROUND, robin_laplacian_eigenvalues(pm, GROUND, 1).energies()[0])
-        f, g = pair.interior_values(pair.r)
-        np.testing.assert_array_equal(f, pair.f)
-        np.testing.assert_array_equal(g, pair.g)
 
 
 class TestFunctionals:
@@ -227,8 +213,10 @@ class TestNuMinMax:
     def test_non_orthonormal_rejected(self):
         ref = ground_closed_form()
         pair = mit_eigenpair(P0, GROUND, ref["lam"])
-        bad = replace(pair, f=2.0 * pair.f, g=2.0 * pair.g)
-        with pytest.raises(ValueError):
+        k, c_up, c_lo = pair.radial_params
+        bad = replace(pair, radial_params=(k, 2.0 * c_up, 2.0 * c_lo))
+        assert bad.norm_sq() == pytest.approx(4.0, rel=1e-12)
+        with pytest.raises(ValueError, match="normalized"):
             nu_minmax([bad], ref["lam"], P0)
 
     def test_too_many_copies_rejected(self):
@@ -265,7 +253,7 @@ class TestLargeMass:
         pair = largemass_eigenpair(pm, GROUND, lam_m)
         assert pair.norm_sq() == pytest.approx(1.0, abs=1e-12)
         # Exterior mass is a genuine O(1/m) fraction.
-        assert 0.0 < pair.exterior_norm_sq() < 5.0 / 200.0
+        assert 0.0 < pair.exterior_norm_sq < 5.0 / 200.0
 
     def test_tail_continuity(self):
         # The lower component's interface continuity is the eigenvalue

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitbag.numerics import (
-    AsymptoticFit,
     BracketError,
     FitError,
     PoleRootError,
@@ -17,6 +16,7 @@ from mitbag.numerics import (
     ToleranceConfig,
     find_root_bracketed,
     fit_inverse_m,
+    fit_line,
     mesh_aligned_nodes,
     panel_nodes,
     slope_drift,
@@ -222,17 +222,22 @@ class TestQuadrature:
 
 
 class TestInverseMassFit:
+    def test_line_fit(self):
+        assert fit_line([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx((1.0, 2.0), abs=1e-14)
+        with pytest.raises(FitError):
+            fit_line([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
+
     def test_exact_affine_data(self):
         points = [(m, 5.0 + 3.0 / m) for m in (2.0, 5.0, 10.0, 40.0)]
-        fit = fit_inverse_m(points)
-        assert fit.limit == pytest.approx(5.0, abs=1e-12)
-        assert fit.slope == pytest.approx(3.0, abs=1e-11)
-        assert fit.residual_norm <= 1e-12
+        limit, slope = fit_inverse_m(points)
+        assert limit == pytest.approx(5.0, abs=1e-12)
+        assert slope == pytest.approx(3.0, abs=1e-11)
+        assert max(abs(limit + slope / m - v) for m, v in points) <= 1e-12
 
     def test_constant_data(self):
-        fit = fit_inverse_m([(m, 7.25) for m in (1.0, 2.0, 4.0)])
-        assert fit.limit == pytest.approx(7.25, abs=1e-13)
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        limit, slope = fit_inverse_m([(m, 7.25) for m in (1.0, 2.0, 4.0)])
+        assert limit == pytest.approx(7.25, abs=1e-13)
+        assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_second_order_pollution_and_drift(self):
         # value = 1 + 1/m + 1/m^2 over decade masses from 10: the exact
@@ -240,11 +245,13 @@ class TestInverseMassFit:
         # an order of magnitude once the coarsest mass is dropped.
         grid = (10.0, 100.0, 1000.0, 10000.0)
         points = [(m, 1.0 + 1.0 / m + 1.0 / m**2) for m in grid]
-        fit_all, fit_trunc, drift = slope_drift(points)
-        assert fit_all.slope == pytest.approx(1.0, rel=0.11)
-        assert fit_trunc.slope == pytest.approx(1.0, rel=0.02)
+        slope, drift = slope_drift(points)
+        assert slope == pytest.approx(1.0, rel=0.11)
+        slope_trunc = fit_inverse_m(points[1:])[1]
+        assert slope_trunc == pytest.approx(1.0, rel=0.02)
+        assert drift == abs(slope_trunc - slope) / abs(slope)
         longer = points + [(100000.0, 1.0 + 1.0 / 1e5 + 1.0 / 1e10)]
-        _, _, drift_finer = slope_drift(longer[1:])
+        _, drift_finer = slope_drift(longer[1:])
         assert drift_finer < drift
 
     @pytest.mark.parametrize(
@@ -267,17 +274,8 @@ class TestInverseMassFit:
     )
     def test_affine_exactness_property(self, limit, slope):
         grid = (3.0, 7.0, 19.0, 61.0, 143.0)
-        fit = fit_inverse_m([(m, limit + slope / m) for m in grid])
-        assert fit.limit == pytest.approx(limit, abs=1e-9)
-        assert fit.slope == pytest.approx(slope, abs=1e-8)
-        assert fit.residual_norm <= 1e-9
-
-
-class TestAsymptoticFitType:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            AsymptoticFit(limit=0.0, slope=0.0, residual_norm=0.0, m_grid=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            AsymptoticFit(limit=0.0, slope=0.0, residual_norm=-1.0, m_grid=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            AsymptoticFit(limit=0.0, slope=0.0, residual_norm=0.0, m_grid=(3.0, 2.0, 1.0))
+        points = [(m, limit + slope / m) for m in grid]
+        fit_limit, fit_slope = fit_inverse_m(points)
+        assert fit_limit == pytest.approx(limit, abs=1e-9)
+        assert fit_slope == pytest.approx(slope, abs=1e-8)
+        assert math.sqrt(sum((fit_limit + fit_slope / m - v) ** 2 for m, v in points)) <= 1e-9

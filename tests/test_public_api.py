@@ -1,10 +1,12 @@
-"""Every top-level function of ``src/mitbag`` has a caller in the package.
+"""Every top-level function of ``src/mitbag`` has a caller in the package,
+and every dataclass field has a reader.
 
 A public function that only its own tests call is code the report never
 exercises; it is either wired into a check or deleted.  A private function or
 class that nothing refers to is left behind by a deleted caller.  The
 re-exports in ``__init__.py`` do not count as callers, and neither does a
-definition's own body.
+definition's own body.  Likewise a dataclass field that no code reads, other
+than its own class's ``__post_init__``, is state the report never uses.
 """
 
 import ast
@@ -21,6 +23,19 @@ ALLOWED_WITHOUT_CALLER = {
     "largemass_eigenpair",
     # Public API: reads a JSON report back into a Report.
     "parse_report_json",
+}
+
+ALLOWED_UNREAD_FIELDS = {
+    # Filled by solve_bvp_shooting, which perfbench/tracer.py wraps by name;
+    # they go with it (ROADMAP item 1).
+    "ShootingSolution.tau": "tracer-pinned shooting solver output",
+    "ShootingSolution.du": "tracer-pinned shooting solver output",
+    "ShootingSolution.deriv_left": "tracer-pinned shooting solver output",
+    "ShootingSolution.mesh": "tracer-pinned shooting solver output",
+    # Read by the tests: __post_init__ checks lam = -deriv0 on every solve,
+    # and tau places the nodal values u.
+    "TransverseSolution.deriv0": "flux form of the energy, the check on lam",
+    "TransverseSolution.tau": "element nodes of the nodal values u",
 }
 
 
@@ -76,3 +91,50 @@ def test_every_private_definition_is_referenced_in_src():
 def test_allow_list_names_existing_functions():
     public, _, _ = _definitions_and_callers()
     assert ALLOWED_WITHOUT_CALLER <= set(public)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields_and_reads() -> tuple[set[str], set[tuple[str | None, str]]]:
+    """"Class.field" for every dataclass field in src/, and the attribute
+    names read there, each with the dataclass whose ``__post_init__`` reads
+    it (None elsewhere)."""
+    fields: set[str] = set()
+    reads: set[tuple[str | None, str]] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        post_init: dict[int, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields.add(f"{node.name}.{item.target.id}")
+                    elif isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        post_init.update((id(sub), node.name) for sub in ast.walk(item))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.add((post_init.get(id(sub)), sub.attr))
+    return fields, reads
+
+
+def _unread_fields() -> set[str]:
+    fields, reads = _fields_and_reads()
+    return {
+        field
+        for field in fields
+        if not any(attr == field.split(".")[1] and owner != field.split(".")[0] for owner, attr in reads)
+    }
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert sorted(_unread_fields() - set(ALLOWED_UNREAD_FIELDS)) == []
+
+
+def test_unread_field_allow_list_names_unread_fields():
+    assert set(ALLOWED_UNREAD_FIELDS) <= _unread_fields()

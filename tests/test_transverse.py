@@ -14,12 +14,10 @@ from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
     _ansatz_poly,
+    _cutoff,
     _element_matrices,
     CollarWidthError,
     TransverseProblem,
-    cutoff_chi,
-    cutoff_chi_d1,
-    cutoff_chi_d2,
     expansion_lambda,
     residual_of_ansatz,
     solve_transverse,
@@ -266,23 +264,30 @@ class TestFormalProfiles:
 class TestCutoff:
     def test_plateaus(self):
         s = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
-        np.testing.assert_array_equal(cutoff_chi(s), [1.0, 1.0, 1.0, 0.0, 0.0])
+        chi, chi1, chi2 = _cutoff(s)
+        np.testing.assert_array_equal(chi, [1.0, 1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(chi1, 0.0)
+        np.testing.assert_array_equal(chi2, 0.0)
 
     def test_smoothness_at_junctions(self):
         for s0 in (0.5, 1.0):
-            for d in (cutoff_chi_d1, cutoff_chi_d2):
-                left = float(d(np.array([s0 - 1e-9]))[0])
-                right = float(d(np.array([s0 + 1e-9]))[0])
+            for d in (1, 2):
+                left = float(_cutoff(np.array([s0 - 1e-9]))[d][0])
+                right = float(_cutoff(np.array([s0 + 1e-9]))[d][0])
                 assert abs(left - right) <= 1e-5
 
     def test_derivatives_by_finite_differences(self):
+        def chi(s):
+            return _cutoff(s)[0]
+
         s = np.linspace(0.55, 0.95, 9)
+        _, chi1, chi2 = _cutoff(s)
         h = 1e-6
-        d1 = (cutoff_chi(s + h) - cutoff_chi(s - h)) / (2.0 * h)
-        np.testing.assert_allclose(cutoff_chi_d1(s), d1, atol=1e-6)
+        d1 = (chi(s + h) - chi(s - h)) / (2.0 * h)
+        np.testing.assert_allclose(chi1, d1, atol=1e-6)
         h2 = 1e-4  # second differences need a larger step to beat roundoff
-        d2 = (cutoff_chi(s + h2) - 2.0 * cutoff_chi(s) + cutoff_chi(s - h2)) / h2**2
-        np.testing.assert_allclose(cutoff_chi_d2(s), d2, atol=1e-4)
+        d2 = (chi(s + h2) - 2.0 * chi(s) + chi(s - h2)) / h2**2
+        np.testing.assert_allclose(chi2, d2, atol=1e-4)
 
 
 class TestAnsatzResidual:
