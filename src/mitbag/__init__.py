@@ -11,7 +11,6 @@ from .dirac_ball import (
     AngularSector,
     DiracParams,
     RadialEigenpair,
-    SpectralResult,
     boundary_identity_check,
     charge_conjugation_check,
     eta_functional,
@@ -33,6 +32,7 @@ from .exterior import (
     TorusMode,
     agmon_decay_check,
     ball_exterior_dtn,
+    ball_mode_mass,
     effective_energy,
     exterior_energy,
     flat_effective_gap,

@@ -115,8 +115,25 @@ class SuiteConfig:
             raise ConfigError("curvature_grid must be nonempty")
         if not all(math.isfinite(k) and math.isfinite(K) for k, K in self.curvature_grid):
             raise ConfigError("curvature_grid entries must be finite")
+        if self.suite in ("transverse", "all"):
+            # A pair valid at fewer than three masses of the grid would have
+            # no expansion-order row.
+            for pair in self.curvature_grid:
+                valid = [prob.m for prob in _transverse_pair_data(pair, self.m_grid or TRANSVERSE_M_GRID)]
+                if len(valid) < 3:
+                    raise ConfigError(
+                        f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
+                        "its expansion-order fit needs at least 3"
+                    )
+        if self.suite in ("dirac", "robin", "all") and self.m_grid is not None and len(self.m_grid) < 4:
+            raise ConfigError(
+                f"m_grid has {len(self.m_grid)} masses; the dirac and robin slope fits and their drift "
+                "need at least 4"
+            )
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _geometry_from_dict(d: Any) -> BallInterior:
@@ -154,10 +171,13 @@ def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
     if "tolerances" in d:
         t, default = d["tolerances"], ToleranceConfig()
         try:
+            unknown = set(t) - {"abs_tol", "rel_tol", "max_iter"}
+            if unknown:
+                raise ValueError(f"unknown fields {sorted(unknown)}")
             kwargs["tolerances"] = ToleranceConfig(
                 abs_tol=float(t.get("abs_tol", default.abs_tol)),
                 rel_tol=float(t.get("rel_tol", default.rel_tol)),
-                max_iter=int(t.get("max_iter", default.max_iter)),
+                max_iter=t.get("max_iter", default.max_iter),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid tolerances block {t!r}: {exc}") from exc
@@ -166,10 +186,7 @@ def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
     if "format" in d:
         kwargs["format"] = str(d["format"])
     if "seed" in d:
-        try:
-            kwargs["seed"] = int(d["seed"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("seed must be an integer") from exc
+        kwargs["seed"] = d["seed"]
     try:
         return SuiteConfig(**kwargs)
     except ConfigError:
@@ -237,19 +254,12 @@ def _transverse_sweep_records(
     cancelled, at any single mass, by the fourth-order term and by the
     exponentially small collar-truncation term, so only the family-wise
     envelope is a stable statement.  Per-pair slopes are still emitted as
-    unasserted records for inspection.  A pair valid at fewer than three
-    masses of the grid would have no row, so it is a configuration error.
+    unasserted records for inspection.  ``SuiteConfig`` refuses a pair valid
+    at fewer than three masses of the grid.
     """
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
-    for pair, probs in per_pair:
-        if len(probs) < 3:
-            valid = [prob.m for prob in probs]
-            raise ConfigError(
-                f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
-                "its expansion-order fit needs at least 3"
-            )
     # Every problem of the grid goes to one stacked solve.
     sols = solve_transverse([prob for _, probs in per_pair for prob in probs])
     _add_transverse_effort(summary, sols)
@@ -523,46 +533,49 @@ def bag_ground_state_oracle(tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _ground_params(R: float = 1.0, m: float = 0.0) -> DiracParams:
-    return DiracParams(R=R, m0=0.0, m=m)
+class _Solves:
+    """The eigen-solves of one run, each made once; ``suite=all`` shares one
+    table between the dirac and robin suites.  A solve of n levels answers a
+    request for fewer through its prefix: the scan finds the lowest levels the
+    same way whatever the count."""
 
+    def __init__(self, tol: ToleranceConfig) -> None:
+        self.tol = tol
+        self._made: dict[tuple[Any, ...], Any] = {}
 
-@dataclass(frozen=True)
-class BagGround:
-    """The lowest ground-sector bag levels on the configured ball and the unit
-    eigenpair of the first.  The dirac and robin suites both use them, so
-    under ``suite=all`` ``run_suite`` solves them once and passes them to both."""
+    def levels(self, solver: Callable[..., list[float]], p: DiracParams, sector: AngularSector,
+               count: int) -> list[float]:
+        key = (solver, p, sector)  # the function itself: wrappers may share a name
+        if len(self._made.get(key, ())) < count:
+            self._made[key] = solver(p, sector, count, tol=self.tol)
+        return self._made[key][:count]
 
-    levels: tuple[float, ...]
-    pair: RadialEigenpair
-
-
-def _solve_bag_ground(config: SuiteConfig) -> BagGround:
-    """The two lowest ground-sector bag levels and the pair of the first."""
-    p = _ground_params(R=config.geometry.R)
-    levels = tuple(mit_eigenvalues(p, GROUND_SECTOR, 2, tol=config.tolerances).energies())
-    return BagGround(levels, mit_eigenpair(p, GROUND_SECTOR, levels[0]))
+    def pair(self, builder: Callable[..., RadialEigenpair], p: DiracParams, sector: AngularSector,
+             energy: float) -> RadialEigenpair:
+        key = (builder, p, sector, energy)
+        if key not in self._made:
+            self._made[key] = builder(p, sector, energy)
+        return self._made[key]
 
 
 def run_dirac_suite(
-    config: SuiteConfig, ground: BagGround | None = None
+    config: SuiteConfig, solves: _Solves | None = None
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = config.geometry.R
+    tol = config.tolerances
+    solves = solves or _Solves(tol)
 
     # Ground state against the independent bisection oracle (the massless bag
     # levels scale as 1/R, so the unit-ball root serves any radius).
-    tol = config.tolerances
-    p = _ground_params(R=R)
-    # The two lowest ground-sector bag levels.
-    ground = ground or _solve_bag_ground(config)
-    mit_levels = ground.levels
+    p = DiracParams(R=R)
+    mit_levels = solves.levels(mit_eigenvalues, p, GROUND_SECTOR, 2)
     lam1 = mit_levels[0]
     oracle = bag_ground_state_oracle() / R
     records.append(CheckRecord("dirac.mit.ground", "abs", expected=oracle, observed=lam1, tolerance=1e-5,
                                provenance="closed-form", sector=GROUND_SECTOR.label()))
-    lam1_r2 = mit_eigenvalues(_ground_params(R=2.0 * R), GROUND_SECTOR, 1, tol=tol).energies()[0]
+    lam1_r2 = solves.levels(mit_eigenvalues, DiracParams(R=2.0 * R), GROUND_SECTOR, 1)[0]
     records.append(CheckRecord("dirac.mit.scaling", "rel", expected=lam1 / 2.0, observed=lam1_r2,
                                tolerance=2e-10, provenance="closed-form"))
 
@@ -572,23 +585,17 @@ def run_dirac_suite(
     defect = charge_conjugation_check(signed)
     records.append(CheckRecord("dirac.mit.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
                                provenance="closed-form"))
-    p100 = _ground_params(R=R, m=100.0)
+    p100 = DiracParams(R=R, m=100.0)
     defect = charge_conjugation_check(largemass_spectrum_signed(p100, sectors, 2, tol=tol))
     records.append(CheckRecord("dirac.hm.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
                                provenance="closed-form", m=100.0))
 
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
-    # so its bound is infinite), and the last is below 1e-4.
-    hm_solved: dict[float, list[float]] = {}
-
+    # so its bound is infinite), and the last is below 1e-4.  The two lowest
+    # ground-sector levels at each mass serve both slope grids as well.
     def hm_pair(m: float) -> list[float]:
-        # The two lowest ground-sector levels at mass m, solved once per mass
-        # for the convergence rows and both slope grids (the scan finds the
-        # lowest level the same way whether one level or two are asked for).
-        if m not in hm_solved:
-            hm_solved[m] = largemass_eigenvalues(_ground_params(R=R, m=m), GROUND_SECTOR, 2, tol=tol).energies()
-        return hm_solved[m]
+        return solves.levels(largemass_eigenvalues, DiracParams(R=R, m=m), GROUND_SECTOR, 2)
 
     hm_levels = _pmap(hm_pair, CONVERGENCE_M_GRID)
 
@@ -607,15 +614,12 @@ def run_dirac_suite(
     # solves), where second-order pollution is below the 1e-6 requirement;
     # the slope and its drift use the pinned medium-m grid.
     slope_grid = config.m_grid or SLOPE_M_GRID
-    u1 = ground.pair
+    u1 = solves.pair(mit_eigenpair, p, GROUND_SECTOR, lam1)
     eta1 = eta_functional(u1, lam1, p)
     sq = _pmap(lambda m: hm_pair(m)[0] ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
     slope, drift = slope_drift(points)
-    tail_points = [
-        (m, levels[0] ** 2) for m, levels in zip(CONVERGENCE_M_GRID, hm_levels)
-    ][-4:]
-    tail_limit, _ = fit_inverse_m(tail_points)
+    tail_limit, _ = fit_inverse_m([(m, hm_pair(m)[0] ** 2) for m in CONVERGENCE_M_GRID[-4:]])
     records.append(CheckRecord("dirac.slope.limit", "rel", expected=lam1**2, observed=tail_limit,
                                tolerance=1e-6, provenance="fit"))
     records.append(CheckRecord("dirac.slope.eta", "rel", expected=eta1, observed=slope,
@@ -629,7 +633,7 @@ def run_dirac_suite(
     # Eigenpairs from the symmetry solve: in a sector, the signed level
     # whose magnitude is its level_idx-th singular value.
     def signed_pair(sec: AngularSector, level_idx: int) -> RadialEigenpair:
-        E_k = sorted((e for e, s in signed.eigenvalues if s == sec), key=abs)[level_idx]
+        E_k = sorted((e for e, s in signed if s == sec), key=abs)[level_idx]
         return mit_eigenpair(p, sec, E_k)
 
     # The eta form on the degenerate ground level is a multiple of identity:
@@ -660,37 +664,37 @@ def run_dirac_suite(
 
 
 def run_robin_suite(
-    config: SuiteConfig, ground: BagGround | None = None
+    config: SuiteConfig, solves: _Solves | None = None
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = config.geometry.R
     tol = config.tolerances
-    p0 = DiracParams(R=R, m0=0.0, m=0.0)
-    ground = ground or _solve_bag_ground(config)
-    lam1, u1 = ground.levels[0], ground.pair
-    mu1 = mu_functional(u1, p0)
-    summary["mu_ground"] = mu1
+    solves = solves or _Solves(tol)
+    p0 = DiracParams(R=R)
 
     # Upper bound lambda_int <= lambda^2 (up to 1e-9 relative and absolute
     # rounding) per sector, on three distinct levels: kj=-1 levels 1 and 2
     # and kj=-2 level 1.
     bag_levels = {
-        -1: ground.levels,
-        -2: tuple(mit_eigenvalues(p0, AngularSector(-2), 1, tol=tol).energies()),
+        kj: solves.levels(mit_eigenvalues, p0, AngularSector(kj), count) for kj, count in ((-1, 2), (-2, 1))
     }
+    lam1 = bag_levels[-1][0]
+    u1 = solves.pair(mit_eigenpair, p0, GROUND_SECTOR, lam1)
+    mu1 = mu_functional(u1, p0)
+    summary["mu_ground"] = mu1
     for m in (50.0, 200.0, 800.0):
-        pm = DiracParams(R=R, m0=0.0, m=m)
+        pm = DiracParams(R=R, m=m)
         for kj, levels in bag_levels.items():
             sector = AngularSector(kj)
-            robin = robin_laplacian_eigenvalues(pm, sector, len(levels), tol=tol).energies()
+            robin = solves.levels(robin_laplacian_eigenvalues, pm, sector, len(levels))
             for k, (lam, lam_int) in enumerate(zip(levels, robin, strict=True), start=1):
                 records.append(CheckRecord("robin.upper_bound", "upper", expected=lam**2, observed=lam_int,
                                            tolerance=1e-9 * (lam**2 + 1.0), provenance="closed-form", m=m,
                                            sector=f"{sector.label()};k={k}"))
 
     def robin_ground(m: float) -> float:
-        return robin_laplacian_eigenvalues(DiracParams(R=R, m0=0.0, m=m), GROUND_SECTOR, 1, tol=tol).energies()[0]
+        return solves.levels(robin_laplacian_eigenvalues, DiracParams(R=R, m=m), GROUND_SECTOR, 1)[0]
 
     # First-order slope against the Robin-trace functional.
     slope_grid = config.m_grid or SLOPE_M_GRID
@@ -711,13 +715,10 @@ def run_robin_suite(
     records.append(CheckRecord("robin.cross_solver", "rel", expected=lam1**2, observed=lam_int_huge,
                                tolerance=1e-3, provenance="closed-form", m=1e6))
 
-    # Exact boundary identity between the Robin and bag eigenpairs, reusing
-    # the slope-grid solve where the grid has the mass.
-    lam_int_solved = dict(zip(slope_grid, lam_int_values))
+    # Exact boundary identity between the Robin and bag eigenpairs.
     for m in (200.0, 800.0):
-        pm = DiracParams(R=R, m0=0.0, m=m)
-        lam_int = lam_int_solved[m] if m in lam_int_solved else robin_ground(m)
-        u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
+        pm = DiracParams(R=R, m=m)
+        u_int = robin_eigenpair(pm, GROUND_SECTOR, robin_ground(m))
         residual = boundary_identity_check(u_int, u1, m, pm)
         records.append(CheckRecord("robin.identity", "upper", expected=0.0, observed=residual, tolerance=1e-6,
                                    provenance="closed-form", m=m, sector=GROUND_SECTOR.label()))
@@ -726,15 +727,15 @@ def run_robin_suite(
     # their own tolerances by design).  The bag pair is solved at least as
     # tightly as the tight Robin solve, so that its own error cannot
     # dominate both residuals when the configured tolerance is loose.
-    pm = DiracParams(R=R, m0=0.0, m=200.0)
+    pm = DiracParams(R=R, m=200.0)
     tight = ToleranceConfig(abs_tol=0.0, rel_tol=1e-12, max_iter=300)
     u_study = u1
     if tol.abs_tol > 0.0 or tol.rel_tol > tight.rel_tol:
-        lam_study = mit_eigenvalues(p0, GROUND_SECTOR, 1, tol=tight).energies()[0]
+        lam_study = mit_eigenvalues(p0, GROUND_SECTOR, 1, tol=tight)[0]
         u_study = mit_eigenpair(p0, GROUND_SECTOR, lam_study)
     res_by_tol = []
     for study_tol in (ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300), tight):
-        lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol).energies()[0]
+        lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol)[0]
         u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
         res_by_tol.append(boundary_identity_check(u_int, u_study, 200.0, pm))
     records.append(CheckRecord("robin.identity.tol_study", "below", expected=res_by_tol[0],
@@ -767,13 +768,11 @@ def run_suite(config: SuiteConfig) -> Report:
         ("solver_rel_tol", tol.rel_tol),
         ("solver_max_iter", tol.max_iter),
     ]
-    # The dirac and robin suites share the bag ground level and eigenpair.
-    ground = _solve_bag_ground(config) if config.suite == "all" else None
+    # The dirac and robin suites share one table of eigen-solves.
+    solves = _Solves(tol)
     for name in names:
-        if ground is not None and name in ("dirac", "robin"):
-            recs, summary = _SUITE_RUNNERS[name](config, ground)
-        else:
-            recs, summary = _SUITE_RUNNERS[name](config)
+        args = (config, solves) if name in ("dirac", "robin") else (config,)
+        recs, summary = _SUITE_RUNNERS[name](*args)
         records.extend(recs)
         summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
     asserted = [r for r in records if r.asserted]

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .exterior import ball_mode_mass
 from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, panel_nodes
 from .special import (
     modified_spherical_bessel_k_scaled,
@@ -150,21 +151,6 @@ class RadialEigenpair:
         k, c_up, c_lo = self.radial_params
         ja, jb = _bessel_samples(self.sector, k, r)
         return c_up * ja, c_lo * jb
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Eigenvalues per sector, ordered ascending in |energy|."""
-
-    eigenvalues: tuple[tuple[float, AngularSector], ...]
-
-    def __post_init__(self) -> None:
-        mags = [abs(e) for e, _ in self.eigenvalues]
-        if any(b < a - 1e-12 for a, b in zip(mags, mags[1:])):
-            raise ValueError("eigenvalues must be sorted ascending in |energy|")
-
-    def energies(self) -> list[float]:
-        return [e for e, _ in self.eigenvalues]
 
 
 # ----------------------------------------------------------------------------
@@ -325,8 +311,9 @@ def _signed_spectrum(
     count_per_side: int,
     tol: ToleranceConfig | None,
     threshold: float | None = None,
-) -> SpectralResult:
-    """The first count roots of each sign per sector, sorted by |E|.
+) -> list[tuple[float, AngularSector]]:
+    """The first count roots of each sign per sector as (E, sector) pairs,
+    sorted by |E|.
 
     With a ``threshold`` the scan stops just below it, and running out of
     roots there raises ``EssentialSpectrumError``.
@@ -354,20 +341,18 @@ def _signed_spectrum(
                 raise
             entries.extend((sign * e, sec) for e in roots)
     entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
-    return SpectralResult(eigenvalues=tuple(entries))
+    return entries
 
 
 def _by_magnitude(
-    signed_solver: Callable[..., SpectralResult],
+    signed_solver: Callable[..., list[tuple[float, AngularSector]]],
     p: DiracParams,
     sector: AngularSector,
     count: int,
     tol: ToleranceConfig | None,
-) -> SpectralResult:
+) -> list[float]:
     """First ``count`` singular values of one sector, from its signed spectrum."""
-    signed = signed_solver(p, [sector], count, tol)
-    merged = sorted(signed.energies(), key=abs)[:count]
-    return SpectralResult(eigenvalues=tuple((abs(e), sector) for e in merged))
+    return sorted(abs(e) for e, _ in signed_solver(p, [sector], count, tol))[:count]
 
 
 def mit_spectrum_signed(
@@ -375,7 +360,7 @@ def mit_spectrum_signed(
     sectors: Iterable[AngularSector],
     count_per_side: int,
     tol: ToleranceConfig | None = None,
-) -> SpectralResult:
+) -> list[tuple[float, AngularSector]]:
     """Signed bag eigenvalues: the first count roots of each sign per sector."""
     return _signed_spectrum(_mit_matching, p, sectors, count_per_side, tol)
 
@@ -385,7 +370,7 @@ def mit_eigenvalues(
     sector: AngularSector,
     count: int,
     tol: ToleranceConfig | None = None,
-) -> SpectralResult:
+) -> list[float]:
     """First ``count`` singular values (eigenvalues of |H|) in one sector.
 
     Positive and negative bag eigenvalues of the sector are merged by
@@ -399,7 +384,7 @@ def largemass_spectrum_signed(
     sectors: Iterable[AngularSector],
     count_per_side: int,
     tol: ToleranceConfig | None = None,
-) -> SpectralResult:
+) -> list[tuple[float, AngularSector]]:
     """Signed eigenvalues of the large-mass operator below the threshold m0+m."""
     if p.m <= 0.0:
         raise ValueError("the large-mass solver needs m > 0")
@@ -411,7 +396,7 @@ def largemass_eigenvalues(
     sector: AngularSector,
     count: int,
     tol: ToleranceConfig | None = None,
-) -> SpectralResult:
+) -> list[float]:
     """First ``count`` singular values of the large-mass operator in one sector."""
     return _by_magnitude(largemass_spectrum_signed, p, sector, count, tol)
 
@@ -421,7 +406,7 @@ def robin_laplacian_eigenvalues(
     sector: AngularSector,
     count: int,
     tol: ToleranceConfig | None = None,
-) -> SpectralResult:
+) -> list[float]:
     """First ``count`` eigenvalues of the Robin-type interior Laplacian in a sector.
 
     Roots are found in the radial wavenumber kk (lambda_int = m0^2 + kk^2);
@@ -434,15 +419,12 @@ def robin_laplacian_eigenvalues(
     step, hi = _scan_window(p.R, count)
     lo = 1e-9 / p.R
     roots = _scan_roots(lambda k: _robin_matching(k, p, sector), lo, hi, step, count, tol)
-    return SpectralResult(eigenvalues=tuple((p.m0**2 + k * k, sector) for k in roots))
+    return [p.m0**2 + k * k for k in roots]
 
 
 # ----------------------------------------------------------------------------
 # Eigenpair construction
 # ----------------------------------------------------------------------------
-
-TAIL_LENGTH = 40.0  # exterior tail quadrature span, in decay lengths 1/q
-
 
 def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     n_panels = max(8, int(math.ceil(R * max(k, 1.0) / 0.7)))
@@ -510,9 +492,8 @@ def largemass_eigenpair(
 ) -> RadialEigenpair:
     """Normalized large-mass eigenfunction, exterior tail included.
 
-    The tail integral runs over [R, R + TAIL_LENGTH/q]; its mass is O(1/m)
-    but shifts first-order quantities at the percent level, so it is part of
-    the unit normalization.
+    The tail mass is O(1/m) but shifts first-order quantities at the percent
+    level, so it is part of the unit normalization.
     """
     E = float(energy)
     M = p.m0 + p.m
@@ -520,13 +501,13 @@ def largemass_eigenpair(
         raise ValueError("large-mass eigenvalues satisfy m0 < |E| < m0 + m")
     k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
-    # Decaying continuation k_l(q r)/k_l(q R) of f, and the matching g.
-    sigma, w_sigma = panel_nodes(0.0, TAIL_LENGTH, max_panel=0.5, n_nodes=12)
-    r_ext = p.R + sigma / q
-    decay = np.exp(-sigma) / modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
-    f_ext = decay * modified_spherical_bessel_k_scaled(sector.ell_upper, q * r_ext)
-    g_ext = -(q / (E + M)) * decay * modified_spherical_bessel_k_scaled(sector.ell_lower, q * r_ext)
-    tail_mass = float(np.dot(w_sigma / q, (f_ext**2 + g_ext**2) * r_ext**2))
+    # The tail is f = k_{l_A}(q r)/k_{l_A}(q R) and g = -q/(E + M) k_{l_B}(q r)/k_{l_A}(q R).
+    ekA = modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
+    ekB = modified_spherical_bessel_k_scaled(sector.ell_lower, q * p.R)
+    g_ratio = q / (E + M) * ekB / ekA
+    tail_mass = p.R**2 * (
+        ball_mode_mass(q, p.R, sector.ell_upper) + g_ratio**2 * ball_mode_mass(q, p.R, sector.ell_lower)
+    )
     return _eigenpair(p, sector, E, k, 1.0, sector.sign * k / (E + p.m0), tail_mass)
 
 
@@ -654,13 +635,14 @@ def boundary_identity_check(
     return abs(lhs - rhs) / denom
 
 
-def charge_conjugation_check(result: SpectralResult) -> float:
-    """Largest pairing gap between the spectrum and its sign-flipped image.
+def charge_conjugation_check(signed: Sequence[tuple[float, AngularSector]]) -> float:
+    """Largest pairing gap between a signed spectrum, as (E, sector) pairs,
+    and its sign-flipped image.
 
     Zero (to solver tolerance) certifies the charge-conjugation symmetry of
-    the spectrum; an empty result has defect 0.
+    the spectrum; an empty spectrum has defect 0.
     """
-    energies = result.energies()
+    energies = [e for e, _ in signed]
     if not energies:
         return 0.0
     defect = 0.0

@@ -195,8 +195,9 @@ def _tail_integral(m: float, R: float, ell: int, rate: float, length: float) -> 
     return float(np.dot(w, np.exp(-rate * sigma) * ratio**2 * r**2))
 
 
-def _ball_mode_mass(m: float, R: float, ell: int) -> float:
-    # int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr / R^2.
+def ball_mode_mass(m: float, R: float, ell: int) -> float:
+    """Exterior mass int_R^inf (k_l(m r)/k_l(m R))^2 r^2 dr / R^2 of the
+    decaying l-mode of unit boundary value, per unit area of the sphere r = R."""
     return _tail_integral(m, R, ell, 2.0, 40.0) / m / (R * R)
 
 
@@ -210,7 +211,7 @@ def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
         c2 = abs(c) ** 2
         if isinstance(mode, SphereMode):
             e = ball_exterior_dtn(m, v.geometry.R, mode.ell)
-            mu = _ball_mode_mass(m, v.geometry.R, mode.ell)
+            mu = ball_mode_mass(m, v.geometry.R, mode.ell)
         else:
             omega = halfspace_mode_energy(m, v.xi_norm(mode))
             e = omega

@@ -62,8 +62,8 @@ class ToleranceConfig:
             raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol + self.rel_tol <= 0.0:
             raise ValueError("abs_tol + rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 # ----------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def transverse_sweep():
 
 def ground_data():
     if "ground" not in _CACHE:
-        lam1 = mit_eigenvalues(P0, GROUND, 1).energies()[0]
+        lam1 = mit_eigenvalues(P0, GROUND, 1)[0]
         u1 = mit_eigenpair(P0, GROUND, lam1)
         _CACHE["ground"] = {
             "lam1": lam1,
@@ -78,7 +78,7 @@ def dirac_slope_points():
         points = []
         for m in (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
             pm = DiracParams(R=1.0, m0=0.0, m=m)
-            points.append((m, largemass_eigenvalues(pm, GROUND, 1).energies()[0] ** 2))
+            points.append((m, largemass_eigenvalues(pm, GROUND, 1)[0] ** 2))
         _CACHE["slope_points"] = (points, time.perf_counter() - start)
     return _CACHE["slope_points"]
 
@@ -191,7 +191,7 @@ def test_criterion_6_dirac_convergence():
     gaps = []
     for m in (1e2, 1e3, 1e4, 1e5, 1e6):
         pm = DiracParams(R=1.0, m0=0.0, m=m)
-        lam_m = largemass_eigenvalues(pm, GROUND, 1).energies()[0]
+        lam_m = largemass_eigenvalues(pm, GROUND, 1)[0]
         gaps.append(abs(lam_m - data["lam1"]))
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     ok = decreasing and gaps[-1] <= 1e-4
@@ -229,22 +229,22 @@ def test_criterion_8_robin_laplacian():
     upper_ok = True
     least_margin = math.inf
     for kj in (-2, -1, 1, 2):
-        bag = mit_eigenvalues(P0, AngularSector(kj), 6).energies()
+        bag = mit_eigenvalues(P0, AngularSector(kj), 6)
         for m in (50.0, 200.0, 800.0):
             pm = DiracParams(R=1.0, m0=0.0, m=m)
-            robin = robin_laplacian_eigenvalues(pm, AngularSector(kj), 6).energies()
+            robin = robin_laplacian_eigenvalues(pm, AngularSector(kj), 6)
             for lam, lam_int in zip(bag, robin, strict=True):
                 upper_ok = upper_ok and lam_int <= lam**2 * (1 + 1e-9) + 1e-9
                 least_margin = min(least_margin, lam**2 - lam_int)
     points = []
     for m in (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
         pm = DiracParams(R=1.0, m0=0.0, m=m)
-        points.append((m, robin_laplacian_eigenvalues(pm, GROUND, 1).energies()[0]))
+        points.append((m, robin_laplacian_eigenvalues(pm, GROUND, 1)[0]))
     slope, _ = slope_drift(points)
     slope_ok = abs(slope - mu) <= 0.05 * abs(mu)
     lam_int_huge = robin_laplacian_eigenvalues(
         DiracParams(R=1.0, m0=0.0, m=1e6), GROUND, 1
-    ).energies()[0]
+    )[0]
     cross_ok = abs(lam_int_huge - lam1**2) <= 1e-3 * lam1**2
     ok = upper_ok and slope_ok and cross_ok
     _verdict(
@@ -262,7 +262,7 @@ def test_criterion_9_boundary_identity():
     residuals = []
     for m in (200.0, 800.0):
         pm = DiracParams(R=1.0, m0=0.0, m=m)
-        lam_int = robin_laplacian_eigenvalues(pm, GROUND, 1).energies()[0]
+        lam_int = robin_laplacian_eigenvalues(pm, GROUND, 1)[0]
         u_int = robin_eigenpair(pm, GROUND, lam_int)
         residuals.append(boundary_identity_check(u_int, data["u1"], m, pm))
     ok = all(r <= 1e-6 for r in residuals)

@@ -6,12 +6,14 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import mitbag.cli as cli
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
+from mitbag.dirac_ball import DiracParams
 from mitbag.geometry import BallInterior
 from mitbag.numerics import NumericsError, ToleranceConfig
 from mitbag.report import (
@@ -240,14 +242,15 @@ class TestRunSuite:
 
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
-    # The dirac and robin suites share the ground bag level and eigenpair:
-    # under suite=all it is solved once and passed to both.
+    # The dirac and robin suites share one table of eigen-solves: under
+    # suite=all the ground bag level and eigenpair are solved once, and no
+    # sector is solved twice at the same parameters and tolerance.
     calls = []
-    for name in ("mit_eigenvalues", "mit_eigenpair"):
+    for name in ("mit_eigenvalues", "largemass_eigenvalues", "robin_laplacian_eigenvalues", "mit_eigenpair"):
         original = getattr(cli, name)
 
         def spy(p, sector, arg, *rest, _original=original, _name=name, **kwargs):
-            calls.append((_name, p, sector, arg))
+            calls.append((_name, p, sector, arg, kwargs.get("tol")))
             return _original(p, sector, arg, *rest, **kwargs)
 
         monkeypatch.setattr(cli, name, spy)
@@ -255,9 +258,16 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     assert report.passed
     pairs = [c for c in calls if c[0] == "mit_eigenpair"]
     assert len(set(pairs)) == len(pairs)
-    ground = (cli._ground_params(R=1.0), cli.GROUND_SECTOR)
+    ground = (DiracParams(R=1.0), cli.GROUND_SECTOR)
     ground_solves = [c for c in calls if c[0] == "mit_eigenvalues" and c[1:3] == ground and c[3] <= 2]
     assert len(ground_solves) == 1
+    solves = [(name, p, sector, tol) for name, p, sector, _, tol in calls if name != "mit_eigenpair"]
+    assert len(set(solves)) == len(solves)
+    assert Counter(name for name, *_ in solves) == {
+        "mit_eigenvalues": 3,
+        "largemass_eigenvalues": 10,
+        "robin_laplacian_eigenvalues": 15,
+    }
 
 
 # Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then
@@ -355,6 +365,37 @@ class TestMainExitCodes:
         path = write_config(tmp_path, suite="all", curvature_grid=[[3.0, -2.0]])
         assert main([path, "--m-grid", "25,100,400"]) == 2
         assert "curvature pair [3.0, -2.0] is valid only at the masses [100.0, 400.0]" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("suite", ("dirac", "robin", "all"))
+    def test_three_masses_for_the_slope_fits_is_config_error(self, tmp_path, capsys, suite):
+        path = write_config(tmp_path, suite=suite)
+        assert main([path, "--m-grid", "100,1000,10000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: m_grid has 3 masses") and "at least 4" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("suite", ("exterior", "transverse"))
+    def test_three_masses_suffice_without_slope_fits(self, tmp_path, suite):
+        path = write_config(tmp_path, suite=suite)
+        assert main([path, "--m-grid", "100,1000,10000"]) == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": -1},
+            {"seed": 1.7},
+            {"seed": True},
+            {"tolerances": {"max_iter": 2.5}},
+            {"tolerances": {"max_iter": 1e400}},
+            {"tolerances": {"bogus": 1}},
+        ],
+        ids=["seed=-1", "seed=1.7", "seed=true", "max_iter=2.5", "max_iter=1e400", "tolerances-unknown-key"],
+    )
+    def test_config_integers_and_tolerance_keys(self, tmp_path, capsys, overrides):
+        assert main([write_config(tmp_path, **overrides)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
     def test_flag_overrides(self, tmp_path):
