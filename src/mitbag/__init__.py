@@ -28,8 +28,8 @@ from .dirac_ball import (
 from .exterior import (
     BoundaryDatum,
     ExteriorSolution,
-    SphereMode,
-    TorusMode,
+    FlatDatum,
+    SphereDatum,
     agmon_decay_check,
     ball_exterior_dtn,
     ball_mode_mass,
@@ -42,14 +42,7 @@ from .exterior import (
     sphere_datum,
     torus_datum,
 )
-from .geometry import (
-    BallExterior,
-    BallInterior,
-    CurvatureData,
-    FlatTorusHalfSpace,
-    ModelGeometry,
-    min_rescaled_weight,
-)
+from .geometry import BallInterior, CurvatureData, min_rescaled_weight
 from .numerics import (
     SecondOrderODE,
     ShootingSolution,

@@ -136,12 +136,26 @@ class SuiteConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """The config value ``value`` of field ``name`` if it has the JSON type
+    ``kind``: for ``float`` a number (an int or float, not a bool), returned
+    as a float; for ``str`` a string.  Anything else is a ``ConfigError``."""
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name} must be a {'string' if kind is str else 'number'}, got {value!r}")
+
+
 def _geometry_from_dict(d: Any) -> BallInterior:
     """The ball of the geometry block, the only one the suites read."""
     if not (isinstance(d, dict) and set(d) == {"variant", "R"} and d["variant"] == "ball_interior"):
         raise ConfigError(f"geometry must be {GEOMETRY_BLOCK}, got {d!r}")
     try:
-        return BallInterior(R=float(d["R"]))
+        return BallInterior(R=_typed(d["R"], float, "R"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"geometry must be {GEOMETRY_BLOCK}, got {d!r}") from exc
 
@@ -158,12 +172,14 @@ def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
         kwargs["suite"] = d["suite"]
     if "m_grid" in d and d["m_grid"] is not None:
         try:
-            kwargs["m_grid"] = tuple(float(x) for x in d["m_grid"])
+            kwargs["m_grid"] = tuple(_typed(x, float, "m_grid entry") for x in d["m_grid"])
         except (TypeError, ValueError) as exc:
             raise ConfigError("m_grid must be a list of numbers") from exc
     if "curvature_grid" in d:
         try:
-            kwargs["curvature_grid"] = tuple((float(k), float(K)) for k, K in d["curvature_grid"])
+            kwargs["curvature_grid"] = tuple(
+                (_typed(k, float, "kappa"), _typed(K, float, "K")) for k, K in d["curvature_grid"]
+            )
         except (TypeError, ValueError) as exc:
             raise ConfigError("curvature_grid must be a list of [kappa, K] pairs") from exc
     if "geometry" in d:
@@ -175,16 +191,16 @@ def config_from_dict(d: dict[str, Any]) -> SuiteConfig:
             if unknown:
                 raise ValueError(f"unknown fields {sorted(unknown)}")
             kwargs["tolerances"] = ToleranceConfig(
-                abs_tol=float(t.get("abs_tol", default.abs_tol)),
-                rel_tol=float(t.get("rel_tol", default.rel_tol)),
+                abs_tol=_typed(t.get("abs_tol", default.abs_tol), float, "abs_tol"),
+                rel_tol=_typed(t.get("rel_tol", default.rel_tol), float, "rel_tol"),
                 max_iter=t.get("max_iter", default.max_iter),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid tolerances block {t!r}: {exc}") from exc
     if "output_path" in d:
-        kwargs["output_path"] = str(d["output_path"])
+        kwargs["output_path"] = _typed(d["output_path"], str, "output_path")
     if "format" in d:
-        kwargs["format"] = str(d["format"])
+        kwargs["format"] = _typed(d["format"], str, "format")
     if "seed" in d:
         kwargs["seed"] = d["seed"]
     try:
@@ -395,6 +411,21 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 FLAT_PERIOD = 2.0 * math.pi
 
 
+def _dtn_by_ratio_recurrence(m: float, R: float, ell: int) -> float:
+    """The exterior DtN value -m k_l'(x)/k_l(x), x = mR, by a ratio recurrence.
+
+    With r_l = k_{l-1}(x)/k_l(x) and r_0 = 1, k_{l+1} = k_{l-1} + (2l+1)/x k_l
+    (DLMF 10.51.4) gives r_{l+1} = 1/(r_l + (2l+1)/x), and
+    k_l' = -k_{l-1} - (l+1)/x k_l gives the value m (r_l + (l+1)/x).  No Bessel
+    polynomial is evaluated, so the route is independent of ``ball_exterior_dtn``.
+    """
+    x = m * R
+    r = 1.0
+    for j in range(ell):
+        r = 1.0 / (r + (2 * j + 1) / x)
+    return m * (r + (ell + 1) / x)
+
+
 def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
@@ -475,11 +506,12 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
                                    observed=max(vals), tolerance=1e-9, provenance="fit"))
         summary[f"mass_estimate_constant[{label}]"] = c_fit
 
-    # Mode additivity with seeded coefficients (diagonalized problem).
+    # Mode additivity with seeded coefficients (diagonalized problem), each
+    # mode's DtN value taken by the independent ratio recurrence.
     rng = default_rng(config.seed)
     coeffs = {ell: complex(rng.normal(), rng.normal()) for ell in (0, 1, 2, 4)}
     energy = exterior_energy(sphere_datum(R, coeffs), 300.0).energy
-    expected = sum(abs(c) ** 2 * ball_exterior_dtn(300.0, R, ell) for ell, c in coeffs.items())
+    expected = sum(abs(c) ** 2 * _dtn_by_ratio_recurrence(300.0, R, ell) for ell, c in coeffs.items())
     records.append(CheckRecord("exterior.additivity", "rel", expected=expected, observed=energy,
                                tolerance=1e-12, provenance="closed-form", m=300.0))
 
@@ -807,7 +839,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         flags = {"suite": args.suite, "output_path": args.out, "format": args.format}
         document.update((key, value) for key, value in flags.items() if value is not None)
         if args.m_grid is not None:
-            document["m_grid"] = [x for x in args.m_grid.split(",") if x.strip()]
+            try:
+                document["m_grid"] = [float(x) for x in args.m_grid.split(",") if x.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--m-grid must be comma-separated numbers, got {args.m_grid!r}") from exc
         if args.tol is not None:
             tolerances = document.get("tolerances", {})
             if not isinstance(tolerances, dict):

@@ -1,6 +1,11 @@
-"""Exact exterior energies on the two model geometries.
+"""Exact exterior energies on the two model boundaries.
 
-For boundary data v with a finite mode expansion, the exterior minimization
+A boundary datum is a finite mode expansion on one of the two model
+boundaries, and its type says which: a ``SphereDatum`` holds the radius R
+and (degree l, coefficient) pairs on the sphere r = R, a ``FlatDatum`` holds
+(|xi|, coefficient) pairs of the Fourier modes of the flat torus
+(``torus_datum`` forms |xi| from the period once).  For such a datum v the
+exterior minimization
 
     Lambda_m(v) = inf { ||grad u||^2 + m^2 ||u||^2 : u = v on the boundary,
                         u decaying }
@@ -20,7 +25,8 @@ The effective boundary functional
     Lambda_tilde_m(v) = m ||v||^2 + int (kappa/2)|v|^2
                         + m^-1 int ( |grad_s v|^2/2 + (K/2 - kappa^2/8)|v|^2 )
 
-is evaluated from the same mode data (grad_s integrates to l(l+1)/R^2 per
+is evaluated from the same mode data, with (kappa, K) = (2/R, 1/R^2) on the
+sphere and (0, 0) on the flat model (grad_s integrates to l(l+1)/R^2 per
 unit-norm spherical mode, |xi|^2 per flat mode).  On the flat model the
 exact-minus-effective gap also has a per-mode closed form
 (``flat_effective_gap``), accurate where the two energies, both of size m,
@@ -37,7 +43,6 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .geometry import BallExterior, FlatTorusHalfSpace, ModelGeometry
 from .numerics import NumericsError, panel_nodes
 from .special import (
     modified_spherical_bessel_k_scaled,
@@ -50,77 +55,50 @@ class AgmonDivergenceError(NumericsError):
 
 
 @dataclass(frozen=True)
-class SphereMode:
-    """Spherical-harmonic degree l; unit L^2(boundary) normalization."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.ell < 0:
-            raise ValueError("ell must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TorusMode:
-    """Integer Fourier pair on the periodic boundary; unit L^2 normalization."""
-
-    n1: int
-    n2: int
-
-
-BoundaryMode = Union[SphereMode, TorusMode]
-
-
-@dataclass(frozen=True)
-class BoundaryDatum:
-    """Finite mode expansion of a boundary trace on a model geometry.
+class SphereDatum:
+    """Boundary trace on the sphere of radius R: (degree l, coefficient) pairs.
 
     Coefficients are against unit-norm modes, so ||v||^2 on the boundary is
     the plain coefficient square sum (Parseval).
     """
 
-    geometry: ModelGeometry
-    modes: tuple[tuple[BoundaryMode, complex], ...]
+    R: float
+    modes: tuple[tuple[int, complex], ...]
 
     def __post_init__(self) -> None:
-        labels = [mode for mode, _ in self.modes]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate mode labels in boundary datum")
-        for mode, _ in self.modes:
-            if isinstance(self.geometry, BallExterior) and not isinstance(mode, SphereMode):
-                raise ValueError("ball geometry requires SphereMode labels")
-            if isinstance(self.geometry, FlatTorusHalfSpace) and not isinstance(mode, TorusMode):
-                raise ValueError("flat geometry requires TorusMode labels")
-
-    @property
-    def boundary_norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for _, c in self.modes))
-
-    def tangential_eigenvalue(self, mode: BoundaryMode) -> float:
-        """Eigenvalue of -Laplace_s on the boundary for the given unit mode."""
-        if isinstance(mode, SphereMode):
-            R = self.geometry.R
-            return mode.ell * (mode.ell + 1.0) / (R * R)
-        xi = self.xi_norm(mode)
-        return xi * xi
-
-    def xi_norm(self, mode: TorusMode) -> float:
-        period = self.geometry.period
-        return 2.0 * math.pi * math.hypot(mode.n1, mode.n2) / period
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError("R must be positive")
+        degrees = [ell for ell, _ in self.modes]
+        if any(ell < 0 for ell in degrees):
+            raise ValueError("ell must be nonnegative")
+        if len(set(degrees)) != len(degrees):
+            raise ValueError("duplicate degrees in boundary datum")
 
 
-def sphere_datum(R: float, coefficients: Mapping[int, complex]) -> BoundaryDatum:
+@dataclass(frozen=True)
+class FlatDatum:
+    """Boundary trace on the flat torus: (|xi|, coefficient) pairs, one per
+    unit-norm Fourier mode (distinct modes may share a frequency |xi|)."""
+
+    modes: tuple[tuple[float, complex], ...]
+
+
+BoundaryDatum = Union[SphereDatum, FlatDatum]
+
+
+def sphere_datum(R: float, coefficients: Mapping[int, complex]) -> SphereDatum:
     """Boundary datum on the sphere of radius R from {degree: coefficient}."""
-    modes = tuple((SphereMode(ell), complex(c)) for ell, c in sorted(coefficients.items()))
-    return BoundaryDatum(geometry=BallExterior(R), modes=modes)
+    return SphereDatum(R, tuple((ell, complex(c)) for ell, c in sorted(coefficients.items())))
 
 
-def torus_datum(period: float, coefficients: Mapping[tuple[int, int], complex]) -> BoundaryDatum:
-    """Boundary datum on the flat torus from {(n1, n2): coefficient}."""
-    modes = tuple(
-        (TorusMode(n1, n2), complex(c)) for (n1, n2), c in sorted(coefficients.items())
-    )
-    return BoundaryDatum(geometry=FlatTorusHalfSpace(period), modes=modes)
+def torus_datum(period: float, coefficients: Mapping[tuple[int, int], complex]) -> FlatDatum:
+    """Boundary datum on the flat torus of the given period from
+    {(n1, n2): coefficient}; the mode (n1, n2) has |xi| = 2 pi |n| / period."""
+    if not (math.isfinite(period) and period > 0.0):
+        raise ValueError("period must be positive")
+    return FlatDatum(tuple(
+        (2.0 * math.pi * math.hypot(n1, n2) / period, complex(c)) for (n1, n2), c in sorted(coefficients.items())
+    ))
 
 
 @dataclass(frozen=True)
@@ -162,16 +140,21 @@ def effective_energy(v: BoundaryDatum, m: float) -> float:
     """Effective boundary functional Lambda_tilde_m(v) from exact mode data."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    curv = v.geometry.curvature()
-    zeroth = curv.gauss / 2.0 - curv.kappa**2 / 8.0
+    # Curvatures (kappa, K) and the eigenvalue of -Laplace_s of each unit mode.
+    if isinstance(v, SphereDatum):
+        kappa, gauss = 2.0 / v.R, 1.0 / v.R**2
+        tangential = [ell * (ell + 1.0) / (v.R * v.R) for ell, _ in v.modes]
+    else:
+        kappa, gauss = 0.0, 0.0
+        tangential = [xi * xi for xi, _ in v.modes]
+    zeroth = gauss / 2.0 - kappa**2 / 8.0
     total = 0.0
-    for mode, c in v.modes:
-        t = v.tangential_eigenvalue(mode)
-        total += abs(c) ** 2 * (m + curv.kappa / 2.0 + (t / 2.0 + zeroth) / m)
+    for t, (_, c) in zip(tangential, v.modes):
+        total += abs(c) ** 2 * (m + kappa / 2.0 + (t / 2.0 + zeroth) / m)
     return total
 
 
-def flat_effective_gap(v: BoundaryDatum, m: float) -> float:
+def flat_effective_gap(v: FlatDatum, m: float) -> float:
     """Exact minus effective energy of a flat-model datum, without cancellation:
 
         sqrt(m^2 + xi^2) - m - xi^2/(2m) = -xi^4 / (2m (sqrt(m^2 + xi^2) + m)^2)
@@ -179,9 +162,10 @@ def flat_effective_gap(v: BoundaryDatum, m: float) -> float:
     per unit mode (``halfspace_mode_energy`` rejects m <= 0), summed with
     the coefficient weights.
     """
+    if not isinstance(v, FlatDatum):
+        raise TypeError("the closed-form gap holds on the flat model only")
     total = 0.0
-    for mode, c in v.modes:
-        xi = v.xi_norm(mode)
+    for xi, c in v.modes:
         total -= abs(c) ** 2 * xi**4 / (2.0 * m * (halfspace_mode_energy(m, xi) + m) ** 2)
     return total
 
@@ -205,17 +189,17 @@ def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
     """Exact exterior energy and mass of the minimizer for the given trace."""
     if m <= 0.0:
         raise ValueError("m must be positive")
+    # Per-mode energy and mass: the DtN value and the radial tail on the
+    # sphere, the decay rate omega and 1/(2 omega) on the flat model.
+    if isinstance(v, SphereDatum):
+        per_mode = [(ball_exterior_dtn(m, v.R, ell), ball_mode_mass(m, v.R, ell)) for ell, _ in v.modes]
+    else:
+        omegas = [halfspace_mode_energy(m, xi) for xi, _ in v.modes]
+        per_mode = [(omega, 1.0 / (2.0 * omega)) for omega in omegas]
     energy = 0.0
     mass = 0.0
-    for mode, c in v.modes:
+    for (e, mu), (_, c) in zip(per_mode, v.modes):
         c2 = abs(c) ** 2
-        if isinstance(mode, SphereMode):
-            e = ball_exterior_dtn(m, v.geometry.R, mode.ell)
-            mu = ball_mode_mass(m, v.geometry.R, mode.ell)
-        else:
-            omega = halfspace_mode_energy(m, v.xi_norm(mode))
-            e = omega
-            mu = 1.0 / (2.0 * omega)
         energy += c2 * e
         mass += c2 * mu
     return ExteriorSolution(energy=energy, exterior_mass=mass)
@@ -224,12 +208,12 @@ def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
 def sobolev_h32_norm_sq(v: BoundaryDatum) -> float:
     """Mode-wise H^{3/2} boundary norm: sum (1 + l(l+1))^{3/2} |c|^2 on the
     sphere, sum (1 + |xi|^2)^{3/2} |c|^2 on the torus."""
+    if isinstance(v, SphereDatum):
+        weights = [1.0 + ell * (ell + 1.0) for ell, _ in v.modes]
+    else:
+        weights = [1.0 + xi**2 for xi, _ in v.modes]
     total = 0.0
-    for mode, c in v.modes:
-        if isinstance(mode, SphereMode):
-            s = 1.0 + mode.ell * (mode.ell + 1.0)
-        else:
-            s = 1.0 + v.xi_norm(mode) ** 2
+    for s, (_, c) in zip(weights, v.modes):
         total += abs(c) ** 2 * s**1.5
     return total
 
@@ -240,7 +224,7 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
     Zero for a pure l=0 spherical datum (that radial mass is exactly
     ||v||^2/(2m)); bounded uniformly in m in general.
     """
-    norm_sq = v.boundary_norm_sq
+    norm_sq = float(sum(abs(c) ** 2 for _, c in v.modes))
     if norm_sq == 0.0:
         return 0.0
     h32 = sobolev_h32_norm_sq(v)

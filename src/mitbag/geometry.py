@@ -1,4 +1,4 @@
-"""Curvature data, model geometries, and the validity bound of the collar weight.
+"""Curvature data, the configured ball, and the validity bound of the collar weight.
 
 A collar neighborhood of a smooth surface carries the exact volume weight
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -44,47 +43,8 @@ class CurvatureData:
             raise ValueError("curvatures must be finite")
 
     @classmethod
-    def sphere(cls, radius: float) -> "CurvatureData":
-        """Curvatures of a sphere of given radius: kappa = 2/R, K = 1/R^2."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        return cls(kappa=2.0 / radius, gauss=1.0 / radius**2)
-
-    @classmethod
     def flat(cls) -> "CurvatureData":
         return cls(kappa=0.0, gauss=0.0)
-
-
-@dataclass(frozen=True)
-class FlatTorusHalfSpace:
-    """Flat model: 2-torus of given period crossed with a half-line.
-
-    Boundary data have discrete Fourier (Parseval) expansions, and kappa=K=0
-    isolates the tangential-gradient term of the effective boundary energy.
-    """
-
-    period: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.period) and self.period > 0.0):
-            raise ValueError("period must be positive")
-
-    def curvature(self) -> CurvatureData:
-        return CurvatureData.flat()
-
-
-@dataclass(frozen=True)
-class BallExterior:
-    """Exterior of the ball of radius R; boundary curvatures 2/R and 1/R^2."""
-
-    R: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ValueError("R must be positive")
-
-    def curvature(self) -> CurvatureData:
-        return CurvatureData.sphere(self.R)
 
 
 @dataclass(frozen=True)
@@ -96,10 +56,6 @@ class BallInterior:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError("R must be positive")
-
-
-# The geometries that carry exterior boundary data.
-ModelGeometry = Union[FlatTorusHalfSpace, BallExterior]
 
 
 def min_rescaled_weight(curv: CurvatureData, m: float) -> float:

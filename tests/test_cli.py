@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mitbag.cli as cli
+import mitbag.special as special
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
 from mitbag.dirac_ball import DiracParams
 from mitbag.geometry import BallInterior
@@ -241,6 +242,23 @@ class TestRunSuite:
         assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+def test_additivity_row_fails_when_a_bessel_coefficient_moves(monkeypatch, R):
+    # One Bessel polynomial coefficient of e^x k_4 off by one moves the summed
+    # exterior energy; the row's expected value, from the ratio recurrence,
+    # does not move with it.
+    exact = special._k_poly_coeffs
+
+    def mutated(ell):
+        coeffs = exact(ell)
+        return coeffs[:3] + (coeffs[3] + 1.0,) + coeffs[4:] if ell == 4 else coeffs
+
+    monkeypatch.setattr(special, "_k_poly_coeffs", mutated)
+    records, _ = cli.run_exterior_suite(SuiteConfig(suite="exterior", geometry=BallInterior(R)))
+    (row,) = [r for r in records if r.check_id == "exterior.additivity"]
+    assert not row.passed
+
+
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # The dirac and robin suites share one table of eigen-solves: under
     # suite=all the ground bag level and eigenpair are solved once, and no
@@ -397,6 +415,33 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"tolerances": {"rel_tol": True}},
+            {"tolerances": {"rel_tol": "1e-10"}},
+            {"geometry": {"variant": "ball_interior", "R": True}},
+            {"geometry": {"variant": "ball_interior", "R": "2"}},
+            {"geometry": {"variant": "ball_interior", "R": 10**400}},
+            {"curvature_grid": [[True, 0]]},
+            {"output_path": 5},
+            {"m_grid": [True, 2, 3, 4]},
+            {"m_grid": "1234"},
+        ],
+        ids=["rel_tol=true", "rel_tol=str", "R=true", "R=str", "R=huge-int", "curvature=true", "output_path=5",
+             "m_grid=true", "m_grid=str"],
+    )
+    def test_wrongly_typed_field_is_config_error(self, tmp_path, capsys, monkeypatch, overrides):
+        # A bool is not a number and a number is not a string, though Python
+        # would convert either; a string is not a list of masses.
+        monkeypatch.chdir(tmp_path)
+        document = {"suite": "exterior", "output_path": "report.csv", **overrides}
+        (tmp_path / "config.json").write_text(json.dumps(document))
+        assert main(["config.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "override.json"

@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 
 from mitbag.exterior import (
     AgmonDivergenceError,
-    BoundaryDatum,
-    SphereMode,
-    TorusMode,
+    ExteriorSolution,
+    FlatDatum,
+    SphereDatum,
     agmon_decay_check,
     ball_exterior_dtn,
     effective_energy,
     exterior_energy,
+    flat_effective_gap,
     halfspace_mode_energy,
     mass_estimate_check,
     sobolev_h32_norm_sq,
     sphere_datum,
     torus_datum,
 )
-from mitbag.geometry import BallExterior, FlatTorusHalfSpace
 
 FOUR_PI = 4.0 * math.pi
 
@@ -77,6 +77,12 @@ class TestEffectiveEnergy:
         m = 50.0
         assert effective_energy(v, m) == pytest.approx(m + 1.0 + 1.0 / m, rel=1e-15)
 
+    def test_sphere_radius(self):
+        # m + kappa/2 + l(l+1)/(2 R^2 m) with kappa = 2/R; K/2 - kappa^2/8 = 0.
+        v = sphere_datum(2.0, {1: 1.0})
+        m = 50.0
+        assert effective_energy(v, m) == pytest.approx(m + 0.5 + 0.25 / m, rel=1e-15)
+
     def test_flat_mode(self):
         v = torus_datum(2.0 * math.pi, {(2, 0): 1.0})
         m = 40.0
@@ -101,7 +107,7 @@ class TestExteriorEnergy:
         assert sol.exterior_mass == pytest.approx(4.0 / (2.0 * math.hypot(m, xi)), rel=1e-14)
 
     def test_empty_datum(self):
-        v = BoundaryDatum(geometry=BallExterior(1.0), modes=())
+        v = SphereDatum(1.0, ())
         sol = exterior_energy(v, 10.0)
         assert sol.energy == 0.0 and sol.exterior_mass == 0.0
 
@@ -149,7 +155,7 @@ class TestMassEstimate:
         assert max(values) <= values[0] * (1.0 + 1e-9)
 
     def test_zero_datum(self):
-        v = BoundaryDatum(geometry=FlatTorusHalfSpace(1.0), modes=())
+        v = FlatDatum(())
         assert mass_estimate_check(exterior_energy(v, 5.0), v, 5.0) == 0.0
 
     def test_sobolev_norm_conventions(self):
@@ -183,23 +189,29 @@ class TestAgmonDecay:
 
 
 class TestBoundaryDatumValidation:
-    def test_mode_geometry_mismatch(self):
-        with pytest.raises(ValueError):
-            BoundaryDatum(geometry=BallExterior(1.0), modes=((TorusMode(1, 0), 1.0),))
-        with pytest.raises(ValueError):
-            BoundaryDatum(geometry=FlatTorusHalfSpace(1.0), modes=((SphereMode(0), 1.0),))
-
     def test_duplicate_modes_rejected(self):
-        with pytest.raises(ValueError):
-            BoundaryDatum(
-                geometry=BallExterior(1.0),
-                modes=((SphereMode(1), 1.0), (SphereMode(1), 2.0)),
-            )
+        with pytest.raises(ValueError, match="duplicate degrees"):
+            SphereDatum(1.0, ((1, 1.0), (1, 2.0)))
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="ell must be nonnegative"):
+            sphere_datum(1.0, {-1: 1.0})
 
     def test_parseval_norm(self):
+        # ||v||^2 = 3^2 + 4^2 is the mass law's numerator: the check reads 0
+        # exactly at the mass ||v||^2/(2m).
         v = sphere_datum(1.0, {0: 3.0, 2: 4.0})
-        assert v.boundary_norm_sq == pytest.approx(25.0, abs=0.0)
+        m = 8.0
+        assert mass_estimate_check(ExteriorSolution(energy=0.0, exterior_mass=25.0 / (2.0 * m)), v, m) == 0.0
 
     def test_torus_frequency(self):
         v = torus_datum(math.pi, {(3, 4): 1.0})
-        assert v.xi_norm(v.modes[0][0]) == pytest.approx(10.0, rel=1e-15)
+        ((xi, c),) = v.modes
+        assert xi == pytest.approx(10.0, rel=1e-15) and c == 1.0
+        # Distinct modes may share a frequency.
+        w = torus_datum(2.0 * math.pi, {(1, 0): 1.0, (0, 1): 2.0})
+        assert w.modes == ((1.0, 2.0 + 0j), (1.0, 1.0 + 0j))
+
+    def test_flat_gap_rejects_a_sphere_datum(self):
+        with pytest.raises(TypeError):
+            flat_effective_gap(sphere_datum(1.0, {0: 1.0}), 10.0)

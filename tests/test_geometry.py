@@ -7,13 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mitbag.geometry import (
-    BallExterior,
-    BallInterior,
-    CurvatureData,
-    FlatTorusHalfSpace,
-    min_rescaled_weight,
-)
+from mitbag.exterior import sphere_datum, torus_datum
+from mitbag.geometry import BallInterior, CurvatureData, min_rescaled_weight
 from mitbag.transverse import TransverseProblem
 
 
@@ -36,9 +31,9 @@ class TestTubularWeight:
     def test_sphere_factorization(self):
         # On a sphere of radius R the weight is exactly (1 + t/R)^2.
         # With a power-of-two mass the rescaling tau = m t is exact.
-        assert weight(CurvatureData.sphere(1.0), 1024.0, 512.0) == pytest.approx(2.25, abs=0.0)
+        assert weight(CurvatureData(2.0, 1.0), 1024.0, 512.0) == pytest.approx(2.25, abs=0.0)
         for R in (0.5, 1.0, 2.0, 3.7):
-            c = CurvatureData.sphere(R)
+            c = CurvatureData(2.0 / R, 1.0 / R**2)
             for t in (0.0, 0.1, 1.0, 4.0):
                 assert weight(c, 1024.0, 1024.0 * t) == pytest.approx((1.0 + t / R) ** 2, rel=1e-15)
 
@@ -160,18 +155,15 @@ class TestValidityFloor:
 
 
 class TestModelGeometries:
-    def test_curvatures(self):
-        assert BallExterior(2.0).curvature() == CurvatureData(1.0, 0.25)
-        assert FlatTorusHalfSpace(2.0 * math.pi).curvature() == CurvatureData.flat()
-
+    # The ball, and the radius or period of the exterior boundary data.
     @pytest.mark.parametrize("bad", (0.0, -1.0, math.inf))
     def test_validation(self, bad):
         with pytest.raises(ValueError):
-            BallExterior(bad)
+            sphere_datum(bad, {})
         with pytest.raises(ValueError):
             BallInterior(bad)
         with pytest.raises(ValueError):
-            FlatTorusHalfSpace(bad)
+            torus_datum(bad, {})
 
     def test_curvature_validation(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,38 @@ def describe_moves(expected: bytes, actual: bytes, fmt: str) -> str:
     return "\n".join(lines) or "the bytes differ but no row moved"
 
 
+# The asserted rows that read exactly 0, or exactly their expected value, in
+# some golden report, and why such a row still checks something.
+EXACT_ROWS = {
+    "transverse.sphere.cancellation": "K = kappa^2/4 cancels the m^-2 term in exact arithmetic; dyadic kappa rounds to 0",
+    "exterior.dtn.l0": "e^x k_0 is one term, so the DtN value rounds to the closed form m + 1/R at some masses",
+    "exterior.dtn.l1": "e^x k_1 is two terms, so the DtN value rounds to its closed form at some masses",
+    "exterior.effective.rate.sphere": "the m = 1e2 row anchors the envelope: its bound is its own value",
+    "exterior.effective.rate.flat": "the m = 1e2 row anchors the envelope: its bound is its own value",
+    "exterior.sandwich": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
+    "exterior.sandwich.sign": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
+    "exterior.mass_estimate.l0": "the l = 0 tail mass is exactly ||v||^2/(2m); the quadrature can round onto it",
+    "exterior.mass_estimate.sphere": "the envelope's bound is its first mass's value, the largest when the rate falls",
+    "exterior.mass_estimate.flat": "the envelope's bound is its first mass's value, the largest when the rate falls",
+    "exterior.additivity": "the ratio recurrence agrees with the Bessel polynomials to rounding, at R = 1 bit for bit",
+    "dirac.mit.scaling": "doubling R halves every scan point exactly, so the root can halve bit for bit",
+    "dirac.mit.symmetry": "at m0 = 0 sector kj's determinant at -E is minus sector -kj's at E; exact by construction",
+    "dirac.nu.degenerate": "the kj=+1 copy of the ground level has the eta value of the kj=-1 pair bit for bit",
+}
+
+
+def test_exact_rows_are_the_allowed_ones():
+    exact = set()
+    for radius in RADII:
+        body = json.loads((GOLDEN / f"report_R{radius}.json").read_bytes())
+        exact |= {
+            row["check_id"]
+            for row in body["records"]
+            if row["asserted"] and (row["observed"] == 0 or row["observed"] == row["expected"])
+        }
+    assert exact == set(EXACT_ROWS)
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 @pytest.mark.parametrize("radius", RADII)
 def test_report_is_the_golden_one(tmp_path, capsys, radius, fmt):

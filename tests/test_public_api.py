@@ -1,12 +1,15 @@
 """Every top-level function of ``src/mitbag`` has a caller in the package,
-and every dataclass field has a reader.
+every public method or property of a class has a reader, and every dataclass
+field has a reader.
 
 A public function that only its own tests call is code the report never
 exercises; it is either wired into a check or deleted.  A private function or
 class that nothing refers to is left behind by a deleted caller.  The
 re-exports in ``__init__.py`` do not count as callers, and neither does a
-definition's own body.  Likewise a dataclass field that no code reads, other
-than its own class's ``__post_init__``, is state the report never uses.
+definition's own body.  Likewise a method or property that no code outside its
+own body reads, and a dataclass field that no code reads other than its own
+class's ``__post_init__``, is code or state the report never uses.  Methods
+and fields are matched by attribute name, whatever the object.
 """
 
 import ast
@@ -91,6 +94,37 @@ def test_every_private_definition_is_referenced_in_src():
 def test_allow_list_names_existing_functions():
     public, _, _ = _definitions_and_callers()
     assert ALLOWED_WITHOUT_CALLER <= set(public)
+
+
+def _methods_and_reads() -> tuple[set[str], set[tuple[str | None, str]]]:
+    """"Class.method" for every public method and property of a top-level
+    class in src/, and the attribute names read there, each with the method
+    whose body reads it (None elsewhere)."""
+    methods: set[str] = set()
+    reads: set[tuple[str | None, str]] = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner: dict[int, str] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        methods.add(f"{node.name}.{item.name}")
+                        owner.update((id(sub), f"{node.name}.{item.name}") for sub in ast.walk(item))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.add((owner.get(id(sub)), sub.attr))
+    return methods, reads
+
+
+def test_every_public_method_is_read_in_src():
+    methods, reads = _methods_and_reads()
+    unread = sorted(
+        method for method in methods if not any(attr == method.split(".")[1] and by != method for by, attr in reads)
+    )
+    assert unread == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -202,7 +202,7 @@ class TestExpansion:
 
     def test_sphere_value(self):
         # kappa = 2/R, K = 1/R^2 at R=1: the m^-2 coefficient cancels exactly.
-        prob = TransverseProblem(m=25.0, curv=CurvatureData.sphere(1.0))
+        prob = TransverseProblem(m=25.0, curv=CurvatureData(2.0, 1.0))
         assert expansion_lambda(prob) == pytest.approx(1.04, abs=0.0)
 
     @pytest.mark.parametrize("kappa", (0.5, 1.0, 2.0, 3.0))
