@@ -47,8 +47,9 @@ import numpy as np
 from .exterior import ball_mode_mass
 from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, panel_nodes
 from .special import (
-    modified_spherical_bessel_k_scaled,
+    modified_spherical_bessel_k_scaled_pair,
     spherical_bessel_j,
+    spherical_bessel_j_pair,
 )
 
 
@@ -161,22 +162,22 @@ class RadialEigenpair:
 def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
     """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x.
 
-    Only the two sector orders are evaluated: with n = |kappa_j| - 1 the lower
-    one, j_n' = (n/x) j_n - j_{n+1} and j_{n+1}' = j_n - (n+2)/x j_{n+1}
-    (DLMF 10.51.2).
+    Only the two sector orders are evaluated, by one pair call: with
+    n = |kappa_j| - 1 the lower one, j_n' = (n/x) j_n - j_{n+1} and
+    j_{n+1}' = j_n - (n+2)/x j_{n+1} (DLMF 10.51.2).
     """
     n = abs(sec.kappa_j) - 1
-    lo, hi = spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
+    lo, hi = spherical_bessel_j_pair(n, x)
     return _in_sector_order(sec, lo, hi, n / x * lo - hi, lo - (n + 2.0) / x * hi)
 
 
 def _ek_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
     """(e^x k_{l_A}, e^x k_{l_B}) and their x-derivatives, from the two sector
-    orders: k_n' = (n/x) k_n - k_{n+1} and k_{n+1}' = -k_n - (n+2)/x k_{n+1}
-    (DLMF §10.51), plus the derivative of the factor e^x."""
+    orders of one pair call: k_n' = (n/x) k_n - k_{n+1} and
+    k_{n+1}' = -k_n - (n+2)/x k_{n+1} (DLMF §10.51), plus the derivative of
+    the factor e^x."""
     n = abs(sec.kappa_j) - 1
-    lo = modified_spherical_bessel_k_scaled(n, x)
-    hi = modified_spherical_bessel_k_scaled(n + 1, x)
+    lo, hi = modified_spherical_bessel_k_scaled_pair(n, x)
     return _in_sector_order(sec, lo, hi, (1.0 + n / x) * lo - hi, (1.0 - (n + 2.0) / x) * hi - lo)
 
 
@@ -502,8 +503,7 @@ def largemass_eigenpair(
     k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
     # The tail is f = k_{l_A}(q r)/k_{l_A}(q R) and g = -q/(E + M) k_{l_B}(q r)/k_{l_A}(q R).
-    ekA = modified_spherical_bessel_k_scaled(sector.ell_upper, q * p.R)
-    ekB = modified_spherical_bessel_k_scaled(sector.ell_lower, q * p.R)
+    ekA, ekB, _, _ = _ek_pair(sector, q * p.R)
     g_ratio = q / (E + M) * ekB / ekA
     tail_mass = p.R**2 * (
         ball_mode_mass(q, p.R, sector.ell_upper) + g_ratio**2 * ball_mode_mass(q, p.R, sector.ell_lower)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -170,13 +171,27 @@ def flat_effective_gap(v: FlatDatum, m: float) -> float:
     return total
 
 
+@lru_cache(maxsize=16)
+def _tail_rule(rate: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nodes sigma and weights w on [0, length], and e^{-rate sigma}.
+
+    They depend on neither m nor R, and a suite uses a handful of (rate,
+    length) pairs, so each rule is built once per process.
+    """
+    sigma, w = panel_nodes(0.0, length, max_panel=0.5, n_nodes=12)
+    rule = (sigma, w, np.exp(-rate * sigma))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _tail_integral(m: float, R: float, ell: int, rate: float, length: float) -> float:
     # int_0^length e^{-rate sigma} (e^x k_l)(m r)^2 / (e^x k_l)(mR)^2 r^2 dsigma,
     # r = R + sigma/m; with rate = 2 it is m int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr.
-    sigma, w = panel_nodes(0.0, length, max_panel=0.5, n_nodes=12)
+    sigma, w, decay = _tail_rule(rate, length)
     r = R + sigma / m
     ratio = modified_spherical_bessel_k_scaled(ell, m * r) / modified_spherical_bessel_k_scaled(ell, m * R)
-    return float(np.dot(w, np.exp(-rate * sigma) * ratio**2 * r**2))
+    return float(np.dot(w, decay * ratio**2 * r**2))
 
 
 def ball_mode_mass(m: float, R: float, ell: int) -> float:

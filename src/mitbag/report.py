@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -145,48 +144,29 @@ def _json_scalar(value: Any) -> str:
     raise TypeError(f"unsupported scalar {value!r}")
 
 
-def _json_value(value: Any) -> str:
-    if isinstance(value, dict):
-        inner = ",".join(f"{_json_scalar(str(k))}:{_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    return _json_scalar(value)
+def _csv_cells(r: CheckRecord) -> tuple[Any, ...]:
+    # The record's fields in CSV_COLUMNS order.
+    return (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed,
+            r.abs_error, r.rel_error, r.tolerance, r.comparison, r.passed)
 
 
-def _record_dict(r: CheckRecord) -> dict[str, Any]:
-    return {
-        "check_id": r.check_id,
-        "m": r.m,
-        "kappa": r.kappa,
-        "gauss": r.gauss,
-        "sector": r.sector,
-        "expected": r.expected,
-        "observed": r.observed,
-        "abs_error": r.abs_error,
-        "rel_error": r.rel_error,
-        "tolerance": r.tolerance,
-        "comparison": r.comparison,
-        "pass": r.passed,
-        "provenance": r.provenance,
-        "asserted": r.asserted,
-    }
+# One JSON object per record: the CSV columns, then provenance and asserted.
+_JSON_RECORD = "{" + ",".join(f'"{name}":%s' for name in (*CSV_COLUMNS, "provenance", "asserted")) + "}"
 
 
 def emit_table(report: Report, fmt: str) -> bytes:
     """Serialize a report: CSV with the fixed column set, or JSON mirroring it."""
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for r in report.records:
-            row = _record_dict(r)
-            lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
+        lines += [",".join(map(_fmt, _csv_cells(r))) for r in report.records]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        body = {
-            "records": [_record_dict(r) for r in report.records],
-            "summary": {k: v for k, v in report.summary},
-        }
-        return (_json_value(body) + "\n").encode()
+        records = ",".join(
+            _JSON_RECORD % tuple(map(_json_scalar, (*_csv_cells(r), r.provenance, r.asserted)))
+            for r in report.records
+        )
+        summary = ",".join(f"{_json_scalar(str(k))}:{_json_scalar(v)}" for k, v in dict(report.summary).items())
+        return ('{"records":[' + records + '],"summary":{' + summary + "}}\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -222,16 +202,16 @@ def parse_report_json(data: bytes) -> Report:
 
 
 def write_report_atomic(path: str, data: bytes) -> None:
-    """Write the report bytes via a temp file and atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    """Write the report bytes via a temp file and atomic rename.
+
+    The temp file is created 0666 under a fresh name beside the target, so the
+    kernel applies the umask, as it does for a plain open.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".report-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        # mkstemp creates the file 0600; give it the mode a plain open would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

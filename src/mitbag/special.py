@@ -25,7 +25,10 @@ equals the float result bit for bit; a float stays on plain-float
 arithmetic, which is faster for the one-point evaluations of a root scan.
 j_l has one kernel per regime, shared by both: an ndarray runs the series
 and upward-recurrence kernels vectorized, and the Miller kernel element by
-element.
+element.  The pair kernels ``spherical_bessel_j_pair`` and
+``modified_spherical_bessel_k_scaled_pair`` give the orders n and n + 1 at one
+float argument, the two values a matching determinant needs, from the same
+kernels and bit-equal to two single-order calls.
 """
 
 from __future__ import annotations
@@ -85,15 +88,16 @@ def _j_series(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     return power / _double_factorial(2 * ell + 1) * total
 
 
-def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> float | np.ndarray:
+def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> tuple[float | np.ndarray, ...]:
     # Upward recurrence j_{l+1} = (2l+1)/x j_l - j_{l-1} from the closed
-    # forms j_0 = sin x / x and j_1 = sin x / x^2 - cos x / x.
+    # forms j_0 = sin x / x and j_1 = sin x / x^2 - cos x / x; returns
+    # (j_{l-1}, j_l) for l >= 1.
     s = sin(x)
     jm = s / x
     jc = s / (x * x) - cos(x) / x
     for l in range(1, ell):
         jm, jc = jc, (2.0 * l + 1.0) / x * jc - jm
-    return jc
+    return jm, jc
 
 
 def _j_miller(ell: int, x: float) -> float:
@@ -141,7 +145,7 @@ def _j_array(ell: int, x: np.ndarray) -> np.ndarray:
     if series.any():
         out[series] = _j_series(ell, flat[series])
     if upward.any():
-        out[upward] = _j_upward(ell, flat[upward], np.sin, np.cos)
+        out[upward] = _j_upward(ell, flat[upward], np.sin, np.cos)[1]
     if miller.any():
         out[miller] = [_j_miller(ell, v) for v in flat[miller].tolist()]
     return out.reshape(x.shape)
@@ -157,15 +161,40 @@ def spherical_bessel_j(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     _check_order_arg(ell, x)
     if isinstance(x, np.ndarray):
         return _j_array(ell, x)
+    return _j_scalar(ell, x)
+
+
+def _j_scalar(ell: int, x: float) -> float:
+    # The regime split for one checked argument.
     if ell == 0:
         return math.sin(x) / x
     if x <= 1.0:
         return _j_series(ell, x)
-    if ell == 1:
-        return math.sin(x) / (x * x) - math.cos(x) / x
-    if x >= ell + 1:
-        return _j_upward(ell, x)
+    if ell == 1 or x >= ell + 1:
+        return _j_upward(ell, x)[1]
     return _j_miller(ell, x)
+
+
+def _is_plain_pair(n: int, x: float) -> bool:
+    # A float argument in the domain and both orders n, n + 1 in range, so
+    # the pair kernels check nothing more.
+    return type(n) is int and type(x) is float and 0 <= n < MAX_ELL and 0.0 < x < math.inf
+
+
+def spherical_bessel_j_pair(n: int, x: float) -> tuple[float, float]:
+    """(j_n(x), j_{n+1}(x)), each bit-equal to its ``spherical_bessel_j`` value.
+
+    The domain is checked once for both orders.  Where both orders are in the
+    upward regime (x > 1, and x >= n + 2 unless n = 0) one recurrence gives
+    both; elsewhere each order runs its own regime's kernel.  Any argument
+    other than a float in the domain goes to two single-order calls, which
+    raise the single-order errors (n = 50 fails as order 51 does).
+    """
+    if not _is_plain_pair(n, x):
+        return spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
+    if x > 1.0 and (n == 0 or x >= n + 2):
+        return _j_upward(n + 1, x)
+    return _j_scalar(n, x), _j_scalar(n + 1, x)
 
 
 def spherical_bessel_j_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -233,6 +262,20 @@ def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float
     """
     _check_order_arg(ell, x)
     return _finite(_quiet(_k_horner, ell, x), ell, x)
+
+
+def modified_spherical_bessel_k_scaled_pair(n: int, x: float) -> tuple[float, float]:
+    """(e^x k_n(x), e^x k_{n+1}(x)), each bit-equal to its
+    ``modified_spherical_bessel_k_scaled`` value, with the domain checked once
+    for both orders.  Any argument other than a float in the domain goes to
+    two single-order calls; an overflow raises BesselOverflowError for the
+    first order that overflows, as the single-order calls do."""
+    if not _is_plain_pair(n, x):
+        return modified_spherical_bessel_k_scaled(n, x), modified_spherical_bessel_k_scaled(n + 1, x)
+    lo, hi = _k_horner(n, x), _k_horner(n + 1, x)
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lo, hi
+    return _finite(lo, n, x), _finite(hi, n + 1, x)
 
 
 def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -21,6 +21,7 @@ from mitbag.report import (
     CSV_COLUMNS,
     CheckRecord,
     Report,
+    _fmt,
     emit_table,
     parse_report_json,
     write_report_atomic,
@@ -176,6 +177,29 @@ class TestReport:
         assert b'"abs_error":null' in data
         assert emit_table(parse_report_json(data), "json") == data
 
+    def test_quotes_backslashes_and_non_finite_cells(self):
+        # No golden row has a quote or a backslash in a text field, or a NaN,
+        # an infinity or an empty cell in every numeric column.
+        records = (
+            CheckRecord('demo."quoted"\\id', "abs", expected=math.nan, observed=math.inf, tolerance=1.0,
+                        provenance="fit", sector='kj="-1"\\k=1'),
+            CheckRecord("demo.inf", "lower", expected=-math.inf, observed=2.0, tolerance=math.inf,
+                        provenance="closed-form", m=math.nan, kappa=math.inf, gauss=-math.inf),
+        )
+        summary = (('name"q', math.nan), ("inf", -math.inf), ("none", None), ("path\\x", 'a"b\\'))
+        report = Report(records=records, summary=summary)
+        data = emit_table(report, "json")
+        body = json.loads(data)
+        assert [row["check_id"] for row in body["records"]] == ['demo."quoted"\\id', "demo.inf"]
+        assert body["records"][0]["sector"] == 'kj="-1"\\k=1'
+        assert body["records"][1]["m"] == "nan" and body["records"][0]["m"] is None
+        assert body["summary"] == {'name"q': "nan", "inf": "-inf", "none": None, "path\\x": 'a"b\\'}
+        assert emit_table(parse_report_json(data), "json") == data
+        lines = emit_table(report, "csv").decode().splitlines()
+        for line, r in zip(lines[1:], records, strict=True):
+            fields = [getattr(r, "passed" if column == "pass" else column) for column in CSV_COLUMNS]
+            assert line.split(",") == [_fmt(v) for v in fields]
+
     def test_json_pass_flag_must_match_comparison(self):
         data = emit_table(_sample_report(), "json").decode()
         tampered = data.replace('"pass":false', '"pass":true', 1)
@@ -221,6 +245,23 @@ class TestReport:
             write_report_atomic(str(target), b"payload\n")
         finally:
             os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_atomic_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # Setting the umask, even to read it, changes it for every thread of
+        # the process for a moment; the kernel applies it at creation instead.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        target = tmp_path / "out.csv"
+        previous = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            write_report_atomic(str(target), b"payload\n")
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
+        assert target.read_bytes() == b"payload\n"
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 

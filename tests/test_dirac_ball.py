@@ -458,15 +458,17 @@ class TestEvaluationCounts:
             sp.spherical_jn(sector.ell_lower, x, derivative=True),
         )
         calls = []
-        j = dirac_ball.spherical_bessel_j
+        pair = dirac_ball.spherical_bessel_j_pair
 
-        def spy(ell, arg):
-            calls.append(ell)
-            return j(ell, arg)
+        def spy(n, arg):
+            calls.append(n)
+            return pair(n, arg)
 
-        monkeypatch.setattr(dirac_ball, "spherical_bessel_j", spy)
+        # One pair call gives both sector orders |kappa_j| - 1 and |kappa_j|.
+        monkeypatch.setattr(dirac_ball, "spherical_bessel_j_pair", spy)
         values = dirac_ball._j_pair(sector, x)
-        assert sorted(calls) == sorted((sector.ell_upper, sector.ell_lower))
+        assert calls == [abs(kj) - 1]
+        assert {abs(kj) - 1, abs(kj)} == {sector.ell_upper, sector.ell_lower}
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
 

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mitbag.exterior as exterior
+from mitbag.cli import SuiteConfig, run_suite
 from mitbag.exterior import (
     AgmonDivergenceError,
     ExteriorSolution,
@@ -22,6 +25,7 @@ from mitbag.exterior import (
     sphere_datum,
     torus_datum,
 )
+from mitbag.geometry import BallInterior
 
 FOUR_PI = 4.0 * math.pi
 
@@ -215,3 +219,21 @@ class TestBoundaryDatumValidation:
     def test_flat_gap_rejects_a_sphere_datum(self):
         with pytest.raises(TypeError):
             flat_effective_gap(sphere_datum(1.0, {0: 1.0}), 10.0)
+
+
+def test_tail_rules_are_shared_across_radii(tmp_path):
+    # The rules depend on (rate, length) only: ten radii, each with three
+    # masses, reuse the rules of the first radius, and nobody can write them.
+    exterior._tail_rule.cache_clear()
+    sizes = []
+    for R in np.linspace(0.5, 5.0, 10):
+        run_suite(SuiteConfig(suite="exterior", geometry=BallInterior(R=float(R)), output_path=str(tmp_path / "r.csv")))
+        sizes.append(exterior._tail_rule.cache_info().currsize)
+    info = exterior._tail_rule.cache_info()
+    assert 0 < sizes[0] == sizes[-1] <= info.maxsize
+    sigma, w, decay = exterior._tail_rule(2.0, 40.0)
+    assert exterior._tail_rule.cache_info().currsize == sizes[0]
+    for array in (sigma, w, decay):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

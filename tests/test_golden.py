@@ -1,7 +1,7 @@
 """The pinned reports, byte for byte (characterization tests).
 
 ``tests/golden`` holds the ``suite=all``, seed 0 report on the ball of radius
-0.5, 1 and 3, in CSV and in JSON, as ``verify`` writes them from the config
+0.5, 1, 1.7 and 3, in CSV and in JSON, as ``verify`` writes them from the config
 files beside them.  Floats are written losslessly, so a change that moves any
 value by one ulp fails here; the failure names each moved row and its
 relative change.  A change that moves values on purpose regenerates the files
@@ -20,7 +20,7 @@ import pytest
 from mitbag.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-RADII = ("0.5", "1", "3")
+RADII = ("0.5", "1", "1.7", "3")
 ROW_KEY = ("check_id", "m", "kappa", "gauss", "sector")
 
 
@@ -92,6 +92,7 @@ EXACT_ROWS = {
     "exterior.effective.rate.flat": "the m = 1e2 row anchors the envelope: its bound is its own value",
     "exterior.sandwich": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
     "exterior.sandwich.sign": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
+    "exterior.mass.l0": "the l = 0 tail mass is 4 pi/(2m) in closed form; the quadrature rounds onto it at R = 1.7",
     "exterior.mass_estimate.l0": "the l = 0 tail mass is exactly ||v||^2/(2m); the quadrature can round onto it",
     "exterior.mass_estimate.sphere": "the envelope's bound is its first mass's value, the largest when the rate falls",
     "exterior.mass_estimate.flat": "the envelope's bound is its first mass's value, the largest when the rate falls",

@@ -14,8 +14,10 @@ from mitbag.special import (
     SpecialFunctionDomainError,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
+    modified_spherical_bessel_k_scaled_pair,
     spherical_bessel_j,
     spherical_bessel_j_deriv,
+    spherical_bessel_j_pair,
 )
 
 X_GRID = np.concatenate([np.linspace(0.05, 3.0, 9), np.linspace(4.0, 100.0, 11)])
@@ -195,6 +197,67 @@ class TestModifiedK:
                 # d/dx [sqrt(2/(pi x)) K_{l+1/2}(x)]
                 ref = math.sqrt(2.0 / math.pi) * (kvp / math.sqrt(x) - 0.5 * kv * x**-1.5)
                 assert mine == pytest.approx(ref, rel=1e-11)
+
+
+def _outcome(call):
+    """The bits of each value ``call()`` returns, or the overflow it raises."""
+    try:
+        return [v.hex() for v in call()]
+    except BesselOverflowError as exc:
+        return f"BesselOverflowError: {exc}"
+
+
+PAIRS = (
+    (spherical_bessel_j_pair, spherical_bessel_j),
+    (modified_spherical_bessel_k_scaled_pair, modified_spherical_bessel_k_scaled),
+)
+
+
+class TestPairKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=49),
+        xs=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-9, max_value=1e-3),  # series; k overflows at large n
+                st.floats(min_value=1e-3, max_value=1.0),  # series
+                st.floats(min_value=1.0, max_value=52.0),  # Miller, mixed or upward, by n
+                st.floats(min_value=52.0, max_value=1e4),  # upward
+            ),
+            max_size=20,
+        ),
+    )
+    def test_pair_is_two_single_calls_bitwise(self, n, xs):
+        # Each regime edge (x = 1, n + 1, n + 2) and its float neighbours.
+        edges = [1.0, n + 1.0, n + 2.0]
+        xs = xs + [y for e in edges for y in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+        for pair, single in PAIRS:
+            for x in xs:
+                assert _outcome(lambda: pair(n, x)) == _outcome(lambda: (single(n, x), single(n + 1, x)))
+
+    def test_k_pair_overflow_names_the_first_order_that_overflows(self):
+        assert math.isfinite(modified_spherical_bessel_k_scaled(49, 3e-5))
+        with pytest.raises(BesselOverflowError, match="k_50 "):
+            modified_spherical_bessel_k_scaled_pair(49, 3e-5)
+        with pytest.raises(BesselOverflowError, match="k_49 "):
+            modified_spherical_bessel_k_scaled_pair(49, 2e-5)
+
+    @pytest.mark.parametrize("pair", [p for p, _ in PAIRS])
+    def test_domain_errors(self, pair):
+        # n = 50 fails as the single call at order 51 does.
+        with pytest.raises(SpecialFunctionDomainError, match="order 51 outside"):
+            pair(50, 2.0)
+        for n, x in ((-1, 2.0), (True, 2.0), (1.0, 2.0), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf)):
+            with pytest.raises(SpecialFunctionDomainError):
+                pair(n, x)
+
+    @pytest.mark.parametrize("pair, single", PAIRS)
+    def test_other_argument_types_match_single_calls(self, pair, single):
+        x = np.array([0.5, 3.0, 40.0])
+        for arg in (x, np.float64(3.0), 3):
+            lo, hi = pair(2, arg)
+            np.testing.assert_array_equal(lo, single(2, arg))
+            np.testing.assert_array_equal(hi, single(3, arg))
 
 
 def _scipy_i(ell, x):
