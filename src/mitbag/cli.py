@@ -58,7 +58,7 @@ from .exterior import (
     torus_datum,
 )
 from .geometry import BallInterior, CurvatureData, min_rescaled_weight
-from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, fit_line, slope_drift
+from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, fit_line, run_memo, slope_drift
 from .report import CheckRecord, Report, emit_table, write_report_atomic
 from .transverse import (
     ELEMENT_DEGREE,
@@ -800,13 +800,15 @@ def run_suite(config: SuiteConfig) -> Report:
         ("solver_rel_tol", tol.rel_tol),
         ("solver_max_iter", tol.max_iter),
     ]
-    # The dirac and robin suites share one table of eigen-solves.
+    # The dirac and robin suites share one table of eigen-solves, and every
+    # suite shares the run's memo of tail integrals and quadrature rules.
     solves = _Solves(tol)
-    for name in names:
-        args = (config, solves) if name in ("dirac", "robin") else (config,)
-        recs, summary = _SUITE_RUNNERS[name](*args)
-        records.extend(recs)
-        summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
+    with run_memo():
+        for name in names:
+            args = (config, solves) if name in ("dirac", "robin") else (config,)
+            recs, summary = _SUITE_RUNNERS[name](*args)
+            records.extend(recs)
+            summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
     asserted = [r for r in records if r.asserted]
     summary_pairs.append(("checks_passed", sum(r.passed for r in asserted)))
     summary_pairs.append(("checks_asserted", len(asserted)))

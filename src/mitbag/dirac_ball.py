@@ -39,14 +39,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exterior import ball_mode_mass
-from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, panel_nodes
+from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, memoized, panel_nodes
 from .special import (
+    ek_pair_kernel,
+    j_pair_kernel,
     modified_spherical_bessel_k_scaled_pair,
     spherical_bessel_j,
     spherical_bessel_j_pair,
@@ -159,103 +161,172 @@ class RadialEigenpair:
 # ----------------------------------------------------------------------------
 
 
-def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
-    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x.
+def _sector_j(
+    sec: AngularSector, pair: Callable[[float], tuple[float, float]]
+) -> Callable[[float], tuple[float, float, float, float]]:
+    """The function x -> (j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x > 0.
 
-    Only the two sector orders are evaluated, by one pair call: with
-    n = |kappa_j| - 1 the lower one, j_n' = (n/x) j_n - j_{n+1} and
-    j_{n+1}' = j_n - (n+2)/x j_{n+1} (DLMF 10.51.2).
+    ``pair`` gives the two sector orders (j_n(x), j_{n+1}(x)), n = |kappa_j| - 1,
+    and j_n' = (n/x) j_n - j_{n+1}, j_{n+1}' = j_n - (n+2)/x j_{n+1}
+    (DLMF 10.51.2).
     """
     n = abs(sec.kappa_j) - 1
-    lo, hi = spherical_bessel_j_pair(n, x)
-    return _in_sector_order(sec, lo, hi, n / x * lo - hi, lo - (n + 2.0) / x * hi)
+    upper_is_hi = sec.kappa_j > 0  # l_A = n + 1
+
+    def values(x: float) -> tuple[float, float, float, float]:
+        lo, hi = pair(x)
+        d_lo, d_hi = n / x * lo - hi, lo - (n + 2.0) / x * hi
+        return (hi, lo, d_hi, d_lo) if upper_is_hi else (lo, hi, d_lo, d_hi)
+
+    return values
 
 
-def _ek_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
-    """(e^x k_{l_A}, e^x k_{l_B}) and their x-derivatives, from the two sector
-    orders of one pair call: k_n' = (n/x) k_n - k_{n+1} and
-    k_{n+1}' = -k_n - (n+2)/x k_{n+1} (DLMF §10.51), plus the derivative of
-    the factor e^x."""
+def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
+    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x, from one domain-checked
+    pair call of the two sector orders."""
+    return _sector_j(sec, partial(spherical_bessel_j_pair, abs(sec.kappa_j) - 1))(x)
+
+
+# A determinant's kernels: its value alone, for scan points, and its value
+# with the slope, for Newton steps.  Both form the value by the same float
+# operations, so the scan and the polish read one function.
+Kernels = tuple[Callable[[float], float], Callable[[float], tuple[float, float]]]
+
+
+def _mit_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
+    """Kernels of the bag determinant f(R) + g(R) of the regular interior
+    solution at energy sign * E, E > 0, and of its E-derivative (dk/dE = E/k).
+
+    The value is 1 where k = 0: there is no zero-energy bound state, and the
+    scan stays well-defined.
+    """
+    sqrt = math.sqrt
+    R, m0, s = p.R, p.m0, float(sec.sign)
+    m0_sq, s_m0 = m0 * m0, s * m0
+    j_pair = j_pair_kernel(abs(sec.kappa_j) - 1)
+    j_values = _sector_j(sec, j_pair)
+    upper_is_hi = sec.kappa_j > 0  # l_A is the higher order
+
+    def value(E: float) -> float:
+        E = sign * E
+        k = sqrt(max(E * E - m0_sq, 0.0))
+        x = k * R
+        if x <= 0.0:
+            return 1.0
+        lo, hi = j_pair(x)
+        jA, jB = (hi, lo) if upper_is_hi else (lo, hi)
+        return jA + s * k / (E + m0) * jB
+
+    def value_slope(E: float) -> tuple[float, float]:
+        E = sign * E
+        k = sqrt(max(E * E - m0_sq, 0.0))
+        x = k * R
+        if x <= 0.0:
+            return 1.0, 0.0
+        jA, jB, djA, djB = j_values(x)
+        b = s * k / (E + m0)
+        db = s_m0 / (k * (E + m0))
+        return jA + b * jB, sign * (R * E / k * (djA + b * djB) + db * jB)
+
+    return value, value_slope
+
+
+def _largemass_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
+    """Kernels of the continuity determinant of (f, g) across r = R at energy
+    sign * E, E > 0, with the overall exp(-qR) of the decaying family divided
+    out, and of its E-derivative (dk/dE = E/k, dq/dE = -E/q).
+
+    The value is 1 where k = 0 or q = 0, so that the scan stays well-defined.
+    """
+    sqrt = math.sqrt
+    R, m0, s = p.R, p.m0, float(sec.sign)
+    M = m0 + p.m
+    m0_sq, M_sq, s_m0 = m0 * m0, M * M, s * m0
     n = abs(sec.kappa_j) - 1
-    lo, hi = modified_spherical_bessel_k_scaled_pair(n, x)
-    return _in_sector_order(sec, lo, hi, (1.0 + n / x) * lo - hi, (1.0 - (n + 2.0) / x) * hi - lo)
+    j_pair, ek_pair = j_pair_kernel(n), ek_pair_kernel(n)
+    j_values = _sector_j(sec, j_pair)
+    upper_is_hi = sec.kappa_j > 0  # l_A = n + 1
+
+    def value(E: float) -> float:
+        E = sign * E
+        k = sqrt(max(E * E - m0_sq, 0.0))
+        q = sqrt(max(M_sq - E * E, 0.0))
+        xk = k * R
+        xq = q * R
+        if xk <= 0.0 or xq <= 0.0:
+            return 1.0
+        lo, hi = j_pair(xk)
+        ek_lo, ek_hi = ek_pair(xq)
+        jA, jB, ekA, ekB = (hi, lo, ek_hi, ek_lo) if upper_is_hi else (lo, hi, ek_lo, ek_hi)
+        return q / (E + M) * jA * ekB + s * k / (E + m0) * jB * ekA
+
+    def value_slope(E: float) -> tuple[float, float]:
+        E = sign * E
+        k = sqrt(max(E * E - m0_sq, 0.0))
+        q = sqrt(max(M_sq - E * E, 0.0))
+        xk = k * R
+        xq = q * R
+        if xk <= 0.0 or xq <= 0.0:
+            return 1.0, 0.0
+        jA, jB, djA, djB = j_values(xk)
+        ek_lo, ek_hi = ek_pair(xq)
+        # k_n' = (n/x) k_n - k_{n+1}, k_{n+1}' = -k_n - (n+2)/x k_{n+1}
+        # (DLMF 10.51), plus the derivative of the factor e^x.
+        dek_lo, dek_hi = (1.0 + n / xq) * ek_lo - ek_hi, (1.0 - (n + 2.0) / xq) * ek_hi - ek_lo
+        if upper_is_hi:
+            ekA, ekB, dekA, dekB = ek_hi, ek_lo, dek_hi, dek_lo
+        else:
+            ekA, ekB, dekA, dekB = ek_lo, ek_hi, dek_lo, dek_hi
+        a = q / (E + M)
+        b = s * k / (E + m0)
+        da = -M / (q * (E + M))
+        db = s_m0 / (k * (E + m0))
+        dxk = R * E / k
+        dxq = -R * E / q
+        slope = (
+            da * jA * ekB + a * (dxk * djA * ekB + dxq * jA * dekB)
+            + db * jB * ekA + b * (dxk * djB * ekA + dxq * jB * dekA)
+        )
+        return a * jA * ekB + b * jB * ekA, sign * slope
+
+    return value, value_slope
 
 
-def _in_sector_order(
-    sec: AngularSector, lo: float, hi: float, d_lo: float, d_hi: float
-) -> tuple[float, float, float, float]:
-    # kappa_j > 0 has l_A = n + 1, kappa_j < 0 has l_A = n.
-    return (hi, lo, d_hi, d_lo) if sec.kappa_j > 0 else (lo, hi, d_lo, d_hi)
-
-
-def _mit_matching(E: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
-    # f(R) + g(R) = 0 for the regular interior solution at energy E, and its
-    # E-derivative (dk/dE = E/k).
-    k = math.sqrt(max(E * E - p.m0 * p.m0, 0.0))
-    x = k * p.R
-    if x <= 0.0:
-        return 1.0, 0.0  # no zero-energy bound state; keeps the scan well-defined
-    jA, jB, djA, djB = _j_pair(sec, x)
-    b = sec.sign * k / (E + p.m0)
-    db = sec.sign * p.m0 / (k * (E + p.m0))
-    return jA + b * jB, p.R * E / k * (djA + b * djB) + db * jB
-
-
-def _largemass_matching(E: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
-    # Continuity determinant of (f, g) across r = R, with the overall
-    # exp(-qR) of the decaying family divided out, and its E-derivative
-    # (dk/dE = E/k, dq/dE = -E/q).
-    M = p.m0 + p.m
-    k = math.sqrt(max(E * E - p.m0 * p.m0, 0.0))
-    q = math.sqrt(max(M * M - E * E, 0.0))
-    xk = k * p.R
-    xq = q * p.R
-    if xk <= 0.0 or xq <= 0.0:
-        return 1.0, 0.0
-    jA, jB, djA, djB = _j_pair(sec, xk)
-    ekA, ekB, dekA, dekB = _ek_pair(sec, xq)
-    a = q / (E + M)
-    b = sec.sign * k / (E + p.m0)
-    da = -M / (q * (E + M))
-    db = sec.sign * p.m0 / (k * (E + p.m0))
-    dxk = p.R * E / k
-    dxq = -p.R * E / q
-    value = a * jA * ekB + b * jB * ekA
-    slope = (
-        da * jA * ekB + a * (dxk * djA * ekB + dxq * jA * dekB)
-        + db * jB * ekA + b * (dxk * djB * ekA + dxq * jB * dekA)
-    )
-    return value, slope
-
-
-def _robin_rows(
-    k: float, p: DiracParams, sec: AngularSector
-) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """The rows (J_A, J_B, D_A, D_B) at wavenumber k, and their k-derivatives.
+def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
+    """Kernels of the Robin determinant D_A D_B + m (D_A J_B + D_B J_A) at
+    wavenumber k > 0, and of its k-derivative.
 
     With x = kR and the Bessel equation for j'', dD_X/dk reads
-    m0 R j' - (x - l(l+1)/x) j.
+    m0 R j' - (x - l(l+1)/x) j.  The value is 1 at k = 0.
     """
-    x = k * p.R
-    jA, jB, djA, djB = _j_pair(sec, x)
+    R, m, offset = p.R, p.m, p.robin_offset
+    m0_R = p.m0 * p.R
     lA, lB = sec.ell_upper, sec.ell_lower
-    rows = (jA, jB, k * djA + p.robin_offset * jA, k * djB + p.robin_offset * jB)
-    slopes = (
-        p.R * djA,
-        p.R * djB,
-        p.m0 * p.R * djA - (x - lA * (lA + 1.0) / x) * jA,
-        p.m0 * p.R * djB - (x - lB * (lB + 1.0) / x) * jB,
-    )
-    return rows, slopes
+    cA, cB = lA * (lA + 1.0), lB * (lB + 1.0)
+    j_values = _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))
 
+    def value(k: float) -> float:
+        if k <= 0.0:
+            return 1.0
+        jA, jB, djA, djB = j_values(k * R)
+        dA = k * djA + offset * jA
+        dB = k * djB + offset * jB
+        return dA * dB + m * (dA * jB + dB * jA)
 
-def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> tuple[float, float]:
-    if k <= 0.0:
-        return 1.0, 0.0
-    (jA, jB, dA, dB), (jA_k, jB_k, dA_k, dB_k) = _robin_rows(k, p, sec)
-    value = dA * dB + p.m * (dA * jB + dB * jA)
-    slope = dA_k * dB + dA * dB_k + p.m * (dA_k * jB + dA * jB_k + dB_k * jA + dB * jA_k)
-    return value, slope
+    def value_slope(k: float) -> tuple[float, float]:
+        if k <= 0.0:
+            return 1.0, 0.0
+        x = k * R
+        jA, jB, djA, djB = j_values(x)
+        dA = k * djA + offset * jA
+        dB = k * djB + offset * jB
+        jA_k, jB_k = R * djA, R * djB
+        dA_k = m0_R * djA - (x - cA / x) * jA
+        dB_k = m0_R * djB - (x - cB / x) * jB
+        slope = dA_k * dB + dA * dB_k + m * (dA_k * jB + dA * jB_k + dB_k * jA + dB * jA_k)
+        return dA * dB + m * (dA * jB + dB * jA), slope
+
+    return value, value_slope
 
 
 # ----------------------------------------------------------------------------
@@ -264,7 +335,7 @@ def _robin_matching(k: float, p: DiracParams, sec: AngularSector) -> tuple[float
 
 
 def _scan_roots(
-    fn: Callable[[float], tuple[float, float]],
+    kernels: Kernels,
     lo: float,
     hi: float,
     step: float,
@@ -273,20 +344,23 @@ def _scan_roots(
 ) -> list[float]:
     """Walk [lo, hi] with the given step, Newton-solve every sign change.
 
-    ``fn`` returns (f(x), f'(x)); the scan reads the value.  Returns up to
-    ``count`` roots; raises if the window is exhausted first.
+    ``kernels`` is (f, x -> (f(x), f'(x))): the scan reads values only, and
+    the Newton polish reads both.  Returns up to ``count`` roots; raises if
+    the window is exhausted first.
     """
+    value, value_slope = kernels
+    copysign = math.copysign
     roots: list[float] = []
     x_prev = lo
-    f_prev = fn(lo)[0]
+    f_prev = value(lo)
     x = lo
     while x < hi and len(roots) < count:
         x = min(x_prev + step, hi)
-        f_x = fn(x)[0]
+        f_x = value(x)
         if f_x == 0.0:
             roots.append(x)
-        elif math.copysign(1.0, f_prev) != math.copysign(1.0, f_x):
-            roots.append(find_root_bracketed(fn, (x_prev, x), tol, (f_prev, f_x))[0])
+        elif copysign(1.0, f_prev) != copysign(1.0, f_x):
+            roots.append(find_root_bracketed(value_slope, (x_prev, x), tol, (f_prev, f_x))[0])
         x_prev, f_prev = x, f_x
     if len(roots) < count:
         raise BracketExhaustionError(
@@ -306,7 +380,7 @@ def _scan_window(R: float, count: int) -> tuple[float, float]:
 
 
 def _signed_spectrum(
-    matching: Callable[[float, DiracParams, AngularSector], tuple[float, float]],
+    kernels: Callable[[DiracParams, AngularSector, float], Kernels],
     p: DiracParams,
     sectors: Iterable[AngularSector],
     count_per_side: int,
@@ -314,7 +388,8 @@ def _signed_spectrum(
     threshold: float | None = None,
 ) -> list[tuple[float, AngularSector]]:
     """The first count roots of each sign per sector as (E, sector) pairs,
-    sorted by |E|.
+    sorted by |E|; ``kernels(p, sector, sign)`` gives the determinant at
+    energy sign * E as a function of E > 0.
 
     With a ``threshold`` the scan stops just below it, and running out of
     roots there raises ``EssentialSpectrumError``.
@@ -327,13 +402,8 @@ def _signed_spectrum(
     entries: list[tuple[float, AngularSector]] = []
     for sec in sectors:
         for sign in (1.0, -1.0):
-
-            def signed(E: float) -> tuple[float, float]:
-                value, slope = matching(sign * E, p, sec)
-                return value, sign * slope
-
             try:
-                roots = _scan_roots(signed, lo, hi, step, count_per_side, tol)
+                roots = _scan_roots(kernels(p, sec, sign), lo, hi, step, count_per_side, tol)
             except BracketExhaustionError as exc:
                 if hi == stop:
                     raise EssentialSpectrumError(
@@ -363,7 +433,7 @@ def mit_spectrum_signed(
     tol: ToleranceConfig | None = None,
 ) -> list[tuple[float, AngularSector]]:
     """Signed bag eigenvalues: the first count roots of each sign per sector."""
-    return _signed_spectrum(_mit_matching, p, sectors, count_per_side, tol)
+    return _signed_spectrum(_mit_kernels, p, sectors, count_per_side, tol)
 
 
 def mit_eigenvalues(
@@ -389,7 +459,7 @@ def largemass_spectrum_signed(
     """Signed eigenvalues of the large-mass operator below the threshold m0+m."""
     if p.m <= 0.0:
         raise ValueError("the large-mass solver needs m > 0")
-    return _signed_spectrum(_largemass_matching, p, sectors, count_per_side, tol, threshold=p.m0 + p.m)
+    return _signed_spectrum(_largemass_kernels, p, sectors, count_per_side, tol, threshold=p.m0 + p.m)
 
 
 def largemass_eigenvalues(
@@ -419,7 +489,7 @@ def robin_laplacian_eigenvalues(
     tol = tol or ToleranceConfig()
     step, hi = _scan_window(p.R, count)
     lo = 1e-9 / p.R
-    roots = _scan_roots(lambda k: _robin_matching(k, p, sector), lo, hi, step, count, tol)
+    roots = _scan_roots(_robin_kernels(p, sector), lo, hi, step, count, tol)
     return [p.m0**2 + k * k for k in roots]
 
 
@@ -428,8 +498,18 @@ def robin_laplacian_eigenvalues(
 # ----------------------------------------------------------------------------
 
 def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    # Panels of at most 0.7 radians of the phase k r; the eigenpairs of one
+    # run share a handful of panel counts, so each rule is built once per run.
     n_panels = max(8, int(math.ceil(R * max(k, 1.0) / 0.7)))
-    return panel_nodes(0.0, R, max_panel=R / n_panels, n_nodes=16)
+    return memoized(_interior_rule, R, n_panels)
+
+
+def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss nodes and weights of n_panels equal panels on [0, R]."""
+    rule = panel_nodes(0.0, R, max_panel=R / n_panels, n_nodes=16)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +583,8 @@ def largemass_eigenpair(
     k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
     # The tail is f = k_{l_A}(q r)/k_{l_A}(q R) and g = -q/(E + M) k_{l_B}(q r)/k_{l_A}(q R).
-    ekA, ekB, _, _ = _ek_pair(sector, q * p.R)
+    lo, hi = modified_spherical_bessel_k_scaled_pair(abs(sector.kappa_j) - 1, q * p.R)
+    ekA, ekB = (hi, lo) if sector.kappa_j > 0 else (lo, hi)
     g_ratio = q / (E + M) * ekB / ekA
     tail_mass = p.R**2 * (
         ball_mode_mass(q, p.R, sector.ell_upper) + g_ratio**2 * ball_mode_mass(q, p.R, sector.ell_lower)
@@ -521,7 +602,8 @@ def robin_eigenpair(
     if lam_int <= p.m0**2:
         raise ValueError("Robin eigenvalues satisfy lambda_int > m0^2 on the ball")
     k = math.sqrt(lam_int - p.m0**2)
-    (jA, jB, dA, dB), _ = _robin_rows(k, p, sector)
+    jA, jB, djA, djB = _j_pair(sector, k * p.R)
+    dA, dB = k * djA + p.robin_offset * jA, k * djB + p.robin_offset * jB
     # Null vector of the two boundary rows; pick the better-conditioned row.
     row1 = (dA, -dB)
     row2 = (dA + 2.0 * p.m * jA, dB + 2.0 * p.m * jB)

@@ -3,13 +3,17 @@ two-point boundary value problems, and 1/m asymptotic-slope extraction.
 
 Everything here is a pure function of its inputs; all randomness, file IO and
 state live in the verification driver, never in this layer.
+``cli.run_suite`` opens and closes the one memo, ``run_memo``: it reuses pure
+results within one verification run and is gone when the run ends.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -64,6 +68,43 @@ class ToleranceConfig:
             raise ValueError("abs_tol + rel_tol must be positive")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+
+
+# ----------------------------------------------------------------------------
+# Reuse within one run
+# ----------------------------------------------------------------------------
+
+_RUN_MEMO: ContextVar[dict[tuple[Any, ...], Any] | None] = ContextVar("run_memo", default=None)
+
+
+@contextmanager
+def run_memo() -> Iterator[None]:
+    """Inside the block, ``memoized`` evaluates each distinct call once.
+
+    The memo lives exactly as long as the block.  A verification run opens
+    one, so a result keyed on the run's radius or masses is reused within the
+    run and never outlives it.  A nested block starts an empty memo, and the
+    outer one is back when it exits; a thread started inside the block does
+    not see it.
+    """
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def memoized(fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)``, evaluated once per open ``run_memo`` block for equal
+    arguments, and on every call outside one.  ``fn`` must be pure, and
+    callers must not mutate what it returns."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
 
 
 # ----------------------------------------------------------------------------

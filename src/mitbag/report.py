@@ -127,6 +127,12 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+# JSON string escapes: the quote, the backslash and every control character
+# below U+0020 (newline and tab in short form).
+_JSON_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
+_JSON_ESCAPES.update({ord("\n"): "\\n", ord("\t"): "\\t", ord('"'): '\\"', ord("\\"): "\\\\"})
+
+
 def _json_scalar(value: Any) -> str:
     if value is None:
         return "null"
@@ -139,8 +145,9 @@ def _json_scalar(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        if value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'  # every label the suites write
+        return f'"{value.translate(_JSON_ESCAPES)}"'
     raise TypeError(f"unsupported scalar {value!r}")
 
 

@@ -25,16 +25,20 @@ equals the float result bit for bit; a float stays on plain-float
 arithmetic, which is faster for the one-point evaluations of a root scan.
 j_l has one kernel per regime, shared by both: an ndarray runs the series
 and upward-recurrence kernels vectorized, and the Miller kernel element by
-element.  The pair kernels ``spherical_bessel_j_pair`` and
-``modified_spherical_bessel_k_scaled_pair`` give the orders n and n + 1 at one
-float argument, the two values a matching determinant needs, from the same
-kernels and bit-equal to two single-order calls.
+element.  ``j_pair_kernel(n)`` and ``ek_pair_kernel(n)`` bind one order
+pair n, n + 1 (checked once, when bound) and return a function of a float
+argument x > 0 that gives both values, the two a matching determinant needs,
+bit-equal to two single-order calls; a root scan binds its sector's pair once
+and calls it at every point.  ``spherical_bessel_j_pair`` and
+``modified_spherical_bessel_k_scaled_pair`` check the argument and call the
+same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -72,6 +76,10 @@ def _double_factorial(n: int) -> float:
     return float(out)
 
 
+# The divisors 2k (2(l + k) + 1), k = 1..10, of the series terms of order l.
+_SERIES_DIVISORS = tuple(tuple(2.0 * k * (2.0 * (ell + k) + 1.0) for k in range(1, 11)) for ell in range(MAX_ELL + 1))
+
+
 def _j_series(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     # j_l(x) = x^l/(2l+1)!! * sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1))
     # Alternating but rapidly decaying for x <= 1; used only there.  For
@@ -82,10 +90,14 @@ def _j_series(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     minus_x2 = -(x * x)
     term = 1.0
     total = 1.0
-    for k in range(1, 11):
-        term = term * (minus_x2 / (2.0 * k * (2.0 * (ell + k) + 1.0)))
+    for divisor in _SERIES_DIVISORS[ell]:
+        term = term * (minus_x2 / divisor)
         total = total + term
     return power / _double_factorial(2 * ell + 1) * total
+
+
+# The factors 2l + 1 of the upward steps that end at order ell, as floats.
+_UPWARD_FACTORS = tuple(tuple(2.0 * l + 1.0 for l in range(1, ell)) for ell in range(MAX_ELL + 1))
 
 
 def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> tuple[float | np.ndarray, ...]:
@@ -95,8 +107,8 @@ def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> tu
     s = sin(x)
     jm = s / x
     jc = s / (x * x) - cos(x) / x
-    for l in range(1, ell):
-        jm, jc = jc, (2.0 * l + 1.0) / x * jc - jm
+    for factor in _UPWARD_FACTORS[ell]:
+        jm, jc = jc, factor / x * jc - jm
     return jm, jc
 
 
@@ -181,20 +193,35 @@ def _is_plain_pair(n: int, x: float) -> bool:
     return type(n) is int and type(x) is float and 0 <= n < MAX_ELL and 0.0 < x < math.inf
 
 
-def spherical_bessel_j_pair(n: int, x: float) -> tuple[float, float]:
-    """(j_n(x), j_{n+1}(x)), each bit-equal to its ``spherical_bessel_j`` value.
+@lru_cache(maxsize=None, typed=True)
+def j_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
+    """The function x -> (j_n(x), j_{n+1}(x)) of a float x > 0 (the caller
+    checks x), each value bit-equal to its ``spherical_bessel_j`` value.
 
-    The domain is checked once for both orders.  Where both orders are in the
-    upward regime (x > 1, and x >= n + 2 unless n = 0) one recurrence gives
-    both; elsewhere each order runs its own regime's kernel.  Any argument
-    other than a float in the domain goes to two single-order calls, which
-    raise the single-order errors (n = 50 fails as order 51 does).
+    Both orders are checked here, once.  Where both are in the upward regime
+    (x > 1, and x >= n + 2 unless n = 0) one recurrence gives both; elsewhere
+    each order runs its own regime's kernel.
     """
+    _check_order_arg(n, 1.0)
+    _check_order_arg(n + 1, 1.0)
+    upward_from = 1.0 if n == 0 else n + 2.0
+
+    def pair(x: float) -> tuple[float, float]:
+        if x > 1.0 and x >= upward_from:
+            return _j_upward(n + 1, x)
+        return _j_scalar(n, x), _j_scalar(n + 1, x)
+
+    return pair
+
+
+def spherical_bessel_j_pair(n: int, x: float) -> tuple[float, float]:
+    """(j_n(x), j_{n+1}(x)) from ``j_pair_kernel(n)``, the domain checked once
+    for both orders.  Any argument other than a float in the domain goes to
+    two single-order calls, which raise the single-order errors (n = 50 fails
+    as order 51 does)."""
     if not _is_plain_pair(n, x):
         return spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
-    if x > 1.0 and (n == 0 or x >= n + 2):
-        return _j_upward(n + 1, x)
-    return _j_scalar(n, x), _j_scalar(n + 1, x)
+    return j_pair_kernel(n)(x)
 
 
 def spherical_bessel_j_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -264,18 +291,45 @@ def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float
     return _finite(_quiet(_k_horner, ell, x), ell, x)
 
 
+@lru_cache(maxsize=None, typed=True)
+def ek_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
+    """The function x -> (e^x k_n(x), e^x k_{n+1}(x)) of a float x > 0 (the
+    caller checks x), each value bit-equal to its
+    ``modified_spherical_bessel_k_scaled`` value.
+
+    Both orders are checked and their Horner coefficients bound here, once.
+    An overflow raises BesselOverflowError for the first order that
+    overflows, as the single-order calls do.
+    """
+    _check_order_arg(n, 1.0)
+    _check_order_arg(n + 1, 1.0)
+    lo_coeffs = _k_poly_coeffs(n)[::-1]
+    hi_coeffs = _k_poly_coeffs(n + 1)[::-1]
+    isfinite = math.isfinite
+
+    def pair(x: float) -> tuple[float, float]:
+        # _k_horner's operations for both orders, 1/x taken once.
+        u = 1.0 / x
+        lo = hi = 0.0
+        for a in lo_coeffs:
+            lo = lo * u + a
+        for a in hi_coeffs:
+            hi = hi * u + a
+        lo, hi = lo * u, hi * u
+        if isfinite(lo) and isfinite(hi):
+            return lo, hi
+        return _finite(lo, n, x), _finite(hi, n + 1, x)
+
+    return pair
+
+
 def modified_spherical_bessel_k_scaled_pair(n: int, x: float) -> tuple[float, float]:
-    """(e^x k_n(x), e^x k_{n+1}(x)), each bit-equal to its
-    ``modified_spherical_bessel_k_scaled`` value, with the domain checked once
-    for both orders.  Any argument other than a float in the domain goes to
-    two single-order calls; an overflow raises BesselOverflowError for the
-    first order that overflows, as the single-order calls do."""
+    """(e^x k_n(x), e^x k_{n+1}(x)) from ``ek_pair_kernel(n)``, the domain
+    checked once for both orders.  Any argument other than a float in the
+    domain goes to two single-order calls."""
     if not _is_plain_pair(n, x):
         return modified_spherical_bessel_k_scaled(n, x), modified_spherical_bessel_k_scaled(n + 1, x)
-    lo, hi = _k_horner(n, x), _k_horner(n + 1, x)
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo, hi
-    return _finite(lo, n, x), _finite(hi, n + 1, x)
+    return ek_pair_kernel(n)(x)
 
 
 def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:

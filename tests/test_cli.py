@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mitbag.cli as cli
+import mitbag.dirac_ball as dirac_ball
 import mitbag.special as special
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
 from mitbag.dirac_ball import DiracParams
@@ -200,6 +201,23 @@ class TestReport:
             fields = [getattr(r, "passed" if column == "pass" else column) for column in CSV_COLUMNS]
             assert line.split(",") == [_fmt(v) for v in fields]
 
+    def test_control_characters_are_escaped(self):
+        # A tab in a sector, a newline in a check_id and other control
+        # characters in a summary key and value give JSON that reads back.
+        records = (CheckRecord("demo.line\nbreak", "abs", expected=1.0, observed=1.0, tolerance=0.0,
+                               provenance="fit", sector="a\tb"),)
+        summary = (("key\x01\x1f\r", "value\x00"),)
+        report = Report(records=records, summary=summary)
+        data = emit_table(report, "json")
+        assert b'"check_id":"demo.line\\nbreak"' in data and b'"sector":"a\\tb"' in data
+        assert b'"key\\u0001\\u001f\\u000d":"value\\u0000"' in data
+        body = json.loads(data)
+        assert body["records"][0]["check_id"] == "demo.line\nbreak"
+        assert body["records"][0]["sector"] == "a\tb"
+        assert body["summary"] == {"key\x01\x1f\r": "value\x00"}
+        assert parse_report_json(data) == report
+        assert emit_table(parse_report_json(data), "json") == data
+
     def test_json_pass_flag_must_match_comparison(self):
         data = emit_table(_sample_report(), "json").decode()
         tampered = data.replace('"pass":false', '"pass":true', 1)
@@ -298,6 +316,33 @@ def test_additivity_row_fails_when_a_bessel_coefficient_moves(monkeypatch, R):
     records, _ = cli.run_exterior_suite(SuiteConfig(suite="exterior", geometry=BallInterior(R)))
     (row,) = [r for r in records if r.check_id == "exterior.additivity"]
     assert not row.passed
+
+
+@pytest.mark.parametrize("suite", ("dirac", "robin", "all"))
+def test_interior_rules_are_built_once_per_run(tmp_path, monkeypatch, suite):
+    # The eigenpairs of a run ask for the same (R, panel count) quadrature
+    # rules again and again; each is built once per run, and a second run
+    # builds them all again.
+    requests, built = [], []
+    grid, rule = dirac_ball._interior_grid, dirac_ball._interior_rule
+
+    def requested(*args):
+        requests.append(args)
+        return grid(*args)
+
+    def building(*args):
+        built.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(dirac_ball, "_interior_grid", requested)
+    monkeypatch.setattr(dirac_ball, "_interior_rule", building)
+    config = SuiteConfig(suite=suite, output_path=str(tmp_path / "r.csv"))
+    run_suite(config)
+    first = list(built)
+    assert len(first) == len(set(first)) < len(requests)
+    built.clear()
+    run_suite(config)
+    assert built == first
 
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):

@@ -394,34 +394,97 @@ class TestSpectralResult:
 
 
 PINNED_SOLVES = (
-    (mit_eigenvalues, "_mit_matching", 0.0),
-    (largemass_eigenvalues, "_largemass_matching", 200.0),
-    (robin_laplacian_eigenvalues, "_robin_matching", 200.0),
+    (mit_eigenvalues, "_mit_kernels", 0.0),
+    (largemass_eigenvalues, "_largemass_kernels", 200.0),
+    (robin_laplacian_eigenvalues, "_robin_kernels", 200.0),
 )
 PINNED_SECTORS = ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSector(-3), 2))
 
 
+def _spy_kernels(monkeypatch, name, on_value, on_value_slope):
+    """Replace the kernel factory ``name``: every kernel it binds reports each
+    evaluation as on_value(bound, x, value) or on_value_slope(bound, x, value,
+    slope), with ``bound`` the factory's arguments after (p, sector): the sign
+    of a signed determinant, nothing for the Robin one."""
+    original = getattr(dirac_ball, name)
+
+    def factory(p, sec, *bound):
+        value, value_slope = original(p, sec, *bound)
+
+        def spied_value(x):
+            f = value(x)
+            on_value(bound, x, f)
+            return f
+
+        def spied_value_slope(x):
+            f, df = value_slope(x)
+            on_value_slope(bound, x, f, df)
+            return f, df
+
+        return spied_value, spied_value_slope
+
+    monkeypatch.setattr(dirac_ball, name, factory)
+
+
 class TestEvaluationCounts:
-    @pytest.mark.parametrize("solver, determinant, m", PINNED_SOLVES)
-    def test_no_determinant_argument_evaluated_twice(self, monkeypatch, solver, determinant, m):
+    @pytest.mark.parametrize("solver, kernels, m", PINNED_SOLVES)
+    def test_no_determinant_argument_evaluated_twice(self, monkeypatch, solver, kernels, m):
         # The root finder takes the scan's bracket-end values and returns the
         # value at the root, so no argument is evaluated again within one solve.
-        original = getattr(dirac_ball, determinant)
         seen = []
 
-        def spy(x, p, sec):
-            seen.append(x)
-            value, slope = original(x, p, sec)
-            assert math.isfinite(value) and math.isfinite(slope)
-            return value, slope
+        def on_value(bound, x, value):
+            seen.append((bound, x))
+            assert math.isfinite(value)
 
-        monkeypatch.setattr(dirac_ball, determinant, spy)
+        def on_value_slope(bound, x, value, slope):
+            seen.append((bound, x))
+            assert math.isfinite(value) and math.isfinite(slope)
+
+        _spy_kernels(monkeypatch, kernels, on_value, on_value_slope)
         p = DiracParams(R=1.0, m0=0.0, m=m)
         for sector, count in PINNED_SECTORS:
             seen.clear()
             solver(p, sector, count)
             assert seen
             assert len(set(seen)) == len(seen), (sector, count)
+
+    @pytest.mark.parametrize("solver, kernels, m", PINNED_SOLVES)
+    def test_slopes_are_taken_by_newton_steps_only(self, monkeypatch, solver, kernels, m):
+        # Scan points evaluate the value alone; every slope evaluation is one
+        # Newton iteration of the polish, which reads no value-only point.
+        counts = {"scan": 0, "newton": 0, "slopes": 0, "slopes_outside_polish": 0, "values_in_polish": 0}
+        polishing = False
+
+        def on_value(bound, x, value):
+            counts["values_in_polish" if polishing else "scan"] += 1
+
+        def on_value_slope(bound, x, value, slope):
+            counts["slopes" if polishing else "slopes_outside_polish"] += 1
+
+        polish = dirac_ball.find_root_bracketed
+
+        def counting_polish(f, *args, **kwargs):
+            nonlocal polishing
+
+            def iteration(x):
+                counts["newton"] += 1
+                return f(x)
+
+            polishing = True
+            try:
+                return polish(iteration, *args, **kwargs)
+            finally:
+                polishing = False
+
+        _spy_kernels(monkeypatch, kernels, on_value, on_value_slope)
+        monkeypatch.setattr(dirac_ball, "find_root_bracketed", counting_polish)
+        p = DiracParams(R=1.0, m0=0.0, m=m)
+        for sector, count in PINNED_SECTORS:
+            solver(p, sector, count)
+        assert counts["scan"] > 0 and counts["newton"] > 0
+        assert counts["slopes"] == counts["newton"]
+        assert counts["slopes_outside_polish"] == counts["values_in_polish"] == 0
 
     def test_polish_takes_at_most_five_evaluations_per_root(self, monkeypatch):
         # Newton on the closed-form derivative needs ~4; Brent took ~11.
@@ -477,9 +540,12 @@ class TestScanRoots:
         # sin(pi x) from 0.5 at step 0.25: every root sits on a scan point,
         # where the float sine is a rounding error away from 0.
         def f(x):
+            return math.sin(math.pi * x)
+
+        def f_and_slope(x):
             return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
 
-        roots = dirac_ball._scan_roots(f, 0.5, 3.5, 0.25, 3, ToleranceConfig())
+        roots = dirac_ball._scan_roots((f, f_and_slope), 0.5, 3.5, 0.25, 3, ToleranceConfig())
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
@@ -567,38 +633,69 @@ SIGNS = st.sampled_from([1.0, -1.0])
 
 
 class TestDeterminantDerivatives:
-    """Each determinant's slope against scipy Bessel derivatives; kappa_j in
-    +-1..+-6, R in [0.5, 3], m in [50, 1e6] and m0 in [0, 2]."""
+    """Each determinant kernel's slope against scipy Bessel derivatives;
+    kappa_j in +-1..+-6, R in [0.5, 3], m in [50, 1e6] and m0 in [0, 2].  A
+    signed kernel is a function of |E|, so its slope is sign times the
+    E-derivative."""
 
     @settings(max_examples=150, deadline=None)
     @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, t=OFFSETS, sign=SIGNS)
     def test_mit_slope(self, kj, R, m0, t, sign):
         p, sec = DiracParams(R=R, m0=m0), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._mit_matching(E, p, sec)
+        value, slope = dirac_ball._mit_kernels(p, sec, sign)[1](abs(E))
         v_ref, s_ref, scale = _mit_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-11, abs=1e-12)
-        assert abs(slope - s_ref) <= 1e-10 * scale
+        assert abs(sign * slope - s_ref) <= 1e-10 * scale
 
     @settings(max_examples=150, deadline=None)
     @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, t=OFFSETS, sign=SIGNS)
     def test_largemass_slope(self, kj, R, m0, m, t, sign):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._largemass_matching(E, p, sec)
+        value, slope = dirac_ball._largemass_kernels(p, sec, sign)[1](abs(E))
         v_ref, s_ref, scale = _largemass_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-10, abs=1e-12 * abs(v_ref) + 1e-300)
-        assert abs(slope - s_ref) <= 1e-9 * scale
+        assert abs(sign * slope - s_ref) <= 1e-9 * scale
 
     @settings(max_examples=150, deadline=None)
     @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, t=OFFSETS)
     def test_robin_slope(self, kj, R, m0, m, t):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         k = t / R
-        value, slope = dirac_ball._robin_matching(k, p, sec)
+        value, slope = dirac_ball._robin_kernels(p, sec)[1](k)
         v_ref, s_ref, scale = _robin_oracle(k, p, sec)
         assert abs(value - v_ref) <= 1e-11 * scale * k
         assert abs(slope - s_ref) <= 1e-10 * scale
+
+
+# Where in its scan window (0 = the lower end, 1 = the top of a 20-level
+# scan, or just below the threshold m0 + m) a kernel is evaluated.
+WINDOW = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestValueKernels:
+    """The value-only kernel of each determinant, which the scan reads, equals
+    the value half of its value-and-slope kernel, which the Newton polish
+    reads, bit for bit, across the scan window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, sign=SIGNS, u=WINDOW)
+    def test_value_is_the_value_half_bitwise(self, kj, R, m0, m, sign, u):
+        p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
+        _, k_top = dirac_ball._scan_window(R, 20)
+        lo = m0 + max(1e-9, 1e-9 * m0)
+        top = math.sqrt(m0**2 + k_top**2)
+        for kernels, hi in (
+            (dirac_ball._mit_kernels(p, sec, sign), top),
+            (dirac_ball._largemass_kernels(p, sec, sign), min(top, (m0 + m) * (1.0 - 1e-12))),
+        ):
+            E = lo + u * (hi - lo)
+            value, value_slope = kernels
+            assert value(E).hex() == value_slope(E)[0].hex()
+        value, value_slope = dirac_ball._robin_kernels(p, sec)
+        k = 1e-9 / R + u * (k_top - 1e-9 / R)
+        assert value(k).hex() == value_slope(k)[0].hex()
 
 
 def _first_root_oracle(det, lo, hi, step):

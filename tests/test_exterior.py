@@ -237,3 +237,32 @@ def test_tail_rules_are_shared_across_radii(tmp_path):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("R", (0.5, 1.0, 1.7, 3.0))
+def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
+    # An exterior suite asks for 37 tail integrals, 23 of them distinct: the
+    # plain tail mass of the l = 0 and mixed data at each mass is also the
+    # denominator of the Agmon ratios.  Within one run each is evaluated
+    # once; the memo ends with the run, so a second run evaluates all again.
+    requests, evaluations = [], []
+    integral, quadrature = exterior._tail_integral, exterior._tail_quadrature
+
+    def requested(*args):
+        requests.append(args)
+        return integral(*args)
+
+    def evaluated(*args):
+        evaluations.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(exterior, "_tail_integral", requested)
+    monkeypatch.setattr(exterior, "_tail_quadrature", evaluated)
+    config = SuiteConfig(suite="exterior", geometry=BallInterior(R=R), output_path=str(tmp_path / "r.csv"))
+    run_suite(config)
+    first = list(evaluations)
+    assert len(requests) == 37
+    assert len(first) == len(set(first)) == len(set(requests)) == 23
+    evaluations.clear()
+    run_suite(config)
+    assert evaluations == first
