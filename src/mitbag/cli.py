@@ -10,9 +10,9 @@ Exit codes: 0 all asserted checks pass, 1 at least one fails, 2 invalid
 configuration, 3 internal numeric error.  Sweeps run serially in a fixed
 order, so identical configurations produce identical report bytes.
 
-Every check is one ``CheckRecord`` whose verdict follows from its own
-expected value, observed value, tolerance and comparison kind (see
-``report.COMPARISONS``); no verdict is computed here.
+Every check is one row built by ``report.check`` with the comparison,
+provenance and asserted flag of its id in ``report.CHECKS``; its verdict
+follows from the row alone (``report.COMPARISONS``), not from code here.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .exterior import (
     torus_datum,
 )
 from .geometry import BallInterior, CurvatureData, min_rescaled_weight
-from .numerics import NumericsError, ToleranceConfig, fit_inverse_m, fit_line, run_memo, slope_drift
-from .report import CheckRecord, Report, emit_table, write_report_atomic
+from .numerics import ToleranceConfig, fit_inverse_m, fit_line, run_memo, slope_drift
+from .report import CheckRecord, Report, check, emit_table, write_report_atomic
 from .transverse import (
     ELEMENT_DEGREE,
     TransverseProblem,
@@ -289,31 +289,23 @@ def _transverse_sweep_records(
         mass_devs = [transverse_mass_check(sol) for sol in pair_sols]
         cohorts.setdefault(valid_ms, []).append((pair, diffs))
         slope = fit_line(np.log(valid_ms), np.log([max(d, 1e-17) for d in diffs]))[1]
-        records.append(CheckRecord("transverse.expansion.pair.slope", "upper", expected=-2.9, observed=slope,
-                                   tolerance=0.0, provenance="fit", kappa=pair[0], gauss=pair[1],
-                                   asserted=False))
+        records.append(check("transverse.expansion.pair.slope", -2.9, slope, 0.0, kappa=pair[0], gauss=pair[1]))
         # Mass rate: the first-order term of the weighted mass cancels
         # analytically, so the deviation envelope fitted at the coarsest
         # valid mass bounds the finer ones.
         mass_env = mass_devs[0] * valid_ms[0]
         mass_worst = max((d * m for d, m in zip(mass_devs[1:], valid_ms[1:])), default=0.0)
-        records.append(CheckRecord("transverse.mass.envelope", "envelope", expected=mass_env,
-                                   observed=mass_worst, tolerance=1e-9, provenance="fit", kappa=pair[0],
-                                   gauss=pair[1]))
-        summary[f"expansion_constant[kappa={pair[0]:g},K={pair[1]:g}]"] = (
-            diffs[-1] * valid_ms[-1] ** 3
-        )
+        records.append(check("transverse.mass.envelope", mass_env, mass_worst, 1e-9, kappa=pair[0], gauss=pair[1]))
+        summary[f"expansion_constant[kappa={pair[0]:g},K={pair[1]:g}]"] = diffs[-1] * valid_ms[-1] ** 3
 
     for valid_ms, members in sorted(cohorts.items()):
         agg = [max(diffs[i] for _, diffs in members) for i in range(len(valid_ms))]
         label = f"floor<={valid_ms[0]:g};pairs={len(members)}"
         slope = fit_line(np.log(valid_ms), np.log(agg))[1]
-        records.append(CheckRecord("transverse.expansion.slope", "upper", expected=-2.9, observed=slope,
-                                   tolerance=0.0, provenance="fit", sector=label))
+        records.append(check("transverse.expansion.slope", -2.9, slope, 0.0, sector=label))
         env = agg[0] * valid_ms[0] ** 3
         worst = max((d * m**3 for d, m in zip(agg[1:], valid_ms[1:])), default=0.0)
-        records.append(CheckRecord("transverse.expansion.envelope", "envelope", expected=env, observed=worst,
-                                   tolerance=1e-9, provenance="fit", sector=label))
+        records.append(check("transverse.expansion.envelope", env, worst, 1e-9, sector=label))
         summary[f"expansion_aggregate_constant[{label}]"] = env
     return records, summary
 
@@ -328,12 +320,9 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     sol4, sol_large = flat[0], flat[-1]
     lam_exact = 1.0 / math.tanh(2.0)
     mass_exact = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
-    records.append(CheckRecord("transverse.flat.lambda.m4", "abs", expected=lam_exact, observed=sol4.lam,
-                               tolerance=1e-9, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
-    records.append(CheckRecord("transverse.flat.mass.m4", "abs", expected=mass_exact, observed=sol4.mass,
-                               tolerance=1e-6, provenance="closed-form", m=4.0, kappa=0.0, gauss=0.0))
-    records.append(CheckRecord("transverse.flat.limit.m1e4", "abs", expected=1.0, observed=sol_large.lam,
-                               tolerance=1e-8, provenance="closed-form", m=1e4, kappa=0.0, gauss=0.0))
+    records.append(check("transverse.flat.lambda.m4", lam_exact, sol4.lam, 1e-9, m=4.0, kappa=0.0, gauss=0.0))
+    records.append(check("transverse.flat.mass.m4", mass_exact, sol4.mass, 1e-6, m=4.0, kappa=0.0, gauss=0.0))
+    records.append(check("transverse.flat.limit.m1e4", 1.0, sol_large.lam, 1e-8, m=1e4, kappa=0.0, gauss=0.0))
 
     # Curvature sweep: expansion order and mass envelopes.
     sweep_records, sweep_summary = _transverse_sweep_records(config, m_grid)
@@ -346,8 +335,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     for kappa in (1.0, 2.0, 3.0):
         prob = TransverseProblem(m=64.0, curv=CurvatureData(kappa, kappa**2 / 4.0))
         worst = max(worst, abs(expansion_lambda(prob) - (1.0 + kappa / (2.0 * prob.m))))
-    records.append(CheckRecord("transverse.sphere.cancellation", "abs", expected=0.0, observed=worst,
-                               tolerance=0.0, provenance="expansion"))
+    records.append(check("transverse.sphere.cancellation", 0.0, worst, 0.0))
 
     # Minimality and the Pythagoras identity on seeded test functions.
     rng = default_rng(config.seed)
@@ -373,10 +361,8 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     q_w, q_diff = np.split(transverse_form(prob, seeded_and_differences), 2)
     min_gap = float(np.min(q_w - sol.lam))
     max_pyth = float(np.max(np.abs(q_w - sol.lam - q_diff)))
-    records.append(CheckRecord("transverse.minimality.seeded", "lower", expected=0.0, observed=min_gap,
-                               tolerance=1e-8, provenance="closed-form", m=36.0, kappa=2.0, gauss=1.0))
-    records.append(CheckRecord("transverse.pythagoras.seeded", "upper", expected=0.0, observed=max_pyth,
-                               tolerance=1e-7, provenance="closed-form", m=36.0, kappa=2.0, gauss=1.0))
+    records.append(check("transverse.minimality.seeded", 0.0, min_gap, 1e-8, m=36.0, kappa=2.0, gauss=1.0))
+    records.append(check("transverse.pythagoras.seeded", 0.0, max_pyth, 1e-7, m=36.0, kappa=2.0, gauss=1.0))
 
     # Cutoff-ansatz residual: O(m^-3) for curved data, exponentially small flat.
     curved = [
@@ -385,15 +371,13 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     ]
     c_res = curved[0] * 100.0**3
     worst_res = max(r * m**3 for r, m in zip(curved[1:], (400.0, 1600.0)))
-    records.append(CheckRecord("transverse.residual.order", "envelope", expected=c_res, observed=worst_res,
-                               tolerance=1e-9, provenance="fit", kappa=3.0, gauss=1.0))
+    records.append(check("transverse.residual.order", c_res, worst_res, 1e-9, kappa=3.0, gauss=1.0))
     summary["ansatz_residual_constant[kappa=3,K=1]"] = c_res
     flat_res_25 = residual_of_ansatz(TransverseProblem(m=25.0, curv=CurvatureData.flat()))
     c_flat = flat_res_25 / math.exp(-math.sqrt(25.0) / 4.0)
     flat_res_100 = residual_of_ansatz(TransverseProblem(m=100.0, curv=CurvatureData.flat()))
     bound = c_flat * math.exp(-math.sqrt(100.0) / 4.0)
-    records.append(CheckRecord("transverse.residual.flat", "upper", expected=bound, observed=flat_res_100,
-                               tolerance=0.0, provenance="fit", m=100.0, kappa=0.0, gauss=0.0))
+    records.append(check("transverse.residual.flat", bound, flat_res_100, 0.0, m=100.0, kappa=0.0, gauss=0.0))
 
     # Measured flat-mass decay order, reported only: the closed form decays
     # super-polynomially, so no fixed power law is asserted.
@@ -434,17 +418,12 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
 
     # Closed-form Dirichlet-to-Neumann values and the l=0 exterior mass.
     for m in m_grid:
-        records.append(CheckRecord("exterior.dtn.l0", "rel", expected=m + 1.0 / R,
-                                   observed=ball_exterior_dtn(m, R, 0), tolerance=1e-10,
-                                   provenance="closed-form", m=m, sector="ell=0"))
+        records.append(check("exterior.dtn.l0", m + 1.0 / R, ball_exterior_dtn(m, R, 0), 1e-10, m=m, sector="ell=0"))
         # k_1 quotient closed form: m x/(x+1) + 2/R at x = mR.
-        records.append(CheckRecord("exterior.dtn.l1", "rel", expected=m * (m * R) / (m * R + 1.0) + 2.0 / R,
-                                   observed=ball_exterior_dtn(m, R, 1), tolerance=1e-10,
-                                   provenance="closed-form", m=m, sector="ell=1"))
+        records.append(check("exterior.dtn.l1", m * (m * R) / (m * R + 1.0) + 2.0 / R, ball_exterior_dtn(m, R, 1),
+                             1e-10, m=m, sector="ell=1"))
         mass = exterior_energy(sphere_datum(R, {0: math.sqrt(4.0 * math.pi)}), m).exterior_mass
-        records.append(CheckRecord("exterior.mass.l0", "rel", expected=4.0 * math.pi / (2.0 * m),
-                                   observed=mass, tolerance=1e-10, provenance="closed-form", m=m,
-                                   sector="ell=0"))
+        records.append(check("exterior.mass.l0", 4.0 * math.pi / (2.0 * m), mass, 1e-10, m=m, sector="ell=0"))
 
     # Effective-functional rate on mixed-mode data, both model geometries.
     mixed = {
@@ -462,10 +441,8 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
     for label, v in mixed.items():
         values = [m**1.5 * abs(gap) / sobolev_h32_norm_sq(v) for m, gap in zip(m_grid, gaps[label])]
         for m, val in zip(m_grid, values):
-            records.append(CheckRecord(f"exterior.effective.rate.{label}", "envelope", expected=values[0],
-                                       observed=val, tolerance=1e-9, provenance="fit", m=m))
-        records.append(CheckRecord(f"exterior.effective.rate.{label}.decreasing", "below", expected=values[0],
-                                   observed=values[-1], tolerance=0.0, provenance="fit"))
+            records.append(check(f"exterior.effective.rate.{label}", values[0], val, 1e-9, m=m))
+        records.append(check(f"exterior.effective.rate.{label}.decreasing", values[0], values[-1], 0.0))
         summary[f"effective_rate_constant[{label}]"] = values[0]
 
     # Per-mode sandwich: the exact value never exceeds its effective expansion
@@ -486,24 +463,19 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
         scaled_rounding = [r * m**2 for r, m in zip(rounding, m_grid)]
         c_fit = 1.05 * max(scaled[:2]) + rounding[0]
         i = _tightest(scaled, [c_fit + r for r in scaled_rounding])
-        records.append(CheckRecord("exterior.sandwich", "upper", expected=c_fit, observed=scaled[i],
-                                   tolerance=scaled_rounding[i], provenance="fit", m=m_grid[i],
-                                   sector=f"ell={ell}"))
+        records.append(check("exterior.sandwich", c_fit, scaled[i], scaled_rounding[i], m=m_grid[i],
+                             sector=f"ell={ell}"))
         i = _tightest(gaps, rounding)
-        records.append(CheckRecord("exterior.sandwich.sign", "upper", expected=0.0, observed=gaps[i],
-                                   tolerance=rounding[i], provenance="expansion", m=m_grid[i],
-                                   sector=f"ell={ell}"))
+        records.append(check("exterior.sandwich.sign", 0.0, gaps[i], rounding[i], m=m_grid[i], sector=f"ell={ell}"))
 
     # Mass estimate: exactly zero for the pure l=0 datum, bounded in general.
     v0 = sphere_datum(R, {0: 2.0})
     check0 = mass_estimate_check(exterior_energy(v0, m_grid[0]), v0, m_grid[0])
-    records.append(CheckRecord("exterior.mass_estimate.l0", "upper", expected=0.0, observed=check0,
-                               tolerance=1e-10, provenance="closed-form", m=m_grid[0], sector="ell=0"))
+    records.append(check("exterior.mass_estimate.l0", 0.0, check0, 1e-10, m=m_grid[0], sector="ell=0"))
     for label, v in mixed.items():
         vals = [mass_estimate_check(sol, v, m) for m, sol in zip(m_grid, mixed_sols[label])]
         c_fit = max(vals[0], 1e-300)
-        records.append(CheckRecord(f"exterior.mass_estimate.{label}", "envelope", expected=c_fit,
-                                   observed=max(vals), tolerance=1e-9, provenance="fit"))
+        records.append(check(f"exterior.mass_estimate.{label}", c_fit, max(vals), 1e-9))
         summary[f"mass_estimate_constant[{label}]"] = c_fit
 
     # Mode additivity with seeded coefficients (diagonalized problem), each
@@ -512,8 +484,7 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
     coeffs = {ell: complex(rng.normal(), rng.normal()) for ell in (0, 1, 2, 4)}
     energy = exterior_energy(sphere_datum(R, coeffs), 300.0).energy
     expected = sum(abs(c) ** 2 * _dtn_by_ratio_recurrence(300.0, R, ell) for ell, c in coeffs.items())
-    records.append(CheckRecord("exterior.additivity", "rel", expected=expected, observed=energy,
-                               tolerance=1e-12, provenance="closed-form", m=300.0))
+    records.append(check("exterior.additivity", expected, energy, 1e-12, m=300.0))
 
     # Monotonicity of the per-mode energies in m.
     fine_grid = sorted(set(list(m_grid) + [m * 2.0 for m in m_grid]))
@@ -523,18 +494,15 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
     ):
         values = [energy_of(m) for m in fine_grid]
         min_step = min(b - a for a, b in zip(values, values[1:]))
-        records.append(CheckRecord("exterior.monotonic", "above", expected=0.0, observed=min_step,
-                                   tolerance=0.0, provenance="closed-form", sector=label))
+        records.append(check("exterior.monotonic", 0.0, min_step, 0.0, sector=label))
 
     # Agmon decay: weighted mass ratio within 10% above its limit 1/(1-gamma).
     for gamma in (0.3, 0.5, 0.9):
         for m in m_grid:
-            records.append(CheckRecord("exterior.agmon", "envelope", expected=1.0 / (1.0 - gamma),
-                                       observed=agmon_decay_check(m, R, 1, gamma), tolerance=0.1,
-                                       provenance="closed-form", m=m, sector=f"gamma={gamma}"))
+            records.append(check("exterior.agmon", 1.0 / (1.0 - gamma), agmon_decay_check(m, R, 1, gamma), 0.1, m=m,
+                                 sector=f"gamma={gamma}"))
     ratio0 = agmon_decay_check(m_grid[0], R, 0, 0.01)
-    records.append(CheckRecord("exterior.agmon.gamma0", "abs", expected=1.0, observed=ratio0, tolerance=0.05,
-                               provenance="closed-form", m=m_grid[0], sector="gamma=0.01"))
+    records.append(check("exterior.agmon.gamma0", 1.0, ratio0, 0.05, m=m_grid[0], sector="gamma=0.01"))
     return records, summary
 
 
@@ -605,22 +573,18 @@ def run_dirac_suite(
     mit_levels = solves.levels(mit_eigenvalues, p, GROUND_SECTOR, 2)
     lam1 = mit_levels[0]
     oracle = bag_ground_state_oracle() / R
-    records.append(CheckRecord("dirac.mit.ground", "abs", expected=oracle, observed=lam1, tolerance=1e-5,
-                               provenance="closed-form", sector=GROUND_SECTOR.label()))
+    records.append(check("dirac.mit.ground", oracle, lam1, 1e-5, sector=GROUND_SECTOR.label()))
     lam1_r2 = solves.levels(mit_eigenvalues, DiracParams(R=2.0 * R), GROUND_SECTOR, 1)[0]
-    records.append(CheckRecord("dirac.mit.scaling", "rel", expected=lam1 / 2.0, observed=lam1_r2,
-                               tolerance=2e-10, provenance="closed-form"))
+    records.append(check("dirac.mit.scaling", lam1 / 2.0, lam1_r2, 2e-10))
 
     # Charge-conjugation symmetry of the signed spectra.
     sectors = [AngularSector(k) for k in (-2, -1, 1, 2)]
     signed = mit_spectrum_signed(p, sectors, 5, tol=tol)
     defect = charge_conjugation_check(signed)
-    records.append(CheckRecord("dirac.mit.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
-                               provenance="closed-form"))
+    records.append(check("dirac.mit.symmetry", 0.0, defect, 1e-9))
     p100 = DiracParams(R=R, m=100.0)
     defect = charge_conjugation_check(largemass_spectrum_signed(p100, sectors, 2, tol=tol))
-    records.append(CheckRecord("dirac.hm.symmetry", "upper", expected=0.0, observed=defect, tolerance=1e-9,
-                               provenance="closed-form", m=100.0))
+    records.append(check("dirac.hm.symmetry", 0.0, defect, 1e-9, m=100.0))
 
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
@@ -635,11 +599,8 @@ def run_dirac_suite(
         sector = f"{GROUND_SECTOR.label()};k={k + 1}"
         gaps = [abs(levels[k] - mit_levels[k]) for levels in hm_levels]
         for m, prev, gap in zip(CONVERGENCE_M_GRID, [math.inf] + gaps[:-1], gaps):
-            records.append(CheckRecord("dirac.convergence", "envelope", expected=prev, observed=gap,
-                                       tolerance=1e-9, provenance="closed-form", m=m, sector=sector))
-        records.append(CheckRecord("dirac.convergence.final", "upper", expected=0.0, observed=gaps[-1],
-                                   tolerance=1e-4, provenance="closed-form", m=CONVERGENCE_M_GRID[-1],
-                                   sector=sector))
+            records.append(check("dirac.convergence", prev, gap, 1e-9, m=m, sector=sector))
+        records.append(check("dirac.convergence.final", 0.0, gaps[-1], 1e-4, m=CONVERGENCE_M_GRID[-1], sector=sector))
 
     # First-order law: fitted slope of the squared eigenvalues against eta.
     # The limit is extracted on the large-m tail (reusing the convergence
@@ -652,12 +613,9 @@ def run_dirac_suite(
     points = list(zip(slope_grid, sq))
     slope, drift = slope_drift(points)
     tail_limit, _ = fit_inverse_m([(m, hm_pair(m)[0] ** 2) for m in CONVERGENCE_M_GRID[-4:]])
-    records.append(CheckRecord("dirac.slope.limit", "rel", expected=lam1**2, observed=tail_limit,
-                               tolerance=1e-6, provenance="fit"))
-    records.append(CheckRecord("dirac.slope.eta", "rel", expected=eta1, observed=slope,
-                               tolerance=0.05, provenance="fit"))
-    records.append(CheckRecord("dirac.slope.eta.drift", "upper", expected=0.0, observed=drift, tolerance=0.02,
-                               provenance="fit"))
+    records.append(check("dirac.slope.limit", lam1**2, tail_limit, 1e-6))
+    records.append(check("dirac.slope.eta", eta1, slope, 0.05))
+    records.append(check("dirac.slope.eta.drift", 0.0, drift, 0.02))
     summary["eta_ground"] = eta1
     summary["fitted_nu_ground"] = slope
     summary["fitted_nu_ground_drift"] = drift
@@ -673,8 +631,7 @@ def run_dirac_suite(
     # kj=+1 level at E = -lam1 is the second copy of the level.
     nus = nu_minmax([u1, signed_pair(AngularSector(1), 0)], lam1, p)
     worst = max(nus, key=lambda nu: abs(nu - eta1))
-    records.append(CheckRecord("dirac.nu.degenerate", "abs", expected=eta1, observed=worst,
-                               tolerance=1e-12 * max(1.0, abs(eta1)), provenance="closed-form"))
+    records.append(check("dirac.nu.degenerate", eta1, worst, 1e-12 * max(1.0, abs(eta1))))
 
     # The next level, kj=-1 level 2: its slope is computed and reported,
     # never asserted.
@@ -683,8 +640,7 @@ def run_dirac_suite(
     sq_k = _pmap(lambda m: hm_pair(m)[1] ** 2, slope_grid)
     _, slope_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
     label = f"{GROUND_SECTOR.label()};k=2"
-    records.append(CheckRecord("dirac.slope.higher", "info", expected=eta_k, observed=slope_k,
-                               tolerance=0.0, provenance="fit", sector=label, asserted=False))
+    records.append(check("dirac.slope.higher", eta_k, slope_k, 0.0, sector=label))
     summary[f"higher_slope[{label}]"] = slope_k
     summary[f"higher_eta[{label}]"] = eta_k
     return records, summary
@@ -721,9 +677,8 @@ def run_robin_suite(
             sector = AngularSector(kj)
             robin = solves.levels(robin_laplacian_eigenvalues, pm, sector, len(levels))
             for k, (lam, lam_int) in enumerate(zip(levels, robin, strict=True), start=1):
-                records.append(CheckRecord("robin.upper_bound", "upper", expected=lam**2, observed=lam_int,
-                                           tolerance=1e-9 * (lam**2 + 1.0), provenance="closed-form", m=m,
-                                           sector=f"{sector.label()};k={k}"))
+                records.append(check("robin.upper_bound", lam**2, lam_int, 1e-9 * (lam**2 + 1.0), m=m,
+                                     sector=f"{sector.label()};k={k}"))
 
     def robin_ground(m: float) -> float:
         return solves.levels(robin_laplacian_eigenvalues, DiracParams(R=R, m=m), GROUND_SECTOR, 1)[0]
@@ -732,28 +687,24 @@ def run_robin_suite(
     slope_grid = config.m_grid or SLOPE_M_GRID
     lam_int_values = _pmap(robin_ground, slope_grid)
     slope, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
-    records.append(CheckRecord("robin.slope.mu", "rel", expected=mu1, observed=slope, tolerance=0.05,
-                               provenance="fit"))
+    records.append(check("robin.slope.mu", mu1, slope, 0.05))
     tail_grid = (1e3, 1e4, 1e5, 1e6)
     tail_values = _pmap(robin_ground, tail_grid)
     tail_limit, _ = fit_inverse_m(list(zip(tail_grid, tail_values)))
-    records.append(CheckRecord("robin.slope.limit", "rel", expected=lam1**2, observed=tail_limit,
-                               tolerance=1e-6, provenance="fit"))
+    records.append(check("robin.slope.limit", lam1**2, tail_limit, 1e-6))
     summary["fitted_mu_ground"] = slope
     summary["fitted_mu_ground_drift"] = drift
 
     # Cross-solver consistency pins the projection sign conventions.
     lam_int_huge = tail_values[tail_grid.index(1e6)]
-    records.append(CheckRecord("robin.cross_solver", "rel", expected=lam1**2, observed=lam_int_huge,
-                               tolerance=1e-3, provenance="closed-form", m=1e6))
+    records.append(check("robin.cross_solver", lam1**2, lam_int_huge, 1e-3, m=1e6))
 
     # Exact boundary identity between the Robin and bag eigenpairs.
     for m in (200.0, 800.0):
         pm = DiracParams(R=R, m=m)
         u_int = robin_eigenpair(pm, GROUND_SECTOR, robin_ground(m))
         residual = boundary_identity_check(u_int, u1, m, pm)
-        records.append(CheckRecord("robin.identity", "upper", expected=0.0, observed=residual, tolerance=1e-6,
-                                   provenance="closed-form", m=m, sector=GROUND_SECTOR.label()))
+        records.append(check("robin.identity", 0.0, residual, 1e-6, m=m, sector=GROUND_SECTOR.label()))
 
     # Residual decreases as the solver tolerance tightens (these solves use
     # their own tolerances by design).  The bag pair is solved at least as
@@ -770,8 +721,7 @@ def run_robin_suite(
         lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol)[0]
         u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
         res_by_tol.append(boundary_identity_check(u_int, u_study, 200.0, pm))
-    records.append(CheckRecord("robin.identity.tol_study", "below", expected=res_by_tol[0],
-                               observed=res_by_tol[1], tolerance=0.0, provenance="closed-form", m=200.0))
+    records.append(check("robin.identity.tol_study", res_by_tol[0], res_by_tol[1], 0.0, m=200.0))
     return records, summary
 
 
@@ -809,9 +759,8 @@ def run_suite(config: SuiteConfig) -> Report:
             recs, summary = _SUITE_RUNNERS[name](*args)
             records.extend(recs)
             summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
-    asserted = [r for r in records if r.asserted]
-    summary_pairs.append(("checks_passed", sum(r.passed for r in asserted)))
-    summary_pairs.append(("checks_asserted", len(asserted)))
+    asserted = [r.passed for r in records if r.asserted]
+    summary_pairs += [("checks_passed", sum(asserted)), ("checks_asserted", len(asserted))]
     report = Report(
         records=tuple(records),
         summary=tuple(summary_pairs),
@@ -860,7 +809,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except ArithmeticError as exc:  # NumericsError, special.BesselOverflowError, a float overflow
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -871,10 +820,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = "PASS" if r.passed else ("FAIL" if r.asserted else "INFO")
         where = f" m={r.m:g}" if r.m is not None else ""
         sector = f" {r.sector}" if r.sector else ""
-        print(
-            f"[{status}] {r.check_id}{where}{sector}: expected={r.expected:.9g} "
-            f"observed={r.observed:.9g}"
-        )
+        print(f"[{status}] {r.check_id}{where}{sector}: expected={r.expected:.9g} observed={r.observed:.9g}")
     passed, total = report.pass_counts()
     print(f"{passed}/{total} asserted checks passed; report written to {config.output_path}")
     print(f"total runtime: {report.runtime_s:.2f} s", file=sys.stderr)

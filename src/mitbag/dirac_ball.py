@@ -500,7 +500,7 @@ def robin_laplacian_eigenvalues(
 def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     # Panels of at most 0.7 radians of the phase k r; the eigenpairs of one
     # run share a handful of panel counts, so each rule is built once per run.
-    n_panels = max(8, int(math.ceil(R * max(k, 1.0) / 0.7)))
+    n_panels = max(8, int(math.ceil(R * k / 0.7)))
     return memoized(_interior_rule, R, n_panels)
 
 

@@ -4,7 +4,8 @@ A report is a flat list of check records plus a summary of fitted constants
 and slopes.  A record's verdict is a function of its own serialized fields:
 ``COMPARISONS`` maps each ``comparison`` kind to one formula in the
 expected value e, the observed value o and the tolerance t, so a reader of
-the CSV or JSON can recompute every ``pass``.
+the CSV or JSON can recompute every ``pass``.  ``check`` builds each row
+with the comparison, provenance and asserted flag of its id in ``CHECKS``.
 
 Serialization is deterministic: floats are written with 17 significant
 digits (lossless for doubles), field order is fixed, and the wall clock
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 PROVENANCE_TAGS = ("closed-form", "expansion", "fit")
 
@@ -94,6 +95,73 @@ class CheckRecord:
             return None
         relative = error / abs(self.expected)
         return relative if math.isfinite(relative) else None
+
+
+class CheckKind(NamedTuple):
+    """A check id's comparison kind, provenance, and whether it is asserted."""
+
+    comparison: str
+    provenance: str
+    asserted: bool = True
+
+
+# Every check id the suites emit, with the kind of all its rows; README
+# "Checks" says what each one checks.
+CHECKS: dict[str, CheckKind] = {
+    "transverse.flat.lambda.m4": CheckKind("abs", "closed-form"),
+    "transverse.flat.mass.m4": CheckKind("abs", "closed-form"),
+    "transverse.flat.limit.m1e4": CheckKind("abs", "closed-form"),
+    "transverse.expansion.pair.slope": CheckKind("upper", "fit", asserted=False),
+    "transverse.mass.envelope": CheckKind("envelope", "fit"),
+    "transverse.expansion.slope": CheckKind("upper", "fit"),
+    "transverse.expansion.envelope": CheckKind("envelope", "fit"),
+    "transverse.sphere.cancellation": CheckKind("abs", "expansion"),
+    "transverse.minimality.seeded": CheckKind("lower", "closed-form"),
+    "transverse.pythagoras.seeded": CheckKind("upper", "closed-form"),
+    "transverse.residual.order": CheckKind("envelope", "fit"),
+    "transverse.residual.flat": CheckKind("upper", "fit"),
+    "exterior.dtn.l0": CheckKind("rel", "closed-form"),
+    "exterior.dtn.l1": CheckKind("rel", "closed-form"),
+    "exterior.mass.l0": CheckKind("rel", "closed-form"),
+    "exterior.effective.rate.sphere": CheckKind("envelope", "fit"),
+    "exterior.effective.rate.sphere.decreasing": CheckKind("below", "fit"),
+    "exterior.effective.rate.flat": CheckKind("envelope", "fit"),
+    "exterior.effective.rate.flat.decreasing": CheckKind("below", "fit"),
+    "exterior.sandwich": CheckKind("upper", "fit"),
+    "exterior.sandwich.sign": CheckKind("upper", "expansion"),
+    "exterior.mass_estimate.l0": CheckKind("upper", "closed-form"),
+    "exterior.mass_estimate.sphere": CheckKind("envelope", "fit"),
+    "exterior.mass_estimate.flat": CheckKind("envelope", "fit"),
+    "exterior.additivity": CheckKind("rel", "closed-form"),
+    "exterior.monotonic": CheckKind("above", "closed-form"),
+    "exterior.agmon": CheckKind("envelope", "closed-form"),
+    "exterior.agmon.gamma0": CheckKind("abs", "closed-form"),
+    "dirac.mit.ground": CheckKind("abs", "closed-form"),
+    "dirac.mit.scaling": CheckKind("rel", "closed-form"),
+    "dirac.mit.symmetry": CheckKind("upper", "closed-form"),
+    "dirac.hm.symmetry": CheckKind("upper", "closed-form"),
+    "dirac.convergence": CheckKind("envelope", "closed-form"),
+    "dirac.convergence.final": CheckKind("upper", "closed-form"),
+    "dirac.slope.limit": CheckKind("rel", "fit"),
+    "dirac.slope.eta": CheckKind("rel", "fit"),
+    "dirac.slope.eta.drift": CheckKind("upper", "fit"),
+    "dirac.nu.degenerate": CheckKind("abs", "closed-form"),
+    "dirac.slope.higher": CheckKind("info", "fit", asserted=False),
+    "robin.upper_bound": CheckKind("upper", "closed-form"),
+    "robin.slope.mu": CheckKind("rel", "fit"),
+    "robin.slope.limit": CheckKind("rel", "fit"),
+    "robin.cross_solver": CheckKind("rel", "closed-form"),
+    "robin.identity": CheckKind("upper", "closed-form"),
+    "robin.identity.tol_study": CheckKind("below", "closed-form"),
+}
+
+
+def check(check_id: str, expected: float, observed: float, tolerance: float, *, m: float | None = None,
+          kappa: float | None = None, gauss: float | None = None, sector: str = "") -> CheckRecord:
+    """The row of ``check_id``, of the kind its ``CHECKS`` entry gives."""
+    kind = CHECKS[check_id]
+    return CheckRecord(check_id, kind.comparison, expected, observed, tolerance, kind.provenance,
+                       m, kappa, gauss, sector, kind.asserted)
 
 
 @dataclass(frozen=True)

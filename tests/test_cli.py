@@ -446,6 +446,19 @@ class TestMainExitCodes:
         path = write_config(tmp_path)
         assert main([path]) == 3
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({}, ["--m-grid", "1e155"]),  # OverflowError in the flat closed-form gap
+            ({}, ["--m-grid", "1e-300"]),  # special.BesselOverflowError
+            ({"geometry": {"variant": "ball_interior", "R": 1e-100}}, []),  # special.BesselOverflowError
+        ],
+    )
+    def test_overflow_is_numeric_error(self, tmp_path, capsys, overrides, flags):
+        assert main([write_config(tmp_path, **overrides), *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and "Traceback" not in err
+
     def test_transverse_interval_cap_exit_three(self, tmp_path):
         # sqrt(400000) = 632.5 exceeds the supported collar length of 600.
         path = write_config(tmp_path)

@@ -154,6 +154,13 @@ class TestBagEigenpair:
         fR, gR, dfR, dgR = pair.boundary_values
         assert dfR + fR == pytest.approx(dgR + gR, abs=1e-12)
 
+    def test_interior_grid_follows_the_phase_not_the_radius(self):
+        # k R = 2.04 radians of phase: the 8-panel floor of 16 nodes each,
+        # however large the ball.
+        r, w = dirac_ball._interior_grid(1e4, 2.04e-4)
+        assert r.shape == w.shape == (8 * 16,)
+        assert float(np.sum(w)) == pytest.approx(1e4, rel=1e-12)
+
 
 
 class TestFunctionals:

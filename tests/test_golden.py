@@ -12,12 +12,14 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mitbag.cli import main
+from mitbag.report import CHECKS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RADII = ("0.5", "1", "1.7", "3")
@@ -113,6 +115,35 @@ def test_exact_rows_are_the_allowed_ones():
             if row["asserted"] and (row["observed"] == 0 or row["observed"] == row["expected"])
         }
     assert exact == set(EXACT_ROWS)
+
+
+def test_every_golden_row_has_its_catalogued_kind():
+    ids = set()
+    for radius in RADII:
+        for row in json.loads((GOLDEN / f"report_R{radius}.json").read_bytes())["records"]:
+            ids.add(row["check_id"])
+            kind = CHECKS[row["check_id"]]
+            assert (row["comparison"], row["provenance"], row["asserted"]) == tuple(kind), row["check_id"]
+    assert ids == set(CHECKS)
+
+
+def _readme_checks() -> dict[str, tuple[str, str, bool]]:
+    """(comparison, provenance, asserted) of each id in README's "Checks" tables."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip().strip("`") for cell in re.split(r"(?<!\\)\|", line)[1:5]]
+            assert cells[0] not in rows, f"{cells[0]} is listed twice"
+            rows[cells[0]] = (cells[1], cells[2], {"yes": True, "no": False}[cells[3]])
+    return rows
+
+
+def test_readme_lists_every_check_with_its_kind():
+    rows = _readme_checks()
+    assert set(rows) == set(CHECKS)
+    assert rows == {check_id: tuple(kind) for check_id, kind in CHECKS.items()}
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
