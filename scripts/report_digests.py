@@ -1,0 +1,72 @@
+"""Print one sha256 per verification report, to compare two checkouts' bytes.
+
+Usage:
+
+    PYTHONPATH=src python scripts/report_digests.py > digests.txt
+
+The reports are those of the four golden configs (``tests/golden``, CSV and
+JSON), and of the exterior, dirac and robin suites, in CSV and JSON, on the
+first 16 seeded passes (ball radius and config seed) of the ``spectra``
+benchmark seeds 901 and 902.  The passes are rebuilt here from the seeds the
+way the benchmark draws them: 1024 fixed radii in [0.5, 3], visited in a
+seeded random order, each with a seeded 32-bit config seed.  A change that
+keeps every report byte-identical prints the same lines as its parent;
+``diff`` of the two outputs names each report that moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from mitbag.cli import config_from_dict, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+RADII = tuple(0.5 + 2.5 * k / 1023 for k in range(1024))
+SEEDS = (901, 902)
+PASSES = 16
+SUITES = ("exterior", "dirac", "robin")
+FORMATS = ("csv", "json")
+
+
+def seeded_passes(seed: int, count: int) -> list[tuple[float, int]]:
+    """The first ``count`` (radius, config seed) passes of a spectra seed."""
+    rng = random.Random(seed)
+    order = rng.sample(range(len(RADII)), len(RADII))
+    return [(RADII[k], rng.randrange(2**32)) for k in order][:count]
+
+
+def digest(document: dict, out: Path) -> str:
+    """sha256 of the report that the config ``document`` writes."""
+    run_suite(config_from_dict({**document, "output_path": str(out)}))
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report"
+        for path in sorted(GOLDEN.glob("config_R*.json")):
+            document = json.loads(path.read_text())
+            for fmt in FORMATS:
+                print(f"{digest({**document, 'format': fmt}, out)}  golden {path.name} {fmt}")
+        for seed in SEEDS:
+            for index, (radius, config_seed) in enumerate(seeded_passes(seed, PASSES)):
+                for suite in SUITES:
+                    document = {
+                        "suite": suite,
+                        "geometry": {"variant": "ball_interior", "R": radius},
+                        "seed": config_seed,
+                    }
+                    for fmt in FORMATS:
+                        print(f"{digest({**document, 'format': fmt}, out)}  seed {seed} pass {index} R={radius!r} "
+                              f"{suite} {fmt}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

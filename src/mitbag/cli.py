@@ -58,7 +58,7 @@ from .exterior import (
     torus_datum,
 )
 from .geometry import BallInterior, CurvatureData, min_rescaled_weight
-from .numerics import ToleranceConfig, fit_inverse_m, fit_line, run_memo, slope_drift
+from .numerics import ToleranceConfig, fit_inverse_m, fit_line, memoized, run_memo, slope_drift
 from .report import CheckRecord, Report, check, emit_table, write_report_atomic
 from .transverse import (
     ELEMENT_DEGREE,
@@ -119,7 +119,13 @@ class SuiteConfig:
             # A pair valid at fewer than three masses of the grid would have
             # no expansion-order row.
             for pair in self.curvature_grid:
-                valid = [prob.m for prob in _transverse_pair_data(pair, self.m_grid or TRANSVERSE_M_GRID)]
+                try:
+                    valid = [prob.m for prob in _transverse_pair_data(pair, self.m_grid or TRANSVERSE_M_GRID)]
+                except ArithmeticError as exc:  # m * m underflows to 0 in the weight bound
+                    raise ConfigError(
+                        f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
+                        f"of the grid: {exc}"
+                    ) from exc
                 if len(valid) < 3:
                     raise ConfigError(
                         f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
@@ -533,53 +539,28 @@ def bag_ground_state_oracle(tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-class _Solves:
-    """The eigen-solves of one run, each made once; ``suite=all`` shares one
-    table between the dirac and robin suites.  A solve of n levels answers a
-    request for fewer through its prefix: the scan finds the lowest levels the
-    same way whatever the count."""
-
-    def __init__(self, tol: ToleranceConfig) -> None:
-        self.tol = tol
-        self._made: dict[tuple[Any, ...], Any] = {}
-
-    def levels(self, solver: Callable[..., list[float]], p: DiracParams, sector: AngularSector,
-               count: int) -> list[float]:
-        key = (solver, p, sector)  # the function itself: wrappers may share a name
-        if len(self._made.get(key, ())) < count:
-            self._made[key] = solver(p, sector, count, tol=self.tol)
-        return self._made[key][:count]
-
-    def pair(self, builder: Callable[..., RadialEigenpair], p: DiracParams, sector: AngularSector,
-             energy: float) -> RadialEigenpair:
-        key = (builder, p, sector, energy)
-        if key not in self._made:
-            self._made[key] = builder(p, sector, energy)
-        return self._made[key]
-
-
-def run_dirac_suite(
-    config: SuiteConfig, solves: _Solves | None = None
-) -> tuple[list[CheckRecord], dict[str, Any]]:
+def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = config.geometry.R
     tol = config.tolerances
-    solves = solves or _Solves(tol)
+
+    # The five-level symmetry solve comes first: the two-level bag requests
+    # below and in the robin suite take the prefixes of its scans.
+    p = DiracParams(R=R)
+    sectors = [AngularSector(k) for k in (-2, -1, 1, 2)]
+    signed = mit_spectrum_signed(p, sectors, 5, tol=tol)
 
     # Ground state against the independent bisection oracle (the massless bag
     # levels scale as 1/R, so the unit-ball root serves any radius).
-    p = DiracParams(R=R)
-    mit_levels = solves.levels(mit_eigenvalues, p, GROUND_SECTOR, 2)
+    mit_levels = mit_eigenvalues(p, GROUND_SECTOR, 2, tol=tol)
     lam1 = mit_levels[0]
     oracle = bag_ground_state_oracle() / R
     records.append(check("dirac.mit.ground", oracle, lam1, 1e-5, sector=GROUND_SECTOR.label()))
-    lam1_r2 = solves.levels(mit_eigenvalues, DiracParams(R=2.0 * R), GROUND_SECTOR, 1)[0]
+    lam1_r2 = mit_eigenvalues(DiracParams(R=2.0 * R), GROUND_SECTOR, 1, tol=tol)[0]
     records.append(check("dirac.mit.scaling", lam1 / 2.0, lam1_r2, 2e-10))
 
     # Charge-conjugation symmetry of the signed spectra.
-    sectors = [AngularSector(k) for k in (-2, -1, 1, 2)]
-    signed = mit_spectrum_signed(p, sectors, 5, tol=tol)
     defect = charge_conjugation_check(signed)
     records.append(check("dirac.mit.symmetry", 0.0, defect, 1e-9))
     p100 = DiracParams(R=R, m=100.0)
@@ -591,7 +572,7 @@ def run_dirac_suite(
     # so its bound is infinite), and the last is below 1e-4.  The two lowest
     # ground-sector levels at each mass serve both slope grids as well.
     def hm_pair(m: float) -> list[float]:
-        return solves.levels(largemass_eigenvalues, DiracParams(R=R, m=m), GROUND_SECTOR, 2)
+        return largemass_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 2, tol=tol)
 
     hm_levels = _pmap(hm_pair, CONVERGENCE_M_GRID)
 
@@ -607,7 +588,7 @@ def run_dirac_suite(
     # solves), where second-order pollution is below the 1e-6 requirement;
     # the slope and its drift use the pinned medium-m grid.
     slope_grid = config.m_grid or SLOPE_M_GRID
-    u1 = solves.pair(mit_eigenpair, p, GROUND_SECTOR, lam1)
+    u1 = memoized(mit_eigenpair, p, GROUND_SECTOR, lam1)
     eta1 = eta_functional(u1, lam1, p)
     sq = _pmap(lambda m: hm_pair(m)[0] ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
@@ -624,7 +605,7 @@ def run_dirac_suite(
     # whose magnitude is its level_idx-th singular value.
     def signed_pair(sec: AngularSector, level_idx: int) -> RadialEigenpair:
         E_k = sorted((e for e, s in signed if s == sec), key=abs)[level_idx]
-        return mit_eigenpair(p, sec, E_k)
+        return memoized(mit_eigenpair, p, sec, E_k)
 
     # The eta form on the degenerate ground level is a multiple of identity:
     # every min-max value equals eta (the farthest one is recorded).  The
@@ -651,37 +632,34 @@ def run_dirac_suite(
 # ----------------------------------------------------------------------------
 
 
-def run_robin_suite(
-    config: SuiteConfig, solves: _Solves | None = None
-) -> tuple[list[CheckRecord], dict[str, Any]]:
+def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     R = config.geometry.R
     tol = config.tolerances
-    solves = solves or _Solves(tol)
     p0 = DiracParams(R=R)
 
     # Upper bound lambda_int <= lambda^2 (up to 1e-9 relative and absolute
     # rounding) per sector, on three distinct levels: kj=-1 levels 1 and 2
     # and kj=-2 level 1.
     bag_levels = {
-        kj: solves.levels(mit_eigenvalues, p0, AngularSector(kj), count) for kj, count in ((-1, 2), (-2, 1))
+        kj: mit_eigenvalues(p0, AngularSector(kj), count, tol=tol) for kj, count in ((-1, 2), (-2, 1))
     }
     lam1 = bag_levels[-1][0]
-    u1 = solves.pair(mit_eigenpair, p0, GROUND_SECTOR, lam1)
+    u1 = memoized(mit_eigenpair, p0, GROUND_SECTOR, lam1)
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
     for m in (50.0, 200.0, 800.0):
         pm = DiracParams(R=R, m=m)
         for kj, levels in bag_levels.items():
             sector = AngularSector(kj)
-            robin = solves.levels(robin_laplacian_eigenvalues, pm, sector, len(levels))
+            robin = robin_laplacian_eigenvalues(pm, sector, len(levels), tol=tol)
             for k, (lam, lam_int) in enumerate(zip(levels, robin, strict=True), start=1):
                 records.append(check("robin.upper_bound", lam**2, lam_int, 1e-9 * (lam**2 + 1.0), m=m,
                                      sector=f"{sector.label()};k={k}"))
 
     def robin_ground(m: float) -> float:
-        return solves.levels(robin_laplacian_eigenvalues, DiracParams(R=R, m=m), GROUND_SECTOR, 1)[0]
+        return robin_laplacian_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 1, tol=tol)[0]
 
     # First-order slope against the Robin-trace functional.
     slope_grid = config.m_grid or SLOPE_M_GRID
@@ -702,7 +680,7 @@ def run_robin_suite(
     # Exact boundary identity between the Robin and bag eigenpairs.
     for m in (200.0, 800.0):
         pm = DiracParams(R=R, m=m)
-        u_int = robin_eigenpair(pm, GROUND_SECTOR, robin_ground(m))
+        u_int = memoized(robin_eigenpair, pm, GROUND_SECTOR, robin_ground(m))
         residual = boundary_identity_check(u_int, u1, m, pm)
         records.append(check("robin.identity", 0.0, residual, 1e-6, m=m, sector=GROUND_SECTOR.label()))
 
@@ -715,11 +693,11 @@ def run_robin_suite(
     u_study = u1
     if tol.abs_tol > 0.0 or tol.rel_tol > tight.rel_tol:
         lam_study = mit_eigenvalues(p0, GROUND_SECTOR, 1, tol=tight)[0]
-        u_study = mit_eigenpair(p0, GROUND_SECTOR, lam_study)
+        u_study = memoized(mit_eigenpair, p0, GROUND_SECTOR, lam_study)
     res_by_tol = []
     for study_tol in (ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300), tight):
         lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol)[0]
-        u_int = robin_eigenpair(pm, GROUND_SECTOR, lam_int)
+        u_int = memoized(robin_eigenpair, pm, GROUND_SECTOR, lam_int)
         res_by_tol.append(boundary_identity_check(u_int, u_study, 200.0, pm))
     records.append(check("robin.identity.tol_study", res_by_tol[0], res_by_tol[1], 0.0, m=200.0))
     return records, summary
@@ -729,7 +707,7 @@ def run_robin_suite(
 # Suite dispatch and CLI
 # ----------------------------------------------------------------------------
 
-_SUITE_RUNNERS: dict[str, Callable[..., tuple[list[CheckRecord], dict[str, Any]]]] = {
+_SUITE_RUNNERS: dict[str, Callable[[SuiteConfig], tuple[list[CheckRecord], dict[str, Any]]]] = {
     "transverse": run_transverse_suite,
     "exterior": run_exterior_suite,
     "dirac": run_dirac_suite,
@@ -750,13 +728,11 @@ def run_suite(config: SuiteConfig) -> Report:
         ("solver_rel_tol", tol.rel_tol),
         ("solver_max_iter", tol.max_iter),
     ]
-    # The dirac and robin suites share one table of eigen-solves, and every
-    # suite shares the run's memo of tail integrals and quadrature rules.
-    solves = _Solves(tol)
+    # Every suite shares the run's memo: its eigen-solves and eigenpairs,
+    # tail integrals, quadrature rules and interior samples.
     with run_memo():
         for name in names:
-            args = (config, solves) if name in ("dirac", "robin") else (config,)
-            recs, summary = _SUITE_RUNNERS[name](*args)
+            recs, summary = _SUITE_RUNNERS[name](config)
             records.extend(recs)
             summary_pairs.extend((f"{name}.{key}", summary[key]) for key in sorted(summary))
     asserted = [r.passed for r in records if r.asserted]

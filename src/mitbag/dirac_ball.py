@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .exterior import ball_mode_mass
-from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, memoized, panel_nodes
+from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, memoized, memoized_prefix, panel_nodes
 from .special import (
     ek_pair_kernel,
     j_pair_kernel,
@@ -146,14 +146,8 @@ class RadialEigenpair:
     exterior_norm_sq: float = 0.0
 
     def norm_sq(self) -> float:
-        """Squared L^2 norm, the interior sampled afresh from the closed form."""
+        """Squared L^2 norm, the interior by quadrature of the closed form."""
         return _interior_norm_sq(self.R, self.sector, *self.radial_params) + self.exterior_norm_sq
-
-    def interior_values(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form interior radial components at arbitrary radii."""
-        k, c_up, c_lo = self.radial_params
-        ja, jb = _bessel_samples(self.sector, k, r)
-        return c_up * ja, c_lo * jb
 
 
 # ----------------------------------------------------------------------------
@@ -379,6 +373,34 @@ def _scan_window(R: float, count: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
 
 
+def _branch_roots(
+    kernels: Callable[..., Kernels],
+    p: DiracParams,
+    sec: AngularSector,
+    bound: tuple[float, ...],
+    window: tuple[float, float, float],
+    count: int,
+    tol: ToleranceConfig,
+    same_as: tuple[AngularSector, tuple[float, ...]] | None = None,
+) -> list[float]:
+    """The first ``count`` roots of the branch ``kernels(p, sec, *bound)`` on
+    the scan window (lo, hi, step).
+
+    A run scans each branch once: its key (kernels, p, sec, bound, tol)
+    answers a later request for no more roots through the prefix of the
+    scan, which finds the lowest roots the same way whatever the count.  A
+    branch whose roots are bit for bit those of the branch (sector, bound)
+    ``same_as`` is stored and looked up under that branch's key.
+    """
+    lo, hi, step = window
+    key_sec, key_bound = same_as or (sec, bound)
+    return memoized_prefix(
+        (kernels, p, key_sec, key_bound, tol),
+        count,
+        lambda: _scan_roots(kernels(p, sec, *bound), lo, hi, step, count, tol),
+    )
+
+
 def _signed_spectrum(
     kernels: Callable[[DiracParams, AngularSector, float], Kernels],
     p: DiracParams,
@@ -386,13 +408,16 @@ def _signed_spectrum(
     count_per_side: int,
     tol: ToleranceConfig | None,
     threshold: float | None = None,
+    conjugate: bool = False,
 ) -> list[tuple[float, AngularSector]]:
     """The first count roots of each sign per sector as (E, sector) pairs,
     sorted by |E|; ``kernels(p, sector, sign)`` gives the determinant at
     energy sign * E as a function of E > 0.
 
     With a ``threshold`` the scan stops just below it, and running out of
-    roots there raises ``EssentialSpectrumError``.
+    roots there raises ``EssentialSpectrumError``.  With ``conjugate`` the
+    (kappa_j, -) determinant is that of (-kappa_j, +), or its negative, bit
+    for bit in value and slope, so the two branches share one scan.
     """
     tol = tol or ToleranceConfig()
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
@@ -402,8 +427,9 @@ def _signed_spectrum(
     entries: list[tuple[float, AngularSector]] = []
     for sec in sectors:
         for sign in (1.0, -1.0):
+            same_as = (AngularSector(-sec.kappa_j), (1.0,)) if conjugate and sign < 0 else None
             try:
-                roots = _scan_roots(kernels(p, sec, sign), lo, hi, step, count_per_side, tol)
+                roots = _branch_roots(kernels, p, sec, (sign,), (lo, hi, step), count_per_side, tol, same_as)
             except BracketExhaustionError as exc:
                 if hi == stop:
                     raise EssentialSpectrumError(
@@ -433,7 +459,7 @@ def mit_spectrum_signed(
     tol: ToleranceConfig | None = None,
 ) -> list[tuple[float, AngularSector]]:
     """Signed bag eigenvalues: the first count roots of each sign per sector."""
-    return _signed_spectrum(_mit_kernels, p, sectors, count_per_side, tol)
+    return _signed_spectrum(_mit_kernels, p, sectors, count_per_side, tol, conjugate=p.m0 == 0.0)
 
 
 def mit_eigenvalues(
@@ -488,8 +514,7 @@ def robin_laplacian_eigenvalues(
         raise ValueError("the Robin solver needs m > 0")
     tol = tol or ToleranceConfig()
     step, hi = _scan_window(p.R, count)
-    lo = 1e-9 / p.R
-    roots = _scan_roots(_robin_kernels(p, sector), lo, hi, step, count, tol)
+    roots = _branch_roots(_robin_kernels, p, sector, (), (1e-9 / p.R, hi, step), count, tol)
     return [p.m0**2 + k * k for k in roots]
 
 
@@ -497,11 +522,9 @@ def robin_laplacian_eigenvalues(
 # Eigenpair construction
 # ----------------------------------------------------------------------------
 
-def _interior_grid(R: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    # Panels of at most 0.7 radians of the phase k r; the eigenpairs of one
-    # run share a handful of panel counts, so each rule is built once per run.
-    n_panels = max(8, int(math.ceil(R * k / 0.7)))
-    return memoized(_interior_rule, R, n_panels)
+def _panel_count(R: float, k: float) -> int:
+    """Panels of at most 0.7 radians of the phase k r on [0, R]."""
+    return max(8, int(math.ceil(R * k / 0.7)))
 
 
 def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,16 +535,30 @@ def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _bessel_samples(sec: AngularSector, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j_{l_A}(k r), j_{l_B}(k r)) at the radii r."""
-    x = k * np.asarray(r, dtype=float)
-    return spherical_bessel_j(sec.ell_upper, x), spherical_bessel_j(sec.ell_lower, x)
+def _interior_samples(
+    sector: AngularSector, k: float, R: float, n_panels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (r, w, j_{l_A}(k r), j_{l_B}(k r)) on the rule of n_panels
+    panels on [0, R]."""
+    r, w = memoized(_interior_rule, R, n_panels)
+    x = k * r
+    ja, jb = spherical_bessel_j(sector.ell_upper, x), spherical_bessel_j(sector.ell_lower, x)
+    ja.flags.writeable = jb.flags.writeable = False
+    return r, w, ja, jb
+
+
+def _sampled(
+    sector: AngularSector, k: float, R: float, k_grid: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The interior samples of phase k on the rule that resolves the phase
+    k_grid >= k.  The eigenpairs of a run share a handful of rules, and each
+    eigenfunction is sampled once per run on each rule."""
+    return memoized(_interior_samples, sector, k, R, _panel_count(R, k_grid))
 
 
 def _interior_norm_sq(R: float, sector: AngularSector, k: float, c_up: float, c_lo: float) -> float:
     """Squared L^2 norm of (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) over the ball."""
-    r, w = _interior_grid(R, k)
-    ja, jb = _bessel_samples(sector, k, r)
+    r, w, ja, jb = _sampled(sector, k, R, k)
     return float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
 
 
@@ -702,10 +739,12 @@ def boundary_identity_check(
         return 0.0
     lam = abs(u_mit.energy)
     lam_int = u_int.energy
-    k_max = max(u_int.radial_params[0], u_mit.radial_params[0])
-    r, w = _interior_grid(p.R, k_max)
-    a, b = u_int.interior_values(r)
-    f, g = u_mit.interior_values(r)
+    (k_int, c_up, c_lo), (k_mit, d_up, d_lo) = u_int.radial_params, u_mit.radial_params
+    k_max = max(k_int, k_mit)
+    r, w, ja, jb = _sampled(u_int.sector, k_int, p.R, k_max)
+    a, b = c_up * ja, c_lo * jb
+    _, _, ja, jb = _sampled(u_mit.sector, k_mit, p.R, k_max)
+    f, g = d_up * ja, d_lo * jb
     inner = float(np.dot(w, (a * f + b * g) * r**2))
     lhs = m * (lam_int - lam * lam) * inner
     Da, Db = _robin_traces(u_int, p)

@@ -79,7 +79,8 @@ _RUN_MEMO: ContextVar[dict[tuple[Any, ...], Any] | None] = ContextVar("run_memo"
 
 @contextmanager
 def run_memo() -> Iterator[None]:
-    """Inside the block, ``memoized`` evaluates each distinct call once.
+    """Inside the block, ``memoized`` evaluates each distinct call once, and
+    ``memoized_prefix`` answers a shorter request from a longer list.
 
     The memo lives exactly as long as the block.  A verification run opens
     one, so a result keyed on the run's radius or masses is reused within the
@@ -105,6 +106,25 @@ def memoized(fn: Callable[..., Any], *args: Any) -> Any:
     if key not in memo:
         memo[key] = fn(*args)
     return memo[key]
+
+
+def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequence[Any]]) -> list[Any]:
+    """The first ``count`` items of ``compute()``, which lists at least that many.
+
+    Inside an open ``run_memo`` block the longest list computed under ``key``
+    answers every request for no more items through its prefix, and
+    ``compute`` runs again only for a longer request; so the items it lists
+    first must not depend on how many it lists.  Outside a block it runs on
+    every call.
+    """
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return list(compute())[:count]
+    slot = (memoized_prefix, key)
+    stored = memo.get(slot)
+    if stored is None or len(stored) < count:
+        stored = memo[slot] = tuple(compute())
+    return list(stored[:count])
 
 
 # ----------------------------------------------------------------------------

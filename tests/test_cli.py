@@ -23,6 +23,7 @@ from mitbag.report import (
     CheckRecord,
     Report,
     _fmt,
+    _json_scalar,
     emit_table,
     parse_report_json,
     write_report_atomic,
@@ -218,6 +219,41 @@ class TestReport:
         assert parse_report_json(data) == report
         assert emit_table(parse_report_json(data), "json") == data
 
+    def test_typed_cell_writers_match_the_general_formatters(self):
+        # The writers format each field by its type; every cell must be the
+        # one the general formatters (_fmt, _json_scalar) give: signed zeros,
+        # NaN, infinities, empty cells, an integer in a float field, labels
+        # that need escapes and a label of a str subclass.
+        class Label(str):
+            pass
+
+        records = (
+            CheckRecord("demo.zero", "abs", expected=-0.0, observed=0.0, tolerance=-0.0, provenance="fit",
+                        m=-0.0, kappa=0.0, gauss=None, sector=""),
+            CheckRecord('demo."q"\\', "upper", expected=math.nan, observed=-math.inf, tolerance=math.inf,
+                        provenance="closed-form", m=math.nan, kappa=-math.inf, gauss=math.inf, sector="a\tb\x00"),
+            CheckRecord(Label("demo.int"), "rel", expected=3, observed=10**20, tolerance=5e-324,
+                        provenance="expansion", m=7, kappa=1e308, gauss=-2.5e-310, sector=Label("é;k=1"),
+                        asserted=False),
+        )
+        report = Report(records=records, summary=(("a", -0.0), ("b", math.nan), ("c", None), ("d", 3)))
+        cells = [
+            (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed, r.abs_error, r.rel_error,
+             r.tolerance, r.comparison, r.passed)
+            for r in records
+        ]
+        csv_lines = emit_table(report, "csv").decode().splitlines()
+        assert csv_lines[1:] == [",".join(map(_fmt, row)) for row in cells]
+        body = ",".join(
+            "{" + ",".join(f'"{name}":{_json_scalar(v)}'
+                           for name, v in zip((*CSV_COLUMNS, "provenance", "asserted"), (*row, r.provenance, r.asserted)))
+            + "}"
+            for row, r in zip(cells, records)
+        )
+        summary = ",".join(f"{_json_scalar(k)}:{_json_scalar(v)}" for k, v in report.summary)
+        assert emit_table(report, "json") == ('{"records":[' + body + '],"summary":{' + summary + "}}\n").encode()
+        assert b'"m":-0,' in emit_table(report, "json") and "demo.zero,-0,0,," in csv_lines[1]
+
     def test_json_pass_flag_must_match_comparison(self):
         data = emit_table(_sample_report(), "json").decode()
         tampered = data.replace('"pass":false', '"pass":true', 1)
@@ -324,17 +360,17 @@ def test_interior_rules_are_built_once_per_run(tmp_path, monkeypatch, suite):
     # rules again and again; each is built once per run, and a second run
     # builds them all again.
     requests, built = [], []
-    grid, rule = dirac_ball._interior_grid, dirac_ball._interior_rule
+    samples, rule = dirac_ball._interior_samples, dirac_ball._interior_rule
 
     def requested(*args):
         requests.append(args)
-        return grid(*args)
+        return samples(*args)
 
     def building(*args):
         built.append(args)
         return rule(*args)
 
-    monkeypatch.setattr(dirac_ball, "_interior_grid", requested)
+    monkeypatch.setattr(dirac_ball, "_interior_samples", requested)
     monkeypatch.setattr(dirac_ball, "_interior_rule", building)
     config = SuiteConfig(suite=suite, output_path=str(tmp_path / "r.csv"))
     run_suite(config)
@@ -345,33 +381,71 @@ def test_interior_rules_are_built_once_per_run(tmp_path, monkeypatch, suite):
     assert built == first
 
 
+def _spy_scans(monkeypatch):
+    """Record every scan as (kernel factory, p, sector, bound, tol), where
+    ``bound`` is the sign of a signed determinant (nothing for the Robin one),
+    and every interior sampling of an eigenfunction by its arguments."""
+    scans, sampled, bound_kernels = [], [], []
+    for name in ("_mit_kernels", "_largemass_kernels", "_robin_kernels"):
+        original = getattr(dirac_ball, name)
+
+        def factory(p, sector, *bound, _original=original, _name=name):
+            bound_kernels.append((_name, p, sector, bound))
+            return _original(p, sector, *bound)
+
+        monkeypatch.setattr(dirac_ball, name, factory)
+    scan, samples = dirac_ball._scan_roots, dirac_ball._interior_samples
+
+    def scanning(kernels, lo, hi, step, count, tol):
+        # Each scan binds its kernels just before it starts.
+        scans.append((*bound_kernels.pop(), tol))
+        return scan(kernels, lo, hi, step, count, tol)
+
+    def sampling(*args):
+        sampled.append(args)
+        return samples(*args)
+
+    monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
+    monkeypatch.setattr(dirac_ball, "_interior_samples", sampling)
+    return scans, sampled
+
+
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
-    # The dirac and robin suites share one table of eigen-solves: under
-    # suite=all the ground bag level and eigenpair are solved once, and no
-    # sector is solved twice at the same parameters and tolerance.
-    calls = []
-    for name in ("mit_eigenvalues", "largemass_eigenvalues", "robin_laplacian_eigenvalues", "mit_eigenpair"):
+    # The run memo holds every branch scan of a run: under suite=all no
+    # (kernel, p, sector, sign, tol) is scanned twice, each bag ground
+    # branch is scanned once and serves its charge conjugate, no eigenpair
+    # is built twice, and no eigenfunction is sampled twice on one grid.  A
+    # second run scans everything again.
+    scans, sampled = _spy_scans(monkeypatch)
+    pairs = []
+    for name in ("mit_eigenpair", "robin_eigenpair"):
         original = getattr(cli, name)
 
-        def spy(p, sector, arg, *rest, _original=original, _name=name, **kwargs):
-            calls.append((_name, p, sector, arg, kwargs.get("tol")))
-            return _original(p, sector, arg, *rest, **kwargs)
+        def spy(p, sector, energy, _original=original, _name=name):
+            pairs.append((_name, p, sector, energy))
+            return _original(p, sector, energy)
 
         monkeypatch.setattr(cli, name, spy)
-    report = run_suite(SuiteConfig(suite="all", output_path=str(tmp_path / "r.csv")))
+    config = SuiteConfig(suite="all", output_path=str(tmp_path / "r.csv"))
+    report = run_suite(config)
     assert report.passed
-    pairs = [c for c in calls if c[0] == "mit_eigenpair"]
-    assert len(set(pairs)) == len(pairs)
-    ground = (DiracParams(R=1.0), cli.GROUND_SECTOR)
-    ground_solves = [c for c in calls if c[0] == "mit_eigenvalues" and c[1:3] == ground and c[3] <= 2]
-    assert len(ground_solves) == 1
-    solves = [(name, p, sector, tol) for name, p, sector, _, tol in calls if name != "mit_eigenpair"]
-    assert len(set(solves)) == len(solves)
-    assert Counter(name for name, *_ in solves) == {
-        "mit_eigenvalues": 3,
-        "largemass_eigenvalues": 10,
-        "robin_laplacian_eigenvalues": 15,
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert sampled and len(set(sampled)) == len(sampled)
+    assert len(set(scans)) == len(scans)
+    p, tol = DiracParams(R=1.0), config.tolerances
+    # The kj=+1 branches are the charge conjugates of the kj=-1 ones.
+    ground = [scan for scan in scans if scan[:2] == ("_mit_kernels", p) and abs(scan[2].kappa_j) == 1]
+    assert ground == [("_mit_kernels", p, cli.GROUND_SECTOR, (sign,), tol) for sign in (1.0, -1.0)]
+    assert Counter(name for name, *_ in scans) == {
+        "_mit_kernels": 6,
+        "_largemass_kernels": 26,
+        "_robin_kernels": 15,
     }
+    first, first_sampled = list(scans), list(sampled)
+    scans.clear()
+    sampled.clear()
+    run_suite(config)
+    assert scans == first and sampled == first_sampled
 
 
 # Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then
@@ -458,6 +532,15 @@ class TestMainExitCodes:
         assert main([write_config(tmp_path, **overrides), *flags]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ("all", "transverse"))
+    def test_mass_whose_square_underflows_is_config_error(self, tmp_path, capsys, suite):
+        # The collar-weight bound that validates the transverse grid divides
+        # by m * m, which is 0 at these masses.
+        path = write_config(tmp_path, suite=suite)
+        assert main([path, "--m-grid", "1e-300,1e-299,1e-298,1e-297"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_transverse_interval_cap_exit_three(self, tmp_path):
         # sqrt(400000) = 632.5 exceeds the supported collar length of 600.

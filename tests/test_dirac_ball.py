@@ -30,7 +30,7 @@ from mitbag.dirac_ball import (
     robin_eigenpair,
     robin_laplacian_eigenvalues,
 )
-from mitbag.numerics import NumericsError, ToleranceConfig
+from mitbag.numerics import NumericsError, ToleranceConfig, run_memo
 
 GROUND = AngularSector(-1)
 P0 = DiracParams(R=1.0, m0=0.0, m=0.0)
@@ -157,7 +157,7 @@ class TestBagEigenpair:
     def test_interior_grid_follows_the_phase_not_the_radius(self):
         # k R = 2.04 radians of phase: the 8-panel floor of 16 nodes each,
         # however large the ball.
-        r, w = dirac_ball._interior_grid(1e4, 2.04e-4)
+        r, w = dirac_ball._interior_rule(1e4, dirac_ball._panel_count(1e4, 2.04e-4))
         assert r.shape == w.shape == (8 * 16,)
         assert float(np.sum(w)) == pytest.approx(1e4, rel=1e-12)
 
@@ -705,6 +705,47 @@ class TestValueKernels:
         assert value(k).hex() == value_slope(k)[0].hex()
 
 
+class TestConjugateBranches:
+    """At m0 = 0 the bag determinant of (kappa_j, -) is that of (-kappa_j, +)
+    or its negative, value and slope alike, bit for bit: so a run scans one
+    of the two branches and answers the other from it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kj=st.sampled_from([s * k for k in range(1, 13) for s in (-1, 1)]),
+        R=st.floats(min_value=0.3, max_value=5.0),
+        u=WINDOW,
+    )
+    def test_minus_branch_is_the_conjugate_plus_branch(self, kj, R, u):
+        p = DiracParams(R=R)
+        minus = dirac_ball._mit_kernels(p, AngularSector(kj), -1.0)
+        plus = dirac_ball._mit_kernels(p, AngularSector(-kj), 1.0)
+        lo = 1e-9
+        _, hi = dirac_ball._scan_window(R, 20)
+        E = lo + u * (hi - lo)
+        v_minus, (f_minus, d_minus) = minus[0](E), minus[1](E)
+        v_plus, (f_plus, d_plus) = plus[0](E), plus[1](E)
+        sign = math.copysign(1.0, v_minus) * math.copysign(1.0, v_plus)
+        assert [x.hex() for x in (v_minus, f_minus, d_minus)] == [(sign * x).hex() for x in (v_plus, f_plus, d_plus)]
+
+    @pytest.mark.parametrize("m0, branches", [(0.0, 2), (0.5, 4)])
+    def test_conjugate_branches_share_a_scan_at_zero_intrinsic_mass(self, monkeypatch, m0, branches):
+        bound = []
+        factory = dirac_ball._mit_kernels
+
+        def binding(p, sec, sign):
+            bound.append((sec.kappa_j, sign))
+            return factory(p, sec, sign)
+
+        monkeypatch.setattr(dirac_ball, "_mit_kernels", binding)
+        p = DiracParams(R=1.3, m0=m0)
+        with run_memo():
+            spectrum = mit_spectrum_signed(p, [AngularSector(-2), AngularSector(2)], 3)
+        assert len(bound) == len(set(bound)) == branches
+        assert spectrum == mit_spectrum_signed(p, [AngularSector(-2), AngularSector(2)], 3)
+        assert len(bound) == branches + 4
+
+
 def _first_root_oracle(det, lo, hi, step):
     """scipy brentq on the first sign change of a scipy-built determinant."""
     grid = np.arange(lo, hi, step)
@@ -736,7 +777,29 @@ class TestIntrinsicMassRoots:
 
 class TestLevelPrefix:
     """A solve of two levels answers a request for one through its prefix,
-    bit for bit: the verify run's table of eigen-solves relies on it."""
+    bit for bit: the run memo's table of branch scans relies on it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kj=st.sampled_from([-2, -1, 1, 2]), R=st.floats(min_value=0.3, max_value=5.0))
+    def test_two_bag_levels_from_a_five_level_solve(self, kj, R):
+        # The verify run's order: the five-level symmetry solve, then the
+        # two-level requests, which scan nothing and equal a fresh solve.
+        p, sec = DiracParams(R=R), AngularSector(kj)
+        fresh = mit_eigenvalues(p, sec, 2)
+        scan = dirac_ball._scan_roots
+        scans = []
+
+        def counting(*args):
+            scans.append(args)
+            return scan(*args)
+
+        with pytest.MonkeyPatch.context() as patch, run_memo():
+            patch.setattr(dirac_ball, "_scan_roots", counting)
+            five = mit_spectrum_signed(p, [sec], 5)
+            scanned = len(scans)
+            assert mit_eigenvalues(p, sec, 2) == fresh
+            assert len(scans) == scanned
+        assert sorted(abs(e) for e, _ in five)[:2] == fresh
 
     @pytest.mark.parametrize("solver", [solver for solver, _, _ in PINNED_SOLVES], ids=lambda f: f.__name__)
     @settings(max_examples=40, deadline=None)

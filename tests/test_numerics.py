@@ -17,11 +17,43 @@ from mitbag.numerics import (
     find_root_bracketed,
     fit_inverse_m,
     fit_line,
+    memoized_prefix,
     mesh_aligned_nodes,
     panel_nodes,
+    run_memo,
     slope_drift,
     solve_bvp_shooting,
 )
+
+
+class TestMemoizedPrefix:
+    def test_shorter_requests_take_the_prefix_within_one_run(self):
+        computed = []
+
+        def first(n):
+            def compute():
+                computed.append(n)
+                return [10 * i for i in range(n)]
+
+            return compute
+
+        with run_memo():
+            assert memoized_prefix(("k",), 3, first(3)) == [0, 10, 20]
+            assert memoized_prefix(("k",), 2, first(2)) == [0, 10]
+            assert memoized_prefix(("other",), 1, first(1)) == [0]
+            assert memoized_prefix(("k",), 4, first(4)) == [0, 10, 20, 30]
+            assert memoized_prefix(("k",), 3, first(3)) == [0, 10, 20]
+            with run_memo():
+                assert memoized_prefix(("k",), 1, first(1)) == [0]
+        assert computed == [3, 1, 4, 1]
+        # Outside a run every request computes, and no list is kept.
+        assert memoized_prefix(("k",), 2, first(5)) == [0, 10]
+        assert computed[-1] == 5
+
+    def test_callers_cannot_change_the_stored_list(self):
+        with run_memo():
+            memoized_prefix(("k",), 2, lambda: [1, 2]).append(3)
+            assert memoized_prefix(("k",), 2, lambda: [9, 9]) == [1, 2]
 
 
 class TestToleranceConfig:

@@ -15,7 +15,7 @@ import pytest
 import mitbag.cli as cli
 import mitbag.dirac_ball as dirac_ball
 from mitbag.cli import config_from_dict, run_suite
-from mitbag.numerics import ToleranceConfig
+from mitbag.numerics import ToleranceConfig, run_memo
 from mitbag.report import CheckRecord, emit_table
 from mitbag.transverse import ELEMENT_DEGREE, ELEMENT_PANEL
 
@@ -197,24 +197,39 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
         solver = getattr(cli, name)
 
         def spy(*args, _solver=solver, _name=name, **kwargs):
-            seen.setdefault(_name, []).append(kwargs.get("tol"))
+            seen.setdefault(_name, []).append((args[0], kwargs.get("tol")))
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, spy)
-    records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac", tolerances=tol))
+    scan = dirac_ball._scan_roots
+    scan_tols = []
+
+    def scanning(kernels, lo, hi, step, count, tol):
+        scan_tols.append(tol)
+        return scan(kernels, lo, hi, step, count, tol)
+
+    monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
+    with run_memo():
+        records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac", tolerances=tol))
     assert records
     # Ground (its two levels also feed the convergence rows) and scaling;
     # the ground symmetry (whose kj=+1 and kj=-1 levels also give the
-    # degenerate copy and the higher level); the large-mass symmetry.  Each
-    # ground-sector mass is solved once for its two lowest levels: the five
-    # convergence masses and the six of the slope grid (ground and kj=-1
-    # level 2), which share m = 100.
+    # degenerate copy and the higher level); the large-mass symmetry.  The
+    # two lowest ground-sector levels are asked for at the five convergence
+    # masses and the six of the slope grid (ground and kj=-1 level 2), which
+    # share m = 100.
     assert len(seen["mit_eigenvalues"]) == 2
     assert len(seen["mit_spectrum_signed"]) == 1
     assert len(seen["largemass_spectrum_signed"]) == 1
-    assert len(seen["largemass_eigenvalues"]) == 5 + 6 - 1
-    for name, tols in seen.items():
-        assert all(t is tol for t in tols), name
+    assert len({p for p, _ in seen["largemass_eigenvalues"]}) == 5 + 6 - 1
+    for name, calls in seen.items():
+        assert all(t is tol for _, t in calls), name
+    # One scan per branch: the four bag sectors of the symmetry solve (each
+    # kj=+1 branch shares the kj=-1 branch of opposite sign) and the two of
+    # the ground sector at radius 2R; the large-mass symmetry's eight, and
+    # two for each of the other nine masses.
+    assert len(scan_tols) == 4 + 2 + 8 + 2 * 9
+    assert all(t is tol for t in scan_tols)
 
 
 def test_nan_sandwich_gap_fails_its_rows(monkeypatch):
