@@ -373,34 +373,6 @@ def _scan_window(R: float, count: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
 
 
-def _branch_roots(
-    kernels: Callable[..., Kernels],
-    p: DiracParams,
-    sec: AngularSector,
-    bound: tuple[float, ...],
-    window: tuple[float, float, float],
-    count: int,
-    tol: ToleranceConfig,
-    same_as: tuple[AngularSector, tuple[float, ...]] | None = None,
-) -> list[float]:
-    """The first ``count`` roots of the branch ``kernels(p, sec, *bound)`` on
-    the scan window (lo, hi, step).
-
-    A run scans each branch once: its key (kernels, p, sec, bound, tol)
-    answers a later request for no more roots through the prefix of the
-    scan, which finds the lowest roots the same way whatever the count.  A
-    branch whose roots are bit for bit those of the branch (sector, bound)
-    ``same_as`` is stored and looked up under that branch's key.
-    """
-    lo, hi, step = window
-    key_sec, key_bound = same_as or (sec, bound)
-    return memoized_prefix(
-        (kernels, p, key_sec, key_bound, tol),
-        count,
-        lambda: _scan_roots(kernels(p, sec, *bound), lo, hi, step, count, tol),
-    )
-
-
 def _signed_spectrum(
     kernels: Callable[[DiracParams, AngularSector, float], Kernels],
     p: DiracParams,
@@ -415,9 +387,14 @@ def _signed_spectrum(
     energy sign * E as a function of E > 0.
 
     With a ``threshold`` the scan stops just below it, and running out of
-    roots there raises ``EssentialSpectrumError``.  With ``conjugate`` the
-    (kappa_j, -) determinant is that of (-kappa_j, +), or its negative, bit
-    for bit in value and slope, so the two branches share one scan.
+    roots there raises ``EssentialSpectrumError``.
+
+    A run scans each branch once: its key (kernels, p, sector, sign, tol)
+    answers a later request for no more roots through the prefix of the
+    scan, which finds the lowest roots the same way whatever the count.
+    With ``conjugate`` the (kappa_j, -) determinant is that of (-kappa_j, +),
+    or its negative, bit for bit in value and slope, so the (kappa_j, -)
+    branch is looked up under the (-kappa_j, +) key and the two share a scan.
     """
     tol = tol or ToleranceConfig()
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
@@ -427,9 +404,13 @@ def _signed_spectrum(
     entries: list[tuple[float, AngularSector]] = []
     for sec in sectors:
         for sign in (1.0, -1.0):
-            same_as = (AngularSector(-sec.kappa_j), (1.0,)) if conjugate and sign < 0 else None
+            key = (AngularSector(-sec.kappa_j), 1.0) if conjugate and sign < 0 else (sec, sign)
             try:
-                roots = _branch_roots(kernels, p, sec, (sign,), (lo, hi, step), count_per_side, tol, same_as)
+                roots = memoized_prefix(
+                    (kernels, p, *key, tol),
+                    count_per_side,
+                    lambda: _scan_roots(kernels(p, sec, sign), lo, hi, step, count_per_side, tol),
+                )
             except BracketExhaustionError as exc:
                 if hi == stop:
                     raise EssentialSpectrumError(
@@ -514,7 +495,11 @@ def robin_laplacian_eigenvalues(
         raise ValueError("the Robin solver needs m > 0")
     tol = tol or ToleranceConfig()
     step, hi = _scan_window(p.R, count)
-    roots = _branch_roots(_robin_kernels, p, sector, (), (1e-9 / p.R, hi, step), count, tol)
+    roots = memoized_prefix(
+        (_robin_kernels, p, sector, tol),
+        count,
+        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol),
+    )
     return [p.m0**2 + k * k for k in roots]
 
 

@@ -182,16 +182,19 @@ class Report:
 
 
 def _fmt(value: Any) -> str:
+    # A finite float or a plain string (almost every cell) is tested first.
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return format(value, ".17g")
+        if math.isnan(value):
+            return "nan"
+        return "inf" if value > 0 else "-inf"
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
     return str(value)
 
 
@@ -202,75 +205,46 @@ _JSON_ESCAPES.update({ord("\n"): "\\n", ord("\t"): "\\t", ord('"'): '\\"', ord("
 
 
 def _json_scalar(value: Any) -> str:
+    # A finite float or a string (almost every cell) is tested first.
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return format(value, ".17g")
+        return f'"{_fmt(value)}"'
+    if isinstance(value, str):
+        if value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'  # every label the suites write
+        return f'"{value.translate(_JSON_ESCAPES)}"'
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return f'"{_fmt(value)}"'
-        return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return f'"{value.translate(_JSON_ESCAPES)}"'
     raise TypeError(f"unsupported scalar {value!r}")
 
 
-# Cell writers by the field's type.  A finite float or a plain string takes
-# the short path; anything else (None, NaN, an infinity, a label that needs
-# escapes, a value of another type) goes through _fmt or _json_scalar, so the
-# bytes are those of the general formatter.
-
-
-def _csv_num(value: Any) -> str:
-    return format(value, ".17g") if type(value) is float and math.isfinite(value) else _fmt(value)
-
-
-def _csv_str(value: Any) -> str:
-    return value if type(value) is str else _fmt(value)
-
-
-def _json_num(value: Any) -> str:
-    return format(value, ".17g") if type(value) is float and math.isfinite(value) else _json_scalar(value)
-
-
-def _json_str(value: Any) -> str:
-    if type(value) is str and value.isprintable() and '"' not in value and "\\" not in value:
-        return f'"{value}"'  # every label the suites write
-    return _json_scalar(value)
-
-
-def _csv_row(r: CheckRecord) -> str:
-    # The record's cells in CSV_COLUMNS order.
-    return ",".join((
-        _csv_str(r.check_id), _csv_num(r.m), _csv_num(r.kappa), _csv_num(r.gauss), _csv_str(r.sector),
-        _csv_num(r.expected), _csv_num(r.observed), _csv_num(r.abs_error), _csv_num(r.rel_error),
-        _csv_num(r.tolerance), _csv_str(r.comparison), "true" if r.passed else "false",
-    ))
+def _csv_cells(r: CheckRecord) -> tuple[Any, ...]:
+    # The record's fields in CSV_COLUMNS order; each property is read once.
+    return (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed,
+            r.abs_error, r.rel_error, r.tolerance, r.comparison, r.passed)
 
 
 # One JSON object per record: the CSV columns, then provenance and asserted.
 _JSON_RECORD = "{" + ",".join(f'"{name}":%s' for name in (*CSV_COLUMNS, "provenance", "asserted")) + "}"
 
 
-def _json_record(r: CheckRecord) -> str:
-    return _JSON_RECORD % (
-        _json_str(r.check_id), _json_num(r.m), _json_num(r.kappa), _json_num(r.gauss), _json_str(r.sector),
-        _json_num(r.expected), _json_num(r.observed), _json_num(r.abs_error), _json_num(r.rel_error),
-        _json_num(r.tolerance), _json_str(r.comparison), "true" if r.passed else "false",
-        _json_str(r.provenance), _json_scalar(r.asserted),
-    )
-
-
 def emit_table(report: Report, fmt: str) -> bytes:
     """Serialize a report: CSV with the fixed column set, or JSON mirroring it."""
     if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS), *map(_csv_row, report.records)]
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(map(_fmt, _csv_cells(r))) for r in report.records]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        records = ",".join(map(_json_record, report.records))
-        summary = ",".join(f"{_json_str(str(k))}:{_json_scalar(v)}" for k, v in dict(report.summary).items())
+        records = ",".join(
+            _JSON_RECORD % tuple(map(_json_scalar, (*_csv_cells(r), r.provenance, r.asserted)))
+            for r in report.records
+        )
+        summary = ",".join(f"{_json_scalar(str(k))}:{_json_scalar(v)}" for k, v in dict(report.summary).items())
         return ('{"records":[' + records + '],"summary":{' + summary + "}}\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 

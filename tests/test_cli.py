@@ -23,7 +23,6 @@ from mitbag.report import (
     CheckRecord,
     Report,
     _fmt,
-    _json_scalar,
     emit_table,
     parse_report_json,
     write_report_atomic,
@@ -219,11 +218,11 @@ class TestReport:
         assert parse_report_json(data) == report
         assert emit_table(parse_report_json(data), "json") == data
 
-    def test_typed_cell_writers_match_the_general_formatters(self):
-        # The writers format each field by its type; every cell must be the
-        # one the general formatters (_fmt, _json_scalar) give: signed zeros,
-        # NaN, infinities, empty cells, an integer in a float field, labels
-        # that need escapes and a label of a str subclass.
+    def test_edge_cells_keep_their_bytes(self):
+        # Signed zeros, NaN, infinities, empty cells, an integer in a float
+        # field, labels that need escapes and a label of a str subclass: the
+        # bytes are pinned, since _fmt and _json_scalar test the common
+        # finite-float and plain-string cells first.
         class Label(str):
             pass
 
@@ -237,22 +236,26 @@ class TestReport:
                         asserted=False),
         )
         report = Report(records=records, summary=(("a", -0.0), ("b", math.nan), ("c", None), ("d", 3)))
-        cells = [
-            (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed, r.abs_error, r.rel_error,
-             r.tolerance, r.comparison, r.passed)
-            for r in records
-        ]
-        csv_lines = emit_table(report, "csv").decode().splitlines()
-        assert csv_lines[1:] == [",".join(map(_fmt, row)) for row in cells]
-        body = ",".join(
-            "{" + ",".join(f'"{name}":{_json_scalar(v)}'
-                           for name, v in zip((*CSV_COLUMNS, "provenance", "asserted"), (*row, r.provenance, r.asserted)))
-            + "}"
-            for row, r in zip(cells, records)
+        assert emit_table(report, "csv") == (
+            b"check_id,m,kappa,gauss,sector,expected,observed,abs_error,rel_error,tolerance,comparison,pass\n"
+            b"demo.zero,-0,0,,,-0,0,0,,-0,abs,true\n"
+            b'demo."q"\\,nan,-inf,inf,a\tb\x00,nan,-inf,,,inf,upper,false\n'
+            b"demo.int,7,1e+308,-2.5000000000000171e-310,\xc3\xa9;k=1,3,100000000000000000000,"
+            b"99999999999999999997,3.3333333333333332e+19,4.9406564584124654e-324,rel,false\n"
         )
-        summary = ",".join(f"{_json_scalar(k)}:{_json_scalar(v)}" for k, v in report.summary)
-        assert emit_table(report, "json") == ('{"records":[' + body + '],"summary":{' + summary + "}}\n").encode()
-        assert b'"m":-0,' in emit_table(report, "json") and "demo.zero,-0,0,," in csv_lines[1]
+        assert emit_table(report, "json") == (
+            b'{"records":[{"check_id":"demo.zero","m":-0,"kappa":0,"gauss":null,"sector":"","expected":-0,'
+            b'"observed":0,"abs_error":0,"rel_error":null,"tolerance":-0,"comparison":"abs","pass":true,'
+            b'"provenance":"fit","asserted":true},'
+            b'{"check_id":"demo.\\"q\\"\\\\","m":"nan","kappa":"-inf","gauss":"inf","sector":"a\\tb\\u0000",'
+            b'"expected":"nan","observed":"-inf","abs_error":null,"rel_error":null,"tolerance":"inf",'
+            b'"comparison":"upper","pass":false,"provenance":"closed-form","asserted":true},'
+            b'{"check_id":"demo.int","m":7,"kappa":1e+308,"gauss":-2.5000000000000171e-310,'
+            b'"sector":"\xc3\xa9;k=1","expected":3,"observed":100000000000000000000,'
+            b'"abs_error":99999999999999999997,"rel_error":3.3333333333333332e+19,'
+            b'"tolerance":4.9406564584124654e-324,"comparison":"rel","pass":false,"provenance":"expansion",'
+            b'"asserted":false}],"summary":{"a":-0,"b":"nan","c":null,"d":3}}\n'
+        )
 
     def test_json_pass_flag_must_match_comparison(self):
         data = emit_table(_sample_report(), "json").decode()
