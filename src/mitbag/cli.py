@@ -352,15 +352,16 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 
     def seeded_and_differences(tau):
         # The five seeded test functions w, then the five w - u, in one stack.
-        base = np.exp(-tau) * (1.0 - tau / T)
-        dbase = -np.exp(-tau) * (1.0 - tau / T) - np.exp(-tau) / T
+        decay = np.exp(-tau)
+        base = decay * (1.0 - tau / T)
+        dbase = -decay * (1.0 - tau / T) - decay / T
         bump = sum(c[:, None] * np.sin((j + 1) * math.pi * tau / T) for j, c in enumerate(coeffs.T))
         dbump = sum(
             c[:, None] * (j + 1) * math.pi / T * np.cos((j + 1) * math.pi * tau / T)
             for j, c in enumerate(coeffs.T)
         )
-        w = base + np.exp(-tau) * bump
-        dw = dbase - np.exp(-tau) * bump + np.exp(-tau) * dbump
+        w = base + decay * bump
+        dw = dbase - decay * bump + decay * dbump
         u, du = sol.evaluate(tau)
         return np.concatenate([w, w - u]), np.concatenate([dw, dw - du])
 

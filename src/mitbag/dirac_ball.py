@@ -38,6 +38,7 @@ with D_X = k j'_{l_X}(kR) + (1/R + m0) j_{l_X}(kR) and J_X = j_{l_X}(kR) the
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
@@ -521,24 +522,26 @@ def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interior_samples(
-    sector: AngularSector, k: float, R: float, n_panels: int
+    n: int, k: float, R: float, n_panels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (r, w, j_{l_A}(k r), j_{l_B}(k r)) on the rule of n_panels
+    """Read-only (r, w, j_n(k r), j_{n+1}(k r)) on the rule of n_panels
     panels on [0, R]."""
     r, w = memoized(_interior_rule, R, n_panels)
     x = k * r
-    ja, jb = spherical_bessel_j(sector.ell_upper, x), spherical_bessel_j(sector.ell_lower, x)
-    ja.flags.writeable = jb.flags.writeable = False
-    return r, w, ja, jb
+    lo, hi = spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
+    lo.flags.writeable = hi.flags.writeable = False
+    return r, w, lo, hi
 
 
 def _sampled(
     sector: AngularSector, k: float, R: float, k_grid: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The interior samples of phase k on the rule that resolves the phase
+    """(r, w, j_{l_A}(k r), j_{l_B}(k r)) on the rule that resolves the phase
     k_grid >= k.  The eigenpairs of a run share a handful of rules, and each
-    eigenfunction is sampled once per run on each rule."""
-    return memoized(_interior_samples, sector, k, R, _panel_count(R, k_grid))
+    eigenfunction is sampled once per run on each rule; the sectors +-kappa_j
+    have the same order pair, so at one k they share one sampling."""
+    r, w, lo, hi = memoized(_interior_samples, abs(sector.kappa_j) - 1, k, R, _panel_count(R, k_grid))
+    return (r, w, hi, lo) if sector.kappa_j > 0 else (r, w, lo, hi)
 
 
 def _interior_norm_sq(R: float, sector: AngularSector, k: float, c_up: float, c_lo: float) -> float:
@@ -746,14 +749,29 @@ def charge_conjugation_check(signed: Sequence[tuple[float, AngularSector]]) -> f
     and its sign-flipped image.
 
     Zero (to solver tolerance) certifies the charge-conjugation symmetry of
-    the spectrum; an empty spectrum has defect 0.
+    the spectrum; an empty spectrum has defect 0.  A level E pairs with the
+    levels E2 where E2 * E < 0.0, so a zero, infinite or NaN level, or one
+    whose products with all opposite levels underflow, makes the defect inf.
     """
     energies = [e for e, _ in signed]
     if not energies:
         return 0.0
+    # Each sign's magnitudes, sorted.  The opposite levels that pair with E
+    # are those whose product with |E| does not underflow, a suffix of the
+    # sorted magnitudes, and the nearest of them to |E| are its neighbours
+    # there: |E + E2| = |(|E| - |E2|)| in floats, monotone either side.
+    positive = sorted(e for e in energies if e > 0.0)
+    negative = sorted(-e for e in energies if e < 0.0)
     defect = 0.0
     for e in energies:
-        opposite = [e2 for e2 in energies if e2 * e < 0.0] or [math.inf]
-        gap = min(abs(e + e2) for e2 in opposite)
-        defect = max(defect, gap if math.isfinite(gap) else math.inf)
+        if not (e != 0.0 and math.isfinite(e)):
+            return math.inf
+        a = abs(e)
+        opposite = negative if e > 0.0 else positive
+        first = bisect_left(opposite, True, key=lambda b: b * a > 0.0)
+        at = bisect_left(opposite, a, lo=first)
+        near = opposite[max(at - 1, first):at + 1]
+        if not near:
+            return math.inf
+        defect = max(defect, min(abs(a - b) for b in near))
     return defect

@@ -46,6 +46,7 @@ import numpy as np
 
 from .numerics import NumericsError, memoized, panel_nodes
 from .special import (
+    ek_kernel,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
 )
@@ -195,9 +196,13 @@ def _tail_integral(m: float, R: float, ell: int, rate: float, length: float) -> 
 def _tail_quadrature(m: float, R: float, ell: int, rate: float, length: float) -> float:
     # int_0^length e^{-rate sigma} (e^x k_l)(m r)^2 / (e^x k_l)(mR)^2 r^2 dsigma,
     # r = R + sigma/m; with rate = 2 it is m int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr.
+    # The checked call at x = mR vets l and mR, overflow included, for every
+    # node: e^x k_l decreases in x, the nodes have x = m r >= mR, and x stays
+    # finite (sigma <= length).  The nodes then take the unchecked kernel.
     sigma, w, decay = _tail_rule(rate, length)
     r = R + sigma / m
-    ratio = modified_spherical_bessel_k_scaled(ell, m * r) / modified_spherical_bessel_k_scaled(ell, m * R)
+    at_boundary = modified_spherical_bessel_k_scaled(ell, m * R)
+    ratio = ek_kernel(ell)(m * r) / at_boundary
     return float(np.dot(w, decay * ratio**2 * r**2))
 
 

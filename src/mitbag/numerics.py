@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 _EPS = float(np.finfo(float).eps)
 
@@ -131,22 +130,54 @@ def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequ
 # Quadrature
 # ----------------------------------------------------------------------------
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# The Gauss-Legendre rules of the package, tabulated so that no process
+# solves for them: the positive nodes, ascending, and their weights, as the
+# float.hex bits of numpy.polynomial.legendre.leggauss(n).  Both rules are
+# symmetric about 0 bit for bit, so the negative half mirrors the table.
+_GAUSS_HALF_RULES = {
+    12: (
+        ("0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+         "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1"),
+        ("0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+         "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5"),
+    ),
+    16: (
+        ("0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+         "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1"),
+        ("0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+         "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6"),
+    ),
+}
 
 
-def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_nodes not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n_nodes] = leggauss(n_nodes)
-    return _LEGGAUSS_CACHE[n_nodes]
+def _mirrored_rule(half_nodes: Sequence[str], half_weights: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    x = np.array([float.fromhex(v) for v in half_nodes])
+    w = np.array([float.fromhex(v) for v in half_weights])
+    rule = (np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+_GAUSS_RULES = {n: _mirrored_rule(*half) for n, half in _GAUSS_HALF_RULES.items()}
+
+
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n_nodes-point rule on [-1, 1]."""
+    try:
+        return _GAUSS_RULES[n_nodes]
+    except KeyError:
+        raise ValueError(f"n_nodes must be one of {sorted(_GAUSS_RULES)}, got {n_nodes!r}") from None
 
 
 def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b] with panels <= max_panel."""
+    """Composite Gauss-Legendre nodes/weights on [a, b] with panels <= max_panel,
+    n_nodes (12 or 16) per panel."""
     if not (b > a):
         raise ValueError("panel_nodes requires b > a")
     n_panels = max(1, int(math.ceil((b - a) / max_panel)))
     edges = np.linspace(a, b, n_panels + 1)
-    xi, wi = _leggauss(n_nodes)
+    xi, wi = _gauss_legendre(n_nodes)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
@@ -155,7 +186,8 @@ def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) 
 
 
 def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on the panels of a given ascending mesh.
+    """Gauss-Legendre nodes/weights on the panels of a given ascending mesh,
+    n_nodes (12 or 16) per panel.
 
     With 16 nodes the rule is exact for polynomials up to degree 31 on each
     panel, so functionals of a piecewise-polynomial dense ODE output are
@@ -164,7 +196,7 @@ def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray,
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or len(mesh) < 2 or np.any(np.diff(mesh) <= 0.0):
         raise ValueError("mesh must be ascending with at least two points")
-    xi, wi = _leggauss(n_nodes)
+    xi, wi = _gauss_legendre(n_nodes)
     half = 0.5 * (mesh[1:] - mesh[:-1])
     mid = 0.5 * (mesh[1:] + mesh[:-1])
     x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()

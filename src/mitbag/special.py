@@ -31,13 +31,16 @@ argument x > 0 that gives both values, the two a matching determinant needs,
 bit-equal to two single-order calls; a root scan binds its sector's pair once
 and calls it at every point.  ``spherical_bessel_j_pair`` and
 ``modified_spherical_bessel_k_scaled_pair`` check the argument and call the
-same kernels.
+same kernels.  ``ek_kernel(l)`` binds one order of e^x k_l the same way, for
+a float or an ndarray, and checks neither the argument nor overflow: it is
+for callers that have vetted both, like a tail sweep whose nodes all lie at
+or beyond a checked point.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -260,6 +263,17 @@ def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     for a in reversed(_k_poly_coeffs(ell)):
         acc = acc * u + a
     return acc * u
+
+
+@lru_cache(maxsize=None, typed=True)
+def ek_kernel(ell: int) -> Callable[[float | np.ndarray], float | np.ndarray]:
+    """The function x -> e^x k_ell(x) of a float or an ndarray x > 0: the
+    Horner sum that ``modified_spherical_bessel_k_scaled`` runs after its
+    checks, bit for bit, with no check of x and no overflow check, which are
+    the caller's.  The order is checked here, once.
+    """
+    _check_order_arg(ell, 1.0)
+    return partial(_k_horner, ell)
 
 
 def _k_deriv_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:

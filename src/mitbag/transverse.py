@@ -194,7 +194,8 @@ class TransverseSolution:
     u: np.ndarray
     mass: float
     deriv0: float
-    _dense: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    _profiles: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    _index: int
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and self.mass > 0.0):
@@ -204,7 +205,7 @@ class TransverseSolution:
 
     def evaluate(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Profile value and derivative at arbitrary points of [0, sqrt(m)]."""
-        return self._dense(tau)
+        return self._profiles(self._index, tau)
 
 
 def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[float, np.ndarray]:
@@ -291,29 +292,31 @@ def _solve_one_mass(problems: Sequence[TransverseProblem]) -> list[TransverseSol
 
     tau = np.concatenate([(left[:, None] + 0.5 * h * (_GLL[:-1] + 1.0)[None, :]).ravel(), [T]])
     tau.flags.writeable = False  # one array, shared by the group's solutions
+    profiles = _nodal_profiles(h, nodal, nodal_deriv)
     return [
         TransverseSolution(
             lam=float(lam[i]), tau=tau, u=u[i], mass=float(mass[i]), deriv0=float(deriv0[i]),
-            _dense=_dense_profile(h, nodal[i], nodal_deriv[i]),
+            _profiles=profiles, _index=i,
         )
         for i in range(n_p)
     ]
 
 
-def _dense_profile(
+def _nodal_profiles(
     h: float, nodal: np.ndarray, nodal_deriv: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Evaluator of a nodal profile and its derivative between the nodes."""
-    n_el = len(nodal)
+) -> Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Evaluator (i, t) -> value and derivative of profile i of a stack of
+    nodal profiles between the nodes; one per mass group."""
+    n_el = nodal.shape[1]
     left = h * np.arange(n_el)
 
-    def dense(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dense(i: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
         flat_t = t.ravel()
         e = np.clip(np.floor(flat_t / h).astype(int), 0, n_el - 1)
         basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - left[e]) / h - 1.0)
-        value = np.einsum("kj,kj->k", basis, nodal[e])
-        deriv = np.einsum("kj,kj->k", basis, nodal_deriv[e])
+        value = np.einsum("kj,kj->k", basis, nodal[i, e])
+        deriv = np.einsum("kj,kj->k", basis, nodal_deriv[i, e])
         return value.reshape(t.shape), deriv.reshape(t.shape)
 
     return dense
@@ -374,23 +377,21 @@ def residual_of_ansatz(p: TransverseProblem) -> float:
     """
     T = p.half_width
     c0, c1, c2 = _ansatz_poly(p)
-
-    def poly_em(tau):
-        return (c0 + c1 * tau + c2 * tau**2) * np.exp(-tau)
-
-    def poly_em_d1(tau):
-        return (c1 + 2.0 * c2 * tau - (c0 + c1 * tau + c2 * tau**2)) * np.exp(-tau)
-
-    def poly_em_d2(tau):
-        inner = 2.0 * c2 - 2.0 * (c1 + 2.0 * c2 * tau) + (c0 + c1 * tau + c2 * tau**2)
-        return inner * np.exp(-tau)
-
     x, w = panel_nodes(0.0, T, max_panel=QUAD_PANEL, n_nodes=16)
+    # The ansatz polynomial P = c0 + c1 tau + c2 tau^2, its slope and e^{-tau},
+    # once per node: (P e^{-tau})' = (P' - P) e^{-tau} and
+    # (P e^{-tau})'' = (2 c2 - 2 P' + P) e^{-tau}.
+    decay = np.exp(-x)
+    poly = c0 + c1 * x + c2 * x**2
+    dpoly = c1 + 2.0 * c2 * x
+    f0 = poly * decay
+    f1 = (dpoly - poly) * decay
+    f2 = (2.0 * c2 - 2.0 * dpoly + poly) * decay
     chi, chi1, chi2 = _cutoff(x / T)
     chi1, chi2 = chi1 / T, chi2 / T**2
-    v = chi * poly_em(x)
-    dv = chi1 * poly_em(x) + chi * poly_em_d1(x)
-    d2v = chi2 * poly_em(x) + 2.0 * chi1 * poly_em_d1(x) + chi * poly_em_d2(x)
+    v = chi * f0
+    dv = chi1 * f0 + chi * f1
+    d2v = chi2 * f0 + 2.0 * chi1 * f1 + chi * f2
     a = p.weight(x)
     da = p.weight_deriv(x)
     residual = -d2v - (da / a) * dv + v

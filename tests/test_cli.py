@@ -488,6 +488,17 @@ def test_verify_starts_without_scipy(tmp_path):
     assert probe == {"passed": True, "scipy": [], "new": []}
 
 
+def test_import_loads_no_numpy_polynomial(tmp_path):
+    # The Gauss rules are tabulated: no process imports numpy.polynomial or
+    # solves the eigenproblem behind leggauss.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, mitbag.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestMainExitCodes:
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2

@@ -395,9 +395,67 @@ class TestIntrinsicMass:
             mit_eigenpair(self.P, GROUND, 0.25)
 
 
+def _quadratic_conjugation_defect(energies):
+    # The definition, level by level against every opposite level.
+    defect = 0.0
+    for e in energies:
+        opposite = [e2 for e2 in energies if e2 * e < 0.0] or [math.inf]
+        gap = min(abs(e + e2) for e2 in opposite)
+        defect = max(defect, gap if math.isfinite(gap) else math.inf)
+    return defect
+
+
+# Levels of either sign, with zeros, subnormals, levels whose products
+# underflow, +-inf and NaN among them.
+LEVELS = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-170, -1e-170, 2.2e-308, -2.2e-308]),
+)
+
+
 class TestSpectralResult:
     def test_charge_conjugation_empty(self):
         assert charge_conjugation_check([]) == 0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        levels=st.lists(LEVELS, max_size=10),
+        mirrored=st.lists(
+            st.tuples(st.integers(0, 9), st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 0.5, 1e-200])),
+            max_size=10,
+        ),
+    )
+    def test_charge_conjugation_is_the_quadratic_definition(self, levels, mirrored):
+        # Near-mirror images of drawn levels give finite defects; the check
+        # returns the definition's value to the bit.
+        energies = levels + [-levels[i] * f for i, f in mirrored if i < len(levels)]
+        defect = charge_conjugation_check([(e, GROUND) for e in energies])
+        assert defect.hex() == _quadratic_conjugation_defect(energies).hex()
+
+    def test_conjugate_sectors_share_one_sampling(self, monkeypatch):
+        # kj = -1 at E and kj = +1 at -E have the same k and the order pair
+        # (0, 1): one sampling of j_0 and j_1 serves both eigenpairs.
+        orders = []
+        bessel_j = dirac_ball.spherical_bessel_j
+
+        def counted(ell, x):
+            orders.append(ell)
+            return bessel_j(ell, x)
+
+        monkeypatch.setattr(dirac_ball, "spherical_bessel_j", counted)
+        lam = mit_eigenvalues(P0, GROUND, 1)[0]
+        with run_memo():
+            minus = mit_eigenpair(P0, GROUND, lam)
+            plus = mit_eigenpair(P0, AngularSector(1), -lam)
+            assert sorted(orders) == [0, 1]
+            for sec in (GROUND, AngularSector(1)):
+                r, _, ja, jb = dirac_ball._sampled(sec, lam, P0.R, lam)
+                assert np.array_equal(ja, bessel_j(sec.ell_upper, lam * r))
+                assert np.array_equal(jb, bessel_j(sec.ell_lower, lam * r))
+        assert sorted(orders) == [0, 1]
+        assert minus.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert plus.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 PINNED_SOLVES = (

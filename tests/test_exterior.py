@@ -1,6 +1,7 @@
 """Exterior model problems: per-mode energies, effective functional, decay."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mitbag.exterior import (
     torus_datum,
 )
 from mitbag.geometry import BallInterior
+from mitbag.special import BesselOverflowError, modified_spherical_bessel_k_scaled
 
 FOUR_PI = 4.0 * math.pi
 
@@ -266,3 +268,44 @@ def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
     evaluations.clear()
     run_suite(config)
     assert evaluations == first
+
+
+def _checked_tail_quadrature(m, R, ell, rate, length):
+    # The tail quadrature with every node's e^x k_l through the checked
+    # public function.
+    sigma, w, decay = exterior._tail_rule(rate, length)
+    r = R + sigma / m
+    ratio = modified_spherical_bessel_k_scaled(ell, m * r) / modified_spherical_bessel_k_scaled(ell, m * R)
+    return float(np.dot(w, decay * ratio**2 * r**2))
+
+
+@pytest.mark.parametrize("R", (0.5, 1.0, 1.7, 3.0))
+def test_tail_quadrature_equals_the_checked_sum_bitwise(tmp_path, monkeypatch, R):
+    # Every tail integral of the exterior and dirac suites (the Agmon rules
+    # and the large-mass eigenpair tails included) takes the unchecked
+    # kernel on its nodes and keeps the bits of the checked evaluation.
+    calls = []
+    quadrature = exterior._tail_quadrature
+
+    def recorded(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(exterior, "_tail_quadrature", recorded)
+    for suite in ("exterior", "dirac"):
+        run_suite(SuiteConfig(suite=suite, geometry=BallInterior(R=R), output_path=str(tmp_path / "r.csv")))
+    assert {rate for _, _, _, rate, _ in calls} > {2.0}
+    for args in calls:
+        assert quadrature(*args).hex() == _checked_tail_quadrature(*args).hex()
+
+
+def test_tail_overflow_is_still_reported():
+    # The boundary value e^x k_l(mR) is checked, so an overflow there raises
+    # the typed error before any node is evaluated, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BesselOverflowError):
+            exterior.ball_mode_mass(1e-5, 1.0, 50)
+        with pytest.raises(BesselOverflowError):
+            agmon_decay_check(1e-5, 1.0, 50, 0.5)
+    assert math.isfinite(exterior.ball_mode_mass(1e-2, 1.0, 50))

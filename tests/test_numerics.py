@@ -252,6 +252,26 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             mesh_aligned_nodes(np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("n", (12, 16))
+    def test_tabulated_rules_are_numpys(self, n):
+        # One panel on [-1, 1] returns the reference rule itself.
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = panel_nodes(-1.0, 1.0, max_panel=2.0, n_nodes=n)
+        ref_x, ref_w = leggauss(n)
+        assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
+        assert np.all(np.abs(w - ref_w) <= 64 * np.spacing(ref_w))
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.dot(w, x**k)) - exact) <= 1e-15
+
+    @pytest.mark.parametrize("n", (8, 13, 20))
+    def test_untabulated_rule_sizes_rejected(self, n):
+        with pytest.raises(ValueError, match="n_nodes"):
+            panel_nodes(0.0, 1.0, n_nodes=n)
+        with pytest.raises(ValueError, match="n_nodes"):
+            mesh_aligned_nodes(np.array([0.0, 1.0]), n_nodes=n)
+
 
 class TestInverseMassFit:
     def test_line_fit(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mitbag.special import (
     BesselOverflowError,
     SpecialFunctionDomainError,
+    ek_kernel,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
     modified_spherical_bessel_k_scaled_pair,
@@ -263,6 +264,43 @@ class TestPairKernels:
 def _scipy_i(ell, x):
     """Growing modified spherical Bessel function and its derivative (oracle)."""
     return float(sp.spherical_in(ell, x)), float(sp.spherical_in(ell, x, derivative=True))
+
+
+class TestUncheckedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ell=st.integers(min_value=0, max_value=50),
+        xs=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-6, max_value=1e-2),  # overflows at large l
+                st.floats(min_value=1e-2, max_value=10.0),
+                st.floats(min_value=10.0, max_value=1e8),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_kernel_is_the_checked_function_bitwise(self, ell, xs):
+        # Wherever the checked function is finite, the kernel gives its bits,
+        # on floats and on an ndarray of the finite points.
+        kernel = ek_kernel(ell)
+        finite = []
+        for x in xs:
+            try:
+                value = modified_spherical_bessel_k_scaled(ell, x)
+            except BesselOverflowError:
+                continue
+            assert type(kernel(x)) is float and kernel(x).hex() == value.hex()
+            finite.append(x)
+        if finite:
+            x = np.array(finite)
+            assert kernel(x).tobytes() == modified_spherical_bessel_k_scaled(ell, x).tobytes()
+
+    def test_order_checked_once_when_bound(self):
+        assert ek_kernel(3) is ek_kernel(3)
+        for ell in (-1, 51, True, 2.0):
+            with pytest.raises(SpecialFunctionDomainError):
+                ek_kernel(ell)
 
 
 class TestWronskian:
