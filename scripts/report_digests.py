@@ -5,13 +5,16 @@ Usage:
     PYTHONPATH=src python scripts/report_digests.py > digests.txt
 
 The reports are those of the four golden configs (``tests/golden``, CSV and
-JSON), and of the exterior, dirac and robin suites, in CSV and JSON, on the
+JSON), of the exterior, dirac and robin suites, in CSV and JSON, on the
 first 16 seeded passes (ball radius and config seed) of the ``spectra``
-benchmark seeds 901 and 902.  The passes are rebuilt here from the seeds the
-way the benchmark draws them: 1024 fixed radii in [0.5, 3], visited in a
-seeded random order, each with a seeded 32-bit config seed.  A change that
-keeps every report byte-identical prints the same lines as its parent;
-``diff`` of the two outputs names each report that moved.
+benchmark seeds 901 and 902, and of the transverse suite, in CSV and JSON,
+on the R = 1 golden config at config seeds 1 to 4 (the golden configs have
+seed 0, and the seeded minimality rows depend on the seed).  The passes are
+rebuilt here from the seeds the way the benchmark draws them: 1024 fixed
+radii in [0.5, 3], visited in a seeded random order, each with a seeded
+32-bit config seed.  A change that keeps every report byte-identical prints
+the same lines as its parent; ``diff`` of the two outputs names each report
+that moved.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ SEEDS = (901, 902)
 PASSES = 16
 SUITES = ("exterior", "dirac", "robin")
 FORMATS = ("csv", "json")
+TRANSVERSE_SEEDS = (1, 2, 3, 4)
 
 
 def seeded_passes(seed: int, count: int) -> list[tuple[float, int]]:
@@ -65,6 +69,12 @@ def main() -> int:
                     for fmt in FORMATS:
                         print(f"{digest({**document, 'format': fmt}, out)}  seed {seed} pass {index} R={radius!r} "
                               f"{suite} {fmt}")
+        golden_r1 = json.loads((GOLDEN / "config_R1.json").read_text())
+        for config_seed in TRANSVERSE_SEEDS:
+            document = {**golden_r1, "suite": "transverse", "seed": config_seed}
+            for fmt in FORMATS:
+                print(f"{digest({**document, 'format': fmt}, out)}  golden config_R1.json transverse "
+                      f"seed {config_seed} {fmt}")
     return 0
 
 

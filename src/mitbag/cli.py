@@ -266,9 +266,10 @@ def _transverse_pair_data(pair: tuple[float, float], m_grid: Sequence[float]) ->
 
 
 def _transverse_sweep_records(
-    config: SuiteConfig, m_grid: Sequence[float]
+    per_pair: Sequence[tuple[tuple[float, float], list[TransverseProblem]]], sols: Sequence[TransverseSolution]
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
-    """Expansion-order and mass-rate checks over the curvature grid.
+    """Expansion-order and mass-rate checks over the curvature grid, from the
+    problems of each pair and their solutions in the same order.
 
     The m^-3 law is asserted on cohort aggregates (max gap over the pairs
     sharing a validity range): per-pair m^3-scaled gaps are not monotone
@@ -281,21 +282,30 @@ def _transverse_sweep_records(
     """
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
-    # Every problem of the grid goes to one stacked solve.
-    sols = solve_transverse([prob for _, probs in per_pair for prob in probs])
-    _add_transverse_effort(summary, sols)
     solved = iter(sols)
-
-    cohorts: dict[tuple[float, ...], list[tuple[tuple[float, float], list[float]]]] = {}
+    gaps = []  # per pair: the pair, its valid masses, expansion gaps and mass deviations
+    cohorts: dict[tuple[float, ...], list[int]] = {}
     for pair, probs in per_pair:
         pair_sols = [next(solved) for _ in probs]
         valid_ms = tuple(prob.m for prob in probs)
         diffs = [abs(sol.lam - expansion_lambda(prob)) for prob, sol in zip(probs, pair_sols)]
-        mass_devs = [transverse_mass_check(sol) for sol in pair_sols]
-        cohorts.setdefault(valid_ms, []).append((pair, diffs))
-        slope = fit_line(np.log(valid_ms), np.log([max(d, 1e-17) for d in diffs]))[1]
-        records.append(check("transverse.expansion.pair.slope", -2.9, slope, 0.0, kappa=pair[0], gauss=pair[1]))
+        cohorts.setdefault(valid_ms, []).append(len(gaps))
+        gaps.append((pair, valid_ms, diffs, [transverse_mass_check(sol) for sol in pair_sols]))
+
+    # One fit per cohort: the slopes of its pairs' gaps and of their aggregate.
+    pair_slopes: dict[int, float] = {}
+    aggregates = {}
+    for valid_ms, members in cohorts.items():
+        agg = [max(gaps[i][2][k] for i in members) for k in range(len(valid_ms))]
+        series = [[max(d, 1e-17) for d in gaps[i][2]] for i in members] + [agg]
+        slopes = fit_line(np.log(valid_ms), np.log(series).T)[1].tolist()
+        pair_slopes.update(zip(members, slopes))
+        aggregates[valid_ms] = (len(members), agg, slopes[-1])
+
+    for i, (pair, valid_ms, diffs, mass_devs) in enumerate(gaps):
+        records.append(
+            check("transverse.expansion.pair.slope", -2.9, pair_slopes[i], 0.0, kappa=pair[0], gauss=pair[1])
+        )
         # Mass rate: the first-order term of the weighted mass cancels
         # analytically, so the deviation envelope fitted at the coarsest
         # valid mass bounds the finer ones.
@@ -304,10 +314,8 @@ def _transverse_sweep_records(
         records.append(check("transverse.mass.envelope", mass_env, mass_worst, 1e-9, kappa=pair[0], gauss=pair[1]))
         summary[f"expansion_constant[kappa={pair[0]:g},K={pair[1]:g}]"] = diffs[-1] * valid_ms[-1] ** 3
 
-    for valid_ms, members in sorted(cohorts.items()):
-        agg = [max(diffs[i] for _, diffs in members) for i in range(len(valid_ms))]
-        label = f"floor<={valid_ms[0]:g};pairs={len(members)}"
-        slope = fit_line(np.log(valid_ms), np.log(agg))[1]
+    for valid_ms, (count, agg, slope) in sorted(aggregates.items()):
+        label = f"floor<={valid_ms[0]:g};pairs={count}"
         records.append(check("transverse.expansion.slope", -2.9, slope, 0.0, sector=label))
         env = agg[0] * valid_ms[0] ** 3
         worst = max((d * m**3 for d, m in zip(agg[1:], valid_ms[1:])), default=0.0)
@@ -320,9 +328,15 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
     m_grid = config.m_grid or TRANSVERSE_M_GRID
+    flat_probs = [TransverseProblem(m=m, curv=CurvatureData.flat()) for m in (4.0, 16.0, 64.0, 1e4)]
+    per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
+    seeded = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))  # minimality on seeded test functions
+    # Every problem of the suite goes to one stacked solve.
+    sols = solve_transverse([*flat_probs, *(prob for _, probs in per_pair for prob in probs), seeded])
+    flat, sweep_sols, sol = sols[: len(flat_probs)], sols[len(flat_probs) : -1], sols[-1]
+    _add_transverse_effort(summary, sols)
 
     # Flat closed forms: the profile is sinh(sqrt(m)-tau)/sinh(sqrt(m)).
-    flat = solve_transverse([TransverseProblem(m=m, curv=CurvatureData.flat()) for m in (4.0, 16.0, 64.0, 1e4)])
     sol4, sol_large = flat[0], flat[-1]
     lam_exact = 1.0 / math.tanh(2.0)
     mass_exact = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
@@ -331,7 +345,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records.append(check("transverse.flat.limit.m1e4", 1.0, sol_large.lam, 1e-8, m=1e4, kappa=0.0, gauss=0.0))
 
     # Curvature sweep: expansion order and mass envelopes.
-    sweep_records, sweep_summary = _transverse_sweep_records(config, m_grid)
+    sweep_records, sweep_summary = _transverse_sweep_records(per_pair, sweep_sols)
     records.extend(sweep_records)
     summary.update(sweep_summary)
 
@@ -345,9 +359,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
 
     # Minimality and the Pythagoras identity on seeded test functions.
     rng = default_rng(config.seed)
-    prob = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
-    (sol,) = solve_transverse([prob])
-    T = prob.half_width
+    T = seeded.half_width
     coeffs = rng.uniform(-0.5, 0.5, size=(5, 3))
 
     def seeded_and_differences(tau):
@@ -365,7 +377,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
         u, du = sol.evaluate(tau)
         return np.concatenate([w, w - u]), np.concatenate([dw, dw - du])
 
-    q_w, q_diff = np.split(transverse_form(prob, seeded_and_differences), 2)
+    q_w, q_diff = np.split(transverse_form(seeded, seeded_and_differences), 2)
     min_gap = float(np.min(q_w - sol.lam))
     max_pyth = float(np.max(np.abs(q_w - sol.lam - q_diff)))
     records.append(check("transverse.minimality.seeded", 0.0, min_gap, 1e-8, m=36.0, kappa=2.0, gauss=1.0))
@@ -390,7 +402,6 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # super-polynomially, so no fixed power law is asserted.
     flat_devs = [transverse_mass_check(s) for s in flat[:3]]
     summary["flat_mass_decay_order"] = fit_line(np.log((4.0, 16.0, 64.0)), np.log(flat_devs))[1]
-    _add_transverse_effort(summary, [*flat, sol])
     return records, summary
 
 

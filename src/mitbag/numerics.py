@@ -426,14 +426,26 @@ def solve_bvp_shooting(
 # ----------------------------------------------------------------------------
 
 
-def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares line y ~ intercept + slope x; returns (intercept, slope)."""
+def fit_line(x: Sequence[float], y: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
+    """Least-squares line y ~ intercept + slope x; returns (intercept, slope).
+
+    A 2-D ``y`` holds one series per column, and the intercepts and slopes
+    are then arrays, one entry per column.  Each column is still fitted as a
+    one-column problem: np.linalg.lstsq with a 2-D right-hand side rounds
+    differently from one-column fits once there are 8 or more points.
+    """
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), x])
-    coef, _, rank, _ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
-    if rank < 2:
-        raise FitError("degenerate design matrix")
-    return float(coef[0]), float(coef[1])
+    coef = []
+    for series in y.T if y.ndim == 2 else (y,):
+        fit, _, rank, _ = np.linalg.lstsq(design, series, rcond=None)
+        if rank < 2:
+            raise FitError("degenerate design matrix")
+        coef.append(fit)
+    if y.ndim == 2:
+        return tuple(np.array(coef).T)
+    return float(coef[0][0]), float(coef[0][1])
 
 
 def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -154,6 +155,15 @@ CHECKS: dict[str, CheckKind] = {
     "robin.identity": CheckKind("upper", "closed-form"),
     "robin.identity.tol_study": CheckKind("below", "closed-form"),
 }
+
+
+# The characters of a check id or sector label: no space, quote, backslash
+# or control character, so a label is never escaped in JSON.
+LABEL_CHARS = re.compile(r"[A-Za-z0-9_.=;,<>+-]+")
+
+_unplain = [check_id for check_id in CHECKS if not LABEL_CHARS.fullmatch(check_id)]
+if _unplain:
+    raise ValueError(f"check ids {_unplain} hold characters outside {LABEL_CHARS.pattern}")
 
 
 def check(check_id: str, expected: float, observed: float, tolerance: float, *, m: float | None = None,

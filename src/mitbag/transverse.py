@@ -25,13 +25,21 @@ degree-14 Gauss-Lobatto-Legendre (GLL) spectral element, and Q restricted to
 that continuous piecewise-polynomial space is minimized directly: each
 element's 13 interior unknowns are eliminated by static condensation (one
 batched solve of the 13 x 13 interior blocks), the element end nodes then
-satisfy an SPD tridiagonal system solved by one Thomas sweep, and the
-interiors follow by back-substitution.  Problems of one mass share the
-panels and the quadrature points, so ``solve_transverse`` stacks them:
-one element-matrix product, one batched interior solve and one Thomas
-sweep vectorized across the problems per mass.  Every step acts on each
-problem's own slice with the arithmetic of a lone solve, so a solution is
-bit-for-bit the same whichever problems share its stack.
+satisfy an SPD tridiagonal system solved by a Thomas sweep, and the
+interiors follow by back-substitution.  ``solve_transverse`` solves all the
+problems it is given in one stack, whatever their masses: one batched solve
+of all the interior blocks, one Schur product, one back-substitution, and
+one Thomas sweep over all problems padded to the longest collar (padding
+rows hold diag 1, off 0 and rhs 0, and each problem's coupling to its zero
+end node is 0; as rhs - off * 0.0 == rhs, a real row keeps its bits).  Every
+step gives each problem the arithmetic of a lone solve, so a solution is
+bit-for-bit the same whichever problems share its stack.  Two rules keep it
+so.  A one-row matrix product takes another BLAS kernel than the rows of a
+matrix product, whose rows have the same bits at any position: so the
+element matrices, whose moments depend on the panel length, are one product
+per mass, and the products of one-element problems stay one-row products.
+And a problem's energy and mass are np.sum over its own contiguous row, as
+zero padding would change the pairwise blocking of the sum.
 The element matrices use 16-point Gauss quadrature, which integrates
 (|u'|^2 + |u|^2) a exactly for the quadratic weight a, so the discrete energy
 is the exact Q of the discrete profile.  By the Pythagoras identity
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,9 +153,13 @@ def _element_tables(n: int) -> tuple[np.ndarray, ...]:
 )
 
 
-def _collar_weight(kappa: float | np.ndarray, gauss: float | np.ndarray, m: float, tau: np.ndarray) -> np.ndarray:
-    """a(tau) = 1 + kappa tau / m + K tau^2 / m^2; kappa and K broadcast against tau."""
-    return 1.0 + kappa * tau / m + gauss * tau**2 / m**2
+def _collar_weight(
+    kappa: float | np.ndarray, gauss: float | np.ndarray, m: float | np.ndarray, m2: float | np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """a(tau) = 1 + kappa tau / m + K tau^2 / m2 with m2 = m**2 (Python's
+    power, not numpy's square, as the two can round differently); the
+    parameters broadcast against tau."""
+    return 1.0 + kappa * tau / m + gauss * tau**2 / m2
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,7 @@ class TransverseProblem:
             )
 
     def weight(self, tau: np.ndarray) -> np.ndarray:
-        return _collar_weight(self.curv.kappa, self.curv.gauss, self.m, np.asarray(tau, dtype=float))
+        return _collar_weight(self.curv.kappa, self.curv.gauss, self.m, self.m**2, np.asarray(tau, dtype=float))
 
     def weight_deriv(self, tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -208,136 +220,215 @@ class TransverseSolution:
         return self._profiles(self._index, tau)
 
 
-def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[float, np.ndarray]:
-    """Panel length h and the (n_p, n_el, n + 1, n + 1) element matrices of Q
-    for problems of one mass.
+def _panels(m: float) -> tuple[int, float]:
+    """Number and length of the collar's panels: ceil(sqrt(m) / ELEMENT_PANEL)
+    equal panels of length <= ELEMENT_PANEL."""
+    T = math.sqrt(m)
+    if T > MAX_HALF_WIDTH:
+        raise CollarWidthError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
+    n_el = max(1, math.ceil(T / ELEMENT_PANEL))
+    return n_el, T / n_el
 
-    The collar is cut into ceil(sqrt(m) / ELEMENT_PANEL) equal panels of
-    length <= ELEMENT_PANEL = 4, on which the degree-14 element still
+
+class _Stack(NamedTuple):
+    """Element layout of a stack of problems.  The problems runs[r][0]:runs[r][1]
+    share a mass.  Problem k has n_el[k] panels of length h[k], the elements
+    first[k]:first[k + 1]; element e is panel j[e] of problem owner[e], with
+    left end left[e], and params[:, e] holds the (kappa, K, m, m**2) of its
+    problem's weight, shape (4, n_elements, 1)."""
+
+    runs: list[tuple[int, int]]
+    n_el: np.ndarray
+    h: np.ndarray
+    first: np.ndarray
+    owner: np.ndarray
+    j: np.ndarray
+    left: np.ndarray
+    params: np.ndarray
+
+
+def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[_Stack, np.ndarray]:
+    """The layout of a stack of problems, whose equal masses must be
+    adjacent, and their (n_elements, n + 1, n + 1) element matrices of Q,
+    problem after problem.
+
+    On a panel of length h <= ELEMENT_PANEL = 4 the degree-14 element still
     resolves e^{-tau} far below double precision.  The matrices are exact by
     quadrature: on each panel the weight is c0 + c1 xi + c2 xi^2 in the local
     coordinate xi in [-1, 1], with coefficients from its values at
-    xi = -1, 0, 1.  Each problem's matrices come from its own
-    (n_el, 3) @ (3, (n + 1)^2) product, so they do not depend on which
-    problems share the stack.
+    xi = -1, 0, 1.  The moments of the element depend on h, so the
+    coefficient rows of each mass go through one
+    (n_rows, 3) @ (3, (n + 1)^2) product, or through one-row products if the
+    mass has one element (see ``_row_products``); either way each problem's
+    matrices have the bits of its lone solve.
     """
-    T = problems[0].half_width
-    if T > MAX_HALF_WIDTH:
-        raise CollarWidthError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
+    bounds = [k for k in range(1, len(problems)) if problems[k].m != problems[k - 1].m]
+    runs = list(zip([0, *bounds], [*bounds, len(problems)]))
+    panels = [_panels(problems[k0].m) for k0, _ in runs]
+    sizes = [k1 - k0 for k0, k1 in runs]
+    n_el = np.repeat([count for count, _ in panels], sizes)
+    h = np.repeat([width for _, width in panels], sizes)
+    first = np.concatenate([[0], np.cumsum(n_el)])
+    owner = np.repeat(np.arange(len(problems)), n_el)
+    j = np.arange(first[-1]) - first[owner]
+    params = np.array([(p.curv.kappa, p.curv.gauss, p.m, p.m**2) for p in problems])[owner].T[..., None]
+    left = h[owner] * j
     n = ELEMENT_DEGREE
-    n_el = max(1, math.ceil(T / ELEMENT_PANEL))
-    h = T / n_el
-    left = h * np.arange(n_el)
-    a = _stacked_weight(problems, left[:, None] + 0.5 * h * np.array([0.0, 1.0, 2.0]))
-    a_left, a_mid, a_right = a[..., 0], a[..., 1], a[..., 2]
+    ends = left[:, None] + (0.5 * h[owner])[:, None] * np.array([0.0, 1.0, 2.0])
+    a_left, a_mid, a_right = _collar_weight(*params, ends).T
     coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=-1)
-    elem = coef @ (_STIFF_MOMENTS * (2.0 / h) ** 2 + _MASS_MOMENTS)
-    elem *= 0.5 * h
-    return h, elem.reshape(len(problems), n_el, n + 1, n + 1)
-
-
-def _stacked_weight(problems: Sequence[TransverseProblem], tau: np.ndarray) -> np.ndarray:
-    """Collar weights of problems of one mass at points tau, shape (n_p, *tau.shape)."""
-    curv = np.array([(p.curv.kappa, p.curv.gauss) for p in problems]).reshape(-1, 2, *(1,) * tau.ndim)
-    return _collar_weight(curv[:, 0], curv[:, 1], problems[0].m, tau)
-
-
-def _solve_one_mass(problems: Sequence[TransverseProblem]) -> list[TransverseSolution]:
-    """The stacked solve of problems sharing a mass, hence h, n_el and the
-    Gauss points: every step is a batched numpy call over the problems."""
-    h, elem = _element_matrices(problems)
-    n_p, n_el, n = len(problems), elem.shape[1], ELEMENT_DEGREE
-    T = problems[0].half_width
-    left = h * np.arange(n_el)
-
-    # Static condensation.  An element's interior nodes couple only to its
-    # two end nodes (local 0 and n, the slice ::n), so u_int = -K_ii^{-1}
-    # K_ib u_end eliminates them; the end nodes keep the Schur complement
-    # S = K_bb - K_bi K_ii^{-1} K_ib, which assembles from 2 x 2 element
-    # blocks into an SPD tridiagonal matrix.
-    elim = np.linalg.solve(elem[..., 1:-1, 1:-1], elem[..., 1:-1, ::n])  # (n_p, n_el, n - 1, 2)
-    schur = elem[..., ::n, ::n] - elem[..., ::n, 1:-1] @ elim
-    first_row = elem[:, 0, 0].copy()  # row of node 0, which only element 0 holds
-    del elem  # the largest array of the group; free it before the sweep
-
-    # End-node values v with the Dirichlet data v_0 = 1, v_{n_el} = 0; a
-    # Thomas sweep, vectorized over the problems, solves for the n_el - 1
-    # inner ones.  Row j couples node j + 1 to node j + 2 through off[j].
-    v = np.zeros((n_p, n_el + 1))
-    v[:, 0] = 1.0
-    diag = schur[:, :-1, 1, 1] + schur[:, 1:, 0, 0]
-    off = schur[:, 1:, 0, 1]
-    rhs = np.zeros((n_p, n_el - 1))
-    rhs[:, :1] = -schur[:, :1, 1, 0]
-    for j in range(1, n_el - 1):
-        ratio = off[:, j - 1] / diag[:, j - 1]
-        diag[:, j] -= ratio * off[:, j - 1]
-        rhs[:, j] -= ratio * rhs[:, j - 1]
-    for j in range(n_el - 2, -1, -1):
-        v[:, j + 1] = (rhs[:, j] - off[:, j] * v[:, j + 2]) / diag[:, j]
-
-    nodal = np.empty((n_p, n_el, n + 1))
-    nodal[..., 0], nodal[..., -1] = v[:, :-1], v[:, 1:]
-    nodal[..., 1:-1] = -(elim @ nodal[..., ::n, None])[..., 0]
-    del elim
-    u = np.concatenate([nodal[..., :-1].reshape(n_p, -1), v[:, -1:]], axis=1)
-    deriv0 = -np.einsum("pj,pj->p", first_row, nodal[:, 0])  # -(A u)_0
-    xq = left[:, None] + 0.5 * h * (_GAUSS_X + 1.0)[None, :]
-    wa = 0.5 * h * _GAUSS_W[None, :] * _stacked_weight(problems, xq)
-    uq = nodal @ _GAUSS_VAL.T
-    duq = nodal @ _GAUSS_DER.T * (2.0 / h)
-    lam = np.sum((wa * (duq * duq + uq * uq)).reshape(n_p, -1), axis=1)
-    mass = np.sum((wa * uq * uq).reshape(n_p, -1), axis=1)
-    nodal_deriv = nodal @ _DIFF.T * (2.0 / h)
-
-    tau = np.concatenate([(left[:, None] + 0.5 * h * (_GLL[:-1] + 1.0)[None, :]).ravel(), [T]])
-    tau.flags.writeable = False  # one array, shared by the group's solutions
-    profiles = _nodal_profiles(h, nodal, nodal_deriv)
-    return [
-        TransverseSolution(
-            lam=float(lam[i]), tau=tau, u=u[i], mass=float(mass[i]), deriv0=float(deriv0[i]),
-            _profiles=profiles, _index=i,
-        )
-        for i in range(n_p)
-    ]
-
-
-def _nodal_profiles(
-    h: float, nodal: np.ndarray, nodal_deriv: np.ndarray
-) -> Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Evaluator (i, t) -> value and derivative of profile i of a stack of
-    nodal profiles between the nodes; one per mass group."""
-    n_el = nodal.shape[1]
-    left = h * np.arange(n_el)
-
-    def dense(i: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        flat_t = t.ravel()
-        e = np.clip(np.floor(flat_t / h).astype(int), 0, n_el - 1)
-        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - left[e]) / h - 1.0)
-        value = np.einsum("kj,kj->k", basis, nodal[i, e])
-        deriv = np.einsum("kj,kj->k", basis, nodal_deriv[i, e])
-        return value.reshape(t.shape), deriv.reshape(t.shape)
-
-    return dense
+    elem = np.empty((len(coef), (n + 1) ** 2))
+    for (k0, k1), (count, width) in zip(runs, panels):
+        rows = slice(first[k0], first[k1])
+        moments = _STIFF_MOMENTS * (2.0 / width) ** 2 + _MASS_MOMENTS
+        _row_products(coef[rows], moments, k1 - k0 if count == 1 else 0, out=elem[rows])
+        elem[rows] *= 0.5 * width
+    return _Stack(runs, n_el, h, first, owner, j, left, params), elem.reshape(-1, n + 1, n + 1)
 
 
 def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSolution]:
     """Minimize Q over the spectral-element space for each problem; return
     energy, profile and mass in input order.
 
-    The solve is direct, so it has no tolerance: static condensation of each
-    element's interior nodes, then one tridiagonal sweep over the element
-    end nodes.  Problems of equal mass are solved together in one stack; a
-    problem's solution does not depend on which others are passed with it.
+    The solve is direct, so it has no tolerance.  All problems go into one
+    stack whatever their masses: one batched solve of every element's
+    interior block, one Schur product, one Thomas sweep over the element end
+    nodes of all problems (padded to the longest collar) and one
+    back-substitution.  Only the element-matrix products, whose moments
+    depend on the panel length, and the sums of each problem's energy and
+    mass are formed per mass.  A problem's solution is bit for bit the same
+    whichever problems are passed with it.
     """
     groups: dict[float, list[int]] = {}
     for i, p in enumerate(problems):
         groups.setdefault(p.m, []).append(i)
+    # Stack order: by mass, the one-element problems first (see
+    # _row_products).  _panels rejects a too wide collar before any work.
+    masses = sorted(groups, key=lambda m: _panels(m)[0] > 1)
+    order = [i for m in masses for i in groups[m]]
+    if not order:
+        return []
+    stack, elem = _element_matrices([problems[i] for i in order])
+    n_el, first, owner, j = stack.n_el, stack.first, stack.owner, stack.j
+    n_p, n, n_single = len(order), ELEMENT_DEGREE, int(np.sum(n_el == 1))
+
+    # Static condensation.  An element's interior nodes couple only to its
+    # two end nodes (local 0 and n, the slice ::n), so u_int = -K_ii^{-1}
+    # K_ib u_end eliminates them; the end nodes keep the Schur complement
+    # S = K_bb - K_bi K_ii^{-1} K_ib, which assembles from 2 x 2 element
+    # blocks into an SPD tridiagonal matrix per problem.
+    elim = np.linalg.solve(elem[:, 1:-1, 1:-1], elem[:, 1:-1, ::n])  # (n_elements, n - 1, 2)
+    schur = elem[:, ::n, ::n] - elem[:, ::n, 1:-1] @ elim
+    first_row = elem[first[:-1], 0]  # row of node 0, which only a problem's first element holds
+    del elem  # the largest array of the stack; free it before the sweep
+
+    # End-node values v with the Dirichlet data v_0 = 1, v_{n_el} = 0; one
+    # Thomas sweep over all problems solves for the n_el - 1 inner ones.
+    # Row r of a problem couples its node r + 1 to node r + 2 through
+    # off[r].  The rows past its last inner node are padding (diag 1, off 0,
+    # rhs 0), and its last coupling, to the end node v_{n_el} = 0, is set to
+    # 0; as rhs - off * 0.0 == rhs, every real row keeps the bits of a lone
+    # sweep.  Rows run along axis 0, problems along axis 1.
+    rows = int(n_el.max()) - 1
+    inner = np.flatnonzero(j < n_el[owner] - 1)  # elements followed by one of their own problem
+    coupled = inner[j[inner] < n_el[owner[inner]] - 2]  # ... whose successor is not the last
+    diag, off, rhs = np.ones((rows, n_p)), np.zeros((rows, n_p)), np.zeros((rows, n_p))
+    diag[j[inner], owner[inner]] = schur[inner, 1, 1] + schur[inner + 1, 0, 0]
+    off[j[coupled], owner[coupled]] = schur[coupled + 1, 0, 1]
+    multi = n_el > 1
+    rhs[:1, multi] = -schur[first[:-1][multi], 1, 0]
+    for r in range(1, rows):
+        ratio = off[r - 1] / diag[r - 1]
+        diag[r] -= ratio * off[r - 1]
+        rhs[r] -= ratio * rhs[r - 1]
+    v = np.zeros((rows + 2, n_p))
+    v[0] = 1.0
+    for r in range(rows - 1, -1, -1):
+        v[r + 1] = (rhs[r] - off[r] * v[r + 2]) / diag[r]
+
+    nodal = np.empty((len(owner), n + 1))
+    nodal[:, 0], nodal[:, -1] = v[j, owner], v[j + 1, owner]
+    nodal[:, 1:-1] = -(elim @ nodal[:, ::n, None])[..., 0]
+    del elim
+    deriv0 = -np.einsum("pj,pj->p", first_row, nodal[first[:-1]])  # -(A u)_0
+    # The nodal values of each problem, element by element, closed by
+    # u = 0 at the collar's end: problem k's run starts at first[k] n + k.
+    u_all = np.insert(nodal[:, :-1].ravel(), first[1:] * n, 0.0)
+
+    # Gauss-point integrands of the energy wa (u'^2 + u^2) and the weighted
+    # mass wa u^2, formed in place: the stack's arrays are large enough that
+    # fresh memory costs more than the arithmetic.
+    half_h = 0.5 * stack.h[owner][:, None]
+    xq = half_h * (_GAUSS_X + 1.0)
+    xq += stack.left[:, None]
+    wa = half_h * _GAUSS_W
+    wa *= _collar_weight(*stack.params, xq)
+    uq = _row_products(nodal, _GAUSS_VAL.T, n_single)
+    duq = _row_products(nodal, _GAUSS_DER.T, n_single)
+    duq *= 2.0 / stack.h[owner][:, None]
+    integrands = np.empty((2, *uq.shape))
+    np.multiply(wa, uq, out=integrands[1])
+    integrands[1] *= uq
+    duq *= duq
+    uq *= uq
+    duq += uq
+    np.multiply(wa, duq, out=integrands[0])
+    profiles = _nodal_profiles(stack, nodal)
+
     solved: dict[int, TransverseSolution] = {}
-    for indices in groups.values():
-        solved.update(zip(indices, _solve_one_mass([problems[i] for i in indices])))
-    return [solved[i] for i in range(len(problems))]
+    first_of, deriv0_of = first.tolist(), deriv0.tolist()
+    for k0, k1 in stack.runs:
+        elements = slice(first_of[k0], first_of[k1])
+        # Each problem's sums run over its own contiguous row: the pairwise
+        # blocking of np.sum depends on the row length.
+        lam, mass_sum = np.sum(integrands[:, elements].reshape(2, k1 - k0, -1), axis=2).tolist()
+        h, T = float(stack.h[k0]), problems[order[k0]].half_width
+        nodes = stack.left[first_of[k0] : first_of[k0 + 1], None] + 0.5 * h * (_GLL[:-1] + 1.0)
+        tau = np.concatenate([nodes.ravel(), [T]])
+        tau.flags.writeable = False  # one array, shared by the solutions of the mass
+        for k, lam_k, mass_k in zip(range(k0, k1), lam, mass_sum):
+            u = u_all[first_of[k] * n + k : first_of[k + 1] * n + k + 1]
+            solved[order[k]] = TransverseSolution(
+                lam=lam_k, tau=tau, u=u, mass=mass_k, deriv0=deriv0_of[k], _profiles=profiles, _index=k
+            )
+    return [solved[i] for i in range(n_p)]
+
+
+def _row_products(rows: np.ndarray, table: np.ndarray, n_single: int, out: np.ndarray | None = None) -> np.ndarray:
+    """rows @ table, each row with the bits a lone solve gives it.
+
+    A lone problem of one element forms its row as a one-row product, which
+    BLAS computes with another kernel than the rows of a matrix product
+    (whose rows have the same bits at any position).  So the first
+    ``n_single`` rows, the elements of one-element problems, stay one-row
+    products and the rest go into one matrix product.
+    """
+    if out is None:
+        out = np.empty((len(rows), table.shape[1]))
+    np.matmul(rows[:n_single, None, :], table, out=out[:n_single, None, :])
+    np.matmul(rows[n_single:], table, out=out[n_single:])
+    return out
+
+
+def _nodal_profiles(stack: _Stack, nodal: np.ndarray) -> Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Evaluator (k, t) -> value and derivative of problem k of the stack
+    between the nodes; one per stack.  The nodal derivatives of problem k
+    are formed when it is evaluated, by the product a lone solve makes."""
+    h, n_el, first, left = stack.h, stack.n_el, stack.first, stack.left
+
+    def dense(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(t, dtype=float)
+        flat_t = t.ravel()
+        own = nodal[first[k] : first[k + 1]]
+        own_deriv = _row_products(own, _DIFF.T, 1 if n_el[k] == 1 else 0)
+        own_deriv *= 2.0 / h[k]
+        e = np.clip(np.floor(flat_t / h[k]).astype(int), 0, n_el[k] - 1)
+        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - left[first[k] + e]) / h[k] - 1.0)
+        value = np.einsum("kj,kj->k", basis, own[e])
+        deriv = np.einsum("kj,kj->k", basis, own_deriv[e])
+        return value.reshape(t.shape), deriv.reshape(t.shape)
+
+    return dense
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

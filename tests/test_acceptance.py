@@ -54,7 +54,7 @@ def transverse_sweep():
     if "sweep" not in _CACHE:
         config = SuiteConfig(suite="transverse")
         start = time.perf_counter()
-        records, summary = cli._transverse_sweep_records(config, cli.TRANSVERSE_M_GRID)
+        records, summary = cli.run_transverse_suite(config)
         _CACHE["sweep"] = (records, summary, time.perf_counter() - start)
     return _CACHE["sweep"]
 

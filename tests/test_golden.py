@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from mitbag.cli import main
-from mitbag.report import CHECKS
+from mitbag.report import CHECKS, LABEL_CHARS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RADII = ("0.5", "1", "1.7", "3")
@@ -125,6 +125,23 @@ def test_every_golden_row_has_its_catalogued_kind():
             kind = CHECKS[row["check_id"]]
             assert (row["comparison"], row["provenance"], row["asserted"]) == tuple(kind), row["check_id"]
     assert ids == set(CHECKS)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("radius", RADII)
+def test_golden_ids_and_sectors_are_plain_labels(radius, fmt):
+    labels = set()
+    for key in _rows((GOLDEN / f"report_R{radius}.{fmt}").read_bytes(), fmt):
+        if key[0] != "summary":
+            labels |= {key[0], *([key[4]] if key[4] else [])}
+    assert any(";" in label for label in labels)  # the sector labels are in the set
+    assert [label for label in sorted(labels) if not LABEL_CHARS.fullmatch(label)] == []
+
+
+def test_label_chars_reject_what_a_writer_would_escape():
+    assert all(LABEL_CHARS.fullmatch(check_id) for check_id in CHECKS)
+    for label in ("", "kj=-1 k=1", 'a"b', "a\\b", "a\nb", "a\x00b", "\u00e9"):
+        assert not LABEL_CHARS.fullmatch(label)
 
 
 def _readme_checks() -> dict[str, tuple[str, str, bool]]:

@@ -279,6 +279,35 @@ class TestInverseMassFit:
         with pytest.raises(FitError):
             fit_line([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.integers(3, 12).flatmap(
+            lambda n: st.tuples(
+                # Abscissae spread like the log-masses of the fits, steps 0.05 to 3.
+                st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n).map(lambda steps: np.cumsum(steps) - 5.0),
+                st.integers(1, 25).flatmap(
+                    lambda k: st.lists(
+                        st.lists(
+                            st.floats(1e-17, 1e3) | st.floats(-1e3, -1e-17),
+                            min_size=n,
+                            max_size=n,
+                        ),
+                        min_size=k,
+                        max_size=k,
+                    )
+                ),
+            )
+        )
+    )
+    def test_columns_are_one_column_fits(self, data):
+        # Bit for bit, up to 12 points: np.linalg.lstsq with a 2-D
+        # right-hand side rounds differently from 8 points on.
+        x, columns = data
+        intercepts, slopes = fit_line(x, np.array(columns).T)
+        assert intercepts.shape == slopes.shape == (len(columns),)
+        for column, intercept, slope in zip(columns, intercepts, slopes):
+            assert (intercept, slope) == fit_line(x, column)
+
     def test_exact_affine_data(self):
         points = [(m, 5.0 + 3.0 / m) for m in (2.0, 5.0, 10.0, 40.0)]
         limit, slope = fit_inverse_m(points)

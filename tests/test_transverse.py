@@ -28,6 +28,19 @@ from mitbag.transverse import (
 FLAT = CurvatureData.flat()
 
 
+def valid_problems(m, kappa=st.floats(-3.0, 3.0), gauss=st.floats(-2.0, 2.0)):
+    """(m, kappa, K) triples from the given strategies, valid for a TransverseProblem."""
+    return st.tuples(m, kappa, gauss).filter(lambda t: min_rescaled_weight(CurvatureData(t[1], t[2]), t[0]) >= 0.5)
+
+
+# sqrt(m) <= 4 gives one element, sqrt(m) > 76 at least 20.
+ONE_ELEMENT = valid_problems(
+    st.sampled_from((4.0, 9.0, 16.0)) | st.floats(1.0, 16.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5)
+)
+LONG_COLLAR = valid_problems(st.sampled_from((6400.0, 1e4)) | st.floats(5800.0, 2e4))
+ANY_COLLAR = valid_problems(st.sampled_from((9.0, 36.0, 100.0, 1600.0)) | st.floats(1.0, 1e4))
+
+
 def flat_lambda(m: float) -> float:
     return 1.0 / math.tanh(math.sqrt(m))
 
@@ -100,22 +113,26 @@ class TestRitzSolver:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        problems=st.lists(
-            st.tuples(
-                st.sampled_from((9.0, 36.0, 100.0, 1600.0)) | st.floats(1.0, 1e4),
-                st.floats(-3.0, 3.0),
-                st.floats(-2.0, 2.0),
-            ).filter(lambda t: min_rescaled_weight(CurvatureData(t[1], t[2]), t[0]) >= 0.5),
-            min_size=1,
-            max_size=8,
-        )
+        problems=st.tuples(ONE_ELEMENT, LONG_COLLAR, st.lists(ANY_COLLAR, max_size=6))
+        .map(lambda t: [t[0], t[1], *t[2]])
+        .flatmap(st.permutations)
     )
     def test_stacked_solve_is_bitwise_the_lone_solve(self, problems):
+        # Every stack mixes a one-element problem (its products are one-row
+        # products), a collar of at least 20 elements and several masses.
         probs = [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m, kappa, K in problems]
-        for prob, sol in zip(probs, solve_transverse(probs), strict=True):
+        sols = solve_transverse(probs)
+        assert min(len(sol.u) for sol in sols) == ELEMENT_DEGREE + 1
+        assert max(len(sol.u) for sol in sols) >= 20 * ELEMENT_DEGREE + 1
+        for prob, sol in zip(probs, sols, strict=True):
             (lone,) = solve_transverse([prob])
             assert (sol.lam, sol.mass, sol.deriv0) == (lone.lam, lone.mass, lone.deriv0)
             assert np.array_equal(sol.u, lone.u) and np.array_equal(sol.tau, lone.tau)
+            t = np.linspace(0.0, prob.half_width, 9)
+            assert all(np.array_equal(a, b) for a, b in zip(sol.evaluate(t), lone.evaluate(t)))
+
+    def test_empty_stack(self):
+        assert solve_transverse([]) == []
 
     @pytest.mark.parametrize("curv", (FLAT, CurvatureData(2.0, 1.0), CurvatureData(-3.0, 2.0)))
     def test_ritz_value_does_not_rise_under_nested_refinement(self, monkeypatch, curv):
@@ -134,6 +151,14 @@ class TestRitzSolver:
         with pytest.raises(CollarWidthError):
             solve_transverse([TransverseProblem(m=600.5**2, curv=FLAT)])[0]
 
+    def test_too_wide_collar_is_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("element matrices built before the width check")
+
+        monkeypatch.setattr(transverse, "_element_matrices", no_work)
+        with pytest.raises(CollarWidthError):
+            solve_transverse([TransverseProblem(m=4.0, curv=FLAT), TransverseProblem(m=600.5**2, curv=FLAT)])
+
     def test_samples_are_element_nodes(self):
         T = 5.5 * ELEMENT_PANEL  # six panels of length 11/12 ELEMENT_PANEL
         m = T * T
@@ -149,7 +174,7 @@ class TestRitzSolver:
 def banded_reference(prob: TransverseProblem) -> np.ndarray:
     """Nodal minimizer from the assembled global matrix, solved as one band
     by scipy: an independent oracle for the condensed solve."""
-    _, (elem,) = _element_matrices([prob])
+    _, elem = _element_matrices([prob])
     n, n_el = ELEMENT_DEGREE, len(elem)
     n_dof = n_el * n + 1
     ab = np.zeros((2 * n + 1, n_dof))  # A[r, c] sits at ab[n + r - c, c]

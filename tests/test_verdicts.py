@@ -10,6 +10,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import mitbag.cli as cli
@@ -297,6 +298,30 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
     assert problems
     assert summary["transverse_elements"] == sum(n_el)
     assert summary["transverse_dofs"] == sum(n * ELEMENT_DEGREE + 1 for n in n_el)
+
+
+def test_transverse_suite_is_one_stacked_solve(monkeypatch):
+    # All 97 problems (4 flat, 92 of the curvature sweep, the seeded one) go
+    # to one solve_transverse call, which makes one batched interior solve;
+    # the slopes take one line fit per cohort (two) and one for the flat mass.
+    stacks, interior_solves, fits = [], [], []
+    solve, lapack_solve, fit = cli.solve_transverse, np.linalg.solve, cli.fit_line
+
+    def spy(probs):
+        stacks.append(list(probs))
+        return solve(probs)
+
+    def lapack_spy(*args):
+        interior_solves.append(args)
+        return lapack_solve(*args)
+
+    monkeypatch.setattr(cli, "solve_transverse", spy)
+    monkeypatch.setattr(np.linalg, "solve", lapack_spy)
+    monkeypatch.setattr(cli, "fit_line", lambda *args: fits.append(args) or fit(*args))
+    cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
+    assert [len(stack) for stack in stacks] == [97]
+    assert len(interior_solves) == 1
+    assert len(fits) == 3
 
 
 def test_higher_levels_are_not_the_ground_level(serialized):
