@@ -9,7 +9,10 @@ JSON), of the exterior, dirac and robin suites, in CSV and JSON, on the
 first 16 seeded passes (ball radius and config seed) of the ``spectra``
 benchmark seeds 901 and 902, and of the transverse suite, in CSV and JSON,
 on the R = 1 golden config at config seeds 1 to 4 (the golden configs have
-seed 0, and the seeded minimality rows depend on the seed).  The passes are
+seed 0, and the seeded minimality rows depend on the seed) and on the mass
+grid ``TRANSVERSE_SHORT_GRID``, whose sweep mixes one-element collars
+(sqrt(m) <= 4) with multi-element ones; the default grids have no
+one-element problem in the sweep.  The passes are
 rebuilt here from the seeds the way the benchmark draws them: 1024 fixed
 radii in [0.5, 3], visited in a seeded random order, each with a seeded
 32-bit config seed.  A change that keeps every report byte-identical prints
@@ -36,6 +39,7 @@ PASSES = 16
 SUITES = ("exterior", "dirac", "robin")
 FORMATS = ("csv", "json")
 TRANSVERSE_SEEDS = (1, 2, 3, 4)
+TRANSVERSE_SHORT_GRID = (9.0, 20.25, 81.0, 729.0, 6561.0)
 
 
 def seeded_passes(seed: int, count: int) -> list[tuple[float, int]]:
@@ -75,6 +79,10 @@ def main() -> int:
             for fmt in FORMATS:
                 print(f"{digest({**document, 'format': fmt}, out)}  golden config_R1.json transverse "
                       f"seed {config_seed} {fmt}")
+        document = {**golden_r1, "suite": "transverse", "m_grid": list(TRANSVERSE_SHORT_GRID)}
+        for fmt in FORMATS:
+            print(f"{digest({**document, 'format': fmt}, out)}  golden config_R1.json transverse "
+                  f"m_grid {list(TRANSVERSE_SHORT_GRID)} {fmt}")
     return 0
 
 

@@ -42,7 +42,7 @@ from .exterior import (
     sphere_datum,
     torus_datum,
 )
-from .geometry import BallInterior, CurvatureData, min_rescaled_weight
+from .geometry import BallInterior, CurvatureData, collar_is_valid, min_rescaled_weight
 from .numerics import (
     SecondOrderODE,
     ShootingSolution,

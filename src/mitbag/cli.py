@@ -57,7 +57,7 @@ from .exterior import (
     sphere_datum,
     torus_datum,
 )
-from .geometry import BallInterior, CurvatureData, min_rescaled_weight
+from .geometry import BallInterior, CurvatureData, collar_is_valid
 from .numerics import ToleranceConfig, fit_inverse_m, fit_line, memoized, run_memo, slope_drift
 from .report import CheckRecord, Report, check, emit_table, write_report_atomic
 from .transverse import (
@@ -117,7 +117,8 @@ class SuiteConfig:
             raise ConfigError("curvature_grid entries must be finite")
         if self.suite in ("transverse", "all"):
             # A pair valid at fewer than three masses of the grid would have
-            # no expansion-order row.
+            # no expansion-order row, and a problem past the collar
+            # half-width cap could not be solved.
             for pair in self.curvature_grid:
                 try:
                     valid = [prob.m for prob in _transverse_pair_data(pair, self.m_grid or TRANSVERSE_M_GRID)]
@@ -126,6 +127,8 @@ class SuiteConfig:
                         f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
                         f"of the grid: {exc}"
                     ) from exc
+                except ValueError as exc:  # TransverseProblem refuses sqrt(m) > MAX_HALF_WIDTH
+                    raise ConfigError(f"m_grid: {exc}") from exc
                 if len(valid) < 3:
                     raise ConfigError(
                         f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
@@ -249,20 +252,10 @@ def _tightest(observed: Sequence[float], bound: Sequence[float]) -> int:
 GROUND_SECTOR = AngularSector(-1)
 
 
-def _add_transverse_effort(summary: dict[str, Any], sols: Sequence[TransverseSolution]) -> None:
-    """Add the elements and nodal values (boundary nodes included) of the
-    solutions to the summary's deterministic size counters."""
-    for key, count in (
-        ("transverse_elements", sum((len(sol.u) - 1) // ELEMENT_DEGREE for sol in sols)),
-        ("transverse_dofs", sum(len(sol.u) for sol in sols)),
-    ):
-        summary[key] = summary.get(key, 0) + count
-
-
 def _transverse_pair_data(pair: tuple[float, float], m_grid: Sequence[float]) -> list[TransverseProblem]:
     """The problems of one curvature pair at the masses of its validity range."""
     curv = CurvatureData(*pair)
-    return [TransverseProblem(m=m, curv=curv) for m in m_grid if min_rescaled_weight(curv, m) >= 0.5]
+    return [TransverseProblem(m=m, curv=curv) for m in m_grid if collar_is_valid(curv, m)]
 
 
 def _transverse_sweep_records(
@@ -334,7 +327,9 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     # Every problem of the suite goes to one stacked solve.
     sols = solve_transverse([*flat_probs, *(prob for _, probs in per_pair for prob in probs), seeded])
     flat, sweep_sols, sol = sols[: len(flat_probs)], sols[len(flat_probs) : -1], sols[-1]
-    _add_transverse_effort(summary, sols)
+    # Deterministic size counters: elements and nodal values, boundary nodes included.
+    summary["transverse_elements"] = sum((len(sol.u) - 1) // ELEMENT_DEGREE for sol in sols)
+    summary["transverse_dofs"] = sum(len(sol.u) for sol in sols)
 
     # Flat closed forms: the profile is sinh(sqrt(m)-tau)/sinh(sqrt(m)).
     sol4, sol_large = flat[0], flat[-1]
@@ -529,8 +524,9 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
 # ----------------------------------------------------------------------------
 
 
-def bag_ground_state_oracle(tol: float = 1e-12) -> float:
-    """Plain bisection for the lowest bag root: tan x = x/(1-x) on (1.6, 2.5).
+def bag_ground_state_oracle() -> float:
+    """Plain bisection for the lowest bag root: tan x = x/(1-x) on (1.6, 2.5),
+    down to a bracket of 1e-12.
 
     Kept independent of the package root finder and Bessel code on purpose.
     """
@@ -546,7 +542,7 @@ def bag_ground_state_oracle(tol: float = 1e-12) -> float:
             b = mid
         else:
             a, fa = mid, fm
-        if b - a < tol:
+        if b - a < 1e-12:
             break
     return 0.5 * (a + b)
 

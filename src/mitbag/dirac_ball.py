@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,16 +87,15 @@ class AngularSector:
     def degeneracy(self) -> int:
         return 2 * abs(self.kappa_j)
 
-    # Cached: the matching determinants read these on every evaluation.
-    @cached_property
+    @property
     def ell_upper(self) -> int:
         return self.kappa_j if self.kappa_j > 0 else -self.kappa_j - 1
 
-    @cached_property
+    @property
     def ell_lower(self) -> int:
         return self.kappa_j - 1 if self.kappa_j > 0 else -self.kappa_j
 
-    @cached_property
+    @property
     def sign(self) -> int:
         return 1 if self.kappa_j > 0 else -1
 
@@ -120,7 +119,7 @@ class DiracParams:
         if not (math.isfinite(self.m) and self.m >= 0.0):
             raise ValueError("m must be nonnegative")
 
-    @cached_property
+    @property
     def robin_offset(self) -> float:
         """Coefficient 1/R + m0 of the Robin trace d_n + kappa/2 + m0 on the sphere."""
         return 1.0 / self.R + self.m0

@@ -11,8 +11,9 @@ the large-mass analysis this becomes
     a_{m,kappa,K}(tau) = 1 + tau kappa / m + tau^2 K / m^2,   tau in [0, sqrt(m)],
 
 and all transverse formulas are valid once the weight stays >= 1/2 on the
-collar, which ``min_rescaled_weight`` below decides for a given mass.  The
-weight itself is ``transverse.TransverseProblem.weight``.
+collar, which ``collar_is_valid`` below decides for a given mass, from the
+least weight ``min_rescaled_weight``.  The weight itself is
+``transverse.TransverseProblem.weight``.
 
 Why one corner binds: at every tau >= 0 the weight is nondecreasing in
 kappa and in K, so over curvatures with |kappa'| <= |kappa|, |K'| <= |K| it
@@ -69,3 +70,9 @@ def min_rescaled_weight(curv: CurvatureData, m: float) -> float:
         raise ValueError("m must be positive")
     T = math.sqrt(m)
     return 1.0 - abs(curv.kappa) * T / m - abs(curv.gauss) * T * T / (m * m)
+
+
+def collar_is_valid(curv: CurvatureData, m: float) -> bool:
+    """The validity floor of every transverse problem: the collar weight stays
+    >= 1/2 at mass m, up to rounding (1e-12), so the exact floor is valid."""
+    return min_rescaled_weight(curv, m) >= 0.5 - 1e-12

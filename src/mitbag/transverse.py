@@ -47,6 +47,9 @@ Q(w) = Lambda + Q(w - u) that value is an upper bound on Lambda whose excess
 is quadratic in the profile error, so it lands at rounding level (~1e-15).
 The left derivative is read off as the discrete flux of the first row,
 -u'(0) = (A u)_0, which equals the energy exactly for the discrete minimizer.
+A problem's limits (sqrt(m) <= MAX_HALF_WIDTH, weight >= 1/2) are checked
+when it is built, so every problem can be solved; a solution is a plain
+value, its profile evaluated from its own element nodes and nodal values.
 """
 
 from __future__ import annotations
@@ -57,19 +60,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import CurvatureData, min_rescaled_weight
-from .numerics import NumericsError, panel_nodes
+from .geometry import CurvatureData, collar_is_valid
+from .numerics import panel_nodes
 
 QUAD_PANEL = 0.25
-MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: e^{sqrt m} must stay inside double range
+MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: bounds a problem at 150 elements
 
 # Spectral elements: polynomial degree and longest panel.
 ELEMENT_DEGREE = 14
 ELEMENT_PANEL = 4.0
-
-
-class CollarWidthError(NumericsError):
-    """The collar half-width sqrt(m) exceeds ``MAX_HALF_WIDTH``."""
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +163,9 @@ def _collar_weight(
 
 @dataclass(frozen=True)
 class TransverseProblem:
-    """Mass and pointwise curvature pair; valid once the collar weight is >= 1/2."""
+    """Mass and pointwise curvature pair.  Construction refuses a collar wider
+    than ``MAX_HALF_WIDTH`` and one whose weight falls below the validity
+    floor (``geometry.collar_is_valid``), so every problem can be solved."""
 
     m: float
     curv: CurvatureData
@@ -172,7 +173,9 @@ class TransverseProblem:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError("m must be positive")
-        if min_rescaled_weight(self.curv, self.m) < 0.5 - 1e-12:
+        if self.half_width > MAX_HALF_WIDTH:
+            raise ValueError(f"sqrt(m)={self.half_width:.1f} exceeds the collar half-width cap {MAX_HALF_WIDTH:g}")
+        if not collar_is_valid(self.curv, self.m):
             raise ValueError(
                 f"m={self.m} is below the validity floor for curvatures "
                 f"(kappa={self.curv.kappa}, K={self.curv.gauss})"
@@ -206,8 +209,6 @@ class TransverseSolution:
     u: np.ndarray
     mass: float
     deriv0: float
-    _profiles: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    _index: int
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and self.mass > 0.0):
@@ -216,16 +217,30 @@ class TransverseSolution:
             raise ValueError("energy/derivative mismatch beyond solver tolerance")
 
     def evaluate(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Profile value and derivative at arbitrary points of [0, sqrt(m)]."""
-        return self._profiles(self._index, tau)
+        """Profile value and derivative at points of [0, sqrt(m)], from ``tau``
+        and ``u`` alone: element e holds u[e n : (e + 1) n + 1] on the panel
+        [e h, (e + 1) h], h = tau[n], and its nodal derivatives are the product
+        a lone solve makes.  A point outside the collar (NaN too) raises."""
+        t = np.asarray(tau, dtype=float)
+        flat_t = t.ravel()
+        if not np.all((flat_t >= 0.0) & (flat_t <= self.tau[-1])):
+            raise ValueError(f"evaluation points must lie in the collar [0, {self.tau[-1]!r}]")
+        n = ELEMENT_DEGREE
+        h, n_el = self.tau[n], (len(self.u) - 1) // n
+        elements = self.u[n * np.arange(n_el)[:, None] + np.arange(n + 1)]
+        derivs = _row_products(elements, _DIFF.T, 1 if n_el == 1 else 0)
+        derivs *= 2.0 / h
+        e = np.minimum(np.floor(flat_t / h).astype(int), n_el - 1)
+        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - h * e) / h - 1.0)
+        value = np.einsum("kj,kj->k", basis, elements[e])
+        deriv = np.einsum("kj,kj->k", basis, derivs[e])
+        return value.reshape(t.shape), deriv.reshape(t.shape)
 
 
 def _panels(m: float) -> tuple[int, float]:
     """Number and length of the collar's panels: ceil(sqrt(m) / ELEMENT_PANEL)
     equal panels of length <= ELEMENT_PANEL."""
     T = math.sqrt(m)
-    if T > MAX_HALF_WIDTH:
-        raise CollarWidthError(f"sqrt(m)={T:.1f} exceeds the supported interval length")
     n_el = max(1, math.ceil(T / ELEMENT_PANEL))
     return n_el, T / n_el
 
@@ -303,7 +318,7 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
     for i, p in enumerate(problems):
         groups.setdefault(p.m, []).append(i)
     # Stack order: by mass, the one-element problems first (see
-    # _row_products).  _panels rejects a too wide collar before any work.
+    # _row_products).
     masses = sorted(groups, key=lambda m: _panels(m)[0] > 1)
     order = [i for m in masses for i in groups[m]]
     if not order:
@@ -373,7 +388,6 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
     uq *= uq
     duq += uq
     np.multiply(wa, duq, out=integrands[0])
-    profiles = _nodal_profiles(stack, nodal)
 
     solved: dict[int, TransverseSolution] = {}
     first_of, deriv0_of = first.tolist(), deriv0.tolist()
@@ -388,9 +402,7 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
         tau.flags.writeable = False  # one array, shared by the solutions of the mass
         for k, lam_k, mass_k in zip(range(k0, k1), lam, mass_sum):
             u = u_all[first_of[k] * n + k : first_of[k + 1] * n + k + 1]
-            solved[order[k]] = TransverseSolution(
-                lam=lam_k, tau=tau, u=u, mass=mass_k, deriv0=deriv0_of[k], _profiles=profiles, _index=k
-            )
+            solved[order[k]] = TransverseSolution(lam=lam_k, tau=tau, u=u, mass=mass_k, deriv0=deriv0_of[k])
     return [solved[i] for i in range(n_p)]
 
 
@@ -408,27 +420,6 @@ def _row_products(rows: np.ndarray, table: np.ndarray, n_single: int, out: np.nd
     np.matmul(rows[:n_single, None, :], table, out=out[:n_single, None, :])
     np.matmul(rows[n_single:], table, out=out[n_single:])
     return out
-
-
-def _nodal_profiles(stack: _Stack, nodal: np.ndarray) -> Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Evaluator (k, t) -> value and derivative of problem k of the stack
-    between the nodes; one per stack.  The nodal derivatives of problem k
-    are formed when it is evaluated, by the product a lone solve makes."""
-    h, n_el, first, left = stack.h, stack.n_el, stack.first, stack.left
-
-    def dense(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        flat_t = t.ravel()
-        own = nodal[first[k] : first[k + 1]]
-        own_deriv = _row_products(own, _DIFF.T, 1 if n_el[k] == 1 else 0)
-        own_deriv *= 2.0 / h[k]
-        e = np.clip(np.floor(flat_t / h[k]).astype(int), 0, n_el[k] - 1)
-        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - left[first[k] + e]) / h[k] - 1.0)
-        value = np.einsum("kj,kj->k", basis, own[e])
-        deriv = np.einsum("kj,kj->k", basis, own_deriv[e])
-        return value.reshape(t.shape), deriv.reshape(t.shape)
-
-    return dense
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

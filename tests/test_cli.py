@@ -16,7 +16,7 @@ import mitbag.dirac_ball as dirac_ball
 import mitbag.special as special
 from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
 from mitbag.dirac_ball import DiracParams
-from mitbag.geometry import BallInterior
+from mitbag.geometry import BallInterior, CurvatureData
 from mitbag.numerics import NumericsError, ToleranceConfig
 from mitbag.report import (
     CSV_COLUMNS,
@@ -27,6 +27,7 @@ from mitbag.report import (
     parse_report_json,
     write_report_atomic,
 )
+from mitbag.transverse import TransverseProblem
 
 
 # Geometry blocks the suites would not read: other variants, extra or
@@ -82,6 +83,20 @@ class TestConfig:
     def test_unsorted_m_grid_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"m_grid": [100.0, 50.0]})
+
+    @pytest.mark.parametrize("suite", ("transverse", "all"))
+    def test_mass_past_collar_cap_rejected(self, suite):
+        # sqrt(4e5) = 632.5 exceeds the collar half-width cap of 600.
+        with pytest.raises(ConfigError, match="half-width cap"):
+            SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 4e5))
+
+    def test_validity_floor_is_the_problems(self):
+        # sqrt(m) = 3 + sqrt(13) is the floor of (kappa, K) = (-3, -2); the
+        # weight there rounds to 0.4999999999999999, and the suite keeps the
+        # mass exactly when a TransverseProblem accepts it.
+        curv, m = CurvatureData(-3.0, -2.0), 43.633307652783934
+        assert TransverseProblem(m=m, curv=curv).m == m
+        assert [prob.m for prob in cli._transverse_pair_data((-3.0, -2.0), (25.0, m, 100.0))] == [m, 100.0]
 
     def test_geometry_variants(self):
         # The suites read only the ball radius, so the one accepted geometry
@@ -556,10 +571,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    def test_transverse_interval_cap_exit_three(self, tmp_path):
-        # sqrt(400000) = 632.5 exceeds the supported collar length of 600.
+    def test_transverse_interval_cap_is_config_error(self, tmp_path, capsys):
+        # sqrt(400000) = 632.5 exceeds the collar half-width cap of 600: the
+        # config is refused before any suite runs.
         path = write_config(tmp_path)
-        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,400000"]) == 3
+        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,400000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_non_finite_curvature_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, suite="transverse", curvature_grid=[[math.inf, 0.0]])

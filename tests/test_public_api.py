@@ -31,14 +31,11 @@ ALLOWED_WITHOUT_CALLER = {
 ALLOWED_UNREAD_FIELDS = {
     # Filled by solve_bvp_shooting, which perfbench/tracer.py wraps by name;
     # they go with it (ROADMAP item 1).
-    "ShootingSolution.tau": "tracer-pinned shooting solver output",
     "ShootingSolution.du": "tracer-pinned shooting solver output",
     "ShootingSolution.deriv_left": "tracer-pinned shooting solver output",
     "ShootingSolution.mesh": "tracer-pinned shooting solver output",
-    # Read by the tests: __post_init__ checks lam = -deriv0 on every solve,
-    # and tau places the nodal values u.
+    # Read by the tests: __post_init__ checks lam = -deriv0 on every solve.
     "TransverseSolution.deriv0": "flux form of the energy, the check on lam",
-    "TransverseSolution.tau": "element nodes of the nodal values u",
 }
 
 

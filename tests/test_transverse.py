@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from mitbag import transverse
-from mitbag.geometry import CurvatureData, min_rescaled_weight
+from mitbag.geometry import CurvatureData, collar_is_valid
 from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
     _ansatz_poly,
     _cutoff,
     _element_matrices,
-    CollarWidthError,
+    MAX_HALF_WIDTH,
     TransverseProblem,
     expansion_lambda,
     residual_of_ansatz,
@@ -30,7 +30,7 @@ FLAT = CurvatureData.flat()
 
 def valid_problems(m, kappa=st.floats(-3.0, 3.0), gauss=st.floats(-2.0, 2.0)):
     """(m, kappa, K) triples from the given strategies, valid for a TransverseProblem."""
-    return st.tuples(m, kappa, gauss).filter(lambda t: min_rescaled_weight(CurvatureData(t[1], t[2]), t[0]) >= 0.5)
+    return st.tuples(m, kappa, gauss).filter(lambda t: collar_is_valid(CurvatureData(t[1], t[2]), t[0]))
 
 
 # sqrt(m) <= 4 gives one element, sqrt(m) > 76 at least 20.
@@ -146,18 +146,10 @@ class TestRitzSolver:
         assert fine.lam <= coarse.lam + 4.0 * math.ulp(coarse.lam)
 
     def test_interval_cap(self):
-        sol = solve_transverse([TransverseProblem(m=600.0**2, curv=FLAT)])[0]
+        sol = solve_transverse([TransverseProblem(m=MAX_HALF_WIDTH**2, curv=FLAT)])[0]
         assert sol.lam == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(CollarWidthError):
-            solve_transverse([TransverseProblem(m=600.5**2, curv=FLAT)])[0]
-
-    def test_too_wide_collar_is_rejected_before_any_work(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("element matrices built before the width check")
-
-        monkeypatch.setattr(transverse, "_element_matrices", no_work)
-        with pytest.raises(CollarWidthError):
-            solve_transverse([TransverseProblem(m=4.0, curv=FLAT), TransverseProblem(m=600.5**2, curv=FLAT)])
+        with pytest.raises(ValueError, match="half-width cap"):
+            TransverseProblem(m=600.5**2, curv=FLAT)
 
     def test_samples_are_element_nodes(self):
         T = 5.5 * ELEMENT_PANEL  # six panels of length 11/12 ELEMENT_PANEL
@@ -169,6 +161,25 @@ class TestRitzSolver:
         np.testing.assert_allclose(sol.tau[:: ELEMENT_DEGREE], np.linspace(0.0, T, 7), rtol=0.0, atol=1e-15)
         u, _ = sol.evaluate(sol.tau)
         np.testing.assert_allclose(u, sol.u, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", (9.0, 16.0, 20.25, 1e4))
+    def test_evaluate_is_confined_to_the_collar(self, m):
+        # One-element (sqrt(m) <= 4) and multi-element collars.
+        sol = solve_transverse([TransverseProblem(m=m, curv=CurvatureData(0.5, 0.25))])[0]
+        T = math.sqrt(m)
+        inner = np.linspace(0.0, T, 33)[1:-1]
+        (u_ends, _), (u, du) = sol.evaluate(np.array([0.0, T])), sol.evaluate(inner)
+        assert u_ends[0] == 1.0 and abs(u_ends[1]) <= 1e-12
+        # Interior values keep their bits with the endpoints beside them and
+        # one point at a time.
+        u_all, du_all = sol.evaluate(np.concatenate([[0.0], inner, [T]]))
+        assert np.array_equal(u_all[1:-1], u) and np.array_equal(du_all[1:-1], du)
+        assert all(sol.evaluate(t) == (u[k], du[k]) for k, t in enumerate(inner))
+        for outside in (np.nextafter(0.0, -1.0), -1.0, np.nextafter(T, np.inf), 2.0 * T, math.nan, math.inf):
+            with pytest.raises(ValueError, match="collar"):
+                sol.evaluate(outside)
+            with pytest.raises(ValueError, match="collar"):
+                sol.evaluate(np.append(inner, outside))
 
 
 def banded_reference(prob: TransverseProblem) -> np.ndarray:
