@@ -224,7 +224,7 @@ class TransverseSolution:
         t = np.asarray(tau, dtype=float)
         flat_t = t.ravel()
         if not np.all((flat_t >= 0.0) & (flat_t <= self.tau[-1])):
-            raise ValueError(f"evaluation points must lie in the collar [0, {self.tau[-1]!r}]")
+            raise ValueError(f"evaluation points must lie in the collar [0, {float(self.tau[-1])}]")
         n = ELEMENT_DEGREE
         h, n_el = self.tau[n], (len(self.u) - 1) // n
         elements = self.u[n * np.arange(n_el)[:, None] + np.arange(n + 1)]
