@@ -117,8 +117,8 @@ class SuiteConfig:
             raise ConfigError("curvature_grid entries must be finite")
         if self.suite in ("transverse", "all"):
             # A pair valid at fewer than three masses of the grid would have
-            # no expansion-order row, and a problem past the collar
-            # half-width cap could not be solved.
+            # no expansion-order row, a mass whose square overflows could not
+            # be solved, and one whose cube overflows could not be reported.
             for pair in self.curvature_grid:
                 try:
                     valid = [prob.m for prob in _transverse_pair_data(pair, self.m_grid or TRANSVERSE_M_GRID)]
@@ -127,13 +127,19 @@ class SuiteConfig:
                         f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
                         f"of the grid: {exc}"
                     ) from exc
-                except ValueError as exc:  # TransverseProblem refuses sqrt(m) > MAX_HALF_WIDTH
+                except ValueError as exc:  # TransverseProblem refuses a mass whose m**2 overflows
                     raise ConfigError(f"m_grid: {exc}") from exc
                 if len(valid) < 3:
                     raise ConfigError(
                         f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
                         "its expansion-order fit needs at least 3"
                     )
+                try:
+                    valid[-1] ** 3  # the expansion envelopes scale each gap by m**3
+                except OverflowError:
+                    raise ConfigError(
+                        f"m_grid: m={valid[-1]} is too large: the expansion envelopes' m**3 overflows"
+                    ) from None
         if self.suite in ("dirac", "robin", "all") and self.m_grid is not None and len(self.m_grid) < 4:
             raise ConfigError(
                 f"m_grid has {len(self.m_grid)} masses; the dirac and robin slope fits and their drift "

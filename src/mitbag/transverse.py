@@ -20,13 +20,15 @@ cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an O(m^-3) residual in the
 weighted L^2 norm, which is the rate the verification suite measures.
 
 Numerics: the minimization is done directly (a Ritz method).  The collar
-is cut into ceil(sqrt(m)/4) equal panels of length <= 4, each carrying a
-degree-14 Gauss-Lobatto-Legendre (GLL) spectral element, and Q restricted to
-that continuous piecewise-polynomial space is minimized directly: each
-element's 13 interior unknowns are eliminated by static condensation (one
-batched solve of the 13 x 13 interior blocks), the element end nodes then
-satisfy an SPD tridiagonal system solved by a Thomas sweep, and the
-interiors follow by back-substitution.  ``solve_transverse`` solves all the
+is divided into ceil(sqrt(m)/4) equal panels of length h <= 4, and the
+panels that start before TAU_CUT are kept (all of them when sqrt(m) <=
+TAU_CUT), each carrying a degree-14 Gauss-Lobatto-Legendre (GLL) spectral
+element.  With u = 0 pinned at the end tau_end of the last kept panel, Q
+restricted to that continuous piecewise-polynomial space is minimized
+directly: each element's 13 interior unknowns are eliminated by static
+condensation (one batched solve of the 13 x 13 interior blocks), the
+element end nodes then satisfy an SPD tridiagonal system solved by a Thomas
+sweep, and the interiors follow by back-substitution.  ``solve_transverse`` solves all the
 problems it is given in one stack, whatever their masses: one batched solve
 of all the interior blocks, one Schur product, one back-substitution, and
 one Thomas sweep over all problems padded to the longest collar (padding
@@ -47,13 +49,38 @@ Q(w) = Lambda + Q(w - u) that value is an upper bound on Lambda whose excess
 is quadratic in the profile error, so it lands at rounding level (~1e-15).
 The left derivative is read off as the discrete flux of the first row,
 -u'(0) = (A u)_0, which equals the energy exactly for the discrete minimizer.
-A problem's limits (sqrt(m) <= MAX_HALF_WIDTH, weight >= 1/2) are checked
-when it is built, so every problem can be solved; a solution is a plain
-value, its profile evaluated from its own element nodes and nodal values.
+
+The cut.  A function that vanishes beyond t is admissible on (0, sqrt(m)),
+so the minimum Lambda_t over such functions is >= Lambda, and the Ritz value
+on the kept elements is still an upper bound on Lambda.  Its excess is below
+rounding.  Let E(t) = int_t^sqrt(m) (|u'|^2 + |u|^2) a for the minimizer u
+(positive and decreasing).  The equation gives E(t) = -a u u'(t)
+<= a (u^2 + u'^2)(t) / 2 = -E'(t) / 2, so E(t) <= Lambda e^{-2t}, and
+u(t)^2 = -int_t 2 u u' <= E(t) / min a <= 2 Lambda e^{-2t} for a >= 1/2.  The
+admissible w = u - u(t) sinh(tau) / sinh(t) on [0, t] (0 beyond) has
+Q(w) = Lambda + E(t) + u(t)^2 int_0^t a cosh(2 tau) / sinh(t)^2, and a <= 3/2 on
+a valid collar (1 - |kappa|/sqrt(m) - |K|/m >= 1/2), so
+
+    Lambda_t - Lambda <= Lambda e^{-2t} (1 + 3 coth t).
+
+TAU_CUT is the first multiple of the longest panel at which this is
+<= 2^-60 Lambda: 24, where it is 5.7e-21 Lambda (~2^-67).  Every kept
+collar ends at tau_end >= min(sqrt(m), TAU_CUT), and on the flat model the
+excess is exactly coth tau_end - coth sqrt(m) < coth 24 - 1 = 2.9e-21.  The panel
+length stays that of the uncut collar, so a collar of sqrt(m) <= TAU_CUT is
+not cut at all and the others keep their element matrices: on the
+verification suite the cut leaves every energy, mass and derivative bit for
+bit as the uncut solve gives it, with at most 7 elements a problem.
+
+A problem's validity floor (weight >= 1/2) is checked when it is built, and
+so is the mass itself (finite, positive, m**2 finite), so every problem can
+be solved; a solution is a plain value, its profile evaluated from its own
+element nodes and nodal values, and 0 past tau_end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -64,11 +91,16 @@ from .geometry import CurvatureData, collar_is_valid
 from .numerics import panel_nodes
 
 QUAD_PANEL = 0.25
-MAX_HALF_WIDTH = 600.0  # sqrt(m) cap: bounds a problem at 150 elements
 
 # Spectral elements: polynomial degree and longest panel.
 ELEMENT_DEGREE = 14
 ELEMENT_PANEL = 4.0
+
+# The collar's cut: the first multiple of the longest panel at which the
+# excess bound e^{-2t} (1 + 3 coth t) of the module docstring is <= 2^-60.
+TAU_CUT = next(
+    t for t in itertools.count(ELEMENT_PANEL, ELEMENT_PANEL) if math.exp(-2.0 * t) * (1.0 + 3.0 / math.tanh(t)) <= 2.0**-60
+)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +195,10 @@ def _collar_weight(
 
 @dataclass(frozen=True)
 class TransverseProblem:
-    """Mass and pointwise curvature pair.  Construction refuses a collar wider
-    than ``MAX_HALF_WIDTH`` and one whose weight falls below the validity
-    floor (``geometry.collar_is_valid``), so every problem can be solved."""
+    """Mass and pointwise curvature pair.  Construction refuses a mass whose
+    square overflows (the weight divides by m**2) and one whose weight falls
+    below the validity floor (``geometry.collar_is_valid``), so every problem
+    can be solved."""
 
     m: float
     curv: CurvatureData
@@ -173,8 +206,10 @@ class TransverseProblem:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError("m must be positive")
-        if self.half_width > MAX_HALF_WIDTH:
-            raise ValueError(f"sqrt(m)={self.half_width:.1f} exceeds the collar half-width cap {MAX_HALF_WIDTH:g}")
+        try:
+            self.m**2  # as the weight forms it; a Python float power raises on overflow
+        except OverflowError:
+            raise ValueError(f"m={self.m} is too large: m**2 in the collar weight overflows") from None
         if not collar_is_valid(self.curv, self.m):
             raise ValueError(
                 f"m={self.m} is below the validity floor for curvatures "
@@ -199,9 +234,12 @@ class TransverseSolution:
 
     ``lam`` is the variational (quadratic-form) value of the energy; the
     invariant lam = -deriv0 holds to solver tolerance.  ``tau`` and ``u`` are
-    the element nodes and the nodal values of the discrete minimizer, with
-    the boundary data u[0] = 1 and u[-1] = 0 held exactly; ``tau`` is
-    read-only, one array shared by the solutions of one mass.
+    the element nodes and the nodal values of the discrete minimizer on the
+    kept elements [0, tau[-1]], with the boundary data u[0] = 1 and
+    u[-1] = 0 held exactly; ``tau`` is read-only, one array shared by the
+    solutions of one mass.  ``half_width`` is the collar's end sqrt(m): a
+    cut collar (tau[-1] < half_width) has the profile 0 on
+    (tau[-1], half_width].
     """
 
     lam: float
@@ -209,6 +247,7 @@ class TransverseSolution:
     u: np.ndarray
     mass: float
     deriv0: float
+    half_width: float
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and self.mass > 0.0):
@@ -217,42 +256,58 @@ class TransverseSolution:
             raise ValueError("energy/derivative mismatch beyond solver tolerance")
 
     def evaluate(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Profile value and derivative at points of [0, sqrt(m)], from ``tau``
-        and ``u`` alone: element e holds u[e n : (e + 1) n + 1] on the panel
-        [e h, (e + 1) h], h = tau[n], and its nodal derivatives are the product
-        a lone solve makes.  A point outside the collar (NaN too) raises."""
+        """Profile value and derivative at points of the collar
+        [0, half_width].  On the kept elements they come from ``tau`` and
+        ``u`` alone: element e holds u[e n : (e + 1) n + 1] on the panel
+        [e h, (e + 1) h], h = tau[n], and its nodal derivatives are the
+        product a lone solve makes.  Past tau[-1] both are 0, the zero
+        extension whose energy is ``lam``.  A point outside the collar (NaN
+        too) raises."""
         t = np.asarray(tau, dtype=float)
         flat_t = t.ravel()
-        if not np.all((flat_t >= 0.0) & (flat_t <= self.tau[-1])):
-            raise ValueError(f"evaluation points must lie in the collar [0, {float(self.tau[-1])}]")
+        if not np.all((flat_t >= 0.0) & (flat_t <= self.half_width)):
+            raise ValueError(f"evaluation points must lie in the collar [0, {self.half_width}]")
         n = ELEMENT_DEGREE
         h, n_el = self.tau[n], (len(self.u) - 1) // n
         elements = self.u[n * np.arange(n_el)[:, None] + np.arange(n + 1)]
         derivs = _row_products(elements, _DIFF.T, 1 if n_el == 1 else 0)
         derivs *= 2.0 / h
-        e = np.minimum(np.floor(flat_t / h).astype(int), n_el - 1)
-        basis = _interp_matrix(_GLL, _BARY, 2.0 * (flat_t - h * e) / h - 1.0)
-        value = np.einsum("kj,kj->k", basis, elements[e])
-        deriv = np.einsum("kj,kj->k", basis, derivs[e])
+        kept = flat_t <= self.tau[-1]
+        x = flat_t[kept]
+        e = np.minimum(np.floor(x / h).astype(int), n_el - 1)
+        basis = _interp_matrix(_GLL, _BARY, 2.0 * (x - h * e) / h - 1.0)
+        value, deriv = np.zeros((2, len(flat_t)))
+        value[kept] = np.einsum("kj,kj->k", basis, elements[e])
+        deriv[kept] = np.einsum("kj,kj->k", basis, derivs[e])
         return value.reshape(t.shape), deriv.reshape(t.shape)
 
 
-def _panels(m: float) -> tuple[int, float]:
-    """Number and length of the collar's panels: ceil(sqrt(m) / ELEMENT_PANEL)
-    equal panels of length <= ELEMENT_PANEL."""
+def _panels(m: float) -> tuple[int, float, float]:
+    """The collar's kept panels: their number, their length h and the end of
+    the last.  The collar [0, sqrt(m)] is divided into
+    n = ceil(sqrt(m) / ELEMENT_PANEL) equal panels of length h <= ELEMENT_PANEL,
+    and those that start before TAU_CUT are kept: the first
+    min(n, ceil(TAU_CUT / h)), all n when sqrt(m) <= TAU_CUT.  An uncut collar
+    ends at sqrt(m) itself, a cut one at (kept panels) * h.  Cutting the
+    panels, not re-dividing [0, TAU_CUT], keeps the element matrices of the
+    uncut collar (see the module docstring)."""
     T = math.sqrt(m)
     n_el = max(1, math.ceil(T / ELEMENT_PANEL))
-    return n_el, T / n_el
+    h = T / n_el
+    kept = n_el if T <= TAU_CUT else min(n_el, math.ceil(TAU_CUT / h))
+    return kept, h, T if kept == n_el else kept * h
 
 
 class _Stack(NamedTuple):
     """Element layout of a stack of problems.  The problems runs[r][0]:runs[r][1]
-    share a mass.  Problem k has n_el[k] panels of length h[k], the elements
+    share a mass, whose kept panels are panels[r] (``_panels``).  Problem k
+    has n_el[k] kept panels of length h[k], the elements
     first[k]:first[k + 1]; element e is panel j[e] of problem owner[e], with
     left end left[e], and params[:, e] holds the (kappa, K, m, m**2) of its
     problem's weight, shape (4, n_elements, 1)."""
 
     runs: list[tuple[int, int]]
+    panels: list[tuple[int, float, float]]
     n_el: np.ndarray
     h: np.ndarray
     first: np.ndarray
@@ -281,8 +336,8 @@ def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[_Stack, np
     runs = list(zip([0, *bounds], [*bounds, len(problems)]))
     panels = [_panels(problems[k0].m) for k0, _ in runs]
     sizes = [k1 - k0 for k0, k1 in runs]
-    n_el = np.repeat([count for count, _ in panels], sizes)
-    h = np.repeat([width for _, width in panels], sizes)
+    n_el = np.repeat([count for count, _, _ in panels], sizes)
+    h = np.repeat([width for _, width, _ in panels], sizes)
     first = np.concatenate([[0], np.cumsum(n_el)])
     owner = np.repeat(np.arange(len(problems)), n_el)
     j = np.arange(first[-1]) - first[owner]
@@ -293,12 +348,12 @@ def _element_matrices(problems: Sequence[TransverseProblem]) -> tuple[_Stack, np
     a_left, a_mid, a_right = _collar_weight(*params, ends).T
     coef = np.stack([a_mid, 0.5 * (a_right - a_left), 0.5 * (a_right + a_left) - a_mid], axis=-1)
     elem = np.empty((len(coef), (n + 1) ** 2))
-    for (k0, k1), (count, width) in zip(runs, panels):
+    for (k0, k1), (count, width, _) in zip(runs, panels):
         rows = slice(first[k0], first[k1])
         moments = _STIFF_MOMENTS * (2.0 / width) ** 2 + _MASS_MOMENTS
         _row_products(coef[rows], moments, k1 - k0 if count == 1 else 0, out=elem[rows])
         elem[rows] *= 0.5 * width
-    return _Stack(runs, n_el, h, first, owner, j, left, params), elem.reshape(-1, n + 1, n + 1)
+    return _Stack(runs, panels, n_el, h, first, owner, j, left, params), elem.reshape(-1, n + 1, n + 1)
 
 
 def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSolution]:
@@ -391,18 +446,20 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
 
     solved: dict[int, TransverseSolution] = {}
     first_of, deriv0_of = first.tolist(), deriv0.tolist()
-    for k0, k1 in stack.runs:
+    for (k0, k1), (_, h, end) in zip(stack.runs, stack.panels):
         elements = slice(first_of[k0], first_of[k1])
         # Each problem's sums run over its own contiguous row: the pairwise
         # blocking of np.sum depends on the row length.
         lam, mass_sum = np.sum(integrands[:, elements].reshape(2, k1 - k0, -1), axis=2).tolist()
-        h, T = float(stack.h[k0]), problems[order[k0]].half_width
         nodes = stack.left[first_of[k0] : first_of[k0 + 1], None] + 0.5 * h * (_GLL[:-1] + 1.0)
-        tau = np.concatenate([nodes.ravel(), [T]])
+        tau = np.concatenate([nodes.ravel(), [end]])
         tau.flags.writeable = False  # one array, shared by the solutions of the mass
+        T = problems[order[k0]].half_width
         for k, lam_k, mass_k in zip(range(k0, k1), lam, mass_sum):
             u = u_all[first_of[k] * n + k : first_of[k + 1] * n + k + 1]
-            solved[order[k]] = TransverseSolution(lam=lam_k, tau=tau, u=u, mass=mass_k, deriv0=deriv0_of[k])
+            solved[order[k]] = TransverseSolution(
+                lam=lam_k, tau=tau, u=u, mass=mass_k, deriv0=deriv0_of[k], half_width=T
+            )
     return [solved[i] for i in range(n_p)]
 
 

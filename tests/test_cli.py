@@ -86,9 +86,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("suite", ("transverse", "all"))
     def test_mass_past_collar_cap_rejected(self, suite):
-        # sqrt(4e5) = 632.5 exceeds the collar half-width cap of 600.
-        with pytest.raises(ConfigError, match="half-width cap"):
-            SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 4e5))
+        # The cut collar has no width cap (sqrt(4e5) = 632.5 was past the old
+        # one); the masses are capped where the collar weight's m**2, or the
+        # expansion envelopes' m**3, overflows.
+        assert SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 4e5, 1e100)).m_grid[-1] == 1e100
+        with pytest.raises(ConfigError, match=r"m=1e\+110 is too large: the expansion envelopes' m\*\*3 overflows"):
+            SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 1e110))
+        with pytest.raises(ConfigError, match=r"m=1e\+155 is too large: m\*\*2 in the collar weight overflows"):
+            SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 1e155))
 
     def test_validity_floor_is_the_problems(self):
         # sqrt(m) = 3 + sqrt(13) is the floor of (kappa, K) = (-3, -2); the
@@ -572,13 +577,14 @@ class TestMainExitCodes:
         assert err.startswith("config error:") and "Traceback" not in err
 
     def test_transverse_interval_cap_is_config_error(self, tmp_path, capsys):
-        # sqrt(400000) = 632.5 exceeds the collar half-width cap of 600: the
-        # config is refused before any suite runs.
+        # A mass whose cube (the expansion envelopes) or square (the collar
+        # weight) overflows: the config is refused before any suite runs.
         path = write_config(tmp_path)
-        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,400000"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
-        assert not (tmp_path / "report.csv").exists()
+        for top in ("1e110", "1e155"):
+            assert main([path, "--suite", "transverse", "--m-grid", f"25,100,400,1600,{top}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "overflows" in err and "Traceback" not in err
+            assert not (tmp_path / "report.csv").exists()
 
     def test_non_finite_curvature_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, suite="transverse", curvature_grid=[[math.inf, 0.0]])

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from mitbag import transverse
+from mitbag import cli, transverse
 from mitbag.geometry import CurvatureData, collar_is_valid
 from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
+    TAU_CUT,
     _ansatz_poly,
     _cutoff,
     _element_matrices,
-    MAX_HALF_WIDTH,
     TransverseProblem,
     expansion_lambda,
     residual_of_ansatz,
@@ -33,11 +33,27 @@ def valid_problems(m, kappa=st.floats(-3.0, 3.0), gauss=st.floats(-2.0, 2.0)):
     return st.tuples(m, kappa, gauss).filter(lambda t: collar_is_valid(CurvatureData(t[1], t[2]), t[0]))
 
 
-# sqrt(m) <= 4 gives one element, sqrt(m) > 76 at least 20.
+# The largest mass whose square (in the collar weight) does not overflow.
+LARGEST_MASS = 1.3407807929942596e154
+
+
+def kept_panels(m: float) -> tuple[int, float]:
+    """Number and length of the kept panels: the panels of the uncut collar,
+    ceil(sqrt(m) / ELEMENT_PANEL) of them, that start before TAU_CUT."""
+    T = math.sqrt(m)
+    n_el = math.ceil(T / ELEMENT_PANEL)
+    h = T / n_el
+    return (n_el if T <= TAU_CUT else math.ceil(TAU_CUT / h)), h
+
+
+# sqrt(m) <= 4 gives one element; a cut collar whose panels are shorter than
+# 4 keeps 7, the longest collar after the cut.
 ONE_ELEMENT = valid_problems(
     st.sampled_from((4.0, 9.0, 16.0)) | st.floats(1.0, 16.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5)
 )
-LONG_COLLAR = valid_problems(st.sampled_from((6400.0, 1e4)) | st.floats(5800.0, 2e4))
+LONG_COLLAR = valid_problems(
+    (st.sampled_from((729.0, 6561.0, 1e4 + 1.0)) | st.floats(577.0, 2e4)).filter(lambda m: kept_panels(m)[0] == 7)
+)
 ANY_COLLAR = valid_problems(st.sampled_from((9.0, 36.0, 100.0, 1600.0)) | st.floats(1.0, 1e4))
 
 
@@ -119,11 +135,11 @@ class TestRitzSolver:
     )
     def test_stacked_solve_is_bitwise_the_lone_solve(self, problems):
         # Every stack mixes a one-element problem (its products are one-row
-        # products), a collar of at least 20 elements and several masses.
+        # products), a cut collar of 7 elements (the longest) and several masses.
         probs = [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m, kappa, K in problems]
         sols = solve_transverse(probs)
         assert min(len(sol.u) for sol in sols) == ELEMENT_DEGREE + 1
-        assert max(len(sol.u) for sol in sols) >= 20 * ELEMENT_DEGREE + 1
+        assert max(len(sol.u) for sol in sols) == 7 * ELEMENT_DEGREE + 1
         for prob, sol in zip(probs, sols, strict=True):
             (lone,) = solve_transverse([prob])
             assert (sol.lam, sol.mass, sol.deriv0) == (lone.lam, lone.mass, lone.deriv0)
@@ -146,10 +162,15 @@ class TestRitzSolver:
         assert fine.lam <= coarse.lam + 4.0 * math.ulp(coarse.lam)
 
     def test_interval_cap(self):
-        sol = solve_transverse([TransverseProblem(m=MAX_HALF_WIDTH**2, curv=FLAT)])[0]
-        assert sol.lam == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(ValueError, match="half-width cap"):
-            TransverseProblem(m=600.5**2, curv=FLAT)
+        # The cut collar does not grow with the mass: the last mass whose
+        # square the weight can form is solved on 6 or 7 elements, and the
+        # next one is refused when the problem is built.
+        probs = [TransverseProblem(m=m, curv=CurvatureData(1.0, 1.0)) for m in (600.0**2, 1e100, LARGEST_MASS)]
+        for prob, sol in zip(probs, solve_transverse(probs)):
+            assert sol.lam == pytest.approx(expansion_lambda(prob), rel=1e-15)
+            assert len(sol.u) <= 7 * ELEMENT_DEGREE + 1
+        with pytest.raises(ValueError, match="overflows"):
+            TransverseProblem(m=math.nextafter(LARGEST_MASS, math.inf), curv=FLAT)
 
     def test_samples_are_element_nodes(self):
         T = 5.5 * ELEMENT_PANEL  # six panels of length 11/12 ELEMENT_PANEL
@@ -164,12 +185,21 @@ class TestRitzSolver:
 
     @pytest.mark.parametrize("m", (9.0, 16.0, 20.25, 1e4))
     def test_evaluate_is_confined_to_the_collar(self, m):
-        # One-element (sqrt(m) <= 4) and multi-element collars.
+        # One-element (sqrt(m) <= 4) and multi-element collars, and at
+        # m = 1e4 a collar cut at tau = 24: the domain stays [0, sqrt(m)],
+        # with the profile 0 past the cut.
         sol = solve_transverse([TransverseProblem(m=m, curv=CurvatureData(0.5, 0.25))])[0]
         T = math.sqrt(m)
+        assert sol.half_width == T and sol.tau[-1] == (T if T <= TAU_CUT else 24.0)
         inner = np.linspace(0.0, T, 33)[1:-1]
         (u_ends, _), (u, du) = sol.evaluate(np.array([0.0, T])), sol.evaluate(inner)
         assert u_ends[0] == 1.0 and abs(u_ends[1]) <= 1e-12
+        beyond = inner > sol.tau[-1]
+        assert beyond.any() == (T > TAU_CUT)
+        assert np.all(u[beyond] == 0.0) and np.all(du[beyond] == 0.0) and np.all(u[~beyond] > 0.0)
+        if T > TAU_CUT:
+            assert sol.evaluate(sol.tau[-1])[0] == 0.0 and abs(sol.evaluate(sol.tau[-1])[1]) > 0.0
+            assert sol.evaluate(np.nextafter(sol.tau[-1], np.inf)) == (0.0, 0.0)
         # Interior values keep their bits with the endpoints beside them and
         # one point at a time.
         u_all, du_all = sol.evaluate(np.concatenate([[0.0], inner, [T]]))
@@ -180,6 +210,72 @@ class TestRitzSolver:
                 sol.evaluate(outside)
             with pytest.raises(ValueError, match="collar"):
                 sol.evaluate(np.append(inner, outside))
+
+
+class TestCollarCut:
+    """Each collar keeps the panels of its uncut layout that start before
+    TAU_CUT, and u = 0 is pinned at the end of the last kept one."""
+
+    @staticmethod
+    def suite_problems(m_grid):
+        # The problems of one transverse suite on the default curvature grid.
+        pairs = [prob for pair in cli.DEFAULT_CURVATURE_GRID for prob in cli._transverse_pair_data(pair, m_grid)]
+        flat = [TransverseProblem(m=m, curv=FLAT) for m in (4.0, 16.0, 64.0, 1e4)]
+        return [*flat, *pairs, TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))]
+
+    @pytest.mark.parametrize(
+        "m_grid, count, elements",
+        ((cli.TRANSVERSE_M_GRID, 97, (815, 436)), ((9.0, 20.25, 81.0, 729.0, 6561.0), 85, (683, 384))),
+    )
+    def test_cut_solve_is_bitwise_the_uncut_solve(self, monkeypatch, m_grid, count, elements):
+        # The default suite and the short grid, whose masses 729 and 6561
+        # have panels shorter than 4.
+        probs = self.suite_problems(m_grid)
+        cut = solve_transverse(probs)
+        monkeypatch.setattr(transverse, "TAU_CUT", math.inf)
+        uncut = solve_transverse(probs)
+        assert len(probs) == count
+        for a, b in zip(cut, uncut, strict=True):
+            assert (a.lam, a.mass, a.deriv0) == (b.lam, b.mass, b.deriv0)
+            assert a.half_width == b.half_width == b.tau[-1] >= a.tau[-1]
+        sizes = [sum((len(sol.u) - 1) // ELEMENT_DEGREE for sol in sols) for sols in (uncut, cut)]
+        assert tuple(sizes) == elements
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.floats(1.0, 1e4) | st.floats(1.0, LARGEST_MASS) | st.sampled_from((576.0, 577.0, 729.0, LARGEST_MASS)))
+    def test_flat_excess_of_the_cut_is_below_rounding(self, m):
+        # The minimum over functions vanishing past tau_end exceeds
+        # coth sqrt(m) by coth tau_end - coth sqrt(m), formed as a difference
+        # of coth x - 1 = 2 / expm1(2x) (which is below 1e-300 where expm1
+        # would overflow).
+        (sol,) = solve_transverse([TransverseProblem(m=m, curv=FLAT)])
+        end, T = sol.tau[-1], math.sqrt(m)
+        excess = 2.0 / math.expm1(2.0 * end) - (2.0 / math.expm1(2.0 * T) if T < 354.0 else 0.0)
+        assert 0.0 <= excess <= 2.0**-60
+        assert excess == 0.0 or T > TAU_CUT
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=valid_problems(st.floats(1.0, LARGEST_MASS) | st.floats(1.0, 1e5)))
+    def test_kept_panels_are_the_uncut_panels(self, problem):
+        # At most 7 elements, each of the uncut panel length, and a collar
+        # end at or past min(sqrt(m), TAU_CUT).
+        m, kappa, K = problem
+        (sol,) = solve_transverse([TransverseProblem(m=m, curv=CurvatureData(kappa, K))])
+        n, T = ELEMENT_DEGREE, math.sqrt(m)
+        kept, h = kept_panels(m)
+        ends = sol.tau[::n]
+        assert len(sol.u) == len(sol.tau) == kept * n + 1 <= 7 * n + 1
+        assert np.array_equal(ends[:-1], h * np.arange(kept)) and sol.tau[n] == h
+        assert ends[-1] == (T if kept == math.ceil(T / ELEMENT_PANEL) else kept * h)
+        assert ends[-1] >= min(T, TAU_CUT) and sol.half_width == T
+
+    def test_form_of_the_zero_extension_is_the_energy(self):
+        # transverse_form integrates over all of [0, sqrt(m)]; past the cut
+        # the profile is 0, and its energy is the solver's lam.
+        prob = TransverseProblem(m=1e4, curv=CurvatureData(0.5, 0.25))
+        (sol,) = solve_transverse([prob])
+        assert sol.tau[-1] == 24.0 < prob.half_width
+        assert transverse_form(prob, sol.evaluate) == pytest.approx(sol.lam, rel=1e-14)
 
 
 def banded_reference(prob: TransverseProblem) -> np.ndarray:
@@ -205,8 +301,8 @@ class TestCondensedSolve:
     """The condensed solve (interiors eliminated, Thomas sweep over end
     nodes) against the assembled band.  sqrt(m) = (n_el - 1/2) ELEMENT_PANEL
     gives n_el = 2 and 3, which with the short collars (n_el = 1) cover the
-    sweep with no, one and two inner end nodes; m = 6400 is the longest
-    sweep of the pinned grid."""
+    sweep with no, one and two inner end nodes; m = 6400 is the largest
+    mass of the pinned grid, cut to 6 of its 20 panels."""
 
     @pytest.mark.parametrize(
         "m, curved",
@@ -224,7 +320,7 @@ class TestCondensedSolve:
     def test_matches_banded_solve(self, m, curved, flat):
         prob = TransverseProblem(m=m, curv=FLAT if flat else CurvatureData(*curved))
         sol = solve_transverse([prob])[0]
-        assert len(sol.u) == math.ceil(math.sqrt(m) / ELEMENT_PANEL) * ELEMENT_DEGREE + 1
+        assert len(sol.u) == kept_panels(m)[0] * ELEMENT_DEGREE + 1
         np.testing.assert_allclose(sol.u, banded_reference(prob), rtol=0.0, atol=1e-13)
 
 

@@ -18,7 +18,7 @@ import mitbag.dirac_ball as dirac_ball
 from mitbag.cli import config_from_dict, run_suite
 from mitbag.numerics import ToleranceConfig, run_memo
 from mitbag.report import CheckRecord, emit_table
-from mitbag.transverse import ELEMENT_DEGREE, ELEMENT_PANEL
+from mitbag.transverse import ELEMENT_DEGREE, ELEMENT_PANEL, TAU_CUT
 
 VERDICT = {
     "abs": lambda e, o, t: abs(o - e) <= t,
@@ -294,10 +294,15 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
 
     monkeypatch.setattr(cli, "solve_transverse", spy)
     _, summary = cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
-    n_el = [math.ceil(math.sqrt(p.m) / ELEMENT_PANEL) for p in problems]
-    assert problems
-    assert summary["transverse_elements"] == sum(n_el)
-    assert summary["transverse_dofs"] == sum(n * ELEMENT_DEGREE + 1 for n in n_el)
+    # Each collar keeps the panels of its uncut layout that start before TAU_CUT.
+    n_el = []
+    for p in problems:
+        T = math.sqrt(p.m)
+        panels = math.ceil(T / ELEMENT_PANEL)
+        n_el.append(panels if T <= TAU_CUT else math.ceil(TAU_CUT / (T / panels)))
+    assert len(problems) == 97
+    assert summary["transverse_elements"] == sum(n_el) == 436
+    assert summary["transverse_dofs"] == sum(n * ELEMENT_DEGREE + 1 for n in n_el) == 6201
 
 
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
