@@ -42,7 +42,7 @@ from .exterior import (
     sphere_datum,
     torus_datum,
 )
-from .geometry import BallInterior, CurvatureData, collar_is_valid, min_rescaled_weight
+from .cli import BallInterior
 from .numerics import (
     SecondOrderODE,
     ShootingSolution,
@@ -63,9 +63,12 @@ from .special import (
     spherical_bessel_j_pair,
 )
 from .transverse import (
+    CurvatureData,
     TransverseProblem,
     TransverseSolution,
+    collar_is_valid,
     expansion_lambda,
+    min_rescaled_weight,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,

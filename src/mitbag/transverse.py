@@ -72,9 +72,21 @@ not cut at all and the others keep their element matrices: on the
 verification suite the cut leaves every energy, mass and derivative bit for
 bit as the uncut solve gives it, with at most 7 elements a problem.
 
-A problem's validity floor (weight >= 1/2) is checked when it is built, and
-so is the mass itself (finite, positive, m**2 finite), so every problem can
-be solved; a solution is a plain value, its profile evaluated from its own
+The validity floor.  a(tau) is the volume weight 1 + t kappa + t^2 K of a
+surface's collar at depth t = tau / m, with kappa the mean curvature (trace
+of the shape operator) and K the Gauss curvature (its determinant), and
+every transverse formula holds while a >= 1/2 on the collar.  Why one corner
+binds: at every tau >= 0, a is nondecreasing in kappa and in K, so over the
+curvatures bounded by (|kappa|, |K|) in modulus it is least at the corner
+(-|kappa|, -|K|).  There it is nonincreasing in tau, so the least weight
+on the collar is at its end tau = sqrt(m):
+
+    min a = 1 - |kappa|/sqrt(m) - |K|/m    (``min_rescaled_weight``),
+
+which is >= 1/2 exactly from sqrt(m) >= |kappa| + sqrt(kappa^2 + 2|K|)
+(``collar_is_valid``).  A problem checks this floor when it is built, and
+its mass too (finite, positive, m**2 finite), so every problem can be
+solved; a solution is a plain value, its profile evaluated from its own
 element nodes and nodal values, and 0 past tau_end.
 """
 
@@ -87,7 +99,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import CurvatureData, collar_is_valid
 from .numerics import panel_nodes
 
 QUAD_PANEL = 0.25
@@ -184,6 +195,41 @@ def _element_tables(n: int) -> tuple[np.ndarray, ...]:
 )
 
 
+@dataclass(frozen=True)
+class CurvatureData:
+    """Pointwise mean curvature kappa (1/length) and Gauss curvature K (1/length^2)."""
+
+    kappa: float
+    gauss: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.kappa) and math.isfinite(self.gauss)):
+            raise ValueError("curvatures must be finite")
+
+    @classmethod
+    def flat(cls) -> "CurvatureData":
+        return cls(kappa=0.0, gauss=0.0)
+
+
+def min_rescaled_weight(curv: CurvatureData, m: float) -> float:
+    """Least collar weight over tau in [0, sqrt(m)] and the curvatures bounded
+    by ``curv`` in modulus: the corner (-|kappa|, -|K|) at tau = sqrt(m).
+
+    Rounding is monotone in each operand, so the computed corner value is
+    also the least of the computed weights at the other corners and depths.
+    """
+    if not (math.isfinite(m) and m > 0.0):
+        raise ValueError("m must be positive")
+    T = math.sqrt(m)
+    return 1.0 - abs(curv.kappa) * T / m - abs(curv.gauss) * T * T / (m * m)
+
+
+def collar_is_valid(curv: CurvatureData, m: float) -> bool:
+    """The validity floor of every transverse problem: the collar weight stays
+    >= 1/2 at mass m, up to rounding (1e-12), so the exact floor is valid."""
+    return min_rescaled_weight(curv, m) >= 0.5 - 1e-12
+
+
 def _collar_weight(
     kappa: float | np.ndarray, gauss: float | np.ndarray, m: float | np.ndarray, m2: float | np.ndarray, tau: np.ndarray
 ) -> np.ndarray:
@@ -197,24 +243,22 @@ def _collar_weight(
 class TransverseProblem:
     """Mass and pointwise curvature pair.  Construction refuses a mass whose
     square overflows (the weight divides by m**2) and one whose weight falls
-    below the validity floor (``geometry.collar_is_valid``), so every problem
+    below the validity floor (``collar_is_valid``), so every problem
     can be solved."""
 
     m: float
     curv: CurvatureData
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and self.m > 0.0):
-            raise ValueError("m must be positive")
-        try:
-            self.m**2  # as the weight forms it; a Python float power raises on overflow
-        except OverflowError:
-            raise ValueError(f"m={self.m} is too large: m**2 in the collar weight overflows") from None
-        if not collar_is_valid(self.curv, self.m):
+        if not collar_is_valid(self.curv, self.m):  # which refuses a mass that is not finite and positive
             raise ValueError(
                 f"m={self.m} is below the validity floor for curvatures "
                 f"(kappa={self.curv.kappa}, K={self.curv.gauss})"
             )
+        try:
+            self.m**2  # as the weight forms it; a Python float power raises on overflow
+        except OverflowError:
+            raise ValueError(f"m={self.m} is too large: m**2 in the collar weight overflows") from None
 
     def weight(self, tau: np.ndarray) -> np.ndarray:
         return _collar_weight(self.curv.kappa, self.curv.gauss, self.m, self.m**2, np.asarray(tau, dtype=float))

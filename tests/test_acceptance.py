@@ -34,9 +34,8 @@ from mitbag.exterior import (
     sphere_datum,
     torus_datum,
 )
-from mitbag.geometry import CurvatureData
 from mitbag.numerics import slope_drift
-from mitbag.transverse import TransverseProblem, solve_transverse
+from mitbag.transverse import CurvatureData, TransverseProblem, solve_transverse
 
 GROUND = AngularSector(-1)
 P0 = DiracParams(R=1.0, m0=0.0, m=0.0)

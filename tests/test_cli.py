@@ -14,9 +14,9 @@ import pytest
 import mitbag.cli as cli
 import mitbag.dirac_ball as dirac_ball
 import mitbag.special as special
-from mitbag.cli import ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
+import mitbag.suites as suites
+from mitbag.cli import BallInterior, ConfigError, SuiteConfig, config_from_dict, load_config, main, run_suite
 from mitbag.dirac_ball import DiracParams
-from mitbag.geometry import BallInterior, CurvatureData
 from mitbag.numerics import NumericsError, ToleranceConfig
 from mitbag.report import (
     CSV_COLUMNS,
@@ -27,7 +27,7 @@ from mitbag.report import (
     parse_report_json,
     write_report_atomic,
 )
-from mitbag.transverse import TransverseProblem
+from mitbag.transverse import CurvatureData, TransverseProblem
 
 
 # Geometry blocks the suites would not read: other variants, extra or
@@ -101,7 +101,22 @@ class TestConfig:
         # mass exactly when a TransverseProblem accepts it.
         curv, m = CurvatureData(-3.0, -2.0), 43.633307652783934
         assert TransverseProblem(m=m, curv=curv).m == m
-        assert [prob.m for prob in cli._transverse_pair_data((-3.0, -2.0), (25.0, m, 100.0))] == [m, 100.0]
+        assert [prob.m for prob in suites._transverse_pair_data((-3.0, -2.0), (25.0, m, 100.0))] == [m, 100.0]
+
+    def test_config_builds_at_most_one_problem_per_pair(self, monkeypatch):
+        # The floor alone counts each pair's valid masses; only the largest
+        # valid mass is built, as the judge of its m**2 limit.  The suite
+        # builds the problems it solves.
+        built = []
+        post_init = TransverseProblem.__post_init__
+
+        def counting(prob):
+            built.append(prob)
+            post_init(prob)
+
+        monkeypatch.setattr(TransverseProblem, "__post_init__", counting)
+        config = SuiteConfig()
+        assert 0 < len(built) <= len(config.curvature_grid)
 
     def test_geometry_variants(self):
         # The suites read only the ball radius, so the one accepted geometry
@@ -442,13 +457,13 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     scans, sampled = _spy_scans(monkeypatch)
     pairs = []
     for name in ("mit_eigenpair", "robin_eigenpair"):
-        original = getattr(cli, name)
+        original = getattr(suites, name)
 
         def spy(p, sector, energy, _original=original, _name=name):
             pairs.append((_name, p, sector, energy))
             return _original(p, sector, energy)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(suites, name, spy)
     config = SuiteConfig(suite="all", output_path=str(tmp_path / "r.csv"))
     report = run_suite(config)
     assert report.passed
@@ -458,7 +473,7 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     p, tol = DiracParams(R=1.0), config.tolerances
     # The kj=+1 branches are the charge conjugates of the kj=-1 ones.
     ground = [scan for scan in scans if scan[:2] == ("_mit_kernels", p) and abs(scan[2].kappa_j) == 1]
-    assert ground == [("_mit_kernels", p, cli.GROUND_SECTOR, (sign,), tol) for sign in (1.0, -1.0)]
+    assert ground == [("_mit_kernels", p, suites.GROUND_SECTOR, (sign,), tol) for sign in (1.0, -1.0)]
     assert Counter(name for name, *_ in scans) == {
         "_mit_kernels": 6,
         "_largemass_kernels": 26,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mitbag.exterior as exterior
-from mitbag.cli import SuiteConfig, run_suite
+from mitbag.cli import BallInterior, SuiteConfig, run_suite
 from mitbag.exterior import (
     AgmonDivergenceError,
     ExteriorSolution,
@@ -26,7 +26,6 @@ from mitbag.exterior import (
     sphere_datum,
     torus_datum,
 )
-from mitbag.geometry import BallInterior
 from mitbag.special import BesselOverflowError, modified_spherical_bessel_k_scaled
 
 FOUR_PI = 4.0 * math.pi

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mitbag.exterior import sphere_datum, torus_datum
-from mitbag.geometry import BallInterior, CurvatureData, min_rescaled_weight
-from mitbag.transverse import TransverseProblem
+from mitbag.cli import BallInterior
+from mitbag.transverse import CurvatureData, TransverseProblem, min_rescaled_weight
 
 
 def weight(c, m, tau):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from mitbag import cli, transverse
-from mitbag.geometry import CurvatureData, collar_is_valid
+from mitbag import cli, suites, transverse
 from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
@@ -17,7 +16,9 @@ from mitbag.transverse import (
     _ansatz_poly,
     _cutoff,
     _element_matrices,
+    CurvatureData,
     TransverseProblem,
+    collar_is_valid,
     expansion_lambda,
     residual_of_ansatz,
     solve_transverse,
@@ -219,7 +220,7 @@ class TestCollarCut:
     @staticmethod
     def suite_problems(m_grid):
         # The problems of one transverse suite on the default curvature grid.
-        pairs = [prob for pair in cli.DEFAULT_CURVATURE_GRID for prob in cli._transverse_pair_data(pair, m_grid)]
+        pairs = [prob for pair in cli.DEFAULT_CURVATURE_GRID for prob in suites._transverse_pair_data(pair, m_grid)]
         flat = [TransverseProblem(m=m, curv=FLAT) for m in (4.0, 16.0, 64.0, 1e4)]
         return [*flat, *pairs, TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))]
 

@@ -15,6 +15,7 @@ import pytest
 
 import mitbag.cli as cli
 import mitbag.dirac_ball as dirac_ball
+import mitbag.suites as suites
 from mitbag.cli import config_from_dict, run_suite
 from mitbag.numerics import ToleranceConfig, run_memo
 from mitbag.report import CheckRecord, emit_table
@@ -195,13 +196,13 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     seen: dict[str, list] = {}
     solvers = ("mit_eigenvalues", "largemass_eigenvalues", "mit_spectrum_signed", "largemass_spectrum_signed")
     for name in solvers:
-        solver = getattr(cli, name)
+        solver = getattr(suites, name)
 
         def spy(*args, _solver=solver, _name=name, **kwargs):
             seen.setdefault(_name, []).append((args[0], kwargs.get("tol")))
             return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(suites, name, spy)
     scan = dirac_ball._scan_roots
     scan_tols = []
 
@@ -236,13 +237,13 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
 def test_nan_sandwich_gap_fails_its_rows(monkeypatch):
     # A NaN gap at a finer mass is the row recorded, so the check fails
     # instead of reporting a finite mass where the condition holds.
-    dtn = cli.ball_exterior_dtn
-    last = cli.EXTERIOR_M_GRID[-1]
+    dtn = suites.ball_exterior_dtn
+    last = suites.EXTERIOR_M_GRID[-1]
 
     def nan_at_last_mass(m, R, ell):
         return math.nan if (ell == 2 and m == last) else dtn(m, R, ell)
 
-    monkeypatch.setattr(cli, "ball_exterior_dtn", nan_at_last_mass)
+    monkeypatch.setattr(suites, "ball_exterior_dtn", nan_at_last_mass)
     records, _ = cli.run_exterior_suite(cli.SuiteConfig(suite="exterior"))
     rows = {(r.check_id, r.sector): r for r in records if r.check_id.startswith("exterior.sandwich")}
     for check_id in ("exterior.sandwich", "exterior.sandwich.sign"):
@@ -254,12 +255,12 @@ def test_nan_sandwich_gap_fails_its_rows(monkeypatch):
 def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
     # An eta that depends on the sector tells the kj=-1 and kj=+1 copies of
     # the ground level apart, so the row must fail.
-    eta = cli.eta_functional
+    eta = suites.eta_functional
 
     def sector_dependent_eta(u, lam, p):
         return eta(u, lam, p) + 1e-9 * u.sector.kappa_j
 
-    monkeypatch.setattr(cli, "eta_functional", sector_dependent_eta)
+    monkeypatch.setattr(suites, "eta_functional", sector_dependent_eta)
     monkeypatch.setattr(dirac_ball, "eta_functional", sector_dependent_eta)
     records, _ = cli.run_dirac_suite(cli.SuiteConfig(suite="dirac"))
     (row,) = [r for r in records if r.check_id == "dirac.nu.degenerate"]
@@ -272,27 +273,27 @@ def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
 )
 def test_suite_solves_each_problem_once(monkeypatch, runner, solver):
     # solve_transverse takes a list of problems: they are flattened across calls.
-    solve = getattr(cli, solver)
+    solve = getattr(suites, solver)
     problems = []
 
     def spy(*args):
         problems.extend(args[0] if solver == "solve_transverse" else [args])
         return solve(*args)
 
-    monkeypatch.setattr(cli, solver, spy)
+    monkeypatch.setattr(suites, solver, spy)
     runner(cli.SuiteConfig(suite="all"))
     assert problems and len(problems) == len(set(problems))
 
 
 def test_transverse_effort_counts_the_solved_elements(monkeypatch):
-    solve = cli.solve_transverse
+    solve = suites.solve_transverse
     problems = []
 
     def spy(probs):
         problems.extend(probs)
         return solve(probs)
 
-    monkeypatch.setattr(cli, "solve_transverse", spy)
+    monkeypatch.setattr(suites, "solve_transverse", spy)
     _, summary = cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     # Each collar keeps the panels of its uncut layout that start before TAU_CUT.
     n_el = []
@@ -310,7 +311,7 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     # to one solve_transverse call, which makes one batched interior solve;
     # the slopes take one line fit per cohort (two) and one for the flat mass.
     stacks, interior_solves, fits = [], [], []
-    solve, lapack_solve, fit = cli.solve_transverse, np.linalg.solve, cli.fit_line
+    solve, lapack_solve, fit = suites.solve_transverse, np.linalg.solve, suites.fit_line
 
     def spy(probs):
         stacks.append(list(probs))
@@ -320,9 +321,9 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
         interior_solves.append(args)
         return lapack_solve(*args)
 
-    monkeypatch.setattr(cli, "solve_transverse", spy)
+    monkeypatch.setattr(suites, "solve_transverse", spy)
     monkeypatch.setattr(np.linalg, "solve", lapack_spy)
-    monkeypatch.setattr(cli, "fit_line", lambda *args: fits.append(args) or fit(*args))
+    monkeypatch.setattr(suites, "fit_line", lambda *args: fits.append(args) or fit(*args))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     assert [len(stack) for stack in stacks] == [97]
     assert len(interior_solves) == 1
