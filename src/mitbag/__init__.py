@@ -57,10 +57,8 @@ from .numerics import (
 from .special import (
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
-    modified_spherical_bessel_k_scaled_pair,
     spherical_bessel_j,
     spherical_bessel_j_deriv,
-    spherical_bessel_j_pair,
 )
 from .transverse import (
     CurvatureData,

@@ -26,9 +26,7 @@ from .report import CheckRecord, Report, emit_table, write_report_atomic
 from .suites import DEFAULT_CURVATURE_GRID, TRANSVERSE_M_GRID, _SUITE_RUNNERS
 
 # The benchmark tracer (perfbench/tracer.py) finds the runners and ``_pmap``
-# here by name until ROADMAP item 1 points it at ``suites``, and
-# tests/test_tracer_contract.py checks its rebinding on ``cli.mit_eigenvalues``.
-from .dirac_ball import mit_eigenvalues  # noqa: F401
+# here by name until ROADMAP item 1 points it at ``suites``.
 from .suites import _pmap, run_dirac_suite, run_exterior_suite, run_robin_suite, run_transverse_suite  # noqa: F401
 from .transverse import CurvatureData, TransverseProblem, collar_is_valid
 
@@ -107,6 +105,11 @@ class SuiteConfig:
                     raise ConfigError(
                         f"m_grid: m={valid[-1]} is too large: the expansion envelopes' m**3 overflows"
                     ) from None
+        if self.suite == "exterior" and self.m_grid is not None and len(self.m_grid) < 3:
+            raise ConfigError(
+                f"m_grid has {len(self.m_grid)} masses; the exterior suite needs at least 3: its rate rows compare "
+                "the first mass with the last, and its sandwich bound is fitted on the first 2"
+            )
         if self.suite in ("dirac", "robin", "all") and self.m_grid is not None and len(self.m_grid) < 4:
             raise ConfigError(
                 f"m_grid has {len(self.m_grid)} masses; the dirac and robin slope fits and their drift "

@@ -40,20 +40,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exterior import ball_mode_mass
 from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, memoized, memoized_prefix, panel_nodes
-from .special import (
-    ek_pair_kernel,
-    j_pair_kernel,
-    modified_spherical_bessel_k_scaled_pair,
-    spherical_bessel_j,
-    spherical_bessel_j_pair,
-)
+from .special import SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel, spherical_bessel_j
 
 
 class BracketExhaustionError(NumericsError):
@@ -176,9 +169,11 @@ def _sector_j(
 
 
 def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
-    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x, from one domain-checked
-    pair call of the two sector orders."""
-    return _sector_j(sec, partial(spherical_bessel_j_pair, abs(sec.kappa_j) - 1))(x)
+    """(j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') at x, checked, from one pair
+    call of the two sector orders."""
+    if not 0.0 < x < math.inf:
+        raise SpecialFunctionDomainError(f"argument must be finite and > 0, got {x!r}")
+    return _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))(x)
 
 
 # A determinant's kernels: its value alone, for scan points, and its value
@@ -607,7 +602,10 @@ def largemass_eigenpair(
     k = math.sqrt(E * E - p.m0 * p.m0)
     q = math.sqrt(M * M - E * E)
     # The tail is f = k_{l_A}(q r)/k_{l_A}(q R) and g = -q/(E + M) k_{l_B}(q r)/k_{l_A}(q R).
-    lo, hi = modified_spherical_bessel_k_scaled_pair(abs(sector.kappa_j) - 1, q * p.R)
+    x = q * p.R
+    if not 0.0 < x < math.inf:
+        raise SpecialFunctionDomainError(f"argument must be finite and > 0, got {x!r}")
+    lo, hi = ek_pair_kernel(abs(sector.kappa_j) - 1)(x)
     ekA, ekB = (hi, lo) if sector.kappa_j > 0 else (lo, hi)
     g_ratio = q / (E + M) * ekB / ekA
     tail_mass = p.R**2 * (

@@ -117,10 +117,10 @@ def halfspace_mode_energy(m: float, xi_norm: float) -> float:
     The per-mode profile solves -u'' + (m^2 + |xi|^2) u = 0 on the half-line
     with decay, so the Dirichlet energy of the unit trace is the decay rate.
     """
-    if m <= 0.0:
-        raise ValueError("m must be positive")
-    if xi_norm < 0.0:
-        raise ValueError("xi_norm must be nonnegative")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m!r}")
+    if not 0.0 <= xi_norm < math.inf:
+        raise ValueError(f"xi_norm must be nonnegative and finite, got {xi_norm!r}")
     return math.hypot(m, xi_norm)
 
 
@@ -140,8 +140,8 @@ def ball_exterior_dtn(m: float, R: float, ell: int) -> float:
 
 def effective_energy(v: BoundaryDatum, m: float) -> float:
     """Effective boundary functional Lambda_tilde_m(v) from exact mode data."""
-    if m <= 0.0:
-        raise ValueError("m must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m!r}")
     # Curvatures (kappa, K) and the eigenvalue of -Laplace_s of each unit mode.
     if isinstance(v, SphereDatum):
         kappa, gauss = 2.0 / v.R, 1.0 / v.R**2
@@ -161,8 +161,8 @@ def flat_effective_gap(v: FlatDatum, m: float) -> float:
 
         sqrt(m^2 + xi^2) - m - xi^2/(2m) = -xi^4 / (2m (sqrt(m^2 + xi^2) + m)^2)
 
-    per unit mode (``halfspace_mode_energy`` rejects m <= 0), summed with
-    the coefficient weights.
+    per unit mode (``halfspace_mode_energy`` rejects m outside (0, inf)),
+    summed with the coefficient weights.
     """
     if not isinstance(v, FlatDatum):
         raise TypeError("the closed-form gap holds on the flat model only")
@@ -214,8 +214,8 @@ def ball_mode_mass(m: float, R: float, ell: int) -> float:
 
 def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
     """Exact exterior energy and mass of the minimizer for the given trace."""
-    if m <= 0.0:
-        raise ValueError("m must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m!r}")
     # Per-mode energy and mass: the DtN value and the radial tail on the
     # sphere, the decay rate omega and 1/(2 omega) on the flat model.
     if isinstance(v, SphereDatum):
@@ -251,6 +251,8 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
     Zero for a pure l=0 spherical datum (that radial mass is exactly
     ||v||^2/(2m)); bounded uniformly in m in general.
     """
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m!r}")
     norm_sq = float(sum(abs(c) ** 2 for _, c in v.modes))
     if norm_sq == 0.0:
         return 0.0

@@ -28,13 +28,12 @@ and upward-recurrence kernels vectorized, and the Miller kernel element by
 element.  ``j_pair_kernel(n)`` and ``ek_pair_kernel(n)`` bind one order
 pair n, n + 1 (checked once, when bound) and return a function of a float
 argument x > 0 that gives both values, the two a matching determinant needs,
-bit-equal to two single-order calls; a root scan binds its sector's pair once
-and calls it at every point.  ``spherical_bessel_j_pair`` and
-``modified_spherical_bessel_k_scaled_pair`` check the argument and call the
-same kernels.  ``ek_kernel(l)`` binds one order of e^x k_l the same way, for
-a float or an ndarray, and checks neither the argument nor overflow: it is
-for callers that have vetted both, like a tail sweep whose nodes all lie at
-or beyond a checked point.
+bit-equal to two single-order calls; the argument is the caller's to check.
+A root scan binds its sector's pair once and calls it at every point, and an
+eigenpair calls it once, at x = kR or qR.  ``ek_kernel(l)`` binds one order
+of e^x k_l the same way, for a float or an ndarray, and checks neither the
+argument nor overflow: it is for callers that have vetted both, like a tail
+sweep whose nodes all lie at or beyond a checked point.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class BesselOverflowError(ArithmeticError):
 
 def _check_order_arg(ell: int, x: float | np.ndarray) -> None:
     if type(ell) is int and type(x) is float and 0 <= ell <= MAX_ELL and 0.0 < x < math.inf:
-        return  # the common case of a root scan, decided in one expression
+        return  # a float call (a DtN value, a tail anchor, a kernel bind), in one expression
     if not isinstance(ell, (int,)) or isinstance(ell, bool):
         raise SpecialFunctionDomainError(f"order must be an integer, got {ell!r}")
     if ell < 0 or ell > MAX_ELL:
@@ -190,12 +189,6 @@ def _j_scalar(ell: int, x: float) -> float:
     return _j_miller(ell, x)
 
 
-def _is_plain_pair(n: int, x: float) -> bool:
-    # A float argument in the domain and both orders n, n + 1 in range, so
-    # the pair kernels check nothing more.
-    return type(n) is int and type(x) is float and 0 <= n < MAX_ELL and 0.0 < x < math.inf
-
-
 @lru_cache(maxsize=None, typed=True)
 def j_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
     """The function x -> (j_n(x), j_{n+1}(x)) of a float x > 0 (the caller
@@ -215,16 +208,6 @@ def j_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
         return _j_scalar(n, x), _j_scalar(n + 1, x)
 
     return pair
-
-
-def spherical_bessel_j_pair(n: int, x: float) -> tuple[float, float]:
-    """(j_n(x), j_{n+1}(x)) from ``j_pair_kernel(n)``, the domain checked once
-    for both orders.  Any argument other than a float in the domain goes to
-    two single-order calls, which raise the single-order errors (n = 50 fails
-    as order 51 does)."""
-    if not _is_plain_pair(n, x):
-        return spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
-    return j_pair_kernel(n)(x)
 
 
 def spherical_bessel_j_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -335,15 +318,6 @@ def ek_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
         return _finite(lo, n, x), _finite(hi, n + 1, x)
 
     return pair
-
-
-def modified_spherical_bessel_k_scaled_pair(n: int, x: float) -> tuple[float, float]:
-    """(e^x k_n(x), e^x k_{n+1}(x)) from ``ek_pair_kernel(n)``, the domain
-    checked once for both orders.  Any argument other than a float in the
-    domain goes to two single-order calls."""
-    if not _is_plain_pair(n, x):
-        return modified_spherical_bessel_k_scaled(n, x), modified_spherical_bessel_k_scaled(n + 1, x)
-    return ek_pair_kernel(n)(x)
 
 
 def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -572,8 +572,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "overrides, flags",
         [
-            ({}, ["--m-grid", "1e155"]),  # OverflowError in the flat closed-form gap
-            ({}, ["--m-grid", "1e-300"]),  # special.BesselOverflowError
+            ({}, ["--m-grid", "1e153,1e154,1e155"]),  # OverflowError in the flat closed-form gap
+            ({}, ["--m-grid", "1e-302,1e-301,1e-300"]),  # special.BesselOverflowError
             ({"geometry": {"variant": "ball_interior", "R": 1e-100}}, []),  # special.BesselOverflowError
         ],
     )
@@ -628,6 +628,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: m_grid has 3 masses") and "at least 4" in err
         assert not (tmp_path / "report.csv").exists()
+
+    def test_exterior_needs_three_masses(self, tmp_path, capsys):
+        # With one mass the rate rows compare a value with itself and can
+        # only fail; with two the sandwich bound is fitted on every mass it
+        # checks and cannot fail.
+        path = write_config(tmp_path)
+        for grid in ("100", "100,1000"):
+            assert main([path, "--m-grid", grid]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: m_grid has") and "at least 3" in err and "Traceback" not in err
+            assert not (tmp_path / "report.csv").exists()
+        assert main([path, "--m-grid", "100,1000,10000"]) == 0
 
     @pytest.mark.parametrize("suite", ("exterior", "transverse"))
     def test_three_masses_suffice_without_slope_fits(self, tmp_path, suite):

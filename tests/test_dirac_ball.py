@@ -31,6 +31,7 @@ from mitbag.dirac_ball import (
     robin_laplacian_eigenvalues,
 )
 from mitbag.numerics import NumericsError, ToleranceConfig, run_memo
+from mitbag.special import SpecialFunctionDomainError
 
 GROUND = AngularSector(-1)
 P0 = DiracParams(R=1.0, m0=0.0, m=0.0)
@@ -153,6 +154,20 @@ class TestBagEigenpair:
         pair = mit_eigenpair(P0, GROUND, lam1)
         fR, gR, dfR, dgR = pair.boundary_values
         assert dfR + fR == pytest.approx(dgR + gR, abs=1e-12)
+
+    def test_energy_off_the_bessel_domain_is_refused(self):
+        # The boundary argument x = kR (qR for the large-mass tail) must be
+        # finite and > 0: a NaN or infinite energy, or one whose square
+        # overflows, is refused before any Bessel value is formed.
+        bad = "argument must be finite and > 0"
+        for energy in (math.nan, math.inf, 1e200):
+            with pytest.raises(SpecialFunctionDomainError, match=bad):
+                mit_eigenpair(P0, GROUND, energy)
+        for lam_int in (math.nan, math.inf):
+            with pytest.raises(SpecialFunctionDomainError, match=bad):
+                robin_eigenpair(P0, GROUND, lam_int)
+        with pytest.raises(SpecialFunctionDomainError, match=bad):
+            largemass_eigenpair(DiracParams(R=1.0, m0=0.0, m=1e200), GROUND, 3.0)
 
     def test_interior_grid_follows_the_phase_not_the_radius(self):
         # k R = 2.04 radians of phase: the 8-panel floor of 16 nodes each,
@@ -586,14 +601,19 @@ class TestEvaluationCounts:
             sp.spherical_jn(sector.ell_lower, x, derivative=True),
         )
         calls = []
-        pair = dirac_ball.spherical_bessel_j_pair
+        bind = dirac_ball.j_pair_kernel
 
-        def spy(n, arg):
-            calls.append(n)
-            return pair(n, arg)
+        def spy(n):
+            kernel = bind(n)
+
+            def pair(arg):
+                calls.append(n)
+                return kernel(arg)
+
+            return pair
 
         # One pair call gives both sector orders |kappa_j| - 1 and |kappa_j|.
-        monkeypatch.setattr(dirac_ball, "spherical_bessel_j_pair", spy)
+        monkeypatch.setattr(dirac_ball, "j_pair_kernel", spy)
         values = dirac_ball._j_pair(sector, x)
         assert calls == [abs(kj) - 1]
         assert {abs(kj) - 1, abs(kj)} == {sector.ell_upper, sector.ell_lower}

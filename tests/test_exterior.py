@@ -51,6 +51,27 @@ class TestHalfspaceMode:
             halfspace_mode_energy(1.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_mass_or_frequency_is_refused(bad):
+    # Each call would otherwise return NaN or an infinity without a word.
+    sphere = sphere_datum(1.0, {0: 1.0, 1: 0.5})
+    flat = torus_datum(2.0, {(1, 0): 1.0})
+    sol = ExteriorSolution(energy=1.0, exterior_mass=0.5)
+    calls = (
+        lambda: halfspace_mode_energy(bad, 1.0),
+        lambda: effective_energy(sphere, bad),
+        lambda: effective_energy(flat, bad),
+        lambda: exterior_energy(flat, bad),
+        lambda: flat_effective_gap(flat, bad),
+        lambda: mass_estimate_check(sol, sphere, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="m must be positive and finite"):
+            call()
+    with pytest.raises(ValueError, match="xi_norm must be nonnegative and finite"):
+        halfspace_mode_energy(1.0, bad)
+
+
 class TestBallDtn:
     @pytest.mark.parametrize("m", (1.0, 10.0, 100.0, 1e4, 1e6))
     @pytest.mark.parametrize("R", (0.5, 1.0, 2.0))

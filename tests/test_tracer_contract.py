@@ -10,6 +10,7 @@ from pathlib import Path
 
 import mitbag.cli as cli
 import mitbag.dirac_ball as dirac_ball
+import mitbag.suites as suites
 from mitbag.cli import config_from_dict, run_suite
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -39,11 +40,11 @@ def test_tracer_installs_and_uninstalls():
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
-        assert cli.mit_eigenvalues is not original
-        assert dirac_ball.mit_eigenvalues is cli.mit_eigenvalues
+        assert suites.mit_eigenvalues is not original
+        assert dirac_ball.mit_eigenvalues is suites.mit_eigenvalues
     finally:
         tracer.uninstall()
-        assert cli.mit_eigenvalues is dirac_ball.mit_eigenvalues is original
+        assert suites.mit_eigenvalues is dirac_ball.mit_eigenvalues is original
         assert cli._SUITE_RUNNERS["dirac"] is cli.run_dirac_suite
         assert _bindings() == before
 
