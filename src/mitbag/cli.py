@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 from .numerics import ToleranceConfig, run_memo
@@ -78,33 +79,7 @@ class SuiteConfig:
         if not all(math.isfinite(k) and math.isfinite(K) for k, K in self.curvature_grid):
             raise ConfigError("curvature_grid entries must be finite")
         if self.suite in ("transverse", "all"):
-            # A pair valid at fewer than three masses of the grid would have
-            # no expansion-order row, a mass whose square overflows could not
-            # be solved, and one whose cube overflows could not be reported.
-            # Both limits grow with the mass: the largest valid one is checked.
-            for pair in self.curvature_grid:
-                curv = CurvatureData(*pair)
-                try:
-                    valid = [m for m in self.m_grid or TRANSVERSE_M_GRID if collar_is_valid(curv, m)]
-                except ArithmeticError as exc:  # m * m underflows to 0 in the weight bound
-                    raise ConfigError(
-                        f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
-                        f"of the grid: {exc}"
-                    ) from exc
-                if len(valid) < 3:
-                    raise ConfigError(
-                        f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
-                        "its expansion-order fit needs at least 3"
-                    )
-                try:
-                    TransverseProblem(m=valid[-1], curv=curv)  # refuses a mass whose m**2 overflows
-                    valid[-1] ** 3  # the expansion envelopes scale each gap by m**3
-                except ValueError as exc:
-                    raise ConfigError(f"m_grid: {exc}") from exc
-                except OverflowError:
-                    raise ConfigError(
-                        f"m_grid: m={valid[-1]} is too large: the expansion envelopes' m**3 overflows"
-                    ) from None
+            self.transverse_sweep  # the grid is refused where the suite's problems cannot be built
         if self.suite == "exterior" and self.m_grid is not None and len(self.m_grid) < 3:
             raise ConfigError(
                 f"m_grid has {len(self.m_grid)} masses; the exterior suite needs at least 3: its rate rows compare "
@@ -119,6 +94,40 @@ class SuiteConfig:
             raise ConfigError("format must be 'csv' or 'json'")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+    @cached_property
+    def transverse_sweep(self) -> tuple[tuple[tuple[float, float], tuple[TransverseProblem, ...]], ...]:
+        """Each curvature pair with its problems at its valid masses, as the
+        transverse suite solves them.  A pair valid at fewer than three masses
+        would have no expansion-order row, a mass whose square overflows could
+        not be solved, one whose cube overflows could not be reported: built
+        largest first, the problems name the largest mass in a refusal."""
+        sweep = []
+        for pair in self.curvature_grid:
+            curv = CurvatureData(*pair)
+            try:
+                valid = [m for m in self.m_grid or TRANSVERSE_M_GRID if collar_is_valid(curv, m)]
+            except ArithmeticError as exc:  # m * m underflows to 0 in the weight bound
+                raise ConfigError(
+                    f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
+                    f"of the grid: {exc}"
+                ) from exc
+            if len(valid) < 3:
+                raise ConfigError(
+                    f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
+                    "its expansion-order fit needs at least 3"
+                )
+            try:
+                problems = [TransverseProblem(m=m, curv=curv) for m in reversed(valid)]  # refuses m**2 overflow
+                valid[-1] ** 3  # the expansion envelopes scale each gap by m**3
+            except ValueError as exc:
+                raise ConfigError(f"m_grid: {exc}") from exc
+            except OverflowError:
+                raise ConfigError(
+                    f"m_grid: m={valid[-1]} is too large: the expansion envelopes' m**3 overflows"
+                ) from None
+            sweep.append((pair, tuple(problems[::-1])))
+        return tuple(sweep)
 
 
 def _typed(value: Any, kind: type, name: str) -> Any:

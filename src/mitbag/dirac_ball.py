@@ -334,8 +334,8 @@ def _scan_roots(
     """Walk [lo, hi] with the given step, Newton-solve every sign change.
 
     ``kernels`` is (f, x -> (f(x), f'(x))): the scan reads values only, and
-    the Newton polish reads both.  Returns up to ``count`` roots; raises if
-    the window is exhausted first.
+    the Newton polish reads both.  Returns up to ``count`` roots in (lo, hi],
+    an exact 0 on a scan point once; raises if the window is exhausted first.
     """
     value, value_slope = kernels
     copysign = math.copysign
@@ -348,7 +348,7 @@ def _scan_roots(
         f_x = value(x)
         if f_x == 0.0:
             roots.append(x)
-        elif copysign(1.0, f_prev) != copysign(1.0, f_x):
+        elif copysign(1.0, f_prev) != copysign(1.0, f_x) and f_prev != 0.0:  # x_prev's 0 is no new root
             roots.append(find_root_bracketed(value_slope, (x_prev, x), tol, (f_prev, f_x))[0])
         x_prev, f_prev = x, f_x
     if len(roots) < count:

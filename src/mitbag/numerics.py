@@ -2,7 +2,8 @@
 two-point boundary value problems, and 1/m asymptotic-slope extraction.
 
 Everything here is a pure function of its inputs; all randomness, file IO and
-state live in the verification driver, never in this layer.
+state live in the verification driver, never in this layer.  One affine map
+(``_rule_on_mesh``) places every composite Gauss rule; ``fit_line`` fits one series.
 ``cli.run_suite`` opens and closes the one memo, ``run_memo``: it reuses pure
 results within one verification run and is gone when the run ends.
 """
@@ -170,19 +171,21 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"n_nodes must be one of {sorted(_GAUSS_RULES)}, got {n_nodes!r}") from None
 
 
+# At most 1M nodes a rule: the suites' largest has 401 panels (the transverse
+# form at m = 1e4), and a runaway request is refused before any allocation.
+MAX_PANELS = 2**16
+
+
 def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] with panels <= max_panel,
-    n_nodes (12 or 16) per panel."""
-    if not (b > a):
-        raise ValueError("panel_nodes requires b > a")
+    n_nodes (12 or 16) per panel; finite a < b and at most MAX_PANELS panels."""
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError(f"panel_nodes requires finite ends with b > a, got [{a!r}, {b!r}]")
+    if not (0.0 < max_panel < math.inf and (b - a) / max_panel <= MAX_PANELS):
+        raise ValueError(f"max_panel must be finite and > 0 and cut [{a!r}, {b!r}] into at most "
+                         f"MAX_PANELS = {MAX_PANELS} panels, got {max_panel!r}")
     n_panels = max(1, int(math.ceil((b - a) / max_panel)))
-    edges = np.linspace(a, b, n_panels + 1)
-    xi, wi = _gauss_legendre(n_nodes)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * wi[None, :]).ravel()
-    return x, w
+    return _rule_on_mesh(np.linspace(a, b, n_panels + 1), n_nodes)
 
 
 def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +199,15 @@ def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray,
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or len(mesh) < 2 or np.any(np.diff(mesh) <= 0.0):
         raise ValueError("mesh must be ascending with at least two points")
+    return _rule_on_mesh(mesh, n_nodes)
+
+
+def _rule_on_mesh(mesh: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_nodes-point rule mapped affinely onto each panel of ``mesh``."""
     xi, wi = _gauss_legendre(n_nodes)
     half = 0.5 * (mesh[1:] - mesh[:-1])
     mid = 0.5 * (mesh[1:] + mesh[:-1])
-    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * wi[None, :]).ravel()
-    return x, w
+    return (mid[:, None] + half[:, None] * xi[None, :]).ravel(), (half[:, None] * wi[None, :]).ravel()
 
 
 # ----------------------------------------------------------------------------
@@ -426,26 +432,15 @@ def solve_bvp_shooting(
 # ----------------------------------------------------------------------------
 
 
-def fit_line(x: Sequence[float], y: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
-    """Least-squares line y ~ intercept + slope x; returns (intercept, slope).
-
-    A 2-D ``y`` holds one series per column, and the intercepts and slopes
-    are then arrays, one entry per column.  Each column is still fitted as a
-    one-column problem: np.linalg.lstsq with a 2-D right-hand side rounds
-    differently from one-column fits once there are 8 or more points.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    design = np.column_stack([np.ones_like(x), x])
-    coef = []
-    for series in y.T if y.ndim == 2 else (y,):
-        fit, _, rank, _ = np.linalg.lstsq(design, series, rcond=None)
-        if rank < 2:
-            raise FitError("degenerate design matrix")
-        coef.append(fit)
-    if y.ndim == 2:
-        return tuple(np.array(coef).T)
-    return float(coef[0][0]), float(coef[0][1])
+def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line y ~ intercept + slope x of one series; returns
+    (intercept, slope)."""
+    design = np.ones((len(x), 2))
+    design[:, 1] = x
+    fit, _, rank, _ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
+    if rank < 2:
+        raise FitError("degenerate design matrix")
+    return float(fit[0]), float(fit[1])
 
 
 def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -4,6 +4,8 @@ Each runner turns a validated ``cli.SuiteConfig`` into summary values and
 check rows, each built by ``report.check`` from its id's entry in
 ``report.CHECKS``, so its verdict follows from the row alone.  Sweeps run
 serially in a fixed order, so identical configurations produce identical rows.
+The transverse suite solves the curvature sweep as the config built it
+(``SuiteConfig.transverse_sweep``) in one stack with its flat and seeded problems.
 
 ``_pmap``, the sweeps' serial map, is a named seam for tracing: the benchmark
 tracer finds it and the runners on ``cli``, which re-imports them, and
@@ -56,7 +58,6 @@ from .transverse import (
     CurvatureData,
     TransverseProblem,
     TransverseSolution,
-    collar_is_valid,
     expansion_lambda,
     residual_of_ansatz,
     solve_transverse,
@@ -93,14 +94,8 @@ def _tightest(observed: Sequence[float], bound: Sequence[float]) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _transverse_pair_data(pair: tuple[float, float], m_grid: Sequence[float]) -> list[TransverseProblem]:
-    """The problems of one curvature pair at the masses of its validity range."""
-    curv = CurvatureData(*pair)
-    return [TransverseProblem(m=m, curv=curv) for m in m_grid if collar_is_valid(curv, m)]
-
-
 def _transverse_sweep_records(
-    per_pair: Sequence[tuple[tuple[float, float], list[TransverseProblem]]], sols: Sequence[TransverseSolution]
+    per_pair: Sequence[tuple[tuple[float, float], Sequence[TransverseProblem]]], sols: Sequence[TransverseSolution]
 ) -> tuple[list[CheckRecord], dict[str, Any]]:
     """Expansion-order and mass-rate checks over the curvature grid, from the
     problems of each pair and their solutions in the same order.
@@ -126,13 +121,13 @@ def _transverse_sweep_records(
         cohorts.setdefault(valid_ms, []).append(len(gaps))
         gaps.append((pair, valid_ms, diffs, [transverse_mass_check(sol) for sol in pair_sols]))
 
-    # One fit per cohort: the slopes of its pairs' gaps and of their aggregate.
+    # Per cohort, one line fit per series: its pairs' gaps and their aggregate.
     pair_slopes: dict[int, float] = {}
     aggregates = {}
     for valid_ms, members in cohorts.items():
         agg = [max(gaps[i][2][k] for i in members) for k in range(len(valid_ms))]
         series = [[max(d, 1e-17) for d in gaps[i][2]] for i in members] + [agg]
-        slopes = fit_line(np.log(valid_ms), np.log(series).T)[1].tolist()
+        slopes = [fit_line(np.log(valid_ms), s)[1] for s in np.log(series)]
         pair_slopes.update(zip(members, slopes))
         aggregates[valid_ms] = (len(members), agg, slopes[-1])
 
@@ -161,9 +156,8 @@ def _transverse_sweep_records(
 def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, Any]]:
     records: list[CheckRecord] = []
     summary: dict[str, Any] = {}
-    m_grid = config.m_grid or TRANSVERSE_M_GRID
     flat_probs = [TransverseProblem(m=m, curv=CurvatureData.flat()) for m in (4.0, 16.0, 64.0, 1e4)]
-    per_pair = [(pair, _transverse_pair_data(pair, m_grid)) for pair in config.curvature_grid]
+    per_pair = config.transverse_sweep
     seeded = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))  # minimality on seeded test functions
     # Every problem of the suite goes to one stacked solve.
     sols = solve_transverse([*flat_probs, *(prob for _, probs in per_pair for prob in probs), seeded])

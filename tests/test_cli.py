@@ -101,22 +101,41 @@ class TestConfig:
         # mass exactly when a TransverseProblem accepts it.
         curv, m = CurvatureData(-3.0, -2.0), 43.633307652783934
         assert TransverseProblem(m=m, curv=curv).m == m
-        assert [prob.m for prob in suites._transverse_pair_data((-3.0, -2.0), (25.0, m, 100.0))] == [m, 100.0]
+        config = SuiteConfig(suite="transverse", m_grid=(25.0, m, 100.0, 400.0), curvature_grid=((-3.0, -2.0),))
+        ((pair, probs),) = config.transverse_sweep
+        assert pair == (-3.0, -2.0) and [prob.m for prob in probs] == [m, 100.0, 400.0]
 
-    def test_config_builds_at_most_one_problem_per_pair(self, monkeypatch):
-        # The floor alone counts each pair's valid masses; only the largest
-        # valid mass is built, as the judge of its m**2 limit.  The suite
-        # builds the problems it solves.
-        built = []
-        post_init = TransverseProblem.__post_init__
+    def test_config_builds_each_sweep_problem_once(self, monkeypatch, tmp_path):
+        # The config builds the 92 problems of the curvature sweep, whose
+        # construction judges the grid; the run solves those very objects and
+        # builds only its own 13 (4 flat, 1 seeded, 3 sphere, 5 residual).
+        built, stacks = [], []
+        post_init, solve = TransverseProblem.__post_init__, suites.solve_transverse
 
         def counting(prob):
             built.append(prob)
             post_init(prob)
 
+        def spy(probs):
+            stacks.append(list(probs))
+            return solve(probs)
+
         monkeypatch.setattr(TransverseProblem, "__post_init__", counting)
-        config = SuiteConfig()
-        assert 0 < len(built) <= len(config.curvature_grid)
+        monkeypatch.setattr(suites, "solve_transverse", spy)
+        config = SuiteConfig(output_path=str(tmp_path / "report.csv"))
+        sweep = [prob for _, probs in config.transverse_sweep for prob in probs]
+        assert len(built) == len(sweep) == 92
+        assert {id(prob) for prob in built} == {id(prob) for prob in sweep}
+        assert config.transverse_sweep is config.transverse_sweep
+        built.clear()
+        run_suite(config)
+        assert len(built) == 13 and [len(stack) for stack in stacks] == [97]
+        assert all(a is b for a, b in zip(stacks[0][4:-1], sweep, strict=True))
+        # Suites that do not solve the sweep never build it.
+        built.clear()
+        for suite in ("exterior", "dirac", "robin"):
+            SuiteConfig(suite=suite)
+        assert built == []
 
     def test_geometry_variants(self):
         # The suites read only the ball radius, so the one accepted geometry

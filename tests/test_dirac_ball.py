@@ -633,6 +633,21 @@ class TestScanRoots:
         roots = dirac_ball._scan_roots((f, f_and_slope), 0.5, 3.5, 0.25, 3, ToleranceConfig())
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
+    @pytest.mark.parametrize("zero", (0.0, -0.0))
+    @pytest.mark.parametrize("slope", (-1.0, 1.0))
+    def test_exact_zero_on_a_scan_point_is_one_root(self, zero, slope):
+        # f = slope (x - 1) (x - 2.2) is exactly ``zero`` at the scan point
+        # 1, falling or rising through it.  The next step must not bracket
+        # the point again, which would return it twice.
+        def f(x):
+            return zero if x == 1.0 else slope * (x - 1.0) * (x - 2.2)
+
+        def f_and_slope(x):
+            return f(x), slope * (2.0 * x - 3.2)
+
+        roots = dirac_ball._scan_roots((f, f_and_slope), 0.0, 3.0, 0.5, 2, ToleranceConfig())
+        assert roots[0] == 1.0 and roots[1] == pytest.approx(2.2, abs=1e-12)
+
 
 # ----------------------------------------------------------------------------
 # Independent scipy oracles for the matching determinants and their slopes

@@ -1,13 +1,17 @@
 """Root finding, shooting, quadrature, and 1/m fits against closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mitbag.dirac_ball import AngularSector, DiracParams, mit_eigenpair, robin_eigenpair
+from mitbag.exterior import agmon_decay_check
 from mitbag.numerics import (
+    MAX_PANELS,
     BracketError,
     FitError,
     PoleRootError,
@@ -24,6 +28,7 @@ from mitbag.numerics import (
     slope_drift,
     solve_bvp_shooting,
 )
+from mitbag.transverse import CurvatureData, TransverseProblem, residual_of_ansatz, transverse_form
 
 
 class TestMemoizedPrefix:
@@ -273,40 +278,71 @@ class TestQuadrature:
             mesh_aligned_nodes(np.array([0.0, 1.0]), n_nodes=n)
 
 
+def refused_without_allocating(call, match):
+    """``call()`` raises a ValueError matching ``match`` having traced less
+    than 1 MiB at its peak (numpy reports its array data to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+class TestPanelLimit:
+    @pytest.mark.parametrize(
+        "a, b, max_panel, match",
+        (
+            (0.0, math.inf, 0.25, r"finite ends with b > a, got \[0.0, inf\]"),
+            (-math.inf, 0.0, 0.25, r"finite ends with b > a, got \[-inf, 0.0\]"),
+            (math.nan, 1.0, 0.25, r"finite ends with b > a, got \[nan, 1.0\]"),
+            (1.0, 1.0, 0.25, r"finite ends with b > a, got \[1.0, 1.0\]"),
+            (0.0, 1.0, 0.0, "max_panel must be finite and > 0 .*, got 0.0$"),
+            (0.0, 1.0, -1.0, "max_panel must be finite and > 0 .*, got -1.0$"),
+            (0.0, 1.0, math.inf, "max_panel must be finite and > 0 .*, got inf$"),
+            (0.0, 1.0, math.nan, "max_panel must be finite and > 0 .*, got nan$"),
+            (0.0, 3.0, math.nextafter(3.0 / MAX_PANELS, 0.0), "MAX_PANELS = 65536 panels, got 4.577636718749999e-05$"),
+            (0.0, 1.0, 5e-324, "MAX_PANELS = 65536 panels, got 5e-324$"),
+            (-1e308, 1e308, 1.0, r"cut \[-1e\+308, 1e\+308\] into at most MAX_PANELS = 65536 panels, got 1.0$"),
+        ),
+    )
+    def test_refusals_come_before_any_allocation(self, a, b, max_panel, match):
+        refused_without_allocating(lambda: panel_nodes(a, b, max_panel=max_panel), match)
+
+    def test_rule_at_the_limit_keeps_its_bits(self):
+        # MAX_PANELS panels exactly: the affine map of the one-panel rule on
+        # [-1, 1] onto each panel of the equispaced mesh.
+        x, w = panel_nodes(0.0, 3.0, max_panel=3.0 / MAX_PANELS)
+        xi, wi = panel_nodes(-1.0, 1.0, max_panel=2.0)
+        edges = np.linspace(0.0, 3.0, MAX_PANELS + 1)
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        assert np.array_equal(x, (mid[:, None] + half[:, None] * xi[None, :]).ravel())
+        assert np.array_equal(w, (half[:, None] * wi[None, :]).ravel())
+        assert np.array_equal((x, w), mesh_aligned_nodes(edges))
+
+    def test_public_inputs_past_the_limit_are_refused(self):
+        # Every composite rule comes from panel_nodes, so its limit bounds
+        # the eigenpairs (k R > 0.7 MAX_PANELS = 45875.2), the transverse
+        # quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8) and the Agmon
+        # tail (40 / (1 - gamma) > MAX_PANELS, gamma > 0.99939).
+        p, ground, flat = DiracParams(R=1.0), AngularSector(-1), CurvatureData.flat()
+        for energy in (4.6e4, 1e100):
+            refused_without_allocating(lambda: mit_eigenpair(p, ground, energy), "MAX_PANELS")
+        refused_without_allocating(lambda: robin_eigenpair(p, ground, 1e200), "MAX_PANELS")
+        for m in (2.7e8, 1e150):
+            prob = TransverseProblem(m=m, curv=flat)
+            refused_without_allocating(lambda: residual_of_ansatz(prob), "MAX_PANELS")
+            refused_without_allocating(lambda: transverse_form(prob, lambda t: (t, t)), "MAX_PANELS")
+        refused_without_allocating(lambda: agmon_decay_check(100.0, 1.0, 0, 0.9994), "MAX_PANELS")
+
+
 class TestInverseMassFit:
     def test_line_fit(self):
         assert fit_line([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx((1.0, 2.0), abs=1e-14)
         with pytest.raises(FitError):
             fit_line([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        data=st.integers(3, 12).flatmap(
-            lambda n: st.tuples(
-                # Abscissae spread like the log-masses of the fits, steps 0.05 to 3.
-                st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n).map(lambda steps: np.cumsum(steps) - 5.0),
-                st.integers(1, 25).flatmap(
-                    lambda k: st.lists(
-                        st.lists(
-                            st.floats(1e-17, 1e3) | st.floats(-1e3, -1e-17),
-                            min_size=n,
-                            max_size=n,
-                        ),
-                        min_size=k,
-                        max_size=k,
-                    )
-                ),
-            )
-        )
-    )
-    def test_columns_are_one_column_fits(self, data):
-        # Bit for bit, up to 12 points: np.linalg.lstsq with a 2-D
-        # right-hand side rounds differently from 8 points on.
-        x, columns = data
-        intercepts, slopes = fit_line(x, np.array(columns).T)
-        assert intercepts.shape == slopes.shape == (len(columns),)
-        for column, intercept, slope in zip(columns, intercepts, slopes):
-            assert (intercept, slope) == fit_line(x, column)
 
     def test_exact_affine_data(self):
         points = [(m, 5.0 + 3.0 / m) for m in (2.0, 5.0, 10.0, 40.0)]

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.special import i0e, i1e, k0e, k1e
 
-from mitbag import cli, suites, transverse
+from mitbag import cli, transverse
 from mitbag.transverse import (
     ELEMENT_DEGREE,
     ELEMENT_PANEL,
@@ -111,6 +112,53 @@ class TestFlatClosedForms:
     def test_boundary_samples_pinned(self):
         sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         assert sol.u[0] == 1.0 and sol.u[-1] == 0.0
+
+
+def cylinder_lambda(kappa: float, m: float) -> float:
+    """Lambda for a = 1 + kappa tau / m (K = 0, kappa != 0), by scipy's
+    scaled modified Bessel functions.  In s = m/|kappa| +- tau the equation
+    (a u')' = a u is (s u_s)_s = s u, so u = A I0(s) + B K0(s) between
+    s0 = m/|kappa| and s1 = s0 +- sqrt(m), and Lambda = -u'(0) is a ratio of
+    I0, I1, K0, K1 at s0 and s1; q = e^{-2 sqrt(m)} undoes the scaling."""
+    s0, T = m / abs(kappa), math.sqrt(m)
+    q = math.exp(-2.0 * T)
+    if kappa > 0.0:
+        s1 = s0 + T
+        return (i1e(s0) * k0e(s1) * q + k1e(s0) * i0e(s1)) / (k0e(s0) * i0e(s1) - i0e(s0) * k0e(s1) * q)
+    s1 = s0 - T
+    return (i1e(s0) * k0e(s1) + k1e(s0) * i0e(s1) * q) / (i0e(s0) * k0e(s1) - k0e(s0) * i0e(s1) * q)
+
+
+class TestCurvedClosedForms:
+    """Two curved families the solver meets with exact references."""
+
+    def test_sphere_type_weights(self):
+        # K = kappa^2/4 makes a = rho^2 with rho = 1 + kappa tau/(2m) linear,
+        # and u = v / rho turns (a u')' = a u into v'' = v: so
+        # Lambda = coth sqrt(m) + kappa/(2m), and the weighted mass int v^2
+        # is the flat one.  Every valid problem goes to one stacked solve.
+        probs = [
+            TransverseProblem(m=m, curv=CurvatureData(kappa, kappa**2 / 4.0))
+            for kappa in (1.0, -1.0, 2.0, -2.0, 3.0)
+            for m in (36.0, 64.0, 100.0, 400.0, 1600.0)
+            if collar_is_valid(CurvatureData(kappa, kappa**2 / 4.0), m)
+        ]
+        assert len(probs) == 24
+        for prob, sol in zip(probs, solve_transverse(probs), strict=True):
+            lam = flat_lambda(prob.m) + prob.curv.kappa / (2.0 * prob.m)
+            assert abs(sol.lam - lam) <= 1e-14 * lam, prob
+            assert abs(sol.mass - flat_mass(prob.m)) <= 1e-13 * flat_mass(prob.m), prob
+
+    def test_cylinder_type_weights(self):
+        # The four K = 0 curved pairs of the default grid at their valid
+        # masses, as the transverse suite solves them.
+        pairs = tuple(pair for pair in cli.DEFAULT_CURVATURE_GRID if pair[0] != 0.0 and pair[1] == 0.0)
+        sweep = cli.SuiteConfig(suite="transverse", curvature_grid=pairs).transverse_sweep
+        probs = [prob for _, pair_probs in sweep for prob in pair_probs]
+        assert len(pairs) == 4 and len(probs) == 18
+        for prob, sol in zip(probs, solve_transverse(probs), strict=True):
+            lam = cylinder_lambda(prob.curv.kappa, prob.m)
+            assert abs(sol.lam - lam) <= 1e-14 * lam, prob
 
 
 class TestRitzSolver:
@@ -220,7 +268,8 @@ class TestCollarCut:
     @staticmethod
     def suite_problems(m_grid):
         # The problems of one transverse suite on the default curvature grid.
-        pairs = [prob for pair in cli.DEFAULT_CURVATURE_GRID for prob in suites._transverse_pair_data(pair, m_grid)]
+        sweep = cli.SuiteConfig(suite="transverse", m_grid=m_grid).transverse_sweep
+        pairs = [prob for _, probs in sweep for prob in probs]
         flat = [TransverseProblem(m=m, curv=FLAT) for m in (4.0, 16.0, 64.0, 1e4)]
         return [*flat, *pairs, TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))]
 

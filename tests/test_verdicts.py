@@ -309,9 +309,10 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     # All 97 problems (4 flat, 92 of the curvature sweep, the seeded one) go
     # to one solve_transverse call, which makes one batched interior solve;
-    # the slopes take one line fit per cohort (two) and one for the flat mass.
-    stacks, interior_solves, fits = [], [], []
-    solve, lapack_solve, fit = suites.solve_transverse, np.linalg.solve, suites.fit_line
+    # the slopes take one one-series line fit, one lstsq, per series: the 20
+    # pairs, the aggregates of the two cohorts and the flat mass.
+    stacks, interior_solves, fits, lstsqs = [], [], [], []
+    solve, lapack_solve, fit, lstsq = suites.solve_transverse, np.linalg.solve, suites.fit_line, np.linalg.lstsq
 
     def spy(probs):
         stacks.append(list(probs))
@@ -324,10 +325,12 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     monkeypatch.setattr(suites, "solve_transverse", spy)
     monkeypatch.setattr(np.linalg, "solve", lapack_spy)
     monkeypatch.setattr(suites, "fit_line", lambda *args: fits.append(args) or fit(*args))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsqs.append(args) or lstsq(*args, **kw))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     assert [len(stack) for stack in stacks] == [97]
     assert len(interior_solves) == 1
-    assert len(fits) == 3
+    assert len(fits) == len(lstsqs) == 23
+    assert all(np.ndim(y) == 1 for _, y in fits)
 
 
 def test_higher_levels_are_not_the_ground_level(serialized):
