@@ -40,12 +40,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exterior import ball_mode_mass
-from .numerics import NumericsError, ToleranceConfig, find_root_bracketed, memoized, memoized_prefix, panel_nodes
+from .numerics import (
+    NumericsError,
+    ToleranceConfig,
+    find_root_bracketed,
+    memoized,
+    memoized_prefix,
+    memoized_prefixes,
+    panel_nodes,
+)
 from .special import SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel, spherical_bessel_j
 
 
@@ -176,18 +185,22 @@ def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
     return _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))(x)
 
 
-# A determinant's kernels: its value alone, for scan points, and its value
-# with the slope, for Newton steps.  Both form the value by the same float
-# operations, so the scan and the polish read one function.
-Kernels = tuple[Callable[[float], float], Callable[[float], tuple[float, float]]]
+# A sector's determinant kernels: ``values`` gives the determinant of every
+# branch at one scan point from one evaluation of the sector's Bessel pair,
+# and ``value_slopes`` holds each branch's value-and-slope function, for the
+# Newton steps.  Both form a branch's value by the same float operations, so
+# the scan and the polish read one function.
+Kernels = tuple[Callable[[float], tuple[float, ...]], tuple[Callable[[float], tuple[float, float]], ...]]
 
 
-def _mit_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
+def _mit_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     """Kernels of the bag determinant f(R) + g(R) of the regular interior
-    solution at energy sign * E, E > 0, and of its E-derivative (dk/dE = E/k).
+    solution at energy +E and at -E, E > 0: the sector's two branches, each
+    a function of E, with its E-derivative (dk/dE = E/k).
 
     The value is 1 where k = 0: there is no zero-energy bound state, and the
-    scan stays well-defined.
+    scan stays well-defined.  (-E)^2 == E^2, so both branches share k and
+    one pair of Bessel values.
     """
     sqrt = math.sqrt
     R, m0, s = p.R, p.m0, float(sec.sign)
@@ -196,17 +209,17 @@ def _mit_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
     j_values = _sector_j(sec, j_pair)
     upper_is_hi = sec.kappa_j > 0  # l_A is the higher order
 
-    def value(E: float) -> float:
-        E = sign * E
+    def values(E: float) -> tuple[float, float]:
         k = sqrt(max(E * E - m0_sq, 0.0))
         x = k * R
         if x <= 0.0:
-            return 1.0
+            return 1.0, 1.0
         lo, hi = j_pair(x)
         jA, jB = (hi, lo) if upper_is_hi else (lo, hi)
-        return jA + s * k / (E + m0) * jB
+        sk = s * k
+        return jA + sk / (E + m0) * jB, jA + sk / (m0 - E) * jB
 
-    def value_slope(E: float) -> tuple[float, float]:
+    def value_slope(E: float, sign: float) -> tuple[float, float]:
         E = sign * E
         k = sqrt(max(E * E - m0_sq, 0.0))
         x = k * R
@@ -217,15 +230,17 @@ def _mit_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
         db = s_m0 / (k * (E + m0))
         return jA + b * jB, sign * (R * E / k * (djA + b * djB) + db * jB)
 
-    return value, value_slope
+    return values, (partial(value_slope, sign=1.0), partial(value_slope, sign=-1.0))
 
 
-def _largemass_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kernels:
+def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     """Kernels of the continuity determinant of (f, g) across r = R at energy
-    sign * E, E > 0, with the overall exp(-qR) of the decaying family divided
-    out, and of its E-derivative (dk/dE = E/k, dq/dE = -E/q).
+    +E and at -E, E > 0, with the overall exp(-qR) of the decaying family
+    divided out: the sector's two branches, each a function of E, with its
+    E-derivative (dk/dE = E/k, dq/dE = -E/q).
 
     The value is 1 where k = 0 or q = 0, so that the scan stays well-defined.
+    Both branches share k, q and one pair of each Bessel family's values.
     """
     sqrt = math.sqrt
     R, m0, s = p.R, p.m0, float(sec.sign)
@@ -236,20 +251,24 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kerne
     j_values = _sector_j(sec, j_pair)
     upper_is_hi = sec.kappa_j > 0  # l_A = n + 1
 
-    def value(E: float) -> float:
-        E = sign * E
-        k = sqrt(max(E * E - m0_sq, 0.0))
-        q = sqrt(max(M_sq - E * E, 0.0))
+    def values(E: float) -> tuple[float, float]:
+        E_sq = E * E
+        k = sqrt(max(E_sq - m0_sq, 0.0))
+        q = sqrt(max(M_sq - E_sq, 0.0))
         xk = k * R
         xq = q * R
         if xk <= 0.0 or xq <= 0.0:
-            return 1.0
+            return 1.0, 1.0
         lo, hi = j_pair(xk)
         ek_lo, ek_hi = ek_pair(xq)
         jA, jB, ekA, ekB = (hi, lo, ek_hi, ek_lo) if upper_is_hi else (lo, hi, ek_lo, ek_hi)
-        return q / (E + M) * jA * ekB + s * k / (E + m0) * jB * ekA
+        sk = s * k
+        return (
+            q / (E + M) * jA * ekB + sk / (E + m0) * jB * ekA,
+            q / (M - E) * jA * ekB + sk / (m0 - E) * jB * ekA,
+        )
 
-    def value_slope(E: float) -> tuple[float, float]:
+    def value_slope(E: float, sign: float) -> tuple[float, float]:
         E = sign * E
         k = sqrt(max(E * E - m0_sq, 0.0))
         q = sqrt(max(M_sq - E * E, 0.0))
@@ -278,12 +297,12 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector, sign: float) -> Kerne
         )
         return a * jA * ekB + b * jB * ekA, sign * slope
 
-    return value, value_slope
+    return values, (partial(value_slope, sign=1.0), partial(value_slope, sign=-1.0))
 
 
 def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     """Kernels of the Robin determinant D_A D_B + m (D_A J_B + D_B J_A) at
-    wavenumber k > 0, and of its k-derivative.
+    wavenumber k > 0, the sector's one branch, and of its k-derivative.
 
     With x = kR and the Bessel equation for j'', dD_X/dk reads
     m0 R j' - (x - l(l+1)/x) j.  The value is 1 at k = 0.
@@ -294,13 +313,13 @@ def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     cA, cB = lA * (lA + 1.0), lB * (lB + 1.0)
     j_values = _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))
 
-    def value(k: float) -> float:
+    def values(k: float) -> tuple[float]:
         if k <= 0.0:
-            return 1.0
+            return (1.0,)
         jA, jB, djA, djB = j_values(k * R)
         dA = k * djA + offset * jA
         dB = k * djB + offset * jB
-        return dA * dB + m * (dA * jB + dB * jA)
+        return (dA * dB + m * (dA * jB + dB * jA),)
 
     def value_slope(k: float) -> tuple[float, float]:
         if k <= 0.0:
@@ -315,7 +334,7 @@ def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
         slope = dA_k * dB + dA * dB_k + m * (dA_k * jB + dA * jB_k + dB_k * jA + dB * jA_k)
         return dA * dB + m * (dA * jB + dB * jA), slope
 
-    return value, value_slope
+    return values, (value_slope,)
 
 
 # ----------------------------------------------------------------------------
@@ -330,31 +349,42 @@ def _scan_roots(
     step: float,
     count: int,
     tol: ToleranceConfig,
-) -> list[float]:
-    """Walk [lo, hi] with the given step, Newton-solve every sign change.
+    pooled: bool = False,
+) -> list[list[float]]:
+    """Walk [lo, hi] with the given step for all branches of ``kernels`` in
+    lockstep, and Newton-solve each branch's sign changes; one list of roots
+    per branch, each in (lo, hi], an exact 0 on a scan point once.
 
-    ``kernels`` is (f, x -> (f(x), f'(x))): the scan reads values only, and
-    the Newton polish reads both.  Returns up to ``count`` roots in (lo, hi],
-    an exact 0 on a scan point once; raises if the window is exhausted first.
+    Each scan point reads every branch from one ``values`` call, and the
+    polish reads the branch's value-and-slope function.  A branch takes
+    roots until it holds ``count``, and the walk stops when every branch
+    does; with ``pooled`` it stops after the step at which the branches
+    together hold ``count``, so they hold the ``count`` lowest roots of all
+    branches.  Raises if the window is exhausted first.
     """
-    value, value_slope = kernels
+    values, value_slopes = kernels
     copysign = math.copysign
-    roots: list[float] = []
+    branches = range(len(value_slopes))
+    roots: list[list[float]] = [[] for _ in branches]
+    wanted = count if pooled else count * len(branches)
+    found = 0
     x_prev = lo
-    f_prev = value(lo)
+    f_prev = values(lo)
     x = lo
-    while x < hi and len(roots) < count:
+    while x < hi and found < wanted:
         x = min(x_prev + step, hi)
-        f_x = value(x)
-        if f_x == 0.0:
-            roots.append(x)
-        elif copysign(1.0, f_prev) != copysign(1.0, f_x) and f_prev != 0.0:  # x_prev's 0 is no new root
-            roots.append(find_root_bracketed(value_slope, (x_prev, x), tol, (f_prev, f_x))[0])
+        f_x = values(x)
+        for i in branches:
+            a, b = f_prev[i], f_x[i]
+            # A 0 at x_prev is no new root.
+            if (b == 0.0 or (copysign(1.0, a) != copysign(1.0, b) and a != 0.0)) and (
+                pooled or len(roots[i]) < count
+            ):
+                roots[i].append(x if b == 0.0 else find_root_bracketed(value_slopes[i], (x_prev, x), tol, (a, b))[0])
+                found += 1
         x_prev, f_prev = x, f_x
-    if len(roots) < count:
-        raise BracketExhaustionError(
-            f"found {len(roots)} of {count} eigenvalues", (lo, hi)
-        )
+    if found < wanted:
+        raise BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
     return roots
 
 
@@ -368,8 +398,58 @@ def _scan_window(R: float, count: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
 
 
+def _sector_branches(
+    kernels: Callable[[DiracParams, AngularSector], Kernels],
+    p: DiracParams,
+    sectors: Iterable[AngularSector],
+    count: int,
+    tol: ToleranceConfig,
+    threshold: float | None,
+    conjugate: bool,
+    pooled: bool = False,
+) -> list[tuple[AngularSector, list[float], list[float]]]:
+    """Each sector with the roots of its +E and -E branches as functions of
+    E > 0: ``count`` per branch, or with ``pooled`` at least ``count`` in
+    all, the lowest of both branches (see ``_scan_roots``).
+
+    With a ``threshold`` the scan stops just below it, and running out of
+    roots there raises ``EssentialSpectrumError``.
+
+    A run keeps each branch's roots under (kernels, p, sector, sign, tol),
+    and a request that every branch's stored roots answer through their
+    prefix scans nothing, since the scan finds the lowest roots the same way
+    whatever the count.  With ``conjugate`` the (kappa_j, -) determinant is
+    that of (-kappa_j, +), or its negative, bit for bit in value and slope,
+    so the (kappa_j, -) branch is kept under the (-kappa_j, +) key, and one
+    scan of kappa_j answers both sectors +-kappa_j.
+    """
+    stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
+    step, k_top = _scan_window(p.R, count)
+    lo = p.m0 + max(1e-9, 1e-9 * p.m0)
+    hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
+    found = []
+    for sec in sectors:
+
+        def scan(sec: AngularSector = sec) -> list[list[float]]:
+            try:
+                return _scan_roots(kernels(p, sec), lo, hi, step, count, tol, pooled)
+            except BracketExhaustionError as exc:
+                if hi == stop:
+                    raise EssentialSpectrumError(
+                        f"search window reached the essential spectrum at {threshold}"
+                    ) from exc
+                raise
+
+        minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
+        plus_roots, minus_roots = memoized_prefixes(
+            ((kernels, p, sec, 1.0, tol), (kernels, p, *minus, tol)), count, scan
+        )
+        found.append((sec, plus_roots, minus_roots))
+    return found
+
+
 def _signed_spectrum(
-    kernels: Callable[[DiracParams, AngularSector, float], Kernels],
+    kernels: Callable[[DiracParams, AngularSector], Kernels],
     p: DiracParams,
     sectors: Iterable[AngularSector],
     count_per_side: int,
@@ -378,54 +458,40 @@ def _signed_spectrum(
     conjugate: bool = False,
 ) -> list[tuple[float, AngularSector]]:
     """The first count roots of each sign per sector as (E, sector) pairs,
-    sorted by |E|; ``kernels(p, sector, sign)`` gives the determinant at
-    energy sign * E as a function of E > 0.
-
-    With a ``threshold`` the scan stops just below it, and running out of
-    roots there raises ``EssentialSpectrumError``.
-
-    A run scans each branch once: its key (kernels, p, sector, sign, tol)
-    answers a later request for no more roots through the prefix of the
-    scan, which finds the lowest roots the same way whatever the count.
-    With ``conjugate`` the (kappa_j, -) determinant is that of (-kappa_j, +),
-    or its negative, bit for bit in value and slope, so the (kappa_j, -)
-    branch is looked up under the (-kappa_j, +) key and the two share a scan.
-    """
+    sorted by |E|; ``kernels(p, sector)`` gives the sector's determinant at
+    energies +E and -E as functions of E > 0.  One lockstep scan serves both
+    branches of a sector (see ``_sector_branches``)."""
     tol = tol or ToleranceConfig()
-    stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
-    step, k_top = _scan_window(p.R, count_per_side)
-    lo = p.m0 + max(1e-9, 1e-9 * p.m0)
-    hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
     entries: list[tuple[float, AngularSector]] = []
-    for sec in sectors:
-        for sign in (1.0, -1.0):
-            key = (AngularSector(-sec.kappa_j), 1.0) if conjugate and sign < 0 else (sec, sign)
-            try:
-                roots = memoized_prefix(
-                    (kernels, p, *key, tol),
-                    count_per_side,
-                    lambda: _scan_roots(kernels(p, sec, sign), lo, hi, step, count_per_side, tol),
-                )
-            except BracketExhaustionError as exc:
-                if hi == stop:
-                    raise EssentialSpectrumError(
-                        f"search window reached the essential spectrum at {threshold}"
-                    ) from exc
-                raise
-            entries.extend((sign * e, sec) for e in roots)
+    for sec, plus, minus in _sector_branches(kernels, p, sectors, count_per_side, tol, threshold, conjugate):
+        entries.extend((e, sec) for e in plus[:count_per_side])
+        entries.extend((-e, sec) for e in minus[:count_per_side])
     entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
     return entries
 
 
-def _by_magnitude(
-    signed_solver: Callable[..., list[tuple[float, AngularSector]]],
+def _magnitudes(
+    kernels: Callable[[DiracParams, AngularSector], Kernels],
     p: DiracParams,
     sector: AngularSector,
     count: int,
     tol: ToleranceConfig | None,
+    threshold: float | None = None,
+    conjugate: bool = False,
 ) -> list[float]:
-    """First ``count`` singular values of one sector, from its signed spectrum."""
-    return sorted(abs(e) for e, _ in signed_solver(p, [sector], count, tol))[:count]
+    """First ``count`` singular values of one sector: the lowest roots of its
+    two branches together.  The scan stops once the branches hold ``count``
+    roots in all, and refuses only when they hold fewer in the window.
+    Within a run the levels are kept under (kernels, p, sector, tol), so a
+    repeated request scans nothing."""
+    tol = tol or ToleranceConfig()
+    _scan_window(p.R, count)  # refuses a count the memo would answer
+
+    def merged() -> list[float]:
+        ((_, plus, minus),) = _sector_branches(kernels, p, [sector], count, tol, threshold, conjugate, pooled=True)
+        return sorted(plus + minus)[:count]
+
+    return memoized_prefix((kernels, p, sector, tol), count, merged)
 
 
 def mit_spectrum_signed(
@@ -449,7 +515,7 @@ def mit_eigenvalues(
     Positive and negative bag eigenvalues of the sector are merged by
     absolute value; the exterior mass jump in ``p`` is ignored.
     """
-    return _by_magnitude(mit_spectrum_signed, p, sector, count, tol)
+    return _magnitudes(_mit_kernels, p, sector, count, tol, conjugate=p.m0 == 0.0)
 
 
 def largemass_spectrum_signed(
@@ -470,8 +536,12 @@ def largemass_eigenvalues(
     count: int,
     tol: ToleranceConfig | None = None,
 ) -> list[float]:
-    """First ``count`` singular values of the large-mass operator in one sector."""
-    return _by_magnitude(largemass_spectrum_signed, p, sector, count, tol)
+    """First ``count`` singular values of the large-mass operator in one
+    sector, below the threshold m0+m; refused only when the sector has fewer
+    than ``count`` levels there, of both signs together."""
+    if p.m <= 0.0:
+        raise ValueError("the large-mass solver needs m > 0")
+    return _magnitudes(_largemass_kernels, p, sector, count, tol, threshold=p.m0 + p.m)
 
 
 def robin_laplacian_eigenvalues(
@@ -484,7 +554,8 @@ def robin_laplacian_eigenvalues(
 
     Roots are found in the radial wavenumber kk (lambda_int = m0^2 + kk^2);
     the 2m-weighted boundary row makes the first root sit just below the
-    squared bag eigenvalue, which it reaches as m -> infinity.
+    squared bag eigenvalue, which it reaches as m -> infinity.  The scan is
+    the one-branch case of the lockstep driver.
     """
     if p.m <= 0.0:
         raise ValueError("the Robin solver needs m > 0")
@@ -493,9 +564,10 @@ def robin_laplacian_eigenvalues(
     roots = memoized_prefix(
         (_robin_kernels, p, sector, tol),
         count,
-        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol),
+        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol)[0],
     )
     return [p.m0**2 + k * k for k in roots]
+
 
 
 # ----------------------------------------------------------------------------

@@ -80,7 +80,8 @@ _RUN_MEMO: ContextVar[dict[tuple[Any, ...], Any] | None] = ContextVar("run_memo"
 @contextmanager
 def run_memo() -> Iterator[None]:
     """Inside the block, ``memoized`` evaluates each distinct call once, and
-    ``memoized_prefix`` answers a shorter request from a longer list.
+    ``memoized_prefix`` and ``memoized_prefixes`` answer a shorter request
+    from a longer list.
 
     The memo lives exactly as long as the block.  A verification run opens
     one, so a result keyed on the run's radius or masses is reused within the
@@ -108,23 +109,36 @@ def memoized(fn: Callable[..., Any], *args: Any) -> Any:
     return memo[key]
 
 
-def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequence[Any]]) -> list[Any]:
-    """The first ``count`` items of ``compute()``, which lists at least that many.
+def memoized_prefixes(
+    keys: Sequence[tuple[Any, ...]], count: int, compute: Callable[[], Sequence[Sequence[Any]]]
+) -> list[list[Any]]:
+    """One list per key: those stored under ``keys`` when each holds at least
+    ``count`` items, and otherwise the lists of ``compute()``, one per key.
 
-    Inside an open ``run_memo`` block the longest list computed under ``key``
-    answers every request for no more items through its prefix, and
-    ``compute`` runs again only for a longer request; so the items it lists
-    first must not depend on how many it lists.  Outside a block it runs on
-    every call.
+    Inside an open ``run_memo`` block a computed list replaces a shorter
+    stored one under its key, and the longest list stored answers every
+    request for no more items through its prefix; so the items a
+    computation lists first must not depend on how many it lists.  A
+    computed list may be shorter than ``count``.  Outside a block
+    ``compute`` runs on every call.
     """
     memo = _RUN_MEMO.get()
     if memo is None:
-        return list(compute())[:count]
-    slot = (memoized_prefix, key)
-    stored = memo.get(slot)
-    if stored is None or len(stored) < count:
-        stored = memo[slot] = tuple(compute())
-    return list(stored[:count])
+        return [list(items) for items in compute()]
+    slots = [(memoized_prefixes, key) for key in keys]
+    stored = [memo.get(slot, ()) for slot in slots]
+    if any(len(items) < count for items in stored):
+        stored = [tuple(items) for items in compute()]
+        for slot, items in zip(slots, stored, strict=True):
+            if len(items) > len(memo.get(slot, ())):
+                memo[slot] = items
+    return [list(items) for items in stored]
+
+
+def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequence[Any]]) -> list[Any]:
+    """The first ``count`` items of ``compute()``, which lists at least that
+    many, kept under ``key`` as ``memoized_prefixes`` keeps one list."""
+    return memoized_prefixes((key,), count, lambda: (compute(),))[0][:count]
 
 
 # ----------------------------------------------------------------------------
@@ -197,8 +211,8 @@ def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray,
     integrated without quadrature error when the mesh is the solver's own.
     """
     mesh = np.asarray(mesh, dtype=float)
-    if mesh.ndim != 1 or len(mesh) < 2 or np.any(np.diff(mesh) <= 0.0):
-        raise ValueError("mesh must be ascending with at least two points")
+    if mesh.ndim != 1 or len(mesh) < 2 or not np.all(np.isfinite(mesh)) or np.any(np.diff(mesh) <= 0.0):
+        raise ValueError("mesh must be finite and ascending with at least two points")
     return _rule_on_mesh(mesh, n_nodes)
 
 

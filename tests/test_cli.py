@@ -439,24 +439,24 @@ def test_interior_rules_are_built_once_per_run(tmp_path, monkeypatch, suite):
 
 
 def _spy_scans(monkeypatch):
-    """Record every scan as (kernel factory, p, sector, bound, tol), where
-    ``bound`` is the sign of a signed determinant (nothing for the Robin one),
-    and every interior sampling of an eigenfunction by its arguments."""
+    """Record every scan as (kernel factory, p, sector, tol), one lockstep
+    scan of all the sector's branches, and every interior sampling of an
+    eigenfunction by its arguments."""
     scans, sampled, bound_kernels = [], [], []
     for name in ("_mit_kernels", "_largemass_kernels", "_robin_kernels"):
         original = getattr(dirac_ball, name)
 
-        def factory(p, sector, *bound, _original=original, _name=name):
-            bound_kernels.append((_name, p, sector, bound))
-            return _original(p, sector, *bound)
+        def factory(p, sector, _original=original, _name=name):
+            bound_kernels.append((_name, p, sector))
+            return _original(p, sector)
 
         monkeypatch.setattr(dirac_ball, name, factory)
     scan, samples = dirac_ball._scan_roots, dirac_ball._interior_samples
 
-    def scanning(kernels, lo, hi, step, count, tol):
+    def scanning(kernels, lo, hi, step, count, tol, *pooled):
         # Each scan binds its kernels just before it starts.
         scans.append((*bound_kernels.pop(), tol))
-        return scan(kernels, lo, hi, step, count, tol)
+        return scan(kernels, lo, hi, step, count, tol, *pooled)
 
     def sampling(*args):
         sampled.append(args)
@@ -469,10 +469,10 @@ def _spy_scans(monkeypatch):
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # The run memo holds every branch scan of a run: under suite=all no
-    # (kernel, p, sector, sign, tol) is scanned twice, each bag ground
-    # branch is scanned once and serves its charge conjugate, no eigenpair
-    # is built twice, and no eigenfunction is sampled twice on one grid.  A
-    # second run scans everything again.
+    # (kernel, p, sector, tol) is scanned twice, the bag ground sector is
+    # scanned once, both branches in lockstep, and serves its charge
+    # conjugate, no eigenpair is built twice, and no eigenfunction is
+    # sampled twice on one grid.  A second run scans everything again.
     scans, sampled = _spy_scans(monkeypatch)
     pairs = []
     for name in ("mit_eigenpair", "robin_eigenpair"):
@@ -492,10 +492,13 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     p, tol = DiracParams(R=1.0), config.tolerances
     # The kj=+1 branches are the charge conjugates of the kj=-1 ones.
     ground = [scan for scan in scans if scan[:2] == ("_mit_kernels", p) and abs(scan[2].kappa_j) == 1]
-    assert ground == [("_mit_kernels", p, suites.GROUND_SECTOR, (sign,), tol) for sign in (1.0, -1.0)]
+    assert ground == [("_mit_kernels", p, suites.GROUND_SECTOR, tol)]
+    # Bag: kj=-2 and kj=-1 at R (the symmetry solve), the ground sector at
+    # 2R; large-mass: the four symmetry sectors at m = 100, the ground sector
+    # at the nine other masses; Robin: one branch per solve.
     assert Counter(name for name, *_ in scans) == {
-        "_mit_kernels": 6,
-        "_largemass_kernels": 26,
+        "_mit_kernels": 3,
+        "_largemass_kernels": 13,
         "_robin_kernels": 15,
     }
     first, first_sampled = list(scans), list(sampled)

@@ -1,6 +1,7 @@
 """Ball eigensolvers and boundary functionals, cross-checked against
 independent closed-form evaluations (plain bisection + scipy Bessel)."""
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -294,8 +295,18 @@ class TestLargeMass:
         assert g_out_at_R == pytest.approx(gR, rel=1e-10)
 
     def test_window_touching_threshold_reported(self):
+        # Below the threshold 1.5 only the +E branch has a root: the one
+        # level is solved, and a request for two reaches the threshold.
+        p = DiracParams(R=1.0, m0=0.0, m=1.5)
         with pytest.raises(EssentialSpectrumError):
-            largemass_eigenvalues(DiracParams(R=1.0, m0=0.0, m=1.5), GROUND, 1)
+            largemass_eigenvalues(p, GROUND, 2)
+        with pytest.raises(EssentialSpectrumError):
+            largemass_spectrum_signed(p, [GROUND], 1)
+        (level,) = largemass_eigenvalues(p, GROUND, 1)
+        step = math.pi / 64.0
+        oracle = _first_root_oracle(lambda E: _largemass_oracle(E, p, GROUND)[0], 1e-9, 1.5, step)
+        assert level == pytest.approx(oracle, rel=1e-12)
+        assert 1.39 < level < 1.4
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -481,27 +492,31 @@ PINNED_SOLVES = (
 PINNED_SECTORS = ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSector(-3), 2))
 
 
-def _spy_kernels(monkeypatch, name, on_value, on_value_slope):
+def _spy_kernels(monkeypatch, name, on_values, on_value_slope):
     """Replace the kernel factory ``name``: every kernel it binds reports each
-    evaluation as on_value(bound, x, value) or on_value_slope(bound, x, value,
-    slope), with ``bound`` the factory's arguments after (p, sector): the sign
-    of a signed determinant, nothing for the Robin one."""
+    scan point, where all branches are evaluated together, as on_values(x,
+    values), and each evaluation of one branch's value and slope as
+    on_value_slope(branch, x, value, slope), with ``branch`` the index of
+    the branch: 0 for +E and 1 for -E, 0 for the Robin determinant."""
     original = getattr(dirac_ball, name)
 
-    def factory(p, sec, *bound):
-        value, value_slope = original(p, sec, *bound)
+    def factory(p, sec):
+        values, value_slopes = original(p, sec)
 
-        def spied_value(x):
-            f = value(x)
-            on_value(bound, x, f)
+        def spied_values(x):
+            f = values(x)
+            on_values(x, f)
             return f
 
-        def spied_value_slope(x):
-            f, df = value_slope(x)
-            on_value_slope(bound, x, f, df)
-            return f, df
+        def spied(branch, value_slope):
+            def spied_value_slope(x):
+                f, df = value_slope(x)
+                on_value_slope(branch, x, f, df)
+                return f, df
 
-        return spied_value, spied_value_slope
+            return spied_value_slope
+
+        return spied_values, tuple(spied(i, vs) for i, vs in enumerate(value_slopes))
 
     monkeypatch.setattr(dirac_ball, name, factory)
 
@@ -510,18 +525,20 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("solver, kernels, m", PINNED_SOLVES)
     def test_no_determinant_argument_evaluated_twice(self, monkeypatch, solver, kernels, m):
         # The root finder takes the scan's bracket-end values and returns the
-        # value at the root, so no argument is evaluated again within one solve.
+        # value at the root, so no argument is evaluated again within one
+        # solve: a scan point evaluates every branch at x once, and no
+        # Newton step of a branch returns to a point where it was evaluated.
         seen = []
 
-        def on_value(bound, x, value):
-            seen.append((bound, x))
-            assert math.isfinite(value)
+        def on_values(x, values):
+            seen.extend((branch, x) for branch in range(len(values)))
+            assert all(math.isfinite(value) for value in values)
 
-        def on_value_slope(bound, x, value, slope):
-            seen.append((bound, x))
+        def on_value_slope(branch, x, value, slope):
+            seen.append((branch, x))
             assert math.isfinite(value) and math.isfinite(slope)
 
-        _spy_kernels(monkeypatch, kernels, on_value, on_value_slope)
+        _spy_kernels(monkeypatch, kernels, on_values, on_value_slope)
         p = DiracParams(R=1.0, m0=0.0, m=m)
         for sector, count in PINNED_SECTORS:
             seen.clear()
@@ -536,10 +553,10 @@ class TestEvaluationCounts:
         counts = {"scan": 0, "newton": 0, "slopes": 0, "slopes_outside_polish": 0, "values_in_polish": 0}
         polishing = False
 
-        def on_value(bound, x, value):
+        def on_values(x, values):
             counts["values_in_polish" if polishing else "scan"] += 1
 
-        def on_value_slope(bound, x, value, slope):
+        def on_value_slope(branch, x, value, slope):
             counts["slopes" if polishing else "slopes_outside_polish"] += 1
 
         polish = dirac_ball.find_root_bracketed
@@ -557,7 +574,7 @@ class TestEvaluationCounts:
             finally:
                 polishing = False
 
-        _spy_kernels(monkeypatch, kernels, on_value, on_value_slope)
+        _spy_kernels(monkeypatch, kernels, on_values, on_value_slope)
         monkeypatch.setattr(dirac_ball, "find_root_bracketed", counting_polish)
         p = DiracParams(R=1.0, m0=0.0, m=m)
         for sector, count in PINNED_SECTORS:
@@ -567,7 +584,10 @@ class TestEvaluationCounts:
         assert counts["slopes_outside_polish"] == counts["values_in_polish"] == 0
 
     def test_polish_takes_at_most_five_evaluations_per_root(self, monkeypatch):
-        # Newton on the closed-form derivative needs ~4; Brent took ~11.
+        # Newton on the closed-form derivative needs ~4; Brent took ~11.  The
+        # pinned solves polish 24 roots: a by-magnitude solve polishes only
+        # the roots it returns (and one more where both branches change sign
+        # in its last scan step).
         original = dirac_ball.find_root_bracketed
         roots = evaluations = 0
 
@@ -587,7 +607,7 @@ class TestEvaluationCounts:
             p = DiracParams(R=1.0, m0=0.0, m=m)
             for sector, count in PINNED_SECTORS:
                 solver(p, sector, count)
-        assert roots >= 40
+        assert roots >= 24
         assert evaluations / roots <= 5.0
 
     @pytest.mark.parametrize("kj", (-3, -2, -1, 1, 2, 3))
@@ -630,7 +650,7 @@ class TestScanRoots:
         def f_and_slope(x):
             return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
 
-        roots = dirac_ball._scan_roots((f, f_and_slope), 0.5, 3.5, 0.25, 3, ToleranceConfig())
+        (roots,) = dirac_ball._scan_roots((lambda x: (f(x),), (f_and_slope,)), 0.5, 3.5, 0.25, 3, ToleranceConfig())
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
     @pytest.mark.parametrize("zero", (0.0, -0.0))
@@ -645,8 +665,46 @@ class TestScanRoots:
         def f_and_slope(x):
             return f(x), slope * (2.0 * x - 3.2)
 
-        roots = dirac_ball._scan_roots((f, f_and_slope), 0.0, 3.0, 0.5, 2, ToleranceConfig())
+        (roots,) = dirac_ball._scan_roots((lambda x: (f(x),), (f_and_slope,)), 0.0, 3.0, 0.5, 2, ToleranceConfig())
         assert roots[0] == 1.0 and roots[1] == pytest.approx(2.2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "count, pooled, expected",
+        [(2, False, ([1.1, 2.1], [1.6, 2.6])), (3, True, ([1.1, 2.1], [1.6])), (2, True, ([1.1], [1.6]))],
+    )
+    def test_branches_share_each_scan_point(self, count, pooled, expected):
+        # Branches sin(pi (x - 0.1)) and sin(pi (x - 0.6)) on one grid from
+        # 0.7 at step 0.25: each point is evaluated once for both.  Per
+        # branch the walk stops when each branch holds ``count`` roots;
+        # pooled, when both together do, with the lowest roots of the two.
+        points = []
+
+        def values(x):
+            points.append(x)
+            return math.sin(math.pi * (x - 0.1)), math.sin(math.pi * (x - 0.6))
+
+        def branch(shift):
+            return lambda x: (math.sin(math.pi * (x - shift)), math.pi * math.cos(math.pi * (x - shift)))
+
+        kernels = (values, (branch(0.1), branch(0.6)))
+        roots = dirac_ball._scan_roots(kernels, 0.7, 9.0, 0.25, count, ToleranceConfig(), pooled)
+        assert len(roots) == 2
+        for rs, es in zip(roots, expected):
+            assert rs == pytest.approx(es, abs=1e-12)
+        assert len(points) == len(set(points))
+        assert max(points) < max(max(rs) for rs in roots) + 0.25
+
+    def test_pooled_walk_refuses_only_fewer_roots_in_all(self):
+        # One root in each branch of [0.7, 2]: two in all are found, three are not.
+        def values(x):
+            return x - 1.1, x - 1.6
+
+        kernels = (values, (lambda x: (x - 1.1, 1.0), lambda x: (x - 1.6, 1.0)))
+        assert dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 2, ToleranceConfig(), True) == [[1.1], [1.6]]
+        with pytest.raises(dirac_ball.BracketExhaustionError):
+            dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 3, ToleranceConfig(), True)
+        with pytest.raises(dirac_ball.BracketExhaustionError):
+            dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 2, ToleranceConfig())
 
 
 # ----------------------------------------------------------------------------
@@ -730,6 +788,8 @@ MASSES = st.floats(min_value=math.log(50.0), max_value=math.log(1e6)).map(math.e
 # Distance of |E| above m0, or of k above 0, in units of 1/R.
 OFFSETS = st.floats(min_value=0.05, max_value=20.0)
 SIGNS = st.sampled_from([1.0, -1.0])
+# The index of a signed determinant's branch in its kernels.
+BRANCH = {1.0: 0, -1.0: 1}
 
 
 class TestDeterminantDerivatives:
@@ -743,7 +803,7 @@ class TestDeterminantDerivatives:
     def test_mit_slope(self, kj, R, m0, t, sign):
         p, sec = DiracParams(R=R, m0=m0), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._mit_kernels(p, sec, sign)[1](abs(E))
+        value, slope = dirac_ball._mit_kernels(p, sec)[1][BRANCH[sign]](abs(E))
         v_ref, s_ref, scale = _mit_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-11, abs=1e-12)
         assert abs(sign * slope - s_ref) <= 1e-10 * scale
@@ -753,7 +813,7 @@ class TestDeterminantDerivatives:
     def test_largemass_slope(self, kj, R, m0, m, t, sign):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._largemass_kernels(p, sec, sign)[1](abs(E))
+        value, slope = dirac_ball._largemass_kernels(p, sec)[1][BRANCH[sign]](abs(E))
         v_ref, s_ref, scale = _largemass_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-10, abs=1e-12 * abs(v_ref) + 1e-300)
         assert abs(sign * slope - s_ref) <= 1e-9 * scale
@@ -763,7 +823,8 @@ class TestDeterminantDerivatives:
     def test_robin_slope(self, kj, R, m0, m, t):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         k = t / R
-        value, slope = dirac_ball._robin_kernels(p, sec)[1](k)
+        (value_slope,) = dirac_ball._robin_kernels(p, sec)[1]
+        value, slope = value_slope(k)
         v_ref, s_ref, scale = _robin_oracle(k, p, sec)
         assert abs(value - v_ref) <= 1e-11 * scale * k
         assert abs(slope - s_ref) <= 1e-10 * scale
@@ -775,27 +836,56 @@ WINDOW = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestValueKernels:
-    """The value-only kernel of each determinant, which the scan reads, equals
-    the value half of its value-and-slope kernel, which the Newton polish
-    reads, bit for bit, across the scan window."""
+    """The joint kernel of each determinant, which the scan reads, gives
+    every branch's value equal to the value half of the branch's
+    value-and-slope kernel, which the Newton polish reads, bit for bit,
+    across the scan window."""
 
     @settings(max_examples=300, deadline=None)
-    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, sign=SIGNS, u=WINDOW)
-    def test_value_is_the_value_half_bitwise(self, kj, R, m0, m, sign, u):
+    @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, u=WINDOW)
+    def test_value_is_the_value_half_bitwise(self, kj, R, m0, m, u):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         _, k_top = dirac_ball._scan_window(R, 20)
         lo = m0 + max(1e-9, 1e-9 * m0)
         top = math.sqrt(m0**2 + k_top**2)
         for kernels, hi in (
-            (dirac_ball._mit_kernels(p, sec, sign), top),
-            (dirac_ball._largemass_kernels(p, sec, sign), min(top, (m0 + m) * (1.0 - 1e-12))),
+            (dirac_ball._mit_kernels(p, sec), top),
+            (dirac_ball._largemass_kernels(p, sec), min(top, (m0 + m) * (1.0 - 1e-12))),
         ):
             E = lo + u * (hi - lo)
-            value, value_slope = kernels
-            assert value(E).hex() == value_slope(E)[0].hex()
-        value, value_slope = dirac_ball._robin_kernels(p, sec)
+            values, value_slopes = kernels
+            assert len(value_slopes) == 2
+            assert [v.hex() for v in values(E)] == [vs(E)[0].hex() for vs in value_slopes]
+        values, (value_slope,) = dirac_ball._robin_kernels(p, sec)
         k = 1e-9 / R + u * (k_top - 1e-9 / R)
-        assert value(k).hex() == value_slope(k)[0].hex()
+        (value,) = values(k)
+        assert value.hex() == value_slope(k)[0].hex()
+
+    @pytest.mark.parametrize("kernels, m", [("_mit_kernels", 0.0), ("_largemass_kernels", 200.0)])
+    @pytest.mark.parametrize("kj", (-2, 1))
+    def test_both_branches_read_one_bessel_pair(self, monkeypatch, kernels, m, kj):
+        # A scan point of a sector's two branches calls j_pair once (and,
+        # for the large-mass determinant, ek_pair once): (-E)^2 == E^2.
+        calls = []
+
+        def spy(name, bind):
+            def bound(n):
+                kernel = bind(n)
+
+                def pair(x):
+                    calls.append(name)
+                    return kernel(x)
+
+                return pair
+
+            return bound
+
+        monkeypatch.setattr(dirac_ball, "j_pair_kernel", spy("j", dirac_ball.j_pair_kernel))
+        monkeypatch.setattr(dirac_ball, "ek_pair_kernel", spy("ek", dirac_ball.ek_pair_kernel))
+        values, value_slopes = getattr(dirac_ball, kernels)(DiracParams(R=1.0, m=m), AngularSector(kj))
+        plus, minus = values(2.7)
+        assert calls == (["j"] if m == 0.0 else ["j", "ek"])
+        assert (plus, minus) == (value_slopes[0](2.7)[0], value_slopes[1](2.7)[0])
 
 
 class TestConjugateBranches:
@@ -811,32 +901,35 @@ class TestConjugateBranches:
     )
     def test_minus_branch_is_the_conjugate_plus_branch(self, kj, R, u):
         p = DiracParams(R=R)
-        minus = dirac_ball._mit_kernels(p, AngularSector(kj), -1.0)
-        plus = dirac_ball._mit_kernels(p, AngularSector(-kj), 1.0)
+        minus_values, (_, minus) = dirac_ball._mit_kernels(p, AngularSector(kj))
+        plus_values, (plus, _) = dirac_ball._mit_kernels(p, AngularSector(-kj))
         lo = 1e-9
         _, hi = dirac_ball._scan_window(R, 20)
         E = lo + u * (hi - lo)
-        v_minus, (f_minus, d_minus) = minus[0](E), minus[1](E)
-        v_plus, (f_plus, d_plus) = plus[0](E), plus[1](E)
+        v_minus, (f_minus, d_minus) = minus_values(E)[1], minus(E)
+        v_plus, (f_plus, d_plus) = plus_values(E)[0], plus(E)
         sign = math.copysign(1.0, v_minus) * math.copysign(1.0, v_plus)
         assert [x.hex() for x in (v_minus, f_minus, d_minus)] == [(sign * x).hex() for x in (v_plus, f_plus, d_plus)]
 
     @pytest.mark.parametrize("m0, branches", [(0.0, 2), (0.5, 4)])
     def test_conjugate_branches_share_a_scan_at_zero_intrinsic_mass(self, monkeypatch, m0, branches):
+        # Each bound sector is one lockstep scan of its two branches.  At
+        # m0 = 0 the scan of kj = -2 answers kj = 2 as well; outside a run
+        # both sectors are scanned.
         bound = []
         factory = dirac_ball._mit_kernels
 
-        def binding(p, sec, sign):
-            bound.append((sec.kappa_j, sign))
-            return factory(p, sec, sign)
+        def binding(p, sec):
+            bound.append(sec.kappa_j)
+            return factory(p, sec)
 
         monkeypatch.setattr(dirac_ball, "_mit_kernels", binding)
         p = DiracParams(R=1.3, m0=m0)
         with run_memo():
             spectrum = mit_spectrum_signed(p, [AngularSector(-2), AngularSector(2)], 3)
-        assert len(bound) == len(set(bound)) == branches
+        assert 2 * len(bound) == 2 * len(set(bound)) == branches
         assert spectrum == mit_spectrum_signed(p, [AngularSector(-2), AngularSector(2)], 3)
-        assert len(bound) == branches + 4
+        assert 2 * len(bound) == branches + 4
 
 
 def _first_root_oracle(det, lo, hi, step):
@@ -866,6 +959,40 @@ class TestIntrinsicMassRoots:
         k = _first_root_oracle(lambda k: _robin_oracle(k, p, sec)[0], 1e-9 / R, 20.0 / R, step)
         lam_int = robin_laplacian_eigenvalues(p, sec, 1)[0]
         assert lam_int == pytest.approx(m0**2 + k * k, rel=1e-12)
+
+
+class TestMagnitudeRequests:
+    """A by-magnitude solve walks both branches of the sector until they
+    hold ``count`` roots in all.  Wherever the signed solve succeeds, it
+    returns the lowest ``count`` magnitudes of that solve bit for bit,
+    inside a run (asked before the signed solve, then after it) and outside
+    one."""
+
+    @pytest.mark.parametrize("in_run", (False, True), ids=("no_memo", "run_memo"))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kj=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        R=st.floats(min_value=0.3, max_value=5.0),
+        m=st.floats(min_value=math.log(3.0), max_value=math.log(1e6)).map(math.exp),
+        count=st.integers(min_value=1, max_value=4),
+    )
+    def test_magnitudes_are_the_lowest_signed_levels(self, in_run, kj, R, m, count):
+        p, sec = DiracParams(R=R, m=m), AngularSector(kj)
+        pairs = ((mit_eigenvalues, mit_spectrum_signed), (largemass_eigenvalues, largemass_spectrum_signed))
+        for magnitudes, signed in pairs:
+            with run_memo() if in_run else contextlib.nullcontext():
+                try:
+                    levels = magnitudes(p, sec, count)
+                except NumericsError:
+                    levels = None
+                try:
+                    spectrum = signed(p, [sec], count)
+                except NumericsError:
+                    continue
+                expected = sorted(abs(e) for e, _ in spectrum)[:count]
+                assert levels is not None
+                assert [x.hex() for x in levels] == [x.hex() for x in expected]
+                assert [x.hex() for x in magnitudes(p, sec, count)] == [x.hex() for x in expected]
 
 
 class TestLevelPrefix:

@@ -22,6 +22,7 @@ from mitbag.numerics import (
     fit_inverse_m,
     fit_line,
     memoized_prefix,
+    memoized_prefixes,
     mesh_aligned_nodes,
     panel_nodes,
     run_memo,
@@ -54,6 +55,30 @@ class TestMemoizedPrefix:
         # Outside a run every request computes, and no list is kept.
         assert memoized_prefix(("k",), 2, first(5)) == [0, 10]
         assert computed[-1] == 5
+
+    def test_lists_of_several_keys_answered_together(self):
+        # Both stored lists must hold ``count`` items to answer a request;
+        # otherwise one computation lists them all, possibly fewer than
+        # ``count`` each, and a shorter list never replaces a longer one.
+        computed = []
+
+        def lists(*lengths):
+            def compute():
+                computed.append(lengths)
+                return [[10 * i + k for i in range(n)] for k, n in enumerate(lengths)]
+
+            return compute
+
+        keys = (("a",), ("b",))
+        with run_memo():
+            assert memoized_prefixes(keys, 2, lists(2, 3)) == [[0, 10], [1, 11, 21]]
+            assert memoized_prefixes(keys, 2, lists(9, 9)) == [[0, 10], [1, 11, 21]]
+            assert memoized_prefixes(keys, 3, lists(1, 3)) == [[0], [1, 11, 21]]
+            assert memoized_prefixes(keys[::-1], 2, lists(9, 9)) == [[1, 11, 21], [0, 10]]
+            assert memoized_prefix(("a",), 2, lists(9)) == [0, 10]
+        assert computed == [(2, 3), (1, 3)]
+        assert memoized_prefixes(keys, 1, lists(1, 1)) == [[0], [1]]
+        assert computed[-1] == (1, 1)
 
     def test_callers_cannot_change_the_stored_list(self):
         with run_memo():
@@ -256,6 +281,13 @@ class TestQuadrature:
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
             mesh_aligned_nodes(np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("mesh", ([0.0, np.inf], [np.nan, 1.0], [0.0, 0.5, np.nan], [-np.inf, 0.0]))
+    def test_non_finite_mesh_rejected(self, mesh):
+        # np.diff gives inf > 0 across an infinite point, and a NaN compares
+        # false: neither may pass as an ascending mesh and yield NaN nodes.
+        with pytest.raises(ValueError, match="finite"):
+            mesh_aligned_nodes(np.array(mesh))
 
     @pytest.mark.parametrize("n", (12, 16))
     def test_tabulated_rules_are_numpys(self, n):

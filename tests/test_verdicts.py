@@ -206,9 +206,9 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     scan = dirac_ball._scan_roots
     scan_tols = []
 
-    def scanning(kernels, lo, hi, step, count, tol):
+    def scanning(kernels, lo, hi, step, count, tol, *pooled):
         scan_tols.append(tol)
-        return scan(kernels, lo, hi, step, count, tol)
+        return scan(kernels, lo, hi, step, count, tol, *pooled)
 
     monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
     with run_memo():
@@ -226,11 +226,12 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     assert len({p for p, _ in seen["largemass_eigenvalues"]}) == 5 + 6 - 1
     for name, calls in seen.items():
         assert all(t is tol for _, t in calls), name
-    # One scan per branch: the four bag sectors of the symmetry solve (each
-    # kj=+1 branch shares the kj=-1 branch of opposite sign) and the two of
-    # the ground sector at radius 2R; the large-mass symmetry's eight, and
-    # two for each of the other nine masses.
-    assert len(scan_tols) == 4 + 2 + 8 + 2 * 9
+    # One lockstep scan per sector, of both its branches: the two bag
+    # sectors kj=-2, -1 of the symmetry solve (kj=+2, +1 are their charge
+    # conjugates) and the ground sector at radius 2R; the large-mass
+    # symmetry's four sectors, and the ground sector at each of the other
+    # nine masses.
+    assert len(scan_tols) == 2 + 1 + 4 + 9
     assert all(t is tol for t in scan_tols)
 
 
