@@ -30,23 +30,21 @@ sphere and (0, 0) on the flat model (grad_s integrates to l(l+1)/R^2 per
 unit-norm spherical mode, |xi|^2 per flat mode).  On the flat model the
 exact-minus-effective gap also has a per-mode closed form
 (``flat_effective_gap``), accurate where the two energies, both of size m,
-agree to more digits than a double holds.  The exterior mass and the
-weighted Agmon mass ratio come from closed forms or radial quadrature of the
-exact profiles.
+agree to more digits than a double holds.  A spherical mode's exterior mass
+and weighted Agmon mass ratio are closed forms too: e^x k_l is a polynomial
+in 1/x, so each radial tail integral is a finite sum of z e^z E_n(z) terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from decimal import Context, Decimal, localcontext
 from typing import Mapping, Union
 
-import numpy as np
-
-from .numerics import NumericsError, memoized, panel_nodes
+from .numerics import NumericsError, memoized
 from .special import (
-    ek_kernel,
+    _k_poly_ints,
     modified_spherical_bessel_k_scaled,
     modified_spherical_bessel_k_scaled_deriv,
 )
@@ -172,44 +170,59 @@ def flat_effective_gap(v: FlatDatum, m: float) -> float:
     return total
 
 
-@lru_cache(maxsize=16)
-def _tail_rule(rate: float, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only nodes sigma and weights w on [0, length], and e^{-rate sigma}.
-
-    They depend on neither m nor R, and a suite uses a handful of (rate,
-    length) pairs, so each rule is built once per process.
-    """
-    sigma, w = panel_nodes(0.0, length, max_panel=0.5, n_nodes=12)
-    rule = (sigma, w, np.exp(-rate * sigma))
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+# Tail sums run at 34 digits, so each double they give is correctly rounded.
+_DIGITS, _STEP = Context(prec=34), Decimal("1e-24")  # a continued fraction stops at a step below _STEP
 
 
-def _tail_integral(m: float, R: float, ell: int, rate: float, length: float) -> float:
-    # One evaluation per distinct argument tuple within a verification run:
-    # the exterior suite asks for the same plain tail mass at each mass for
-    # its l = 0 and mixed data and for each Agmon rate.
-    return memoized(_tail_quadrature, m, R, ell, rate, length)
+def _scaled_expints(top: int, z: Decimal) -> list[Decimal]:
+    # [H_0(z), ..., H_top(z)], H_n(z) = z e^z E_n(z), E_n(z) = int_1^inf e^{-z t} t^-n dt
+    # (DLMF 8.19).  H_{n+1} = z (1 - H_n)/n (DLMF 8.19.12) keeps its digits upward
+    # for n >= z and downward for n < z, so it runs both ways from k = min(top,
+    # ceil(z)): H_1 by the series of E_1 if z < 1 (DLMF 6.6.2, Euler's constant),
+    # else H_k by its continued fraction in modified Lentz steps (Numerical Recipes 6.3).
+    h = [Decimal(1)] * (top + 1)
+    if top:
+        k = min(top, math.ceil(z))
+        if z < 1:
+            series = sum((-z) ** j / (j * math.factorial(j)) for j in range(1, 31))
+            h[1] = z * z.exp() * (Decimal("-0.5772156649015328606065120900824024") - z.ln() - series)
+        else:
+            b, c, d, delta, i = z + k, Decimal("Infinity"), 1 / (z + k), 0, 0  # c = inf: first c = b
+            h[k] = z * d
+            while abs(delta - 1) > _STEP:
+                i += 1
+                a, b = -i * (k - 1 + i), b + 2
+                d, c = 1 / (a * d + b), b + a / c
+                delta = c * d
+                h[k] *= delta
+        for n in range(k, top):
+            h[n + 1] = z * (1 - h[n]) / n
+        for n in range(k - 1, 0, -1):
+            h[n] = 1 - n * h[n + 1] / z
+    return h
 
 
-def _tail_quadrature(m: float, R: float, ell: int, rate: float, length: float) -> float:
-    # int_0^length e^{-rate sigma} (e^x k_l)(m r)^2 / (e^x k_l)(mR)^2 r^2 dsigma,
-    # r = R + sigma/m; with rate = 2 it is m int_R^inf (k_l(mr)/k_l(mR))^2 r^2 dr.
-    # The checked call at x = mR vets l and mR, overflow included, for every
-    # node: e^x k_l decreases in x, the nodes have x = m r >= mR, and x stays
-    # finite (sigma <= length).  The nodes then take the unchecked kernel.
-    sigma, w, decay = _tail_rule(rate, length)
-    r = R + sigma / m
-    at_boundary = modified_spherical_bessel_k_scaled(ell, m * R)
-    ratio = ek_kernel(ell)(m * r) / at_boundary
-    return float(np.dot(w, decay * ratio**2 * r**2))
+def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
+    # (m/R^2) int_R^inf e^{2 m gamma (r - R)} (k_l(m r)/k_l(m R))^2 r^2 dr =
+    # int_0^inf e^{-rate s} (P(1/(X + s))/P(1/X))^2 ds, X = mR, rate = 2 - 2 gamma,
+    # e^x k_l(x) = P(1/x)/x, P(u) = sum_j a_j u^j (DLMF 10.49.12).  The square is
+    # sum_n beta_n (X/(X + s))^n / P(1/X)^2, beta the self-convolution of the
+    # positive a_j X^-j, and each power integrates to H_n(rate X)/rate.  The
+    # checked call vets l and mR, overflow included.
+    modified_spherical_bessel_k_scaled(ell, m * R)
+    with localcontext(_DIGITS):
+        u, rate = 1 / (Decimal(m) * Decimal(R)), 2 - 2 * Decimal(gamma)
+        terms = [a * u**j for j, a in enumerate(_k_poly_ints(ell))]
+        beta = [sum(terms[i] * terms[n - i] for i in range(max(0, n - ell), min(n, ell) + 1))
+                for n in range(2 * ell + 1)]
+        return sum(b * h for b, h in zip(beta, _scaled_expints(2 * ell, rate / u))) / (sum(terms) ** 2 * rate)
 
 
 def ball_mode_mass(m: float, R: float, ell: int) -> float:
     """Exterior mass int_R^inf (k_l(m r)/k_l(m R))^2 r^2 dr / R^2 of the
     decaying l-mode of unit boundary value, per unit area of the sphere r = R."""
-    return _tail_integral(m, R, ell, 2.0, 40.0) / m / (R * R)
+    # Once per run per argument tuple: the Agmon ratios reuse the plain tails.
+    return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0), Decimal(m)))
 
 
 def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
@@ -263,7 +276,7 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
 def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
     """Ratio of the e^{2 m gamma (r-R)}-weighted to plain exterior mass.
 
-    Computed by radial quadrature of the exact decaying profile; finite for
+    Computed in closed form from the exact decaying profile; finite for
     gamma < 1 and close to 1/(1-gamma) (exactly that at l = 0, where the
     r^2 volume factor cancels the 1/r^2 of the profile).
     """
@@ -273,5 +286,5 @@ def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
         raise AgmonDivergenceError(f"weighted mass diverges for gamma={gamma} >= 1")
     if m <= 0.0 or R <= 0.0:
         raise ValueError("m and R must be positive")
-    weighted = _tail_integral(m, R, ell, 2.0 - 2.0 * gamma, 40.0 / (2.0 * (1.0 - gamma)))
-    return weighted / _tail_integral(m, R, ell, 2.0, 40.0)
+    weighted, plain = (memoized(_tail_integral, m, R, ell, g) for g in (gamma, 0.0))
+    return float(_DIGITS.divide(weighted, plain))

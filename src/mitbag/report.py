@@ -135,7 +135,7 @@ CHECKS: dict[str, CheckKind] = {
     "exterior.mass_estimate.flat": CheckKind("envelope", "fit"),
     "exterior.additivity": CheckKind("rel", "closed-form"),
     "exterior.monotonic": CheckKind("above", "closed-form"),
-    "exterior.agmon": CheckKind("envelope", "closed-form"),
+    "exterior.agmon": CheckKind("rel", "closed-form"),
     "exterior.agmon.gamma0": CheckKind("abs", "closed-form"),
     "dirac.mit.ground": CheckKind("abs", "closed-form"),
     "dirac.mit.scaling": CheckKind("rel", "closed-form"),

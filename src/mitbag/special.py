@@ -30,16 +30,15 @@ pair n, n + 1 (checked once, when bound) and return a function of a float
 argument x > 0 that gives both values, the two a matching determinant needs,
 bit-equal to two single-order calls; the argument is the caller's to check.
 A root scan binds its sector's pair once and calls it at every point, and an
-eigenpair calls it once, at x = kR or qR.  ``ek_kernel(l)`` binds one order
-of e^x k_l the same way, for a float or an ndarray, and checks neither the
-argument nor overflow: it is for callers that have vetted both, like a tail
-sweep whose nodes all lie at or beyond a checked point.
+eigenpair calls it once, at x = kR or qR.  The exterior tail integrals are
+closed-form sums over the exact integer coefficients of e^x k_l
+(``_k_poly_ints``), after one checked call at x = mR.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -227,17 +226,15 @@ def _finite(value: float | np.ndarray, ell: int, x: float | np.ndarray) -> float
 
 
 @lru_cache(maxsize=None)
-def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
+def _k_poly_ints(ell: int) -> tuple[int, ...]:
     # e^x k_l(x) = (1/x) sum_{j=0}^{l} a_{l,j} x^{-j} with the exact integers
     # a_{l,j} = (l+j)! / (j! (l-j)! 2^j)  (Bessel polynomial coefficients).
-    coeffs = []
-    for j in range(ell + 1):
-        num = math.factorial(ell + j)
-        den = math.factorial(j) * math.factorial(ell - j) * (1 << j)
-        if num % den != 0:  # pragma: no cover - the quotient is a known integer
-            raise AssertionError("Bessel polynomial coefficient not integral")
-        coeffs.append(float(num // den))
-    return tuple(coeffs)
+    return tuple(math.factorial(ell + j) // (math.factorial(j) * math.factorial(ell - j) << j) for j in range(ell + 1))
+
+
+@lru_cache(maxsize=None)
+def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
+    return tuple(map(float, _k_poly_ints(ell)))
 
 
 def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -246,17 +243,6 @@ def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     for a in reversed(_k_poly_coeffs(ell)):
         acc = acc * u + a
     return acc * u
-
-
-@lru_cache(maxsize=None, typed=True)
-def ek_kernel(ell: int) -> Callable[[float | np.ndarray], float | np.ndarray]:
-    """The function x -> e^x k_ell(x) of a float or an ndarray x > 0: the
-    Horner sum that ``modified_spherical_bessel_k_scaled`` runs after its
-    checks, bit for bit, with no check of x and no overflow check, which are
-    the caller's.  The order is checked here, once.
-    """
-    _check_order_arg(ell, 1.0)
-    return partial(_k_horner, ell)
 
 
 def _k_deriv_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -344,7 +344,7 @@ def run_exterior_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str
         min_step = min(b - a for a, b in zip(values, values[1:]))
         records.append(check("exterior.monotonic", 0.0, min_step, 0.0, sector=label))
 
-    # Agmon decay: weighted mass ratio within 10% above its limit 1/(1-gamma).
+    # Agmon decay: weighted mass ratio within 10% of its limit 1/(1-gamma).
     for gamma in (0.3, 0.5, 0.9):
         for m in m_grid:
             records.append(check("exterior.agmon", 1.0 / (1.0 - gamma), agmon_decay_check(m, R, 1, gamma), 0.1, m=m,

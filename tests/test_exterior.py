@@ -1,11 +1,12 @@
 """Exterior model problems: per-mode energies, effective functional, decay."""
 
+import functools
 import math
 import warnings
 
-import numpy as np
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mitbag.exterior as exterior
@@ -26,7 +27,7 @@ from mitbag.exterior import (
     sphere_datum,
     torus_datum,
 )
-from mitbag.special import BesselOverflowError, modified_spherical_bessel_k_scaled
+from mitbag.special import BesselOverflowError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -243,24 +244,6 @@ class TestBoundaryDatumValidation:
             flat_effective_gap(sphere_datum(1.0, {0: 1.0}), 10.0)
 
 
-def test_tail_rules_are_shared_across_radii(tmp_path):
-    # The rules depend on (rate, length) only: ten radii, each with three
-    # masses, reuse the rules of the first radius, and nobody can write them.
-    exterior._tail_rule.cache_clear()
-    sizes = []
-    for R in np.linspace(0.5, 5.0, 10):
-        run_suite(SuiteConfig(suite="exterior", geometry=BallInterior(R=float(R)), output_path=str(tmp_path / "r.csv")))
-        sizes.append(exterior._tail_rule.cache_info().currsize)
-    info = exterior._tail_rule.cache_info()
-    assert 0 < sizes[0] == sizes[-1] <= info.maxsize
-    sigma, w, decay = exterior._tail_rule(2.0, 40.0)
-    assert exterior._tail_rule.cache_info().currsize == sizes[0]
-    for array in (sigma, w, decay):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-
-
 @pytest.mark.parametrize("R", (0.5, 1.0, 1.7, 3.0))
 def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
     # An exterior suite asks for 37 tail integrals, 23 of them distinct: the
@@ -268,18 +251,18 @@ def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
     # denominator of the Agmon ratios.  Within one run each is evaluated
     # once; the memo ends with the run, so a second run evaluates all again.
     requests, evaluations = [], []
-    integral, quadrature = exterior._tail_integral, exterior._tail_quadrature
+    memo, integral = exterior.memoized, exterior._tail_integral
 
-    def requested(*args):
+    def requested(fn, *args):
         requests.append(args)
-        return integral(*args)
+        return memo(fn, *args)
 
     def evaluated(*args):
         evaluations.append(args)
-        return quadrature(*args)
+        return integral(*args)
 
-    monkeypatch.setattr(exterior, "_tail_integral", requested)
-    monkeypatch.setattr(exterior, "_tail_quadrature", evaluated)
+    monkeypatch.setattr(exterior, "memoized", requested)
+    monkeypatch.setattr(exterior, "_tail_integral", evaluated)
     config = SuiteConfig(suite="exterior", geometry=BallInterior(R=R), output_path=str(tmp_path / "r.csv"))
     run_suite(config)
     first = list(evaluations)
@@ -290,33 +273,56 @@ def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
     assert evaluations == first
 
 
-def _checked_tail_quadrature(m, R, ell, rate, length):
-    # The tail quadrature with every node's e^x k_l through the checked
-    # public function.
-    sigma, w, decay = exterior._tail_rule(rate, length)
-    r = R + sigma / m
-    ratio = modified_spherical_bessel_k_scaled(ell, m * r) / modified_spherical_bessel_k_scaled(ell, m * R)
-    return float(np.dot(w, decay * ratio**2 * r**2))
+def _tail_by_besselk(m, R, ell, gamma):
+    """W(gamma) = int_0^inf e^{2 gamma s} (K_nu(X + s)/K_nu(X))^2 (X + s) ds,
+    X = mR, nu = l + 1/2, by mpmath quadrature at 30 digits; since
+    k_l(x) is proportional to K_nu(x)/sqrt(x), the exterior mass is
+    W(0)/(m^2 R) and the Agmon ratio W(gamma)/W(0).  The panels break at
+    X/4, X, 4X, ... up to 1, where the profile falls from its boundary peak
+    at small mR; the Bessel values are shared by the two integrals."""
+    with mpmath.workdps(30):
+        x0, nu, g = mpmath.mpf(m) * mpmath.mpf(R), mpmath.mpf(ell) + 0.5, mpmath.mpf(gamma)
+        at_boundary = mpmath.besselk(nu, x0)
+        profile = functools.lru_cache(maxsize=None)(lambda s: (mpmath.besselk(nu, x0 + s) / at_boundary) ** 2 * (x0 + s))
+        points = [mpmath.mpf(0)]
+        while points[-1] < 1:
+            points.append(x0 / 4 if len(points) == 1 else 4 * points[-1])
+        points.append(mpmath.inf)
+        plain = mpmath.quad(profile, points)
+        weighted = mpmath.quad(lambda s: mpmath.exp(2 * g * s) * profile(s), points)
+        return plain / (mpmath.mpf(m) ** 2 * R), weighted / plain
 
 
-@pytest.mark.parametrize("R", (0.5, 1.0, 1.7, 3.0))
-def test_tail_quadrature_equals_the_checked_sum_bitwise(tmp_path, monkeypatch, R):
-    # Every tail integral of the exterior and dirac suites (the Agmon rules
-    # and the large-mass eigenpair tails included) takes the unchecked
-    # kernel on its nodes and keeps the bits of the checked evaluation.
-    calls = []
-    quadrature = exterior._tail_quadrature
+class TestTailClosedForm:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        m=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+        R=st.floats(min_value=0.1, max_value=10.0),
+        ell=st.integers(min_value=0, max_value=20),
+        gamma=st.floats(min_value=0.0, max_value=0.95, exclude_min=True),
+    )
+    # Three inputs the panel quadrature got wrong: a mass 76% low, a mass
+    # 56% low, and an Agmon ratio 2.1e-4 off.
+    @example(m=0.01, R=1.0, ell=5, gamma=0.3)
+    @example(m=0.001, R=1.0, ell=1, gamma=0.3)
+    @example(m=0.05, R=1.0, ell=3, gamma=0.3)
+    def test_against_besselk_quadrature(self, m, R, ell, gamma):
+        mass, ratio = _tail_by_besselk(m, R, ell, gamma)
+        assert exterior.ball_mode_mass(m, R, ell) == pytest.approx(float(mass), rel=1e-14, abs=0.0)
+        assert agmon_decay_check(m, R, ell, gamma) == pytest.approx(float(ratio), rel=1e-14, abs=0.0)
 
-    def recorded(*args):
-        calls.append(args)
-        return quadrature(*args)
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.9))
+    def test_golden_agmon_ratios_are_correctly_rounded(self, gamma):
+        # The 34-digit sums round once, to the nearest double of the true
+        # ratio (the R = 1 report's l = 1 rows at m = 100).
+        assert agmon_decay_check(100.0, 1.0, 1, gamma) == float(_tail_by_besselk(100.0, 1.0, 1, gamma)[1])
 
-    monkeypatch.setattr(exterior, "_tail_quadrature", recorded)
-    for suite in ("exterior", "dirac"):
-        run_suite(SuiteConfig(suite=suite, geometry=BallInterior(R=R), output_path=str(tmp_path / "r.csv")))
-    assert {rate for _, _, _, rate, _ in calls} > {2.0}
-    for args in calls:
-        assert quadrature(*args).hex() == _checked_tail_quadrature(*args).hex()
+    def test_monopole_is_exact(self):
+        # At l = 0 the profile's square is e^{-2 s}/x^2 exactly: mass 1/(2m),
+        # ratio 1/(1-gamma), each the double nearest the exact value.
+        for m, gamma in ((100.0, 0.5), (3.0, 0.25), (1e-3, 0.75), (7e5, 0.9)):
+            assert exterior.ball_mode_mass(m, 1.7, 0) == 1.0 / (2.0 * m)
+            assert agmon_decay_check(m, 1.7, 0, gamma) == 1.0 / (1.0 - gamma)
 
 
 def test_tail_overflow_is_still_reported():

@@ -94,8 +94,8 @@ EXACT_ROWS = {
     "exterior.effective.rate.flat": "the m = 1e2 row anchors the envelope: its bound is its own value",
     "exterior.sandwich": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
     "exterior.sandwich.sign": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
-    "exterior.mass.l0": "the l = 0 tail mass is 4 pi/(2m) in closed form; the quadrature rounds onto it at R = 1.7",
-    "exterior.mass_estimate.l0": "the l = 0 tail mass is exactly ||v||^2/(2m); the quadrature can round onto it",
+    "exterior.mass.l0": "the l = 0 tail mass is the double nearest 1/(2m); the row rounds onto 4 pi/(2m) at m = 1e4",
+    "exterior.mass_estimate.l0": "the l = 0 tail mass is the double nearest ||v||^2/(2m), so the estimate is 0",
     "exterior.mass_estimate.sphere": "the envelope's bound is its first mass's value, the largest when the rate falls",
     "exterior.mass_estimate.flat": "the envelope's bound is its first mass's value, the largest when the rate falls",
     "exterior.additivity": "the ratio recurrence agrees with the Bessel polynomials to rounding, at R = 1 bit for bit",

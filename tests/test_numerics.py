@@ -356,9 +356,8 @@ class TestPanelLimit:
 
     def test_public_inputs_past_the_limit_are_refused(self):
         # Every composite rule comes from panel_nodes, so its limit bounds
-        # the eigenpairs (k R > 0.7 MAX_PANELS = 45875.2), the transverse
-        # quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8) and the Agmon
-        # tail (40 / (1 - gamma) > MAX_PANELS, gamma > 0.99939).
+        # the eigenpairs (k R > 0.7 MAX_PANELS = 45875.2) and the transverse
+        # quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8).
         p, ground, flat = DiracParams(R=1.0), AngularSector(-1), CurvatureData.flat()
         for energy in (4.6e4, 1e100):
             refused_without_allocating(lambda: mit_eigenpair(p, ground, energy), "MAX_PANELS")
@@ -367,7 +366,11 @@ class TestPanelLimit:
             prob = TransverseProblem(m=m, curv=flat)
             refused_without_allocating(lambda: residual_of_ansatz(prob), "MAX_PANELS")
             refused_without_allocating(lambda: transverse_form(prob, lambda t: (t, t)), "MAX_PANELS")
-        refused_without_allocating(lambda: agmon_decay_check(100.0, 1.0, 0, 0.9994), "MAX_PANELS")
+
+    def test_agmon_tail_has_no_panel_limit(self):
+        # The Agmon tail is a closed form, with no rule to outgrow.
+        gamma = 0.9994
+        assert agmon_decay_check(100.0, 1.0, 0, gamma) == pytest.approx(1.0 / (1.0 - gamma), rel=1e-14, abs=0.0)
 
 
 class TestInverseMassFit:

@@ -68,7 +68,7 @@ GOLDEN = (
         ("exterior.additivity", "rel", True),
     ]
     + [("exterior.monotonic", "above", True)] * 2
-    + [("exterior.agmon", "envelope", True)] * 9
+    + [("exterior.agmon", "rel", True)] * 9
     + [
         ("exterior.agmon.gamma0", "abs", True),
         ("dirac.mit.ground", "abs", True),
@@ -251,6 +251,16 @@ def test_nan_sandwich_gap_fails_its_rows(monkeypatch):
         assert rows[(check_id, "ell=2")].m == last
         assert not rows[(check_id, "ell=2")].passed
         assert rows[(check_id, "ell=1")].passed
+
+
+def test_agmon_rows_fail_a_ratio_below_their_limit(monkeypatch):
+    # The rows compare the ratio with 1/(1-gamma) on both sides, so a ratio
+    # of 1.0 (no weighted growth at all) fails every one of them.
+    monkeypatch.setattr(suites, "agmon_decay_check", lambda m, R, ell, gamma: 1.0)
+    records, _ = cli.run_exterior_suite(cli.SuiteConfig(suite="exterior"))
+    rows = [r for r in records if r.check_id == "exterior.agmon"]
+    assert len(rows) == 9
+    assert not any(r.passed for r in rows)
 
 
 def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
