@@ -221,6 +221,8 @@ def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
 def ball_mode_mass(m: float, R: float, ell: int) -> float:
     """Exterior mass int_R^inf (k_l(m r)/k_l(m R))^2 r^2 dr / R^2 of the
     decaying l-mode of unit boundary value, per unit area of the sphere r = R."""
+    if not (0.0 < m < math.inf and 0.0 < R < math.inf):
+        raise ValueError(f"m and R must be positive and finite, got m={m!r}, R={R!r}")
     # Once per run per argument tuple: the Agmon ratios reuse the plain tails.
     return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0), Decimal(m)))
 

@@ -46,7 +46,9 @@ class ShootingError(NumericsError):
 
 
 class FitError(NumericsError):
-    """Degenerate least-squares design matrix."""
+    """Line-fit data that determine no line in doubles: fewer than 2 points,
+    unequal x and y lengths, a non-finite value, x values all equal, or a
+    fitted line past the double range."""
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,11 @@ def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequ
 # Quadrature
 # ----------------------------------------------------------------------------
 
-# The Gauss-Legendre rules of the package, tabulated so that no process
-# solves for them: the positive nodes, ascending, and their weights, as the
-# float.hex bits of numpy.polynomial.legendre.leggauss(n).  Both rules are
+# The Gauss-Legendre rule of the package, tabulated so that no process
+# solves for it: the positive nodes, ascending, and their weights, as the
+# float.hex bits of numpy.polynomial.legendre.leggauss(16).  The rule is
 # symmetric about 0 bit for bit, so the negative half mirrors the table.
 _GAUSS_HALF_RULES = {
-    12: (
-        ("0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
-         "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1"),
-        ("0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
-         "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5"),
-    ),
     16: (
         ("0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
          "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1"),
@@ -192,7 +188,7 @@ MAX_PANELS = 2**16
 
 def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] with panels <= max_panel,
-    n_nodes (12 or 16) per panel; finite a < b and at most MAX_PANELS panels."""
+    n_nodes = 16 per panel; finite a < b and at most MAX_PANELS panels."""
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError(f"panel_nodes requires finite ends with b > a, got [{a!r}, {b!r}]")
     if not (0.0 < max_panel < math.inf and (b - a) / max_panel <= MAX_PANELS):
@@ -204,7 +200,7 @@ def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) 
 
 def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on the panels of a given ascending mesh,
-    n_nodes (12 or 16) per panel.
+    n_nodes = 16 per panel.
 
     With 16 nodes the rule is exact for polynomials up to degree 31 on each
     panel, so functionals of a piecewise-polynomial dense ODE output are
@@ -448,13 +444,35 @@ def solve_bvp_shooting(
 
 def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Least-squares line y ~ intercept + slope x of one series; returns
-    (intercept, slope)."""
-    design = np.ones((len(x), 2))
-    design[:, 1] = x
-    fit, _, rank, _ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
-    if rank < 2:
-        raise FitError("degenerate design matrix")
-    return float(fit[0]), float(fit[1])
+    (intercept, slope), each the double nearest its exact value.
+
+    The closed form, slope = (n Sxy - Sx Sy)/(n Sxx - Sx^2) and intercept =
+    (Sy Sxx - Sx Sxy)/(n Sxx - Sx^2), is evaluated exactly: every double is
+    an integer over a power of two, so over the largest denominator d of the
+    data each sum is an integer, and integer true division rounds each ratio
+    once.  Needs at least 2 finite points, one y per x, and x values that
+    are not all equal.
+    """
+    xs, ys = [float(v) for v in x], [float(v) for v in y]
+    n = len(xs)
+    if n < 2 or len(ys) != n:
+        raise FitError(f"a line fit needs at least 2 points and one y per x, got {n} x and {len(ys)} y values")
+    values = xs + ys
+    if not all(map(math.isfinite, values)):
+        raise FitError("line-fit values must be finite")
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    scaled = [num * (d // den) for num, den in ratios]  # d * values, exactly
+    X, Y = scaled[:n], scaled[n:]
+    sx, sy = sum(X), sum(Y)
+    sxx, sxy = sum(a * a for a in X), sum(a * b for a, b in zip(X, Y))
+    det = n * sxx - sx * sx  # n d^2 times the centred sum of squares
+    if det == 0:
+        raise FitError("line-fit x values must not all be equal")
+    try:
+        return (sy * sxx - sx * sxy) / (det * d), (n * sxy - sx * sy) / det
+    except OverflowError:
+        raise FitError("the fitted line overflows a double") from None
 
 
 def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -335,3 +335,14 @@ def test_tail_overflow_is_still_reported():
         with pytest.raises(BesselOverflowError):
             agmon_decay_check(1e-5, 1.0, 50, 0.5)
     assert math.isfinite(exterior.ball_mode_mass(1e-2, 1.0, 50))
+
+
+@pytest.mark.parametrize(
+    "m, R, ell",
+    ((-1.0, -1.0, 0), (-2.0, -1.0, 1), (0.0, 1.0, 0), (1.0, 0.0, 0), (math.inf, 1.0, 0), (1.0, math.nan, 0)),
+)
+def test_ball_mode_mass_refuses_non_positive_mass_or_radius(m, R, ell):
+    # With m and R both negative, m R > 0 passed the Bessel check and a
+    # negative mass came back: -0.5 and -0.222... for the first two cases.
+    with pytest.raises(ValueError, match="positive and finite"):
+        exterior.ball_mode_mass(m, R, ell)

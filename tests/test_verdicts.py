@@ -320,8 +320,8 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     # All 97 problems (4 flat, 92 of the curvature sweep, the seeded one) go
     # to one solve_transverse call, which makes one batched interior solve;
-    # the slopes take one one-series line fit, one lstsq, per series: the 20
-    # pairs, the aggregates of the two cohorts and the flat mass.
+    # the slopes take one one-series line fit per series, the 20 pairs, the
+    # aggregates of the two cohorts and the flat mass, and none calls lstsq.
     stacks, interior_solves, fits, lstsqs = [], [], [], []
     solve, lapack_solve, fit, lstsq = suites.solve_transverse, np.linalg.solve, suites.fit_line, np.linalg.lstsq
 
@@ -340,7 +340,8 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     assert [len(stack) for stack in stacks] == [97]
     assert len(interior_solves) == 1
-    assert len(fits) == len(lstsqs) == 23
+    assert len(fits) == 23
+    assert len(lstsqs) == 0
     assert all(np.ndim(y) == 1 for _, y in fits)
 
 
