@@ -38,7 +38,7 @@ with D_X = k j'_{l_X}(kR) + (1/R + m0) j_{l_X}(kR) and J_X = j_{l_X}(kR) the
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -51,9 +51,8 @@ from .numerics import (
     ToleranceConfig,
     find_root_bracketed,
     memoized,
-    memoized_prefix,
-    memoized_prefixes,
     panel_nodes,
+    run_table,
 )
 from .special import SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel, spherical_bessel_j
 
@@ -398,6 +397,41 @@ def _scan_window(R: float, count: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
 
 
+def _branch_roots(
+    keys: Sequence[tuple], count: int, pooled: bool, scan: Callable[[], list[list[float]]]
+) -> list[list[float]]:
+    """The roots of the branches under ``keys`` for a request of ``count``
+    per branch, or with ``pooled`` of ``count`` in all: from the run's
+    records when they answer it, otherwise from ``scan()``, a walk of those
+    branches (see ``_scan_roots``).
+
+    A run keeps one record per branch, (roots, reach): the ascending roots
+    are every root of the branch up to reach, which a walk for ``count`` per
+    branch sets to the branch's last root and a pooled walk to the highest
+    root of either branch.  Only a record of greater reach replaces one.
+    Since the scan finds the lowest roots the same way whatever the count,
+    the records answer a request per branch when each holds ``count``
+    roots, and a pooled one when both hold ``count`` up to the lesser reach.
+    """
+    table = run_table()
+    slots = [(_branch_roots, *key) for key in keys]
+    records = [table.get(slot, ((), 0.0)) for slot in slots]
+    if pooled:
+        reach = min(reach for _, reach in records)
+        held = sum(bisect_right(roots, reach) for roots, _ in records)
+    else:
+        held = min(len(roots) for roots, _ in records)
+    if held >= count:
+        return [list(roots) for roots, _ in records]
+    found = scan()
+    top = max(roots[-1] for roots in found if roots)
+    for slot, roots, (_, reach) in zip(slots, found, records, strict=True):
+        new_reach = top if pooled else roots[-1]
+        if new_reach > reach:
+            table[slot] = (tuple(roots), new_reach)
+    return found
+
+
 def _sector_branches(
     kernels: Callable[[DiracParams, AngularSector], Kernels],
     p: DiracParams,
@@ -415,13 +449,12 @@ def _sector_branches(
     With a ``threshold`` the scan stops just below it, and running out of
     roots there raises ``EssentialSpectrumError``.
 
-    A run keeps each branch's roots under (kernels, p, sector, sign, tol),
-    and a request that every branch's stored roots answer through their
-    prefix scans nothing, since the scan finds the lowest roots the same way
-    whatever the count.  With ``conjugate`` the (kappa_j, -) determinant is
-    that of (-kappa_j, +), or its negative, bit for bit in value and slope,
-    so the (kappa_j, -) branch is kept under the (-kappa_j, +) key, and one
-    scan of kappa_j answers both sectors +-kappa_j.
+    A run keeps each branch's record under (kernels, p, sector, sign, tol)
+    (see ``_branch_roots``).  With ``conjugate`` the (kappa_j, -)
+    determinant is that of (-kappa_j, +), or its negative, bit for bit in
+    value and slope, so the (kappa_j, -) branch is kept under the
+    (-kappa_j, +) key, and within a run one scan of kappa_j answers both
+    sectors +-kappa_j.
     """
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
     step, k_top = _scan_window(p.R, count)
@@ -441,8 +474,8 @@ def _sector_branches(
                 raise
 
         minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
-        plus_roots, minus_roots = memoized_prefixes(
-            ((kernels, p, sec, 1.0, tol), (kernels, p, *minus, tol)), count, scan
+        plus_roots, minus_roots = _branch_roots(
+            ((kernels, p, sec, 1.0, tol), (kernels, p, *minus, tol)), count, pooled, scan
         )
         found.append((sec, plus_roots, minus_roots))
     return found
@@ -481,17 +514,10 @@ def _magnitudes(
 ) -> list[float]:
     """First ``count`` singular values of one sector: the lowest roots of its
     two branches together.  The scan stops once the branches hold ``count``
-    roots in all, and refuses only when they hold fewer in the window.
-    Within a run the levels are kept under (kernels, p, sector, tol), so a
-    repeated request scans nothing."""
+    roots in all, and refuses only when they hold fewer in the window."""
     tol = tol or ToleranceConfig()
-    _scan_window(p.R, count)  # refuses a count the memo would answer
-
-    def merged() -> list[float]:
-        ((_, plus, minus),) = _sector_branches(kernels, p, [sector], count, tol, threshold, conjugate, pooled=True)
-        return sorted(plus + minus)[:count]
-
-    return memoized_prefix((kernels, p, sector, tol), count, merged)
+    ((_, plus, minus),) = _sector_branches(kernels, p, [sector], count, tol, threshold, conjugate, pooled=True)
+    return sorted(plus + minus)[:count]
 
 
 def mit_spectrum_signed(
@@ -561,12 +587,13 @@ def robin_laplacian_eigenvalues(
         raise ValueError("the Robin solver needs m > 0")
     tol = tol or ToleranceConfig()
     step, hi = _scan_window(p.R, count)
-    roots = memoized_prefix(
-        (_robin_kernels, p, sector, tol),
+    (roots,) = _branch_roots(
+        ((_robin_kernels, p, sector, 1.0, tol),),
         count,
-        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol)[0],
+        False,
+        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol),
     )
-    return [p.m0**2 + k * k for k in roots]
+    return [p.m0**2 + k * k for k in roots[:count]]
 
 
 
@@ -581,7 +608,7 @@ def _panel_count(R: float, k: float) -> int:
 
 def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss nodes and weights of n_panels equal panels on [0, R]."""
-    rule = panel_nodes(0.0, R, max_panel=R / n_panels, n_nodes=16)
+    rule = panel_nodes(0.0, R, max_panel=R / n_panels)
     for array in rule:
         array.flags.writeable = False
     return rule

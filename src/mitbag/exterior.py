@@ -122,14 +122,18 @@ def halfspace_mode_energy(m: float, xi_norm: float) -> float:
     return math.hypot(m, xi_norm)
 
 
+def _check_mass_and_radius(m: float, R: float) -> None:
+    if not (0.0 < m < math.inf and 0.0 < R < math.inf):
+        raise ValueError(f"m and R must be positive and finite, got m={m!r}, R={R!r}")
+
+
 def ball_exterior_dtn(m: float, R: float, ell: int) -> float:
     """Exact exterior Dirichlet-to-Neumann eigenvalue -m k_l'(mR)/k_l(mR).
 
     Computed from exponentially scaled Bessel quotients, so it is exact for
     mR up to ~1e6 and reduces to m + 1/R at l = 0.
     """
-    if m <= 0.0 or R <= 0.0:
-        raise ValueError("m and R must be positive")
+    _check_mass_and_radius(m, R)
     x = m * R
     ek = modified_spherical_bessel_k_scaled(ell, x)
     dek = modified_spherical_bessel_k_scaled_deriv(ell, x)
@@ -221,8 +225,7 @@ def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
 def ball_mode_mass(m: float, R: float, ell: int) -> float:
     """Exterior mass int_R^inf (k_l(m r)/k_l(m R))^2 r^2 dr / R^2 of the
     decaying l-mode of unit boundary value, per unit area of the sphere r = R."""
-    if not (0.0 < m < math.inf and 0.0 < R < math.inf):
-        raise ValueError(f"m and R must be positive and finite, got m={m!r}, R={R!r}")
+    _check_mass_and_radius(m, R)
     # Once per run per argument tuple: the Agmon ratios reuse the plain tails.
     return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0), Decimal(m)))
 
@@ -286,7 +289,6 @@ def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     if gamma >= 1.0:
         raise AgmonDivergenceError(f"weighted mass diverges for gamma={gamma} >= 1")
-    if m <= 0.0 or R <= 0.0:
-        raise ValueError("m and R must be positive")
+    _check_mass_and_radius(m, R)
     weighted, plain = (memoized(_tail_integral, m, R, ell, g) for g in (gamma, 0.0))
     return float(_DIGITS.divide(weighted, plain))

@@ -3,9 +3,11 @@ two-point boundary value problems, and 1/m asymptotic-slope extraction.
 
 Everything here is a pure function of its inputs; all randomness, file IO and
 state live in the verification driver, never in this layer.  One affine map
-(``_rule_on_mesh``) places every composite Gauss rule; ``fit_line`` fits one series.
-``cli.run_suite`` opens and closes the one memo, ``run_memo``: it reuses pure
-results within one verification run and is gone when the run ends.
+(``_rule_on_mesh``) places the one 16-point Gauss rule on every mesh;
+``fit_line`` fits one series.  ``cli.run_suite`` opens and closes the run's
+one table, ``run_memo``.  ``run_table`` hands it out: ``memoized`` and the
+spectral solvers' records of their branch roots reuse pure results in it
+within one verification run, and it is gone when the run ends.
 """
 
 from __future__ import annotations
@@ -81,13 +83,12 @@ _RUN_MEMO: ContextVar[dict[tuple[Any, ...], Any] | None] = ContextVar("run_memo"
 
 @contextmanager
 def run_memo() -> Iterator[None]:
-    """Inside the block, ``memoized`` evaluates each distinct call once, and
-    ``memoized_prefix`` and ``memoized_prefixes`` answer a shorter request
-    from a longer list.
+    """Open the run's table (``run_table``), which ``memoized`` and the
+    spectral solvers' records of their branch roots read and write.
 
-    The memo lives exactly as long as the block.  A verification run opens
+    The table lives exactly as long as the block.  A verification run opens
     one, so a result keyed on the run's radius or masses is reused within the
-    run and never outlives it.  A nested block starts an empty memo, and the
+    run and never outlives it.  A nested block starts an empty table, and the
     outer one is back when it exits; a thread started inside the block does
     not see it.
     """
@@ -98,87 +99,47 @@ def run_memo() -> Iterator[None]:
         _RUN_MEMO.reset(token)
 
 
+def run_table() -> dict[tuple[Any, ...], Any]:
+    """The open ``run_memo`` block's table, or a fresh dict outside one, so
+    that outside a block nothing is kept."""
+    table = _RUN_MEMO.get()
+    return {} if table is None else table
+
+
 def memoized(fn: Callable[..., Any], *args: Any) -> Any:
     """``fn(*args)``, evaluated once per open ``run_memo`` block for equal
     arguments, and on every call outside one.  ``fn`` must be pure, and
     callers must not mutate what it returns."""
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return fn(*args)
+    table = run_table()
     key = (fn, args)
-    if key not in memo:
-        memo[key] = fn(*args)
-    return memo[key]
-
-
-def memoized_prefixes(
-    keys: Sequence[tuple[Any, ...]], count: int, compute: Callable[[], Sequence[Sequence[Any]]]
-) -> list[list[Any]]:
-    """One list per key: those stored under ``keys`` when each holds at least
-    ``count`` items, and otherwise the lists of ``compute()``, one per key.
-
-    Inside an open ``run_memo`` block a computed list replaces a shorter
-    stored one under its key, and the longest list stored answers every
-    request for no more items through its prefix; so the items a
-    computation lists first must not depend on how many it lists.  A
-    computed list may be shorter than ``count``.  Outside a block
-    ``compute`` runs on every call.
-    """
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return [list(items) for items in compute()]
-    slots = [(memoized_prefixes, key) for key in keys]
-    stored = [memo.get(slot, ()) for slot in slots]
-    if any(len(items) < count for items in stored):
-        stored = [tuple(items) for items in compute()]
-        for slot, items in zip(slots, stored, strict=True):
-            if len(items) > len(memo.get(slot, ())):
-                memo[slot] = items
-    return [list(items) for items in stored]
-
-
-def memoized_prefix(key: tuple[Any, ...], count: int, compute: Callable[[], Sequence[Any]]) -> list[Any]:
-    """The first ``count`` items of ``compute()``, which lists at least that
-    many, kept under ``key`` as ``memoized_prefixes`` keeps one list."""
-    return memoized_prefixes((key,), count, lambda: (compute(),))[0][:count]
+    if key not in table:
+        table[key] = fn(*args)
+    return table[key]
 
 
 # ----------------------------------------------------------------------------
 # Quadrature
 # ----------------------------------------------------------------------------
 
-# The Gauss-Legendre rule of the package, tabulated so that no process
-# solves for it: the positive nodes, ascending, and their weights, as the
-# float.hex bits of numpy.polynomial.legendre.leggauss(16).  The rule is
-# symmetric about 0 bit for bit, so the negative half mirrors the table.
-_GAUSS_HALF_RULES = {
-    16: (
-        ("0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
-         "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1"),
-        ("0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
-         "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6"),
-    ),
-}
-
-
-def _mirrored_rule(half_nodes: Sequence[str], half_weights: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([float.fromhex(v) for v in half_nodes])
-    w = np.array([float.fromhex(v) for v in half_weights])
+# The Gauss-Legendre rule of the package, 16 nodes on [-1, 1], tabulated so
+# that no process solves for it: the positive nodes, ascending, and their
+# weights, as the float.hex bits of numpy.polynomial.legendre.leggauss(16).
+# The rule is symmetric about 0 bit for bit, so the negative half mirrors
+# the table.
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    x = np.array([float.fromhex(v) for v in (
+        "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+        "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1")])
+    w = np.array([float.fromhex(v) for v in (
+        "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+        "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6")])
     rule = (np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]))
     for array in rule:
         array.flags.writeable = False
     return rule
 
 
-_GAUSS_RULES = {n: _mirrored_rule(*half) for n, half in _GAUSS_HALF_RULES.items()}
-
-
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n_nodes-point rule on [-1, 1]."""
-    try:
-        return _GAUSS_RULES[n_nodes]
-    except KeyError:
-        raise ValueError(f"n_nodes must be one of {sorted(_GAUSS_RULES)}, got {n_nodes!r}") from None
+_GAUSS_RULE = _gauss_rule()
 
 
 # At most 1M nodes a rule: the suites' largest has 401 panels (the transverse
@@ -186,21 +147,21 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 MAX_PANELS = 2**16
 
 
-def panel_nodes(a: float, b: float, max_panel: float = 0.25, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(a: float, b: float, max_panel: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] with panels <= max_panel,
-    n_nodes = 16 per panel; finite a < b and at most MAX_PANELS panels."""
+    16 per panel; finite a < b and at most MAX_PANELS panels."""
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError(f"panel_nodes requires finite ends with b > a, got [{a!r}, {b!r}]")
     if not (0.0 < max_panel < math.inf and (b - a) / max_panel <= MAX_PANELS):
         raise ValueError(f"max_panel must be finite and > 0 and cut [{a!r}, {b!r}] into at most "
                          f"MAX_PANELS = {MAX_PANELS} panels, got {max_panel!r}")
     n_panels = max(1, int(math.ceil((b - a) / max_panel)))
-    return _rule_on_mesh(np.linspace(a, b, n_panels + 1), n_nodes)
+    return _rule_on_mesh(np.linspace(a, b, n_panels + 1))
 
 
-def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def mesh_aligned_nodes(mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on the panels of a given ascending mesh,
-    n_nodes = 16 per panel.
+    16 per panel.
 
     With 16 nodes the rule is exact for polynomials up to degree 31 on each
     panel, so functionals of a piecewise-polynomial dense ODE output are
@@ -209,12 +170,12 @@ def mesh_aligned_nodes(mesh: np.ndarray, n_nodes: int = 16) -> tuple[np.ndarray,
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or len(mesh) < 2 or not np.all(np.isfinite(mesh)) or np.any(np.diff(mesh) <= 0.0):
         raise ValueError("mesh must be finite and ascending with at least two points")
-    return _rule_on_mesh(mesh, n_nodes)
+    return _rule_on_mesh(mesh)
 
 
-def _rule_on_mesh(mesh: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n_nodes-point rule mapped affinely onto each panel of ``mesh``."""
-    xi, wi = _gauss_legendre(n_nodes)
+def _rule_on_mesh(mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point rule mapped affinely onto each panel of ``mesh``."""
+    xi, wi = _GAUSS_RULE
     half = 0.5 * (mesh[1:] - mesh[:-1])
     mid = 0.5 * (mesh[1:] + mesh[:-1])
     return (mid[:, None] + half[:, None] * xi[None, :]).ravel(), (half[:, None] * wi[None, :]).ravel()
@@ -479,18 +440,15 @@ def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares fit of value ~ limit + slope/m; returns (limit, slope).
 
     Exact (zero residual) on data affine in 1/m; the m-grid must contain at
-    least three distinct positive masses.
+    least three distinct finite positive masses.
     """
     pts = sorted((float(m), float(v)) for m, v in points)
     if len(pts) < 3:
         raise FitError("fit_inverse_m needs at least 3 points")
-    ms = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if np.any(ms <= 0.0) or np.any(np.diff(ms) == 0.0):
-        raise FitError("masses must be distinct and positive")
-    if not np.all(np.isfinite(ys)):
-        raise FitError("values must be finite")
-    return fit_line(1.0 / ms, ys)
+    ms = [m for m, _ in pts]
+    if not all(0.0 < m < math.inf for m in ms) or any(a == b for a, b in zip(ms, ms[1:])):
+        raise FitError("masses must be distinct, finite and positive")
+    return fit_line([1.0 / m for m in ms], [v for _, v in pts])
 
 
 def slope_drift(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

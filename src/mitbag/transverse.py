@@ -560,7 +560,7 @@ def residual_of_ansatz(p: TransverseProblem) -> float:
     """
     T = p.half_width
     c0, c1, c2 = _ansatz_poly(p)
-    x, w = panel_nodes(0.0, T, max_panel=QUAD_PANEL, n_nodes=16)
+    x, w = panel_nodes(0.0, T, max_panel=QUAD_PANEL)
     # The ansatz polynomial P = c0 + c1 tau + c2 tau^2, its slope and e^{-tau},
     # once per node: (P e^{-tau})' = (P' - P) e^{-tau} and
     # (P e^{-tau})'' = (2 c2 - 2 P' + P) e^{-tau}.
@@ -591,7 +591,7 @@ def transverse_form(
     (shape ``tau.shape``), like ``TransverseSolution.evaluate``, or of a stack
     of them (shape ``(n, *tau.shape)``); the result has the leading shape.
     """
-    x, w = panel_nodes(0.0, p.half_width, max_panel=QUAD_PANEL, n_nodes=16)
+    x, w = panel_nodes(0.0, p.half_width, max_panel=QUAD_PANEL)
     fv, dv = profile(x)
     return ((dv * dv + fv * fv) * p.weight(x)) @ w
 

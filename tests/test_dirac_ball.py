@@ -1035,3 +1035,109 @@ class TestLevelPrefix:
         except NumericsError:
             return
         assert solver(p, sec, 1) == two[:1]
+
+
+def _crowded_largemass_kernels(p, sec):
+    """The large-mass kernels with the -E branch read at 5 E: its roots
+    crowd below those of the +E branch.  The solvers' own branches
+    interlace, so only a stand-in like this one shows a request that the
+    roots of each branch up to its reach do not answer."""
+    values, (plus, minus) = dirac_ball._largemass_kernels(p, sec)
+
+    def crowded_values(E):
+        return values(E)[0], values(5.0 * E)[1]
+
+    def crowded_minus(E):
+        f, df = minus(5.0 * E)
+        return f, 5.0 * df
+
+    return crowded_values, (plus, crowded_minus)
+
+
+def _signed_levels(solver):
+    return lambda p, sec, n: [e for e, _ in solver(p, [sec], n)]
+
+
+RECORD_REQUESTS = {
+    "mit signed": _signed_levels(mit_spectrum_signed),
+    "mit magnitudes": mit_eigenvalues,
+    "largemass signed": _signed_levels(largemass_spectrum_signed),
+    "largemass magnitudes": largemass_eigenvalues,
+    "crowded signed": lambda p, sec, n: [
+        e for e, _ in dirac_ball._signed_spectrum(_crowded_largemass_kernels, p, [sec], n, None, p.m)
+    ],
+    "crowded magnitudes": lambda p, sec, n: dirac_ball._magnitudes(_crowded_largemass_kernels, p, sec, n, None, p.m),
+    "robin": robin_laplacian_eigenvalues,
+}
+
+
+class TestBranchRecords:
+    """A run keeps one record per spectral branch, (roots, reach), and
+    answers a request from the records only where the roots up to their
+    reach hold the request's answer."""
+
+    @staticmethod
+    def _answer(request, p, kj, count):
+        try:
+            return [e.hex() for e in RECORD_REQUESTS[request](p, AngularSector(kj), count)]
+        except NumericsError as exc:
+            return type(exc).__name__
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        R=st.floats(min_value=0.3, max_value=5.0),
+        m=st.floats(min_value=math.log(3.0), max_value=math.log(1e6)).map(math.exp),
+        data=st.data(),
+    )
+    def test_requests_in_one_run_get_their_bits_alone(self, R, m, data):
+        # One or two sectors a run, so that its requests meet in the records.
+        kjs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=2, unique=True))
+        requests = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(RECORD_REQUESTS)), st.sampled_from(kjs), st.integers(min_value=1, max_value=4)
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        p = DiracParams(R=R, m=m)
+        alone = [self._answer(request, p, kj, count) for request, kj, count in requests]
+        with run_memo():
+            assert [self._answer(request, p, kj, count) for request, kj, count in requests] == alone
+
+    def test_records_answer_up_to_their_reach(self):
+        walks = []
+
+        def walk(*branches):
+            def scan():
+                walks.append(branches)
+                return [list(roots) for roots in branches]
+
+            return scan
+
+        def no_walk():
+            raise AssertionError("the records answer this request")
+
+        keys = (("plus",), ("minus",))
+        with run_memo():
+            # A walk for 3 per branch: each branch reaches its own last root.
+            assert dirac_ball._branch_roots(keys, 3, False, walk([1.0, 4.0, 7.0], [2.0, 2.5, 3.0])) == [
+                [1.0, 4.0, 7.0],
+                [2.0, 2.5, 3.0],
+            ]
+            # Four roots lie up to the lesser reach 3: a pooled request for
+            # 4 after the deeper walk scans nothing, and one for 5 walks.
+            assert dirac_ball._branch_roots(keys, 4, True, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0]]
+            assert dirac_ball._branch_roots(keys, 5, True, walk([1.0], [2.0, 2.5, 3.0, 3.5])) == [
+                [1.0],
+                [2.0, 2.5, 3.0, 3.5],
+            ]
+            # That pooled walk reaches 3.5 in both branches: it replaces the
+            # minus record, and not the plus record, which reaches 7.
+            assert dirac_ball._branch_roots(keys, 3, False, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
+            assert dirac_ball._branch_roots(keys, 5, True, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
+        assert len(walks) == 2
+        # Outside a run every request walks.
+        dirac_ball._branch_roots(keys, 1, False, walk([1.0], [2.0]))
+        assert len(walks) == 3

@@ -346,3 +346,18 @@ def test_ball_mode_mass_refuses_non_positive_mass_or_radius(m, R, ell):
     # negative mass came back: -0.5 and -0.222... for the first two cases.
     with pytest.raises(ValueError, match="positive and finite"):
         exterior.ball_mode_mass(m, R, ell)
+
+
+@pytest.mark.parametrize("m, R", ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan), (0.0, 1.0)))
+@pytest.mark.parametrize(
+    "call",
+    (lambda m, R: ball_exterior_dtn(m, R, 0), lambda m, R: agmon_decay_check(m, R, 1, 0.3)),
+    ids=("dtn", "agmon"),
+)
+def test_ball_mode_checks_name_m_and_r(monkeypatch, call, m, R):
+    # m or R outside 0 < x < inf is refused by name before any Bessel call,
+    # whose own argument check would name neither.
+    monkeypatch.setattr(exterior, "modified_spherical_bessel_k_scaled", None)
+    monkeypatch.setattr(exterior, "_tail_integral", None)
+    with pytest.raises(ValueError, match=rf"^m and R must be positive and finite, got m={m!r}, R={R!r}$"):
+        call(m, R)
