@@ -227,8 +227,8 @@ def run_suite(config: SuiteConfig) -> Report:
         ("solver_rel_tol", tol.rel_tol),
         ("solver_max_iter", tol.max_iter),
     ]
-    # Every suite shares the run's memo: its eigen-solves and eigenpairs,
-    # tail integrals, quadrature rules and interior samples.
+    # Every suite shares the run's memo: its eigen-solves, eigenpairs and
+    # tail integrals.
     with run_memo():
         for name in names:
             recs, summary = _SUITE_RUNNERS[name](config)

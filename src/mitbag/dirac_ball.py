@@ -43,14 +43,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .exterior import ball_mode_mass
 from .numerics import (
     NumericsError,
     ToleranceConfig,
     find_root_bracketed,
-    memoized,
     panel_nodes,
     run_table,
 )
@@ -147,7 +144,7 @@ class RadialEigenpair:
     exterior_norm_sq: float = 0.0
 
     def norm_sq(self) -> float:
-        """Squared L^2 norm, the interior by quadrature of the closed form."""
+        """Squared L^2 norm, the interior by Lommel's integral at kR."""
         return _interior_norm_sq(self.R, self.sector, *self.radial_params) + self.exterior_norm_sq
 
 
@@ -601,46 +598,22 @@ def robin_laplacian_eigenvalues(
 # Eigenpair construction
 # ----------------------------------------------------------------------------
 
-def _panel_count(R: float, k: float) -> int:
-    """Panels of at most 0.7 radians of the phase k r on [0, R]."""
-    return max(8, int(math.ceil(R * k / 0.7)))
-
-
-def _interior_rule(R: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss nodes and weights of n_panels equal panels on [0, R]."""
-    rule = panel_nodes(0.0, R, max_panel=R / n_panels)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
-
-
-def _interior_samples(
-    n: int, k: float, R: float, n_panels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (r, w, j_n(k r), j_{n+1}(k r)) on the rule of n_panels
-    panels on [0, R]."""
-    r, w = memoized(_interior_rule, R, n_panels)
-    x = k * r
-    lo, hi = spherical_bessel_j(n, x), spherical_bessel_j(n + 1, x)
-    lo.flags.writeable = hi.flags.writeable = False
-    return r, w, lo, hi
-
-
-def _sampled(
-    sector: AngularSector, k: float, R: float, k_grid: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(r, w, j_{l_A}(k r), j_{l_B}(k r)) on the rule that resolves the phase
-    k_grid >= k.  The eigenpairs of a run share a handful of rules, and each
-    eigenfunction is sampled once per run on each rule; the sectors +-kappa_j
-    have the same order pair, so at one k they share one sampling."""
-    r, w, lo, hi = memoized(_interior_samples, abs(sector.kappa_j) - 1, k, R, _panel_count(R, k_grid))
-    return (r, w, hi, lo) if sector.kappa_j > 0 else (r, w, lo, hi)
-
-
 def _interior_norm_sq(R: float, sector: AngularSector, k: float, c_up: float, c_lo: float) -> float:
-    """Squared L^2 norm of (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) over the ball."""
-    r, w, ja, jb = _sampled(sector, k, R, k)
-    return float(np.dot(w, ((c_up * ja) ** 2 + (c_lo * jb) ** 2) * r**2))
+    """Squared L^2 norm of (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) over the
+    ball, by Lommel's integral (DLMF 10.22.5, nu = l + 1/2) at x = kR:
+
+        int_0^x t^2 j_l^2 dt = (x^3/2) [(j_l' + j_l/(2x))^2 + (1 - (l + 1/2)^2/x^2) j_l^2].
+
+    The bracket cancels below x ~ l + 1/2 (the integral is O(x^{2l+3}), its
+    terms O(x^{2l+1})); every solved level sits above 1.05 (l + 1/2)."""
+    x = k * R
+    jA, jB, djA, djB = _j_pair(sector, x)
+
+    def bracket(ell: int, j: float, dj: float) -> float:
+        return (dj + 0.5 / x * j) ** 2 + (1.0 - ((ell + 0.5) / x) ** 2) * j * j
+
+    up, lo = bracket(sector.ell_upper, jA, djA), bracket(sector.ell_lower, jB, djB)
+    return 0.5 * R**3 * (c_up * c_up * up + c_lo * c_lo * lo)  # x^3 / k^3 = R^3
 
 
 def _eigenpair(
@@ -824,12 +797,13 @@ def boundary_identity_check(
     lam = abs(u_mit.energy)
     lam_int = u_int.energy
     (k_int, c_up, c_lo), (k_mit, d_up, d_lo) = u_int.radial_params, u_mit.radial_params
-    k_max = max(k_int, k_mit)
-    r, w, ja, jb = _sampled(u_int.sector, k_int, p.R, k_max)
-    a, b = c_up * ja, c_lo * jb
-    _, _, ja, jb = _sampled(u_mit.sector, k_mit, p.R, k_max)
-    f, g = d_up * ja, d_lo * jb
-    inner = float(np.dot(w, (a * f + b * g) * r**2))
+    # Gauss quadrature on panels of at most 0.7 radians of the faster phase,
+    # summed in a fixed order: an independent route to the interior product.
+    r, w = panel_nodes(0.0, p.R, max_panel=p.R / max(8, math.ceil(p.R * max(k_int, k_mit) / 0.7)))
+    lA, lB = u_int.sector.ell_upper, u_int.sector.ell_lower
+    a, b = c_up * spherical_bessel_j(lA, k_int * r), c_lo * spherical_bessel_j(lB, k_int * r)
+    f, g = d_up * spherical_bessel_j(lA, k_mit * r), d_lo * spherical_bessel_j(lB, k_mit * r)
+    inner = math.fsum(w * (a * f + b * g) * r**2)
     lhs = m * (lam_int - lam * lam) * inner
     Da, Db = _robin_traces(u_int, p)
     Df, Dg = _robin_traces(u_mit, p)

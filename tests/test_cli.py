@@ -411,38 +411,10 @@ def test_additivity_row_fails_when_a_bessel_coefficient_moves(monkeypatch, R):
     assert not row.passed
 
 
-@pytest.mark.parametrize("suite", ("dirac", "robin", "all"))
-def test_interior_rules_are_built_once_per_run(tmp_path, monkeypatch, suite):
-    # The eigenpairs of a run ask for the same (R, panel count) quadrature
-    # rules again and again; each is built once per run, and a second run
-    # builds them all again.
-    requests, built = [], []
-    samples, rule = dirac_ball._interior_samples, dirac_ball._interior_rule
-
-    def requested(*args):
-        requests.append(args)
-        return samples(*args)
-
-    def building(*args):
-        built.append(args)
-        return rule(*args)
-
-    monkeypatch.setattr(dirac_ball, "_interior_samples", requested)
-    monkeypatch.setattr(dirac_ball, "_interior_rule", building)
-    config = SuiteConfig(suite=suite, output_path=str(tmp_path / "r.csv"))
-    run_suite(config)
-    first = list(built)
-    assert len(first) == len(set(first)) < len(requests)
-    built.clear()
-    run_suite(config)
-    assert built == first
-
-
 def _spy_scans(monkeypatch):
     """Record every scan as (kernel factory, p, sector, tol), one lockstep
-    scan of all the sector's branches, and every interior sampling of an
-    eigenfunction by its arguments."""
-    scans, sampled, bound_kernels = [], [], []
+    scan of all the sector's branches."""
+    scans, bound_kernels = [], []
     for name in ("_mit_kernels", "_largemass_kernels", "_robin_kernels"):
         original = getattr(dirac_ball, name)
 
@@ -451,29 +423,24 @@ def _spy_scans(monkeypatch):
             return _original(p, sector)
 
         monkeypatch.setattr(dirac_ball, name, factory)
-    scan, samples = dirac_ball._scan_roots, dirac_ball._interior_samples
+    scan = dirac_ball._scan_roots
 
     def scanning(kernels, lo, hi, step, count, tol, *pooled):
         # Each scan binds its kernels just before it starts.
         scans.append((*bound_kernels.pop(), tol))
         return scan(kernels, lo, hi, step, count, tol, *pooled)
 
-    def sampling(*args):
-        sampled.append(args)
-        return samples(*args)
-
     monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
-    monkeypatch.setattr(dirac_ball, "_interior_samples", sampling)
-    return scans, sampled
+    return scans
 
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # The run memo holds every branch scan of a run: under suite=all no
     # (kernel, p, sector, tol) is scanned twice, the bag ground sector is
     # scanned once, both branches in lockstep, and serves its charge
-    # conjugate, no eigenpair is built twice, and no eigenfunction is
-    # sampled twice on one grid.  A second run scans everything again.
-    scans, sampled = _spy_scans(monkeypatch)
+    # conjugate, and no eigenpair is built twice.  A second run scans
+    # everything again.
+    scans = _spy_scans(monkeypatch)
     pairs = []
     for name in ("mit_eigenpair", "robin_eigenpair"):
         original = getattr(suites, name)
@@ -487,7 +454,6 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     report = run_suite(config)
     assert report.passed
     assert pairs and len(set(pairs)) == len(pairs)
-    assert sampled and len(set(sampled)) == len(sampled)
     assert len(set(scans)) == len(scans)
     p, tol = DiracParams(R=1.0), config.tolerances
     # The kj=+1 branches are the charge conjugates of the kj=-1 ones.
@@ -501,11 +467,10 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
         "_largemass_kernels": 13,
         "_robin_kernels": 15,
     }
-    first, first_sampled = list(scans), list(sampled)
+    first = list(scans)
     scans.clear()
-    sampled.clear()
     run_suite(config)
-    assert scans == first and sampled == first_sampled
+    assert scans == first
 
 
 # Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then

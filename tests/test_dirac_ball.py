@@ -5,6 +5,7 @@ import contextlib
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -170,13 +171,98 @@ class TestBagEigenpair:
         with pytest.raises(SpecialFunctionDomainError, match=bad):
             largemass_eigenpair(DiracParams(R=1.0, m0=0.0, m=1e200), GROUND, 3.0)
 
-    def test_interior_grid_follows_the_phase_not_the_radius(self):
-        # k R = 2.04 radians of phase: the 8-panel floor of 16 nodes each,
-        # however large the ball.
-        r, w = dirac_ball._interior_rule(1e4, dirac_ball._panel_count(1e4, 2.04e-4))
+    def test_interior_grid_follows_the_phase_not_the_radius(self, monkeypatch):
+        # The boundary identity's quadrature of a bag pair against a Robin
+        # pair: at most k R = 2.04 radians of phase takes the 8-panel floor
+        # of 16 nodes each, however large the ball.
+        rules = []
+        panel_nodes = dirac_ball.panel_nodes
+
+        def recorded(*args, **kwargs):
+            rules.append(panel_nodes(*args, **kwargs))
+            return rules[-1]
+
+        monkeypatch.setattr(dirac_ball, "panel_nodes", recorded)
+        p = DiracParams(R=1e4, m=1.0)
+        u_mit = mit_eigenpair(p, GROUND, 2.04e-4)
+        u_int = robin_eigenpair(p, GROUND, 1.5e-4**2)
+        boundary_identity_check(u_int, u_mit, p.m, p)
+        ((r, w),) = rules
         assert r.shape == w.shape == (8 * 16,)
         assert float(np.sum(w)) == pytest.approx(1e4, rel=1e-12)
 
+
+
+def _lommel_reference(ell: int, x: mpmath.mpf) -> mpmath.mpf:
+    """int_0^x t^2 j_l(t)^2 dt = (x^3/2)(j_l^2 - j_{l-1} j_{l+1}) from mpmath's
+    J_{l+1/2}, with j_{-1}(x) = cos x / x; at the caller's precision."""
+
+    def j(n):
+        return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(n + 0.5, x)
+
+    return x**3 / 2 * (j(ell) ** 2 - j(ell - 1) * j(ell + 1))
+
+
+def _quadrature_norm_sq(u) -> float:
+    """Interior mass of an eigenpair by composite 32-point Gauss-Legendre
+    quadrature of scipy's j_l, on panels of at most 0.5 radians of phase."""
+    k, c_up, c_lo = u.radial_params
+    t, wt = sp.roots_legendre(32)
+    edges = np.linspace(0.0, u.R, max(4, math.ceil(k * u.R / 0.5)) + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    r, w = (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * wt).ravel()
+    f = c_up * sp.spherical_jn(u.sector.ell_upper, k * r)
+    g = c_lo * sp.spherical_jn(u.sector.ell_lower, k * r)
+    return math.fsum(w * (f * f + g * g) * r * r)
+
+
+class TestInteriorNorm:
+    """The interior norm of an eigenpair is Lommel's integral at x = kR."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kj=st.integers(min_value=1, max_value=50).flatmap(lambda n: st.sampled_from([n, -n])),
+        R=st.floats(min_value=0.5, max_value=3.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_against_a_40_digit_lommel_value(self, kj, R, u):
+        # x log-uniform on [max(l_A, l_B) + 1/2, 1e4]: each component alone.
+        # Below 1.05 (l + 1/2), where no solved level sits, the turning point
+        # amplifies the Bessel values' rounding (j_l' = (l/x) j_l - j_{l+1}
+        # cancels): 1.5e-14 at x = l + 1/2 for kj = 45.
+        sec = AngularSector(kj)
+        lo = max(sec.ell_upper, sec.ell_lower) + 0.5
+        k = lo * (1e4 / lo) ** u / R
+        rel = 1e-14 if k * R >= 1.05 * lo else 3e-14
+        for ell, coeffs in ((sec.ell_upper, (1.0, 0.0)), (sec.ell_lower, (0.0, 1.0))):
+            with mpmath.workdps(40):
+                kk = mpmath.mpf(k)
+                expected = float(_lommel_reference(ell, kk * mpmath.mpf(R)) / kk**3)
+            assert dirac_ball._interior_norm_sq(R, sec, k, *coeffs) == pytest.approx(expected, rel=rel, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kj=st.sampled_from([s * k for k in range(1, 7) for s in (-1, 1)]),
+        R=st.floats(min_value=0.5, max_value=3.0),
+        m0=st.floats(min_value=0.01, max_value=2.0),
+        m=st.floats(min_value=math.log(0.5), max_value=math.log(1e6)).map(math.exp),
+        count=st.integers(min_value=1, max_value=3),
+    )
+    def test_solved_levels_against_quadrature(self, kj, R, m0, m, count):
+        # Every level the three solvers return sits at kR >= 1.05 (l + 1/2)
+        # for the higher order l, above the range where the bracket of
+        # Lommel's form cancels (the integral is O(x^{2l+3}), its terms
+        # O(x^{2l+1})); there the unit pair's interior mass by quadrature,
+        # plus its exterior tail, is 1.
+        p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
+        pairs = [mit_eigenpair(p, sec, E) for E, _ in mit_spectrum_signed(p, [sec], count)]
+        pairs += [robin_eigenpair(p, sec, lam) for lam in robin_laplacian_eigenvalues(p, sec, count)]
+        with contextlib.suppress(EssentialSpectrumError):  # fewer levels below m0 + m
+            pairs += [largemass_eigenpair(p, sec, E) for E, _ in largemass_spectrum_signed(p, [sec], count)]
+        for u in pairs:
+            assert u.radial_params[0] * R >= 1.05 * (max(sec.ell_upper, sec.ell_lower) + 0.5)
+            assert _quadrature_norm_sq(u) + u.exterior_norm_sq == pytest.approx(1.0, rel=0.0, abs=4e-15)
+            assert u.norm_sq() == pytest.approx(1.0, rel=0.0, abs=4e-15)
 
 
 class TestFunctionals:
@@ -461,7 +547,8 @@ class TestSpectralResult:
 
     def test_conjugate_sectors_share_one_sampling(self, monkeypatch):
         # kj = -1 at E and kj = +1 at -E have the same k and the order pair
-        # (0, 1): one sampling of j_0 and j_1 serves both eigenpairs.
+        # (0, 1): both norms read j_0 and j_1 at the one point kR, and no
+        # eigenpair samples a Bessel function on an interior grid.
         orders = []
         bessel_j = dirac_ball.spherical_bessel_j
 
@@ -474,12 +561,7 @@ class TestSpectralResult:
         with run_memo():
             minus = mit_eigenpair(P0, GROUND, lam)
             plus = mit_eigenpair(P0, AngularSector(1), -lam)
-            assert sorted(orders) == [0, 1]
-            for sec in (GROUND, AngularSector(1)):
-                r, _, ja, jb = dirac_ball._sampled(sec, lam, P0.R, lam)
-                assert np.array_equal(ja, bessel_j(sec.ell_upper, lam * r))
-                assert np.array_equal(jb, bessel_j(sec.ell_lower, lam * r))
-        assert sorted(orders) == [0, 1]
+        assert orders == []
         assert minus.norm_sq() == pytest.approx(1.0, abs=1e-12)
         assert plus.norm_sq() == pytest.approx(1.0, abs=1e-12)
 

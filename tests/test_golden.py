@@ -12,7 +12,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -190,3 +193,35 @@ def test_mismatch_names_each_moved_row(fmt):
     assert f"(relative change {_relative_change(old, new)})" in message
     assert 1e-16 < float(_relative_change(old, new)) < 3e-16
     assert describe_moves(golden, golden, fmt) == "the bytes differ but no row moved"
+
+
+# The BLAS kernel and numpy's SIMD dispatch, as environment variables read
+# by the child process only; the default environment is the reference.
+KERNEL_VARIANTS = (
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+)
+
+
+@pytest.mark.parametrize("suite", ("dirac", "robin"))
+def test_spectral_reports_do_not_move_with_the_cpu_kernel(tmp_path, suite):
+    """The dirac and robin reports are the same bytes under every BLAS kernel
+    and SIMD dispatch tried: no value on their paths goes through BLAS.
+
+    The transverse suite is left out: its solve runs on BLAS and LAPACK
+    (ROADMAP items 2 and 19), and 48 of its rows per radius move with the
+    kernel.  The program pins no variable; the children set them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for i, variant in enumerate(({}, *KERNEL_VARIANTS)):
+        out = tmp_path / f"{suite}-{i}.json"
+        env = dict(os.environ, PYTHONPATH=src, **variant)
+        command = [sys.executable, "-m", "mitbag", str(GOLDEN / "config_R0.5.json"), "--suite", suite,
+                   "--format", "json", "--out", str(out)]
+        runs.append((variant, out, subprocess.Popen(command, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)))
+    assert [proc.wait() for _, _, proc in runs] == [0] * len(runs)
+    reference = runs[0][1].read_bytes()
+    for variant, out, _ in runs[1:]:
+        actual = out.read_bytes()
+        assert actual == reference, f"{variant} moved:\n" + describe_moves(reference, actual, "json")

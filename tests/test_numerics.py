@@ -298,16 +298,22 @@ class TestPanelLimit:
 
     def test_public_inputs_past_the_limit_are_refused(self):
         # Every composite rule comes from panel_nodes, so its limit bounds
-        # the eigenpairs (k R > 0.7 MAX_PANELS = 45875.2) and the transverse
-        # quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8).
-        p, ground, flat = DiracParams(R=1.0), AngularSector(-1), CurvatureData.flat()
-        for energy in (4.6e4, 1e100):
-            refused_without_allocating(lambda: mit_eigenpair(p, ground, energy), "MAX_PANELS")
-        refused_without_allocating(lambda: robin_eigenpair(p, ground, 1e200), "MAX_PANELS")
+        # the transverse quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8).
+        flat = CurvatureData.flat()
         for m in (2.7e8, 1e150):
             prob = TransverseProblem(m=m, curv=flat)
             refused_without_allocating(lambda: residual_of_ansatz(prob), "MAX_PANELS")
             refused_without_allocating(lambda: transverse_form(prob, lambda t: (t, t)), "MAX_PANELS")
+
+    def test_eigenpairs_have_no_panel_limit(self):
+        # The interior norm is a closed form at k R, with no rule to outgrow:
+        # past k R = 0.7 MAX_PANELS = 45875.2 an eigenpair is built and has
+        # unit norm.
+        p, ground = DiracParams(R=1.0, m=1.0), AngularSector(-1)
+        for kR in (5e4, 1e100):
+            for u in (mit_eigenpair(p, ground, kR), robin_eigenpair(p, ground, kR * kR)):
+                assert u.radial_params[0] == kR
+                assert u.norm_sq() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_agmon_tail_has_no_panel_limit(self):
         # The Agmon tail is a closed form, with no rule to outgrow.
