@@ -117,22 +117,32 @@ def memoized(fn: Callable[..., Any], *args: Any) -> Any:
     return table[key]
 
 
+def libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn``, a function of ``math``, at each element of ``x``.  numpy's exp,
+    log, sin and cos run the SIMD loop of the CPU features numpy dispatches
+    to, and the loops differ in their last bits; the C library's scalar
+    functions do not depend on that dispatch."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 # ----------------------------------------------------------------------------
 # Quadrature
 # ----------------------------------------------------------------------------
 
 # The Gauss-Legendre rule of the package, 16 nodes on [-1, 1], tabulated so
 # that no process solves for it: the positive nodes, ascending, and their
-# weights, as the float.hex bits of numpy.polynomial.legendre.leggauss(16).
-# The rule is symmetric about 0 bit for bit, so the negative half mirrors
-# the table.
+# weights, as the float.hex bits of the doubles nearest the exact values
+# (60-digit Newton iteration on P_16; numpy's leggauss(16) has the same
+# nodes and weights up to 63 ulp off).  The rule is symmetric about 0 bit
+# for bit, so the negative half mirrors the table.
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     x = np.array([float.fromhex(v) for v in (
         "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
         "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1")])
     w = np.array([float.fromhex(v) for v in (
-        "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
-        "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6")])
+        "0x1.83feae80e4dfcp-3", "0x1.75f8c77e0c00fp-3", "0x1.5a6ebbb5a75fcp-3", "0x1.325f61bca3cbfp-3",
+        "0x1.fe7af2bad386ap-4", "0x1.85c4ee79cc258p-4", "0x1.fdfb1a2c1265dp-5", "0x1.bcddab4b7c211p-6")])
     rule = (np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]))
     for array in rule:
         array.flags.writeable = False

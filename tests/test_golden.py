@@ -91,6 +91,7 @@ def describe_moves(expected: bytes, actual: bytes, fmt: str) -> str:
 # some golden report, and why such a row still checks something.
 EXACT_ROWS = {
     "transverse.sphere.cancellation": "K = kappa^2/4 cancels the m^-2 term in exact arithmetic; dyadic kappa rounds to 0",
+    "transverse.flat.limit.m1e4": "Lambda = coth 100 = 1 + 3e-87 rounds to 1, and the series solve's flux gets it",
     "exterior.dtn.l0": "e^x k_0 is one term, so the DtN value rounds to the closed form m + 1/R at some masses",
     "exterior.dtn.l1": "e^x k_1 is two terms, so the DtN value rounds to its closed form at some masses",
     "exterior.effective.rate.sphere": "the m = 1e2 row anchors the envelope: its bound is its own value",
@@ -204,24 +205,29 @@ KERNEL_VARIANTS = (
 )
 
 
-@pytest.mark.parametrize("suite", ("dirac", "robin"))
-def test_spectral_reports_do_not_move_with_the_cpu_kernel(tmp_path, suite):
-    """The dirac and robin reports are the same bytes under every BLAS kernel
-    and SIMD dispatch tried: no value on their paths goes through BLAS.
+def _cpu_has_avx512() -> bool:
+    try:
+        return "avx512f" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
 
-    The transverse suite is left out: its solve runs on BLAS and LAPACK
-    (ROADMAP items 2 and 19), and 48 of its rows per radius move with the
-    kernel.  The program pins no variable; the children set them."""
+
+def test_report_does_not_move_with_the_cpu_kernel(tmp_path):
+    """verify writes the golden bytes under every BLAS kernel and SIMD
+    dispatch tried (SkylakeX where the CPU has AVX-512): no value of the
+    report goes through BLAS, LAPACK or numpy's dispatched exp, log, sin and
+    cos.  The program pins no variable; the children set them."""
+    variants = [*KERNEL_VARIANTS, *([{"OPENBLAS_CORETYPE": "SkylakeX"}] if _cpu_has_avx512() else [])]
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
-    for i, variant in enumerate(({}, *KERNEL_VARIANTS)):
-        out = tmp_path / f"{suite}-{i}.json"
+    for i, variant in enumerate(variants):
+        out = tmp_path / f"report-{i}.json"
         env = dict(os.environ, PYTHONPATH=src, **variant)
-        command = [sys.executable, "-m", "mitbag", str(GOLDEN / "config_R0.5.json"), "--suite", suite,
-                   "--format", "json", "--out", str(out)]
+        command = [sys.executable, "-m", "mitbag", str(GOLDEN / "config_R0.5.json"), "--format", "json",
+                   "--out", str(out)]
         runs.append((variant, out, subprocess.Popen(command, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)))
     assert [proc.wait() for _, _, proc in runs] == [0] * len(runs)
-    reference = runs[0][1].read_bytes()
-    for variant, out, _ in runs[1:]:
+    expected = (GOLDEN / "report_R0.5.json").read_bytes()
+    for variant, out, _ in runs:
         actual = out.read_bytes()
-        assert actual == reference, f"{variant} moved:\n" + describe_moves(reference, actual, "json")
+        assert actual == expected, f"{variant} moved:\n" + describe_moves(expected, actual, "json")

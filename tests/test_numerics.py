@@ -239,7 +239,8 @@ class TestQuadrature:
             mesh_aligned_nodes(np.array(mesh))
 
     def test_tabulated_rules_are_numpys(self):
-        # One panel on [-1, 1] returns the reference rule itself.
+        # One panel on [-1, 1] returns the tabulated rule itself, which is
+        # numpy's up to the rounding of its weights.
         from numpy.polynomial.legendre import leggauss
 
         n = 16
@@ -250,6 +251,30 @@ class TestQuadrature:
         for k in range(2 * n):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(float(np.dot(w, x**k)) - exact) <= 1e-15
+
+
+    def test_tabulated_rule_is_correctly_rounded(self):
+        # Each node and weight is the double nearest its 60-digit value:
+        # Newton's iteration on P_16 from the Chebyshev-like guesses
+        # cos(pi (i - 1/4) / (n + 1/2)), and w = 2 / ((1 - x^2) P_16'(x)^2).
+        import mpmath
+
+        n = 16
+        x, w = panel_nodes(-1.0, 1.0, max_panel=2.0)
+        with mpmath.workdps(60):
+            for i in range(1, n + 1):
+                z = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+                for _ in range(12):
+                    p_prev, p = mpmath.mpf(1), z
+                    for k in range(2, n + 1):
+                        p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
+                    dp = n * (z * p - p_prev) / (z * z - 1)
+                    z -= p / dp
+                p_prev, p = mpmath.mpf(1), z
+                for k in range(2, n + 1):
+                    p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
+                dp = n * (z * p - p_prev) / (z * z - 1)
+                assert x[n - i] == float(z) and w[n - i] == float(2 / ((1 - z * z) * dp * dp)), i
 
 
 def refused_without_allocating(call, match):

@@ -34,8 +34,6 @@ ALLOWED_UNREAD_FIELDS = {
     "ShootingSolution.du": "tracer-pinned shooting solver output",
     "ShootingSolution.deriv_left": "tracer-pinned shooting solver output",
     "ShootingSolution.mesh": "tracer-pinned shooting solver output",
-    # Read by the tests: __post_init__ checks lam = -deriv0 on every solve.
-    "TransverseSolution.deriv0": "flux form of the energy, the check on lam",
 }
 
 

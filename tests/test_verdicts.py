@@ -19,7 +19,7 @@ import mitbag.suites as suites
 from mitbag.cli import config_from_dict, run_suite
 from mitbag.numerics import ToleranceConfig, run_memo
 from mitbag.report import CheckRecord, emit_table
-from mitbag.transverse import ELEMENT_DEGREE, ELEMENT_PANEL, TAU_CUT
+from test_transverse import kept_segments
 
 VERDICT = {
     "abs": lambda e, o, t: abs(o - e) <= t,
@@ -306,20 +306,17 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
 
     monkeypatch.setattr(suites, "solve_transverse", spy)
     _, summary = cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
-    # Each collar keeps the panels of its uncut layout that start before TAU_CUT.
-    n_el = []
-    for p in problems:
-        T = math.sqrt(p.m)
-        panels = math.ceil(T / ELEMENT_PANEL)
-        n_el.append(panels if T <= TAU_CUT else math.ceil(TAU_CUT / (T / panels)))
-    assert len(problems) == 97
-    assert summary["transverse_elements"] == sum(n_el) == 436
-    assert summary["transverse_dofs"] == sum(n * ELEMENT_DEGREE + 1 for n in n_el) == 6201
+    # Each collar keeps the segments of its uncut layout that start before
+    # TAU_CUT; one (-1, -2) problem at m = 25 has three, not two, as its
+    # weight's zero is 7.5 from the collar.
+    n_el = [kept_segments(p)[0] for p in problems]
+    assert len(problems) == 97 and "transverse_dofs" not in summary
+    assert summary["transverse_elements"] == sum(n_el) == 437
 
 
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     # All 97 problems (4 flat, 92 of the curvature sweep, the seeded one) go
-    # to one solve_transverse call, which makes one batched interior solve;
+    # to one solve_transverse call, which makes no LAPACK solve;
     # the slopes take one one-series line fit per series, the 20 pairs, the
     # aggregates of the two cohorts and the flat mass, and none calls lstsq.
     stacks, interior_solves, fits, lstsqs = [], [], [], []
@@ -339,7 +336,7 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsqs.append(args) or lstsq(*args, **kw))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     assert [len(stack) for stack in stacks] == [97]
-    assert len(interior_solves) == 1
+    assert len(interior_solves) == 0
     assert len(fits) == 23
     assert len(lstsqs) == 0
     assert all(np.ndim(y) == 1 for _, y in fits)
