@@ -205,6 +205,28 @@ KERNEL_VARIANTS = (
 )
 
 
+@pytest.mark.parametrize("suite", ("dirac", "robin"))
+def test_spectral_reports_do_not_move_with_the_cpu_kernel(tmp_path, suite):
+    """The dirac and robin reports are the same bytes under every BLAS kernel
+    and SIMD dispatch tried as in the default environment: no value on their
+    paths goes through BLAS.  The whole report, the transverse suite with it,
+    is held to the golden bytes by test_report_does_not_move_with_the_cpu_kernel.
+    The program pins no variable; the children set them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for i, variant in enumerate(({}, *KERNEL_VARIANTS)):
+        out = tmp_path / f"{suite}-{i}.json"
+        env = dict(os.environ, PYTHONPATH=src, **variant)
+        command = [sys.executable, "-m", "mitbag", str(GOLDEN / "config_R0.5.json"), "--suite", suite,
+                   "--format", "json", "--out", str(out)]
+        runs.append((variant, out, subprocess.Popen(command, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)))
+    assert [proc.wait() for _, _, proc in runs] == [0] * len(runs)
+    reference = runs[0][1].read_bytes()
+    for variant, out, _ in runs[1:]:
+        actual = out.read_bytes()
+        assert actual == reference, f"{variant} moved:\n" + describe_moves(reference, actual, "json")
+
+
 def _cpu_has_avx512() -> bool:
     try:
         return "avx512f" in Path("/proc/cpuinfo").read_text().split()
