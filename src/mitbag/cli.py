@@ -107,7 +107,7 @@ class SuiteConfig:
             curv = CurvatureData(*pair)
             try:
                 valid = [m for m in self.m_grid or TRANSVERSE_M_GRID if collar_is_valid(curv, m)]
-            except ArithmeticError as exc:  # m * m underflows to 0 in the weight bound
+            except ValueError as exc:  # m * m underflows to 0 in the weight bound
                 raise ConfigError(
                     f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
                     f"of the grid: {exc}"

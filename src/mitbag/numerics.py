@@ -152,8 +152,8 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 _GAUSS_RULE = _gauss_rule()
 
 
-# At most 1M nodes a rule: the suites' largest has 401 panels (the transverse
-# form at m = 1e4), and a runaway request is refused before any allocation.
+# At most 1M nodes a rule: a golden run's largest has 8 panels (the robin
+# identity), and a runaway request is refused before any allocation.
 MAX_PANELS = 2**16
 
 

@@ -213,18 +213,15 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records.append(check("transverse.minimality.seeded", 0.0, min_gap, 1e-8, m=36.0, kappa=2.0, gauss=1.0))
     records.append(check("transverse.pythagoras.seeded", 0.0, max_pyth, 1e-7, m=36.0, kappa=2.0, gauss=1.0))
 
-    # Cutoff-ansatz residual: O(m^-3) for curved data, exponentially small flat.
-    curved = [
-        residual_of_ansatz(TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0)))
-        for m in (100.0, 400.0, 1600.0)
-    ]
+    # Cutoff-ansatz residual, one stacked call: O(m^-3) for curved data, exponentially small flat.
+    problems = [TransverseProblem(m=m, curv=CurvatureData(k, K)) for m, k, K in (
+        (100.0, 3.0, 1.0), (400.0, 3.0, 1.0), (1600.0, 3.0, 1.0), (25.0, 0.0, 0.0), (100.0, 0.0, 0.0))]
+    *curved, flat_res_25, flat_res_100 = residual_of_ansatz(problems)
     c_res = curved[0] * 100.0**3
     worst_res = max(r * m**3 for r, m in zip(curved[1:], (400.0, 1600.0)))
     records.append(check("transverse.residual.order", c_res, worst_res, 1e-9, kappa=3.0, gauss=1.0))
     summary["ansatz_residual_constant[kappa=3,K=1]"] = c_res
-    flat_res_25 = residual_of_ansatz(TransverseProblem(m=25.0, curv=CurvatureData.flat()))
     c_flat = flat_res_25 / math.exp(-math.sqrt(25.0) / 4.0)
-    flat_res_100 = residual_of_ansatz(TransverseProblem(m=100.0, curv=CurvatureData.flat()))
     bound = c_flat * math.exp(-math.sqrt(100.0) / 4.0)
     records.append(check("transverse.residual.flat", bound, flat_res_100, 0.0, m=100.0, kappa=0.0, gauss=0.0))
 

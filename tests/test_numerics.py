@@ -323,11 +323,12 @@ class TestPanelLimit:
 
     def test_public_inputs_past_the_limit_are_refused(self):
         # Every composite rule comes from panel_nodes, so its limit bounds
-        # the transverse quadrature (sqrt(m) > MAX_PANELS / 4, m > 2.68e8).
+        # the transverse quadrature: each half of the collar rule has panels
+        # of at most 4 (sqrt(m) / 2 > 4 MAX_PANELS, m > 2.75e11).
         flat = CurvatureData.flat()
-        for m in (2.7e8, 1e150):
+        for m in (2.75e11, 1e150):
             prob = TransverseProblem(m=m, curv=flat)
-            refused_without_allocating(lambda: residual_of_ansatz(prob), "MAX_PANELS")
+            refused_without_allocating(lambda: residual_of_ansatz([prob]), "MAX_PANELS")
             refused_without_allocating(lambda: transverse_form(prob, lambda t: (t, t)), "MAX_PANELS")
 
     def test_eigenpairs_have_no_panel_limit(self):

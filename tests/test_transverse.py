@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import i0e, i1e, k0e, k1e
 
 from mitbag import cli, transverse
-from mitbag.numerics import NumericsError
+from mitbag.numerics import NumericsError, panel_nodes
 from mitbag.transverse import (
     ELEMENT_PANEL,
     SERIES_TERMS,
@@ -22,6 +23,7 @@ from mitbag.transverse import (
     TransverseProblem,
     collar_is_valid,
     expansion_lambda,
+    min_rescaled_weight,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,
@@ -456,18 +458,18 @@ class TestAnsatzResidual:
     def test_flat_residual_is_cutoff_only(self):
         # Without curvature the ansatz solves the equation exactly; what is
         # left decays like exp(-sqrt(m)/4) with a constant fitted coarsely.
-        r25 = residual_of_ansatz(TransverseProblem(m=25.0, curv=FLAT))
+        (r25,) = residual_of_ansatz([TransverseProblem(m=25.0, curv=FLAT)])
         c = r25 / math.exp(-math.sqrt(25.0) / 4.0)
-        r100 = residual_of_ansatz(TransverseProblem(m=100.0, curv=FLAT))
+        (r100,) = residual_of_ansatz([TransverseProblem(m=100.0, curv=FLAT)])
         assert r100 <= c * math.exp(-math.sqrt(100.0) / 4.0)
 
     def test_flat_residual_vanishes_for_wide_interval(self):
-        assert residual_of_ansatz(TransverseProblem(m=2500.0, curv=FLAT)) <= 1e-12
+        assert residual_of_ansatz([TransverseProblem(m=2500.0, curv=FLAT)])[0] <= 1e-12
 
     def test_third_order_rate_curved(self):
         masses = (100.0, 400.0, 1600.0)
         values = [
-            residual_of_ansatz(TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))) * m**3
+            residual_of_ansatz([TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))])[0] * m**3
             for m in masses
         ]
         envelope = values[0]
@@ -545,6 +547,25 @@ class TestValidation:
     def test_below_validity_floor_rejected(self):
         with pytest.raises(ValueError):
             TransverseProblem(m=25.0, curv=CurvatureData(3.0, 1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.floats(5e-324, 1.5e-162) | st.sampled_from((5e-324, 1e-200, 1e-170)),
+        curv=st.sampled_from((FLAT, CurvatureData(1.0, 1.0), CurvatureData(-1e-170, 0.0))),
+    )
+    def test_mass_whose_square_underflows_is_refused(self, m, curv):
+        # The weight divides by m**2, which is 0 below m ~ 1.57e-162.
+        match = rf"^m must be positive, with m\*m in the collar weight not 0, got {m!r}$"
+        for build in (min_rescaled_weight, collar_is_valid, lambda curv, m: TransverseProblem(m=m, curv=curv)):
+            with pytest.raises(ValueError, match=match):
+                build(curv, m)
+
+    @pytest.mark.parametrize("m", (1.6e-162, 1e-160, 1e-100))
+    def test_tiny_flat_masses_with_a_square_are_solved(self, m):
+        prob = TransverseProblem(m=m, curv=FLAT)
+        (sol,) = solve_transverse([prob])
+        assert sol.lam == pytest.approx(flat_lambda(m), rel=1e-15)
+        assert math.isfinite(residual_of_ansatz([prob])[0])
 
     def test_solver_invariants(self):
         sol = solve_transverse([TransverseProblem(m=49.0, curv=CurvatureData(3.0, 1.0))])[0]
@@ -634,3 +655,85 @@ class TestSeriesSolve:
         (sol,) = solve_transverse([prob])
         lam, mass = ivp_reference(prob)
         assert abs(sol.lam - lam) <= 1e-14 * lam and abs(sol.mass - mass) <= 1e-14 * mass
+
+
+def mp_residual(prob: TransverseProblem) -> mpmath.mpf:
+    """The ansatz residual at 40 digits, an independent route: the ansatz's
+    coefficients from the exact inputs, L(chi F) term by term as L reads,
+    with (P e^-tau)'' = (2 c2 - 2 P' + P) e^-tau, and mpmath's quadrature on
+    16 pieces."""
+    with mpmath.workdps(40):
+        kappa, K, m = mpmath.mpf(prob.curv.kappa), mpmath.mpf(prob.curv.gauss), mpmath.mpf(prob.m)
+        c1 = -kappa / (2 * m) + (kappa**2 / 8 - K / 2) / m**2
+        c2 = (3 * kappa**2 / 8 - K / 2) / m**2
+        T = mpmath.sqrt(m)
+
+        def integrand(tau):
+            poly, slope, decay = 1 + c1 * tau + c2 * tau**2, c1 + 2 * c2 * tau, mpmath.exp(-tau)
+            f0, f1, f2 = poly * decay, (slope - poly) * decay, (2 * c2 - 2 * slope + poly) * decay
+            t = min(max(2 * tau / T - 1, 0), 1)
+            chi = 1 - t**3 * (10 - 15 * t + 6 * t**2)
+            chi1 = -60 * t**2 * (1 - t) ** 2 / T
+            chi2 = -240 * t * (1 - t) * (1 - 2 * t) / T**2
+            a, da = 1 + kappa * tau / m + K * tau**2 / m**2, kappa / m + 2 * K * tau / m**2
+            v, dv, d2v = chi * f0, chi1 * f0 + chi * f1, chi2 * f0 + 2 * chi1 * f1 + chi * f2
+            return (-d2v - da / a * dv + v) ** 2 * a
+
+        return mpmath.sqrt(mpmath.quad(integrand, [T * i / 16 for i in range(17)]))
+
+
+# The five problems of the transverse suite's residual rows.
+SUITE_RESIDUAL_PROBLEMS = (
+    *(TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0)) for m in (100.0, 400.0, 1600.0)),
+    *(TransverseProblem(m=m, curv=FLAT) for m in (25.0, 100.0)),
+)
+
+
+class TestCollarRule:
+    """The collar rule and the stacked, cancellation-free ansatz residual."""
+
+    def test_suite_residuals_against_mpmath(self):
+        # At m = 1600 the residual is 5e-9 while the terms of L F are O(1/m):
+        # summed term by term in doubles it is 3.1e-10 off (5.4e-13 at
+        # m = 400), and with L F in closed form within rounding.
+        for prob, value in zip(SUITE_RESIDUAL_PROBLEMS, residual_of_ansatz(SUITE_RESIDUAL_PROBLEMS), strict=True):
+            reference = mp_residual(prob)
+            assert abs(value - reference) <= 1e-14 * reference, prob
+
+    def test_suite_rules_have_448_nodes(self):
+        # 26 panels for the five residuals and 2 for the seeded form (m = 36).
+        seeded = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))
+        counts = transverse._collar_rule([*SUITE_RESIDUAL_PROBLEMS, seeded])[2]
+        assert counts == [64, 96, 160, 32, 64, 32] and sum(counts) == 448
+
+    @settings(max_examples=30, deadline=None)
+    @given(problems=st.lists(ANY_COLLAR, min_size=1, max_size=6).flatmap(st.permutations))
+    def test_stacked_residual_is_bitwise_the_lone_residual(self, problems):
+        probs = [TransverseProblem(m=m, curv=CurvatureData(kappa, K)) for m, kappa, K in problems]
+        assert residual_of_ansatz(probs) == [residual_of_ansatz([prob])[0] for prob in probs]
+
+    def test_empty_stack(self):
+        assert residual_of_ansatz([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=valid_problems(st.floats(0.01, 1e5), st.floats(-4.0, 4.0), st.floats(-3.0, 3.0))
+        | st.sampled_from([(p.m, p.curv.kappa, p.curv.gauss) for p in floor_corners()])
+    )
+    def test_rule_agrees_with_a_four_times_finer_rule(self, problem):
+        # Past m ~ 4.5e5 the flat residual's terms leave the normal double
+        # range (it reads 0 from m ~ 5.5e5), so no rule keeps its relative
+        # value there.
+        m, kappa, K = problem
+        prob = TransverseProblem(m=m, curv=CurvatureData(kappa, K))
+        (sol,) = solve_transverse([prob])
+        values = residual_of_ansatz([prob]), transverse_form(prob, sol.evaluate)
+        nodes = transverse._collar_rule([prob])[2]
+        with pytest.MonkeyPatch.context() as patch:
+            # Each panel of each half cut in four.
+            patch.setattr(transverse, "panel_nodes", lambda a, b, max_panel: panel_nodes(
+                a, b, max_panel=(b - a) / (4 * math.ceil((b - a) / max_panel))))
+            finer = residual_of_ansatz([prob]), transverse_form(prob, sol.evaluate)
+            assert transverse._collar_rule([prob])[2][0] >= 4 * nodes[0]
+        assert values[0][0] == pytest.approx(finer[0][0], rel=1e-13, abs=0.0)
+        assert values[1] == pytest.approx(finer[1], rel=1e-13, abs=0.0)
