@@ -91,10 +91,9 @@ class CheckRecord:
     def rel_error(self) -> float | None:
         """abs_error / |expected|; None where that is undefined (expected 0,
         or no finite abs_error)."""
-        error = self.abs_error
-        if error is None or self.expected == 0.0:
+        if self.expected == 0.0:
             return None
-        relative = error / abs(self.expected)
+        relative = abs(self.observed - self.expected) / abs(self.expected)
         return relative if math.isfinite(relative) else None
 
 
@@ -192,7 +191,7 @@ class Report:
 
 
 def _fmt(value: Any) -> str:
-    # A finite float or a plain string (almost every cell) is tested first.
+    # emit_table writes finite float cells itself, with these digits.
     if isinstance(value, float):
         if math.isfinite(value):
             return format(value, ".17g")
@@ -215,7 +214,7 @@ _JSON_ESCAPES.update({ord("\n"): "\\n", ord("\t"): "\\t", ord('"'): '\\"', ord("
 
 
 def _json_scalar(value: Any) -> str:
-    # A finite float or a string (almost every cell) is tested first.
+    # A finite float or a string (almost every summary value) is tested first.
     if isinstance(value, float):
         if math.isfinite(value):
             return format(value, ".17g")
@@ -233,30 +232,30 @@ def _json_scalar(value: Any) -> str:
     raise TypeError(f"unsupported scalar {value!r}")
 
 
-def _csv_cells(r: CheckRecord) -> tuple[Any, ...]:
-    # The record's fields in CSV_COLUMNS order; each property is read once.
-    return (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed,
-            r.abs_error, r.rel_error, r.tolerance, r.comparison, r.passed)
-
-
 # One JSON object per record: the CSV columns, then provenance and asserted.
 _JSON_RECORD = "{" + ",".join(f'"{name}":%s' for name in (*CSV_COLUMNS, "provenance", "asserted")) + "}"
 
 
 def emit_table(report: Report, fmt: str) -> bytes:
     """Serialize a report: CSV with the fixed column set, or JSON mirroring it."""
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(map(_fmt, _csv_cells(r))) for r in report.records]
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "json":
-        records = ",".join(
-            _JSON_RECORD % tuple(map(_json_scalar, (*_csv_cells(r), r.provenance, r.asserted)))
-            for r in report.records
-        )
-        summary = ",".join(f"{_json_scalar(str(k))}:{_json_scalar(v)}" for k, v in dict(report.summary).items())
-        return ('{"records":[' + records + '],"summary":{' + summary + "}}\n").encode()
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    csv = fmt == "csv"
+    other = _fmt if csv else _json_scalar
+    rows = []
+    for r in report.records:
+        # Each row's errors and verdict are read once and its cells formatted
+        # in one pass: a finite float with 17 significant digits, every other
+        # value by _fmt or _json_scalar.
+        values = (r.check_id, r.m, r.kappa, r.gauss, r.sector, r.expected, r.observed, r.abs_error,
+                  r.rel_error, r.tolerance, r.comparison, r.passed, r.provenance, r.asserted)
+        rows.append(["%.17g" % v if type(v) is float and v - v == 0.0 else other(v)
+                     for v in (values[:len(CSV_COLUMNS)] if csv else values)])
+    if csv:
+        return ("\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n").encode()
+    records = ",".join(_JSON_RECORD % tuple(row) for row in rows)
+    summary = ",".join(f"{_json_scalar(str(k))}:{_json_scalar(v)}" for k, v in dict(report.summary).items())
+    return ('{"records":[' + records + '],"summary":{' + summary + "}}\n").encode()
 
 
 def parse_report_json(data: bytes) -> Report:

@@ -29,8 +29,9 @@ element.  ``j_pair_kernel(n)`` and ``ek_pair_kernel(n)`` bind one order
 pair n, n + 1 (checked once, when bound) and return a function of a float
 argument x > 0 that gives both values, the two a matching determinant needs,
 bit-equal to two single-order calls; the argument is the caller's to check.
-A root scan binds its sector's pair once and calls it at every point, and an
-eigenpair at x = kR (boundary values and norm) or qR.  The exterior tail
+A root scan binds its sector's pair once and calls it at every point, an
+eigenpair at x = kR (boundary values and norm) or qR, and the boundary
+identity at each quadrature node.  The exterior tail
 integrals are closed-form sums over the exact integer coefficients of e^x k_l
 (``_k_poly_ints``), after one checked call at x = mR.
 """

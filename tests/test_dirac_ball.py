@@ -173,8 +173,8 @@ class TestBagEigenpair:
 
     def test_interior_grid_follows_the_phase_not_the_radius(self, monkeypatch):
         # The boundary identity's quadrature of a bag pair against a Robin
-        # pair: at most k R = 2.04 radians of phase takes the 8-panel floor
-        # of 16 nodes each, however large the ball.
+        # pair: k R = 2.04 radians of the faster phase take ceil(2.04 / 2) = 2
+        # panels of 16 nodes each, however large the ball.
         rules = []
         panel_nodes = dirac_ball.panel_nodes
 
@@ -188,7 +188,7 @@ class TestBagEigenpair:
         u_int = robin_eigenpair(p, GROUND, 1.5e-4**2)
         boundary_identity_check(u_int, u_mit, p.m, p)
         ((r, w),) = rules
-        assert r.shape == w.shape == (8 * 16,)
+        assert r.shape == w.shape == (2 * 16,)
         assert float(np.sum(w)) == pytest.approx(1e4, rel=1e-12)
 
 
@@ -475,6 +475,65 @@ class TestBoundaryIdentity:
             residuals.append(boundary_identity_check(u_int, u_mit, 200.0, pm))
         assert residuals[1] < residuals[0]
 
+    @staticmethod
+    def _identity_pair(R, m, kappa_j):
+        """The lowest Robin pair at mass m and the bag pair of the lowest
+        level, of either sign, in sector kappa_j on the ball of radius R."""
+        sector = AngularSector(kappa_j)
+        p0, pm = DiracParams(R=R, m=0.0), DiracParams(R=R, m=m)
+        energy = min((e for e, _ in mit_spectrum_signed(p0, [sector], 1)), key=abs)
+        lam_int = robin_laplacian_eigenvalues(pm, sector, 1)[0]
+        return robin_eigenpair(pm, sector, lam_int), mit_eigenpair(p0, sector, energy), pm
+
+    @pytest.mark.parametrize("kappa_j", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("m", [200.0, 800.0])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7, 3.0])
+    def test_interior_product_is_converged(self, monkeypatch, R, m, kappa_j):
+        # The rule of at most 2 radians of the faster phase a panel agrees
+        # with one four times finer and with a 40-digit quadrature.
+        u_int, u_mit, _ = self._identity_pair(R, m, kappa_j)
+        inner = dirac_ball._interior_product(u_int, u_mit, R)
+        panel_nodes = dirac_ball.panel_nodes
+        monkeypatch.setattr(dirac_ball, "panel_nodes", lambda a, b, max_panel: panel_nodes(a, b, max_panel / 4))
+        finer = dirac_ball._interior_product(u_int, u_mit, R)
+        sec = u_int.sector
+        (k1, c_up, c_lo), (k2, d_up, d_lo) = u_int.radial_params, u_mit.radial_params
+        with mpmath.workdps(40):
+
+            def j(ell, x):
+                return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(ell + 0.5, x)
+
+            def integrand(r):
+                return r**2 * (
+                    c_up * d_up * j(sec.ell_upper, k1 * r) * j(sec.ell_upper, k2 * r)
+                    + c_lo * d_lo * j(sec.ell_lower, k1 * r) * j(sec.ell_lower, k2 * r)
+                )
+
+            reference = float(mpmath.quad(integrand, [0, R / 2, R]))
+        assert inner == pytest.approx(finer, rel=1e-15)
+        assert inner == pytest.approx(reference, rel=1e-15)
+
+    def test_no_numpy_sin_or_cos(self, monkeypatch):
+        # The quadrature reads the solver's own math.sin / math.cos route.
+        u_int, u_mit, pm = self._identity_pair(1.7, 800.0, -1)
+        expected = boundary_identity_check(u_int, u_mit, pm.m, pm)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy sin/cos called")
+
+        monkeypatch.setattr(np, "sin", forbidden)
+        monkeypatch.setattr(np, "cos", forbidden)
+        assert boundary_identity_check(u_int, u_mit, pm.m, pm) == expected
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_wavenumber_is_a_domain_error(self, k):
+        u_int, u_mit, pm = self._identity_pair(1.0, 200.0, -1)
+        for u in (u_int, u_mit):
+            bad = replace(u, radial_params=(k, *u.radial_params[1:]))
+            pair = (bad, u_mit) if u is u_int else (u_int, bad)
+            with pytest.raises(SpecialFunctionDomainError):
+                boundary_identity_check(*pair, pm.m, pm)
+
 
 class TestIntrinsicMass:
     """The first-order laws carry the intrinsic mass through every formula."""
@@ -549,21 +608,28 @@ class TestSpectralResult:
         # kj = -1 at E and kj = +1 at -E have the same k and the order pair
         # (0, 1): both norms read j_0 and j_1 at the one point kR, and no
         # eigenpair samples a Bessel function on an interior grid.
-        orders = []
-        bessel_j = dirac_ball.spherical_bessel_j
+        samples = []
+        j_pair_kernel = dirac_ball.j_pair_kernel
 
-        def counted(ell, x):
-            orders.append(ell)
-            return bessel_j(ell, x)
+        def recorded(n):
+            pair = j_pair_kernel(n)
 
-        monkeypatch.setattr(dirac_ball, "spherical_bessel_j", counted)
+            def sampled(x):
+                samples.append((n, x))
+                return pair(x)
+
+            return sampled
+
+        monkeypatch.setattr(dirac_ball, "j_pair_kernel", recorded)
+        monkeypatch.setattr(dirac_ball, "panel_nodes", None)
         lam = mit_eigenvalues(P0, GROUND, 1)[0]
+        samples.clear()
         with run_memo():
             minus = mit_eigenpair(P0, GROUND, lam)
             plus = mit_eigenpair(P0, AngularSector(1), -lam)
-        assert orders == []
         assert minus.norm_sq() == pytest.approx(1.0, abs=1e-12)
         assert plus.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert samples and set(samples) == {(0, minus.radial_params[0] * P0.R)}
 
 
 PINNED_SOLVES = (
