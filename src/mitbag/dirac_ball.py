@@ -389,14 +389,18 @@ def _scan_roots(
     return roots
 
 
-def _scan_window(R: float, count: int) -> tuple[float, float]:
+def _scan_window(R: float, count: int, ell: int) -> tuple[float, float]:
     """Scan step and top radial wavenumber for the first ``count`` roots of a
-    sector on the ball of radius R, shared by the bag, large-mass and Robin
-    solvers (each picks its own lower end)."""
+    sector with largest orbital index ``ell`` (= |kappa_j|) on the ball of
+    radius R, shared by the bag, large-mass and Robin solvers (each picks its
+    own lower end)."""
     if count < 1 or count > 20:
         raise ValueError("count must be in [1, 20]")
-    # Radial Bessel zeros are spaced ~pi/R; a generous cap avoids rescans.
-    return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R
+    # The centrifugal barrier puts the first zero of j_l at
+    # j_{nu,1} = nu + 1.8558 nu^(1/3) + O(nu^(-1/3)), nu = l + 1/2 (DLMF
+    # 10.21.40), and later zeros are spaced ~pi/R.  For l <= 50 and count <= 20
+    # the top stays more than 2/R above the count-th zero of j_l.
+    return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R + (ell + 2.0 * ell ** (1.0 / 3.0)) / R
 
 
 def _branch_roots(
@@ -459,13 +463,13 @@ def _sector_branches(
     sectors +-kappa_j.
     """
     stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
-    step, k_top = _scan_window(p.R, count)
     lo = p.m0 + max(1e-9, 1e-9 * p.m0)
-    hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
     found = []
     for sec in sectors:
+        step, k_top = _scan_window(p.R, count, abs(sec.kappa_j))
+        hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
 
-        def scan(sec: AngularSector = sec) -> list[list[float]]:
+        def scan(sec: AngularSector = sec, hi: float = hi) -> list[list[float]]:
             try:
                 return _scan_roots(kernels(p, sec), lo, hi, step, count, tol, pooled)
             except BracketExhaustionError as exc:
@@ -588,7 +592,7 @@ def robin_laplacian_eigenvalues(
     if p.m <= 0.0:
         raise ValueError("the Robin solver needs m > 0")
     tol = tol or ToleranceConfig()
-    step, hi = _scan_window(p.R, count)
+    step, hi = _scan_window(p.R, count, abs(sector.kappa_j))
     (roots,) = _branch_roots(
         ((_robin_kernels, p, sector, 1.0, tol),),
         count,

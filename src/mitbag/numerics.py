@@ -118,10 +118,11 @@ def memoized(fn: Callable[..., Any], *args: Any) -> Any:
 
 
 def libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn``, a function of ``math``, at each element of ``x``.  numpy's exp,
-    log, sin and cos run the SIMD loop of the CPU features numpy dispatches
-    to, and the loops differ in their last bits; the C library's scalar
-    functions do not depend on that dispatch."""
+    """``fn``, any function of one float, at each element of ``x``, in order
+    (an exception stops the map at its element).  numpy's exp, log, sin and
+    cos run the SIMD loop of the CPU features numpy dispatches to, and the
+    loops differ in their last bits; the C library's scalar functions, and
+    float kernels built on them, do not depend on that dispatch."""
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 

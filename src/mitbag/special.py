@@ -19,13 +19,12 @@ as large as x = m R ~ 1e6 never underflow.
 
 Implementations are self-contained (recurrences, Taylor series and exact
 finite sums; the j_l recurrences are those of DLMF 10.51); only double
-precision is used and the supported order range is l <= 50.  Every function
-takes a float or an ndarray of arguments, and each element of an ndarray
-equals the float result bit for bit; a float stays on plain-float
-arithmetic, which is faster for the one-point evaluations of a root scan.
-j_l has one kernel per regime, shared by both: an ndarray runs the series
-and upward-recurrence kernels vectorized, and the Miller kernel element by
-element.  ``j_pair_kernel(n)`` and ``ek_pair_kernel(n)`` bind one order
+precision is used and the supported order range is l <= 50.  Each function
+is one kernel of a float argument (a numpy scalar is converted to float when
+it is checked); an ndarray argument is that checked float call mapped over
+its elements (``numerics.libm``), so each element equals the float result
+bit for bit and the first bad element raises its own typed error.
+``j_pair_kernel(n)`` and ``ek_pair_kernel(n)`` bind one order
 pair n, n + 1 (checked once, when bound) and return a function of a float
 argument x > 0 that gives both values, the two a matching determinant needs,
 bit-equal to two single-order calls; the argument is the caller's to check.
@@ -39,10 +38,12 @@ integrals are closed-form sums over the exact integer coefficients of e^x k_l
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
+
+from .numerics import libm
 
 MAX_ELL = 50
 
@@ -55,18 +56,24 @@ class BesselOverflowError(ArithmeticError):
     """The requested value overflows double precision (raised, never a silent inf/nan)."""
 
 
-def _check_order_arg(ell: int, x: float | np.ndarray) -> None:
+def _check_order_arg(ell: int, x: float) -> float:
+    """The checked argument, as a float."""
     if type(ell) is int and type(x) is float and 0 <= ell <= MAX_ELL and 0.0 < x < math.inf:
-        return  # a float call (a DtN value, a tail anchor, a kernel bind), in one expression
-    if not isinstance(ell, (int,)) or isinstance(ell, bool):
+        return x  # a float call (a DtN value, a tail anchor, a kernel bind), in one expression
+    if not isinstance(ell, int) or isinstance(ell, bool):
         raise SpecialFunctionDomainError(f"order must be an integer, got {ell!r}")
     if ell < 0 or ell > MAX_ELL:
         raise SpecialFunctionDomainError(f"order {ell} outside supported range [0, {MAX_ELL}]")
-    if isinstance(x, np.ndarray):
-        if not np.all(np.isfinite(x) & (x > 0.0)):
-            raise SpecialFunctionDomainError("arguments must be finite and > 0")
-    elif not math.isfinite(x) or x <= 0.0:
+    if not math.isfinite(x) or x <= 0.0:
         raise SpecialFunctionDomainError(f"argument must be finite and > 0, got {x!r}")
+    return float(x)
+
+
+def _map(fn: Callable[[int, float], float], ell: int, x: np.ndarray) -> np.ndarray:
+    # fn's checked float call at each element of x; the order is checked
+    # even when x is empty.
+    _check_order_arg(ell, 1.0)
+    return libm(partial(fn, ell), x)
 
 
 @lru_cache(maxsize=None)
@@ -82,33 +89,31 @@ def _double_factorial(n: int) -> float:
 _SERIES_DIVISORS = tuple(tuple(2.0 * k * (2.0 * (ell + k) + 1.0) for k in range(1, 11)) for ell in range(MAX_ELL + 1))
 
 
-def _j_series(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+def _j_series(ell: int, x: float) -> float:
     # j_l(x) = x^l/(2l+1)!! * sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1))
     # Alternating but rapidly decaying for x <= 1; used only there.  For
     # x <= 1 and l >= 1 the terms after k = 10 are below 1e-18 of the sum, so
-    # below half an ulp of it: a longer sum is the same bit for bit.  x**ell is
-    # taken in float arithmetic, since numpy's power is not bit-equal to it.
-    power = np.array([v**ell for v in x.tolist()]) if isinstance(x, np.ndarray) else x**ell
+    # below half an ulp of it: a longer sum is the same bit for bit.
     minus_x2 = -(x * x)
     term = 1.0
     total = 1.0
     for divisor in _SERIES_DIVISORS[ell]:
         term = term * (minus_x2 / divisor)
         total = total + term
-    return power / _double_factorial(2 * ell + 1) * total
+    return x**ell / _double_factorial(2 * ell + 1) * total
 
 
 # The factors 2l + 1 of the upward steps that end at order ell, as floats.
 _UPWARD_FACTORS = tuple(tuple(2.0 * l + 1.0 for l in range(1, ell)) for ell in range(MAX_ELL + 1))
 
 
-def _j_upward(ell: int, x: float | np.ndarray, sin=math.sin, cos=math.cos) -> tuple[float | np.ndarray, ...]:
+def _j_upward(ell: int, x: float) -> tuple[float, float]:
     # Upward recurrence j_{l+1} = (2l+1)/x j_l - j_{l-1} from the closed
     # forms j_0 = sin x / x and j_1 = sin x / x^2 - cos x / x; returns
     # (j_{l-1}, j_l) for l >= 1.
-    s = sin(x)
+    s = math.sin(x)
     jm = s / x
-    jc = s / (x * x) - cos(x) / x
+    jc = s / (x * x) - math.cos(x) / x
     for factor in _UPWARD_FACTORS[ell]:
         jm, jc = jc, factor / x * jc - jm
     return jm, jc
@@ -147,35 +152,16 @@ def _j_miller(ell: int, x: float) -> float:
     return target * scale
 
 
-def _j_array(ell: int, x: np.ndarray) -> np.ndarray:
-    # The regime split of spherical_bessel_j, element by element.
-    flat = x.astype(float).ravel()
-    if ell == 0:
-        return (np.sin(flat) / flat).reshape(x.shape)
-    series = flat <= 1.0
-    upward = ~series & ((flat >= ell + 1) | (ell == 1))
-    miller = ~(series | upward)
-    out = np.empty_like(flat)
-    if series.any():
-        out[series] = _j_series(ell, flat[series])
-    if upward.any():
-        out[upward] = _j_upward(ell, flat[upward], np.sin, np.cos)[1]
-    if miller.any():
-        out[miller] = [_j_miller(ell, v) for v in flat[miller].tolist()]
-    return out.reshape(x.shape)
-
-
 def spherical_bessel_j(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     """Regular spherical Bessel function j_l(x), relative accuracy ~1e-13.
 
     Upward recurrence in the oscillatory regime x > l, downward (Miller)
     recurrence below the turning point, Taylor series for small arguments.
-    An ndarray ``x`` gives each element the float result bit for bit.
+    An ndarray ``x`` gives each element the float result.
     """
-    _check_order_arg(ell, x)
     if isinstance(x, np.ndarray):
-        return _j_array(ell, x)
-    return _j_scalar(ell, x)
+        return _map(spherical_bessel_j, ell, x)
+    return _j_scalar(ell, _check_order_arg(ell, x))
 
 
 def _j_scalar(ell: int, x: float) -> float:
@@ -213,16 +199,17 @@ def j_pair_kernel(n: int) -> Callable[[float], tuple[float, float]]:
 def spherical_bessel_j_deriv(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     """d/dx j_l(x), via j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1),
     for a float or an ndarray ``x``."""
-    _check_order_arg(ell, x)
+    if isinstance(x, np.ndarray):
+        return _map(spherical_bessel_j_deriv, ell, x)
+    x = _check_order_arg(ell, x)
     if ell == 0:
         return -spherical_bessel_j(1, x)
     return spherical_bessel_j(ell - 1, x) - (ell + 1.0) / x * spherical_bessel_j(ell, x)
 
 
-def _finite(value: float | np.ndarray, ell: int, x: float | np.ndarray) -> float | np.ndarray:
-    if not (np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)):
-        x_min = float(np.min(x))
-        raise BesselOverflowError(f"e^x k_{ell} or its derivative overflows double precision at x={x_min!r}")
+def _finite(value: float, ell: int, x: float) -> float:
+    if not math.isfinite(value):
+        raise BesselOverflowError(f"e^x k_{ell} or its derivative overflows double precision at x={x!r}")
     return value
 
 
@@ -238,7 +225,7 @@ def _k_poly_coeffs(ell: int) -> tuple[float, ...]:
     return tuple(map(float, _k_poly_ints(ell)))
 
 
-def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
+def _k_horner(ell: int, x: float) -> float:
     u = 1.0 / x
     acc = 0.0
     for a in reversed(_k_poly_coeffs(ell)):
@@ -246,33 +233,18 @@ def _k_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     return acc * u
 
 
-def _k_deriv_horner(ell: int, x: float | np.ndarray) -> float | np.ndarray:
-    if ell == 0:
-        return -_k_horner(1, x)
-    return -_k_horner(ell - 1, x) - (ell + 1.0) / x * _k_horner(ell, x)
-
-
-def _quiet(horner, ell: int, x: float | np.ndarray) -> float | np.ndarray:
-    """horner(ell, x) without numpy's overflow warnings, so that an overflow
-    is reported once, as the BesselOverflowError raised by _finite.  Plain
-    floats skip the errstate switch, which costs more than the evaluation."""
-    if isinstance(x, (np.ndarray, np.generic)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return horner(ell, x)
-    return horner(ell, x)
-
-
 def modified_spherical_bessel_k_scaled(ell: int, x: float | np.ndarray) -> float | np.ndarray:
     """Exponentially scaled decaying function e^x k_l(x) = (1/x) sum_j a_{l,j} x^{-j}.
 
     The finite sum has positive terms only, so it is exact to rounding for
     any x > 0; it overflows only for genuinely huge values (small x, large l),
-    which is reported as an explicit error.  An ndarray ``x`` runs the same
-    operations element-wise, so each element equals the scalar value bit for
-    bit; a float stays on plain-float arithmetic.
+    which is reported as an explicit error.  An ndarray ``x`` gives each
+    element the float result.
     """
-    _check_order_arg(ell, x)
-    return _finite(_quiet(_k_horner, ell, x), ell, x)
+    if isinstance(x, np.ndarray):
+        return _map(modified_spherical_bessel_k_scaled, ell, x)
+    x = _check_order_arg(ell, x)
+    return _finite(_k_horner(ell, x), ell, x)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -312,5 +284,9 @@ def modified_spherical_bessel_k_scaled_deriv(ell: int, x: float | np.ndarray) ->
 
     Uses k_l' = -k_{l-1} - (l+1)/x k_l with k_{-1} = k_0, so k_0' = -k_1.
     """
-    _check_order_arg(ell, x)
-    return _finite(_quiet(_k_deriv_horner, ell, x), ell, x)
+    if isinstance(x, np.ndarray):
+        return _map(modified_spherical_bessel_k_scaled_deriv, ell, x)
+    x = _check_order_arg(ell, x)
+    if ell == 0:
+        return _finite(-_k_horner(1, x), ell, x)
+    return _finite(-_k_horner(ell - 1, x) - (ell + 1.0) / x * _k_horner(ell, x), ell, x)

@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -426,8 +427,20 @@ def residual_of_ansatz(problems: Sequence[TransverseProblem]) -> list[float]:
     chi1, chi2 = chi1 / T, chi2 / (T * T)
     residual = libm(math.exp, -x) * ((chi * cubic - chi1 * da * poly) / a - chi2 * poly
                                      - 2.0 * chi1 * (c1 + 2.0 * c2 * x - poly))
+    # Each problem's residual is scaled by the power of two 2^-e that puts
+    # its largest node value in [1/2, 1), and its norm by 2^e back: exact,
+    # so a norm whose terms stay in the normal double range keeps its bits,
+    # and a flat one past m ~ 4.5e5, whose squares leave it, its accuracy.
+    bounds = np.cumsum(counts)[:-1]
+    peaks = [float(np.max(np.abs(part))) for part in np.split(residual, bounds)]
+    for p, peak in zip(problems, peaks):
+        if not peak >= sys.float_info.min:
+            raise ValueError(f"the ansatz residual at m={p.m!r} peaks at {peak!r}, below the normal double "
+                             f"range (smallest normal {sys.float_info.min!r})")
+    exps = [math.frexp(peak)[1] for peak in peaks]
+    residual = residual * np.repeat([math.ldexp(1.0, -e) for e in exps], counts)
     terms = w * residual * residual * a
-    return [math.sqrt(math.fsum(part.tolist())) for part in np.split(terms, np.cumsum(counts)[:-1])]
+    return [math.ldexp(math.sqrt(math.fsum(part.tolist())), e) for part, e in zip(np.split(terms, bounds), exps)]
 
 
 def transverse_form(

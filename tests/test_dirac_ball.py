@@ -390,7 +390,7 @@ class TestLargeMass:
             largemass_spectrum_signed(p, [GROUND], 1)
         (level,) = largemass_eigenvalues(p, GROUND, 1)
         step = math.pi / 64.0
-        oracle = _first_root_oracle(lambda E: _largemass_oracle(E, p, GROUND)[0], 1e-9, 1.5, step)
+        oracle = _roots_oracle(lambda E: _largemass_oracle(E, p, GROUND)[0], 1e-9, 1.5, step, 1)[0]
         assert level == pytest.approx(oracle, rel=1e-12)
         assert 1.39 < level < 1.4
 
@@ -993,7 +993,7 @@ class TestValueKernels:
     @given(kj=KAPPAS, R=RADII, m0=INTRINSIC, m=MASSES, u=WINDOW)
     def test_value_is_the_value_half_bitwise(self, kj, R, m0, m, u):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
-        _, k_top = dirac_ball._scan_window(R, 20)
+        _, k_top = dirac_ball._scan_window(R, 20, abs(kj))
         lo = m0 + max(1e-9, 1e-9 * m0)
         top = math.sqrt(m0**2 + k_top**2)
         for kernels, hi in (
@@ -1052,7 +1052,7 @@ class TestConjugateBranches:
         minus_values, (_, minus) = dirac_ball._mit_kernels(p, AngularSector(kj))
         plus_values, (plus, _) = dirac_ball._mit_kernels(p, AngularSector(-kj))
         lo = 1e-9
-        _, hi = dirac_ball._scan_window(R, 20)
+        _, hi = dirac_ball._scan_window(R, 20, abs(kj))
         E = lo + u * (hi - lo)
         v_minus, (f_minus, d_minus) = minus_values(E)[1], minus(E)
         v_plus, (f_plus, d_plus) = plus_values(E)[0], plus(E)
@@ -1080,12 +1080,44 @@ class TestConjugateBranches:
         assert 2 * len(bound) == branches + 4
 
 
-def _first_root_oracle(det, lo, hi, step):
-    """scipy brentq on the first sign change of a scipy-built determinant."""
+def _roots_oracle(det, lo, hi, step, count):
+    """scipy brentq on the first ``count`` sign changes of a scipy-built determinant."""
     grid = np.arange(lo, hi, step)
     values = det(grid)
-    change = np.nonzero(np.sign(values[:-1]) != np.sign(values[1:]))[0][0]
-    return brentq(lambda x: float(det(x)), grid[change], grid[change + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    changes = np.nonzero(np.sign(values[:-1]) != np.sign(values[1:]))[0][:count]
+    assert len(changes) == count
+    return [brentq(lambda x: float(det(x)), grid[i], grid[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            for i in changes]
+
+
+class TestHighOrders:
+    """The scan window reaches past the centrifugal barrier of every
+    advertised order: at |kappa_j| = 15 the first bag zero (~19 at R = 1)
+    is above the top of a window that ignores it."""
+
+    @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+    @pytest.mark.parametrize("kj", (15, -15, 30, -30, 50, -50))
+    def test_bag_levels_against_scipy(self, kj, R):
+        p, sec, count = DiracParams(R=R), AngularSector(kj), 3
+        step = math.pi / (16.0 * R)  # four times finer than the scan
+        signed = mit_spectrum_signed(p, [sec], count)
+        references = []
+        for sign in (1.0, -1.0):
+            reference = _roots_oracle(lambda E: _mit_oracle(sign * E, p, sec)[0], step, 100.0 / R, step, count)
+            levels = sorted(abs(e) for e, _ in signed if math.copysign(1.0, e) == sign)
+            assert levels == pytest.approx(reference, rel=1e-12)
+            references += reference
+        assert mit_eigenvalues(p, sec, count) == pytest.approx(sorted(references)[:count], rel=1e-12)
+
+    @pytest.mark.parametrize("kj", (50, -50))
+    def test_twenty_levels_at_the_highest_order(self, kj):
+        sec = AngularSector(kj)
+        for levels in (
+            mit_eigenvalues(DiracParams(R=1.0), sec, 20),
+            largemass_eigenvalues(DiracParams(R=1.0, m=1e4), sec, 20),
+            robin_laplacian_eigenvalues(DiracParams(R=1.0, m=50.0), sec, 20),
+        ):
+            assert len(levels) == 20 and levels == sorted(levels)
 
 
 class TestIntrinsicMassRoots:
@@ -1100,11 +1132,11 @@ class TestIntrinsicMassRoots:
         mit = sorted(e for e, _ in mit_spectrum_signed(p, [sec], 1))
         lm = sorted(e for e, _ in largemass_spectrum_signed(p, [sec], 1))
         for side, sign in ((1, 1.0), (0, -1.0)):
-            mit_ref = _first_root_oracle(lambda E: _mit_oracle(sign * E, p, sec)[0], lo, hi, step)
-            lm_ref = _first_root_oracle(lambda E: _largemass_oracle(sign * E, p, sec)[0], lo, min(hi, m0 + m), step)
+            mit_ref = _roots_oracle(lambda E: _mit_oracle(sign * E, p, sec)[0], lo, hi, step, 1)[0]
+            lm_ref = _roots_oracle(lambda E: _largemass_oracle(sign * E, p, sec)[0], lo, min(hi, m0 + m), step, 1)[0]
             assert mit[side] == pytest.approx(sign * mit_ref, rel=1e-12)
             assert lm[side] == pytest.approx(sign * lm_ref, rel=1e-12)
-        k = _first_root_oracle(lambda k: _robin_oracle(k, p, sec)[0], 1e-9 / R, 20.0 / R, step)
+        k = _roots_oracle(lambda k: _robin_oracle(k, p, sec)[0], 1e-9 / R, 20.0 / R, step, 1)[0]
         lam_int = robin_laplacian_eigenvalues(p, sec, 1)[0]
         assert lam_int == pytest.approx(m0**2 + k * k, rel=1e-12)
 

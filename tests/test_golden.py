@@ -8,6 +8,7 @@ relative change.  A change that moves values on purpose regenerates the files
 (README, "Golden reports"), and their diff shows what moved.
 """
 
+import ast
 import csv
 import io
 import json
@@ -253,3 +254,29 @@ def test_report_does_not_move_with_the_cpu_kernel(tmp_path):
     for variant, out, _ in runs:
         actual = out.read_bytes()
         assert actual == expected, f"{variant} moved:\n" + describe_moves(expected, actual, "json")
+
+
+# numpy's ufuncs whose SIMD loops differ in their last bits between the CPU
+# features numpy dispatches to.
+DISPATCHED_UFUNCS = {"exp", "expm1", "log", "log1p", "sin", "cos", "tan", "arctan", "power"}
+
+
+def test_no_numpy_transcendental_ufunc_in_the_package():
+    """No module of the package reads numpy's dispatched transcendental
+    ufuncs (``np.sin``, ``numpy.exp``, ``from numpy import log``, ...): its
+    transcendentals are the C library's (``numerics.libm``), the static half
+    of the CPU-kernel guards above."""
+    package = Path(__file__).resolve().parents[1] / "src" / "mitbag"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in DISPATCHED_UFUNCS
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found.extend(f"{path.name}:{node.lineno} from numpy import {a.name}"
+                             for a in node.names if a.name in DISPATCHED_UFUNCS)
+    assert found == []

@@ -130,6 +130,45 @@ class TestSphericalJ:
                 fn(ell, x)
 
 
+FUNCTIONS = (
+    spherical_bessel_j,
+    spherical_bessel_j_deriv,
+    modified_spherical_bessel_k_scaled,
+    modified_spherical_bessel_k_scaled_deriv,
+)
+
+
+class TestFloatKernels:
+    """Each function is one kernel of a float argument: an ndarray is that
+    float call at each element, and a numpy scalar is taken as a float."""
+
+    def test_arrays_do_not_run_numpy_transcendentals(self, monkeypatch):
+        # The series, Miller and upward regimes of j_l and their edges, at low and high order.
+        x = np.array([1e-3, 0.5, 1.0, 1.5, 3.0, 11.0, 21.0, 40.0, 51.0, 300.0])
+        expected = {(fn, ell): [fn(ell, v) for v in x.tolist()] for fn in FUNCTIONS for ell in (0, 1, 2, 10, 50)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy transcendental or errstate called")
+
+        for name in ("sin", "cos", "errstate"):
+            monkeypatch.setattr(np, name, refuse)
+        for (fn, ell), values in expected.items():
+            assert fn(ell, x).tolist() == values
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    def test_numpy_scalar_returns_the_float_value(self, fn):
+        for ell, x in ((0, 0.3), (3, 0.7), (3, 2.5), (20, 7.0), (50, 80.0)):
+            value = fn(ell, np.float64(x))
+            assert type(value) is float and value == fn(ell, x)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    def test_first_bad_element_names_itself(self, fn):
+        with pytest.raises(SpecialFunctionDomainError, match=r"got -2\.0$"):
+            fn(2, np.array([1.0, -2.0, math.nan]))
+        with pytest.raises(SpecialFunctionDomainError, match="order 51 outside"):
+            fn(51, np.array([]))
+
+
 class TestModifiedK:
     def test_k0_closed_form(self):
         value = modified_spherical_bessel_k_scaled(0, 1.0) * math.exp(-1.0)

@@ -466,6 +466,19 @@ class TestAnsatzResidual:
     def test_flat_residual_vanishes_for_wide_interval(self):
         assert residual_of_ansatz([TransverseProblem(m=2500.0, curv=FLAT)])[0] <= 1e-12
 
+    @pytest.mark.parametrize("m", (5.5e5, 1e6))
+    def test_flat_residual_whose_squares_underflow_against_mpmath(self, m):
+        # The node terms e^{-2 tau} (2 chi' - chi'')^2 are far below the
+        # double range here; the residual is not 0 and keeps its accuracy.
+        (value,) = residual_of_ansatz([TransverseProblem(m=m, curv=FLAT)])
+        reference = mp_flat_residual(m)
+        assert abs(value - reference) <= 1e-12 * reference
+
+    def test_residual_below_the_normal_range_is_refused(self):
+        # At m = 3e6 every node value e^{-tau} (...) on [T/2, T] underflows.
+        with pytest.raises(ValueError, match=r"^the ansatz residual at m=3000000.0 peaks at 0.0, below the normal"):
+            residual_of_ansatz([TransverseProblem(m=1e6, curv=FLAT), TransverseProblem(m=3e6, curv=FLAT)])
+
     def test_third_order_rate_curved(self):
         masses = (100.0, 400.0, 1600.0)
         values = [
@@ -682,6 +695,21 @@ def mp_residual(prob: TransverseProblem) -> mpmath.mpf:
         return mpmath.sqrt(mpmath.quad(integrand, [T * i / 16 for i in range(17)]))
 
 
+def mp_flat_residual(m: float) -> mpmath.mpf:
+    """The flat ansatz residual at 40 digits in closed form.  With a = 1 and
+    F = e^-tau, L(chi F) = (2 chi' - chi'') e^-tau, nonzero on [T/2, T] only;
+    there tau = T (1 + t) / 2 and 2 chi' - chi'' is the polynomial P(t) below,
+    so the squared norm is e^-T (T/2) sum_n c_n int_0^1 t^n e^{-T t} dt over
+    the coefficients c_n of P^2, each integral gamma(n + 1, T) / T^(n + 1)."""
+    with mpmath.workdps(40):
+        T = mpmath.sqrt(mpmath.mpf(m))
+        # 2 chi' = -120 t^2 (1 - t)^2 / T, -chi'' = 240 t (1 - t) (1 - 2 t) / T^2.
+        P = [0, 240 / T**2, -720 / T**2 - 120 / T, 480 / T**2 + 240 / T, -120 / T]
+        squared = [sum(P[i] * P[n - i] for i in range(max(0, n - 4), min(n, 4) + 1)) for n in range(9)]
+        moments = (mpmath.gammainc(n + 1, 0, T) / T ** (n + 1) for n in range(9))
+        return mpmath.sqrt(mpmath.exp(-T) * T / 2 * sum(c * mu for c, mu in zip(squared, moments)))
+
+
 # The five problems of the transverse suite's residual rows.
 SUITE_RESIDUAL_PROBLEMS = (
     *(TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0)) for m in (100.0, 400.0, 1600.0)),
@@ -721,9 +749,9 @@ class TestCollarRule:
         | st.sampled_from([(p.m, p.curv.kappa, p.curv.gauss) for p in floor_corners()])
     )
     def test_rule_agrees_with_a_four_times_finer_rule(self, problem):
-        # Past m ~ 4.5e5 the flat residual's terms leave the normal double
-        # range (it reads 0 from m ~ 5.5e5), so no rule keeps its relative
-        # value there.
+        # Past m ~ 4.5e5 the flat residual's squares leave the double range;
+        # its value there is held against a closed form instead
+        # (TestAnsatzResidual).
         m, kappa, K = problem
         prob = TransverseProblem(m=m, curv=CurvatureData(kappa, K))
         (sol,) = solve_transverse([prob])
