@@ -9,20 +9,23 @@ The passes are the first 16 of each ``spectra`` benchmark seed that
 the exterior, dirac and robin suites, one ``run_suite`` each.  For every
 pass and eigen-solver (bag, large-mass, Robin) the script counts:
 
-* ``scans``: calls of the scan driver ``dirac_ball._scan_roots``;
-* ``branches``: the branches those scans walk (a lockstep scan walks
-  several branches of one sector on one grid);
-* ``grid``: scan points, each one call of a sector's value kernel (one
-  evaluation of its Bessel pair, whatever the number of branches);
+* ``walks``: calls of the scan driver ``dirac_ball._scan_roots``, each one
+  lockstep walk of one sector;
+* ``entries``: the requests those walks serve (one walk serves every mass
+  asked of its sector, each mass with its own count and tolerance);
+* ``grid``: Bessel-pair evaluations at scan points, each one call of a
+  sector's pair kernel, whatever the number of masses and branches it
+  serves;
 * ``polishes``: Newton polishes (``find_root_bracketed`` calls);
 * ``slopes``: value-and-slope evaluations, each one Newton step.
 
 The counts depend only on the code path, not on timing, so two checkouts
 can be compared from one run each: a change that does less work prints
 smaller numbers.  The spies wrap the kernel factories and the driver by
-name and accept either kernel layout, (value, value_slope) of one branch or
-(values, value_slopes) of several, so the script also counts a checkout
-whose driver scans one branch at a time:
+name and accept the earlier layouts too, so the script also counts a
+checkout whose driver walks one request at a time: there a kernel is
+(values, value_slopes), whose ``values`` reads the Bessel pair at each
+scan point, and the driver takes one kernel per call, one entry.
 
     PYTHONPATH=path/to/other/src python scripts/solver_counts.py
 """
@@ -41,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from report_digests import PASSES, SEEDS, SUITES, seeded_passes  # noqa: E402
 
 OPERATORS = {"_mit_kernels": "mit", "_largemass_kernels": "largemass", "_robin_kernels": "robin"}
-FIELDS = ("scans", "branches", "grid", "polishes", "slopes")
+FIELDS = ("walks", "entries", "grid", "polishes", "slopes")
 
 
 def install(counts: Counter) -> None:
@@ -51,12 +54,13 @@ def install(counts: Counter) -> None:
         factory = getattr(dirac_ball, name)
 
         def counted_factory(*args, _factory=factory, _operator=operator):
-            value, value_slopes = _factory(*args)
-            several = isinstance(value_slopes, tuple)
+            # (at, values, value_slopes), or (values, value_slopes) in the
+            # earlier layout: the first function reads the Bessel pair.
+            first, *rest, value_slopes = _factory(*args)
 
-            def counted_value(x):
+            def counted_first(x):
                 counts[_operator, "grid"] += 1
-                return value(x)
+                return first(x)
 
             def counting(value_slope):
                 def counted_value_slope(x):
@@ -66,20 +70,21 @@ def install(counts: Counter) -> None:
                 counted_value_slope.operator = _operator
                 return counted_value_slope
 
-            counted_value.operator = _operator
-            counted_value.branches = len(value_slopes) if several else 1
-            if several:
-                return counted_value, tuple(counting(vs) for vs in value_slopes)
-            return counted_value, counting(value_slopes)
+            counted_first.operator = _operator
+            if isinstance(value_slopes, tuple):
+                return counted_first, *rest, tuple(counting(vs) for vs in value_slopes)
+            return counted_first, *rest, counting(value_slopes)
 
         setattr(dirac_ball, name, counted_factory)
 
     scan = dirac_ball._scan_roots
 
-    def counted_scan(kernels, *args, **kwargs):
-        counts[kernels[0].operator, "scans"] += 1
-        counts[kernels[0].operator, "branches"] += kernels[0].branches
-        return scan(kernels, *args, **kwargs)
+    def counted_scan(first, *args, **kwargs):
+        # A list of walks, each (kernels, ...), or one kernel.
+        kernels = [first] if callable(first[0]) else [walk[0] for walk in first]
+        counts[kernels[0][0].operator, "walks"] += 1
+        counts[kernels[0][0].operator, "entries"] += len(kernels)
+        return scan(first, *args, **kwargs)
 
     polish = dirac_ball.find_root_bracketed
 

@@ -33,15 +33,23 @@ with D_X = k j'_{l_X}(kR) + (1/R + m0) j_{l_X}(kR) and J_X = j_{l_X}(kR) the
 2x2 determinant reads
 
     D_A D_B + m (D_A J_B + D_B J_A) = 0,      lambda_int = m0^2 + k^2.
+
+Each solver brackets its levels as sign changes of its determinant on a grid
+of step pi/(4R) and polishes them by Newton steps (``_scan_roots``).  The
+interior factor, the sector's pair of j values at kR, is the same at every
+mass, so one lockstep walk of a sector serves every mass asked of it
+(``largemass_sweep``, ``robin_sweep``): each scan point evaluates the pair
+once, and each mass gets the roots of its lone solve, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .exterior import ball_mode_mass
 from .numerics import (
@@ -51,7 +59,7 @@ from .numerics import (
     panel_nodes,
     run_table,
 )
-from .special import SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel
+from .special import MAX_ELL, SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel
 
 
 class BracketExhaustionError(NumericsError):
@@ -73,13 +81,20 @@ class AngularSector:
     kappa_j > 0 has orbital indices (l_A, l_B) = (kappa_j, kappa_j - 1);
     kappa_j < 0 has (l_A, l_B) = (-kappa_j - 1, -kappa_j).  The level
     degeneracy is 2|kappa_j| (the azimuthal copies share one radial problem).
+    Any integer is kept as a plain int; |kappa_j| is at most the Bessel
+    layer's largest order.
     """
 
     kappa_j: int
 
     def __post_init__(self) -> None:
-        if self.kappa_j == 0:
-            raise ValueError("kappa_j must be a nonzero integer")
+        try:
+            kj = None if isinstance(self.kappa_j, bool) else operator.index(self.kappa_j)
+        except TypeError:
+            kj = None
+        if kj is None or not 0 < abs(kj) <= MAX_ELL:
+            raise ValueError(f"kappa_j must be a nonzero integer with |kappa_j| <= {MAX_ELL}, got {self.kappa_j!r}")
+        object.__setattr__(self, "kappa_j", kj)
 
     @property
     def degeneracy(self) -> int:
@@ -186,12 +201,29 @@ def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
     return _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))(_checked(x))
 
 
-# A sector's determinant kernels: ``values`` gives the determinant of every
-# branch at one scan point from one evaluation of the sector's Bessel pair,
-# and ``value_slopes`` holds each branch's value-and-slope function, for the
-# Newton steps.  Both form a branch's value by the same float operations, so
-# the scan and the polish read one function.
-Kernels = tuple[Callable[[float], tuple[float, ...]], tuple[Callable[[float], tuple[float, float]], ...]]
+# A sector's determinant kernels, (at, values, value_slopes).  ``at(x)`` is
+# the sector's Bessel pair at scan point x (None where the determinant is 1
+# by convention), a function of R, m0 and the sector alone, so one call
+# serves every mass; ``values(x, at(x))`` gives the determinant of every
+# branch there, and ``value_slopes`` holds each branch's value-and-slope
+# function, for the Newton steps.  Both form a branch's value by the same
+# float operations, so the scan and the polish read one function.
+Kernels = tuple[
+    Callable[[float], Any], Callable[[float, Any], tuple[float, ...]], tuple[Callable[[float], tuple[float, float]], ...]
+]
+
+
+def _energy_pair(p: DiracParams, j_pair: Callable[[float], tuple[float, float]]) -> Callable[[float], Any]:
+    """E -> (k, j_pair(kR)), k = sqrt(E^2 - m0^2), of the bag and large-mass
+    scans, with ``j_pair`` the sector's pair kernel; None where kR = 0."""
+    sqrt, R, m0_sq = math.sqrt, p.R, p.m0 * p.m0
+
+    def at(E: float) -> Any:
+        k = sqrt(max(E * E - m0_sq, 0.0))
+        x = k * R
+        return None if x <= 0.0 else (k, j_pair(x))
+
+    return at
 
 
 def _mit_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
@@ -210,17 +242,15 @@ def _mit_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     j_values = _sector_j(sec, j_pair)
     upper_is_hi = sec.kappa_j > 0  # l_A is the higher order
 
-    def values(E: float) -> tuple[float, float]:
-        k = sqrt(max(E * E - m0_sq, 0.0))
-        x = k * R
-        if x <= 0.0:
+    def values(E: float, at: Any) -> tuple[float, float]:
+        if at is None:
             return 1.0, 1.0
-        lo, hi = j_pair(x)
+        k, (lo, hi) = at
         jA, jB = (hi, lo) if upper_is_hi else (lo, hi)
         sk = s * k
         return jA + sk / (E + m0) * jB, jA + sk / (m0 - E) * jB
 
-    def value_slope(E: float, sign: float) -> tuple[float, float]:
+    def value_slope(sign: float, E: float) -> tuple[float, float]:
         E = sign * E
         k = sqrt(max(E * E - m0_sq, 0.0))
         x = k * R
@@ -231,7 +261,7 @@ def _mit_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
         db = s_m0 / (k * (E + m0))
         return jA + b * jB, sign * (R * E / k * (djA + b * djB) + db * jB)
 
-    return values, (partial(value_slope, sign=1.0), partial(value_slope, sign=-1.0))
+    return _energy_pair(p, j_pair), values, (partial(value_slope, 1.0), partial(value_slope, -1.0))
 
 
 def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
@@ -241,7 +271,8 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     E-derivative (dk/dE = E/k, dq/dE = -E/q).
 
     The value is 1 where k = 0 or q = 0, so that the scan stays well-defined.
-    Both branches share k, q and one pair of each Bessel family's values.
+    Both branches share k, q and one pair of each Bessel family's values;
+    every mass shares the pair of j values.
     """
     sqrt = math.sqrt
     R, m0, s = p.R, p.m0, float(sec.sign)
@@ -252,15 +283,12 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     j_values = _sector_j(sec, j_pair)
     upper_is_hi = sec.kappa_j > 0  # l_A = n + 1
 
-    def values(E: float) -> tuple[float, float]:
-        E_sq = E * E
-        k = sqrt(max(E_sq - m0_sq, 0.0))
-        q = sqrt(max(M_sq - E_sq, 0.0))
-        xk = k * R
+    def values(E: float, at: Any) -> tuple[float, float]:
+        q = sqrt(max(M_sq - E * E, 0.0))
         xq = q * R
-        if xk <= 0.0 or xq <= 0.0:
+        if at is None or xq <= 0.0:
             return 1.0, 1.0
-        lo, hi = j_pair(xk)
+        k, (lo, hi) = at
         ek_lo, ek_hi = ek_pair(xq)
         jA, jB, ekA, ekB = (hi, lo, ek_hi, ek_lo) if upper_is_hi else (lo, hi, ek_lo, ek_hi)
         sk = s * k
@@ -269,7 +297,7 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
             q / (M - E) * jA * ekB + sk / (m0 - E) * jB * ekA,
         )
 
-    def value_slope(E: float, sign: float) -> tuple[float, float]:
+    def value_slope(sign: float, E: float) -> tuple[float, float]:
         E = sign * E
         k = sqrt(max(E * E - m0_sq, 0.0))
         q = sqrt(max(M_sq - E * E, 0.0))
@@ -298,7 +326,7 @@ def _largemass_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
         )
         return a * jA * ekB + b * jB * ekA, sign * slope
 
-    return values, (partial(value_slope, sign=1.0), partial(value_slope, sign=-1.0))
+    return _energy_pair(p, j_pair), values, (partial(value_slope, 1.0), partial(value_slope, -1.0))
 
 
 def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
@@ -314,10 +342,13 @@ def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
     cA, cB = lA * (lA + 1.0), lB * (lB + 1.0)
     j_values = _sector_j(sec, j_pair_kernel(abs(sec.kappa_j) - 1))
 
-    def values(k: float) -> tuple[float]:
-        if k <= 0.0:
+    def at(k: float) -> Any:
+        return None if k <= 0.0 else j_values(k * R)
+
+    def values(k: float, at: Any) -> tuple[float]:
+        if at is None:
             return (1.0,)
-        jA, jB, djA, djB = j_values(k * R)
+        jA, jB, djA, djB = at
         dA = k * djA + offset * jA
         dB = k * djB + offset * jB
         return (dA * dB + m * (dA * jB + dB * jA),)
@@ -335,58 +366,78 @@ def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
         slope = dA_k * dB + dA * dB_k + m * (dA_k * jB + dA * jB_k + dB_k * jA + dB * jA_k)
         return dA * dB + m * (dA * jB + dB * jA), slope
 
-    return values, (value_slope,)
+    return at, values, (value_slope,)
 
 
 # ----------------------------------------------------------------------------
 # Scan-and-bracket driver
 # ----------------------------------------------------------------------------
 
+# One walk of the driver: (kernels, hi, count, pooled, tol).
+Walk = tuple[Kernels, float, int, bool, ToleranceConfig]
+_UNSET = object()
 
-def _scan_roots(
-    kernels: Kernels,
-    lo: float,
-    hi: float,
-    step: float,
-    count: int,
-    tol: ToleranceConfig,
-    pooled: bool = False,
-) -> list[list[float]]:
-    """Walk [lo, hi] with the given step for all branches of ``kernels`` in
-    lockstep, and Newton-solve each branch's sign changes; one list of roots
-    per branch, each in (lo, hi], an exact 0 on a scan point once.
 
-    Each scan point reads every branch from one ``values`` call, and the
-    polish reads the branch's value-and-slope function.  A branch takes
-    roots until it holds ``count``, and the walk stops when every branch
-    does; with ``pooled`` it stops after the step at which the branches
-    together hold ``count``, so they hold the ``count`` lowest roots of all
-    branches.  Raises if the window is exhausted first.
+def _scan_roots(walks: Sequence[Walk], lo: float, step: float) -> list[list[list[float]] | BracketExhaustionError]:
+    """Walk [lo, hi] with the given step for every walk of ``walks``, all in
+    one sector at one R and m0, in lockstep, and Newton-solve each branch's
+    sign changes; per walk, one list of roots per branch, each in (lo, hi],
+    an exact 0 on a scan point once, or the ``BracketExhaustionError`` of a
+    walk whose window is exhausted first.
+
+    The grid points accumulate from ``lo`` by ``step`` for every walk, and
+    each walk ends at its own ``hi``.  A scan point reads the sector's
+    Bessel pair once, by the first walk's ``at``, and every walk's branches
+    from it, and the polish reads the branch's value-and-slope function.  A
+    branch takes roots until it holds ``count``, and a walk ends when every
+    branch does; with ``pooled`` it ends after the step at which its
+    branches together hold ``count``, so they hold the ``count`` lowest
+    roots of all its branches.  So each walk finds what it would alone.
     """
-    values, value_slopes = kernels
     copysign = math.copysign
-    branches = range(len(value_slopes))
-    roots: list[list[float]] = [[] for _ in branches]
-    wanted = count if pooled else count * len(branches)
-    found = 0
+    at = walks[0][0][0]
+    at_lo = at(lo)
+    # Per walk: its kernels and request, the values at its last point, its
+    # roots, and the roots found and wanted.
+    state = [
+        [values, slopes, hi, count, pooled, tol, values(lo, at_lo), [[] for _ in slopes], 0,
+         count if pooled else count * len(slopes)]
+        for (_, values, slopes), hi, count, pooled, tol in walks
+    ]
+    live = [w for w in state if lo < w[2]]
+    ends: dict[float, Any] = {}  # the pair at a walk's own hi, where it ends off the grid
     x_prev = lo
-    f_prev = values(lo)
-    x = lo
-    while x < hi and found < wanted:
-        x = min(x_prev + step, hi)
-        f_x = values(x)
-        for i in branches:
-            a, b = f_prev[i], f_x[i]
-            # A 0 at x_prev is no new root.
-            if (b == 0.0 or (copysign(1.0, a) != copysign(1.0, b) and a != 0.0)) and (
-                pooled or len(roots[i]) < count
-            ):
-                roots[i].append(x if b == 0.0 else find_root_bracketed(value_slopes[i], (x_prev, x), tol, (a, b))[0])
-                found += 1
-        x_prev, f_prev = x, f_x
-    if found < wanted:
-        raise BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
-    return roots
+    while live:
+        x_step = x_prev + step
+        on_grid = _UNSET  # the pair at x_step, read by the first walk that needs it
+        for w in live:
+            values, value_slopes, hi, count, pooled, tol, f_prev, roots, found, wanted = w
+            if x_step <= hi:
+                x = x_step
+                if on_grid is _UNSET:
+                    on_grid = at(x)
+                pair = on_grid
+            else:
+                x = hi
+                if hi not in ends:
+                    ends[hi] = at(hi)
+                pair = ends[hi]
+            w[6] = f_x = values(x, pair)
+            for b, branch in enumerate(roots):
+                u, v = f_prev[b], f_x[b]
+                # A 0 at x_prev is no new root.
+                if (v == 0.0 or (copysign(1.0, u) != copysign(1.0, v) and u != 0.0)) and (
+                    pooled or len(branch) < count
+                ):
+                    branch.append(x if v == 0.0 else find_root_bracketed(value_slopes[b], (x_prev, x), tol, (u, v))[0])
+                    w[8] = found = found + 1
+            if found >= wanted or x_step >= hi:
+                live = [w for w in live if w[8] < w[9] and x_step < w[2]]
+        x_prev = x_step
+    return [
+        roots if found >= wanted else BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
+        for *_, hi, _, _, _, _, roots, found, wanted in state
+    ]
 
 
 def _scan_window(R: float, count: int, ell: int) -> tuple[float, float]:
@@ -403,87 +454,83 @@ def _scan_window(R: float, count: int, ell: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R + (ell + 2.0 * ell ** (1.0 / 3.0)) / R
 
 
-def _branch_roots(
-    keys: Sequence[tuple], count: int, pooled: bool, scan: Callable[[], list[list[float]]]
-) -> list[list[float]]:
-    """The roots of the branches under ``keys`` for a request of ``count``
-    per branch, or with ``pooled`` of ``count`` in all: from the run's
-    records when they answer it, otherwise from ``scan()``, a walk of those
-    branches (see ``_scan_roots``).
-
-    A run keeps one record per branch, (roots, reach): the ascending roots
-    are every root of the branch up to reach, which a walk for ``count`` per
-    branch sets to the branch's last root and a pooled walk to the highest
-    root of either branch.  Only a record of greater reach replaces one.
-    Since the scan finds the lowest roots the same way whatever the count,
-    the records answer a request per branch when each holds ``count``
-    roots, and a pooled one when both hold ``count`` up to the lesser reach.
-    """
-    table = run_table()
-    slots = [(_branch_roots, *key) for key in keys]
-    records = [table.get(slot, ((), 0.0)) for slot in slots]
-    if pooled:
-        reach = min(reach for _, reach in records)
-        held = sum(bisect_right(roots, reach) for roots, _ in records)
-    else:
-        held = min(len(roots) for roots, _ in records)
-    if held >= count:
-        return [list(roots) for roots, _ in records]
-    found = scan()
-    top = max(roots[-1] for roots in found if roots)
-    for slot, roots, (_, reach) in zip(slots, found, records, strict=True):
-        new_reach = top if pooled else roots[-1]
-        if new_reach > reach:
-            table[slot] = (tuple(roots), new_reach)
-    return found
+# One request of a sweep: (p, count, pooled, tol), for ``count`` roots per
+# branch or, with ``pooled``, ``count`` in all (see ``_scan_roots``).
+Request = tuple[DiracParams, int, bool, ToleranceConfig]
+_UNRECORDED = ((), 0.0)  # a branch's record, (roots, reach), before any walk
 
 
-def _sector_branches(
+def _sweep(
     kernels: Callable[[DiracParams, AngularSector], Kernels],
-    p: DiracParams,
-    sectors: Iterable[AngularSector],
-    count: int,
-    tol: ToleranceConfig,
-    threshold: float | None,
-    conjugate: bool,
-    pooled: bool = False,
-) -> list[tuple[AngularSector, list[float], list[float]]]:
-    """Each sector with the roots of its +E and -E branches as functions of
-    E > 0: ``count`` per branch, or with ``pooled`` at least ``count`` in
-    all, the lowest of both branches (see ``_scan_roots``).
+    sec: AngularSector,
+    requests: Sequence[Request],
+    energy: bool = True,
+    threshold: bool = False,
+    conjugate: bool = False,
+) -> list[list[list[float]]]:
+    """The roots of each request's branches in one sector, all requests at
+    one R and m0: from the run's records where they answer it, and otherwise
+    from one lockstep walk of every request they do not answer (see
+    ``_scan_roots``), which finds what each request's walk would alone.
 
-    With a ``threshold`` the scan stops just below it, and running out of
-    roots there raises ``EssentialSpectrumError``.
+    With ``energy`` the scan runs in E > 0 from just above m0, two branches
+    per request, +E and -E; with a ``threshold`` it stops just below the
+    request's m0 + m, and running out of roots there raises
+    ``EssentialSpectrumError``.  Otherwise it runs in the wavenumber k > 0,
+    one branch.  The first failing request, in request order, raises its
+    own error, once the requests before it are recorded.
 
-    A run keeps each branch's record under (kernels, p, sector, sign, tol)
-    (see ``_branch_roots``).  With ``conjugate`` the (kappa_j, -)
-    determinant is that of (-kappa_j, +), or its negative, bit for bit in
-    value and slope, so the (kappa_j, -) branch is kept under the
-    (-kappa_j, +) key, and within a run one scan of kappa_j answers both
-    sectors +-kappa_j.
+    A run keeps one record per branch, (roots, reach), under (kernels, p,
+    sector, sign, tol): the ascending roots are every root of the branch up
+    to reach, which a walk for ``count`` per branch sets to the branch's
+    last root and a pooled walk to the highest root of either branch.  Only
+    a record of greater reach replaces one.  Since the scan finds the lowest
+    roots the same way whatever the count, the records answer a request per
+    branch when each holds ``count`` roots, and a pooled one when both hold
+    ``count`` up to the lesser reach.  A request that the records answer is
+    not walked; two requests of the same branches in one sweep both walk.
+
+    With ``conjugate`` the (kappa_j, -) determinant is that of (-kappa_j,
+    +), or its negative, bit for bit in value and slope, so the (kappa_j, -)
+    branch is kept under the (-kappa_j, +) key, and within a run one scan
+    of kappa_j answers both sectors +-kappa_j.
     """
-    stop = math.inf if threshold is None else threshold * (1.0 - 1e-12)
-    lo = p.m0 + max(1e-9, 1e-9 * p.m0)
-    found = []
-    for sec in sectors:
-        step, k_top = _scan_window(p.R, count, abs(sec.kappa_j))
-        hi = min(math.sqrt(p.m0**2 + k_top**2), stop)
-
-        def scan(sec: AngularSector = sec, hi: float = hi) -> list[list[float]]:
-            try:
-                return _scan_roots(kernels(p, sec), lo, hi, step, count, tol, pooled)
-            except BracketExhaustionError as exc:
-                if hi == stop:
-                    raise EssentialSpectrumError(
-                        f"search window reached the essential spectrum at {threshold}"
-                    ) from exc
-                raise
-
-        minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
-        plus_roots, minus_roots = _branch_roots(
-            ((kernels, p, sec, 1.0, tol), (kernels, p, *minus, tol)), count, pooled, scan
-        )
-        found.append((sec, plus_roots, minus_roots))
+    if not requests:
+        return []
+    R, m0 = requests[0][0].R, requests[0][0].m0
+    table = run_table()
+    lo = m0 + max(1e-9, 1e-9 * m0) if energy else 1e-9 / R
+    minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
+    found: list = []
+    walks, plans = [], []
+    for p, count, pooled, tol in requests:
+        if p.R != R or p.m0 != m0:
+            raise ValueError("the requests of one sweep share R and m0")
+        step, k_top = _scan_window(R, count, abs(sec.kappa_j))
+        stop = (p.m0 + p.m) * (1.0 - 1e-12) if threshold else math.inf
+        hi = min(math.sqrt(m0**2 + k_top**2), stop) if energy else k_top
+        slots = ((_sweep, kernels, p, sec, 1.0, tol), (_sweep, kernels, p, *minus, tol))[: 2 if energy else 1]
+        records = [table.get(slot, _UNRECORDED) for slot in slots]
+        if pooled:
+            reach = min(reach for _, reach in records)
+            held = sum(bisect_right(roots, reach) for roots, _ in records)
+        else:
+            held = min(len(roots) for roots, _ in records)
+        if held < count:
+            walks.append((kernels(p, sec), hi, count, pooled, tol))
+            plans.append((len(found), p, slots, pooled, stop))
+        found.append(None if held < count else [list(roots) for roots, _ in records])
+    for (i, p, slots, pooled, stop), roots in zip(plans, _scan_roots(walks, lo, step) if walks else ()):
+        if isinstance(roots, BracketExhaustionError):
+            if roots.scanned[1] != stop:
+                raise roots
+            raise EssentialSpectrumError(f"search window reached the essential spectrum at {p.m0 + p.m}") from roots
+        top = max(branch[-1] for branch in roots if branch) if pooled else 0.0
+        for slot, branch in zip(slots, roots):
+            reach = top if pooled else branch[-1]
+            if reach > table.get(slot, _UNRECORDED)[1]:
+                table[slot] = (tuple(branch), reach)
+        found[i] = roots
     return found
 
 
@@ -493,37 +540,43 @@ def _signed_spectrum(
     sectors: Iterable[AngularSector],
     count_per_side: int,
     tol: ToleranceConfig | None,
-    threshold: float | None = None,
+    threshold: bool = False,
     conjugate: bool = False,
 ) -> list[tuple[float, AngularSector]]:
     """The first count roots of each sign per sector as (E, sector) pairs,
     sorted by |E|; ``kernels(p, sector)`` gives the sector's determinant at
     energies +E and -E as functions of E > 0.  One lockstep scan serves both
-    branches of a sector (see ``_sector_branches``)."""
-    tol = tol or ToleranceConfig()
+    branches of a sector (see ``_sweep``)."""
+    request = (p, count_per_side, False, tol or ToleranceConfig())
     entries: list[tuple[float, AngularSector]] = []
-    for sec, plus, minus in _sector_branches(kernels, p, sectors, count_per_side, tol, threshold, conjugate):
+    for sec in sectors:
+        ((plus, minus),) = _sweep(kernels, sec, [request], threshold=threshold, conjugate=conjugate)
         entries.extend((e, sec) for e in plus[:count_per_side])
         entries.extend((-e, sec) for e in minus[:count_per_side])
     entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
     return entries
 
 
+# A request of the public sweeps: (p, count, tol), as the single-mass solver takes them.
+Levels = tuple[DiracParams, int, ToleranceConfig | None]
+
+
 def _magnitudes(
     kernels: Callable[[DiracParams, AngularSector], Kernels],
-    p: DiracParams,
     sector: AngularSector,
-    count: int,
-    tol: ToleranceConfig | None,
-    threshold: float | None = None,
+    requests: Sequence[Levels],
+    threshold: bool = False,
     conjugate: bool = False,
-) -> list[float]:
-    """First ``count`` singular values of one sector: the lowest roots of its
-    two branches together.  The scan stops once the branches hold ``count``
-    roots in all, and refuses only when they hold fewer in the window."""
-    tol = tol or ToleranceConfig()
-    ((_, plus, minus),) = _sector_branches(kernels, p, [sector], count, tol, threshold, conjugate, pooled=True)
-    return sorted(plus + minus)[:count]
+) -> list[list[float]]:
+    """First ``count`` singular values of one sector per request: the lowest
+    roots of its two branches together.  The scan stops once the branches
+    hold ``count`` roots in all, and refuses only when they hold fewer in
+    the window."""
+    found = _sweep(
+        kernels, sector, [(p, count, True, tol or ToleranceConfig()) for p, count, tol in requests],
+        threshold=threshold, conjugate=conjugate,
+    )
+    return [sorted(plus + minus)[:count] for (plus, minus), (_, count, _) in zip(found, requests)]
 
 
 def mit_spectrum_signed(
@@ -547,7 +600,7 @@ def mit_eigenvalues(
     Positive and negative bag eigenvalues of the sector are merged by
     absolute value; the exterior mass jump in ``p`` is ignored.
     """
-    return _magnitudes(_mit_kernels, p, sector, count, tol, conjugate=p.m0 == 0.0)
+    return _magnitudes(_mit_kernels, sector, [(p, count, tol)], conjugate=p.m0 == 0.0)[0]
 
 
 def largemass_spectrum_signed(
@@ -559,7 +612,7 @@ def largemass_spectrum_signed(
     """Signed eigenvalues of the large-mass operator below the threshold m0+m."""
     if p.m <= 0.0:
         raise ValueError("the large-mass solver needs m > 0")
-    return _signed_spectrum(_largemass_kernels, p, sectors, count_per_side, tol, threshold=p.m0 + p.m)
+    return _signed_spectrum(_largemass_kernels, p, sectors, count_per_side, tol, threshold=True)
 
 
 def largemass_eigenvalues(
@@ -571,9 +624,16 @@ def largemass_eigenvalues(
     """First ``count`` singular values of the large-mass operator in one
     sector, below the threshold m0+m; refused only when the sector has fewer
     than ``count`` levels there, of both signs together."""
-    if p.m <= 0.0:
+    return largemass_sweep(sector, [(p, count, tol)])[0]
+
+
+def largemass_sweep(sector: AngularSector, requests: Sequence[Levels]) -> list[list[float]]:
+    """``largemass_eigenvalues(p, sector, count, tol)`` for each request (p,
+    count, tol), bit for bit, from one lockstep walk of the sector at every
+    mass; the requests share R and m0."""
+    if any(p.m <= 0.0 for p, _, _ in requests):
         raise ValueError("the large-mass solver needs m > 0")
-    return _magnitudes(_largemass_kernels, p, sector, count, tol, threshold=p.m0 + p.m)
+    return _magnitudes(_largemass_kernels, sector, requests, threshold=True)
 
 
 def robin_laplacian_eigenvalues(
@@ -589,18 +649,20 @@ def robin_laplacian_eigenvalues(
     squared bag eigenvalue, which it reaches as m -> infinity.  The scan is
     the one-branch case of the lockstep driver.
     """
-    if p.m <= 0.0:
-        raise ValueError("the Robin solver needs m > 0")
-    tol = tol or ToleranceConfig()
-    step, hi = _scan_window(p.R, count, abs(sector.kappa_j))
-    (roots,) = _branch_roots(
-        ((_robin_kernels, p, sector, 1.0, tol),),
-        count,
-        False,
-        lambda: _scan_roots(_robin_kernels(p, sector), 1e-9 / p.R, hi, step, count, tol),
-    )
-    return [p.m0**2 + k * k for k in roots[:count]]
+    return robin_sweep(sector, [(p, count, tol)])[0]
 
+
+def robin_sweep(sector: AngularSector, requests: Sequence[Levels]) -> list[list[float]]:
+    """``robin_laplacian_eigenvalues(p, sector, count, tol)`` for each
+    request (p, count, tol), bit for bit, from one lockstep walk of the
+    sector at every mass; the requests share R and m0."""
+    if any(p.m <= 0.0 for p, _, _ in requests):
+        raise ValueError("the Robin solver needs m > 0")
+    found = _sweep(
+        _robin_kernels, sector, [(p, count, False, tol or ToleranceConfig()) for p, count, tol in requests],
+        energy=False,
+    )
+    return [[p.m0**2 + k * k for k in roots[:count]] for (roots,), (p, count, _) in zip(found, requests)]
 
 
 # ----------------------------------------------------------------------------

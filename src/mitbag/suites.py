@@ -29,15 +29,15 @@ from .dirac_ball import (
     boundary_identity_check,
     charge_conjugation_check,
     eta_functional,
-    largemass_eigenvalues,
     largemass_spectrum_signed,
+    largemass_sweep,
     mit_eigenpair,
     mit_eigenvalues,
     mit_spectrum_signed,
     mu_functional,
     nu_minmax,
     robin_eigenpair,
-    robin_laplacian_eigenvalues,
+    robin_sweep,
 )
 from .exterior import (
     agmon_decay_check,
@@ -410,11 +410,12 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
     # so its bound is infinite), and the last is below 1e-4.  The two lowest
-    # ground-sector levels at each mass serve both slope grids as well.
-    def hm_pair(m: float) -> list[float]:
-        return largemass_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 2, tol=tol)
-
-    hm_levels = _pmap(hm_pair, CONVERGENCE_M_GRID)
+    # ground-sector levels at each mass, from one sweep of the sector at
+    # every mass, serve both slope grids as well.
+    slope_grid = config.m_grid or SLOPE_M_GRID
+    masses = list(dict.fromkeys((*CONVERGENCE_M_GRID, *slope_grid)))
+    hm_pair = dict(zip(masses, largemass_sweep(GROUND_SECTOR, [(DiracParams(R=R, m=m), 2, tol) for m in masses])))
+    hm_levels = _pmap(hm_pair.__getitem__, CONVERGENCE_M_GRID)
 
     for k in (0, 1):
         sector = f"{GROUND_SECTOR.label()};k={k + 1}"
@@ -427,13 +428,12 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # The limit is extracted on the large-m tail (reusing the convergence
     # solves), where second-order pollution is below the 1e-6 requirement;
     # the slope and its drift use the pinned medium-m grid.
-    slope_grid = config.m_grid or SLOPE_M_GRID
     u1 = memoized(mit_eigenpair, p, GROUND_SECTOR, lam1)
     eta1 = eta_functional(u1, lam1, p)
-    sq = _pmap(lambda m: hm_pair(m)[0] ** 2, slope_grid)
+    sq = _pmap(lambda m: hm_pair[m][0] ** 2, slope_grid)
     points = list(zip(slope_grid, sq))
     slope, drift = slope_drift(points)
-    tail_limit, _ = fit_inverse_m([(m, hm_pair(m)[0] ** 2) for m in CONVERGENCE_M_GRID[-4:]])
+    tail_limit, _ = fit_inverse_m([(m, hm_pair[m][0] ** 2) for m in CONVERGENCE_M_GRID[-4:]])
     records.append(check("dirac.slope.limit", lam1**2, tail_limit, 1e-6))
     records.append(check("dirac.slope.eta", eta1, slope, 0.05))
     records.append(check("dirac.slope.eta.drift", 0.0, drift, 0.02))
@@ -458,7 +458,7 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # never asserted.
     u_k = signed_pair(GROUND_SECTOR, 1)
     eta_k = eta_functional(u_k, abs(u_k.energy), p)
-    sq_k = _pmap(lambda m: hm_pair(m)[1] ** 2, slope_grid)
+    sq_k = _pmap(lambda m: hm_pair[m][1] ** 2, slope_grid)
     _, slope_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
     label = f"{GROUND_SECTOR.label()};k=2"
     records.append(check("dirac.slope.higher", eta_k, slope_k, 0.0, sector=label))
@@ -489,24 +489,39 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     u1 = memoized(mit_eigenpair, p0, GROUND_SECTOR, lam1)
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
-    for m in (50.0, 200.0, 800.0):
-        pm = DiracParams(R=R, m=m)
+
+    # Every Robin level of the suite, from one sweep per sector at every
+    # mass: per (kappa_j, m, tol) the most levels a check reads there, the
+    # upper-bound levels below and the ground level on the slope and tail
+    # grids, at the identity masses and at the tolerance study's mass and
+    # tolerances (the study's solves use their own tolerances by design).
+    bound_grid, slope_grid, tail_grid = (50.0, 200.0, 800.0), config.m_grid or SLOPE_M_GRID, (1e3, 1e4, 1e5, 1e6)
+    study_tols = tuple(ToleranceConfig(abs_tol=0.0, rel_tol=rel_tol, max_iter=300) for rel_tol in (1e-6, 1e-12))
+    need = {(kj, m, tol): len(levels) for m in bound_grid for kj, levels in bag_levels.items()}
+    for m in (*slope_grid, *tail_grid, 200.0, 800.0):
+        need.setdefault((-1, m, tol), 1)
+    for study_tol in study_tols:
+        need.setdefault((-1, 200.0, study_tol), 1)
+    robin = {}
+    for kj in bag_levels:
+        asked = [(m, t, count) for (k, m, t), count in need.items() if k == kj]
+        levels = robin_sweep(AngularSector(kj), [(DiracParams(R=R, m=m), count, t) for m, t, count in asked])
+        robin.update(((kj, m, t), lam_ints) for (m, t, _), lam_ints in zip(asked, levels))
+
+    for m in bound_grid:
         for kj, levels in bag_levels.items():
             sector = AngularSector(kj)
-            robin = robin_laplacian_eigenvalues(pm, sector, len(levels), tol=tol)
-            for k, (lam, lam_int) in enumerate(zip(levels, robin, strict=True), start=1):
+            for k, (lam, lam_int) in enumerate(zip(levels, robin[kj, m, tol], strict=True), start=1):
                 records.append(check("robin.upper_bound", lam**2, lam_int, 1e-9 * (lam**2 + 1.0), m=m,
                                      sector=f"{sector.label()};k={k}"))
 
-    def robin_ground(m: float) -> float:
-        return robin_laplacian_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 1, tol=tol)[0]
+    def robin_ground(m: float, study_tol: ToleranceConfig = tol) -> float:
+        return robin[-1, m, study_tol][0]
 
     # First-order slope against the Robin-trace functional.
-    slope_grid = config.m_grid or SLOPE_M_GRID
     lam_int_values = _pmap(robin_ground, slope_grid)
     slope, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
     records.append(check("robin.slope.mu", mu1, slope, 0.05))
-    tail_grid = (1e3, 1e4, 1e5, 1e6)
     tail_values = _pmap(robin_ground, tail_grid)
     tail_limit, _ = fit_inverse_m(list(zip(tail_grid, tail_values)))
     records.append(check("robin.slope.limit", lam1**2, tail_limit, 1e-6))
@@ -529,14 +544,14 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # tightly as the tight Robin solve, so that its own error cannot
     # dominate both residuals when the configured tolerance is loose.
     pm = DiracParams(R=R, m=200.0)
-    tight = ToleranceConfig(abs_tol=0.0, rel_tol=1e-12, max_iter=300)
+    tight = study_tols[1]
     u_study = u1
     if tol.abs_tol > 0.0 or tol.rel_tol > tight.rel_tol:
         lam_study = mit_eigenvalues(p0, GROUND_SECTOR, 1, tol=tight)[0]
         u_study = memoized(mit_eigenpair, p0, GROUND_SECTOR, lam_study)
     res_by_tol = []
-    for study_tol in (ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300), tight):
-        lam_int = robin_laplacian_eigenvalues(pm, GROUND_SECTOR, 1, tol=study_tol)[0]
+    for study_tol in study_tols:
+        lam_int = robin_ground(200.0, study_tol)
         u_int = memoized(robin_eigenpair, pm, GROUND_SECTOR, lam_int)
         res_by_tol.append(boundary_identity_check(u_int, u_study, 200.0, pm))
     records.append(check("robin.identity.tol_study", res_by_tol[0], res_by_tol[1], 0.0, m=200.0))

@@ -412,9 +412,10 @@ def test_additivity_row_fails_when_a_bessel_coefficient_moves(monkeypatch, R):
 
 
 def _spy_scans(monkeypatch):
-    """Record every scan as (kernel factory, p, sector, tol), one lockstep
-    scan of all the sector's branches."""
-    scans, bound_kernels = [], []
+    """Record every entry a scan walks as (kernel factory, p, sector, tol),
+    and every walk, one lockstep walk of one sector for all its entries, as
+    its kernel factory."""
+    entries, walks, bound_kernels = [], [], []
     for name in ("_mit_kernels", "_largemass_kernels", "_robin_kernels"):
         original = getattr(dirac_ball, name)
 
@@ -425,13 +426,16 @@ def _spy_scans(monkeypatch):
         monkeypatch.setattr(dirac_ball, name, factory)
     scan = dirac_ball._scan_roots
 
-    def scanning(kernels, lo, hi, step, count, tol, *pooled):
-        # Each scan binds its kernels just before it starts.
-        scans.append((*bound_kernels.pop(), tol))
-        return scan(kernels, lo, hi, step, count, tol, *pooled)
+    def scanning(walked, lo, step):
+        # Each walk binds the kernels of its entries just before it starts.
+        bound = bound_kernels[-len(walked):]
+        del bound_kernels[-len(walked):]
+        entries.extend((*kernels, tol) for kernels, (_, _, _, _, tol) in zip(bound, walked, strict=True))
+        walks.append(bound[0][0])
+        return scan(walked, lo, step)
 
     monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
-    return scans
+    return entries, walks
 
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
@@ -440,7 +444,7 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # scanned once, both branches in lockstep, and serves its charge
     # conjugate, and no eigenpair is built twice.  A second run scans
     # everything again.
-    scans = _spy_scans(monkeypatch)
+    scans, walks = _spy_scans(monkeypatch)
     pairs = []
     for name in ("mit_eigenpair", "robin_eigenpair"):
         original = getattr(suites, name)
@@ -461,16 +465,73 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     assert ground == [("_mit_kernels", p, suites.GROUND_SECTOR, tol)]
     # Bag: kj=-2 and kj=-1 at R (the symmetry solve), the ground sector at
     # 2R; large-mass: the four symmetry sectors at m = 100, the ground sector
-    # at the nine other masses; Robin: one branch per solve.
+    # at the nine other masses; Robin: kj=-1 at ten masses and two study
+    # tolerances, kj=-2 at three masses.
     assert Counter(name for name, *_ in scans) == {
         "_mit_kernels": 3,
         "_largemass_kernels": 13,
         "_robin_kernels": 15,
     }
+    # One walk per bag sector; per large-mass symmetry sector, and one for
+    # the ground sector at the nine masses; one per Robin sector.
+    assert Counter(walks) == {"_mit_kernels": 3, "_largemass_kernels": 5, "_robin_kernels": 2}
     first = list(scans)
     scans.clear()
     run_suite(config)
     assert scans == first
+
+
+def test_pinned_spectra_pass_work(tmp_path, monkeypatch):
+    # The work of one spectra pass (the exterior, dirac and robin suites at
+    # R = 1, seed 0), per eigen-solver: lockstep walks, the sector's
+    # Bessel-pair evaluations at scan points, Newton polishes and slope
+    # evaluations.  A walk serves every mass asked of its sector, so the
+    # ground-sector large-mass levels at nine masses take one walk and the
+    # fifteen Robin requests two; the polishes and slopes are those of one
+    # walk per request.
+    counts = Counter()
+    for name, operator in (("_mit_kernels", "mit"), ("_largemass_kernels", "largemass"), ("_robin_kernels", "robin")):
+
+        def factory(p, sector, _factory=getattr(dirac_ball, name), _operator=operator):
+            at, values, value_slopes = _factory(p, sector)
+
+            def counted_at(x):
+                counts[_operator, "pairs"] += 1
+                return at(x)
+
+            def counted(value_slope):
+                def counted_value_slope(x):
+                    counts[_operator, "slopes"] += 1
+                    return value_slope(x)
+
+                counted_value_slope.operator = _operator
+                return counted_value_slope
+
+            counted_at.operator = _operator
+            return counted_at, values, tuple(counted(vs) for vs in value_slopes)
+
+        monkeypatch.setattr(dirac_ball, name, factory)
+    scan, polish = dirac_ball._scan_roots, dirac_ball.find_root_bracketed
+
+    def walking(walks, lo, step):
+        counts[walks[0][0][0].operator, "walks"] += 1
+        return scan(walks, lo, step)
+
+    def polishing(f, *args):
+        counts[f.operator, "polishes"] += 1
+        return polish(f, *args)
+
+    monkeypatch.setattr(dirac_ball, "_scan_roots", walking)
+    monkeypatch.setattr(dirac_ball, "find_root_bracketed", polishing)
+    for suite in ("exterior", "dirac", "robin"):
+        run_suite(SuiteConfig(suite=suite, geometry=BallInterior(1.0), seed=0, output_path=str(tmp_path / "r.json")))
+    fields = ("walks", "pairs", "polishes", "slopes")
+    assert {operator: [counts[operator, field] for field in fields] for operator in ("mit", "largemass", "robin")} == {
+        "mit": [5, 62, 24, 85],
+        "largemass": [5, 50, 34, 136],
+        "robin": [2, 12, 18, 71],
+    }
+    assert sum(counts[operator, "polishes"] for operator in ("mit", "largemass", "robin")) == 76
 
 
 # Imports mitbag.cli and runs the pinned verify in a fresh interpreter, then

@@ -3,6 +3,7 @@ independent closed-form evaluations (plain bisection + scipy Bessel)."""
 
 import contextlib
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -24,6 +25,7 @@ from mitbag.dirac_ball import (
     largemass_eigenpair,
     largemass_eigenvalues,
     largemass_spectrum_signed,
+    largemass_sweep,
     mit_eigenpair,
     mit_eigenvalues,
     mit_spectrum_signed,
@@ -31,6 +33,7 @@ from mitbag.dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
+    robin_sweep,
 )
 from mitbag.numerics import NumericsError, ToleranceConfig, run_memo
 from mitbag.special import SpecialFunctionDomainError
@@ -92,6 +95,20 @@ class TestAngularSector:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             AngularSector(0)
+
+    @pytest.mark.parametrize("kj", (np.int64(2), np.int32(-50), 50, -1))
+    def test_any_integer_is_kept_as_an_int(self, kj):
+        sec = AngularSector(kj)
+        assert type(sec.kappa_j) is int and sec.kappa_j == kj
+        assert sec == AngularSector(int(kj)) and hash(sec) == hash(AngularSector(int(kj)))
+        assert mit_eigenvalues(P0, sec, 1) == mit_eigenvalues(P0, AngularSector(int(kj)), 1)
+
+    @pytest.mark.parametrize("kj", (True, False, np.bool_(True), 1.5, 2.0, "1", None, 51, -51, np.int64(0)))
+    def test_what_the_solvers_cannot_take_is_refused_by_name(self, kj):
+        # Refused at construction, naming kappa_j and the value given, not
+        # an order derived from it deep in the Bessel layer.
+        with pytest.raises(ValueError, match=r"kappa_j .*got " + re.escape(repr(kj))):
+            AngularSector(kj)
 
 
 class TestBagSolver:
@@ -642,17 +659,18 @@ PINNED_SECTORS = ((GROUND, 1), (GROUND, 3), (AngularSector(2), 2), (AngularSecto
 
 def _spy_kernels(monkeypatch, name, on_values, on_value_slope):
     """Replace the kernel factory ``name``: every kernel it binds reports each
-    scan point, where all branches are evaluated together, as on_values(x,
-    values), and each evaluation of one branch's value and slope as
-    on_value_slope(branch, x, value, slope), with ``branch`` the index of
-    the branch: 0 for +E and 1 for -E, 0 for the Robin determinant."""
+    scan point, where all branches are evaluated together from the sector's
+    Bessel pair there, as on_values(x, values), and each evaluation of one
+    branch's value and slope as on_value_slope(branch, x, value, slope),
+    with ``branch`` the index of the branch: 0 for +E and 1 for -E, 0 for
+    the Robin determinant."""
     original = getattr(dirac_ball, name)
 
     def factory(p, sec):
-        values, value_slopes = original(p, sec)
+        at, values, value_slopes = original(p, sec)
 
-        def spied_values(x):
-            f = values(x)
+        def spied_values(x, pair):
+            f = values(x, pair)
             on_values(x, f)
             return f
 
@@ -664,7 +682,7 @@ def _spy_kernels(monkeypatch, name, on_values, on_value_slope):
 
             return spied_value_slope
 
-        return spied_values, tuple(spied(i, vs) for i, vs in enumerate(value_slopes))
+        return at, spied_values, tuple(spied(i, vs) for i, vs in enumerate(value_slopes))
 
     monkeypatch.setattr(dirac_ball, name, factory)
 
@@ -788,6 +806,11 @@ class TestEvaluationCounts:
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
 
+def _one_branch(f, f_and_slope):
+    """The kernels of one branch f, whose scan points read no Bessel pair."""
+    return (lambda x: None, lambda x, pair: (f(x),), (f_and_slope,))
+
+
 class TestScanRoots:
     def test_sign_changes_solved_in_order(self):
         # sin(pi x) from 0.5 at step 0.25: every root sits on a scan point,
@@ -798,7 +821,8 @@ class TestScanRoots:
         def f_and_slope(x):
             return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
 
-        (roots,) = dirac_ball._scan_roots((lambda x: (f(x),), (f_and_slope,)), 0.5, 3.5, 0.25, 3, ToleranceConfig())
+        walk = (_one_branch(f, f_and_slope), 3.5, 3, False, ToleranceConfig())
+        [(roots,)] = dirac_ball._scan_roots([walk], 0.5, 0.25)
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
     @pytest.mark.parametrize("zero", (0.0, -0.0))
@@ -813,7 +837,8 @@ class TestScanRoots:
         def f_and_slope(x):
             return f(x), slope * (2.0 * x - 3.2)
 
-        (roots,) = dirac_ball._scan_roots((lambda x: (f(x),), (f_and_slope,)), 0.0, 3.0, 0.5, 2, ToleranceConfig())
+        walk = (_one_branch(f, f_and_slope), 3.0, 2, False, ToleranceConfig())
+        [(roots,)] = dirac_ball._scan_roots([walk], 0.0, 0.5)
         assert roots[0] == 1.0 and roots[1] == pytest.approx(2.2, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -827,32 +852,68 @@ class TestScanRoots:
         # pooled, when both together do, with the lowest roots of the two.
         points = []
 
-        def values(x):
+        def at(x):
             points.append(x)
-            return math.sin(math.pi * (x - 0.1)), math.sin(math.pi * (x - 0.6))
+            return x
+
+        def values(x, pair):
+            return math.sin(math.pi * (pair - 0.1)), math.sin(math.pi * (pair - 0.6))
 
         def branch(shift):
             return lambda x: (math.sin(math.pi * (x - shift)), math.pi * math.cos(math.pi * (x - shift)))
 
-        kernels = (values, (branch(0.1), branch(0.6)))
-        roots = dirac_ball._scan_roots(kernels, 0.7, 9.0, 0.25, count, ToleranceConfig(), pooled)
+        kernels = (at, values, (branch(0.1), branch(0.6)))
+        [roots] = dirac_ball._scan_roots([(kernels, 9.0, count, pooled, ToleranceConfig())], 0.7, 0.25)
         assert len(roots) == 2
         for rs, es in zip(roots, expected):
             assert rs == pytest.approx(es, abs=1e-12)
         assert len(points) == len(set(points))
         assert max(points) < max(max(rs) for rs in roots) + 0.25
 
+    def test_walks_share_the_grid_and_end_at_their_own_top(self):
+        # Two walks of sin(pi (x - 0.1)) on one grid from 0.7 at step 0.25,
+        # both for 3 roots (1.1, 2.1, 3.1): one with its top at 2.3, where
+        # it ends off the grid with 2, one with its top at 9.  Together they
+        # read the pair once at each point either reads alone, and each
+        # walk finds what it finds alone.
+        points = []
+
+        def at(x):
+            points.append(x)
+            return x
+
+        def values(x, pair):
+            return (math.sin(math.pi * (pair - 0.1)),)
+
+        def value_slope(x):
+            return math.sin(math.pi * (x - 0.1)), math.pi * math.cos(math.pi * (x - 0.1))
+
+        walks = [((at, values, (value_slope,)), top, 3, False, ToleranceConfig()) for top in (2.3, 9.0)]
+        alone = []
+        for walk in walks:
+            points.clear()
+            (found,) = dirac_ball._scan_roots([walk], 0.7, 0.25)
+            alone.append((found if isinstance(found, list) else str(found), set(points)))
+        points.clear()
+        together = dirac_ball._scan_roots(walks, 0.7, 0.25)
+        assert [found if isinstance(found, list) else str(found) for found in together] == [a for a, _ in alone]
+        assert alone[0][0] == "found 2 of 3 eigenvalues" and together[0].scanned == (0.7, 2.3)
+        assert together[1] == [pytest.approx([1.1, 2.1, 3.1], abs=1e-12)]
+        assert len(points) == len(set(points)) and set(points) == alone[0][1] | alone[1][1]
+        assert 2.3 in points
+
     def test_pooled_walk_refuses_only_fewer_roots_in_all(self):
         # One root in each branch of [0.7, 2]: two in all are found, three are not.
-        def values(x):
+        def values(x, pair):
             return x - 1.1, x - 1.6
 
-        kernels = (values, (lambda x: (x - 1.1, 1.0), lambda x: (x - 1.6, 1.0)))
-        assert dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 2, ToleranceConfig(), True) == [[1.1], [1.6]]
-        with pytest.raises(dirac_ball.BracketExhaustionError):
-            dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 3, ToleranceConfig(), True)
-        with pytest.raises(dirac_ball.BracketExhaustionError):
-            dirac_ball._scan_roots(kernels, 0.7, 2.0, 0.25, 2, ToleranceConfig())
+        kernels = (lambda x: None, values, (lambda x: (x - 1.1, 1.0), lambda x: (x - 1.6, 1.0)))
+        tol = ToleranceConfig()
+        assert dirac_ball._scan_roots([(kernels, 2.0, 2, True, tol)], 0.7, 0.25) == [[[1.1], [1.6]]]
+        (error,) = dirac_ball._scan_roots([(kernels, 2.0, 3, True, tol)], 0.7, 0.25)
+        assert isinstance(error, dirac_ball.BracketExhaustionError)
+        (error,) = dirac_ball._scan_roots([(kernels, 2.0, 2, False, tol)], 0.7, 0.25)
+        assert isinstance(error, dirac_ball.BracketExhaustionError)
 
 
 # ----------------------------------------------------------------------------
@@ -951,7 +1012,7 @@ class TestDeterminantDerivatives:
     def test_mit_slope(self, kj, R, m0, t, sign):
         p, sec = DiracParams(R=R, m0=m0), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._mit_kernels(p, sec)[1][BRANCH[sign]](abs(E))
+        value, slope = dirac_ball._mit_kernels(p, sec)[2][BRANCH[sign]](abs(E))
         v_ref, s_ref, scale = _mit_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-11, abs=1e-12)
         assert abs(sign * slope - s_ref) <= 1e-10 * scale
@@ -961,7 +1022,7 @@ class TestDeterminantDerivatives:
     def test_largemass_slope(self, kj, R, m0, m, t, sign):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         E = sign * (m0 + t / R)
-        value, slope = dirac_ball._largemass_kernels(p, sec)[1][BRANCH[sign]](abs(E))
+        value, slope = dirac_ball._largemass_kernels(p, sec)[2][BRANCH[sign]](abs(E))
         v_ref, s_ref, scale = _largemass_oracle(E, p, sec)
         assert value == pytest.approx(v_ref, rel=1e-10, abs=1e-12 * abs(v_ref) + 1e-300)
         assert abs(sign * slope - s_ref) <= 1e-9 * scale
@@ -971,7 +1032,7 @@ class TestDeterminantDerivatives:
     def test_robin_slope(self, kj, R, m0, m, t):
         p, sec = DiracParams(R=R, m0=m0, m=m), AngularSector(kj)
         k = t / R
-        (value_slope,) = dirac_ball._robin_kernels(p, sec)[1]
+        (value_slope,) = dirac_ball._robin_kernels(p, sec)[2]
         value, slope = value_slope(k)
         v_ref, s_ref, scale = _robin_oracle(k, p, sec)
         assert abs(value - v_ref) <= 1e-11 * scale * k
@@ -1001,12 +1062,12 @@ class TestValueKernels:
             (dirac_ball._largemass_kernels(p, sec), min(top, (m0 + m) * (1.0 - 1e-12))),
         ):
             E = lo + u * (hi - lo)
-            values, value_slopes = kernels
+            at, values, value_slopes = kernels
             assert len(value_slopes) == 2
-            assert [v.hex() for v in values(E)] == [vs(E)[0].hex() for vs in value_slopes]
-        values, (value_slope,) = dirac_ball._robin_kernels(p, sec)
+            assert [v.hex() for v in values(E, at(E))] == [vs(E)[0].hex() for vs in value_slopes]
+        at, values, (value_slope,) = dirac_ball._robin_kernels(p, sec)
         k = 1e-9 / R + u * (k_top - 1e-9 / R)
-        (value,) = values(k)
+        (value,) = values(k, at(k))
         assert value.hex() == value_slope(k)[0].hex()
 
     @pytest.mark.parametrize("kernels, m", [("_mit_kernels", 0.0), ("_largemass_kernels", 200.0)])
@@ -1030,8 +1091,8 @@ class TestValueKernels:
 
         monkeypatch.setattr(dirac_ball, "j_pair_kernel", spy("j", dirac_ball.j_pair_kernel))
         monkeypatch.setattr(dirac_ball, "ek_pair_kernel", spy("ek", dirac_ball.ek_pair_kernel))
-        values, value_slopes = getattr(dirac_ball, kernels)(DiracParams(R=1.0, m=m), AngularSector(kj))
-        plus, minus = values(2.7)
+        at, values, value_slopes = getattr(dirac_ball, kernels)(DiracParams(R=1.0, m=m), AngularSector(kj))
+        plus, minus = values(2.7, at(2.7))
         assert calls == (["j"] if m == 0.0 else ["j", "ek"])
         assert (plus, minus) == (value_slopes[0](2.7)[0], value_slopes[1](2.7)[0])
 
@@ -1049,13 +1110,13 @@ class TestConjugateBranches:
     )
     def test_minus_branch_is_the_conjugate_plus_branch(self, kj, R, u):
         p = DiracParams(R=R)
-        minus_values, (_, minus) = dirac_ball._mit_kernels(p, AngularSector(kj))
-        plus_values, (plus, _) = dirac_ball._mit_kernels(p, AngularSector(-kj))
+        minus_at, minus_values, (_, minus) = dirac_ball._mit_kernels(p, AngularSector(kj))
+        plus_at, plus_values, (plus, _) = dirac_ball._mit_kernels(p, AngularSector(-kj))
         lo = 1e-9
         _, hi = dirac_ball._scan_window(R, 20, abs(kj))
         E = lo + u * (hi - lo)
-        v_minus, (f_minus, d_minus) = minus_values(E)[1], minus(E)
-        v_plus, (f_plus, d_plus) = plus_values(E)[0], plus(E)
+        v_minus, (f_minus, d_minus) = minus_values(E, minus_at(E))[1], minus(E)
+        v_plus, (f_plus, d_plus) = plus_values(E, plus_at(E))[0], plus(E)
         sign = math.copysign(1.0, v_minus) * math.copysign(1.0, v_plus)
         assert [x.hex() for x in (v_minus, f_minus, d_minus)] == [(sign * x).hex() for x in (v_plus, f_plus, d_plus)]
 
@@ -1222,16 +1283,16 @@ def _crowded_largemass_kernels(p, sec):
     crowd below those of the +E branch.  The solvers' own branches
     interlace, so only a stand-in like this one shows a request that the
     roots of each branch up to its reach do not answer."""
-    values, (plus, minus) = dirac_ball._largemass_kernels(p, sec)
+    at, values, (plus, minus) = dirac_ball._largemass_kernels(p, sec)
 
-    def crowded_values(E):
-        return values(E)[0], values(5.0 * E)[1]
+    def crowded_values(E, pair):
+        return values(E, pair)[0], values(5.0 * E, at(5.0 * E))[1]
 
     def crowded_minus(E):
         f, df = minus(5.0 * E)
         return f, 5.0 * df
 
-    return crowded_values, (plus, crowded_minus)
+    return at, crowded_values, (plus, crowded_minus)
 
 
 def _signed_levels(solver):
@@ -1244,9 +1305,11 @@ RECORD_REQUESTS = {
     "largemass signed": _signed_levels(largemass_spectrum_signed),
     "largemass magnitudes": largemass_eigenvalues,
     "crowded signed": lambda p, sec, n: [
-        e for e, _ in dirac_ball._signed_spectrum(_crowded_largemass_kernels, p, [sec], n, None, p.m)
+        e for e, _ in dirac_ball._signed_spectrum(_crowded_largemass_kernels, p, [sec], n, None, threshold=True)
     ],
-    "crowded magnitudes": lambda p, sec, n: dirac_ball._magnitudes(_crowded_largemass_kernels, p, sec, n, None, p.m),
+    "crowded magnitudes": lambda p, sec, n: dirac_ball._magnitudes(
+        _crowded_largemass_kernels, sec, [(p, n, None)], threshold=True
+    )[0],
     "robin": robin_laplacian_eigenvalues,
 }
 
@@ -1286,38 +1349,191 @@ class TestBranchRecords:
         with run_memo():
             assert [self._answer(request, p, kj, count) for request, kj, count in requests] == alone
 
-    def test_records_answer_up_to_their_reach(self):
-        walks = []
+    def test_records_answer_up_to_their_reach(self, monkeypatch):
+        # A stand-in driver returns the roots planned for each walk.
+        walks, planned = [], []
 
-        def walk(*branches):
-            def scan():
-                walks.append(branches)
-                return [list(roots) for roots in branches]
+        def scan(walked, lo, step):
+            assert len(planned) == len(walked), "the records answer this request"
+            walks.extend(walked)
+            return [planned.pop(0) for _ in walked]
 
-            return scan
+        monkeypatch.setattr(dirac_ball, "_scan_roots", scan)
+        p, sec, tol = DiracParams(R=1.0), AngularSector(-1), ToleranceConfig()
 
-        def no_walk():
-            raise AssertionError("the records answer this request")
+        def kernels(p, sec):
+            return None
 
-        keys = (("plus",), ("minus",))
+        def request(count, pooled, *walk):
+            # The roots of one request; ``walk`` is what its walk finds.
+            planned.extend([[list(roots) for roots in walk]] if walk else [])
+            (roots,) = dirac_ball._sweep(kernels, sec, [(p, count, pooled, tol)])
+            return roots
+
         with run_memo():
             # A walk for 3 per branch: each branch reaches its own last root.
-            assert dirac_ball._branch_roots(keys, 3, False, walk([1.0, 4.0, 7.0], [2.0, 2.5, 3.0])) == [
-                [1.0, 4.0, 7.0],
-                [2.0, 2.5, 3.0],
-            ]
+            assert request(3, False, [1.0, 4.0, 7.0], [2.0, 2.5, 3.0]) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0]]
             # Four roots lie up to the lesser reach 3: a pooled request for
             # 4 after the deeper walk scans nothing, and one for 5 walks.
-            assert dirac_ball._branch_roots(keys, 4, True, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0]]
-            assert dirac_ball._branch_roots(keys, 5, True, walk([1.0], [2.0, 2.5, 3.0, 3.5])) == [
-                [1.0],
-                [2.0, 2.5, 3.0, 3.5],
-            ]
+            assert request(4, True) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0]]
+            assert request(5, True, [1.0], [2.0, 2.5, 3.0, 3.5]) == [[1.0], [2.0, 2.5, 3.0, 3.5]]
             # That pooled walk reaches 3.5 in both branches: it replaces the
             # minus record, and not the plus record, which reaches 7.
-            assert dirac_ball._branch_roots(keys, 3, False, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
-            assert dirac_ball._branch_roots(keys, 5, True, no_walk) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
+            assert request(3, False) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
+            assert request(5, True) == [[1.0, 4.0, 7.0], [2.0, 2.5, 3.0, 3.5]]
         assert len(walks) == 2
         # Outside a run every request walks.
-        dirac_ball._branch_roots(keys, 1, False, walk([1.0], [2.0]))
+        request(1, False, [1.0], [2.0])
         assert len(walks) == 3
+
+
+# Sweeps: tolerances a request may carry, the default among them.
+TOLERANCES = st.sampled_from(
+    [None, ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300),
+     ToleranceConfig(abs_tol=1e-12, rel_tol=1e-10, max_iter=300)]
+)
+SWEEP_OPERATORS = {
+    "largemass": (dirac_ball._largemass_kernels, {"threshold": True}),
+    "robin": (dirac_ball._robin_kernels, {"energy": False}),
+}
+
+
+def _outcome(solve):
+    """What ``solve()`` returns, or its error's type and message."""
+    try:
+        return solve()
+    except NumericsError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweeps:
+    """One lockstep walk of a sector serves every (mass, count, kind,
+    tolerance) request at one R and m0, and gives each request the roots
+    of its lone solve, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        operator=st.sampled_from(sorted(SWEEP_OPERATORS)),
+        R=st.floats(min_value=0.5, max_value=3.0),
+        m0=st.sampled_from([0.0, 0.5]),
+        kj=st.integers(min_value=1, max_value=50).flatmap(lambda k: st.sampled_from([-k, k])),
+        requests=st.lists(st.tuples(MASSES, st.integers(min_value=1, max_value=20), st.booleans(), TOLERANCES),
+                          min_size=1, max_size=6),
+    )
+    def test_a_sweep_is_its_lone_solves(self, operator, R, m0, kj, requests):
+        kernels, kind = SWEEP_OPERATORS[operator]
+        sec = AngularSector(kj)
+        asked = [(DiracParams(R=R, m0=m0, m=m), count, pooled, tol or ToleranceConfig())
+                 for m, count, pooled, tol in requests]
+
+        def sweep(asked):
+            return _outcome(lambda: dirac_ball._sweep(kernels, sec, asked, **kind))
+
+        # Each request alone, outside a run: a one-request sweep is the
+        # single-mass solve.
+        alone = [sweep([request]) for request in asked]
+        failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
+        together = sweep(asked)
+        if failed:
+            # The first failing request raises its lone error, type and message.
+            assert together == failed[0]
+            return
+        assert together == [roots for (roots,) in alone]
+        # The records the sweep leaves answer each request again, walking
+        # nothing, with the same roots.
+        walks = []
+        scan = dirac_ball._scan_roots
+
+        def counting(walked, lo, step):
+            walks.append(walked)
+            return scan(walked, lo, step)
+
+        with pytest.MonkeyPatch.context() as patch, run_memo():
+            assert dirac_ball._sweep(kernels, sec, asked, **kind) == together
+            patch.setattr(dirac_ball, "_scan_roots", counting)
+            for request, roots in zip(asked, together):
+                (recorded,) = dirac_ball._sweep(kernels, sec, [request], **kind)
+                assert [branch[: len(mine)] for branch, mine in zip(recorded, roots)] == roots
+        assert walks == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        R=st.floats(min_value=0.5, max_value=3.0),
+        kj=st.sampled_from([-3, -1, 2, 5]),
+        masses=st.lists(MASSES, min_size=1, max_size=6),
+        count=st.integers(min_value=1, max_value=4),
+    )
+    def test_public_sweeps_are_the_single_mass_solvers(self, R, kj, masses, count):
+        sec = AngularSector(kj)
+        requests = [(DiracParams(R=R, m=m), count, None) for m in masses]
+        assert largemass_sweep(sec, requests) == [largemass_eigenvalues(p, sec, count) for p, _, _ in requests]
+        assert robin_sweep(sec, requests) == [robin_laplacian_eigenvalues(p, sec, count) for p, _, _ in requests]
+
+    def test_an_entry_past_its_threshold_raises_its_lone_error(self):
+        # At m = 50 the twentieth level of kj = 48 lies above m0 + m (R = 1);
+        # at m = 1e4 it does not.  The sweep raises the m = 50 request's
+        # own error and keeps the records of the requests before it.
+        sec = AngularSector(48)
+        low, high = DiracParams(R=1.0, m=50.0), DiracParams(R=1.0, m=1e4)
+        with pytest.raises(EssentialSpectrumError) as lone:
+            largemass_eigenvalues(low, sec, 20)
+        with run_memo():
+            with pytest.raises(EssentialSpectrumError) as swept:
+                largemass_sweep(sec, [(high, 20, None), (low, 20, None)])
+            assert str(swept.value) == str(lone.value) == "search window reached the essential spectrum at 50.0"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dirac_ball, "_scan_roots", None)  # answered by the records, no walk
+                recorded = largemass_eigenvalues(high, sec, 20)
+        assert recorded == largemass_eigenvalues(high, sec, 20)
+
+    def test_requests_of_one_sweep_share_radius_and_intrinsic_mass(self):
+        sec = AngularSector(-1)
+        for other in (DiracParams(R=2.0, m=100.0), DiracParams(R=1.0, m0=0.5, m=100.0)):
+            with pytest.raises(ValueError, match="share R and m0"):
+                largemass_sweep(sec, [(DiracParams(R=1.0, m=100.0), 1, None), (other, 1, None)])
+        with pytest.raises(ValueError, match="m > 0"):
+            robin_sweep(sec, [(DiracParams(R=1.0, m=100.0), 1, None), (DiracParams(R=1.0), 1, None)])
+        assert largemass_sweep(sec, []) == robin_sweep(sec, []) == []
+
+
+class TestExactIdentities:
+    """Exact identities of the spectra, as properties over R in [0.5, 3],
+    m in [50, 1e6] and |kappa_j| <= 50 (ROADMAP item 5)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=st.floats(min_value=0.5, max_value=3.0),
+        m=MASSES,
+        kj=st.integers(min_value=1, max_value=50).flatmap(lambda k: st.sampled_from([-k, k])),
+        count=st.integers(min_value=1, max_value=3),
+    )
+    def test_radius_scaling(self, R, m, kj, count):
+        # At m0 = 0 the operators on the ball of radius R are those of the
+        # unit ball at mass m R, scaled by 1/R: E(R, m) = E(1, m R) / R.
+        sec = AngularSector(kj)
+        bag = mit_eigenvalues(DiracParams(R=R), sec, count)
+        assert bag == pytest.approx([e / R for e in mit_eigenvalues(DiracParams(R=1.0), sec, count)], rel=1e-12)
+        try:
+            scaled = largemass_eigenvalues(DiracParams(R=R, m=m), sec, count)
+            unit = largemass_eigenvalues(DiracParams(R=1.0, m=m * R), sec, count)
+        except EssentialSpectrumError:
+            return  # a level at the threshold m: the two windows need not agree there
+        assert scaled == pytest.approx([e / R for e in unit], rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=st.floats(min_value=0.5, max_value=3.0),
+        m=MASSES,
+        kj=st.integers(min_value=1, max_value=50).flatmap(lambda k: st.sampled_from([-k, k])),
+        count=st.integers(min_value=1, max_value=4),
+    )
+    def test_robin_levels_lie_below_the_squared_bag_levels(self, R, m, kj, count):
+        # The k-th Robin level of a sector is at most the square of the k-th
+        # bag level (distinct levels), up to the rounding the report's
+        # robin.upper_bound row allows.
+        sec = AngularSector(kj)
+        bag = mit_eigenvalues(DiracParams(R=R), sec, count)
+        robin = robin_laplacian_eigenvalues(DiracParams(R=R, m=m), sec, count)
+        assert len(set(bag)) == count
+        for lam, lam_int in zip(bag, robin, strict=True):
+            assert lam_int <= lam**2 + 1e-9 * (lam**2 + 1.0)
