@@ -9,23 +9,24 @@ The passes are the first 16 of each ``spectra`` benchmark seed that
 the exterior, dirac and robin suites, one ``run_suite`` each.  For every
 pass and eigen-solver (bag, large-mass, Robin) the script counts:
 
-* ``walks``: calls of the scan driver ``dirac_ball._scan_roots``, each one
-  lockstep walk of one sector;
-* ``entries``: the requests those walks serve (one walk serves every mass
-  asked of its sector, each mass with its own count and tolerance);
+* ``walks``: calls of the scan driver ``dirac_ball._scan_roots``, one per
+  solve that walks (a solve the run's records answer walks nothing);
+* ``entries``: the requests those walks serve, one per walk (a layout
+  whose driver walks several requests at once in lockstep counts them all);
 * ``grid``: Bessel-pair evaluations at scan points, each one call of a
-  sector's pair kernel, whatever the number of masses and branches it
-  serves;
+  sector's pair kernel.  The walks of one sector in a run share its scan
+  grid, so each pair is counted once, credited to the operator whose walk
+  first needs it;
 * ``polishes``: Newton polishes (``find_root_bracketed`` calls);
 * ``slopes``: value-and-slope evaluations, each one Newton step.
 
 The counts depend only on the code path, not on timing, so two checkouts
 can be compared from one run each: a change that does less work prints
 smaller numbers.  The spies wrap the kernel factories and the driver by
-name and accept the earlier layouts too, so the script also counts a
-checkout whose driver walks one request at a time: there a kernel is
-(values, value_slopes), whose ``values`` reads the Bessel pair at each
-scan point, and the driver takes one kernel per call, one entry.
+name and accept the earlier layouts too: a driver that takes a list of
+walks, each (kernels, ...), one per request it walks in lockstep, and
+one whose kernel is (values, value_slopes), whose ``values`` reads the
+Bessel pair at each scan point.
 
     PYTHONPATH=path/to/other/src python scripts/solver_counts.py
 """
@@ -80,7 +81,7 @@ def install(counts: Counter) -> None:
     scan = dirac_ball._scan_roots
 
     def counted_scan(first, *args, **kwargs):
-        # A list of walks, each (kernels, ...), or one kernel.
+        # One kernel, or a list of walks, each (kernels, ...).
         kernels = [first] if callable(first[0]) else [walk[0] for walk in first]
         counts[kernels[0][0].operator, "walks"] += 1
         counts[kernels[0][0].operator, "entries"] += len(kernels)

@@ -17,7 +17,6 @@ from .dirac_ball import (
     largemass_eigenpair,
     largemass_eigenvalues,
     largemass_spectrum_signed,
-    largemass_sweep,
     mit_eigenpair,
     mit_eigenvalues,
     mit_spectrum_signed,
@@ -25,7 +24,6 @@ from .dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
-    robin_sweep,
 )
 from .exterior import (
     BoundaryDatum,

@@ -36,10 +36,11 @@ with D_X = k j'_{l_X}(kR) + (1/R + m0) j_{l_X}(kR) and J_X = j_{l_X}(kR) the
 
 Each solver brackets its levels as sign changes of its determinant on a grid
 of step pi/(4R) and polishes them by Newton steps (``_scan_roots``).  The
-interior factor, the sector's pair of j values at kR, is the same at every
-mass, so one lockstep walk of a sector serves every mass asked of it
-(``largemass_sweep``, ``robin_sweep``): each scan point evaluates the pair
-once, and each mass gets the roots of its lone solve, bit for bit.
+interior factor, the sector's pair of j values at kR, depends on R, m0 and
+|kappa_j| alone, not on the exterior mass, so a run keeps each sector's scan
+grid of pairs (``_branch_roots``): a bag, large-mass or Robin solve reads the
+pairs an earlier solve of the run evaluated, bit for bit, and evaluates only
+the rest.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ class RadialEigenpair:
 
     def norm_sq(self) -> float:
         """Squared L^2 norm, the interior by Lommel's integral at kR."""
-        return _interior_norm_sq(self.R, self.sector, *self.radial_params) + self.exterior_norm_sq
+        j = _j_pair(self.sector, self.radial_params[0] * self.R)
+        return _interior_norm_sq(self.R, self.sector, *self.radial_params, j) + self.exterior_norm_sq
 
 
 # ----------------------------------------------------------------------------
@@ -203,11 +205,12 @@ def _j_pair(sec: AngularSector, x: float) -> tuple[float, float, float, float]:
 
 # A sector's determinant kernels, (at, values, value_slopes).  ``at(x)`` is
 # the sector's Bessel pair at scan point x (None where the determinant is 1
-# by convention), a function of R, m0 and the sector alone, so one call
-# serves every mass; ``values(x, at(x))`` gives the determinant of every
-# branch there, and ``value_slopes`` holds each branch's value-and-slope
-# function, for the Newton steps.  Both form a branch's value by the same
-# float operations, so the scan and the polish read one function.
+# by convention), a function of R, m0 and the sector alone, which every
+# walk of the sector in a run shares (``_branch_roots``), whatever the mass;
+# ``values(x, at(x))`` gives the determinant of every branch there, and
+# ``value_slopes`` holds each branch's value-and-slope function, for the
+# Newton steps.  Both form a branch's value by the same float operations,
+# so the scan and the polish read one function.
 Kernels = tuple[
     Callable[[float], Any], Callable[[float, Any], tuple[float, ...]], tuple[Callable[[float], tuple[float, float]], ...]
 ]
@@ -373,71 +376,59 @@ def _robin_kernels(p: DiracParams, sec: AngularSector) -> Kernels:
 # Scan-and-bracket driver
 # ----------------------------------------------------------------------------
 
-# One walk of the driver: (kernels, hi, count, pooled, tol).
-Walk = tuple[Kernels, float, int, bool, ToleranceConfig]
-_UNSET = object()
 
+def _scan_roots(
+    kernels: Kernels,
+    grid: dict[float, Any],
+    lo: float,
+    hi: float,
+    step: float,
+    count: int,
+    tol: ToleranceConfig,
+    pooled: bool = False,
+) -> list[list[float]]:
+    """Walk [lo, hi] with the given step for all branches of ``kernels`` in
+    lockstep, and Newton-solve each branch's sign changes; one list of roots
+    per branch, each in (lo, hi], an exact 0 on a scan point once.
 
-def _scan_roots(walks: Sequence[Walk], lo: float, step: float) -> list[list[list[float]] | BracketExhaustionError]:
-    """Walk [lo, hi] with the given step for every walk of ``walks``, all in
-    one sector at one R and m0, in lockstep, and Newton-solve each branch's
-    sign changes; per walk, one list of roots per branch, each in (lo, hi],
-    an exact 0 on a scan point once, or the ``BracketExhaustionError`` of a
-    walk whose window is exhausted first.
-
-    The grid points accumulate from ``lo`` by ``step`` for every walk, and
-    each walk ends at its own ``hi``.  A scan point reads the sector's
-    Bessel pair once, by the first walk's ``at``, and every walk's branches
-    from it, and the polish reads the branch's value-and-slope function.  A
-    branch takes roots until it holds ``count``, and a walk ends when every
-    branch does; with ``pooled`` it ends after the step at which its
-    branches together hold ``count``, so they hold the ``count`` lowest
-    roots of all its branches.  So each walk finds what it would alone.
+    ``grid`` holds the sector's Bessel pair (``at``) at scan points: a walk
+    reads the pair there and evaluates it only where it is missing, adding
+    it.  Each scan point reads every branch from one ``values`` call, and
+    the polish reads the branch's value-and-slope function.  A branch takes
+    roots until it holds ``count``, and the walk stops when every branch
+    does; with ``pooled`` it stops after the step at which the branches
+    together hold ``count``, so they hold the ``count`` lowest roots of all
+    branches.  Raises if the window is exhausted first.
     """
+    at, values, value_slopes = kernels
     copysign = math.copysign
-    at = walks[0][0][0]
-    at_lo = at(lo)
-    # Per walk: its kernels and request, the values at its last point, its
-    # roots, and the roots found and wanted.
-    state = [
-        [values, slopes, hi, count, pooled, tol, values(lo, at_lo), [[] for _ in slopes], 0,
-         count if pooled else count * len(slopes)]
-        for (_, values, slopes), hi, count, pooled, tol in walks
-    ]
-    live = [w for w in state if lo < w[2]]
-    ends: dict[float, Any] = {}  # the pair at a walk's own hi, where it ends off the grid
-    x_prev = lo
-    while live:
-        x_step = x_prev + step
-        on_grid = _UNSET  # the pair at x_step, read by the first walk that needs it
-        for w in live:
-            values, value_slopes, hi, count, pooled, tol, f_prev, roots, found, wanted = w
-            if x_step <= hi:
-                x = x_step
-                if on_grid is _UNSET:
-                    on_grid = at(x)
-                pair = on_grid
-            else:
-                x = hi
-                if hi not in ends:
-                    ends[hi] = at(hi)
-                pair = ends[hi]
-            w[6] = f_x = values(x, pair)
-            for b, branch in enumerate(roots):
-                u, v = f_prev[b], f_x[b]
-                # A 0 at x_prev is no new root.
-                if (v == 0.0 or (copysign(1.0, u) != copysign(1.0, v) and u != 0.0)) and (
-                    pooled or len(branch) < count
-                ):
-                    branch.append(x if v == 0.0 else find_root_bracketed(value_slopes[b], (x_prev, x), tol, (u, v))[0])
-                    w[8] = found = found + 1
-            if found >= wanted or x_step >= hi:
-                live = [w for w in live if w[8] < w[9] and x_step < w[2]]
-        x_prev = x_step
-    return [
-        roots if found >= wanted else BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
-        for *_, hi, _, _, _, _, roots, found, wanted in state
-    ]
+
+    def pair_at(x: float) -> Any:
+        if x not in grid:
+            grid[x] = at(x)
+        return grid[x]
+
+    branches = range(len(value_slopes))
+    roots: list[list[float]] = [[] for _ in branches]
+    wanted = count if pooled else count * len(branches)
+    found = 0
+    x_prev = x = lo
+    f_prev = values(lo, pair_at(lo))
+    while x < hi and found < wanted:
+        x = min(x_prev + step, hi)
+        f_x = values(x, pair_at(x))
+        for i in branches:
+            u, v = f_prev[i], f_x[i]
+            # A 0 at x_prev is no new root.
+            if (v == 0.0 or (copysign(1.0, u) != copysign(1.0, v) and u != 0.0)) and (
+                pooled or len(roots[i]) < count
+            ):
+                roots[i].append(x if v == 0.0 else find_root_bracketed(value_slopes[i], (x_prev, x), tol, (u, v))[0])
+                found += 1
+        x_prev, f_prev = x, f_x
+    if found < wanted:
+        raise BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
+    return roots
 
 
 def _scan_window(R: float, count: int, ell: int) -> tuple[float, float]:
@@ -454,31 +445,26 @@ def _scan_window(R: float, count: int, ell: int) -> tuple[float, float]:
     return math.pi / (4.0 * R), (count + 3) * math.pi / R + 4.0 / R + (ell + 2.0 * ell ** (1.0 / 3.0)) / R
 
 
-# One request of a sweep: (p, count, pooled, tol), for ``count`` roots per
-# branch or, with ``pooled``, ``count`` in all (see ``_scan_roots``).
-Request = tuple[DiracParams, int, bool, ToleranceConfig]
-_UNRECORDED = ((), 0.0)  # a branch's record, (roots, reach), before any walk
-
-
-def _sweep(
+def _branch_roots(
     kernels: Callable[[DiracParams, AngularSector], Kernels],
+    p: DiracParams,
     sec: AngularSector,
-    requests: Sequence[Request],
+    count: int,
+    tol: ToleranceConfig | None,
+    pooled: bool = False,
     energy: bool = True,
     threshold: bool = False,
     conjugate: bool = False,
-) -> list[list[list[float]]]:
-    """The roots of each request's branches in one sector, all requests at
-    one R and m0: from the run's records where they answer it, and otherwise
-    from one lockstep walk of every request they do not answer (see
-    ``_scan_roots``), which finds what each request's walk would alone.
+) -> list[list[float]]:
+    """The roots of the branches of one sector: ``count`` per branch, or with
+    ``pooled`` at least ``count`` in all, the lowest of all branches (see
+    ``_scan_roots``), from the run's records where they answer the request
+    and otherwise from one walk.
 
-    With ``energy`` the scan runs in E > 0 from just above m0, two branches
-    per request, +E and -E; with a ``threshold`` it stops just below the
-    request's m0 + m, and running out of roots there raises
-    ``EssentialSpectrumError``.  Otherwise it runs in the wavenumber k > 0,
-    one branch.  The first failing request, in request order, raises its
-    own error, once the requests before it are recorded.
+    With ``energy`` the scan runs in E > 0 from just above m0, two branches,
+    +E and -E; with a ``threshold`` it stops just below m0 + m, and running
+    out of roots there raises ``EssentialSpectrumError``.  Otherwise it runs
+    in the wavenumber k > 0, one branch.
 
     A run keeps one record per branch, (roots, reach), under (kernels, p,
     sector, sign, tol): the ascending roots are every root of the branch up
@@ -487,50 +473,48 @@ def _sweep(
     a record of greater reach replaces one.  Since the scan finds the lowest
     roots the same way whatever the count, the records answer a request per
     branch when each holds ``count`` roots, and a pooled one when both hold
-    ``count`` up to the lesser reach.  A request that the records answer is
-    not walked; two requests of the same branches in one sweep both walk.
+    ``count`` up to the lesser reach.
+
+    A run also keeps each scan grid, the sector's Bessel pair at every point
+    a walk read, under what the pair depends on: the scan variable, R, m0
+    and the orders (|kappa_j| for the energy scans; kappa_j for the Robin
+    scan, which orders its pair as (l_A, l_B)).  The walks of a grid step
+    from the same ``lo`` by the same step, so each reads the pairs an
+    earlier walk of the run evaluated, bit for bit, whatever its mass.
 
     With ``conjugate`` the (kappa_j, -) determinant is that of (-kappa_j,
     +), or its negative, bit for bit in value and slope, so the (kappa_j, -)
     branch is kept under the (-kappa_j, +) key, and within a run one scan
     of kappa_j answers both sectors +-kappa_j.
     """
-    if not requests:
-        return []
-    R, m0 = requests[0][0].R, requests[0][0].m0
+    R, m0, tol = p.R, p.m0, tol or ToleranceConfig()
+    step, k_top = _scan_window(R, count, abs(sec.kappa_j))
     table = run_table()
-    lo = m0 + max(1e-9, 1e-9 * m0) if energy else 1e-9 / R
     minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
-    found: list = []
-    walks, plans = [], []
-    for p, count, pooled, tol in requests:
-        if p.R != R or p.m0 != m0:
-            raise ValueError("the requests of one sweep share R and m0")
-        step, k_top = _scan_window(R, count, abs(sec.kappa_j))
-        stop = (p.m0 + p.m) * (1.0 - 1e-12) if threshold else math.inf
-        hi = min(math.sqrt(m0**2 + k_top**2), stop) if energy else k_top
-        slots = ((_sweep, kernels, p, sec, 1.0, tol), (_sweep, kernels, p, *minus, tol))[: 2 if energy else 1]
-        records = [table.get(slot, _UNRECORDED) for slot in slots]
-        if pooled:
-            reach = min(reach for _, reach in records)
-            held = sum(bisect_right(roots, reach) for roots, _ in records)
-        else:
-            held = min(len(roots) for roots, _ in records)
-        if held < count:
-            walks.append((kernels(p, sec), hi, count, pooled, tol))
-            plans.append((len(found), p, slots, pooled, stop))
-        found.append(None if held < count else [list(roots) for roots, _ in records])
-    for (i, p, slots, pooled, stop), roots in zip(plans, _scan_roots(walks, lo, step) if walks else ()):
-        if isinstance(roots, BracketExhaustionError):
-            if roots.scanned[1] != stop:
-                raise roots
-            raise EssentialSpectrumError(f"search window reached the essential spectrum at {p.m0 + p.m}") from roots
-        top = max(branch[-1] for branch in roots if branch) if pooled else 0.0
-        for slot, branch in zip(slots, roots):
-            reach = top if pooled else branch[-1]
-            if reach > table.get(slot, _UNRECORDED)[1]:
-                table[slot] = (tuple(branch), reach)
-        found[i] = roots
+    slots = ((_branch_roots, kernels, p, sec, 1.0, tol), (_branch_roots, kernels, p, *minus, tol))[: 2 if energy else 1]
+    records = [table.get(slot, ((), 0.0)) for slot in slots]
+    if pooled:
+        reach = min(reach for _, reach in records)
+        held = sum(bisect_right(roots, reach) for roots, _ in records)
+    else:
+        held = min(len(roots) for roots, _ in records)
+    if held >= count:
+        return [list(roots) for roots, _ in records]
+    lo = m0 + max(1e-9, 1e-9 * m0) if energy else 1e-9 / R
+    stop = (m0 + p.m) * (1.0 - 1e-12) if threshold else math.inf
+    hi = min(math.sqrt(m0**2 + k_top**2), stop) if energy else k_top
+    grid = table.setdefault((_scan_roots, energy, R, m0, abs(sec.kappa_j) if energy else sec.kappa_j), {})
+    try:
+        found = _scan_roots(kernels(p, sec), grid, lo, hi, step, count, tol, pooled)
+    except BracketExhaustionError as exc:
+        if hi != stop:
+            raise
+        raise EssentialSpectrumError(f"search window reached the essential spectrum at {m0 + p.m}") from exc
+    top = max(roots[-1] for roots in found if roots) if pooled else 0.0
+    for slot, roots, (_, reach) in zip(slots, found, records):
+        new_reach = top if pooled else roots[-1]
+        if new_reach > reach:
+            table[slot] = (tuple(roots), new_reach)
     return found
 
 
@@ -546,37 +530,14 @@ def _signed_spectrum(
     """The first count roots of each sign per sector as (E, sector) pairs,
     sorted by |E|; ``kernels(p, sector)`` gives the sector's determinant at
     energies +E and -E as functions of E > 0.  One lockstep scan serves both
-    branches of a sector (see ``_sweep``)."""
-    request = (p, count_per_side, False, tol or ToleranceConfig())
+    branches of a sector (see ``_branch_roots``)."""
     entries: list[tuple[float, AngularSector]] = []
     for sec in sectors:
-        ((plus, minus),) = _sweep(kernels, sec, [request], threshold=threshold, conjugate=conjugate)
+        plus, minus = _branch_roots(kernels, p, sec, count_per_side, tol, threshold=threshold, conjugate=conjugate)
         entries.extend((e, sec) for e in plus[:count_per_side])
         entries.extend((-e, sec) for e in minus[:count_per_side])
     entries.sort(key=lambda t: (abs(t[0]), t[0] < 0, t[1].kappa_j))
     return entries
-
-
-# A request of the public sweeps: (p, count, tol), as the single-mass solver takes them.
-Levels = tuple[DiracParams, int, ToleranceConfig | None]
-
-
-def _magnitudes(
-    kernels: Callable[[DiracParams, AngularSector], Kernels],
-    sector: AngularSector,
-    requests: Sequence[Levels],
-    threshold: bool = False,
-    conjugate: bool = False,
-) -> list[list[float]]:
-    """First ``count`` singular values of one sector per request: the lowest
-    roots of its two branches together.  The scan stops once the branches
-    hold ``count`` roots in all, and refuses only when they hold fewer in
-    the window."""
-    found = _sweep(
-        kernels, sector, [(p, count, True, tol or ToleranceConfig()) for p, count, tol in requests],
-        threshold=threshold, conjugate=conjugate,
-    )
-    return [sorted(plus + minus)[:count] for (plus, minus), (_, count, _) in zip(found, requests)]
 
 
 def mit_spectrum_signed(
@@ -600,7 +561,8 @@ def mit_eigenvalues(
     Positive and negative bag eigenvalues of the sector are merged by
     absolute value; the exterior mass jump in ``p`` is ignored.
     """
-    return _magnitudes(_mit_kernels, sector, [(p, count, tol)], conjugate=p.m0 == 0.0)[0]
+    plus, minus = _branch_roots(_mit_kernels, p, sector, count, tol, pooled=True, conjugate=p.m0 == 0.0)
+    return sorted(plus + minus)[:count]
 
 
 def largemass_spectrum_signed(
@@ -624,16 +586,10 @@ def largemass_eigenvalues(
     """First ``count`` singular values of the large-mass operator in one
     sector, below the threshold m0+m; refused only when the sector has fewer
     than ``count`` levels there, of both signs together."""
-    return largemass_sweep(sector, [(p, count, tol)])[0]
-
-
-def largemass_sweep(sector: AngularSector, requests: Sequence[Levels]) -> list[list[float]]:
-    """``largemass_eigenvalues(p, sector, count, tol)`` for each request (p,
-    count, tol), bit for bit, from one lockstep walk of the sector at every
-    mass; the requests share R and m0."""
-    if any(p.m <= 0.0 for p, _, _ in requests):
+    if p.m <= 0.0:
         raise ValueError("the large-mass solver needs m > 0")
-    return _magnitudes(_largemass_kernels, sector, requests, threshold=True)
+    plus, minus = _branch_roots(_largemass_kernels, p, sector, count, tol, pooled=True, threshold=True)
+    return sorted(plus + minus)[:count]
 
 
 def robin_laplacian_eigenvalues(
@@ -649,36 +605,29 @@ def robin_laplacian_eigenvalues(
     squared bag eigenvalue, which it reaches as m -> infinity.  The scan is
     the one-branch case of the lockstep driver.
     """
-    return robin_sweep(sector, [(p, count, tol)])[0]
-
-
-def robin_sweep(sector: AngularSector, requests: Sequence[Levels]) -> list[list[float]]:
-    """``robin_laplacian_eigenvalues(p, sector, count, tol)`` for each
-    request (p, count, tol), bit for bit, from one lockstep walk of the
-    sector at every mass; the requests share R and m0."""
-    if any(p.m <= 0.0 for p, _, _ in requests):
+    if p.m <= 0.0:
         raise ValueError("the Robin solver needs m > 0")
-    found = _sweep(
-        _robin_kernels, sector, [(p, count, False, tol or ToleranceConfig()) for p, count, tol in requests],
-        energy=False,
-    )
-    return [[p.m0**2 + k * k for k in roots[:count]] for (roots,), (p, count, _) in zip(found, requests)]
+    (roots,) = _branch_roots(_robin_kernels, p, sector, count, tol, energy=False)
+    return [p.m0**2 + k * k for k in roots[:count]]
 
 
 # ----------------------------------------------------------------------------
 # Eigenpair construction
 # ----------------------------------------------------------------------------
 
-def _interior_norm_sq(R: float, sector: AngularSector, k: float, c_up: float, c_lo: float) -> float:
+def _interior_norm_sq(
+    R: float, sector: AngularSector, k: float, c_up: float, c_lo: float, j: tuple[float, float, float, float]
+) -> float:
     """Squared L^2 norm of (c_up j_{l_A}(k r), c_lo j_{l_B}(k r)) over the
-    ball, by Lommel's integral (DLMF 10.22.5, nu = l + 1/2) at x = kR:
+    ball, by Lommel's integral (DLMF 10.22.5, nu = l + 1/2) at x = kR, with
+    ``j`` = (j_{l_A}, j_{l_B}, j_{l_A}', j_{l_B}') there (``_j_pair``):
 
         int_0^x t^2 j_l^2 dt = (x^3/2) [(j_l' + j_l/(2x))^2 + (1 - (l + 1/2)^2/x^2) j_l^2].
 
     The bracket cancels below x ~ l + 1/2 (the integral is O(x^{2l+3}), its
     terms O(x^{2l+1})); every solved level sits above 1.05 (l + 1/2)."""
     x = k * R
-    jA, jB, djA, djB = _j_pair(sector, x)
+    jA, jB, djA, djB = j
 
     def bracket(ell: int, j: float, dj: float) -> float:
         return (dj + 0.5 / x * j) ** 2 + (1.0 - ((ell + 0.5) / x) ** 2) * j * j
@@ -701,8 +650,9 @@ def _eigenpair(
     ``tail_mass`` is the mass of an exterior continuation per unit f(R)^2;
     it is part of the normalization.
     """
-    jA, jB, djA, djB = _j_pair(sector, k * p.R)
-    norm = math.sqrt(_interior_norm_sq(p.R, sector, k, c_up, c_lo) + (c_up * jA) ** 2 * tail_mass)
+    j = _j_pair(sector, k * p.R)
+    jA, jB, djA, djB = j
+    norm = math.sqrt(_interior_norm_sq(p.R, sector, k, c_up, c_lo, j) + (c_up * jA) ** 2 * tail_mass)
     c_up, c_lo = c_up / norm, c_lo / norm
     fR = c_up * jA
     return RadialEigenpair(

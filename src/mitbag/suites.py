@@ -29,15 +29,15 @@ from .dirac_ball import (
     boundary_identity_check,
     charge_conjugation_check,
     eta_functional,
+    largemass_eigenvalues,
     largemass_spectrum_signed,
-    largemass_sweep,
     mit_eigenpair,
     mit_eigenvalues,
     mit_spectrum_signed,
     mu_functional,
     nu_minmax,
     robin_eigenpair,
-    robin_sweep,
+    robin_laplacian_eigenvalues,
 )
 from .exterior import (
     agmon_decay_check,
@@ -410,11 +410,12 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
     # so its bound is infinite), and the last is below 1e-4.  The two lowest
-    # ground-sector levels at each mass, from one sweep of the sector at
-    # every mass, serve both slope grids as well.
+    # ground-sector levels at each mass serve both slope grids as well; their
+    # scans read the Bessel pairs that the bag solves of the sector left in
+    # the run's scan grid.
     slope_grid = config.m_grid or SLOPE_M_GRID
-    masses = list(dict.fromkeys((*CONVERGENCE_M_GRID, *slope_grid)))
-    hm_pair = dict(zip(masses, largemass_sweep(GROUND_SECTOR, [(DiracParams(R=R, m=m), 2, tol) for m in masses])))
+    masses = dict.fromkeys((*CONVERGENCE_M_GRID, *slope_grid))
+    hm_pair = {m: largemass_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 2, tol=tol) for m in masses}
     hm_levels = _pmap(hm_pair.__getitem__, CONVERGENCE_M_GRID)
 
     for k in (0, 1):
@@ -490,11 +491,11 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     mu1 = mu_functional(u1, p0)
     summary["mu_ground"] = mu1
 
-    # Every Robin level of the suite, from one sweep per sector at every
-    # mass: per (kappa_j, m, tol) the most levels a check reads there, the
-    # upper-bound levels below and the ground level on the slope and tail
-    # grids, at the identity masses and at the tolerance study's mass and
-    # tolerances (the study's solves use their own tolerances by design).
+    # Every Robin level of the suite, one solve per (kappa_j, m, tol) for the
+    # most levels a check reads there: the upper-bound levels below and the
+    # ground level on the slope and tail grids, at the identity masses and at
+    # the tolerance study's mass and tolerances (the study's solves use their
+    # own tolerances by design).  The solves of a sector share its scan grid.
     bound_grid, slope_grid, tail_grid = (50.0, 200.0, 800.0), config.m_grid or SLOPE_M_GRID, (1e3, 1e4, 1e5, 1e6)
     study_tols = tuple(ToleranceConfig(abs_tol=0.0, rel_tol=rel_tol, max_iter=300) for rel_tol in (1e-6, 1e-12))
     need = {(kj, m, tol): len(levels) for m in bound_grid for kj, levels in bag_levels.items()}
@@ -502,11 +503,10 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
         need.setdefault((-1, m, tol), 1)
     for study_tol in study_tols:
         need.setdefault((-1, 200.0, study_tol), 1)
-    robin = {}
-    for kj in bag_levels:
-        asked = [(m, t, count) for (k, m, t), count in need.items() if k == kj]
-        levels = robin_sweep(AngularSector(kj), [(DiracParams(R=R, m=m), count, t) for m, t, count in asked])
-        robin.update(((kj, m, t), lam_ints) for (m, t, _), lam_ints in zip(asked, levels))
+    robin = {
+        (kj, m, t): robin_laplacian_eigenvalues(DiracParams(R=R, m=m), AngularSector(kj), count, tol=t)
+        for (kj, m, t), count in need.items()
+    }
 
     for m in bound_grid:
         for kj, levels in bag_levels.items():

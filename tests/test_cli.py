@@ -412,10 +412,9 @@ def test_additivity_row_fails_when_a_bessel_coefficient_moves(monkeypatch, R):
 
 
 def _spy_scans(monkeypatch):
-    """Record every entry a scan walks as (kernel factory, p, sector, tol),
-    and every walk, one lockstep walk of one sector for all its entries, as
-    its kernel factory."""
-    entries, walks, bound_kernels = [], [], []
+    """Record every walk of a scan, one per solve that the run's records do
+    not answer, as (kernel factory, p, sector, tol)."""
+    walks, bound_kernels = [], []
     for name in ("_mit_kernels", "_largemass_kernels", "_robin_kernels"):
         original = getattr(dirac_ball, name)
 
@@ -426,16 +425,13 @@ def _spy_scans(monkeypatch):
         monkeypatch.setattr(dirac_ball, name, factory)
     scan = dirac_ball._scan_roots
 
-    def scanning(walked, lo, step):
-        # Each walk binds the kernels of its entries just before it starts.
-        bound = bound_kernels[-len(walked):]
-        del bound_kernels[-len(walked):]
-        entries.extend((*kernels, tol) for kernels, (_, _, _, _, tol) in zip(bound, walked, strict=True))
-        walks.append(bound[0][0])
-        return scan(walked, lo, step)
+    def scanning(kernels, grid, lo, hi, step, count, tol, pooled=False):
+        # Each walk binds its kernels just before it starts.
+        walks.append((*bound_kernels.pop(), tol))
+        return scan(kernels, grid, lo, hi, step, count, tol, pooled)
 
     monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
-    return entries, walks
+    return walks
 
 
 def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
@@ -444,7 +440,7 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # scanned once, both branches in lockstep, and serves its charge
     # conjugate, and no eigenpair is built twice.  A second run scans
     # everything again.
-    scans, walks = _spy_scans(monkeypatch)
+    scans = _spy_scans(monkeypatch)
     pairs = []
     for name in ("mit_eigenpair", "robin_eigenpair"):
         original = getattr(suites, name)
@@ -463,18 +459,16 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
     # The kj=+1 branches are the charge conjugates of the kj=-1 ones.
     ground = [scan for scan in scans if scan[:2] == ("_mit_kernels", p) and abs(scan[2].kappa_j) == 1]
     assert ground == [("_mit_kernels", p, suites.GROUND_SECTOR, tol)]
-    # Bag: kj=-2 and kj=-1 at R (the symmetry solve), the ground sector at
-    # 2R; large-mass: the four symmetry sectors at m = 100, the ground sector
-    # at the nine other masses; Robin: kj=-1 at ten masses and two study
-    # tolerances, kj=-2 at three masses.
+    # One walk per solve the records do not answer.  Bag: kj=-2 and kj=-1
+    # at R (the symmetry solve), the ground sector at 2R; large-mass: the
+    # four symmetry sectors at m = 100, the ground sector at the nine other
+    # masses; Robin: kj=-1 at ten masses and two study tolerances, kj=-2 at
+    # three masses.
     assert Counter(name for name, *_ in scans) == {
         "_mit_kernels": 3,
         "_largemass_kernels": 13,
         "_robin_kernels": 15,
     }
-    # One walk per bag sector; per large-mass symmetry sector, and one for
-    # the ground sector at the nine masses; one per Robin sector.
-    assert Counter(walks) == {"_mit_kernels": 3, "_largemass_kernels": 5, "_robin_kernels": 2}
     first = list(scans)
     scans.clear()
     run_suite(config)
@@ -483,12 +477,12 @@ def test_suite_all_solves_the_bag_ground_once(tmp_path, monkeypatch):
 
 def test_pinned_spectra_pass_work(tmp_path, monkeypatch):
     # The work of one spectra pass (the exterior, dirac and robin suites at
-    # R = 1, seed 0), per eigen-solver: lockstep walks, the sector's
-    # Bessel-pair evaluations at scan points, Newton polishes and slope
-    # evaluations.  A walk serves every mass asked of its sector, so the
-    # ground-sector large-mass levels at nine masses take one walk and the
-    # fifteen Robin requests two; the polishes and slopes are those of one
-    # walk per request.
+    # R = 1, seed 0), per eigen-solver: walks, the sector's Bessel-pair
+    # evaluations at scan points, Newton polishes and slope evaluations.  A
+    # run's walks of one sector share its scan grid, each pair credited to
+    # the walk that first needs it: the large-mass walks read the grids that
+    # the dirac suite's bag walks of the same |kappa_j| filled, and the
+    # fifteen Robin walks two grids, one per sector.
     counts = Counter()
     for name, operator in (("_mit_kernels", "mit"), ("_largemass_kernels", "largemass"), ("_robin_kernels", "robin")):
 
@@ -513,9 +507,9 @@ def test_pinned_spectra_pass_work(tmp_path, monkeypatch):
         monkeypatch.setattr(dirac_ball, name, factory)
     scan, polish = dirac_ball._scan_roots, dirac_ball.find_root_bracketed
 
-    def walking(walks, lo, step):
-        counts[walks[0][0][0].operator, "walks"] += 1
-        return scan(walks, lo, step)
+    def walking(kernels, *args):
+        counts[kernels[0].operator, "walks"] += 1
+        return scan(kernels, *args)
 
     def polishing(f, *args):
         counts[f.operator, "polishes"] += 1
@@ -528,8 +522,8 @@ def test_pinned_spectra_pass_work(tmp_path, monkeypatch):
     fields = ("walks", "pairs", "polishes", "slopes")
     assert {operator: [counts[operator, field] for field in fields] for operator in ("mit", "largemass", "robin")} == {
         "mit": [5, 62, 24, 85],
-        "largemass": [5, 50, 34, 136],
-        "robin": [2, 12, 18, 71],
+        "largemass": [13, 0, 34, 136],
+        "robin": [15, 12, 18, 71],
     }
     assert sum(counts[operator, "polishes"] for operator in ("mit", "largemass", "robin")) == 76
 

@@ -25,7 +25,6 @@ from mitbag.dirac_ball import (
     largemass_eigenpair,
     largemass_eigenvalues,
     largemass_spectrum_signed,
-    largemass_sweep,
     mit_eigenpair,
     mit_eigenvalues,
     mit_spectrum_signed,
@@ -33,7 +32,6 @@ from mitbag.dirac_ball import (
     nu_minmax,
     robin_eigenpair,
     robin_laplacian_eigenvalues,
-    robin_sweep,
 )
 from mitbag.numerics import NumericsError, ToleranceConfig, run_memo
 from mitbag.special import SpecialFunctionDomainError
@@ -255,7 +253,8 @@ class TestInteriorNorm:
             with mpmath.workdps(40):
                 kk = mpmath.mpf(k)
                 expected = float(_lommel_reference(ell, kk * mpmath.mpf(R)) / kk**3)
-            assert dirac_ball._interior_norm_sq(R, sec, k, *coeffs) == pytest.approx(expected, rel=rel, abs=0.0)
+            norm_sq = dirac_ball._interior_norm_sq(R, sec, k, *coeffs, dirac_ball._j_pair(sec, k * R))
+            assert norm_sq == pytest.approx(expected, rel=rel, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -412,8 +411,10 @@ class TestLargeMass:
         assert 1.39 < level < 1.4
 
     def test_m_zero_rejected(self):
-        with pytest.raises(ValueError):
-            largemass_eigenvalues(P0, GROUND, 1)
+        # The Robin solver, the other one of a mass jump, refuses it too.
+        for solver in (largemass_eigenvalues, robin_laplacian_eigenvalues):
+            with pytest.raises(ValueError, match="m > 0"):
+                solver(P0, GROUND, 1)
 
 
 class TestRobinSolver:
@@ -821,8 +822,7 @@ class TestScanRoots:
         def f_and_slope(x):
             return math.sin(math.pi * x), math.pi * math.cos(math.pi * x)
 
-        walk = (_one_branch(f, f_and_slope), 3.5, 3, False, ToleranceConfig())
-        [(roots,)] = dirac_ball._scan_roots([walk], 0.5, 0.25)
+        (roots,) = dirac_ball._scan_roots(_one_branch(f, f_and_slope), {}, 0.5, 3.5, 0.25, 3, ToleranceConfig())
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
     @pytest.mark.parametrize("zero", (0.0, -0.0))
@@ -837,8 +837,7 @@ class TestScanRoots:
         def f_and_slope(x):
             return f(x), slope * (2.0 * x - 3.2)
 
-        walk = (_one_branch(f, f_and_slope), 3.0, 2, False, ToleranceConfig())
-        [(roots,)] = dirac_ball._scan_roots([walk], 0.0, 0.5)
+        (roots,) = dirac_ball._scan_roots(_one_branch(f, f_and_slope), {}, 0.0, 3.0, 0.5, 2, ToleranceConfig())
         assert roots[0] == 1.0 and roots[1] == pytest.approx(2.2, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -863,7 +862,7 @@ class TestScanRoots:
             return lambda x: (math.sin(math.pi * (x - shift)), math.pi * math.cos(math.pi * (x - shift)))
 
         kernels = (at, values, (branch(0.1), branch(0.6)))
-        [roots] = dirac_ball._scan_roots([(kernels, 9.0, count, pooled, ToleranceConfig())], 0.7, 0.25)
+        roots = dirac_ball._scan_roots(kernels, {}, 0.7, 9.0, 0.25, count, ToleranceConfig(), pooled)
         assert len(roots) == 2
         for rs, es in zip(roots, expected):
             assert rs == pytest.approx(es, abs=1e-12)
@@ -871,11 +870,11 @@ class TestScanRoots:
         assert max(points) < max(max(rs) for rs in roots) + 0.25
 
     def test_walks_share_the_grid_and_end_at_their_own_top(self):
-        # Two walks of sin(pi (x - 0.1)) on one grid from 0.7 at step 0.25,
-        # both for 3 roots (1.1, 2.1, 3.1): one with its top at 2.3, where
-        # it ends off the grid with 2, one with its top at 9.  Together they
-        # read the pair once at each point either reads alone, and each
-        # walk finds what it finds alone.
+        # Two walks of sin(pi (x - 0.1)) from 0.7 at step 0.25, both for 3
+        # roots (1.1, 2.1, 3.1): one with its top at 2.3, where it ends off
+        # the grid with 2, one with its top at 9.  On one grid they read the
+        # pair once at each point either reads alone, the off-grid top kept
+        # with the grid points, and each walk finds what it finds alone.
         points = []
 
         def at(x):
@@ -888,19 +887,24 @@ class TestScanRoots:
         def value_slope(x):
             return math.sin(math.pi * (x - 0.1)), math.pi * math.cos(math.pi * (x - 0.1))
 
-        walks = [((at, values, (value_slope,)), top, 3, False, ToleranceConfig()) for top in (2.3, 9.0)]
+        def walk(grid, top):
+            try:
+                return dirac_ball._scan_roots((at, values, (value_slope,)), grid, 0.7, top, 0.25, 3, ToleranceConfig())
+            except dirac_ball.BracketExhaustionError as exc:
+                return str(exc), exc.scanned
+
         alone = []
-        for walk in walks:
+        for top in (2.3, 9.0):
             points.clear()
-            (found,) = dirac_ball._scan_roots([walk], 0.7, 0.25)
-            alone.append((found if isinstance(found, list) else str(found), set(points)))
+            alone.append((walk({}, top), set(points)))
         points.clear()
-        together = dirac_ball._scan_roots(walks, 0.7, 0.25)
-        assert [found if isinstance(found, list) else str(found) for found in together] == [a for a, _ in alone]
-        assert alone[0][0] == "found 2 of 3 eigenvalues" and together[0].scanned == (0.7, 2.3)
+        grid = {}
+        together = [walk(grid, top) for top in (2.3, 9.0)]
+        assert together == [found for found, _ in alone]
+        assert together[0] == ("found 2 of 3 eigenvalues", (0.7, 2.3))
         assert together[1] == [pytest.approx([1.1, 2.1, 3.1], abs=1e-12)]
-        assert len(points) == len(set(points)) and set(points) == alone[0][1] | alone[1][1]
-        assert 2.3 in points
+        assert len(points) == len(set(points)) and set(points) == alone[0][1] | alone[1][1] == set(grid)
+        assert grid[2.3] == 2.3
 
     def test_pooled_walk_refuses_only_fewer_roots_in_all(self):
         # One root in each branch of [0.7, 2]: two in all are found, three are not.
@@ -909,11 +913,11 @@ class TestScanRoots:
 
         kernels = (lambda x: None, values, (lambda x: (x - 1.1, 1.0), lambda x: (x - 1.6, 1.0)))
         tol = ToleranceConfig()
-        assert dirac_ball._scan_roots([(kernels, 2.0, 2, True, tol)], 0.7, 0.25) == [[[1.1], [1.6]]]
-        (error,) = dirac_ball._scan_roots([(kernels, 2.0, 3, True, tol)], 0.7, 0.25)
-        assert isinstance(error, dirac_ball.BracketExhaustionError)
-        (error,) = dirac_ball._scan_roots([(kernels, 2.0, 2, False, tol)], 0.7, 0.25)
-        assert isinstance(error, dirac_ball.BracketExhaustionError)
+        assert dirac_ball._scan_roots(kernels, {}, 0.7, 2.0, 0.25, 2, tol, pooled=True) == [[1.1], [1.6]]
+        with pytest.raises(dirac_ball.BracketExhaustionError):
+            dirac_ball._scan_roots(kernels, {}, 0.7, 2.0, 0.25, 3, tol, pooled=True)
+        with pytest.raises(dirac_ball.BracketExhaustionError):
+            dirac_ball._scan_roots(kernels, {}, 0.7, 2.0, 0.25, 2, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -1296,7 +1300,7 @@ def _crowded_largemass_kernels(p, sec):
 
 
 def _signed_levels(solver):
-    return lambda p, sec, n: [e for e, _ in solver(p, [sec], n)]
+    return lambda p, sec, n, tol=None: [e for e, _ in solver(p, [sec], n, tol)]
 
 
 RECORD_REQUESTS = {
@@ -1307,9 +1311,9 @@ RECORD_REQUESTS = {
     "crowded signed": lambda p, sec, n: [
         e for e, _ in dirac_ball._signed_spectrum(_crowded_largemass_kernels, p, [sec], n, None, threshold=True)
     ],
-    "crowded magnitudes": lambda p, sec, n: dirac_ball._magnitudes(
-        _crowded_largemass_kernels, sec, [(p, n, None)], threshold=True
-    )[0],
+    "crowded magnitudes": lambda p, sec, n: sorted(
+        sum(dirac_ball._branch_roots(_crowded_largemass_kernels, p, sec, n, None, pooled=True, threshold=True), [])
+    )[:n],
     "robin": robin_laplacian_eigenvalues,
 }
 
@@ -1353,10 +1357,10 @@ class TestBranchRecords:
         # A stand-in driver returns the roots planned for each walk.
         walks, planned = [], []
 
-        def scan(walked, lo, step):
-            assert len(planned) == len(walked), "the records answer this request"
-            walks.extend(walked)
-            return [planned.pop(0) for _ in walked]
+        def scan(*walk):
+            assert planned, "the records answer this request"
+            walks.append(walk)
+            return planned.pop(0)
 
         monkeypatch.setattr(dirac_ball, "_scan_roots", scan)
         p, sec, tol = DiracParams(R=1.0), AngularSector(-1), ToleranceConfig()
@@ -1367,8 +1371,7 @@ class TestBranchRecords:
         def request(count, pooled, *walk):
             # The roots of one request; ``walk`` is what its walk finds.
             planned.extend([[list(roots) for roots in walk]] if walk else [])
-            (roots,) = dirac_ball._sweep(kernels, sec, [(p, count, pooled, tol)])
-            return roots
+            return dirac_ball._branch_roots(kernels, p, sec, count, tol, pooled)
 
         with run_memo():
             # A walk for 3 per branch: each branch reaches its own last root.
@@ -1387,113 +1390,99 @@ class TestBranchRecords:
         assert len(walks) == 3
 
 
-# Sweeps: tolerances a request may carry, the default among them.
+# Tolerances a request may carry, the default among them.
 TOLERANCES = st.sampled_from(
     [None, ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300),
      ToleranceConfig(abs_tol=1e-12, rel_tol=1e-10, max_iter=300)]
 )
-SWEEP_OPERATORS = {
-    "largemass": (dirac_ball._largemass_kernels, {"threshold": True}),
-    "robin": (dirac_ball._robin_kernels, {"energy": False}),
+SWEEP_REQUESTS = {
+    name: RECORD_REQUESTS[name]
+    for name in ("mit signed", "mit magnitudes", "largemass signed", "largemass magnitudes", "robin")
 }
 
 
 def _outcome(solve):
-    """What ``solve()`` returns, or its error's type and message."""
+    """The levels ``solve()`` returns, in hex, or its error's type and message."""
     try:
-        return solve()
+        return [x.hex() for x in solve()]
     except NumericsError as exc:
         return type(exc), str(exc)
 
 
 class TestSweeps:
-    """One lockstep walk of a sector serves every (mass, count, kind,
-    tolerance) request at one R and m0, and gives each request the roots
-    of its lone solve, bit for bit."""
+    """A sweep of one sector's orders at one R and m0 in one run: bag,
+    large-mass and Robin solves at any masses, counts, kinds and
+    tolerances share the run's scan grids, and each gets what its lone
+    solve gets, bit for bit, errors included."""
 
     @settings(max_examples=120, deadline=None)
     @given(
-        operator=st.sampled_from(sorted(SWEEP_OPERATORS)),
         R=st.floats(min_value=0.5, max_value=3.0),
         m0=st.sampled_from([0.0, 0.5]),
-        kj=st.integers(min_value=1, max_value=50).flatmap(lambda k: st.sampled_from([-k, k])),
-        requests=st.lists(st.tuples(MASSES, st.integers(min_value=1, max_value=20), st.booleans(), TOLERANCES),
-                          min_size=1, max_size=6),
+        k=st.integers(min_value=1, max_value=50),
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(SWEEP_REQUESTS)), SIGNS, MASSES, st.integers(min_value=1, max_value=20),
+                TOLERANCES,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
     )
-    def test_a_sweep_is_its_lone_solves(self, operator, R, m0, kj, requests):
-        kernels, kind = SWEEP_OPERATORS[operator]
-        sec = AngularSector(kj)
-        asked = [(DiracParams(R=R, m0=m0, m=m), count, pooled, tol or ToleranceConfig())
-                 for m, count, pooled, tol in requests]
+    def test_a_sweep_is_its_lone_solves(self, R, m0, k, requests):
+        asked = [
+            (SWEEP_REQUESTS[name], DiracParams(R=R, m0=m0, m=m), AngularSector(int(sign) * k), count, tol)
+            for name, sign, m, count, tol in requests
+        ]
+        alone = [_outcome(lambda: solve(p, sec, count, tol)) for solve, p, sec, count, tol in asked]
+        with run_memo():
+            assert [_outcome(lambda: solve(p, sec, count, tol)) for solve, p, sec, count, tol in asked] == alone
 
-        def sweep(asked):
-            return _outcome(lambda: dirac_ball._sweep(kernels, sec, asked, **kind))
+    def test_a_large_mass_solve_reads_the_bag_grid(self, monkeypatch):
+        # A bag solve of kj = 2 and then a large-mass solve of kj = -2 at one
+        # R and m0, in one run: the large-mass walk reads the Bessel pairs
+        # of the bag walk's grid, which reaches past its two levels, and
+        # evaluates no scan point's pair twice.
+        points = []
+        for name in ("_mit_kernels", "_largemass_kernels"):
 
-        # Each request alone, outside a run: a one-request sweep is the
-        # single-mass solve.
-        alone = [sweep([request]) for request in asked]
-        failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
-        together = sweep(asked)
-        if failed:
-            # The first failing request raises its lone error, type and message.
-            assert together == failed[0]
-            return
-        assert together == [roots for (roots,) in alone]
-        # The records the sweep leaves answer each request again, walking
-        # nothing, with the same roots.
-        walks = []
-        scan = dirac_ball._scan_roots
+            def factory(p, sec, _factory=getattr(dirac_ball, name)):
+                at, values, value_slopes = _factory(p, sec)
 
-        def counting(walked, lo, step):
-            walks.append(walked)
-            return scan(walked, lo, step)
+                def counted_at(x):
+                    points.append(x)
+                    return at(x)
 
-        with pytest.MonkeyPatch.context() as patch, run_memo():
-            assert dirac_ball._sweep(kernels, sec, asked, **kind) == together
-            patch.setattr(dirac_ball, "_scan_roots", counting)
-            for request, roots in zip(asked, together):
-                (recorded,) = dirac_ball._sweep(kernels, sec, [request], **kind)
-                assert [branch[: len(mine)] for branch, mine in zip(recorded, roots)] == roots
-        assert walks == []
+                return counted_at, values, value_slopes
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        R=st.floats(min_value=0.5, max_value=3.0),
-        kj=st.sampled_from([-3, -1, 2, 5]),
-        masses=st.lists(MASSES, min_size=1, max_size=6),
-        count=st.integers(min_value=1, max_value=4),
-    )
-    def test_public_sweeps_are_the_single_mass_solvers(self, R, kj, masses, count):
-        sec = AngularSector(kj)
-        requests = [(DiracParams(R=R, m=m), count, None) for m in masses]
-        assert largemass_sweep(sec, requests) == [largemass_eigenvalues(p, sec, count) for p, _, _ in requests]
-        assert robin_sweep(sec, requests) == [robin_laplacian_eigenvalues(p, sec, count) for p, _, _ in requests]
+            monkeypatch.setattr(dirac_ball, name, factory)
+        bag_p, large_p = DiracParams(R=1.3), DiracParams(R=1.3, m=200.0)
+        bag, large = mit_eigenvalues(bag_p, AngularSector(2), 3), largemass_eigenvalues(large_p, AngularSector(-2), 2)
+        points.clear()
+        with run_memo():
+            assert mit_eigenvalues(bag_p, AngularSector(2), 3) == bag
+            walked = len(points)
+            assert largemass_eigenvalues(large_p, AngularSector(-2), 2) == large
+        assert walked > 0 and len(points) == len(set(points)) == walked
 
     def test_an_entry_past_its_threshold_raises_its_lone_error(self):
         # At m = 50 the twentieth level of kj = 48 lies above m0 + m (R = 1);
-        # at m = 1e4 it does not.  The sweep raises the m = 50 request's
-        # own error and keeps the records of the requests before it.
+        # at m = 1e4 it does not.  In one run the m = 50 solve, after the
+        # m = 1e4 solve has filled the grid past the threshold, raises its
+        # lone error, and the records still answer the m = 1e4 solve.
         sec = AngularSector(48)
         low, high = DiracParams(R=1.0, m=50.0), DiracParams(R=1.0, m=1e4)
         with pytest.raises(EssentialSpectrumError) as lone:
             largemass_eigenvalues(low, sec, 20)
+        levels = largemass_eigenvalues(high, sec, 20)
         with run_memo():
+            assert largemass_eigenvalues(high, sec, 20) == levels
             with pytest.raises(EssentialSpectrumError) as swept:
-                largemass_sweep(sec, [(high, 20, None), (low, 20, None)])
+                largemass_eigenvalues(low, sec, 20)
             assert str(swept.value) == str(lone.value) == "search window reached the essential spectrum at 50.0"
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(dirac_ball, "_scan_roots", None)  # answered by the records, no walk
-                recorded = largemass_eigenvalues(high, sec, 20)
-        assert recorded == largemass_eigenvalues(high, sec, 20)
-
-    def test_requests_of_one_sweep_share_radius_and_intrinsic_mass(self):
-        sec = AngularSector(-1)
-        for other in (DiracParams(R=2.0, m=100.0), DiracParams(R=1.0, m0=0.5, m=100.0)):
-            with pytest.raises(ValueError, match="share R and m0"):
-                largemass_sweep(sec, [(DiracParams(R=1.0, m=100.0), 1, None), (other, 1, None)])
-        with pytest.raises(ValueError, match="m > 0"):
-            robin_sweep(sec, [(DiracParams(R=1.0, m=100.0), 1, None), (DiracParams(R=1.0), 1, None)])
-        assert largemass_sweep(sec, []) == robin_sweep(sec, []) == []
+                assert largemass_eigenvalues(high, sec, 20) == levels
 
 
 class TestExactIdentities:

@@ -24,11 +24,6 @@ ALLOWED_WITHOUT_CALLER = {
     "mesh_aligned_nodes",
     "spherical_bessel_j_deriv",
     "largemass_eigenpair",
-    # The single-mass solvers: the suites ask for every mass of a sector in
-    # one sweep (largemass_sweep, robin_sweep), of which these are the
-    # one-request case, and the tracer wraps them by name.
-    "largemass_eigenvalues",
-    "robin_laplacian_eigenvalues",
     # Public API: reads a JSON report back into a Report.
     "parse_report_json",
 }

@@ -194,7 +194,7 @@ class TestComparisons:
 def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     tol = ToleranceConfig(abs_tol=0.0, rel_tol=1e-13, max_iter=300)
     seen: dict[str, list] = {}
-    solvers = ("mit_eigenvalues", "mit_spectrum_signed", "largemass_spectrum_signed")
+    solvers = ("mit_eigenvalues", "mit_spectrum_signed", "largemass_spectrum_signed", "largemass_eigenvalues")
     for name in solvers:
         solver = getattr(suites, name)
 
@@ -203,20 +203,12 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(suites, name, spy)
-    sweep = suites.largemass_sweep
-
-    def sweeping(sector, requests):
-        seen.setdefault("largemass_sweep", []).append((sector, requests))
-        return sweep(sector, requests)
-
-    monkeypatch.setattr(suites, "largemass_sweep", sweeping)
     scan = dirac_ball._scan_roots
-    scan_tols, walks = [], []
+    scan_tols = []
 
-    def scanning(walked, lo, step):
-        walks.append(len(walked))
-        scan_tols.extend(tol for *_, tol in walked)
-        return scan(walked, lo, step)
+    def scanning(kernels, grid, lo, hi, step, count, tol, pooled=False):
+        scan_tols.append(tol)
+        return scan(kernels, grid, lo, hi, step, count, tol, pooled)
 
     monkeypatch.setattr(dirac_ball, "_scan_roots", scanning)
     with run_memo():
@@ -225,23 +217,19 @@ def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
     # Ground (its two levels also feed the convergence rows) and scaling;
     # the ground symmetry (whose kj=+1 and kj=-1 levels also give the
     # degenerate copy and the higher level); the large-mass symmetry.  The
-    # two lowest ground-sector levels are asked for, in one sweep, at the
+    # two lowest ground-sector levels are asked for once per mass, at the
     # five convergence masses and the six of the slope grid (ground and
     # kj=-1 level 2), which share m = 100.
     assert len(seen["mit_eigenvalues"]) == 2
     assert len(seen["mit_spectrum_signed"]) == 1
     assert len(seen["largemass_spectrum_signed"]) == 1
-    ((sector, requests),) = seen.pop("largemass_sweep")
-    assert sector == suites.GROUND_SECTOR
-    assert len({p for p, _, _ in requests}) == len(requests) == 5 + 6 - 1
-    assert all(t is tol for _, _, t in requests)
+    assert len({p for p, _ in seen["largemass_eigenvalues"]}) == len(seen["largemass_eigenvalues"]) == 5 + 6 - 1
     for name, calls in seen.items():
         assert all(t is tol for _, t in calls), name
-    # One lockstep walk per sector: the two bag sectors kj=-2, -1 of the
-    # symmetry solve (kj=+2, +1 are their charge conjugates) and the ground
-    # sector at radius 2R; the large-mass symmetry's four sectors, and one
-    # walk of the ground sector at the nine other masses.
-    assert walks == [1] * (2 + 1 + 4) + [9]
+    # One walk per solve that the records do not answer: the two bag sectors
+    # kj=-2, -1 of the symmetry solve (kj=+2, +1 are their charge
+    # conjugates) and the ground sector at radius 2R; the large-mass
+    # symmetry's four sectors, and the ground sector at the nine other masses.
     assert len(scan_tols) == 2 + 1 + 4 + 9
     assert all(t is tol for t in scan_tols)
 
