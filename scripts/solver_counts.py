@@ -11,8 +11,6 @@ pass and eigen-solver (bag, large-mass, Robin) the script counts:
 
 * ``walks``: calls of the scan driver ``dirac_ball._scan_roots``, one per
   solve that walks (a solve the run's records answer walks nothing);
-* ``entries``: the requests those walks serve, one per walk (a layout
-  whose driver walks several requests at once in lockstep counts them all);
 * ``grid``: Bessel-pair evaluations at scan points, each one call of a
   sector's pair kernel.  The walks of one sector in a run share its scan
   grid, so each pair is counted once, credited to the operator whose walk
@@ -22,11 +20,10 @@ pass and eigen-solver (bag, large-mass, Robin) the script counts:
 
 The counts depend only on the code path, not on timing, so two checkouts
 can be compared from one run each: a change that does less work prints
-smaller numbers.  The spies wrap the kernel factories and the driver by
-name and accept the earlier layouts too: a driver that takes a list of
-walks, each (kernels, ...), one per request it walks in lockstep, and
-one whose kernel is (values, value_slopes), whose ``values`` reads the
-Bessel pair at each scan point.
+smaller numbers.  The spies wrap the kernel factories, the scan driver and
+the root finder by name, and read the kernels as ``(at, values,
+value_slopes)``, whose ``at`` evaluates the Bessel pair at a scan point.
+This script counts another checkout's package with
 
     PYTHONPATH=path/to/other/src python scripts/solver_counts.py
 """
@@ -45,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from report_digests import PASSES, SEEDS, SUITES, seeded_passes  # noqa: E402
 
 OPERATORS = {"_mit_kernels": "mit", "_largemass_kernels": "largemass", "_robin_kernels": "robin"}
-FIELDS = ("walks", "entries", "grid", "polishes", "slopes")
+FIELDS = ("walks", "grid", "polishes", "slopes")
 
 
 def install(counts: Counter) -> None:
@@ -55,13 +52,11 @@ def install(counts: Counter) -> None:
         factory = getattr(dirac_ball, name)
 
         def counted_factory(*args, _factory=factory, _operator=operator):
-            # (at, values, value_slopes), or (values, value_slopes) in the
-            # earlier layout: the first function reads the Bessel pair.
-            first, *rest, value_slopes = _factory(*args)
+            at, values, value_slopes = _factory(*args)
 
-            def counted_first(x):
+            def counted_at(x):
                 counts[_operator, "grid"] += 1
-                return first(x)
+                return at(x)
 
             def counting(value_slope):
                 def counted_value_slope(x):
@@ -71,21 +66,16 @@ def install(counts: Counter) -> None:
                 counted_value_slope.operator = _operator
                 return counted_value_slope
 
-            counted_first.operator = _operator
-            if isinstance(value_slopes, tuple):
-                return counted_first, *rest, tuple(counting(vs) for vs in value_slopes)
-            return counted_first, *rest, counting(value_slopes)
+            counted_at.operator = _operator
+            return counted_at, values, tuple(counting(vs) for vs in value_slopes)
 
         setattr(dirac_ball, name, counted_factory)
 
     scan = dirac_ball._scan_roots
 
-    def counted_scan(first, *args, **kwargs):
-        # One kernel, or a list of walks, each (kernels, ...).
-        kernels = [first] if callable(first[0]) else [walk[0] for walk in first]
-        counts[kernels[0][0].operator, "walks"] += 1
-        counts[kernels[0][0].operator, "entries"] += len(kernels)
-        return scan(first, *args, **kwargs)
+    def counted_scan(kernels, *args, **kwargs):
+        counts[kernels[0].operator, "walks"] += 1
+        return scan(kernels, *args, **kwargs)
 
     polish = dirac_ball.find_root_bracketed
 

@@ -57,6 +57,7 @@ from .numerics import (
     NumericsError,
     ToleranceConfig,
     find_root_bracketed,
+    memoized,
     panel_nodes,
     run_table,
 )
@@ -402,30 +403,31 @@ def _scan_roots(
     """
     at, values, value_slopes = kernels
     copysign = math.copysign
-
-    def pair_at(x: float) -> Any:
-        if x not in grid:
-            grid[x] = at(x)
-        return grid[x]
-
     branches = range(len(value_slopes))
     roots: list[list[float]] = [[] for _ in branches]
     wanted = count if pooled else count * len(branches)
     found = 0
     x_prev = x = lo
-    f_prev = values(lo, pair_at(lo))
-    while x < hi and found < wanted:
-        x = min(x_prev + step, hi)
-        f_x = values(x, pair_at(x))
-        for i in branches:
-            u, v = f_prev[i], f_x[i]
-            # A 0 at x_prev is no new root.
-            if (v == 0.0 or (copysign(1.0, u) != copysign(1.0, v) and u != 0.0)) and (
-                pooled or len(roots[i]) < count
-            ):
-                roots[i].append(x if v == 0.0 else find_root_bracketed(value_slopes[i], (x_prev, x), tol, (u, v))[0])
-                found += 1
+    f_prev = None  # lo has no point before it
+    while True:
+        pair = grid.get(x, grid)  # the grid itself marks a point not in it
+        if pair is grid:
+            pair = grid[x] = at(x)
+        f_x = values(x, pair)
+        if f_prev is not None:
+            for i in branches:
+                u, v = f_prev[i], f_x[i]
+                # A 0 at x_prev is no new root.
+                if (v == 0.0 or (copysign(1.0, u) != copysign(1.0, v) and u != 0.0)) and (
+                    pooled or len(roots[i]) < count
+                ):
+                    root = x if v == 0.0 else find_root_bracketed(value_slopes[i], (x_prev, x), tol, (u, v))[0]
+                    roots[i].append(root)
+                    found += 1
         x_prev, f_prev = x, f_x
+        if not (x < hi and found < wanted):
+            break
+        x = min(x_prev + step, hi)
     if found < wanted:
         raise BracketExhaustionError(f"found {found} of {wanted} eigenvalues", (lo, hi))
     return roots
@@ -466,14 +468,14 @@ def _branch_roots(
     out of roots there raises ``EssentialSpectrumError``.  Otherwise it runs
     in the wavenumber k > 0, one branch.
 
-    A run keeps one record per branch, (roots, reach), under (kernels, p,
-    sector, sign, tol): the ascending roots are every root of the branch up
-    to reach, which a walk for ``count`` per branch sets to the branch's
-    last root and a pooled walk to the highest root of either branch.  Only
-    a record of greater reach replaces one.  Since the scan finds the lowest
-    roots the same way whatever the count, the records answer a request per
-    branch when each holds ``count`` roots, and a pooled one when both hold
-    ``count`` up to the lesser reach.
+    A run keeps one record per branch, (roots, reach), under kernels, the
+    fields of p and tol, kappa_j and the sign: the ascending roots are every
+    root of the branch up to reach, which a walk for ``count`` per branch
+    sets to the branch's last root and a pooled walk to the highest root of
+    either branch.  Only a record of greater reach replaces one.  Since the
+    scan finds the lowest roots the same way whatever the count, the records
+    answer a request per branch when each holds ``count`` roots, and a
+    pooled one when both hold ``count`` up to the lesser reach.
 
     A run also keeps each scan grid, the sector's Bessel pair at every point
     a walk read, under what the pair depends on: the scan variable, R, m0
@@ -487,11 +489,13 @@ def _branch_roots(
     branch is kept under the (-kappa_j, +) key, and within a run one scan
     of kappa_j answers both sectors +-kappa_j.
     """
-    R, m0, tol = p.R, p.m0, tol or ToleranceConfig()
-    step, k_top = _scan_window(R, count, abs(sec.kappa_j))
+    R, m0, tol, kj = p.R, p.m0, tol or ToleranceConfig(), sec.kappa_j
+    step, k_top = _scan_window(R, count, abs(kj))
     table = run_table()
-    minus = (AngularSector(-sec.kappa_j), 1.0) if conjugate else (sec, -1.0)
-    slots = ((_branch_roots, kernels, p, sec, 1.0, tol), (_branch_roots, kernels, p, *minus, tol))[: 2 if energy else 1]
+    # Plain fields key the records: a tuple of numbers hashes faster than
+    # the dataclasses, whose hash is Python code.
+    key = (_branch_roots, kernels, R, m0, p.m, tol.abs_tol, tol.rel_tol, tol.max_iter)
+    slots = ((key, kj, 1.0), (key, -kj, 1.0) if conjugate else (key, kj, -1.0))[: 2 if energy else 1]
     records = [table.get(slot, ((), 0.0)) for slot in slots]
     if pooled:
         reach = min(reach for _, reach in records)
@@ -503,7 +507,7 @@ def _branch_roots(
     lo = m0 + max(1e-9, 1e-9 * m0) if energy else 1e-9 / R
     stop = (m0 + p.m) * (1.0 - 1e-12) if threshold else math.inf
     hi = min(math.sqrt(m0**2 + k_top**2), stop) if energy else k_top
-    grid = table.setdefault((_scan_roots, energy, R, m0, abs(sec.kappa_j) if energy else sec.kappa_j), {})
+    grid = table.setdefault((_scan_roots, energy, R, m0, abs(kj) if energy else kj), {})
     try:
         found = _scan_roots(kernels(p, sec), grid, lo, hi, step, count, tol, pooled)
     except BracketExhaustionError as exc:
@@ -797,21 +801,35 @@ def nu_minmax(
     return sorted(eta_functional(u, lam, p) for u in eigenspace)
 
 
+def _identity_rule(R: float, panels: int) -> tuple[tuple[float, ...], list[float]]:
+    """Nodes and weights of the rule of ``boundary_identity_check`` on [0, R]."""
+    r, w = panel_nodes(0.0, R, max_panel=R / panels)
+    return tuple(r.tolist()), w.tolist()
+
+
+def _node_pairs(n: int, k: float, nodes: tuple[float, ...]) -> list[tuple[float, float]]:
+    """(j_n(k r), j_{n+1}(k r)) at each node r, from one call of the pair
+    kernel each."""
+    pair = j_pair_kernel(n)
+    return [pair(k * x) for x in nodes]
+
+
 def _interior_product(u_int: RadialEigenpair, u_mit: RadialEigenpair, R: float) -> float:
     """<u_int, u_mit> over the ball of radius R (one sector) by the rule of
     ``boundary_identity_check``, each node's two sector orders from one call
-    of the sector's pair kernel, summed by math.fsum."""
+    of the sector's pair kernel, summed by math.fsum.  A run checks several
+    Robin pairs against one bag pair, so the rule and the bag pair's node
+    values are kept for the run."""
     (k_int, c_up, c_lo), (k_mit, d_up, d_lo) = u_int.radial_params, u_mit.radial_params
-    kR = max(_checked(k_int * R), _checked(k_mit * R))
-    r, w = panel_nodes(0.0, R, max_panel=R / math.ceil(kR / 2.0))
-    pair = j_pair_kernel(abs(u_int.sector.kappa_j) - 1)  # (j_n, j_{n+1}), as in _sector_j
+    panels = math.ceil(max(_checked(k_int * R), _checked(k_mit * R)) / 2.0)
+    n = abs(u_int.sector.kappa_j) - 1  # the pair is (j_n, j_{n+1}), as in _sector_j
     upper_is_hi = u_int.sector.kappa_j > 0  # l_A = n + 1
     (c_n, c_n1), (d_n, d_n1) = ((c_lo, c_up), (d_lo, d_up)) if upper_is_hi else ((c_up, c_lo), (d_up, d_lo))
-    terms = []
-    for x, wx in zip(r.tolist(), w.tolist()):
-        (a, b), (f, g) = pair(k_int * x), pair(k_mit * x)
-        terms.append(wx * (c_n * a * (d_n * f) + c_n1 * b * (d_n1 * g)) * (x * x))
-    return math.fsum(terms)
+    r, w = memoized(_identity_rule, R, panels)
+    pairs = zip(_node_pairs(n, k_int, r), memoized(_node_pairs, n, k_mit, r))
+    return math.fsum([
+        wx * (c_n * a * (d_n * f) + c_n1 * b * (d_n1 * g)) * (x * x) for x, wx, ((a, b), (f, g)) in zip(r, w, pairs)
+    ])
 
 
 def boundary_identity_check(
@@ -872,7 +890,10 @@ def charge_conjugation_check(signed: Sequence[tuple[float, AngularSector]]) -> f
             return math.inf
         a = abs(e)
         opposite = negative if e > 0.0 else positive
-        first = bisect_left(opposite, True, key=lambda b: b * a > 0.0)
+        if opposite and opposite[0] * a > 0.0:  # no product underflows
+            first = 0
+        else:
+            first = bisect_left(opposite, True, key=lambda b: b * a > 0.0)
         at = bisect_left(opposite, a, lo=first)
         near = opposite[max(at - 1, first):at + 1]
         if not near:

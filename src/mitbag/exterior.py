@@ -217,9 +217,18 @@ def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
     with localcontext(_DIGITS):
         u, rate = 1 / (Decimal(m) * Decimal(R)), 2 - 2 * Decimal(gamma)
         terms = [a * u**j for j, a in enumerate(_k_poly_ints(ell))]
-        beta = [sum(terms[i] * terms[n - i] for i in range(max(0, n - ell), min(n, ell) + 1))
-                for n in range(2 * ell + 1)]
-        return sum(b * h for b, h in zip(beta, _scaled_expints(2 * ell, rate / u))) / (sum(terms) ** 2 * rate)
+        # Plain loops, cheaper than generator sums: each total starts from
+        # the int 0 and adds its terms in order, every addition rounded.
+        beta = []
+        for n in range(2 * ell + 1):
+            total = 0
+            for i in range(max(0, n - ell), min(n, ell) + 1):
+                total += terms[i] * terms[n - i]
+            beta.append(total)
+        total = 0
+        for b, h in zip(beta, _scaled_expints(2 * ell, rate / u)):
+            total += b * h
+        return total / (sum(terms) ** 2 * rate)
 
 
 def ball_mode_mass(m: float, R: float, ell: int) -> float:

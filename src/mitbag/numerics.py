@@ -216,15 +216,19 @@ def find_root_bracketed(
 
     The iteration starts at the secant point of the bracket and keeps a
     sign-change bracket around every iterate.  It takes the Newton step
-    unless the step would leave the bracket or is longer than half the step
-    before last; then it bisects.  It stops at an iterate where |f| <=
-    abs_tol, or where the Newton correction or the bracket half-width is at
+    unless the slope is 0, infinite or NaN, or the step would leave the
+    bracket or is longer than half the step before last; then it bisects.
+    It stops at an iterate where |f| <= abs_tol, or where the Newton
+    correction (of a finite nonzero slope) or the bracket half-width is at
     most 0.5*rel_tol*|x| plus the machine floor, and returns that iterate.
     There is no scan inside the bracket: when it holds several roots, any
     one of them may be returned.  A sign change across which |f| diverges
     instead of vanishing is reported as a pole, not a root.
     """
     tol = tol or ToleranceConfig()
+    abs_tol, max_iter = tol.abs_tol, tol.max_iter
+    half_rel_tol, two_eps = 0.5 * tol.rel_tol, 2.0 * _EPS
+    copysign, inf = math.copysign, math.inf
     a, b = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise BracketError(f"invalid bracket {bracket!r}")
@@ -236,7 +240,8 @@ def find_root_bracketed(
         return a, 0.0
     if fb == 0.0:
         return b, 0.0
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+    sign_a = copysign(1.0, fa)
+    if sign_a == copysign(1.0, fb):
         raise BracketError(f"f has the same sign at both ends of {bracket!r}")
     f_entry_scale = 1.0 + min(abs(fa), abs(fb))
 
@@ -245,19 +250,22 @@ def find_root_bracketed(
         x = 0.5 * (a + b)
     # The last step and the one before it (rtsafe's dx and dxold).
     step = step_before = b - a
-    converged = False
-    for _ in range(tol.max_iter):
+    for _ in range(max_iter):
         fx, dfx = f(x)
         fx, dfx = float(fx), float(dfx)
-        if abs(fx) <= tol.abs_tol:
-            converged = True
+        if abs(fx) <= abs_tol:
             break
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, fa = x, fx
+        # f keeps the sign of f(a) at every iterate that replaces a.
+        if copysign(1.0, fx) == sign_a:
+            a = x
         else:
             b = x
-        tol_x = 2.0 * _EPS * abs(x) + 0.5 * tol.rel_tol * abs(x) + 1e-300
-        newton = fx / dfx if dfx != 0.0 else math.inf
+        ax = abs(x)
+        tol_x = two_eps * ax + half_rel_tol * ax + 1e-300
+        # Only a finite nonzero slope gives a Newton correction: f/inf = 0
+        # says nothing of a root, so such an iteration bisects, and only
+        # the bracket half-width can stop it.
+        newton = fx / dfx if 0.0 < abs(dfx) < inf else inf
         x_next = x - newton
         if a < x_next < b and 2.0 * abs(newton) <= abs(step_before):
             step_before, step = step, newton
@@ -267,11 +275,10 @@ def find_root_bracketed(
         # A Newton correction or a bracket half-width below tol_x places
         # the root within tol_x of x.
         if min(abs(newton), abs(step)) <= tol_x:
-            converged = True
             break
         x = x_next
-    if not converged:
-        raise RootConvergenceError(f"no convergence after {tol.max_iter} iterations", (a, b))
+    else:
+        raise RootConvergenceError(f"no convergence after {max_iter} iterations", (a, b))
     if abs(fx) > _POLE_FACTOR * f_entry_scale and abs(fx) > 1e3:
         raise PoleRootError(f"sign change at x={x!r} is a pole, not a root (|f|={abs(fx):.3e})")
     return x, fx

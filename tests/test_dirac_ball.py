@@ -531,6 +531,48 @@ class TestBoundaryIdentity:
         assert inner == pytest.approx(finer, rel=1e-15)
         assert inner == pytest.approx(reference, rel=1e-15)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        R=st.floats(min_value=0.5, max_value=3.0),
+        kappa_j=st.sampled_from([-2, -1, 1, 2]),
+        masses=st.lists(st.floats(min_value=50.0, max_value=1e4), min_size=2, max_size=2),
+    )
+    def test_a_run_reads_the_bag_side_once(self, R, kappa_j, masses):
+        # Robin pairs at two masses and two tolerances against one bag pair,
+        # as the robin suite checks them: inside one run each check equals
+        # its lone call bit for bit, and the bag pair's Bessel values at the
+        # rule's nodes are evaluated once for the run, not once per check.
+        sector, p0 = AngularSector(kappa_j), DiracParams(R=R)
+        energy = min((e for e, _ in mit_spectrum_signed(p0, [sector], 1)), key=abs)
+        u_mit = mit_eigenpair(p0, sector, energy)
+        checks = []
+        for m in masses:
+            pm = DiracParams(R=R, m=m)
+            for tol in (ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=1e-6, max_iter=300)):
+                u_int = robin_eigenpair(pm, sector, robin_laplacian_eigenvalues(pm, sector, 1, tol=tol)[0])
+                checks.append((u_int, m, pm))
+        alone = [boundary_identity_check(u_int, u_mit, m, pm).hex() for u_int, m, pm in checks]
+        calls = []
+        kernel = dirac_ball.j_pair_kernel
+
+        def spy(n):
+            pair = kernel(n)
+
+            def counted(x):
+                calls.append(x)
+                return pair(x)
+
+            return counted
+
+        with pytest.MonkeyPatch.context() as patch, run_memo():
+            patch.setattr(dirac_ball, "j_pair_kernel", spy)
+            assert [boundary_identity_check(u_int, u_mit, m, pm).hex() for u_int, m, pm in checks] == alone
+        k_mit = u_mit.radial_params[0]
+        for u_int, _, _ in checks:
+            panels = math.ceil(max(u_int.radial_params[0], k_mit) * R / 2.0)
+            nodes = dirac_ball.panel_nodes(0.0, R, max_panel=R / panels)[0].tolist()
+            assert [calls.count(k_mit * r) for r in nodes] == [1] * len(nodes)
+
     def test_no_numpy_sin_or_cos(self, monkeypatch):
         # The quadrature reads the solver's own math.sin / math.cos route.
         u_int, u_mit, pm = self._identity_pair(1.7, 800.0, -1)

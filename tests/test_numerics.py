@@ -124,6 +124,21 @@ class TestRootFinding:
         root, f_root = find_root_bracketed(cos, (1.0, 2.0))
         assert f_root == math.cos(root)
 
+    @pytest.mark.parametrize("slope", (math.inf, -math.inf, math.nan, 0.0))
+    @pytest.mark.parametrize("power", (3, 2))
+    def test_a_slope_not_finite_and_nonzero_bisects(self, slope, power):
+        # x^p - 2 on (1, 2) with a slope that gives no Newton step.  The
+        # correction f/inf = 0 says nothing of a root (on x^3 - 2 it would
+        # stop at x = 8/7, where f = -0.507), and a NaN correction must not
+        # keep the half-width test from stopping (no double makes x^2 - 2
+        # exactly 0): each iteration bisects, and the returned point is
+        # within tol_x of the root.
+        tol = ToleranceConfig()
+        root, f_root = find_root_bracketed(lambda x: (x**power - 2.0, slope), (1.0, 2.0), tol)
+        tol_x = 2.0 * numerics._EPS * abs(root) + 0.5 * tol.rel_tol * abs(root) + 1e-300
+        assert abs(root - 2.0 ** (1.0 / power)) <= tol_x + math.ulp(root)
+        assert f_root == root**power - 2.0
+
     @pytest.mark.parametrize(
         "f, bracket",
         (

@@ -674,7 +674,9 @@ def mp_residual(prob: TransverseProblem) -> mpmath.mpf:
     """The ansatz residual at 40 digits, an independent route: the ansatz's
     coefficients from the exact inputs, L(chi F) term by term as L reads,
     with (P e^-tau)'' = (2 c2 - 2 P' + P) e^-tau, and mpmath's quadrature on
-    16 pieces."""
+    16 pieces.  The quadrature's own error estimate must be below 1e-20 of
+    the squared residual; for a tiny residual (flat, m = 5e5) it is not, and
+    the reference is refused rather than served wrong."""
     with mpmath.workdps(40):
         kappa, K, m = mpmath.mpf(prob.curv.kappa), mpmath.mpf(prob.curv.gauss), mpmath.mpf(prob.m)
         c1 = -kappa / (2 * m) + (kappa**2 / 8 - K / 2) / m**2
@@ -692,7 +694,9 @@ def mp_residual(prob: TransverseProblem) -> mpmath.mpf:
             v, dv, d2v = chi * f0, chi1 * f0 + chi * f1, chi2 * f0 + 2 * chi1 * f1 + chi * f2
             return (-d2v - da / a * dv + v) ** 2 * a
 
-        return mpmath.sqrt(mpmath.quad(integrand, [T * i / 16 for i in range(17)]))
+        squared, error = mpmath.quad(integrand, [T * i / 16 for i in range(17)], error=True)
+        assert error < 1e-20 * squared, f"mpmath.quad error estimate {error} on {squared} for {prob}"
+        return mpmath.sqrt(squared)
 
 
 def mp_flat_residual(m: float) -> mpmath.mpf:
@@ -727,6 +731,13 @@ class TestCollarRule:
         for prob, value in zip(SUITE_RESIDUAL_PROBLEMS, residual_of_ansatz(SUITE_RESIDUAL_PROBLEMS), strict=True):
             reference = mp_residual(prob)
             assert abs(value - reference) <= 1e-14 * reference, prob
+
+    def test_mpmath_reference_refuses_an_unresolved_integral(self):
+        # The flat squared residual at m = 5e5 (4e-320) comes out of
+        # mpmath.quad 7.5% off its closed form, with an error estimate of
+        # 0.95 of the value: the reference raises instead of answering.
+        with pytest.raises(AssertionError, match="error estimate"):
+            mp_residual(TransverseProblem(m=5e5, curv=FLAT))
 
     def test_suite_rules_have_448_nodes(self):
         # 26 panels for the five residuals and 2 for the seeded form (m = 36).
