@@ -3,16 +3,17 @@ in one process, alternating between them.
 
 Usage:
 
-    python scripts/ab_spectra.py BASE_SRC HEAD_SRC [--pairs 600] [--seed 901]
+    python scripts/ab_spectra.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  Each
 tree's package is imported under its own name (its modules import each other
 relatively), and the base tree a second time under a third name, for an A/A
 control.  A pass runs the exterior, dirac and robin suites on one ball
 radius with one config seed, JSON reports to a temporary directory, as the
-``spectra`` benchmark workload does; the passes are drawn from ``--seed``
-the way the benchmark draws them.  Pair i runs the same pass on all three
-sides, in an order that rotates with i, after one warm-up pass each.
+``spectra`` benchmark workload does; the passes are those of the
+benchmark's seed 901, drawn by ``report_digests.seeded_passes``.  Each of
+the 600 pairs runs one pass on all three sides, in an order that rotates
+with the pair, after one warm-up pass each.
 
 The script prints each side's median time per pass, the median over the
 pairs of head time over base time and the share of pairs in which head was
@@ -27,26 +28,16 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import random
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-# The passes of a spectra seed, drawn as scripts/report_digests.py and the
-# benchmark draw them (that module imports the package, so it is not
-# imported here): 1024 fixed radii in [0.5, 3] in a seeded order, each with
-# a seeded 32-bit config seed.
-RADII = tuple(0.5 + 2.5 * k / 1023 for k in range(1024))
-SUITES = ("exterior", "dirac", "robin")
+from report_digests import SUITES, seeded_passes
 
-
-def seeded_passes(seed: int, count: int) -> list[tuple[float, int]]:
-    """The first ``count`` (radius, config seed) passes of a spectra seed."""
-    rng = random.Random(seed)
-    order = rng.sample(range(len(RADII)), len(RADII))
-    return [(RADII[k], rng.randrange(2**32)) for k in order][:count]
+PAIRS = 600
+SEED = 901
 
 
 def load_cli(src: Path, name: str):
@@ -89,8 +80,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path)
     parser.add_argument("head_src", type=Path)
-    parser.add_argument("--pairs", type=int, default=600)
-    parser.add_argument("--seed", type=int, default=901)
     args = parser.parse_args()
     sides = {
         "base": load_cli(args.base_src, "mitbag_ab_base"),
@@ -98,17 +87,17 @@ def main() -> int:
         "base copy": load_cli(args.base_src, "mitbag_ab_base_copy"),
     }
     names = list(sides)
-    passes = seeded_passes(args.seed, min(args.pairs, len(RADII)) + 1)
+    passes = seeded_passes(SEED, PAIRS + 1)
     times: dict[str, list[float]] = {name: [] for name in names}
     with tempfile.TemporaryDirectory() as tmp:
         outs = {name: str(Path(tmp) / f"{index}.json") for index, name in enumerate(names)}
         for name in names:
             run_pass(sides[name], *passes[0], outs[name])
-        for i in range(args.pairs):
-            radius, seed = passes[1 + i % (len(passes) - 1)]
+        for i in range(PAIRS):
+            radius, seed = passes[1 + i]
             for name in names[i % 3:] + names[:i % 3]:
                 times[name].append(run_pass(sides[name], radius, seed, outs[name]))
-    print(f"{args.pairs} pairs of spectra passes (seed {args.seed}), base {args.base_src}, head {args.head_src}")
+    print(f"{PAIRS} pairs of spectra passes (seed {SEED}), base {args.base_src}, head {args.head_src}")
     for name in names:
         print(f"{name}: median {statistics.median(times[name]) * 1e3:.3f} ms per pass")
     print(summary("head/base", times["head"], times["base"]))

@@ -33,8 +33,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from mitbag.cli import config_from_dict, run_suite
-
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 RADII = tuple(0.5 + 2.5 * k / 1023 for k in range(1024))
@@ -55,6 +53,10 @@ def seeded_passes(seed: int, count: int) -> list[tuple[float, int]]:
 
 def digest(document: dict, out: Path) -> str:
     """sha256 of the report that the config ``document`` writes."""
+    # Imported here, so that scripts/ab_spectra.py, which loads two trees
+    # under names of its own, can take the pass draw from this module.
+    from mitbag.cli import config_from_dict, run_suite
+
     run_suite(config_from_dict({**document, "output_path": str(out)}))
     return hashlib.sha256(out.read_bytes()).hexdigest()
 

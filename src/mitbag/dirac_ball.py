@@ -493,7 +493,8 @@ def _branch_roots(
     step, k_top = _scan_window(R, count, abs(kj))
     table = run_table()
     # Plain fields key the records: a tuple of numbers hashes faster than
-    # the dataclasses, whose hash is Python code.
+    # the dataclasses, whose hash is Python code.  The key must name every
+    # field of both; tests/test_dirac_ball.py checks their lists.
     key = (_branch_roots, kernels, R, m0, p.m, tol.abs_tol, tol.rel_tol, tol.max_iter)
     slots = ((key, kj, 1.0), (key, -kj, 1.0) if conjugate else (key, kj, -1.0))[: 2 if energy else 1]
     records = [table.get(slot, ((), 0.0)) for slot in slots]

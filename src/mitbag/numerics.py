@@ -218,9 +218,13 @@ def find_root_bracketed(
     sign-change bracket around every iterate.  It takes the Newton step
     unless the slope is 0, infinite or NaN, or the step would leave the
     bracket or is longer than half the step before last; then it bisects.
-    It stops at an iterate where |f| <= abs_tol, or where the Newton
+    It stops where |f| <= abs_tol at an iterate, or where the Newton
     correction (of a finite nonzero slope) or the bracket half-width is at
-    most 0.5*rel_tol*|x| plus the machine floor, and returns that iterate.
+    most tol_x = 0.5*rel_tol*|x| plus the machine floor, and returns that
+    iterate.  An iterate is an end of its bracket, so one that the
+    half-width stops lies within 2*tol_x of a root.  When the slope gave
+    no correction, the midpoint of that bracket, within tol_x of the root,
+    is evaluated and returned instead.
     There is no scan inside the bracket: when it holds several roots, any
     one of them may be returned.  A sign change across which |f| diverges
     instead of vanishing is reported as a pole, not a root.
@@ -272,9 +276,13 @@ def find_root_bracketed(
         else:
             step_before, step = step, 0.5 * (b - a)
             x_next = a + step
-        # A Newton correction or a bracket half-width below tol_x places
-        # the root within tol_x of x.
+        # A Newton correction below tol_x places the root within tol_x of
+        # x; a half-width below it, within 2*tol_x, as x ends the bracket.
         if min(abs(newton), abs(step)) <= tol_x:
+            if abs(newton) == inf:
+                # No correction: the bracket's midpoint is within tol_x.
+                x = x_next
+                fx = float(f(x)[0])
             break
         x = x_next
     else:

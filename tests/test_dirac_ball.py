@@ -2,6 +2,7 @@
 independent closed-form evaluations (plain bisection + scipy Bessel)."""
 
 import contextlib
+import dataclasses
 import math
 import re
 from dataclasses import replace
@@ -1430,6 +1431,13 @@ class TestBranchRecords:
         # Outside a run every request walks.
         request(1, False, [1.0], [2.0])
         assert len(walks) == 3
+
+    def test_the_record_key_holds_every_field_of_the_params_and_tolerance(self):
+        # _branch_roots keys its records on these fields by name.  A field
+        # added to either class must join that key, or two solves that
+        # differ in it would share one record and its roots.
+        assert [f.name for f in dataclasses.fields(DiracParams)] == ["R", "m0", "m"]
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["abs_tol", "rel_tol", "max_iter"]
 
 
 # Tolerances a request may carry, the default among them.

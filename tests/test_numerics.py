@@ -139,6 +139,19 @@ class TestRootFinding:
         assert abs(root - 2.0 ** (1.0 / power)) <= tol_x + math.ulp(root)
         assert f_root == root**power - 2.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(min_value=1.0, max_value=2.0), slope=st.sampled_from((math.inf, -math.inf, math.nan, 0.0)))
+    def test_a_slopeless_stop_returns_a_point_within_tol_x(self, c, slope):
+        # tanh(4(x - c)) vanishes only at the double c.  When the half-width
+        # stops a bisection, the iterate ends a bracket up to 2*tol_x wide,
+        # as far as 2*tol_x from c for about a third of the c; the returned
+        # point is the bracket's midpoint, within tol_x.
+        tol = ToleranceConfig()
+        root, f_root = find_root_bracketed(lambda x: (math.tanh(4.0 * (x - c)), slope), (1.0, 2.0), tol)
+        tol_x = 2.0 * numerics._EPS * c + 0.5 * tol.rel_tol * c + 1e-300
+        assert abs(root - c) <= tol_x + math.ulp(c)
+        assert f_root == math.tanh(4.0 * (root - c))
+
     @pytest.mark.parametrize(
         "f, bracket",
         (
