@@ -10,13 +10,12 @@ first 16 seeded passes (ball radius and config seed) of the ``spectra``
 benchmark seeds 901 and 902, and of the transverse suite, in CSV and JSON,
 on the R = 1 golden config at config seeds 1 to 4 (the golden configs have
 seed 0, and the seeded minimality rows depend on the seed) and on the mass
-grid ``TRANSVERSE_SHORT_GRID``, whose sweep mixes one-segment collars
-(sqrt(m) <= 4) with multi-segment ones; the default grids have no
-one-segment problem in the sweep.  Its masses 729 and 6561 are the cut
-collars (sqrt(m) > ``transverse.TAU_CUT``) whose segment length is not 4
-(27/7 and 81/21): they guard the cut's layout, which keeps the segments of
-the uncut collar; re-dividing the kept span into segments of 4 would move
-their rows.  The passes are
+grid ``TRANSVERSE_SHORT_GRID``.  Its masses 9, 20.25 and 81 lie below
+``transverse.SERIES_FLOOR`` and no longer enter the sweep; its masses 729
+and 6561 are the cut collars (sqrt(m) > ``transverse.TAU_CUT``) whose
+segment length is not 4 (27/7 and 81/21): they guard the cut's layout,
+which keeps the segments of the uncut collar; re-dividing the kept span
+into segments of 4 would move their rows.  The passes are
 rebuilt here from the seeds the way the benchmark draws them: 1024 fixed
 radii in [0.5, 3], visited in a seeded random order, each with a seeded
 32-bit config seed.  A change that keeps every report byte-identical prints

@@ -29,7 +29,7 @@ from .suites import DEFAULT_CURVATURE_GRID, TRANSVERSE_M_GRID, _SUITE_RUNNERS
 # The benchmark tracer (perfbench/tracer.py) finds the runners and ``_pmap``
 # here by name until ROADMAP item 1 points it at ``suites``.
 from .suites import _pmap, run_dirac_suite, run_exterior_suite, run_robin_suite, run_transverse_suite  # noqa: F401
-from .transverse import CurvatureData, TransverseProblem, collar_is_valid
+from .transverse import SERIES_FLOOR, CurvatureData, TransverseProblem, collar_is_valid
 
 SUITES = ("transverse", "exterior", "dirac", "robin", "all")
 GEOMETRY_BLOCK = '{"variant": "ball_interior", "R": r} with r > 0'
@@ -97,35 +97,25 @@ class SuiteConfig:
 
     @cached_property
     def transverse_sweep(self) -> tuple[tuple[tuple[float, float], tuple[TransverseProblem, ...]], ...]:
-        """Each curvature pair with its problems at its valid masses, as the
-        transverse suite solves them.  A pair valid at fewer than three masses
-        would have no expansion-order row, a mass whose square overflows could
-        not be solved, one whose cube overflows could not be reported: built
-        largest first, the problems name the largest mass in a refusal."""
+        """Each curvature pair with its problems at the grid's masses from
+        ``SERIES_FLOOR`` on where its collar is valid, as the transverse suite
+        solves them.  A pair with no such mass would have no row, and a mass
+        whose square overflows could not be solved: built largest first, the
+        problems name the largest mass in a refusal."""
+        masses = [m for m in self.m_grid or TRANSVERSE_M_GRID if m >= SERIES_FLOOR]
         sweep = []
         for pair in self.curvature_grid:
             curv = CurvatureData(*pair)
-            try:
-                valid = [m for m in self.m_grid or TRANSVERSE_M_GRID if collar_is_valid(curv, m)]
-            except ValueError as exc:  # m * m underflows to 0 in the weight bound
+            valid = [m for m in masses if collar_is_valid(curv, m)]
+            if not valid:
                 raise ConfigError(
-                    f"the collar weight of curvature pair {list(pair)} cannot be evaluated at the masses "
-                    f"of the grid: {exc}"
-                ) from exc
-            if len(valid) < 3:
-                raise ConfigError(
-                    f"curvature pair {list(pair)} is valid only at the masses {valid} of the grid; "
-                    "its expansion-order fit needs at least 3"
+                    f"curvature pair {list(pair)} is valid at none of the masses {masses} of the grid from "
+                    f"{SERIES_FLOOR:g} on; its series rows need one"
                 )
             try:
                 problems = [TransverseProblem(m=m, curv=curv) for m in reversed(valid)]  # refuses m**2 overflow
-                valid[-1] ** 3  # the expansion envelopes scale each gap by m**3
             except ValueError as exc:
                 raise ConfigError(f"m_grid: {exc}") from exc
-            except OverflowError:
-                raise ConfigError(
-                    f"m_grid: m={valid[-1]} is too large: the expansion envelopes' m**3 overflows"
-                ) from None
             sweep.append((pair, tuple(problems[::-1])))
         return tuple(sweep)
 

@@ -176,6 +176,7 @@ def flat_effective_gap(v: FlatDatum, m: float) -> float:
 
 # Tail sums run at 34 digits, so each double they give is correctly rounded.
 _DIGITS, _STEP = Context(prec=34), Decimal("1e-24")  # a continued fraction stops at a step below _STEP
+_INFINITY = Decimal("Infinity")
 
 
 def _scaled_expints(top: int, z: Decimal) -> list[Decimal]:
@@ -191,7 +192,7 @@ def _scaled_expints(top: int, z: Decimal) -> list[Decimal]:
             series = sum((-z) ** j / (j * math.factorial(j)) for j in range(1, 31))
             h[1] = z * z.exp() * (Decimal("-0.5772156649015328606065120900824024") - z.ln() - series)
         else:
-            b, c, d, delta, i = z + k, Decimal("Infinity"), 1 / (z + k), 0, 0  # c = inf: first c = b
+            b, c, d, delta, i = z + k, _INFINITY, 1 / (z + k), 0, 0  # c = inf: first c = b
             h[k] = z * d
             while abs(delta - 1) > _STEP:
                 i += 1

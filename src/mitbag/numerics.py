@@ -13,6 +13,7 @@ within one verification run, and it is gone when the run ends.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class NumericsError(ArithmeticError):

@@ -111,10 +111,8 @@ CHECKS: dict[str, CheckKind] = {
     "transverse.flat.lambda.m4": CheckKind("abs", "closed-form"),
     "transverse.flat.mass.m4": CheckKind("abs", "closed-form"),
     "transverse.flat.limit.m1e4": CheckKind("abs", "closed-form"),
-    "transverse.expansion.pair.slope": CheckKind("upper", "fit", asserted=False),
-    "transverse.mass.envelope": CheckKind("envelope", "fit"),
-    "transverse.expansion.slope": CheckKind("upper", "fit"),
-    "transverse.expansion.envelope": CheckKind("envelope", "fit"),
+    "transverse.series.lambda": CheckKind("abs", "expansion"),
+    "transverse.series.mass": CheckKind("abs", "expansion"),
     "transverse.sphere.cancellation": CheckKind("abs", "expansion"),
     "transverse.minimality.seeded": CheckKind("lower", "closed-form"),
     "transverse.pythagoras.seeded": CheckKind("upper", "closed-form"),

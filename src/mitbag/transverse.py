@@ -12,12 +12,22 @@ over u with u(0) = 1, u(sqrt(m)) = 0.  The minimizer solves
 
 and the minimum value equals -u'(0).  Its large-m expansion
 
-    Lambda = 1 + kappa/(2m) + (K/2 - kappa^2/8)/m^2 + O(m^-3)
+    Lambda = sum_n c_n m^-n = 1 + kappa/(2m) + (K/2 - kappa^2/8)/m^2 + O(m^-3)
 
-is generated by the formal profiles u0 = e^{-tau}, u1 = -(kappa/2) tau e^{-tau},
-u2 = (kappa^2/8 - K/2) tau e^{-tau} + (3 kappa^2/8 - K/2) tau^2 e^{-tau}; the
-cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an O(m^-3) residual in the
-weighted L^2 norm, which is the rate the verification suite measures.
+has exact coefficients (Bender & Orszag, "Advanced Mathematical Methods",
+1978, ch. 10): v = a u'/u solves v' = a - v^2/a with Lambda = -v(0), and in
+powers of 1/m, from v_0 = -1, each order solves v_n' - 2 v_n = S_n (S_n a
+polynomial in tau from the lower orders) by v_n = -sum_j S_n^(j) / 2^(j+1),
+the solution that does not grow like e^{2 tau}.  So c_n = -v_n(0) =
+sum_b t[n][b] kappa^(n-2b) K^b with dyadic t[n][b] (``_SERIES``, n <= 12).
+tau -> sqrt(lam) tau maps (a u')' = lam a u to the equation at the mass
+m sqrt(lam), so the weighted mass dLambda/dlam at lam = 1 has the
+coefficients (1 - n) c_n / 2.  The series omits the collar's end,
+coth(sqrt(m)) - 1 on the flat model: 8.5e-18 at ``SERIES_FLOOR`` = 400.
+The formal profiles u0 = e^{-tau}, u1 = -(kappa/2) tau e^{-tau},
+u2 = (kappa^2/8 - K/2) tau e^{-tau} + (3 kappa^2/8 - K/2) tau^2 e^{-tau} give
+its first three terms; the cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an
+O(m^-3) residual in the weighted L^2 norm, which the verification suite measures.
 
 Numerics: the equation (a u')' = a u is solved by Taylor series.  a is a
 quadratic polynomial, so at a centre c, with a(c + t) = a0 + a1 t + a2 t^2,
@@ -120,6 +130,28 @@ SERIES_TAIL = 2.0**-60
 # excess bound e^{-2t} (1 + 3 coth t) of the module docstring is <= 2^-60.
 TAU_CUT = next(
     t for t in itertools.count(ELEMENT_PANEL, ELEMENT_PANEL) if math.exp(-2.0 * t) * (1.0 + 3.0 / math.tanh(t)) <= 2.0**-60
+)
+
+
+# The masses from which the expansion in 1/m holds to rounding (module docstring).
+SERIES_FLOOR = 400.0
+
+# t[n][b], the coefficient of kappa^(n-2b) K^b in c_n (module docstring).
+_SERIES = (
+    (1.0,),
+    (1 / 2,),
+    (-1 / 8, 1 / 2),
+    (1 / 8, -1 / 2),
+    (-25 / 128, 15 / 16, -5 / 8),
+    (13 / 32, -37 / 16, 11 / 4),
+    (-1073 / 1024, 1775 / 256, -751 / 64, 49 / 16),
+    (103 / 32, -1557 / 64, 213 / 4, -119 / 4),
+    (-375733 / 2**15, 199847 / 2**11, -268043 / 1024, 29115 / 128, -4029 / 128),
+    (23797 / 512, -28169 / 64, 89439 / 64, -26501 / 16, 536.0),
+    (-55384775 / 2**18, 144488955 / 2**16, -66238455 / 2**13, 24920695 / 2**11, -6610395 / 1024, 141735 / 256),
+    (2180461 / 2**11, -12434665 / 1024, 6466045 / 128, -23625485 / 256, 2212895 / 32, -233693 / 16),
+    (-24713030909 / 2**22, 38242345081 / 2**19, -88969479687 / 2**18, 11958144987 / 2**14, -11664510107 / 2**14,
+     522507681 / 2**11, -15264769 / 1024),
 )
 
 
@@ -373,6 +405,13 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
         solved[k] = TransverseSolution(lam=lam_k, mass=mass_k, problem=problems[k], tau=(*tau_of[seg], end[k]),
                                        u=(1.0, *u_of[seg][1:], 0.0), flux=(*flux_of[seg], flux_end))
     return solved
+
+
+def expansion_coefficients(curv: CurvatureData) -> tuple[float, ...]:
+    """c_0 .. c_12 of Lambda = sum_n c_n m^-n at the curvatures ``curv``; the
+    weighted mass has the coefficients (1 - n) c_n / 2 (module docstring)."""
+    kappa, K = curv.kappa, curv.gauss
+    return tuple(sum(t * kappa ** (n - 2 * b) * K**b for b, t in enumerate(row)) for n, row in enumerate(_SERIES))
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

@@ -82,38 +82,39 @@ def dirac_slope_points():
     return _CACHE["slope_points"]
 
 
-def test_criterion_1_transverse_expansion_order():
+def _series_rows(check_id):
+    """The suite's rows of ``check_id``, one per default curvature pair, and the
+    worst |observed - expected| among them."""
     records, _, elapsed = transverse_sweep()
-    slopes = [r for r in records if r.check_id == "transverse.expansion.slope"]
-    envelopes = [r for r in records if r.check_id == "transverse.expansion.envelope"]
-    ok = (
-        bool(slopes)
-        and bool(envelopes)
-        and all(r.passed for r in slopes)
-        and all(r.passed for r in envelopes)
-        and elapsed <= 30.0
-    )
-    worst = max((r.observed for r in slopes), default=0.0)
+    rows = [r for r in records if r.check_id == check_id]
+    ok = len(rows) == len(cli.DEFAULT_CURVATURE_GRID) and all(r.passed for r in rows)
+    return ok, max((abs(r.observed - r.expected) for r in rows), default=math.nan), elapsed
+
+
+def test_criterion_1_transverse_expansion_order():
+    # The energy against its exact series through m^-10, so the m^-3 law with
+    # its exact coefficient, at 1e-13 plus the next two terms.
+    ok, worst, elapsed = _series_rows("transverse.series.lambda")
     _verdict(
         1,
         "transverse expansion order m^-3",
-        ok,
-        f"worst slope {worst:.3f} <= -2.9, envelopes hold, runtime {elapsed:.1f}s <= 30s",
+        ok and elapsed <= 30.0,
+        f"worst |Lambda - series| {worst:.2e} within 1e-13 + the next terms, runtime {elapsed:.1f}s <= 30s",
     )
 
 
 def test_criterion_2_transverse_mass():
-    records, _, _ = transverse_sweep()
-    envelopes = [r for r in records if r.check_id == "transverse.mass.envelope"]
+    # The weighted mass against its exact series 1/2 - c_2/(2m^2) - ..., and
+    # the flat closed form at m = 4.
+    ok, worst, _ = _series_rows("transverse.series.mass")
     sol = solve_transverse([TransverseProblem(m=4.0, curv=CurvatureData.flat())])[0]
     closed_form = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
     flat_ok = abs(sol.mass - closed_form) <= 1e-6
-    ok = bool(envelopes) and all(r.passed for r in envelopes) and flat_ok
     _verdict(
         2,
         "transverse weighted mass 1/2 + O(1/m)",
-        ok,
-        f"flat m=4 mass {sol.mass:.9f} vs {closed_form:.9f}, {len(envelopes)} envelopes hold",
+        ok and flat_ok,
+        f"flat m=4 mass {sol.mass:.9f} vs {closed_form:.9f}, worst |mass - series| {worst:.2e}",
     )
 
 

@@ -27,7 +27,7 @@ from mitbag.report import (
     parse_report_json,
     write_report_atomic,
 )
-from mitbag.transverse import CurvatureData, TransverseProblem
+from mitbag.transverse import CurvatureData, TransverseProblem, min_rescaled_weight
 
 
 # Geometry blocks the suites would not read: other variants, extra or
@@ -87,26 +87,27 @@ class TestConfig:
     @pytest.mark.parametrize("suite", ("transverse", "all"))
     def test_mass_past_collar_cap_rejected(self, suite):
         # The cut collar has no width cap (sqrt(4e5) = 632.5 was past the old
-        # one); the masses are capped where the collar weight's m**2, or the
-        # expansion envelopes' m**3, overflows.
+        # one); the masses are capped where the collar weight's m**2 overflows.
         assert SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 4e5, 1e100)).m_grid[-1] == 1e100
-        with pytest.raises(ConfigError, match=r"m=1e\+110 is too large: the expansion envelopes' m\*\*3 overflows"):
-            SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 1e110))
+        assert SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 1e110)).transverse_sweep[0][1][-1].m == 1e110
         with pytest.raises(ConfigError, match=r"m=1e\+155 is too large: m\*\*2 in the collar weight overflows"):
             SuiteConfig(suite=suite, m_grid=(25.0, 100.0, 400.0, 1e155))
 
     def test_validity_floor_is_the_problems(self):
-        # sqrt(m) = 3 + sqrt(13) is the floor of (kappa, K) = (-3, -2); the
-        # weight there rounds to 0.4999999999999999, and the suite keeps the
-        # mass exactly when a TransverseProblem accepts it.
-        curv, m = CurvatureData(-3.0, -2.0), 43.633307652783934
+        # sqrt(m) = 4 (3 + sqrt(13)) is the floor of (kappa, K) = (-12, -32),
+        # above the series floor; the weight there rounds to 0.4999999999999999
+        # (as at (-3, -2) and m / 16, which scales every operation by a power
+        # of two), and the suite keeps the mass exactly when a
+        # TransverseProblem accepts it.
+        curv, m = CurvatureData(-12.0, -32.0), 16.0 * 43.633307652783934
+        assert min_rescaled_weight(curv, m) == 0.4999999999999999
         assert TransverseProblem(m=m, curv=curv).m == m
-        config = SuiteConfig(suite="transverse", m_grid=(25.0, m, 100.0, 400.0), curvature_grid=((-3.0, -2.0),))
+        config = SuiteConfig(suite="transverse", m_grid=(25.0, 400.0, m, 1600.0), curvature_grid=((-12.0, -32.0),))
         ((pair, probs),) = config.transverse_sweep
-        assert pair == (-3.0, -2.0) and [prob.m for prob in probs] == [m, 100.0, 400.0]
+        assert pair == (-12.0, -32.0) and [prob.m for prob in probs] == [m, 1600.0]
 
     def test_config_builds_each_sweep_problem_once(self, monkeypatch, tmp_path):
-        # The config builds the 92 problems of the curvature sweep, whose
+        # The config builds the 60 problems of the curvature sweep, whose
         # construction judges the grid; the run solves those very objects and
         # builds only its own 13 (4 flat, 1 seeded, 3 sphere, 5 residual).
         built, stacks = [], []
@@ -124,12 +125,12 @@ class TestConfig:
         monkeypatch.setattr(suites, "solve_transverse", spy)
         config = SuiteConfig(output_path=str(tmp_path / "report.csv"))
         sweep = [prob for _, probs in config.transverse_sweep for prob in probs]
-        assert len(built) == len(sweep) == 92
+        assert len(built) == len(sweep) == 60
         assert {id(prob) for prob in built} == {id(prob) for prob in sweep}
         assert config.transverse_sweep is config.transverse_sweep
         built.clear()
         run_suite(config)
-        assert len(built) == 13 and [len(stack) for stack in stacks] == [97]
+        assert len(built) == 13 and [len(stack) for stack in stacks] == [65]
         assert all(a is b for a, b in zip(stacks[0][4:-1], sweep, strict=True))
         # Suites that do not solve the sweep never build it.
         built.clear()
@@ -638,14 +639,14 @@ class TestMainExitCodes:
         assert err.startswith("config error:") and "Traceback" not in err
 
     def test_transverse_interval_cap_is_config_error(self, tmp_path, capsys):
-        # A mass whose cube (the expansion envelopes) or square (the collar
-        # weight) overflows: the config is refused before any suite runs.
+        # A mass whose square (the collar weight) overflows: the config is
+        # refused before any suite runs.  One whose cube overflows is solved.
         path = write_config(tmp_path)
-        for top in ("1e110", "1e155"):
-            assert main([path, "--suite", "transverse", "--m-grid", f"25,100,400,1600,{top}"]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and "overflows" in err and "Traceback" not in err
-            assert not (tmp_path / "report.csv").exists()
+        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,1e155"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+        assert main([path, "--suite", "transverse", "--m-grid", "25,100,400,1600,1e110"]) == 0
 
     def test_non_finite_curvature_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, suite="transverse", curvature_grid=[[math.inf, 0.0]])
@@ -654,17 +655,20 @@ class TestMainExitCodes:
         assert err.startswith("config error: curvature_grid entries must be finite") and "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
-    def test_curvature_pair_below_three_valid_masses_is_config_error(self, tmp_path, capsys):
+    def test_curvature_pair_without_a_series_mass_is_config_error(self, tmp_path, capsys):
         # kappa = 100 leaves the collar weight below 1/2 at every mass of
         # the default grid, so the pair would have no row to check it.
         path = write_config(tmp_path, suite="transverse", curvature_grid=[[1.0, 0.0], [100.0, 0.0]])
         assert main([path]) == 2
         err = capsys.readouterr().err
-        assert "curvature pair [100.0, 0.0] is valid only at the masses []" in err and "Traceback" not in err
-        # One valid mass short of the fit: kappa = 3, K = -2 is valid from m = 100 on.
+        assert "curvature pair [100.0, 0.0] is valid at none of the masses [400.0, 1600.0, 6400.0]" in err
+        assert "Traceback" not in err
+        # kappa = 3, K = -2 is valid from m = 44 on, but the series rows start at 400.
         path = write_config(tmp_path, suite="all", curvature_grid=[[3.0, -2.0]])
-        assert main([path, "--m-grid", "25,100,400"]) == 2
-        assert "curvature pair [3.0, -2.0] is valid only at the masses [100.0, 400.0]" in capsys.readouterr().err
+        assert main([path, "--m-grid", "25,100,200,300"]) == 2
+        assert "curvature pair [3.0, -2.0] is valid at none of the masses [] of the grid from 400 on" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("suite", ("dirac", "robin", "all"))
@@ -691,6 +695,21 @@ class TestMainExitCodes:
     def test_three_masses_suffice_without_slope_fits(self, tmp_path, suite):
         path = write_config(tmp_path, suite=suite)
         assert main([path, "--m-grid", "100,1000,10000"]) == 0
+
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            # A cohort whose m^3-scaled gap rose toward its limit failed the
+            # former envelope row (6.3696 against 6.0507).
+            ({"curvature_grid": [[3, -2], [3, 2], [-3, 1]]}, []),
+            # A top mass whose curved gaps are at rounding level failed it
+            # too (8.88).
+            ({}, ["--m-grid", "25,100,400,1600,200000"]),
+        ],
+        ids=["rising-cohort", "mass-2e5"],
+    )
+    def test_the_series_rows_pass_where_the_envelopes_failed(self, tmp_path, overrides, flags):
+        assert main([write_config(tmp_path, suite="transverse", **overrides), *flags]) == 0
 
     @pytest.mark.parametrize(
         "overrides",

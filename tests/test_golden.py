@@ -93,6 +93,7 @@ def describe_moves(expected: bytes, actual: bytes, fmt: str) -> str:
 EXACT_ROWS = {
     "transverse.sphere.cancellation": "K = kappa^2/4 cancels the m^-2 term in exact arithmetic; dyadic kappa rounds to 0",
     "transverse.flat.limit.m1e4": "Lambda = coth 100 = 1 + 3e-87 rounds to 1, and the series solve's flux gets it",
+    "transverse.series.lambda": "on the flat pair Lambda = coth sqrt(m) = 1 + 8.5e-18 at m = 400 rounds to the series' 1",
     "exterior.dtn.l0": "e^x k_0 is one term, so the DtN value rounds to the closed form m + 1/R at some masses",
     "exterior.dtn.l1": "e^x k_1 is two terms, so the DtN value rounds to its closed form at some masses",
     "exterior.effective.rate.sphere": "the m = 1e2 row anchors the envelope: its bound is its own value",

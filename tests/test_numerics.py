@@ -487,8 +487,9 @@ class TestLineFit:
         _assert_correctly_rounded_fit([1e8, 1e8 + 1.0, 1e8 + 3.0], [1.0, 1.0 + 2.0**-40, 1.0])
 
     def test_golden_series(self, tmp_path, monkeypatch):
-        # Every line fit of the four golden runs (23 in the transverse suite,
-        # 7 in the 1/m fits of the dirac and robin suites) is correctly rounded.
+        # Every line fit of the four golden runs (the flat mass's decay order
+        # in the transverse suite, 7 in the 1/m fits of the dirac and robin
+        # suites) is correctly rounded.
         series, fit = [], numerics.fit_line
 
         def spy(x, y):
@@ -501,7 +502,7 @@ class TestLineFit:
         for radius in ("0.5", "1", "1.7", "3"):
             config = json.loads((golden / f"config_R{radius}.json").read_text())
             assert run_suite(config_from_dict({**config, "output_path": str(tmp_path / "report.csv")})).passed
-        assert len(series) == 120
+        assert len(series) == 32
         for x, y in series:
             _assert_correctly_rounded_fit(x, y)
 

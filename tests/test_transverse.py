@@ -1,16 +1,18 @@
 """Transverse boundary-layer problem: closed forms, expansion, residuals."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import i0e, i1e, k0e, k1e
 
-from mitbag import cli, transverse
+from mitbag import cli, suites, transverse
 from mitbag.numerics import NumericsError, panel_nodes
 from mitbag.transverse import (
     ELEMENT_PANEL,
@@ -22,6 +24,7 @@ from mitbag.transverse import (
     SeriesTailError,
     TransverseProblem,
     collar_is_valid,
+    expansion_coefficients,
     expansion_lambda,
     min_rescaled_weight,
     residual_of_ansatz,
@@ -173,7 +176,7 @@ class TestCurvedClosedForms:
         pairs = tuple(pair for pair in cli.DEFAULT_CURVATURE_GRID if pair[0] != 0.0 and pair[1] == 0.0)
         sweep = cli.SuiteConfig(suite="transverse", curvature_grid=pairs).transverse_sweep
         probs = [prob for _, pair_probs in sweep for prob in pair_probs]
-        assert len(pairs) == 4 and len(probs) == 18
+        assert len(pairs) == 4 and len(probs) == 12
         for prob, sol in zip(probs, solve_transverse(probs), strict=True):
             lam = cylinder_lambda(prob.curv.kappa, prob.m)
             assert abs(sol.lam - lam) <= 1e-14 * lam, prob
@@ -284,7 +287,7 @@ class TestCollarCut:
 
     @pytest.mark.parametrize(
         "m_grid, count, elements",
-        ((cli.TRANSVERSE_M_GRID, 97, (816, 437)), ((9.0, 20.25, 81.0, 729.0, 6561.0), 85, (694, 395))),
+        ((cli.TRANSVERSE_M_GRID, 65, (731, 352)), ((9.0, 20.25, 81.0, 729.0, 6561.0), 45, (591, 292))),
     )
     def test_cut_moves_the_solve_by_rounding_only(self, monkeypatch, m_grid, count, elements):
         # The default suite and the short grid, whose masses 729 and 6561
@@ -292,7 +295,7 @@ class TestCollarCut:
         # u = 0 at tau_end instead of from the tail's state there, whose
         # effect on Lambda is below 2^-60 Lambda (module docstring), so the
         # two solves differ by their rounding only: at most 2 ulp of Lambda
-        # and 13 ulp of the mass are seen.
+        # and 10 ulp of the mass are seen.
         probs = self.suite_problems(m_grid)
         cut = solve_transverse(probs)
         monkeypatch.setattr(transverse, "TAU_CUT", math.inf)
@@ -390,6 +393,135 @@ class TestExpansion:
             sol = solve_transverse([prob])[0]
             c3 = abs((-kappa) ** 3 / 8.0 - (-kappa) * 1.0 / 2.0)
             assert abs(sol.lam - expansion_lambda(prob)) <= (c3 + 0.5) / m**3
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    """Product of two polynomials in (tau, kappa, K), each a dict from the
+    exponents to an exact Fraction coefficient."""
+    out: dict = {}
+    for (a, b, c), x in p.items():
+        for (d, e, f), y in q.items():
+            key = (a + d, b + e, c + f)
+            out[key] = out.get(key, 0) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for k, x in q.items():
+        out[k] = out.get(k, 0) + sign * x
+    return {k: x for k, x in out.items() if x}
+
+
+def riccati_coefficients(order: int) -> list[dict]:
+    """c_0 .. c_order of Lambda = sum_n c_n m^-n, each a dict from the
+    exponents (of kappa, of K) to an exact Fraction, by the Riccati hierarchy
+    (Bender & Orszag 1978, ch. 10).  v = a u'/u solves v' = a - v^2/a, and
+    with a = 1 + alpha_1/m + alpha_2/m^2 (alpha_1 = kappa tau, alpha_2 = K tau^2),
+    1/a = sum_n b_n m^-n and v = sum_n v_n m^-n, v_0 = -1, order n reads
+    v_n' - 2 v_n = S_n = [a]_n - [v^2 / a]_n + 2 v_0 v_n, whose polynomial
+    solution is v_n = -sum_j S_n^(j) / 2^(j+1); Lambda = -v(0) as a(0) = 1."""
+    alpha = {1: {(1, 1, 0): Fraction(1)}, 2: {(2, 0, 1): Fraction(1)}}
+    b = [{(0, 0, 0): Fraction(1)}]
+    for n in range(1, order + 1):
+        prev = _poly_add(_poly_mul(alpha[1], b[n - 1]), _poly_mul(alpha[2], b[n - 2]) if n >= 2 else {})
+        b.append({k: -x for k, x in prev.items()})  # b_n = -(alpha_1 b_{n-1} + alpha_2 b_{n-2})
+    v = [{(0, 0, 0): Fraction(-1)}]
+    for n in range(1, order + 1):
+        padded = [*v, {}]  # v_n = 0, so [v^2 / a]_n leaves out its 2 v_0 v_n term
+        rest: dict = {}
+        for p in range(n + 1):
+            square: dict = {}
+            for i in range(p + 1):
+                square = _poly_add(square, _poly_mul(padded[i], padded[p - i]))
+            rest = _poly_add(rest, _poly_mul(square, b[n - p]))
+        term, v_n, j = _poly_add(alpha.get(n, {}), rest, -1), {}, 0
+        while term:
+            v_n = _poly_add(v_n, {k: x / 2 ** (j + 1) for k, x in term.items()}, -1)
+            term = {(a - 1, e, f): x * a for (a, e, f), x in term.items() if a}
+            j += 1
+        v.append(v_n)
+    return [{(e, f): -x for (a, e, f), x in v_n.items() if a == 0} for v_n in v]
+
+
+RICCATI = riccati_coefficients(12)
+
+
+def series_rows(kappa: float, gauss: float, probs: list[TransverseProblem]) -> list:
+    """The suite's two series rows of one curvature pair at its problems."""
+    return suites._transverse_sweep_records([((kappa, gauss), probs)], solve_transverse(probs))
+
+
+class TestSeriesTable:
+    """The exact coefficients c_n of Lambda = sum_n c_n m^-n and the suite's
+    rows that compare the solver with them."""
+
+    def test_table_is_the_riccati_hierarchy(self):
+        # Every entry t[n][b] of the table is the exact coefficient of
+        # kappa^(n-2b) K^b in c_n (so an exact double), and c_n has no other term.
+        assert len(transverse._SERIES) == len(RICCATI) == 13
+        for n, (row, exact) in enumerate(zip(transverse._SERIES, RICCATI)):
+            assert len(row) == n // 2 + 1
+            assert all(e == n - 2 * f for e, f in exact)
+            assert [Fraction(t) for t in row] == [exact.get((n - 2 * b, b), 0) for b in range(len(row))], n
+        assert max(abs(Fraction(t).numerator) for row in transverse._SERIES for t in row) == 88969479687 < 2**53
+
+    def test_low_orders(self):
+        # c_1 and c_2 are the paper's; c_3 and c_4 in factored form.  Each
+        # polynomial has degree <= 4, so a 5 x 5 grid of points determines it.
+        closed = (
+            lambda k, K: 1,
+            lambda k, K: k / 2,
+            lambda k, K: K / 2 - k**2 / 8,
+            lambda k, K: -k * (4 * K - k**2) / 8,
+            lambda k, K: -5 * (4 * K - 5 * k**2) * (4 * K - k**2) / 128,
+        )
+        for n, form in enumerate(closed):
+            for k, K in itertools.product(map(Fraction, range(-2, 3)), repeat=2):
+                assert sum(x * k**e * K**f for (e, f), x in RICCATI[n].items()) == form(k, K), n
+
+    @pytest.mark.parametrize("kappa, gauss", ((3.0, -2.0), (-0.75, 1.5), (0.0, 0.0), (2.0, 1.0)))
+    def test_coefficients_evaluate_the_table(self, kappa, gauss):
+        # The floats against the exact forms, to rounding of the largest term.
+        coef = expansion_coefficients(CurvatureData(kappa, gauss))
+        for n, (c, exact) in enumerate(zip(coef, RICCATI, strict=True)):
+            terms = [x * Fraction(kappa) ** e * Fraction(gauss) ** f for (e, f), x in exact.items()]
+            assert abs(Fraction(c) - sum(terms)) <= 1e-15 * max(abs(t) for t in terms), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.floats(400.0, 1e6), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+    def test_rows_hold_up_to_the_validity_floor(self, m, x, y):
+        # Any curvatures valid at m: |kappa|/sqrt(m) + |K|/m <= 1/2.
+        kappa, gauss = 0.5 * x * math.sqrt(m), 0.5 * y * (1.0 - abs(x)) * m
+        assume(collar_is_valid(CurvatureData(kappa, gauss), m))
+        rows = series_rows(kappa, gauss, [TransverseProblem(m=m, curv=CurvatureData(kappa, gauss))])
+        assert [r.check_id for r in rows] == ["transverse.series.lambda", "transverse.series.mass"]
+        assert all(r.passed for r in rows), rows
+
+    def test_the_floor_corners(self):
+        # The corners of the validity floor at m = 400 and 1e6, where the
+        # series converges slowest.
+        for m in (400.0, 1e6):
+            for kappa, gauss in ((0.5 * math.sqrt(m), 0.0), (0.0, 0.5 * m), (0.25 * math.sqrt(m), 0.25 * m)):
+                for s, t in itertools.product((1.0, -1.0), repeat=2):
+                    curv = CurvatureData(s * kappa, t * gauss)
+                    assert collar_is_valid(curv, m)
+                    rows = series_rows(curv.kappa, curv.gauss, [TransverseProblem(m=m, curv=curv)])
+                    assert all(r.passed for r in rows), rows
+
+    @pytest.mark.parametrize("kappa_factor, gauss_factor", ((1.001, 1.0), (1.0, 1.01)))
+    def test_a_weight_mutation_fails_a_series_row(self, monkeypatch, kappa_factor, gauss_factor):
+        # kappa x 1.001 or K x 1.01 in the collar weight moves the solved
+        # energies off their series.
+        weight = transverse._weight_taylor
+
+        def mutated(kappa, gauss, m, m2, c):
+            return weight(kappa * kappa_factor, gauss * gauss_factor, m, m2, c)
+
+        monkeypatch.setattr(transverse, "_weight_taylor", mutated)
+        records, _ = suites.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
+        failed = {r.check_id for r in records if r.asserted and not r.passed}
+        assert failed & {"transverse.series.lambda", "transverse.series.mass"}
 
 
 class TestFormalProfiles:

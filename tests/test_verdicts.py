@@ -32,8 +32,7 @@ VERDICT = {
     "info": lambda e, o, t: True,
 }
 
-_PAIR = [("transverse.expansion.pair.slope", "upper", False), ("transverse.mass.envelope", "envelope", True)]
-_COHORT = [("transverse.expansion.slope", "upper", True), ("transverse.expansion.envelope", "envelope", True)]
+_PAIR = [("transverse.series.lambda", "abs", True), ("transverse.series.mass", "abs", True)]
 _DTN = [("exterior.dtn.l0", "rel", True), ("exterior.dtn.l1", "rel", True), ("exterior.mass.l0", "rel", True)]
 _SANDWICH = [("exterior.sandwich", "upper", True), ("exterior.sandwich.sign", "upper", True)]
 _LEVEL = [("dirac.convergence", "envelope", True)] * 5 + [("dirac.convergence.final", "upper", True)]
@@ -47,7 +46,6 @@ GOLDEN = (
         ("transverse.flat.limit.m1e4", "abs", True),
     ]
     + _PAIR * 20
-    + _COHORT * 2
     + [
         ("transverse.sphere.cancellation", "abs", True),
         ("transverse.minimality.seeded", "lower", True),
@@ -163,7 +161,7 @@ def test_every_error_cell_is_finite_or_empty(serialized):
 def test_every_asserted_check_passes(serialized):
     report, _, _ = serialized
     assert report.passed
-    assert report.pass_counts() == (108, 108)
+    assert report.pass_counts() == (124, 124)
 
 
 def test_golden_check_list(tmp_path):
@@ -306,18 +304,16 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
     monkeypatch.setattr(suites, "solve_transverse", spy)
     _, summary = cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     # Each collar keeps the segments of its uncut layout that start before
-    # TAU_CUT; one (-1, -2) problem at m = 25 has three, not two, as its
-    # weight's zero is 7.5 from the collar.
+    # TAU_CUT.
     n_el = [kept_segments(p)[0] for p in problems]
-    assert len(problems) == 97 and "transverse_dofs" not in summary
-    assert summary["transverse_elements"] == sum(n_el) == 437
+    assert len(problems) == 65 and "transverse_dofs" not in summary
+    assert summary["transverse_elements"] == sum(n_el) == 352
 
 
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
-    # All 97 problems (4 flat, 92 of the curvature sweep, the seeded one) go
-    # to one solve_transverse call, which makes no LAPACK solve;
-    # the slopes take one one-series line fit per series, the 20 pairs, the
-    # aggregates of the two cohorts and the flat mass, and none calls lstsq.
+    # All 65 problems (4 flat, 60 of the curvature sweep, the seeded one) go
+    # to one solve_transverse call, which makes no LAPACK solve; the flat
+    # mass's decay order is the one line fit, and it calls no lstsq.
     stacks, interior_solves, fits, lstsqs = [], [], [], []
     solve, lapack_solve, fit, lstsq = suites.solve_transverse, np.linalg.solve, suites.fit_line, np.linalg.lstsq
 
@@ -334,9 +330,9 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     monkeypatch.setattr(suites, "fit_line", lambda *args: fits.append(args) or fit(*args))
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsqs.append(args) or lstsq(*args, **kw))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
-    assert [len(stack) for stack in stacks] == [97]
+    assert [len(stack) for stack in stacks] == [65]
     assert len(interior_solves) == 0
-    assert len(fits) == 23
+    assert len(fits) == 1
     assert len(lstsqs) == 0
     assert all(np.ndim(y) == 1 for _, y in fits)
 
