@@ -29,7 +29,7 @@ from .suites import DEFAULT_CURVATURE_GRID, TRANSVERSE_M_GRID, _SUITE_RUNNERS
 # The benchmark tracer (perfbench/tracer.py) finds the runners and ``_pmap``
 # here by name until ROADMAP item 1 points it at ``suites``.
 from .suites import _pmap, run_dirac_suite, run_exterior_suite, run_robin_suite, run_transverse_suite  # noqa: F401
-from .transverse import SERIES_FLOOR, CurvatureData, TransverseProblem, collar_is_valid
+from .transverse import SERIES_FLOOR, CurvatureData, TransverseProblem, collar_is_valid, expansion_coefficients
 
 SUITES = ("transverse", "exterior", "dirac", "robin", "all")
 GEOMETRY_BLOCK = '{"variant": "ball_interior", "R": r} with r > 0'
@@ -99,7 +99,8 @@ class SuiteConfig:
     def transverse_sweep(self) -> tuple[tuple[tuple[float, float], tuple[TransverseProblem, ...]], ...]:
         """Each curvature pair with its problems at the grid's masses from
         ``SERIES_FLOOR`` on where its collar is valid, as the transverse suite
-        solves them.  A pair with no such mass would have no row, and a mass
+        solves them.  A pair with no such mass would have no row, nor would a
+        pair whose series coefficients leave the double range, and a mass
         whose square overflows could not be solved: built largest first, the
         problems name the largest mass in a refusal."""
         masses = [m for m in self.m_grid or TRANSVERSE_M_GRID if m >= SERIES_FLOOR]
@@ -111,6 +112,15 @@ class SuiteConfig:
                 raise ConfigError(
                     f"curvature pair {list(pair)} is valid at none of the masses {masses} of the grid from "
                     f"{SERIES_FLOOR:g} on; its series rows need one"
+                )
+            try:
+                finite = all(map(math.isfinite, expansion_coefficients(curv)))
+            except OverflowError:  # a power of kappa or K
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"curvature pair {list(pair)} has series coefficients c_0..c_12 past the double range; "
+                    "its series rows cannot be formed"
                 )
             try:
                 problems = [TransverseProblem(m=m, curv=curv) for m in reversed(valid)]  # refuses m**2 overflow

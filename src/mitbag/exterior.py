@@ -240,24 +240,34 @@ def ball_mode_mass(m: float, R: float, ell: int) -> float:
     return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0), Decimal(m)))
 
 
-def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
-    """Exact exterior energy and mass of the minimizer for the given trace."""
+def _weighted_total(per_mode: list[float], v: BoundaryDatum) -> float:
+    # sum |c|^2 x over the modes, in order from 0.0.
+    total = 0.0
+    for x, (_, c) in zip(per_mode, v.modes):
+        total += abs(c) ** 2 * x
+    return total
+
+
+def exterior_energy_only(v: BoundaryDatum, m: float) -> float:
+    """The energy of ``exterior_energy`` without the exterior mass, so on the
+    sphere without a radial tail integral."""
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be positive and finite, got {m!r}")
-    # Per-mode energy and mass: the DtN value and the radial tail on the
-    # sphere, the decay rate omega and 1/(2 omega) on the flat model.
+    # Per-mode energy: the DtN value on the sphere, the decay rate on the flat model.
     if isinstance(v, SphereDatum):
-        per_mode = [(ball_exterior_dtn(m, v.R, ell), ball_mode_mass(m, v.R, ell)) for ell, _ in v.modes]
+        return _weighted_total([ball_exterior_dtn(m, v.R, ell) for ell, _ in v.modes], v)
+    return _weighted_total([halfspace_mode_energy(m, xi) for xi, _ in v.modes], v)
+
+
+def exterior_energy(v: BoundaryDatum, m: float) -> ExteriorSolution:
+    """Exact exterior energy and mass of the minimizer for the given trace."""
+    energy = exterior_energy_only(v, m)
+    # Per-mode mass: the radial tail on the sphere, 1/(2 omega) on the flat model.
+    if isinstance(v, SphereDatum):
+        masses = [ball_mode_mass(m, v.R, ell) for ell, _ in v.modes]
     else:
-        omegas = [halfspace_mode_energy(m, xi) for xi, _ in v.modes]
-        per_mode = [(omega, 1.0 / (2.0 * omega)) for omega in omegas]
-    energy = 0.0
-    mass = 0.0
-    for (e, mu), (_, c) in zip(per_mode, v.modes):
-        c2 = abs(c) ** 2
-        energy += c2 * e
-        mass += c2 * mu
-    return ExteriorSolution(energy=energy, exterior_mass=mass)
+        masses = [1.0 / (2.0 * halfspace_mode_energy(m, xi)) for xi, _ in v.modes]
+    return ExteriorSolution(energy=energy, exterior_mass=_weighted_total(masses, v))
 
 
 def sobolev_h32_norm_sq(v: BoundaryDatum) -> float:

@@ -169,7 +169,13 @@ def panel_nodes(a: float, b: float, max_panel: float = 0.25) -> tuple[np.ndarray
         raise ValueError(f"max_panel must be finite and > 0 and cut [{a!r}, {b!r}] into at most "
                          f"MAX_PANELS = {MAX_PANELS} panels, got {max_panel!r}")
     n_panels = max(1, int(math.ceil((b - a) / max_panel)))
-    return _rule_on_mesh(np.linspace(a, b, n_panels + 1))
+    # np.linspace(a, b, n_panels + 1) in its own float operations, without
+    # its Python-level wrapper: i * step + a, the last point set to b.
+    mesh = np.arange(n_panels + 1.0)
+    mesh *= (float(b) - float(a)) / n_panels
+    mesh += a
+    mesh[-1] = b
+    return _rule_on_mesh(mesh)
 
 
 def mesh_aligned_nodes(mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

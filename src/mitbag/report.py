@@ -291,13 +291,18 @@ def write_report_atomic(path: str, data: bytes) -> None:
     """Write the report bytes via a temp file and atomic rename.
 
     The temp file is created 0666 under a fresh name beside the target, so the
-    kernel applies the umask, as it does for a plain open.
+    kernel applies the umask, as it does for a plain open.  The bytes go out
+    by ``os.write`` calls, each taking up where a short one stopped.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".report-{os.urandom(8).hex()}")
+    tmp = os.path.join(os.path.dirname(path), f".report-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

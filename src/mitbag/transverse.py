@@ -409,9 +409,18 @@ def solve_transverse(problems: Sequence[TransverseProblem]) -> list[TransverseSo
 
 def expansion_coefficients(curv: CurvatureData) -> tuple[float, ...]:
     """c_0 .. c_12 of Lambda = sum_n c_n m^-n at the curvatures ``curv``; the
-    weighted mass has the coefficients (1 - n) c_n / 2 (module docstring)."""
-    kappa, K = curv.kappa, curv.gauss
-    return tuple(sum(t * kappa ** (n - 2 * b) * K**b for b, t in enumerate(row)) for n, row in enumerate(_SERIES))
+    weighted mass has the coefficients (1 - n) c_n / 2 (module docstring).
+    ``OverflowError`` if a power of kappa or K leaves the double range."""
+    # Each power once; each c_n sums t kappa^(n-2b) K^b from the int 0, b ascending.
+    kappa_pow = [curv.kappa**j for j in range(len(_SERIES))]
+    gauss_pow = [curv.gauss**b for b in range(len(_SERIES[-1]))]
+    coefficients = []
+    for n, row in enumerate(_SERIES):
+        total = 0
+        for b, t in enumerate(row):
+            total += t * kappa_pow[n - 2 * b] * gauss_pow[b]
+        coefficients.append(total)
+    return tuple(coefficients)
 
 
 def expansion_lambda(p: TransverseProblem) -> float:

@@ -349,6 +349,23 @@ class TestReport:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".report-")]
         assert leftovers == []
 
+    def test_atomic_write_resumes_short_writes(self, tmp_path, monkeypatch):
+        # A write may take fewer bytes than asked; the rest follows in order.
+        write, calls = os.write, []
+
+        def one_byte(fd, data):
+            calls.append(len(data))
+            return write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        target = tmp_path / "out.csv"
+        payload = bytes(range(256)) * 3
+        write_report_atomic(str(target), payload)
+        monkeypatch.undo()
+        assert target.read_bytes() == payload
+        assert len(calls) == len(payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_atomic_write_mode_follows_umask(self, tmp_path):
         # Like a plain open: 0666 less the umask, not the 0600 of a temp file.
         target = tmp_path / "out.csv"
@@ -669,6 +686,18 @@ class TestMainExitCodes:
         assert "curvature pair [3.0, -2.0] is valid at none of the masses [] of the grid from 400 on" in (
             capsys.readouterr().err
         )
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("pair", ([1e30, 0.0], [4.5e25, 0.0]))
+    def test_curvature_pair_whose_series_overflows_is_config_error(self, tmp_path, capsys, pair):
+        # kappa = 1e30 raises kappa^12 past the double range; at 4.5e25 the
+        # power is finite and t kappa^12 in c_12 is not.  Both pairs are
+        # valid at these masses, so each would reach the suite.
+        path = write_config(tmp_path, suite="transverse", curvature_grid=[pair])
+        assert main([path, "--suite", "transverse", "--m-grid", "1e61,1e62,1e63"]) == 2
+        err = capsys.readouterr().err
+        assert f"curvature pair {pair} has series coefficients c_0..c_12 past the double range" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("suite", ("dirac", "robin", "all"))

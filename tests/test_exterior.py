@@ -246,10 +246,11 @@ class TestBoundaryDatumValidation:
 
 @pytest.mark.parametrize("R", (0.5, 1.0, 1.7, 3.0))
 def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
-    # An exterior suite asks for 37 tail integrals, 23 of them distinct: the
+    # An exterior suite asks for 33 tail integrals, 19 of them distinct: the
     # plain tail mass of the l = 0 and mixed data at each mass is also the
-    # denominator of the Agmon ratios.  Within one run each is evaluated
-    # once; the memo ends with the run, so a second run evaluates all again.
+    # denominator of the Agmon ratios, and the additivity row at m = 300
+    # reads energies only.  Within one run each is evaluated once; the memo
+    # ends with the run, so a second run evaluates all again.
     requests, evaluations = [], []
     memo, integral = exterior.memoized, exterior._tail_integral
 
@@ -266,8 +267,9 @@ def test_each_tail_integral_is_evaluated_once_per_run(tmp_path, monkeypatch, R):
     config = SuiteConfig(suite="exterior", geometry=BallInterior(R=R), output_path=str(tmp_path / "r.csv"))
     run_suite(config)
     first = list(evaluations)
-    assert len(requests) == 37
-    assert len(first) == len(set(first)) == len(set(requests)) == 23
+    assert len(requests) == 33
+    assert len(first) == len(set(first)) == len(set(requests)) == 19
+    assert all(m != 300.0 for m, *_ in requests)
     evaluations.clear()
     run_suite(config)
     assert evaluations == first

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mitbag.numerics as numerics
@@ -247,6 +247,22 @@ class TestQuadrature:
         x, w = panel_nodes(0.0, 3.0, max_panel=0.25)
         assert w.sum() == pytest.approx(3.0, rel=1e-14)
         assert np.all((x > 0.0) & (x < 3.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted),
+        panels=st.floats(0.01, 64.0),
+    )
+    def test_mesh_is_linspaces_bit_for_bit(self, ends, panels):
+        # The mesh of panel_nodes is np.linspace's, so the rule is the one
+        # mapped onto np.linspace(a, b, n + 1), bit for bit.
+        a, b = ends
+        max_panel = (b - a) / panels
+        assume(math.isfinite(b - a) and 0.0 < max_panel < math.inf)
+        n = max(1, math.ceil((b - a) / max_panel))
+        x, w = panel_nodes(a, b, max_panel=max_panel)
+        ref_x, ref_w = numerics._rule_on_mesh(np.linspace(a, b, n + 1))
+        assert (x.tobytes(), w.tobytes()) == (ref_x.tobytes(), ref_w.tobytes())
 
     def test_mesh_aligned_exact_on_polynomials(self):
         mesh = np.array([0.0, 0.4, 1.1, 2.0])

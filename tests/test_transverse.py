@@ -34,6 +34,13 @@ from mitbag.transverse import (
 )
 
 FLAT = CurvatureData.flat()
+# Any finite curvature, with zeros of both signs and the subnormal and
+# near-overflow ends drawn often.
+CURVATURES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e25, -1e25, 1e55, -1e55)),
+)
 
 
 def valid_problems(m, kappa=st.floats(-3.0, 3.0), gauss=st.floats(-2.0, 2.0)):
@@ -487,6 +494,24 @@ class TestSeriesTable:
         for n, (c, exact) in enumerate(zip(coef, RICCATI, strict=True)):
             terms = [x * Fraction(kappa) ** e * Fraction(gauss) ** f for (e, f), x in exact.items()]
             assert abs(Fraction(c) - sum(terms)) <= 1e-15 * max(abs(t) for t in terms), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=CURVATURES, gauss=CURVATURES)
+    def test_coefficients_keep_the_generator_sum_bits(self, kappa, gauss):
+        # The power table and plain loops against one generator sum per c_n
+        # that raises every power term by term: the same value bit for bit,
+        # and an OverflowError for the same curvatures.
+        curv = CurvatureData(kappa, gauss)
+        try:
+            reference = tuple(
+                sum(t * kappa ** (n - 2 * b) * gauss**b for b, t in enumerate(row))
+                for n, row in enumerate(transverse._SERIES)
+            )
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                expansion_coefficients(curv)
+            return
+        assert [c.hex() for c in expansion_coefficients(curv)] == [c.hex() for c in reference]
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.floats(400.0, 1e6), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
