@@ -16,6 +16,7 @@ from .dirac_ball import (
     eta_functional,
     largemass_eigenpair,
     largemass_eigenvalues,
+    largemass_expansion,
     largemass_spectrum_signed,
     mit_eigenpair,
     mit_eigenvalues,
@@ -23,6 +24,7 @@ from .dirac_ball import (
     mu_functional,
     nu_minmax,
     robin_eigenpair,
+    robin_expansion,
     robin_laplacian_eigenvalues,
 )
 from .exterior import (
@@ -48,10 +50,7 @@ from .numerics import (
     ShootingSolution,
     ToleranceConfig,
     find_root_bracketed,
-    fit_inverse_m,
-    fit_line,
     panel_nodes,
-    slope_drift,
     solve_bvp_shooting,
 )
 from .special import (
@@ -65,12 +64,10 @@ from .transverse import (
     TransverseProblem,
     TransverseSolution,
     collar_is_valid,
-    expansion_lambda,
     min_rescaled_weight,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,
-    transverse_mass_check,
 )
 
 __version__ = "0.1.0"

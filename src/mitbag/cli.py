@@ -85,24 +85,22 @@ class SuiteConfig:
                 f"m_grid has {len(self.m_grid)} masses; the exterior suite needs at least 3: its rate rows compare "
                 "the first mass with the last, and its sandwich bound is fitted on the first 2"
             )
-        if self.suite in ("dirac", "robin", "all") and self.m_grid is not None and len(self.m_grid) < 4:
-            raise ConfigError(
-                f"m_grid has {len(self.m_grid)} masses; the dirac and robin slope fits and their drift "
-                "need at least 4"
-            )
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @cached_property
-    def transverse_sweep(self) -> tuple[tuple[tuple[float, float], tuple[TransverseProblem, ...]], ...]:
+    def transverse_sweep(
+        self,
+    ) -> tuple[tuple[tuple[float, float], tuple[TransverseProblem, ...], tuple[float, ...]], ...]:
         """Each curvature pair with its problems at the grid's masses from
         ``SERIES_FLOOR`` on where its collar is valid, as the transverse suite
-        solves them.  A pair with no such mass would have no row, nor would a
-        pair whose series coefficients leave the double range, and a mass
-        whose square overflows could not be solved: built largest first, the
-        problems name the largest mass in a refusal."""
+        solves them, and its series coefficients (``expansion_coefficients``),
+        which its rows read.  A pair with no such mass would have no row, nor
+        would a pair whose series coefficients leave the double range, and a
+        mass whose square overflows could not be solved: built largest first,
+        the problems name the largest mass in a refusal."""
         masses = [m for m in self.m_grid or TRANSVERSE_M_GRID if m >= SERIES_FLOOR]
         sweep = []
         for pair in self.curvature_grid:
@@ -114,10 +112,10 @@ class SuiteConfig:
                     f"{SERIES_FLOOR:g} on; its series rows need one"
                 )
             try:
-                finite = all(map(math.isfinite, expansion_coefficients(curv)))
+                coefficients = expansion_coefficients(curv)
             except OverflowError:  # a power of kappa or K
-                finite = False
-            if not finite:
+                coefficients = (math.inf,)
+            if not all(map(math.isfinite, coefficients)):
                 raise ConfigError(
                     f"curvature pair {list(pair)} has series coefficients c_0..c_12 past the double range; "
                     "its series rows cannot be formed"
@@ -126,7 +124,7 @@ class SuiteConfig:
                 problems = [TransverseProblem(m=m, curv=curv) for m in reversed(valid)]  # refuses m**2 overflow
             except ValueError as exc:
                 raise ConfigError(f"m_grid: {exc}") from exc
-            sweep.append((pair, tuple(problems[::-1])))
+            sweep.append((pair, tuple(problems[::-1]), coefficients))
         return tuple(sweep)
 
 

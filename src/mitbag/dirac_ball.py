@@ -41,6 +41,10 @@ interior factor, the sector's pair of j values at kR, depends on R, m0 and
 grid of pairs (``_branch_roots``): a bag, large-mass or Robin solve reads the
 pairs an earlier solve of the run evaluated, bit for bit, and evaluates only
 the rest.
+
+Both determinants expand in 1/m in closed form at a bag level, so
+``largemass_expansion`` and ``robin_expansion`` give the exact first two
+coefficients of each level's large-mass law from the sector's pair at kR.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .numerics import (
     panel_nodes,
     run_table,
 )
-from .special import MAX_ELL, SpecialFunctionDomainError, ek_pair_kernel, j_pair_kernel
+from .special import MAX_ELL, SpecialFunctionDomainError, _k_poly_ints, ek_pair_kernel, j_pair_kernel
 
 
 class BracketExhaustionError(NumericsError):
@@ -800,6 +804,76 @@ def nu_minmax(
         if per_sector[u.sector.kappa_j] > u.sector.degeneracy:
             raise ValueError("more copies than the sector degeneracy allows")
     return sorted(eta_functional(u, lam, p) for u in eigenspace)
+
+
+def _j_derivatives(sec: AngularSector, x: float) -> tuple[tuple[float, float, float, float], ...]:
+    """(j, j', j'', j''') of the sector's orders l_A and l_B at x, the two
+    higher derivatives from Bessel's equation j'' = -(2/x) j' - (1 - l(l+1)/x^2) j
+    (DLMF 10.47.1) and its derivative."""
+    jA, jB, djA, djB = _j_pair(sec, x)
+    out = []
+    for ell, j, dj in ((sec.ell_upper, jA, djA), (sec.ell_lower, jB, djB)):
+        c = ell * (ell + 1.0)
+        w = 1.0 - c / (x * x)
+        d2j = -2.0 / x * dj - w * j
+        out.append((j, dj, d2j, 2.0 / (x * x) * dj - 2.0 / x * d2j - 2.0 * c / x**3 * j - w * dj))
+    return tuple(out)
+
+
+def largemass_expansion(p: DiracParams, sector: AngularSector, E: float) -> tuple[float, float]:
+    """The exact (a, b) of lambda_m^2 = E^2 + a/m + b/m^2 + O(m^-3) for the
+    large-mass level of ``sector`` that tends to the signed bag level ``E``;
+    ``p.m`` is not read.  With eps = 1/m, e^x k_l(x) = (1/x) sum_j a_{l,j} x^-j
+    (DLMF 10.49.12; ``special._k_poly_ints``, a_{l,j} = 0 past l) makes the
+    exterior factor (q/(E + M)) ek_{l_B}/ek_{l_A}(qR) equal 1 + A1 eps +
+    A2 eps^2 + O(eps^3), so the determinant divided by ek_{l_A}(qR) reads
+    F(E) + j_A (A1 eps + A2 eps^2), F = j_A + s k/(E + m0) j_B the bag
+    determinant, and its root E + E1 eps + E2 eps^2 follows by implicit
+    differentiation."""
+    R, m0, s, E = p.R, p.m0, float(sector.sign), float(E)
+    if not abs(E) > m0:
+        raise ValueError("bag eigenvalues satisfy |E| > m0")
+    k = math.sqrt(E * E - m0 * m0)
+    (jA, djA, d2jA, _), (jB, djB, d2jB, _) = _j_derivatives(sector, k * R)
+    (aA1, aA2), (aB1, aB2) = ((*_k_poly_ints(ell), 0, 0)[1:3] for ell in (sector.ell_upper, sector.ell_lower))
+    d1 = aB1 - aA1  # ek_{l_B}/ek_{l_A}(x) = 1 + d1/x + d2/x^2 + O(x^-3)
+    d2 = aB2 - aA2 - aA1 * d1
+    A1 = -E + d1 / R
+    A2 = E * m0 + 0.5 * E * E - (m0 + E) * d1 / R + d2 / (R * R)
+    # E-derivatives of F through x = kR (x' = RE/k, x'' = -R m0^2/k^3) and
+    # c = s k/(E + m0) (c' = s m0/(k (E + m0)), c'' = -s m0 (2E - m0)/(k^3 (E + m0))).
+    dx, d2x = R * E / k, -R * m0 * m0 / k**3
+    c, dc, d2c = s * k / (E + m0), s * m0 / (k * (E + m0)), -s * m0 * (2.0 * E - m0) / (k**3 * (E + m0))
+    dF = dx * djA + dc * jB + c * dx * djB
+    d2F = d2x * djA + dx * dx * d2jA + d2c * jB + 2.0 * dc * dx * djB + c * (d2x * djB + dx * dx * d2jB)
+    E1 = -jA * A1 / dF
+    E2 = -(0.5 * d2F * E1 * E1 + (dx * djA * A1 - jA) * E1 + jA * A2) / dF
+    return 2.0 * E * E1, E1 * E1 + 2.0 * E * E2
+
+
+def robin_expansion(p: DiracParams, sector: AngularSector, lam: float) -> tuple[float, float]:
+    """The exact (a, b) of lambda_int = lam^2 + a/m + b/m^2 + O(m^-3) for the
+    Robin level of ``sector`` that tends to the squared bag level ``lam``;
+    ``p.m`` is not read.  The Robin determinant is exactly G(k) + m H(k),
+    G = D_A D_B and H = D_A J_B + D_B J_A (``_robin_kernels``), so with
+    eps = 1/m the root k0 + k1 eps + k2 eps^2 of H + eps G has k1 = -G/H'
+    and k2 = -(G' k1 + H'' k1^2/2)/H' at k0 = sqrt(lam^2 - m0^2)."""
+    R, offset, lam = p.R, p.robin_offset, float(lam)
+    if not abs(lam) > p.m0:
+        raise ValueError("bag eigenvalues satisfy |lam| > m0")
+    k0 = math.sqrt(lam * lam - p.m0 * p.m0)
+    x = k0 * R
+    # D = k j'(kR) + offset j(kR) and J = j(kR), each with its k-derivatives.
+    (DA, dDA, d2DA, JA, dJA, d2JA), (DB, dDB, d2DB, JB, dJB, d2JB) = (
+        (k0 * dj + offset * j, (1.0 + offset * R) * dj + x * d2j, R * ((2.0 + offset * R) * d2j + x * d3j),
+         j, R * dj, R * R * d2j)
+        for j, dj, d2j, d3j in _j_derivatives(sector, x)
+    )
+    dH = dDA * JB + DA * dJB + dDB * JA + DB * dJA
+    d2H = d2DA * JB + 2.0 * dDA * dJB + DA * d2JB + d2DB * JA + 2.0 * dDB * dJA + DB * d2JA
+    k1 = -DA * DB / dH
+    k2 = -((dDA * DB + DA * dDB) * k1 + 0.5 * d2H * k1 * k1) / dH
+    return 2.0 * k0 * k1, k1 * k1 + 2.0 * k0 * k2
 
 
 def _identity_rule(R: float, panels: int) -> tuple[tuple[float, ...], list[float]]:

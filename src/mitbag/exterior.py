@@ -287,7 +287,10 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
     """Scaled deviation m^2 |mass - ||v||^2/(2m)| / ||v||^2_{H^{3/2}}.
 
     Zero for a pure l=0 spherical datum (that radial mass is exactly
-    ||v||^2/(2m)); bounded uniformly in m in general.
+    ||v||^2/(2m)); bounded uniformly in m in general.  On the flat model
+    ``sol`` is not read: each mode's m^2 (1/(2 omega) - 1/(2m)) is formed as
+    -(xi^2/(2 omega)) (m/(omega + m)), omega = ``halfspace_mode_energy(m, xi)``,
+    without cancellation and in factors that stay finite for every finite m.
     """
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be positive and finite, got {m!r}")
@@ -295,6 +298,10 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
     if norm_sq == 0.0:
         return 0.0
     h32 = sobolev_h32_norm_sq(v)
+    if isinstance(v, FlatDatum):
+        omegas = [halfspace_mode_energy(m, xi) for xi, _ in v.modes]
+        gaps = [xi * xi / (2.0 * omega) * (m / (omega + m)) for (xi, _), omega in zip(v.modes, omegas)]
+        return _weighted_total(gaps, v) / h32
     return m * m * abs(sol.exterior_mass - norm_sq / (2.0 * m)) / h32
 
 

@@ -1,11 +1,10 @@
-"""Shared numerical substrate: quadrature, bracketed root finding, linear
-two-point boundary value problems, and 1/m asymptotic-slope extraction.
+"""Shared numerical substrate: quadrature, bracketed root finding and linear
+two-point boundary value problems.
 
 Everything here is a pure function of its inputs; all randomness, file IO and
 state live in the verification driver, never in this layer.  One affine map
-(``_rule_on_mesh``) places the one 16-point Gauss rule on every mesh;
-``fit_line`` fits one series.  ``cli.run_suite`` opens and closes the run's
-one table, ``run_memo``.  ``run_table`` hands it out: ``memoized`` and the
+(``_rule_on_mesh``) places the one 16-point Gauss rule on every mesh.
+``cli.run_suite`` opens and closes the run's one table, ``run_memo``.  ``run_table`` hands it out: ``memoized`` and the
 spectral solvers' records of their branch roots reuse pure results in it
 within one verification run, and it is gone when the run ends.
 """
@@ -17,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -46,12 +45,6 @@ class RootConvergenceError(NumericsError):
 
 class ShootingError(NumericsError):
     """The boundary value problem could not be solved."""
-
-
-class FitError(NumericsError):
-    """Line-fit data that determine no line in doubles: fewer than 2 points,
-    unequal x and y lengths, a non-finite value, x values all equal, or a
-    fitted line past the double range."""
 
 
 @dataclass(frozen=True)
@@ -430,71 +423,3 @@ def solve_bvp_shooting(
     return ShootingSolution(
         tau=tau, u=u, du=du, deriv_left=float(du[0]), mesh=mesh, _dense=dense
     )
-
-
-# ----------------------------------------------------------------------------
-# Asymptotic slope extraction
-# ----------------------------------------------------------------------------
-
-
-def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares line y ~ intercept + slope x of one series; returns
-    (intercept, slope), each the double nearest its exact value.
-
-    The closed form, slope = (n Sxy - Sx Sy)/(n Sxx - Sx^2) and intercept =
-    (Sy Sxx - Sx Sxy)/(n Sxx - Sx^2), is evaluated exactly: every double is
-    an integer over a power of two, so over the largest denominator d of the
-    data each sum is an integer, and integer true division rounds each ratio
-    once.  Needs at least 2 finite points, one y per x, and x values that
-    are not all equal.
-    """
-    xs, ys = [float(v) for v in x], [float(v) for v in y]
-    n = len(xs)
-    if n < 2 or len(ys) != n:
-        raise FitError(f"a line fit needs at least 2 points and one y per x, got {n} x and {len(ys)} y values")
-    values = xs + ys
-    if not all(map(math.isfinite, values)):
-        raise FitError("line-fit values must be finite")
-    ratios = [v.as_integer_ratio() for v in values]
-    d = max(den for _, den in ratios)
-    scaled = [num * (d // den) for num, den in ratios]  # d * values, exactly
-    X, Y = scaled[:n], scaled[n:]
-    sx, sy = sum(X), sum(Y)
-    sxx, sxy = sum(a * a for a in X), sum(a * b for a, b in zip(X, Y))
-    det = n * sxx - sx * sx  # n d^2 times the centred sum of squares
-    if det == 0:
-        raise FitError("line-fit x values must not all be equal")
-    try:
-        return (sy * sxx - sx * sxy) / (det * d), (n * sxy - sx * sy) / det
-    except OverflowError:
-        raise FitError("the fitted line overflows a double") from None
-
-
-def fit_inverse_m(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares fit of value ~ limit + slope/m; returns (limit, slope).
-
-    Exact (zero residual) on data affine in 1/m; the m-grid must contain at
-    least three distinct finite positive masses.
-    """
-    pts = sorted((float(m), float(v)) for m, v in points)
-    if len(pts) < 3:
-        raise FitError("fit_inverse_m needs at least 3 points")
-    ms = [m for m, _ in pts]
-    if not all(0.0 < m < math.inf for m in ms) or any(a == b for a, b in zip(ms, ms[1:])):
-        raise FitError("masses must be distinct, finite and positive")
-    return fit_line([1.0 / m for m in ms], [v for _, v in pts])
-
-
-def slope_drift(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Stability diagnostic: refit with the smallest mass dropped.
-
-    Returns (slope of the full fit, relative slope drift).  A shrinking
-    drift as coarse masses are dropped is the signature of a genuine
-    limit + slope/m law with higher-order pollution.
-    """
-    pts = sorted((float(m), float(v)) for m, v in points)
-    if len(pts) < 4:
-        raise FitError("slope_drift needs at least 4 points")
-    slope = fit_inverse_m(pts)[1]
-    slope_trunc = fit_inverse_m(pts[1:])[1]
-    return slope, abs(slope_trunc - slope) / max(abs(slope), 1e-300)

@@ -140,14 +140,12 @@ CHECKS: dict[str, CheckKind] = {
     "dirac.hm.symmetry": CheckKind("upper", "closed-form"),
     "dirac.convergence": CheckKind("envelope", "closed-form"),
     "dirac.convergence.final": CheckKind("upper", "closed-form"),
-    "dirac.slope.limit": CheckKind("rel", "fit"),
-    "dirac.slope.eta": CheckKind("rel", "fit"),
-    "dirac.slope.eta.drift": CheckKind("upper", "fit"),
+    "dirac.expansion.eta": CheckKind("rel", "expansion"),
+    "dirac.series.level": CheckKind("abs", "expansion"),
     "dirac.nu.degenerate": CheckKind("abs", "closed-form"),
-    "dirac.slope.higher": CheckKind("info", "fit", asserted=False),
     "robin.upper_bound": CheckKind("upper", "closed-form"),
-    "robin.slope.mu": CheckKind("rel", "fit"),
-    "robin.slope.limit": CheckKind("rel", "fit"),
+    "robin.expansion.mu": CheckKind("rel", "expansion"),
+    "robin.series.level": CheckKind("abs", "expansion"),
     "robin.cross_solver": CheckKind("rel", "closed-form"),
     "robin.identity": CheckKind("upper", "closed-form"),
     "robin.identity.tol_study": CheckKind("below", "closed-form"),

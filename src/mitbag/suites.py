@@ -5,7 +5,9 @@ check rows, each built by ``report.check`` from its id's entry in
 ``report.CHECKS``, so its verdict follows from the row alone.  Sweeps run
 serially in a fixed order, so identical configurations produce identical rows.
 The transverse suite solves the curvature sweep as the config built it
-(``SuiteConfig.transverse_sweep``) in one stack with its flat and seeded problems.
+(``SuiteConfig.transverse_sweep``, each pair with its series coefficients) in
+one stack with its flat and seeded problems.  The dirac and robin suites read
+each level's exact expansion in 1/m from its determinant.
 
 ``_pmap``, the sweeps' serial map, is a named seam for tracing: the benchmark
 tracer finds it and the runners on ``cli``, which re-imports them, and
@@ -31,6 +33,7 @@ from .dirac_ball import (
     charge_conjugation_check,
     eta_functional,
     largemass_eigenvalues,
+    largemass_expansion,
     largemass_spectrum_signed,
     mit_eigenpair,
     mit_eigenvalues,
@@ -38,6 +41,7 @@ from .dirac_ball import (
     mu_functional,
     nu_minmax,
     robin_eigenpair,
+    robin_expansion,
     robin_laplacian_eigenvalues,
 )
 from .exterior import (
@@ -53,18 +57,16 @@ from .exterior import (
     sphere_datum,
     torus_datum,
 )
-from .numerics import ToleranceConfig, fit_inverse_m, fit_line, libm, memoized, slope_drift
+from .numerics import ToleranceConfig, libm, memoized
 from .report import CheckRecord, check
 from .transverse import (
     CurvatureData,
     TransverseProblem,
     TransverseSolution,
     expansion_coefficients,
-    expansion_lambda,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,
-    transverse_mass_check,
 )
 
 if TYPE_CHECKING:
@@ -75,7 +77,7 @@ DEFAULT_CURVATURE_GRID: tuple[tuple[float, float], ...] = tuple(
 )
 TRANSVERSE_M_GRID = (400.0, 1600.0, 6400.0)
 EXTERIOR_M_GRID = (1e2, 1e3, 1e4)
-SLOPE_M_GRID = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
+SERIES_M_GRID = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 CONVERGENCE_M_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 GROUND_SECTOR = AngularSector(-1)
 
@@ -91,22 +93,36 @@ def _tightest(observed: Sequence[float], bound: Sequence[float]) -> int:
     return max(range(len(observed)), key=lambda j: (not observed[j] <= bound[j], observed[j] - bound[j]))
 
 
+def _series_check(check_id: str, lam: float, a: float, b: float, levels: Sequence[tuple[float, float]],
+                  tol: ToleranceConfig, sector: str) -> CheckRecord:
+    """The row of the solved levels, (m, lambda_m^2) pairs, against lam^2 + a/m
+    within 2|b|/m^2 plus 8 (rel_tol + 4 eps) lam^2, twice the error of the
+    two squares (``find_root_bracketed`` returns each level within a relative
+    rel_tol + 4 eps of its root), recorded at the tightest mass."""
+    rounding = 8.0 * (tol.rel_tol + 4.0 * sys.float_info.epsilon) * lam * lam
+    expected = [lam * lam + a / m for m, _ in levels]
+    bound = [2.0 * abs(b) / (m * m) + rounding for m, _ in levels]
+    i = _tightest([abs(square - e) for (_, square), e in zip(levels, expected)], bound)
+    return check(check_id, expected[i], levels[i][1], bound[i], m=levels[i][0], sector=sector)
+
+
 # ----------------------------------------------------------------------------
 # Transverse suite
 # ----------------------------------------------------------------------------
 
 
 def _transverse_sweep_records(
-    per_pair: Sequence[tuple[tuple[float, float], Sequence[TransverseProblem]]], sols: Sequence[TransverseSolution]
+    per_pair: Sequence[tuple[tuple[float, float], Sequence[TransverseProblem], Sequence[float]]],
+    sols: Sequence[TransverseSolution],
 ) -> list[CheckRecord]:
     """Each curvature pair's energies and masses, solved in the order of its
-    problems, against the series (``expansion_coefficients``) through m^-10
-    within 1e-13 plus twice the next two terms, recorded at the tightest mass."""
+    problems, against its series coefficients (``expansion_coefficients``)
+    through m^-10 within 1e-13 plus twice the next two terms, recorded at the
+    tightest mass."""
     records = []
     solved = iter(sols)
-    for (kappa, gauss), probs in per_pair:
+    for (kappa, gauss), probs, lam_coef in per_pair:
         pair_sols = [next(solved) for _ in probs]
-        lam_coef = expansion_coefficients(probs[0].curv)
         mass_coef = [(1 - n) * c / 2.0 for n, c in enumerate(lam_coef)]
         inverse_powers = [(prob.m**-11, prob.m**-12) for prob in probs]
         for check_id, coef, observed in (
@@ -132,7 +148,7 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     per_pair = config.transverse_sweep
     seeded = TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))  # minimality on seeded test functions
     # Every problem of the suite goes to one stacked solve.
-    sols = solve_transverse([*flat_probs, *(prob for _, probs in per_pair for prob in probs), seeded])
+    sols = solve_transverse([*flat_probs, *(prob for _, probs, _ in per_pair for prob in probs), seeded])
     flat, sweep_sols, sol = sols[: len(flat_probs)], sols[len(flat_probs) : -1], sols[-1]
     # Deterministic size counter: the Taylor-series segments of the solve.
     summary["transverse_elements"] = sum(len(sol.tau) - 1 for sol in sols)
@@ -149,11 +165,11 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     records.extend(_transverse_sweep_records(per_pair, sweep_sols))
 
     # Sphere cancellation is an exact arithmetic identity: K = kappa^2/4
-    # kills the 1/m^2 coefficient.
+    # kills the series' 1/m^2 coefficient.
     worst = 0.0
     for kappa in (1.0, 2.0, 3.0):
-        prob = TransverseProblem(m=64.0, curv=CurvatureData(kappa, kappa**2 / 4.0))
-        worst = max(worst, abs(expansion_lambda(prob) - (1.0 + kappa / (2.0 * prob.m))))
+        c0, c1, c2 = expansion_coefficients(CurvatureData(kappa, kappa**2 / 4.0))[:3]
+        worst = max(worst, abs(c0 + c1 / 64.0 + c2 / 64.0**2 - (1.0 + kappa / (2.0 * 64.0))))
     records.append(check("transverse.sphere.cancellation", 0.0, worst, 0.0))
 
     # Minimality and the Pythagoras identity on seeded test functions.  The
@@ -195,11 +211,6 @@ def run_transverse_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[s
     c_flat = flat_res_25 / math.exp(-math.sqrt(25.0) / 4.0)
     bound = c_flat * math.exp(-math.sqrt(100.0) / 4.0)
     records.append(check("transverse.residual.flat", bound, flat_res_100, 0.0, m=100.0, kappa=0.0, gauss=0.0))
-
-    # Measured flat-mass decay order, reported only: the closed form decays
-    # super-polynomially, so no fixed power law is asserted.
-    flat_devs = [transverse_mass_check(s) for s in flat[:3]]
-    summary["flat_mass_decay_order"] = fit_line(libm(math.log, (4.0, 16.0, 64.0)), libm(math.log, flat_devs))[1]
     return records, summary
 
 
@@ -381,11 +392,10 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     # Convergence of the first two sector levels along the pinned m-grid:
     # each gap stays within the previous one (the first has no predecessor,
     # so its bound is infinite), and the last is below 1e-4.  The two lowest
-    # ground-sector levels at each mass serve both slope grids as well; their
+    # ground-sector levels at each mass serve the series rows as well; their
     # scans read the Bessel pairs that the bag solves of the sector left in
     # the run's scan grid.
-    slope_grid = config.m_grid or SLOPE_M_GRID
-    masses = dict.fromkeys((*CONVERGENCE_M_GRID, *slope_grid))
+    masses = tuple(dict.fromkeys((*CONVERGENCE_M_GRID, *(config.m_grid or SERIES_M_GRID))))
     hm_pair = {m: largemass_eigenvalues(DiracParams(R=R, m=m), GROUND_SECTOR, 2, tol=tol) for m in masses}
     hm_levels = _pmap(hm_pair.__getitem__, CONVERGENCE_M_GRID)
 
@@ -396,46 +406,40 @@ def run_dirac_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
             records.append(check("dirac.convergence", prev, gap, 1e-9, m=m, sector=sector))
         records.append(check("dirac.convergence.final", 0.0, gaps[-1], 1e-4, m=CONVERGENCE_M_GRID[-1], sector=sector))
 
-    # First-order law: fitted slope of the squared eigenvalues against eta.
-    # The limit is extracted on the large-m tail (reusing the convergence
-    # solves), where second-order pollution is below the 1e-6 requirement;
-    # the slope and its drift use the pinned medium-m grid.
-    u1 = memoized(mit_eigenpair, p, GROUND_SECTOR, lam1)
-    eta1 = eta_functional(u1, lam1, p)
-    sq = _pmap(lambda m: hm_pair[m][0] ** 2, slope_grid)
-    points = list(zip(slope_grid, sq))
-    slope, drift = slope_drift(points)
-    tail_limit, _ = fit_inverse_m([(m, hm_pair[m][0] ** 2) for m in CONVERGENCE_M_GRID[-4:]])
-    records.append(check("dirac.slope.limit", lam1**2, tail_limit, 1e-6))
-    records.append(check("dirac.slope.eta", eta1, slope, 0.05))
-    records.append(check("dirac.slope.eta.drift", 0.0, drift, 0.02))
-    summary["eta_ground"] = eta1
-    summary["fitted_nu_ground"] = slope
-    summary["fitted_nu_ground_drift"] = drift
-
     # Eigenpairs from the symmetry solve: in a sector, the signed level
     # whose magnitude is its level_idx-th singular value.
     def signed_pair(sec: AngularSector, level_idx: int) -> RadialEigenpair:
         E_k = sorted((e for e, s in signed if s == sec), key=abs)[level_idx]
         return memoized(mit_eigenpair, p, sec, E_k)
 
-    # The eta form on the degenerate ground level is a multiple of identity:
-    # every min-max value equals eta (the farthest one is recorded).  The
-    # kj=+1 level at E = -lam1 is the second copy of the level.
-    nus = nu_minmax([u1, signed_pair(AngularSector(1), 0)], lam1, p)
-    worst = max(nus, key=lambda nu: abs(nu - eta1))
-    records.append(check("dirac.nu.degenerate", eta1, worst, 1e-12 * max(1.0, abs(eta1))))
-
-    # The next level, kj=-1 level 2: its slope is computed and reported,
-    # never asserted.
+    # First-order law from the determinant, at the ground level and at
+    # kj=-1 level 2: its exact coefficient a of 1/m is the eta functional,
+    # and the solved levels follow lambda^2 + a/m up to the b/m^2 term.  Both
+    # a and eta are evaluated at the solved bag level, and an error of the
+    # level moves them apart by at most its own relative size, so they agree
+    # to 1e-12, or 4 rel_tol where the solves are looser.
+    u1 = memoized(mit_eigenpair, p, GROUND_SECTOR, lam1)
     u_k = signed_pair(GROUND_SECTOR, 1)
-    eta_k = eta_functional(u_k, abs(u_k.energy), p)
-    sq_k = _pmap(lambda m: hm_pair[m][1] ** 2, slope_grid)
-    _, slope_k = fit_inverse_m(list(zip(slope_grid, sq_k)))
-    label = f"{GROUND_SECTOR.label()};k=2"
-    records.append(check("dirac.slope.higher", eta_k, slope_k, 0.0, sector=label))
-    summary[f"higher_slope[{label}]"] = slope_k
-    summary[f"higher_eta[{label}]"] = eta_k
+    coef_tol = max(1e-12, 4.0 * tol.rel_tol)
+    etas = []
+    for k, u in enumerate((u1, u_k)):
+        sector = f"{GROUND_SECTOR.label()};k={k + 1}"
+        lam = abs(u.energy)
+        a, b = largemass_expansion(p, GROUND_SECTOR, u.energy)
+        etas.append((eta_functional(u, lam, p), a))
+        records.append(check("dirac.expansion.eta", etas[-1][0], a, coef_tol, sector=sector))
+        squares = _pmap(lambda m: (m, hm_pair[m][k] ** 2), masses)
+        records.append(_series_check("dirac.series.level", lam, a, b, squares, tol, sector))
+    (eta1, a1), (eta_k, _) = etas
+    summary["eta_ground"] = eta1
+    summary[f"higher_eta[{GROUND_SECTOR.label()};k=2]"] = eta_k
+
+    # The eta form on the degenerate ground level is a multiple of identity:
+    # every min-max value equals the determinant's a (the farthest one is
+    # recorded).  The kj=+1 level at E = -lam1 is the second copy of the level.
+    nus = nu_minmax([u1, signed_pair(AngularSector(1), 0)], lam1, p)
+    worst = max(nus, key=lambda nu: abs(nu - a1))
+    records.append(check("dirac.nu.degenerate", a1, worst, coef_tol * max(1.0, abs(eta1))))
     return records, summary
 
 
@@ -464,13 +468,15 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
 
     # Every Robin level of the suite, one solve per (kappa_j, m, tol) for the
     # most levels a check reads there: the upper-bound levels below and the
-    # ground level on the slope and tail grids, at the identity masses and at
-    # the tolerance study's mass and tolerances (the study's solves use their
+    # ground level at the series masses (the configured grid and a fixed
+    # tail up to the cross-solver mass), at the identity masses and at the
+    # tolerance study's mass and tolerances (the study's solves use their
     # own tolerances by design).  The solves of a sector share its scan grid.
-    bound_grid, slope_grid, tail_grid = (50.0, 200.0, 800.0), config.m_grid or SLOPE_M_GRID, (1e3, 1e4, 1e5, 1e6)
+    bound_grid = (50.0, 200.0, 800.0)
+    series_grid = tuple(dict.fromkeys((*(config.m_grid or SERIES_M_GRID), 1e3, 1e4, 1e5, 1e6)))
     study_tols = tuple(ToleranceConfig(abs_tol=0.0, rel_tol=rel_tol, max_iter=300) for rel_tol in (1e-6, 1e-12))
     need = {(kj, m, tol): len(levels) for m in bound_grid for kj, levels in bag_levels.items()}
-    for m in (*slope_grid, *tail_grid, 200.0, 800.0):
+    for m in (*series_grid, 200.0, 800.0):
         need.setdefault((-1, m, tol), 1)
     for study_tol in study_tols:
         need.setdefault((-1, 200.0, study_tol), 1)
@@ -489,19 +495,16 @@ def run_robin_suite(config: SuiteConfig) -> tuple[list[CheckRecord], dict[str, A
     def robin_ground(m: float, study_tol: ToleranceConfig = tol) -> float:
         return robin[-1, m, study_tol][0]
 
-    # First-order slope against the Robin-trace functional.
-    lam_int_values = _pmap(robin_ground, slope_grid)
-    slope, drift = slope_drift(list(zip(slope_grid, lam_int_values)))
-    records.append(check("robin.slope.mu", mu1, slope, 0.05))
-    tail_values = _pmap(robin_ground, tail_grid)
-    tail_limit, _ = fit_inverse_m(list(zip(tail_grid, tail_values)))
-    records.append(check("robin.slope.limit", lam1**2, tail_limit, 1e-6))
-    summary["fitted_mu_ground"] = slope
-    summary["fitted_mu_ground_drift"] = drift
+    # First-order law from the determinant, as in the dirac suite: its exact
+    # coefficient a of 1/m is the Robin-trace functional.
+    a, b = robin_expansion(p0, GROUND_SECTOR, lam1)
+    sector = f"{GROUND_SECTOR.label()};k=1"
+    records.append(check("robin.expansion.mu", mu1, a, max(1e-12, 4.0 * tol.rel_tol), sector=sector))
+    levels = _pmap(lambda m: (m, robin_ground(m)), series_grid)
+    records.append(_series_check("robin.series.level", lam1, a, b, levels, tol, sector))
 
     # Cross-solver consistency pins the projection sign conventions.
-    lam_int_huge = tail_values[tail_grid.index(1e6)]
-    records.append(check("robin.cross_solver", lam1**2, lam_int_huge, 1e-3, m=1e6))
+    records.append(check("robin.cross_solver", lam1**2, robin_ground(1e6), 1e-3, m=1e6))
 
     # Exact boundary identity between the Robin and bag eigenpairs.
     for m in (200.0, 800.0):

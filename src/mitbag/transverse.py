@@ -423,12 +423,6 @@ def expansion_coefficients(curv: CurvatureData) -> tuple[float, ...]:
     return tuple(coefficients)
 
 
-def expansion_lambda(p: TransverseProblem) -> float:
-    """Second-order large-mass expansion 1 + kappa/(2m) + (K/2 - kappa^2/8)/m^2."""
-    kappa, K, m = p.curv.kappa, p.curv.gauss, p.m
-    return 1.0 + kappa / (2.0 * m) + (K / 2.0 - kappa**2 / 8.0) / m**2
-
-
 def _cutoff(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """chi(s) = 1 on [0, 1/2], 0 on [1, inf), with the C^2 smoothstep
     1 - t^3 (10 - 15 t + 6 t^2), t = 2s - 1, between; and chi', chi''."""
@@ -508,8 +502,3 @@ def transverse_form(
     if terms.ndim == 1:
         return math.fsum(terms.tolist())
     return np.array([math.fsum(row) for row in terms.tolist()])
-
-
-def transverse_mass_check(sol: TransverseSolution) -> float:
-    """Deviation |weighted mass - 1/2| of a transverse minimizer."""
-    return abs(sol.mass - 0.5)

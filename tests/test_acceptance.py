@@ -9,6 +9,8 @@ define as data-fitted.
 import math
 import time
 
+import numpy as np
+
 import mitbag.cli as cli
 from mitbag.cli import SuiteConfig
 from mitbag.dirac_ball import (
@@ -34,7 +36,6 @@ from mitbag.exterior import (
     sphere_datum,
     torus_datum,
 )
-from mitbag.numerics import slope_drift
 from mitbag.transverse import CurvatureData, TransverseProblem, solve_transverse
 
 GROUND = AngularSector(-1)
@@ -69,6 +70,18 @@ def ground_data():
             "mu": mu_functional(u1, P0),
         }
     return _CACHE["ground"]
+
+
+def slope_drift(points):
+    """Least-squares slope of value ~ limit + slope/m over (m, value) points,
+    and its relative drift when the smallest mass is dropped: the criteria's
+    own fit, by numpy.polyfit."""
+    def slope(pts):
+        return np.polyfit([1.0 / m for m, _ in pts], [v for _, v in pts], 1)[0]
+
+    pts = sorted(points)
+    full = slope(pts)
+    return full, abs(slope(pts[1:]) - full) / abs(full)
 
 
 def dirac_slope_points():

@@ -103,13 +103,13 @@ class TestConfig:
         assert min_rescaled_weight(curv, m) == 0.4999999999999999
         assert TransverseProblem(m=m, curv=curv).m == m
         config = SuiteConfig(suite="transverse", m_grid=(25.0, 400.0, m, 1600.0), curvature_grid=((-12.0, -32.0),))
-        ((pair, probs),) = config.transverse_sweep
+        ((pair, probs, _),) = config.transverse_sweep
         assert pair == (-12.0, -32.0) and [prob.m for prob in probs] == [m, 1600.0]
 
     def test_config_builds_each_sweep_problem_once(self, monkeypatch, tmp_path):
         # The config builds the 60 problems of the curvature sweep, whose
         # construction judges the grid; the run solves those very objects and
-        # builds only its own 13 (4 flat, 1 seeded, 3 sphere, 5 residual).
+        # builds only its own 10 (4 flat, 1 seeded, 5 residual).
         built, stacks = [], []
         post_init, solve = TransverseProblem.__post_init__, suites.solve_transverse
 
@@ -124,13 +124,13 @@ class TestConfig:
         monkeypatch.setattr(TransverseProblem, "__post_init__", counting)
         monkeypatch.setattr(suites, "solve_transverse", spy)
         config = SuiteConfig(output_path=str(tmp_path / "report.csv"))
-        sweep = [prob for _, probs in config.transverse_sweep for prob in probs]
+        sweep = [prob for _, probs, _ in config.transverse_sweep for prob in probs]
         assert len(built) == len(sweep) == 60
         assert {id(prob) for prob in built} == {id(prob) for prob in sweep}
         assert config.transverse_sweep is config.transverse_sweep
         built.clear()
         run_suite(config)
-        assert len(built) == 13 and [len(stack) for stack in stacks] == [65]
+        assert len(built) == 10 and [len(stack) for stack in stacks] == [65]
         assert all(a is b for a, b in zip(stacks[0][4:-1], sweep, strict=True))
         # Suites that do not solve the sweep never build it.
         built.clear()
@@ -700,13 +700,23 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
-    @pytest.mark.parametrize("suite", ("dirac", "robin", "all"))
-    def test_three_masses_for_the_slope_fits_is_config_error(self, tmp_path, capsys, suite):
+    @pytest.mark.parametrize(
+        "suite, grid", (("dirac", "100"), ("robin", "100"), ("all", "100,1000,10000")), ids=("dirac", "robin", "all")
+    )
+    def test_short_mass_grid_runs(self, tmp_path, suite, grid):
+        # The first-order rows read exact coefficients, not a fit over the
+        # grid, so one mass gives the dirac and robin series rows their
+        # masses; the transverse suite of suite=all needs one from 400 on.
         path = write_config(tmp_path, suite=suite)
-        assert main([path, "--m-grid", "100,1000,10000"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: m_grid has 3 masses") and "at least 4" in err
-        assert not (tmp_path / "report.csv").exists()
+        assert main([path, "--m-grid", grid, "--format", "json"]) == 0
+        report = parse_report_json((tmp_path / "report.csv").read_bytes())
+        assert {"dirac.series.level", "robin.series.level"} & {r.check_id for r in report.records}
+
+    def test_flat_mass_estimate_holds_at_huge_mass(self, tmp_path):
+        # The flat mass estimate is formed per mode without subtracting
+        # 1/(2m) from a mass of that size, so it keeps its m^-2 scale.
+        path = write_config(tmp_path, suite="exterior")
+        assert main([path, "--m-grid", "25,100,400,1e110"]) == 0
 
     def test_exterior_needs_three_masses(self, tmp_path, capsys):
         # With one mass the rate rows compare a value with itself and can

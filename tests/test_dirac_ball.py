@@ -25,6 +25,7 @@ from mitbag.dirac_ball import (
     eta_functional,
     largemass_eigenpair,
     largemass_eigenvalues,
+    largemass_expansion,
     largemass_spectrum_signed,
     mit_eigenpair,
     mit_eigenvalues,
@@ -32,6 +33,7 @@ from mitbag.dirac_ball import (
     mu_functional,
     nu_minmax,
     robin_eigenpair,
+    robin_expansion,
     robin_laplacian_eigenvalues,
 )
 from mitbag.numerics import NumericsError, ToleranceConfig, run_memo
@@ -1576,3 +1578,76 @@ class TestExactIdentities:
         assert len(set(bag)) == count
         for lam, lam_int in zip(bag, robin, strict=True):
             assert lam_int <= lam**2 + 1e-9 * (lam**2 + 1.0)
+
+
+def _bag_level(R: float, m0: float, kj: int, sign: float, level: int) -> tuple[DiracParams, AngularSector, float]:
+    """The params, sector and signed bag level ``level`` (from 0) of the branch of ``sign``."""
+    p, sec = DiracParams(R=R, m0=m0), AngularSector(kj)
+    branch = [e for e, _ in mit_spectrum_signed(p, [sec], level + 1) if (e > 0.0) == (sign > 0.0)]
+    return p, sec, branch[level]
+
+
+class TestLevelExpansions:
+    """``largemass_expansion`` and ``robin_expansion``, the exact (a, b) of
+    lambda_m^2 = lambda^2 + a/m + b/m^2 + O(m^-3) at a bag level lambda,
+    against the functionals and the solvers; R in [0.3, 5], m0 in [0, 3],
+    |kappa_j| <= 12, both branches and their first three levels."""
+
+    RADII = st.floats(min_value=0.3, max_value=5.0)
+    INTRINSIC = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+    KAPPAS = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.sampled_from([-k, k]))
+    LEVELS = st.integers(min_value=0, max_value=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(R=RADII, m0=INTRINSIC, kj=KAPPAS, sign=SIGNS, level=LEVELS)
+    def test_first_coefficients_are_eta_and_mu(self, R, m0, kj, sign, level):
+        p, sec, E = _bag_level(R, m0, kj, sign, level)
+        u = mit_eigenpair(p, sec, E)
+        assert largemass_expansion(p, sec, E)[0] == pytest.approx(eta_functional(u, abs(E), p), rel=1e-12, abs=0.0)
+        assert robin_expansion(p, sec, E)[0] == pytest.approx(mu_functional(u, p), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(R=RADII, kj=KAPPAS, sign=SIGNS, level=LEVELS)
+    def test_massless_eta_is_minus_lambda_squared_over_R(self, R, kj, sign, level):
+        # An independent closed form of eta on the ball at m0 = 0.
+        p, sec, E = _bag_level(R, 0.0, kj, sign, level)
+        assert largemass_expansion(p, sec, E)[0] == pytest.approx(-E * E / R, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=RADII, m0=INTRINSIC, kj=KAPPAS, sign=SIGNS, level=LEVELS,
+        ratio=st.floats(min_value=math.log(10.0), max_value=math.log(1e5)).map(math.exp),
+    )
+    def test_solved_levels_follow_the_series(self, R, m0, kj, sign, level, ratio):
+        # From m = 10 |E| on, the levels lie within 2|b|/m^2 of lambda^2 + a/m,
+        # up to the solves' rounding, as the report's series rows allow it at
+        # the default rel_tol = 1e-14.
+        p, sec, E = _bag_level(R, m0, kj, sign, level)
+        m = ratio * abs(E)
+        pm = DiracParams(R=R, m0=m0, m=m)
+        allowance = 8e-14 * E * E
+        a, b = largemass_expansion(p, sec, E)
+        branch = [e for e, _ in largemass_spectrum_signed(pm, [sec], level + 1) if (e > 0.0) == (sign > 0.0)]
+        assert abs(branch[level] ** 2 - (E * E + a / m)) <= 2.0 * abs(b) / m**2 + allowance
+        # The Robin levels of a sector are ordered as both branches' bag levels by magnitude.
+        rank = sorted(abs(e) for e, _ in mit_spectrum_signed(p, [sec], 5)).index(abs(E))
+        a, b = robin_expansion(p, sec, E)
+        lam_int = robin_laplacian_eigenvalues(pm, sec, rank + 1)[rank]
+        assert abs(lam_int - (E * E + a / m)) <= 2.0 * abs(b) / m**2 + allowance
+
+    @settings(max_examples=40, deadline=None)
+    @given(kj=KAPPAS, x=st.floats(min_value=0.5, max_value=60.0))
+    def test_bessel_derivatives_against_mpmath(self, kj, x):
+        # j'' and j''' from Bessel's equation against 30-digit derivatives.
+        sec = AngularSector(kj)
+        for ell, values in zip((sec.ell_upper, sec.ell_lower), dirac_ball._j_derivatives(sec, x), strict=True):
+            with mpmath.workdps(30):
+                exact = [float(mpmath.diff(lambda t: mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.besselj(ell + 0.5, t),
+                                           mpmath.mpf(x), n)) for n in range(4)]
+            scale = max(map(abs, exact))
+            assert all(abs(v - e) <= 1e-12 * scale for v, e in zip(values, exact)), (ell, values, exact)
+
+    @pytest.mark.parametrize("expansion", (largemass_expansion, robin_expansion))
+    def test_a_level_at_or_below_the_intrinsic_mass_is_refused(self, expansion):
+        with pytest.raises(ValueError, match="m0"):
+            expansion(DiracParams(R=1.0, m0=2.0), GROUND, -2.0)

@@ -185,6 +185,19 @@ class TestMassEstimate:
         v = FlatDatum(())
         assert mass_estimate_check(exterior_energy(v, 5.0), v, 5.0) == 0.0
 
+    @pytest.mark.parametrize("m", (1e2, 1e4, 1e8, 1e30, 1e110, 1e300))
+    def test_flat_estimate_against_high_precision(self, m):
+        # m^2 |sum |c|^2 (1/(2 omega) - 1/(2m))| / ||v||^2_{H^3/2} with 40
+        # digits past the cancellation of the two masses, each ~1/(2m), which
+        # leaves 0.0 at m = 1e8 and 4.4e93 at 1e110 in doubles.
+        v = torus_datum(2.0 * math.pi, {(0, 0): 1.0, (1, 0): 0.6, (2, 1): 0.3})
+        with mpmath.workdps(40 + 2 * round(math.log10(m))):
+            mm = mpmath.mpf(m)
+            gap = sum(abs(c) ** 2 * (1 / (2 * mpmath.sqrt(mm**2 + mpmath.mpf(xi) ** 2)) - 1 / (2 * mm))
+                      for xi, c in v.modes)
+            expected = float(mm**2 * abs(gap) / sobolev_h32_norm_sq(v))
+        assert mass_estimate_check(exterior_energy(v, m), v, m) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_sobolev_norm_conventions(self):
         v = sphere_datum(1.0, {0: 1.0, 2: 2.0})
         assert sobolev_h32_norm_sq(v) == pytest.approx(1.0 + 4.0 * 7.0**1.5, rel=1e-15)

@@ -107,7 +107,9 @@ EXACT_ROWS = {
     "exterior.additivity": "the ratio recurrence agrees with the Bessel polynomials to rounding, at R = 1 bit for bit",
     "dirac.mit.scaling": "doubling R halves every scan point exactly, so the root can halve bit for bit",
     "dirac.mit.symmetry": "at m0 = 0 sector kj's determinant at -E is minus sector -kj's at E; exact by construction",
-    "dirac.nu.degenerate": "the kj=+1 copy of the ground level has the eta value of the kj=-1 pair bit for bit",
+    "dirac.expansion.eta": "the determinant's coefficient and the eta functional agree to rounding, at R = 1 bit for bit",
+    "dirac.nu.degenerate": "both copies of the ground level have the determinant's eta, at R = 1 and 3 bit for bit",
+    "robin.expansion.mu": "the determinant's coefficient and the mu functional agree to rounding, at R = 1 bit for bit",
 }
 
 

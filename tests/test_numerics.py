@@ -1,10 +1,7 @@
-"""Root finding, shooting, quadrature, and 1/m fits against closed forms."""
+"""Root finding, shooting and quadrature against closed forms."""
 
-import json
 import math
 import tracemalloc
-from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,24 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mitbag.numerics as numerics
-import mitbag.suites as suites
-from mitbag.cli import config_from_dict, run_suite
 from mitbag.dirac_ball import AngularSector, DiracParams, mit_eigenpair, robin_eigenpair
 from mitbag.exterior import agmon_decay_check
 from mitbag.numerics import (
     MAX_PANELS,
     BracketError,
-    FitError,
     PoleRootError,
     SecondOrderODE,
     ShootingError,
     ToleranceConfig,
     find_root_bracketed,
-    fit_inverse_m,
-    fit_line,
     mesh_aligned_nodes,
     panel_nodes,
-    slope_drift,
     solve_bvp_shooting,
 )
 from mitbag.transverse import CurvatureData, TransverseProblem, residual_of_ansatz, transverse_form
@@ -389,154 +380,3 @@ class TestPanelLimit:
         # The Agmon tail is a closed form, with no rule to outgrow.
         gamma = 0.9994
         assert agmon_decay_check(100.0, 1.0, 0, gamma) == pytest.approx(1.0 / (1.0 - gamma), rel=1e-14, abs=0.0)
-
-
-class TestInverseMassFit:
-    def test_line_fit(self):
-        assert fit_line([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx((1.0, 2.0), abs=1e-14)
-        with pytest.raises(FitError):
-            fit_line([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
-
-    def test_exact_affine_data(self):
-        points = [(m, 5.0 + 3.0 / m) for m in (2.0, 5.0, 10.0, 40.0)]
-        limit, slope = fit_inverse_m(points)
-        assert limit == pytest.approx(5.0, abs=1e-12)
-        assert slope == pytest.approx(3.0, abs=1e-11)
-        assert max(abs(limit + slope / m - v) for m, v in points) <= 1e-12
-
-    def test_constant_data(self):
-        limit, slope = fit_inverse_m([(m, 7.25) for m in (1.0, 2.0, 4.0)])
-        assert limit == pytest.approx(7.25, abs=1e-13)
-        assert slope == pytest.approx(0.0, abs=1e-12)
-
-    def test_second_order_pollution_and_drift(self):
-        # value = 1 + 1/m + 1/m^2 over decade masses from 10: the exact
-        # least-squares slope bias at this grid is 10.3%, and it shrinks by
-        # an order of magnitude once the coarsest mass is dropped.
-        grid = (10.0, 100.0, 1000.0, 10000.0)
-        points = [(m, 1.0 + 1.0 / m + 1.0 / m**2) for m in grid]
-        slope, drift = slope_drift(points)
-        assert slope == pytest.approx(1.0, rel=0.11)
-        slope_trunc = fit_inverse_m(points[1:])[1]
-        assert slope_trunc == pytest.approx(1.0, rel=0.02)
-        assert drift == abs(slope_trunc - slope) / abs(slope)
-        longer = points + [(100000.0, 1.0 + 1.0 / 1e5 + 1.0 / 1e10)]
-        _, drift_finer = slope_drift(longer[1:])
-        assert drift_finer < drift
-
-    @pytest.mark.parametrize(
-        "points",
-        (
-            [(1.0, 0.0), (2.0, 0.0)],
-            [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0)],
-            [(-1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
-            [(1.0, math.nan), (2.0, 0.0), (3.0, 0.0)],
-            # An infinite mass, which 1/m = 0 would turn into a finite point.
-            [(math.inf, 1.0), (1.0, 2.0), (2.0, 3.0)],
-        ),
-    )
-    def test_degenerate_inputs(self, points):
-        with pytest.raises(FitError):
-            fit_inverse_m(points)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        limit=st.floats(-10.0, 10.0),
-        slope=st.floats(-10.0, 10.0),
-    )
-    def test_affine_exactness_property(self, limit, slope):
-        grid = (3.0, 7.0, 19.0, 61.0, 143.0)
-        points = [(m, limit + slope / m) for m in grid]
-        fit_limit, fit_slope = fit_inverse_m(points)
-        assert fit_limit == pytest.approx(limit, abs=1e-9)
-        assert fit_slope == pytest.approx(slope, abs=1e-8)
-        assert math.sqrt(sum((fit_limit + fit_slope / m - v) ** 2 for m, v in points)) <= 1e-9
-
-
-def _exact_line(x, y):
-    """Exact least-squares (intercept, slope) of the doubles, as Fractions."""
-    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys)) / sum((a - x_mean) ** 2 for a in xs)
-    return y_mean - slope * x_mean, slope
-
-
-def _assert_correctly_rounded_fit(x, y):
-    intercept, slope = _exact_line(x, y)
-    # The double nearest each exact value, stricter than 2 ulp of the slope
-    # and 2 ulp of max(|mean y|, |slope mean x|) for the intercept.
-    assert fit_line(x, y) == (float(intercept), float(slope))
-
-
-class TestLineFit:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
-                st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
-            ),
-            min_size=2,
-            max_size=12,
-        )
-    )
-    def test_exact_least_squares_property(self, points):
-        x, y = [p[0] for p in points], [p[1] for p in points]
-        if len(set(x)) == 1:
-            with pytest.raises(FitError, match="all be equal"):
-                fit_line(x, y)
-            return
-        try:
-            expected = tuple(float(v) for v in _exact_line(x, y))
-        except OverflowError:
-            with pytest.raises(FitError, match="overflows"):
-                fit_line(x, y)
-            return
-        assert fit_line(x, y) == expected
-
-    def test_cancelling_series(self):
-        # Slopes far below the data's size, where rounded products lose
-        # them: a centred fsum of rounded products gives 2.27e-16 for the
-        # first series (exact slope 1.27e-16) and is 18,724 ulp off the
-        # second's.
-        _assert_correctly_rounded_fit([-3.3, -9.5, -5.8, -9.4, -6.5], [-2.8, 3.8, -5.4, -9.4, 6.0])
-        _assert_correctly_rounded_fit([1e8, 1e8 + 1.0, 1e8 + 3.0], [1.0, 1.0 + 2.0**-40, 1.0])
-
-    def test_golden_series(self, tmp_path, monkeypatch):
-        # Every line fit of the four golden runs (the flat mass's decay order
-        # in the transverse suite, 7 in the 1/m fits of the dirac and robin
-        # suites) is correctly rounded.
-        series, fit = [], numerics.fit_line
-
-        def spy(x, y):
-            series.append((list(x), list(y)))
-            return fit(x, y)
-
-        monkeypatch.setattr(numerics, "fit_line", spy)
-        monkeypatch.setattr(suites, "fit_line", spy)
-        golden = Path(__file__).resolve().parent / "golden"
-        for radius in ("0.5", "1", "1.7", "3"):
-            config = json.loads((golden / f"config_R{radius}.json").read_text())
-            assert run_suite(config_from_dict({**config, "output_path": str(tmp_path / "report.csv")})).passed
-        assert len(series) == 32
-        for x, y in series:
-            _assert_correctly_rounded_fit(x, y)
-
-    @pytest.mark.parametrize(
-        "x, y, reason",
-        (
-            ([], [], "at least 2 points"),
-            ([1.0], [2.0], "at least 2 points"),
-            ([1.0, 2.0, 3.0], [1.0, 2.0], "one y per x"),
-            ([1.0, 2.0], [1.0, 2.0, 3.0], "one y per x"),
-            ([2.0, 2.0, 2.0], [1.0, 3.0, 5.0], "all be equal"),
-            ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "finite"),
-            ([1.0, 2.0, 3.0], [1.0, 2.0, math.nan], "finite"),
-            ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0], "finite"),
-            ([1.0, 2.0, 3.0], [-math.inf, 2.0, 3.0], "finite"),
-            ([0.0, 5e-324], [0.0, 1e300], "overflows"),
-        ),
-    )
-    def test_refused_data(self, x, y, reason):
-        with pytest.raises(FitError, match=reason):
-            fit_line(x, y)

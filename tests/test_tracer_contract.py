@@ -51,7 +51,7 @@ def test_tracer_installs_and_uninstalls():
 
 def test_traced_suite_all_counts_every_suite_layer(tmp_path):
     # The suites live in mitbag.suites and cli re-imports them; the tracer
-    # rebinds every alias, so each suite, the five sweeps of _pmap (27 items)
+    # rebinds every alias, so each suite, the four sweeps of _pmap (35 items)
     # and the one stacked transverse solve are counted.  A suite that called
     # a captured alias (a default argument, a closure) would read 0 here.
     config = config_from_dict(
@@ -75,7 +75,7 @@ def test_traced_suite_all_counts_every_suite_layer(tmp_path):
         "dirac": 1,
         "robin": 1,
     }
-    assert totals["cli.pmap.calls"] == 5
-    assert totals["cli.pmap.items"] == 27
+    assert totals["cli.pmap.calls"] == 4
+    assert totals["cli.pmap.items"] == 35
     assert totals["transverse.solve.calls"] == 1
     assert _bindings() == before

@@ -25,12 +25,10 @@ from mitbag.transverse import (
     TransverseProblem,
     collar_is_valid,
     expansion_coefficients,
-    expansion_lambda,
     min_rescaled_weight,
     residual_of_ansatz,
     solve_transverse,
     transverse_form,
-    transverse_mass_check,
 )
 
 FLAT = CurvatureData.flat()
@@ -108,7 +106,6 @@ class TestFlatClosedForms:
         sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         expected = (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
         assert sol.mass == pytest.approx(expected, abs=1e-10)
-        assert transverse_mass_check(sol) == pytest.approx(0.5 - expected, abs=1e-10)
 
     @pytest.mark.parametrize("m", (1.0, 9.0, 64.0, 900.0))
     def test_energy_any_interval(self, m):
@@ -182,7 +179,7 @@ class TestCurvedClosedForms:
         # masses, as the transverse suite solves them.
         pairs = tuple(pair for pair in cli.DEFAULT_CURVATURE_GRID if pair[0] != 0.0 and pair[1] == 0.0)
         sweep = cli.SuiteConfig(suite="transverse", curvature_grid=pairs).transverse_sweep
-        probs = [prob for _, pair_probs in sweep for prob in pair_probs]
+        probs = [prob for _, pair_probs, _ in sweep for prob in pair_probs]
         assert len(pairs) == 4 and len(probs) == 12
         for prob, sol in zip(probs, solve_transverse(probs), strict=True):
             lam = cylinder_lambda(prob.curv.kappa, prob.m)
@@ -233,7 +230,7 @@ class TestRitzSolver:
         # next one is refused when the problem is built.
         probs = [TransverseProblem(m=m, curv=CurvatureData(1.0, 1.0)) for m in (600.0**2, 1e100, LARGEST_MASS)]
         for prob, sol in zip(probs, solve_transverse(probs)):
-            assert sol.lam == pytest.approx(expansion_lambda(prob), rel=1e-15)
+            assert sol.lam == pytest.approx(three_terms(prob), rel=1e-15)
             assert len(sol.tau) <= 8
         with pytest.raises(ValueError, match="overflows"):
             TransverseProblem(m=math.nextafter(LARGEST_MASS, math.inf), curv=FLAT)
@@ -288,7 +285,7 @@ class TestCollarCut:
     def suite_problems(m_grid):
         # The problems of one transverse suite on the default curvature grid.
         sweep = cli.SuiteConfig(suite="transverse", m_grid=m_grid).transverse_sweep
-        pairs = [prob for _, probs in sweep for prob in probs]
+        pairs = [prob for _, probs, _ in sweep for prob in probs]
         flat = [TransverseProblem(m=m, curv=FLAT) for m in (4.0, 16.0, 64.0, 1e4)]
         return [*flat, *pairs, TransverseProblem(m=36.0, curv=CurvatureData(2.0, 1.0))]
 
@@ -366,23 +363,29 @@ class TestCollarCut:
         assert transverse_form(prob, sol.evaluate) == pytest.approx(sol.lam, rel=1e-14)
 
 
+def three_terms(prob: TransverseProblem) -> float:
+    """c0 + c1/m + c2/m^2 of the series table: 1 + kappa/(2m) + (K/2 - kappa^2/8)/m^2."""
+    c0, c1, c2 = expansion_coefficients(prob.curv)[:3]
+    return c0 + c1 / prob.m + c2 / prob.m**2
+
+
 class TestExpansion:
     def test_flat_is_one(self):
-        assert expansion_lambda(TransverseProblem(m=123.0, curv=FLAT)) == 1.0
+        assert three_terms(TransverseProblem(m=123.0, curv=FLAT)) == 1.0
 
     def test_direct_arithmetic(self):
         prob = TransverseProblem(m=100.0, curv=CurvatureData(3.0, 1.0))
-        assert expansion_lambda(prob) == pytest.approx(1.0149375, abs=1e-15)
+        assert three_terms(prob) == pytest.approx(1.0149375, abs=1e-15)
 
     def test_sphere_value(self):
         # kappa = 2/R, K = 1/R^2 at R=1: the m^-2 coefficient cancels exactly.
         prob = TransverseProblem(m=25.0, curv=CurvatureData(2.0, 1.0))
-        assert expansion_lambda(prob) == pytest.approx(1.04, abs=0.0)
+        assert three_terms(prob) == pytest.approx(1.04, abs=0.0)
 
     @pytest.mark.parametrize("kappa", (0.5, 1.0, 2.0, 3.0))
     def test_sphere_cancellation_exact(self, kappa):
         prob = TransverseProblem(m=64.0, curv=CurvatureData(kappa, kappa**2 / 4.0))
-        assert expansion_lambda(prob) == 1.0 + kappa / 128.0
+        assert three_terms(prob) == 1.0 + kappa / 128.0
 
     def test_solver_matches_expansion_to_third_order(self):
         prob = TransverseProblem(m=100.0, curv=CurvatureData(3.0, 1.0))
@@ -399,7 +402,7 @@ class TestExpansion:
             prob = TransverseProblem(m=m, curv=CurvatureData(-kappa, 1.0))
             sol = solve_transverse([prob])[0]
             c3 = abs((-kappa) ** 3 / 8.0 - (-kappa) * 1.0 / 2.0)
-            assert abs(sol.lam - expansion_lambda(prob)) <= (c3 + 0.5) / m**3
+            assert abs(sol.lam - three_terms(prob)) <= (c3 + 0.5) / m**3
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -456,12 +459,25 @@ RICCATI = riccati_coefficients(12)
 
 def series_rows(kappa: float, gauss: float, probs: list[TransverseProblem]) -> list:
     """The suite's two series rows of one curvature pair at its problems."""
-    return suites._transverse_sweep_records([((kappa, gauss), probs)], solve_transverse(probs))
+    coefficients = expansion_coefficients(CurvatureData(kappa, gauss))
+    return suites._transverse_sweep_records([((kappa, gauss), probs, coefficients)], solve_transverse(probs))
 
 
 class TestSeriesTable:
     """The exact coefficients c_n of Lambda = sum_n c_n m^-n and the suite's
     rows that compare the solver with them."""
+
+    def test_the_sweep_carries_each_pairs_coefficients(self, monkeypatch):
+        # The config evaluates each pair's table once; the suite's sweep rows
+        # read it from the sweep, and only the three sphere pairs are evaluated.
+        config = cli.SuiteConfig(suite="transverse")
+        assert all(coefficients == expansion_coefficients(CurvatureData(*pair))
+                   for pair, _, coefficients in config.transverse_sweep)
+        calls = []
+        monkeypatch.setattr(suites, "expansion_coefficients", lambda curv: calls.append(curv) or
+                            expansion_coefficients(curv))
+        suites.run_transverse_suite(config)
+        assert [(curv.kappa, curv.gauss) for curv in calls] == [(1.0, 0.25), (2.0, 1.0), (3.0, 2.25)]
 
     def test_table_is_the_riccati_hierarchy(self):
         # Every entry t[n][b] of the table is the exact coefficient of
@@ -579,7 +595,7 @@ class TestFormalProfiles:
         # expansion; on dyadic data both sides are computed without rounding.
         prob = TransverseProblem(m=m, curv=CurvatureData(kappa, gauss))
         _, c1, _ = _ansatz_poly(prob)
-        assert 1.0 - c1 == expansion_lambda(prob)
+        assert 1.0 - c1 == three_terms(prob)
 
 
 class TestCutoff:
@@ -690,15 +706,20 @@ class TestVariationalStructure:
         assert stacked == pytest.approx([q_w, q_diff], rel=1e-14)
 
 
+def mass_deviation(sol) -> float:
+    """|weighted mass - 1/2| of a transverse minimizer."""
+    return abs(sol.mass - 0.5)
+
+
 class TestMassCheck:
     def test_flat_deviation_m4(self):
         sol = solve_transverse([TransverseProblem(m=4.0, curv=FLAT)])[0]
         expected = 0.5 - (math.sinh(4.0) / 4.0 - 1.0) / math.sinh(2.0) ** 2
-        assert transverse_mass_check(sol) == pytest.approx(expected, abs=1e-9)
+        assert mass_deviation(sol) == pytest.approx(expected, abs=1e-9)
 
     def test_flat_deviation_shrinks(self):
         devs = [
-            transverse_mass_check(solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0])
+            mass_deviation(solve_transverse([TransverseProblem(m=m, curv=FLAT)])[0])
             for m in (4.0, 16.0, 64.0)
         ]
         assert devs[0] > devs[1] > devs[2]
@@ -706,7 +727,7 @@ class TestMassCheck:
     def test_curved_rate(self):
         masses = (49.0, 196.0, 784.0)
         devs = [
-            transverse_mass_check(solve_transverse([TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))])[0])
+            mass_deviation(solve_transverse([TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))])[0])
             for m in masses
         ]
         scaled = [d * m for d, m in zip(devs, masses)]

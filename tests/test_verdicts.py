@@ -75,17 +75,12 @@ GOLDEN = (
         ("dirac.hm.symmetry", "upper", True),
     ]
     + _LEVEL * 2
-    + [
-        ("dirac.slope.limit", "rel", True),
-        ("dirac.slope.eta", "rel", True),
-        ("dirac.slope.eta.drift", "upper", True),
-        ("dirac.nu.degenerate", "abs", True),
-    ]
-    + [("dirac.slope.higher", "info", False)]
+    + [("dirac.expansion.eta", "rel", True), ("dirac.series.level", "abs", True)] * 2
+    + [("dirac.nu.degenerate", "abs", True)]
     + [("robin.upper_bound", "upper", True)] * 9
     + [
-        ("robin.slope.mu", "rel", True),
-        ("robin.slope.limit", "rel", True),
+        ("robin.expansion.mu", "rel", True),
+        ("robin.series.level", "abs", True),
         ("robin.cross_solver", "rel", True),
     ]
     + [("robin.identity", "upper", True)] * 2
@@ -161,7 +156,7 @@ def test_every_error_cell_is_finite_or_empty(serialized):
 def test_every_asserted_check_passes(serialized):
     report, _, _ = serialized
     assert report.passed
-    assert report.pass_counts() == (124, 124)
+    assert report.pass_counts() == (125, 125)
 
 
 def test_golden_check_list(tmp_path):
@@ -312,10 +307,10 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
 
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     # All 65 problems (4 flat, 60 of the curvature sweep, the seeded one) go
-    # to one solve_transverse call, which makes no LAPACK solve; the flat
-    # mass's decay order is the one line fit, and it calls no lstsq.
-    stacks, interior_solves, fits, lstsqs = [], [], [], []
-    solve, lapack_solve, fit, lstsq = suites.solve_transverse, np.linalg.solve, suites.fit_line, np.linalg.lstsq
+    # to one solve_transverse call, which makes no LAPACK solve and calls no
+    # lstsq.
+    stacks, interior_solves, lstsqs = [], [], []
+    solve, lapack_solve, lstsq = suites.solve_transverse, np.linalg.solve, np.linalg.lstsq
 
     def spy(probs):
         stacks.append(list(probs))
@@ -327,14 +322,11 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
 
     monkeypatch.setattr(suites, "solve_transverse", spy)
     monkeypatch.setattr(np.linalg, "solve", lapack_spy)
-    monkeypatch.setattr(suites, "fit_line", lambda *args: fits.append(args) or fit(*args))
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsqs.append(args) or lstsq(*args, **kw))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
     assert [len(stack) for stack in stacks] == [65]
     assert len(interior_solves) == 0
-    assert len(fits) == 1
     assert len(lstsqs) == 0
-    assert all(np.ndim(y) == 1 for _, y in fits)
 
 
 def test_higher_levels_are_not_the_ground_level(serialized):
