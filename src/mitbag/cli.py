@@ -7,8 +7,12 @@ Usage:
 
 The config file is a single JSON document; flags override individual fields,
 and ``SuiteConfig`` validates the run before any suite (``mitbag.suites``)
-starts.  Exit codes: 0 all asserted checks pass, 1 at least one fails, 2
-invalid configuration, 3 internal numeric error.
+starts: an input a suite cannot solve, such as a mass whose square leaves the
+double range under the dirac or transverse suite, is refused by name there,
+not met partway through a run.  No suite fits across masses, so one mass is
+a grid (the transverse suite's from 400 on).  Exit codes: 0 all asserted
+checks pass, 1 at least one fails, 2 invalid configuration, 3 internal
+numeric error.
 """
 
 from __future__ import annotations
@@ -80,11 +84,13 @@ class SuiteConfig:
             raise ConfigError("curvature_grid entries must be finite")
         if self.suite in ("transverse", "all"):
             self.transverse_sweep  # the grid is refused where the suite's problems cannot be built
-        if self.suite == "exterior" and self.m_grid is not None and len(self.m_grid) < 3:
-            raise ConfigError(
-                f"m_grid has {len(self.m_grid)} masses; the exterior suite needs at least 3: its rate rows compare "
-                "the first mass with the last, and its sandwich bound is fitted on the first 2"
-            )
+        top = self.m_grid[-1] if self.m_grid else 0.0
+        if self.suite in ("dirac", "all") and not math.isfinite(top * top):
+            raise ConfigError(f"m_grid mass {top!r} is too large for the dirac suite: its large-mass solve squares "
+                              "it past the double range")
+        if self.suite in ("exterior", "all") and 2.0 * top * sys.float_info.min > 1.0:
+            raise ConfigError(f"m_grid mass {top!r} is too large for the exterior suite: its mass law 1/(2m) falls "
+                              "below the normal double range")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:

@@ -27,12 +27,10 @@ The effective boundary functional
 
 is evaluated from the same mode data, with (kappa, K) = (2/R, 1/R^2) on the
 sphere and (0, 0) on the flat model (grad_s integrates to l(l+1)/R^2 per
-unit-norm spherical mode, |xi|^2 per flat mode).  On the flat model the
-exact-minus-effective gap also has a per-mode closed form
-(``flat_effective_gap``), accurate where the two energies, both of size m,
-agree to more digits than a double holds.  A spherical mode's exterior mass
-and weighted Agmon mass ratio are closed forms too: e^x k_l is a polynomial
-in 1/x, so each radial tail integral is a finite sum of z e^z E_n(z) terms.
+unit-norm spherical mode, |xi|^2 per flat mode).  e^x k_l is a polynomial in
+1/x, so each DtN value has an exact expansion in 1/m (``dtn_series``) and each
+radial tail integral is a finite sum of z e^z E_n(z) terms.  The flat gap and
+the masses' deviations from ||v||^2/(2m) are formed without cancellation.
 """
 
 from __future__ import annotations
@@ -159,19 +157,22 @@ def effective_energy(v: BoundaryDatum, m: float) -> float:
 
 
 def flat_effective_gap(v: FlatDatum, m: float) -> float:
-    """Exact minus effective energy of a flat-model datum, without cancellation:
-
-        sqrt(m^2 + xi^2) - m - xi^2/(2m) = -xi^4 / (2m (sqrt(m^2 + xi^2) + m)^2)
-
-    per unit mode (``halfspace_mode_energy`` rejects m outside (0, inf)),
-    summed with the coefficient weights.
-    """
+    """m^3 times the exact minus effective energy of a flat-model datum: per
+    unit mode m^3 (omega - m - xi^2/(2m)) = -(xi^4/2) (m/(omega + m))^2,
+    omega = ``halfspace_mode_energy(m, xi)``, finite for every finite m."""
     if not isinstance(v, FlatDatum):
         raise TypeError("the closed-form gap holds on the flat model only")
-    total = 0.0
-    for xi, c in v.modes:
-        total -= abs(c) ** 2 * xi**4 / (2.0 * m * (halfspace_mode_energy(m, xi) + m) ** 2)
-    return total
+    return _weighted_total([-xi**4 / 2.0 * (m / (halfspace_mode_energy(m, xi) + m)) ** 2 for xi, _ in v.modes], v)
+
+
+def dtn_series(ell: int, count: int = 4) -> tuple[int, ...]:
+    """The integers Q_0 .. Q_{count-1} of DtN_l = m + 1/R + sum_n Q_n R^-(n+2) m^-(n+1):
+    P'/P = sum_n Q_n u^n for x e^x k_l(x) = P(1/x) = sum_j a_j x^-j (``_k_poly_ints``),
+    so Q_n = (n+1) a_{n+1} - sum_{i<n} Q_i a_{n-i} (a_0 = 1).  Q_0 = -Q_1 = l(l+1)/2."""
+    a, q = (*_k_poly_ints(ell), *(0,) * count), []
+    for n in range(count):
+        q.append((n + 1) * a[n + 1] - sum(q[i] * a[n - i] for i in range(n)))
+    return tuple(q)
 
 
 # Tail sums run at 34 digits, so each double they give is correctly rounded.
@@ -207,13 +208,16 @@ def _scaled_expints(top: int, z: Decimal) -> list[Decimal]:
     return h
 
 
-def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
-    # (m/R^2) int_R^inf e^{2 m gamma (r - R)} (k_l(m r)/k_l(m R))^2 r^2 dr =
+def _tail_integral(m: float, R: float, ell: int, gamma: float) -> tuple[Decimal, Decimal]:
+    # T = (m/R^2) int_R^inf e^{2 m gamma (r - R)} (k_l(m r)/k_l(m R))^2 r^2 dr =
     # int_0^inf e^{-rate s} (P(1/(X + s))/P(1/X))^2 ds, X = mR, rate = 2 - 2 gamma,
     # e^x k_l(x) = P(1/x)/x, P(u) = sum_j a_j u^j (DLMF 10.49.12).  The square is
     # sum_n beta_n (X/(X + s))^n / P(1/X)^2, beta the self-convolution of the
-    # positive a_j X^-j, and each power integrates to H_n(rate X)/rate.  The
-    # checked call vets l and mR, overflow included.
+    # positive a_j X^-j, and each power integrates to H_n(z)/rate, z = rate X.
+    # With sum beta_n = P^2 and 1 - H_n = n H_{n+1}/z (DLMF 8.19.12), returns
+    # T = 1/rate - S/(rate z P^2), S = sum_{n>=1} n beta_n H_{n+1}, and the
+    # deviation m^2 (T - 1/rate) without cancellation.  The checked call vets
+    # l and mR, overflow included.
     modified_spherical_bessel_k_scaled(ell, m * R)
     with localcontext(_DIGITS):
         u, rate = 1 / (Decimal(m) * Decimal(R)), 2 - 2 * Decimal(gamma)
@@ -226,10 +230,12 @@ def _tail_integral(m: float, R: float, ell: int, gamma: float) -> Decimal:
             for i in range(max(0, n - ell), min(n, ell) + 1):
                 total += terms[i] * terms[n - i]
             beta.append(total)
+        h = _scaled_expints(2 * ell + 1 if ell else 0, rate / u)
         total = 0
-        for b, h in zip(beta, _scaled_expints(2 * ell, rate / u)):
-            total += b * h
-        return total / (sum(terms) ** 2 * rate)
+        for n in range(1, 2 * ell + 1):
+            total += n * beta[n] * h[n + 1]
+        shift = total * u / (rate * rate * sum(terms) ** 2)
+        return 1 / rate - shift, -Decimal(m) ** 2 * shift
 
 
 def ball_mode_mass(m: float, R: float, ell: int) -> float:
@@ -237,7 +243,7 @@ def ball_mode_mass(m: float, R: float, ell: int) -> float:
     decaying l-mode of unit boundary value, per unit area of the sphere r = R."""
     _check_mass_and_radius(m, R)
     # Once per run per argument tuple: the Agmon ratios reuse the plain tails.
-    return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0), Decimal(m)))
+    return float(_DIGITS.divide(memoized(_tail_integral, m, R, ell, 0.0)[0], Decimal(m)))
 
 
 def _weighted_total(per_mode: list[float], v: BoundaryDatum) -> float:
@@ -288,21 +294,27 @@ def mass_estimate_check(sol: ExteriorSolution, v: BoundaryDatum, m: float) -> fl
 
     Zero for a pure l=0 spherical datum (that radial mass is exactly
     ||v||^2/(2m)); bounded uniformly in m in general.  On the flat model
-    ``sol`` is not read: each mode's m^2 (1/(2 omega) - 1/(2m)) is formed as
-    -(xi^2/(2 omega)) (m/(omega + m)), omega = ``halfspace_mode_energy(m, xi)``,
-    without cancellation and in factors that stay finite for every finite m.
+    ``sol`` is not read: the deviation is ``mass_deviation``'s.
     """
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be positive and finite, got {m!r}")
     norm_sq = float(sum(abs(c) ** 2 for _, c in v.modes))
     if norm_sq == 0.0:
         return 0.0
-    h32 = sobolev_h32_norm_sq(v)
     if isinstance(v, FlatDatum):
-        omegas = [halfspace_mode_energy(m, xi) for xi, _ in v.modes]
-        gaps = [xi * xi / (2.0 * omega) * (m / (omega + m)) for (xi, _), omega in zip(v.modes, omegas)]
-        return _weighted_total(gaps, v) / h32
-    return m * m * abs(sol.exterior_mass - norm_sq / (2.0 * m)) / h32
+        return -mass_deviation(v, m) / m / sobolev_h32_norm_sq(v)
+    return m * (m * abs(sol.exterior_mass - norm_sq / (2.0 * m))) / sobolev_h32_norm_sq(v)
+
+
+def mass_deviation(v: BoundaryDatum, m: float) -> float:
+    """m^3 (exterior mass - ||v||^2/(2m)), per mode without subtracting 1/(2m):
+    m^2 (T - 1/2) of the sphere mode's 34-digit tail T, and on the flat model
+    -(xi^2/2) (m/omega) (m/(omega + m)); finite for every finite m."""
+    if isinstance(v, SphereDatum):
+        _check_mass_and_radius(m, v.R)
+        return _weighted_total([float(memoized(_tail_integral, m, v.R, ell, 0.0)[1]) for ell, _ in v.modes], v)
+    omegas = [halfspace_mode_energy(m, xi) for xi, _ in v.modes]
+    return _weighted_total([-xi * xi / 2.0 * (m / w) * (m / (w + m)) for (xi, _), w in zip(v.modes, omegas)], v)
 
 
 def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
@@ -317,5 +329,5 @@ def agmon_decay_check(m: float, R: float, ell: int, gamma: float) -> float:
     if gamma >= 1.0:
         raise AgmonDivergenceError(f"weighted mass diverges for gamma={gamma} >= 1")
     _check_mass_and_radius(m, R)
-    weighted, plain = (memoized(_tail_integral, m, R, ell, g) for g in (gamma, 0.0))
+    weighted, plain = (memoized(_tail_integral, m, R, ell, g)[0] for g in (gamma, 0.0))
     return float(_DIGITS.divide(weighted, plain))

@@ -147,8 +147,8 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 _GAUSS_RULE = _gauss_rule()
 
 
-# At most 1M nodes a rule: a golden run's largest has 5 panels (each half of
-# the m = 1600 collar rule, [0, 20] and [20, 40] in panels of 4), and a
+# At most 1M nodes a rule: a golden run's largest has 20 panels (each half of
+# the m = 25600 collar rule, [0, 80] and [80, 160] in panels of 4), and a
 # runaway request is refused before any allocation.
 MAX_PANELS = 2**16
 

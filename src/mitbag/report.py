@@ -1,7 +1,7 @@
 """Machine-readable verification reports.
 
-A report is a flat list of check records plus a summary of fitted constants
-and slopes.  A record's verdict is a function of its own serialized fields:
+A report is a flat list of check records plus a summary of functionals,
+solver tolerances and effort counters.  A record's verdict is a function of its own serialized fields:
 ``COMPARISONS`` maps each ``comparison`` kind to one formula in the
 expected value e, the observed value o and the tolerance t, so a reader of
 the CSV or JSON can recompute every ``pass``.  ``check`` builds each row
@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-PROVENANCE_TAGS = ("closed-form", "expansion", "fit")
+PROVENANCE_TAGS = ("closed-form", "expansion")
 
 COMPARISONS: dict[str, Callable[[float, float, float], bool]] = {
     "abs": lambda e, o, t: abs(o - e) <= t,
@@ -116,27 +116,24 @@ CHECKS: dict[str, CheckKind] = {
     "transverse.sphere.cancellation": CheckKind("abs", "expansion"),
     "transverse.minimality.seeded": CheckKind("lower", "closed-form"),
     "transverse.pythagoras.seeded": CheckKind("upper", "closed-form"),
-    "transverse.residual.order": CheckKind("envelope", "fit"),
-    "transverse.residual.flat": CheckKind("upper", "fit"),
+    "transverse.residual.order": CheckKind("abs", "expansion"),
+    "transverse.residual.flat": CheckKind("rel", "closed-form"),
     "exterior.dtn.l0": CheckKind("rel", "closed-form"),
     "exterior.dtn.l1": CheckKind("rel", "closed-form"),
     "exterior.mass.l0": CheckKind("rel", "closed-form"),
-    "exterior.effective.rate.sphere": CheckKind("envelope", "fit"),
-    "exterior.effective.rate.sphere.decreasing": CheckKind("below", "fit"),
-    "exterior.effective.rate.flat": CheckKind("envelope", "fit"),
-    "exterior.effective.rate.flat.decreasing": CheckKind("below", "fit"),
-    "exterior.sandwich": CheckKind("upper", "fit"),
+    "exterior.effective.rate.sphere": CheckKind("abs", "expansion"),
+    "exterior.effective.rate.flat": CheckKind("abs", "expansion"),
+    "exterior.sandwich": CheckKind("abs", "expansion"),
     "exterior.sandwich.sign": CheckKind("upper", "expansion"),
     "exterior.mass_estimate.l0": CheckKind("upper", "closed-form"),
-    "exterior.mass_estimate.sphere": CheckKind("envelope", "fit"),
-    "exterior.mass_estimate.flat": CheckKind("envelope", "fit"),
+    "exterior.mass_estimate.sphere": CheckKind("abs", "expansion"),
+    "exterior.mass_estimate.flat": CheckKind("abs", "expansion"),
     "exterior.additivity": CheckKind("rel", "closed-form"),
     "exterior.monotonic": CheckKind("above", "closed-form"),
     "exterior.agmon": CheckKind("rel", "closed-form"),
-    "exterior.agmon.gamma0": CheckKind("abs", "closed-form"),
+    "exterior.agmon.gamma0": CheckKind("rel", "closed-form"),
     "dirac.mit.ground": CheckKind("abs", "closed-form"),
     "dirac.mit.scaling": CheckKind("rel", "closed-form"),
-    "dirac.mit.symmetry": CheckKind("upper", "closed-form"),
     "dirac.hm.symmetry": CheckKind("upper", "closed-form"),
     "dirac.convergence": CheckKind("envelope", "closed-form"),
     "dirac.convergence.final": CheckKind("upper", "closed-form"),

@@ -27,7 +27,8 @@ coth(sqrt(m)) - 1 on the flat model: 8.5e-18 at ``SERIES_FLOOR`` = 400.
 The formal profiles u0 = e^{-tau}, u1 = -(kappa/2) tau e^{-tau},
 u2 = (kappa^2/8 - K/2) tau e^{-tau} + (3 kappa^2/8 - K/2) tau^2 e^{-tau} give
 its first three terms; the cutoff ansatz chi_m (u0 + u1/m + u2/m^2) leaves an
-O(m^-3) residual in the weighted L^2 norm, which the verification suite measures.
+O(m^-3) residual in the weighted L^2 norm, which the verification suite
+measures against its exact leading terms (``ansatz_residual_coefficients``).
 
 Numerics: the equation (a u')' = a u is solved by Taylor series.  a is a
 quadratic polynomial, so at a centre c, with a(c + t) = a0 + a1 t + a2 t^2,
@@ -431,11 +432,11 @@ def _cutoff(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return chi, -2.0 * (30.0 * t**2 * (1.0 - t) ** 2), -4.0 * (60.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
 
 
-def _ansatz_poly(p: TransverseProblem) -> tuple[float, float, float]:
-    # The formal profiles of the module docstring, summed:
-    # u0 + u1/m + u2/m^2 = (c0 + c1 tau + c2 tau^2) e^{-tau}
-    kappa, K, m = p.curv.kappa, p.curv.gauss, p.m
-    return 1.0, -kappa / (2.0 * m) + (kappa**2 / 8.0 - K / 2.0) / m**2, (3.0 * kappa**2 / 8.0 - K / 2.0) / m**2
+def _ansatz_poly(curv: CurvatureData) -> tuple[float, float, float]:
+    # The formal profiles of the module docstring, u1 = p11 tau e^{-tau} and
+    # u2 = (p21 tau + p22 tau^2) e^{-tau}: returns (p11, p21, p22).
+    kappa, K = curv.kappa, curv.gauss
+    return -kappa / 2.0, kappa**2 / 8.0 - K / 2.0, 3.0 * kappa**2 / 8.0 - K / 2.0
 
 
 def _collar_rule(problems: Sequence[TransverseProblem]) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -451,23 +452,34 @@ def residual_of_ansatz(problems: Sequence[TransverseProblem]) -> list[float]:
     """Weighted L^2 norm of L applied to each problem's cutoff ansatz
     chi(tau / sqrt(m)) F, F = P e^{-tau} = u0 + u1/m + u2/m^2, in input order:
     O(m^-3).  L(chi F) = chi L F - chi'' F - 2 chi' F' - (a'/a) chi' F, and
-    e^{tau} a L F = a (2P' - 2c2) - a' (P' - P) is written out as a cubic in
-    the coefficients of a = 1 + k tau + g tau^2, so its terms of order 1, k,
-    k^2 and g, which cancel, are never formed.  One pass runs over all the
-    collar rules and one ``math.fsum`` over each problem's nodes: each value
-    is bit for bit the problem's lone one."""
+    e^{tau} a L F = a (2P' - P'') - a' (P' - P) = sum_n B_n m^-n, B_n = sum_{i+j=n}
+    A_i (2P_j' - P_j'') - A_i' (P_j' - P_j) for a = sum_i A_i m^-i and the profiles
+    P_j of ``_ansatz_poly``: cubics in tau whose coefficients are formed once per
+    problem, so B_1 and B_2 cancel (exactly on dyadic data) before any node is
+    evaluated, and a wrong profile leaves them standing.  One pass runs over all
+    the collar rules and one ``math.fsum`` over each problem's nodes: each
+    value is bit for bit the problem's lone one."""
     if not problems:
         return []
     x, w, counts = _collar_rule(problems)
-    params = [(p.curv.kappa / p.m, p.curv.gauss / p.m**2, p.half_width, *_ansatz_poly(p)[1:]) for p in problems]
-    k, g, T, c1, c2 = np.array(params).T[:, np.repeat(np.arange(len(problems)), counts)]
-    cubic = (-k * (k * k - 4.0 * g) + x * (12.0 * g * k - 9.0 * k * k * k + 2.0 * g * (4.0 * g - k * k)
-             + x * (15.0 * k * k * k - 36.0 * g * k + 2.0 * g * (4.0 * g - 7.0 * k * k)
-                    + x * 6.0 * g * (3.0 * k * k - 4.0 * g)))) / 8.0
+    params = []
+    for p in problems:
+        kappa, K, m = p.curv.kappa, p.curv.gauss, p.m
+        p11, p21, p22 = _ansatz_poly(p.curv)
+        orders = (  # the coefficients of tau^0 .. tau^3 in B_1 .. B_4
+            (2.0 * p11 + kappa, 0.0, 0.0, 0.0),
+            (2.0 * (p21 - p22) - kappa * p11, 4.0 * p22 + 3.0 * kappa * p11 + 2.0 * K, 0.0, 0.0),
+            (-kappa * p21, kappa * (3.0 * p21 - 4.0 * p22) - 2.0 * K * p11, 5.0 * kappa * p22 + 4.0 * K * p11, 0.0),
+            (0.0, -2.0 * K * p21, K * (4.0 * p21 - 6.0 * p22), 6.0 * K * p22),
+        )
+        bulk = [(b1 + (b2 + (b3 + b4 / m) / m) / m) / m for b1, b2, b3, b4 in zip(*orders)]
+        params.append((kappa / m, K / m**2, p.half_width, p11 / m + p21 / m**2, p22 / m**2, *bulk))
+    k, g, T, c1, c2, b0, b1, b2, b3 = np.array(params).T[:, np.repeat(np.arange(len(problems)), counts)]
+    bulk = b0 + x * (b1 + x * (b2 + x * b3))
     a, da, poly = 1.0 + x * (k + g * x), k + 2.0 * g * x, 1.0 + x * (c1 + c2 * x)
     chi, chi1, chi2 = _cutoff(x / T)
     chi1, chi2 = chi1 / T, chi2 / (T * T)
-    residual = libm(math.exp, -x) * ((chi * cubic - chi1 * da * poly) / a - chi2 * poly
+    residual = libm(math.exp, -x) * ((chi * bulk - chi1 * da * poly) / a - chi2 * poly
                                      - 2.0 * chi1 * (c1 + 2.0 * c2 * x - poly))
     # Each problem's residual is scaled by the power of two 2^-e that puts
     # its largest node value in [1/2, 1), and its norm by 2^e back: exact,
@@ -483,6 +495,40 @@ def residual_of_ansatz(problems: Sequence[TransverseProblem]) -> list[float]:
     residual = residual * np.repeat([math.ldexp(1.0, -e) for e in exps], counts)
     terms = w * residual * residual * a
     return [math.ldexp(math.sqrt(math.fsum(part.tolist())), e) for part, e in zip(np.split(terms, bounds), exps)]
+
+
+def ansatz_residual_coefficients(curv: CurvatureData) -> tuple[float, float]:
+    """(C, C4) of m^3 ``residual_of_ansatz`` = C + C4/m + O(m^-2), less the cutoff's
+    e^{-sqrt(m)/2}-small share: e^{tau} a L F = (q3/m^3 + q4/m^4)/8 with the cubics
+    below, and 1/a = 1 - kappa tau/m + O(m^-2), so C = ||e^{-tau} q3||/8 and
+    C4 = <2 q3 q4 - kappa tau q3^2>/(128 C), by int tau^n e^{-2 tau} = n!/2^(n+1)."""
+    k, K = curv.kappa, curv.gauss
+    q3 = (-k * (k * k - 4.0 * K), 12.0 * K * k - 9.0 * k**3, 15.0 * k**3 - 36.0 * K * k)
+    q4 = (0.0, 2.0 * K * (4.0 * K - k * k), 2.0 * K * (4.0 * K - 7.0 * k * k), 6.0 * K * (3.0 * k * k - 4.0 * K))
+
+    def moment(p: Sequence[float], q: Sequence[float], shift: int = 0) -> float:
+        # int_0^inf tau^shift p(tau) q(tau) e^{-2 tau} dtau
+        return sum(a * b * math.factorial(i + j + shift) / 2.0 ** (i + j + shift + 1)
+                   for i, a in enumerate(p) for j, b in enumerate(q))
+
+    c = math.sqrt(moment(q3, q3)) / 8.0
+    return c, (2.0 * moment(q3, q4) - k * moment(q3, q3, 1)) / (128.0 * c)
+
+
+def flat_ansatz_residual(m: float) -> float:
+    """The flat ``residual_of_ansatz`` in closed form: L(chi e^{-tau}) = (2 chi' - chi'')
+    e^{-tau} on [T/2, T], T = sqrt(m), a quartic Q(t) at tau = T (1 + t)/2, so the
+    squared norm is e^{-T} (T/2) sum_n [Q^2]_n I_n, I_n = int_0^1 t^n e^{-T t} dt =
+    (n I_{n-1} - e^{-T})/T, a recurrence that damps errors by 8!/T^8 <= 0.11 for m >= 25."""
+    T = math.sqrt(m)
+    Q = (0.0, 240.0 / T**2, -720.0 / T**2 - 120.0 / T, 480.0 / T**2 + 240.0 / T, -120.0 / T)
+    decay = math.exp(-T)
+    moment, total = (1.0 - decay) / T, 0.0
+    for n in range(9):
+        if n:
+            moment = (n * moment - decay) / T
+        total += sum(Q[i] * Q[n - i] for i in range(max(0, n - 4), min(n, 4) + 1)) * moment
+    return math.sqrt(decay * T / 2.0 * total)
 
 
 def transverse_form(

@@ -109,7 +109,7 @@ class TestConfig:
     def test_config_builds_each_sweep_problem_once(self, monkeypatch, tmp_path):
         # The config builds the 60 problems of the curvature sweep, whose
         # construction judges the grid; the run solves those very objects and
-        # builds only its own 10 (4 flat, 1 seeded, 5 residual).
+        # builds only its own 6 (2 flat, 1 seeded, 3 residual).
         built, stacks = [], []
         post_init, solve = TransverseProblem.__post_init__, suites.solve_transverse
 
@@ -130,8 +130,8 @@ class TestConfig:
         assert config.transverse_sweep is config.transverse_sweep
         built.clear()
         run_suite(config)
-        assert len(built) == 10 and [len(stack) for stack in stacks] == [65]
-        assert all(a is b for a, b in zip(stacks[0][4:-1], sweep, strict=True))
+        assert len(built) == 6 and [len(stack) for stack in stacks] == [63]
+        assert all(a is b for a, b in zip(stacks[0][2:-1], sweep, strict=True))
         # Suites that do not solve the sweep never build it.
         built.clear()
         for suite in ("exterior", "dirac", "robin"):
@@ -179,7 +179,7 @@ def _sample_report():
             expected=-4.0,
             observed=-4.2,
             tolerance=0.05,
-            provenance="fit",
+            provenance="expansion",
             asserted=False,
         ),
         CheckRecord(
@@ -188,7 +188,7 @@ def _sample_report():
             expected=math.inf,
             observed=0.5,
             tolerance=1e-9,
-            provenance="fit",
+            provenance="expansion",
         ),
     )
     summary = (("suite", "demo"), ("seed", 0), ("slope", -3.000000000000001))
@@ -225,7 +225,7 @@ class TestReport:
         assert gamma[CSV_COLUMNS.index("rel_error")] == ""
         rows = json.loads(emit_table(_sample_report(), "json"))["records"]
         assert rows[2]["abs_error"] is None and rows[2]["rel_error"] is None
-        zero = CheckRecord("demo.zero", "upper", expected=0.0, observed=1e-9, tolerance=1e-6, provenance="fit")
+        zero = CheckRecord("demo.zero", "upper", expected=0.0, observed=1e-9, tolerance=1e-6, provenance="expansion")
         assert (zero.abs_error, zero.rel_error) == (1e-9, None)
 
     def test_json_round_trip_keeps_the_bytes(self):
@@ -238,7 +238,7 @@ class TestReport:
         # an infinity or an empty cell in every numeric column.
         records = (
             CheckRecord('demo."quoted"\\id', "abs", expected=math.nan, observed=math.inf, tolerance=1.0,
-                        provenance="fit", sector='kj="-1"\\k=1'),
+                        provenance="expansion", sector='kj="-1"\\k=1'),
             CheckRecord("demo.inf", "lower", expected=-math.inf, observed=2.0, tolerance=math.inf,
                         provenance="closed-form", m=math.nan, kappa=math.inf, gauss=-math.inf),
         )
@@ -260,7 +260,7 @@ class TestReport:
         # A tab in a sector, a newline in a check_id and other control
         # characters in a summary key and value give JSON that reads back.
         records = (CheckRecord("demo.line\nbreak", "abs", expected=1.0, observed=1.0, tolerance=0.0,
-                               provenance="fit", sector="a\tb"),)
+                               provenance="expansion", sector="a\tb"),)
         summary = (("key\x01\x1f\r", "value\x00"),)
         report = Report(records=records, summary=summary)
         data = emit_table(report, "json")
@@ -282,7 +282,7 @@ class TestReport:
             pass
 
         records = (
-            CheckRecord("demo.zero", "abs", expected=-0.0, observed=0.0, tolerance=-0.0, provenance="fit",
+            CheckRecord("demo.zero", "abs", expected=-0.0, observed=0.0, tolerance=-0.0, provenance="expansion",
                         m=-0.0, kappa=0.0, gauss=None, sector=""),
             CheckRecord('demo."q"\\', "upper", expected=math.nan, observed=-math.inf, tolerance=math.inf,
                         provenance="closed-form", m=math.nan, kappa=-math.inf, gauss=math.inf, sector="a\tb\x00"),
@@ -301,7 +301,7 @@ class TestReport:
         assert emit_table(report, "json") == (
             b'{"records":[{"check_id":"demo.zero","m":-0,"kappa":0,"gauss":null,"sector":"","expected":-0,'
             b'"observed":0,"abs_error":0,"rel_error":null,"tolerance":-0,"comparison":"abs","pass":true,'
-            b'"provenance":"fit","asserted":true},'
+            b'"provenance":"expansion","asserted":true},'
             b'{"check_id":"demo.\\"q\\"\\\\","m":"nan","kappa":"-inf","gauss":"inf","sector":"a\\tb\\u0000",'
             b'"expected":"nan","observed":"-inf","abs_error":null,"rel_error":null,"tolerance":"inf",'
             b'"comparison":"upper","pass":false,"provenance":"closed-form","asserted":true},'
@@ -636,7 +636,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "overrides, flags",
         [
-            ({}, ["--m-grid", "1e153,1e154,1e155"]),  # OverflowError in the flat closed-form gap
+            ({"suite": "robin"}, ["--m-grid", "1e-300"]),  # ZeroDivisionError in the Robin solve
             ({}, ["--m-grid", "1e-302,1e-301,1e-300"]),  # special.BesselOverflowError
             ({"geometry": {"variant": "ball_interior", "R": 1e-100}}, []),  # special.BesselOverflowError
         ],
@@ -718,17 +718,44 @@ class TestMainExitCodes:
         path = write_config(tmp_path, suite="exterior")
         assert main([path, "--m-grid", "25,100,400,1e110"]) == 0
 
-    def test_exterior_needs_three_masses(self, tmp_path, capsys):
-        # With one mass the rate rows compare a value with itself and can
-        # only fail; with two the sandwich bound is fitted on every mass it
-        # checks and cannot fail.
+    def test_exterior_runs_on_one_mass(self, tmp_path):
+        # Every exterior row reads exact coefficients at each mass, not a fit
+        # across the grid, so one or two masses make a full report.
         path = write_config(tmp_path)
         for grid in ("100", "100,1000"):
-            assert main([path, "--m-grid", grid]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error: m_grid has") and "at least 3" in err and "Traceback" not in err
-            assert not (tmp_path / "report.csv").exists()
-        assert main([path, "--m-grid", "100,1000,10000"]) == 0
+            assert main([path, "--m-grid", grid, "--format", "json"]) == 0
+            report = parse_report_json((tmp_path / "report.csv").read_bytes())
+            assert {"exterior.effective.rate.sphere", "exterior.sandwich", "exterior.mass_estimate.flat"} <= {
+                r.check_id for r in report.records}
+
+    @pytest.mark.parametrize("grid", ("1e2,1e3,1e300", "1e153,1e154,1e155", "25,100,400,1e110", "2.2e307"))
+    def test_exterior_rows_stay_finite_at_huge_masses(self, tmp_path, grid):
+        # The sphere gap is recorded unscaled and the flat gap and the masses
+        # are formed without cancellation, so no row value overflows and no
+        # scaling raises, up to the largest mass whose 1/(2m) is normal.
+        path = write_config(tmp_path, format="json")
+        assert main([path, "--m-grid", grid]) == 0
+        for row in json.loads((tmp_path / "report.csv").read_bytes())["records"]:
+            assert all(type(row[k]) is not str for k in ("expected", "observed", "tolerance")), row
+
+    @pytest.mark.parametrize(
+        "suite, grid, message",
+        (
+            ("dirac", "1e300", "m_grid mass 1e+300 is too large for the dirac suite: its large-mass solve squares"),
+            ("dirac", "100,1.35e154", "m_grid mass 1.35e+154 is too large for the dirac suite"),
+            ("exterior", "1e308", "m_grid mass 1e+308 is too large for the exterior suite: its mass law 1/(2m)"),
+        ),
+    )
+    def test_mass_past_a_suite_range_is_config_error(self, tmp_path, capsys, suite, grid, message):
+        # The dirac suite's large-mass solve squares the mass (it found 0 of
+        # 2 levels at 1e300 and exited 3); the exterior suite doubles it and
+        # reads 1/(2m), subnormal past ~2.2e307.
+        path = write_config(tmp_path, suite=suite)
+        assert main([path, "--m-grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+        assert main([path, "--m-grid", "1e154" if suite == "dirac" else "2.2e307"]) == 0
 
     @pytest.mark.parametrize("suite", ("exterior", "transverse"))
     def test_three_masses_suffice_without_slope_fits(self, tmp_path, suite):

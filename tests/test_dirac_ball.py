@@ -1587,6 +1587,55 @@ def _bag_level(R: float, m0: float, kj: int, sign: float, level: int) -> tuple[D
     return p, sec, branch[level]
 
 
+def _mp_j(ell: int, x: mpmath.mpf) -> mpmath.mpf:
+    return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(ell + mpmath.mpf(0.5), x)
+
+
+def _mp_ek_ratio(ell_num: int, ell_den: int, x: mpmath.mpf) -> mpmath.mpf:
+    """e^x k_l(x) of ``ell_num`` over that of ``ell_den``, from the finite sum
+    (pi/(2x)) sum_{j<=l} (l+j)!/(j! (l-j)! 2^j) x^-j (DLMF 10.49.12)."""
+    def poly(ell):
+        return mpmath.fsum(mpmath.mpf(math.factorial(ell + j)) / (math.factorial(j) * math.factorial(ell - j) * 2**j)
+                           / x**j for j in range(ell + 1))
+    return poly(ell_num) / poly(ell_den)
+
+
+def _reference_series(p: DiracParams, sec: AngularSector, E: float, robin: bool) -> tuple[float, float, float]:
+    """(a, b, c) of the squared large-mass (or Robin) level against 1/m near the
+    bag level E: a five-term fit in 1/m to 50-digit roots, in the wavenumber k,
+    of the determinant at m = 1000 |E| 2^i, i < 5, written out with mpmath's
+    Bessel functions."""
+    lA, lB, s = sec.ell_upper, sec.ell_lower, sec.sign
+    with mpmath.workdps(50):
+        R, m0 = mpmath.mpf(p.R), mpmath.mpf(p.m0)
+        offset = 1 / R + m0
+
+        def det(k, m=None):
+            x = k * R
+            jA, jB = _mp_j(lA, x), _mp_j(lB, x)
+            if robin:
+                # D_A J_B + D_B J_A + D_A D_B / m, D = k j'(kR) + (1/R + m0) j(kR).
+                dA = k * (lA / x * jA - _mp_j(lA + 1, x)) + offset * jA
+                dB = k * (lB / x * jB - _mp_j(lB + 1, x)) + offset * jB
+                return dA * jB + dB * jA + (0 if m is None else dA * dB / m)
+            # j_A X + s k/(E + m0) j_B, X = q/(E + M) ek_B/ek_A(qR) (1 at m = infinity).
+            energy = math.copysign(1, E) * mpmath.sqrt(k * k + m0 * m0)
+            if m is not None:
+                M = m0 + m
+                q = mpmath.sqrt(M * M - energy * energy)
+                jA *= q / (energy + M) * _mp_ek_ratio(lB, lA, q * R)
+            return jA + s * k / (energy + m0) * jB
+
+        def root(m=None, start=mpmath.mpf(math.sqrt(E * E - p.m0**2))):
+            return mpmath.findroot(lambda k: det(k, m), (start, start * (1 + mpmath.mpf(1e-9))))
+
+        k0 = root()
+        eps = [1 / (1000 * mpmath.mpf(abs(E)) * 2**i) for i in range(5)]
+        shifts = [root(1 / e, k0) ** 2 - k0**2 for e in eps]
+        coef = mpmath.lu_solve(mpmath.matrix([[e**n for n in range(1, 6)] for e in eps]), mpmath.matrix(shifts))
+        return float(coef[0]), float(coef[1]), float(coef[2])
+
+
 class TestLevelExpansions:
     """``largemass_expansion`` and ``robin_expansion``, the exact (a, b) of
     lambda_m^2 = lambda^2 + a/m + b/m^2 + O(m^-3) at a bag level lambda,
@@ -1619,21 +1668,29 @@ class TestLevelExpansions:
         ratio=st.floats(min_value=math.log(10.0), max_value=math.log(1e5)).map(math.exp),
     )
     def test_solved_levels_follow_the_series(self, R, m0, kj, sign, level, ratio):
-        # From m = 10 |E| on, the levels lie within 2|b|/m^2 of lambda^2 + a/m,
-        # up to the solves' rounding, as the report's series rows allow it at
-        # the default rel_tol = 1e-14.
+        # (a, b) agree with a 50-digit fit to the determinants' roots, which
+        # also gives the 1/m^3 coefficient c; b is held to its own scale or,
+        # where it changes sign, to that of its term (a/(2E))^2.  From
+        # m = 10 |E| on, the solved levels lie within 2|b|/m^2 + 2|c|/m^3 of
+        # lambda^2 + a/m, up to the solves' rounding at the default
+        # rel_tol = 1e-14.  The c term carries the bound where b changes sign
+        # (kappa_j = -12, R = 1.625 has b = 0 near m0 = 0.71, c = -106 there).
         p, sec, E = _bag_level(R, m0, kj, sign, level)
         m = ratio * abs(E)
         pm = DiracParams(R=R, m0=m0, m=m)
         allowance = 8e-14 * E * E
-        a, b = largemass_expansion(p, sec, E)
         branch = [e for e, _ in largemass_spectrum_signed(pm, [sec], level + 1) if (e > 0.0) == (sign > 0.0)]
-        assert abs(branch[level] ** 2 - (E * E + a / m)) <= 2.0 * abs(b) / m**2 + allowance
         # The Robin levels of a sector are ordered as both branches' bag levels by magnitude.
         rank = sorted(abs(e) for e, _ in mit_spectrum_signed(p, [sec], 5)).index(abs(E))
-        a, b = robin_expansion(p, sec, E)
         lam_int = robin_laplacian_eigenvalues(pm, sec, rank + 1)[rank]
-        assert abs(lam_int - (E * E + a / m)) <= 2.0 * abs(b) / m**2 + allowance
+        for (a, b), square, robin in (
+            (largemass_expansion(p, sec, E), branch[level] ** 2, False),
+            (robin_expansion(p, sec, E), lam_int, True),
+        ):
+            a_ref, b_ref, c = _reference_series(p, sec, E, robin)
+            assert a == pytest.approx(a_ref, rel=1e-10, abs=0.0)
+            assert abs(b - b_ref) <= 1e-9 * (abs(b_ref) + a_ref * a_ref / (E * E))
+            assert abs(square - (E * E + a / m)) <= 2.0 * abs(b) / m**2 + 2.0 * abs(c) / m**3 + allowance
 
     @settings(max_examples=40, deadline=None)
     @given(kj=KAPPAS, x=st.floats(min_value=0.5, max_value=60.0))

@@ -18,10 +18,12 @@ from mitbag.exterior import (
     SphereDatum,
     agmon_decay_check,
     ball_exterior_dtn,
+    dtn_series,
     effective_energy,
     exterior_energy,
     flat_effective_gap,
     halfspace_mode_energy,
+    mass_deviation,
     mass_estimate_check,
     sobolev_h32_norm_sq,
     sphere_datum,
@@ -376,3 +378,87 @@ def test_ball_mode_checks_name_m_and_r(monkeypatch, call, m, R):
     monkeypatch.setattr(exterior, "_tail_integral", None)
     with pytest.raises(ValueError, match=rf"^m and R must be positive and finite, got m={m!r}, R={R!r}$"):
         call(m, R)
+
+
+def _mp_dtn(m, R, ell):
+    """-m k_l'(mR)/k_l(mR) at the working precision, from mpmath's K_{l+1/2}:
+    k_l(x) is proportional to K_nu(x)/sqrt(x), nu = l + 1/2, and
+    K_nu' = -K_{nu-1} - (nu/x) K_nu (DLMF 10.29.2)."""
+    x, nu = mpmath.mpf(m) * R, mpmath.mpf(ell) + 0.5
+    return m * (mpmath.besselk(nu - 1, x) / mpmath.besselk(nu, x) + (nu + 0.5) / x)
+
+
+class TestExactExpansions:
+    """The 1/m coefficients that the exterior rows read, against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("ell", range(11))
+    def test_dtn_series_is_the_log_derivative_of_the_asymptotic_series(self, ell):
+        # DLMF 10.40.2: K_nu(x) = sqrt(pi/(2x)) e^{-x} sum_k a_k(nu) x^-k, a
+        # finite sum at nu = l + 1/2; so DtN = m + 1/R + (1/R) u A'(u)/A(u) at
+        # u = 1/(mR), and Q_n is the n-th Taylor coefficient of A'/A at 0.
+        with mpmath.workdps(50):
+            nu2 = 4 * (mpmath.mpf(ell) + 0.5) ** 2
+            a = [mpmath.mpf(1)]
+            for k in range(1, ell + 1):
+                a.append(a[-1] * (nu2 - (2 * k - 1) ** 2) / (8 * k))
+            series = mpmath.taylor(lambda u: mpmath.polyval(a[::-1], u, derivative=True)[1]
+                                   / mpmath.polyval(a[::-1], u), 0, 3)
+        assert dtn_series(ell) == tuple(int(mpmath.nint(c)) for c in series)
+        assert all(abs(c - mpmath.nint(c)) < 1e-30 for c in series)
+        assert dtn_series(ell)[:2] == (ell * (ell + 1) // 2, -ell * (ell + 1) // 2)
+
+    @pytest.mark.parametrize("ell", (1, 2, 5, 10))
+    @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+    def test_dtn_expansion_holds_against_besselk(self, ell, R):
+        # The gap DtN - (m + 1/R + Q_0/(R^2 m)) - Q_1/(R^3 m^2) is below twice
+        # the next two terms, at 50 digits where no rounding enters.
+        _, q1, q2, q3 = dtn_series(ell)
+        with mpmath.workdps(50):
+            for m in (1e2, 1e3, 1e4):
+                u = 1 / (mpmath.mpf(m) * R)
+                remainder = _mp_dtn(m, R, ell) - m - 1 / mpmath.mpf(R) - dtn_series(ell)[0] * u / R - q1 * u**2 / R
+                assert abs(remainder) <= 2 * (abs(q2) * u**3 + abs(q3) * u**4) / R
+
+    @pytest.mark.parametrize("ell", range(11))
+    def test_mass_deviation_is_hellmann_feynman_against_besselk(self, ell):
+        # m^3 (mass - 1/(2m)) = m^2 (d DtN/dm - 1)/2 from mpmath's numerical
+        # derivative at 90 digits, of which ~33 reach d DtN/dm, so ~17 the
+        # scaled value at m = 1e8: the package's 34-digit tail gives it to
+        # rounding, and it is -d_2/2 - d_3/m - 3 d_4/(2m^2) up to its next
+        # term (checked where the derivative resolves that term).
+        q0, q1, q2, q3 = dtn_series(ell)
+        R = 1.3
+        with mpmath.workdps(90):
+            for m in (1e2, 1e4, 1e8):
+                mass = mpmath.diff(lambda mm: _mp_dtn(mm, R, ell), mpmath.mpf(m)) / (2 * m)
+                exact = m**3 * (mass - 1 / (2 * mpmath.mpf(m)))
+                assert mass_deviation(sphere_datum(R, {ell: 1.0}), m) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+                d2, d3, d4, d5 = (q / mpmath.mpf(R) ** (n + 2) for n, q in enumerate((q0, q1, q2, q3)))
+                assert m > 1e4 or abs(exact - (-d2 / 2 - d3 / m - 3 * d4 / (2 * m**2))) <= 2.5 * abs(d5) / m**3
+
+    def test_sphere_mass_deviation_keeps_its_digits_at_huge_mass(self):
+        # Formed without subtracting 1/(2m): the double subtraction read 0.0
+        # from m = 1e10 on, and m^2 (T - 1/2) rounded at 34 digits reads 0
+        # past m ~ 1e17.
+        v = sphere_datum(1.0, {1: 1.0})
+        assert mass_deviation(v, 1e8) == pytest.approx(-0.49999999, rel=1e-15)
+        assert mass_deviation(v, 1e12) == pytest.approx(-0.5 + 1e-12, rel=1e-15)
+        assert mass_deviation(v, 1e110) == mass_deviation(v, 1e300) == -0.5
+        assert mass_deviation(sphere_datum(2.0, {0: 3.0}), 1e300) == 0.0
+
+    def test_flat_coefficients_are_sqrt_expansions(self):
+        # m^3 (omega - m - xi^2/(2m)) and m^3 (1/(2 omega) - 1/(2m)) per mode,
+        # against mpmath with 50 digits past the cancellation, approach
+        # -xi^4/8 and -xi^2/4.
+        v = torus_datum(2.0 * math.pi, {(2, 1): 1.0})
+        for m in (1e2, 1e4, 1e8, 1e300):
+            with mpmath.workdps(50 + 4 * round(math.log10(m))):
+                mm = mpmath.mpf(m)
+                omega = mpmath.sqrt(mm**2 + 5)
+                gap = mm**3 * (omega - mm - 5 / (2 * mm))
+                dev = mm**3 * (1 / (2 * omega) - 1 / (2 * mm))
+                assert flat_effective_gap(v, m) == pytest.approx(float(gap), rel=1e-14, abs=0.0)
+                assert mass_deviation(v, m) == pytest.approx(float(dev), rel=1e-14, abs=0.0)
+                if m < 1e300:  # past the reference's 50 digits there
+                    assert abs(gap + mpmath.mpf(25) / 8) <= 2 * 125 / (16 * mm**2)
+                    assert abs(dev + mpmath.mpf(5) / 4) <= 2 * 3 * 25 / (16 * mm**2)

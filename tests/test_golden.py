@@ -96,17 +96,11 @@ EXACT_ROWS = {
     "transverse.series.lambda": "on the flat pair Lambda = coth sqrt(m) = 1 + 8.5e-18 at m = 400 rounds to the series' 1",
     "exterior.dtn.l0": "e^x k_0 is one term, so the DtN value rounds to the closed form m + 1/R at some masses",
     "exterior.dtn.l1": "e^x k_1 is two terms, so the DtN value rounds to its closed form at some masses",
-    "exterior.effective.rate.sphere": "the m = 1e2 row anchors the envelope: its bound is its own value",
-    "exterior.effective.rate.flat": "the m = 1e2 row anchors the envelope: its bound is its own value",
-    "exterior.sandwich": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
-    "exterior.sandwich.sign": "at l = 0 the gap DtN - (m + 1/R) is 0 when the DtN value rounds to m + 1/R",
     "exterior.mass.l0": "the l = 0 tail mass is the double nearest 1/(2m); the row rounds onto 4 pi/(2m) at m = 1e4",
     "exterior.mass_estimate.l0": "the l = 0 tail mass is the double nearest ||v||^2/(2m), so the estimate is 0",
-    "exterior.mass_estimate.sphere": "the envelope's bound is its first mass's value, the largest when the rate falls",
-    "exterior.mass_estimate.flat": "the envelope's bound is its first mass's value, the largest when the rate falls",
+    "exterior.agmon.gamma0": "at l = 0 the ratio is the double nearest 1/(1 - gamma), as is 1.0/(1.0 - 0.01)",
     "exterior.additivity": "the ratio recurrence agrees with the Bessel polynomials to rounding, at R = 1 bit for bit",
     "dirac.mit.scaling": "doubling R halves every scan point exactly, so the root can halve bit for bit",
-    "dirac.mit.symmetry": "at m0 = 0 sector kj's determinant at -E is minus sector -kj's at E; exact by construction",
     "dirac.expansion.eta": "the determinant's coefficient and the eta functional agree to rounding, at R = 1 bit for bit",
     "dirac.nu.degenerate": "both copies of the ground level have the determinant's eta, at R = 1 and 3 bit for bit",
     "robin.expansion.mu": "the determinant's coefficient and the mu functional agree to rounding, at R = 1 bit for bit",

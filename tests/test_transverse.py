@@ -20,11 +20,13 @@ from mitbag.transverse import (
     TAU_CUT,
     _ansatz_poly,
     _cutoff,
+    ansatz_residual_coefficients,
     CurvatureData,
     SeriesTailError,
     TransverseProblem,
     collar_is_valid,
     expansion_coefficients,
+    flat_ansatz_residual,
     min_rescaled_weight,
     residual_of_ansatz,
     solve_transverse,
@@ -283,7 +285,8 @@ class TestCollarCut:
 
     @staticmethod
     def suite_problems(m_grid):
-        # The problems of one transverse suite on the default curvature grid.
+        # The problems of a transverse suite on the default curvature grid,
+        # with the flat m = 16 and 64 collars the suite solved until no row read them.
         sweep = cli.SuiteConfig(suite="transverse", m_grid=m_grid).transverse_sweep
         pairs = [prob for _, probs, _ in sweep for prob in probs]
         flat = [TransverseProblem(m=m, curv=FLAT) for m in (4.0, 16.0, 64.0, 1e4)]
@@ -565,24 +568,28 @@ class TestSeriesTable:
         assert failed & {"transverse.series.lambda", "transverse.series.mass"}
 
 
+def summed_profiles(prob: TransverseProblem) -> tuple[float, float]:
+    """c1, c2 of u0 + u1/m + u2/m^2 = (1 + c1 tau + c2 tau^2) e^{-tau}."""
+    p11, p21, p22 = _ansatz_poly(prob.curv)
+    return p11 / prob.m + p21 / prob.m**2, p22 / prob.m**2
+
+
 class TestFormalProfiles:
-    # _ansatz_poly sums the profiles u0 + u1/m + u2/m^2 into
-    # (c0 + c1 tau + c2 tau^2) e^{-tau}.
+    # _ansatz_poly gives u1 = p11 tau e^{-tau} and u2 = (p21 tau + p22 tau^2) e^{-tau}.
     def test_leading_profile(self):
         # Flat: the ansatz is u0 = e^{-tau} alone.
-        assert _ansatz_poly(TransverseProblem(m=4.0, curv=FLAT)) == (1.0, 0.0, 0.0)
-        assert _ansatz_poly(TransverseProblem(m=64.0, curv=CurvatureData(3.0, 1.0)))[0] == 1.0
+        assert _ansatz_poly(FLAT) == (0.0, 0.0, 0.0)
+        assert summed_profiles(TransverseProblem(m=4.0, curv=FLAT)) == (0.0, 0.0)
 
     def test_first_correction(self):
         # On a sphere, K = kappa^2/4 cancels the tau e^{-tau} term of u2, so c1
         # is u1's -kappa/(2m) alone; u2 leaves (kappa^2/4) tau^2 e^{-tau} / m^2.
-        _, c1, c2 = _ansatz_poly(TransverseProblem(m=32.0, curv=CurvatureData(2.0, 1.0)))
-        assert (c1, c2) == (-1.0 / 32.0, 1.0 / 1024.0)
+        assert _ansatz_poly(CurvatureData(2.0, 1.0)) == (-1.0, 0.0, 1.0)
+        assert summed_profiles(TransverseProblem(m=32.0, curv=CurvatureData(2.0, 1.0))) == (-1.0 / 32.0, 1.0 / 1024.0)
 
     def test_second_correction(self):
         # kappa = 0: u1 vanishes and u2 = -(K/2)(tau + tau^2) e^{-tau}.
-        _, c1, c2 = _ansatz_poly(TransverseProblem(m=4.0, curv=CurvatureData(0.0, 2.0)))
-        assert (c1, c2) == (-0.0625, -0.0625)
+        assert summed_profiles(TransverseProblem(m=4.0, curv=CurvatureData(0.0, 2.0))) == (-0.0625, -0.0625)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -594,7 +601,7 @@ class TestFormalProfiles:
         # -(u0 + u1/m + u2/m^2)'(0) = 1 - c1 is the three-term energy
         # expansion; on dyadic data both sides are computed without rounding.
         prob = TransverseProblem(m=m, curv=CurvatureData(kappa, gauss))
-        _, c1, _ = _ansatz_poly(prob)
+        c1, _ = summed_profiles(prob)
         assert 1.0 - c1 == three_terms(prob)
 
 
@@ -660,6 +667,70 @@ class TestAnsatzResidual:
         ]
         envelope = values[0]
         assert all(v <= envelope * (1.0 + 1e-9) for v in values[1:])
+
+
+class TestResidualReferences:
+    """The exact references of the suite's residual rows."""
+
+    @pytest.mark.parametrize("kappa, K", ((3.0, 1.0), (-1.0, 2.0), (0.5, -0.25)))
+    def test_coefficients_against_mpmath_quadrature(self, kappa, K):
+        # C = ||e^{-tau} q3||/8 and C4 = int e^{-2 tau} (2 q3 q4 - kappa tau q3^2) / (128 C),
+        # by mpmath quadrature at 30 digits instead of the n!/2^(n+1) moments.
+        with mpmath.workdps(30):
+            k, g = mpmath.mpf(kappa), mpmath.mpf(K)
+
+            def q3(t):
+                return -k * (k * k - 4 * g) + (12 * g * k - 9 * k**3) * t + (15 * k**3 - 36 * g * k) * t**2
+
+            def q4(t):
+                return (2 * g * (4 * g - k * k) * t + 2 * g * (4 * g - 7 * k * k) * t**2
+                        + 6 * g * (3 * k * k - 4 * g) * t**3)
+
+            pieces = [0, 2, 8, 30, mpmath.inf]
+            c = mpmath.sqrt(mpmath.quad(lambda t: mpmath.exp(-2 * t) * q3(t) ** 2, pieces)) / 8
+            j = mpmath.quad(lambda t: mpmath.exp(-2 * t) * (2 * q3(t) * q4(t) - k * t * q3(t) ** 2), pieces)
+            c4 = j / (128 * c)
+        C, C4 = ansatz_residual_coefficients(CurvatureData(kappa, K))
+        assert C == pytest.approx(float(c), rel=1e-14, abs=0.0)
+        assert C4 == pytest.approx(float(c4), rel=1e-13, abs=0.0)
+
+    def test_suite_constants(self):
+        assert ansatz_residual_coefficients(CurvatureData(3.0, 1.0)) == (
+            pytest.approx(21.721694944225693, rel=1e-15), pytest.approx(-67.51377715415552, rel=1e-14))
+
+    def test_scaled_residual_follows_its_two_terms(self):
+        # The suite's masses: the solver's m^3 r is C + C4/m within half of
+        # 2 |C4|/m (21.711158 and 21.719058), against mpmath's residual.
+        C, C4 = ansatz_residual_coefficients(CurvatureData(3.0, 1.0))
+        for m in (6400.0, 25600.0):
+            prob = TransverseProblem(m=m, curv=CurvatureData(3.0, 1.0))
+            (r,) = residual_of_ansatz([prob])
+            assert abs(r * m**3 - C) <= 0.51 * 2.0 * abs(C4) / m
+            assert abs(r * m**3 - (C + C4 / m)) <= 0.02 * abs(C4) / m
+
+    @pytest.mark.parametrize("m", (25.0, 36.0, 100.0, 400.0, 2500.0, 1e4))
+    def test_flat_residual_closed_form(self, m):
+        (r,) = residual_of_ansatz([TransverseProblem(m=m, curv=FLAT)])
+        reference = mp_flat_residual(m)
+        assert abs(flat_ansatz_residual(m) - reference) <= 1e-13 * reference
+        assert flat_ansatz_residual(m) == pytest.approx(r, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("index, factor", ((1, 1.01), (2, 1.01), (0, 1.001)))
+    def test_a_wrong_profile_leaves_a_lower_order_residual(self, monkeypatch, index, factor):
+        # The residual applies L to the profiles _ansatz_poly gives: scaling
+        # u2's tau or tau^2 coefficient by 1.01 (or u1's by 1.001) leaves an
+        # O(m^-2) (O(m^-1)) residual that m^3 r reads as far past C.
+        profiles = transverse._ansatz_poly
+
+        def mutated(curv):
+            p = list(profiles(curv))
+            p[index] *= factor
+            return tuple(p)
+
+        monkeypatch.setattr(transverse, "_ansatz_poly", mutated)
+        C, C4 = ansatz_residual_coefficients(CurvatureData(3.0, 1.0))
+        (r,) = residual_of_ansatz([TransverseProblem(m=6400.0, curv=CurvatureData(3.0, 1.0))])
+        assert abs(r * 6400.0**3 - C) > 100.0 * 2.0 * abs(C4) / 6400.0
 
 
 class TestVariationalStructure:

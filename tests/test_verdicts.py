@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ import pytest
 import mitbag.cli as cli
 import mitbag.dirac_ball as dirac_ball
 import mitbag.suites as suites
-from mitbag.cli import config_from_dict, run_suite
+import mitbag.transverse as transverse
+from mitbag.cli import config_from_dict, main, run_suite
+from mitbag.exterior import SphereDatum
 from mitbag.numerics import ToleranceConfig, run_memo
-from mitbag.report import CheckRecord, emit_table
+from mitbag.report import PROVENANCE_TAGS, CheckRecord, emit_table
 from test_transverse import kept_segments
 
 VERDICT = {
@@ -34,7 +37,7 @@ VERDICT = {
 
 _PAIR = [("transverse.series.lambda", "abs", True), ("transverse.series.mass", "abs", True)]
 _DTN = [("exterior.dtn.l0", "rel", True), ("exterior.dtn.l1", "rel", True), ("exterior.mass.l0", "rel", True)]
-_SANDWICH = [("exterior.sandwich", "upper", True), ("exterior.sandwich.sign", "upper", True)]
+_SANDWICH = [("exterior.sandwich", "abs", True), ("exterior.sandwich.sign", "upper", True)]
 _LEVEL = [("dirac.convergence", "envelope", True)] * 5 + [("dirac.convergence.final", "upper", True)]
 
 # Ordered (check_id, comparison, asserted) of the pinned run: suite "all",
@@ -50,28 +53,23 @@ GOLDEN = (
         ("transverse.sphere.cancellation", "abs", True),
         ("transverse.minimality.seeded", "lower", True),
         ("transverse.pythagoras.seeded", "upper", True),
-        ("transverse.residual.order", "envelope", True),
-        ("transverse.residual.flat", "upper", True),
+        ("transverse.residual.order", "abs", True),
+        ("transverse.residual.flat", "rel", True),
     ]
     + _DTN * 3
-    + [("exterior.effective.rate.sphere", "envelope", True)] * 3
-    + [("exterior.effective.rate.sphere.decreasing", "below", True)]
-    + [("exterior.effective.rate.flat", "envelope", True)] * 3
-    + [("exterior.effective.rate.flat.decreasing", "below", True)]
+    + [("exterior.effective.rate.sphere", "abs", True)] * 3
+    + [("exterior.effective.rate.flat", "abs", True)] * 3
     + _SANDWICH * 4
-    + [
-        ("exterior.mass_estimate.l0", "upper", True),
-        ("exterior.mass_estimate.sphere", "envelope", True),
-        ("exterior.mass_estimate.flat", "envelope", True),
-        ("exterior.additivity", "rel", True),
-    ]
+    + [("exterior.mass_estimate.l0", "upper", True)]
+    + [("exterior.mass_estimate.sphere", "abs", True)] * 3
+    + [("exterior.mass_estimate.flat", "abs", True)] * 3
+    + [("exterior.additivity", "rel", True)]
     + [("exterior.monotonic", "above", True)] * 2
     + [("exterior.agmon", "rel", True)] * 9
     + [
-        ("exterior.agmon.gamma0", "abs", True),
+        ("exterior.agmon.gamma0", "rel", True),
         ("dirac.mit.ground", "abs", True),
         ("dirac.mit.scaling", "rel", True),
-        ("dirac.mit.symmetry", "upper", True),
         ("dirac.hm.symmetry", "upper", True),
     ]
     + _LEVEL * 2
@@ -156,7 +154,7 @@ def test_every_error_cell_is_finite_or_empty(serialized):
 def test_every_asserted_check_passes(serialized):
     report, _, _ = serialized
     assert report.passed
-    assert report.pass_counts() == (125, 125)
+    assert report.pass_counts() == (126, 126)
 
 
 def test_golden_check_list(tmp_path):
@@ -166,22 +164,28 @@ def test_golden_check_list(tmp_path):
 
 class TestComparisons:
     def test_strict_inequalities_stay_strict(self):
-        assert not CheckRecord("x", "below", 1.0, 1.0, 0.0, "fit").passed
-        assert not CheckRecord("x", "above", 1.0, 1.0, 0.0, "fit").passed
-        assert CheckRecord("x", "upper", 1.0, 1.0, 0.0, "fit").passed
+        assert not CheckRecord("x", "below", 1.0, 1.0, 0.0, "expansion").passed
+        assert not CheckRecord("x", "above", 1.0, 1.0, 0.0, "expansion").passed
+        assert CheckRecord("x", "upper", 1.0, 1.0, 0.0, "expansion").passed
 
     def test_vacuous_envelope_passes(self):
-        assert CheckRecord("x", "envelope", math.inf, 3.0, 1e-9, "fit").passed
-        assert not CheckRecord("x", "envelope", math.inf, math.nan, 1e-9, "fit").passed
+        assert CheckRecord("x", "envelope", math.inf, 3.0, 1e-9, "expansion").passed
+        assert not CheckRecord("x", "envelope", math.inf, math.nan, 1e-9, "expansion").passed
 
     def test_unknown_comparison_rejected(self):
         with pytest.raises(ValueError):
-            CheckRecord("x", "approx", 1.0, 1.0, 0.0, "fit")
+            CheckRecord("x", "approx", 1.0, 1.0, 0.0, "expansion")
 
     def test_info_cannot_be_asserted(self):
         with pytest.raises(ValueError):
-            CheckRecord("x", "info", 1.0, 2.0, 0.0, "fit")
-        assert CheckRecord("x", "info", 1.0, 2.0, 0.0, "fit", asserted=False).passed
+            CheckRecord("x", "info", 1.0, 2.0, 0.0, "expansion")
+        assert CheckRecord("x", "info", 1.0, 2.0, 0.0, "expansion", asserted=False).passed
+
+    def test_fit_is_no_provenance(self):
+        # Every row reads a closed form or an exact expansion coefficient.
+        assert PROVENANCE_TAGS == ("closed-form", "expansion")
+        with pytest.raises(ValueError, match="provenance must be one of"):
+            CheckRecord("x", "abs", 1.0, 1.0, 0.0, "fit")
 
 
 def test_configured_tolerance_reaches_every_dirac_solve(monkeypatch):
@@ -255,6 +259,43 @@ def test_agmon_rows_fail_a_ratio_below_their_limit(monkeypatch):
     assert not any(r.passed for r in rows)
 
 
+def _scaled(fn, factor, applies=lambda *args: True):
+    return lambda *args: fn(*args) * (factor if applies(*args) else 1.0)
+
+
+def _wrong_u2(curv):
+    p11, p21, p22 = _PROFILES(curv)
+    return p11, 1.01 * p21, 1.01 * p22
+
+
+_PROFILES = transverse._ansatz_poly
+
+# One-coefficient mutants that passed the fit rows at R = 0.5, 1 and 3, and
+# the rows that fail each now: (module, name, replacement, failing ids).
+MUTANTS = {
+    "flat_effective_gap x1.01": (suites, "flat_effective_gap", _scaled(suites.flat_effective_gap, 1.01),
+                                 {"exterior.effective.rate.flat"}),
+    "sphere mass deviation x1.01": (suites, "mass_deviation", _scaled(
+        suites.mass_deviation, 1.01, lambda v, m: isinstance(v, SphereDatum)), {"exterior.mass_estimate.sphere"}),
+    "_ansatz_poly m^-2 coefficients x1.01": (transverse, "_ansatz_poly", _wrong_u2, {"transverse.residual.order"}),
+    "agmon_decay_check x0.95": (suites, "agmon_decay_check", _scaled(suites.agmon_decay_check, 0.95),
+                                {"exterior.agmon.gamma0"}),
+}
+
+
+@pytest.mark.parametrize("radius", ("0.5", "1", "3"))
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_one_percent_mutants_fail_verify(tmp_path, monkeypatch, capsys, mutant, radius):
+    module, name, replacement, failing = MUTANTS[mutant]
+    monkeypatch.setattr(module, name, replacement)
+    out = tmp_path / "report.json"
+    config = Path(__file__).resolve().parent / "golden" / f"config_R{radius}.json"
+    assert main([str(config), "--format", "json", "--out", str(out)]) == 1
+    capsys.readouterr()
+    failed = {row["check_id"] for row in json.loads(out.read_bytes())["records"] if row["asserted"] and not row["pass"]}
+    assert failing <= failed
+
+
 def test_nu_degenerate_compares_two_copies_of_the_level(monkeypatch):
     # An eta that depends on the sector tells the kj=-1 and kj=+1 copies of
     # the ground level apart, so the row must fail.
@@ -301,12 +342,12 @@ def test_transverse_effort_counts_the_solved_elements(monkeypatch):
     # Each collar keeps the segments of its uncut layout that start before
     # TAU_CUT.
     n_el = [kept_segments(p)[0] for p in problems]
-    assert len(problems) == 65 and "transverse_dofs" not in summary
-    assert summary["transverse_elements"] == sum(n_el) == 352
+    assert len(problems) == 63 and "transverse_dofs" not in summary
+    assert summary["transverse_elements"] == sum(n_el) == 349
 
 
 def test_transverse_suite_is_one_stacked_solve(monkeypatch):
-    # All 65 problems (4 flat, 60 of the curvature sweep, the seeded one) go
+    # All 63 problems (2 flat, 60 of the curvature sweep, the seeded one) go
     # to one solve_transverse call, which makes no LAPACK solve and calls no
     # lstsq.
     stacks, interior_solves, lstsqs = [], [], []
@@ -324,7 +365,7 @@ def test_transverse_suite_is_one_stacked_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lapack_spy)
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsqs.append(args) or lstsq(*args, **kw))
     cli.run_transverse_suite(cli.SuiteConfig(suite="transverse"))
-    assert [len(stack) for stack in stacks] == [65]
+    assert [len(stack) for stack in stacks] == [63]
     assert len(interior_solves) == 0
     assert len(lstsqs) == 0
 
